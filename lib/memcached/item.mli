@@ -1,8 +1,9 @@
 (** A stored cache item.
 
-    Immutable payload ([data], [flags]) plus mutable bookkeeping the RP GET
-    fast path may touch from inside a read-side critical section
-    ([last_access] is atomic so lock-free readers can bump it). *)
+    Immutable payload ([data], [flags], expiry) plus one mutable word the
+    RP GET fast path writes from inside a read-side critical section: the
+    CLOCK access stamp [last_access]. Times are immediate ints ({!time}),
+    so a GET hit neither loads a boxed float nor allocates one. *)
 
 type location =
   | Hot  (** value in [data] *)
@@ -12,34 +13,57 @@ type location =
           — kept as bare ints so this module has no tier dependency).
           Flags, expiry and CAS stay in RAM either way. *)
 
+type time = int
+(** Seconds since the Unix epoch in binary fixed point, 2{^-22} s (about
+    238 ns) per unit. 0 is the epoch itself, which as an expiry means
+    "never". *)
+
 type t = {
   flags : int;
-  exptime : float;  (** absolute expiry in Unix seconds; 0. = never *)
+  exptime : time;  (** absolute expiry; 0 = never *)
   data : string;
   cas : int;  (** unique version for compare-and-swap (gets/cas) *)
-  created : float;
-  last_access : float Atomic.t;
+  mutable last_access : time;
+      (** CLOCK access stamp. Plain, unsynchronised stores from
+          concurrent readers: a reader may overwrite a newer stamp with
+          its own slightly older one, or the eviction sweep may read a
+          stamp one GET behind. Either race can only change one
+          second-chance decision for this item — it never affects what a
+          GET returns. *)
   location : location;
 }
+
+val time_of_float : float -> time
+(** Unix seconds to an item time. Exact (and inverted exactly by
+    {!float_of_time}) for every float from 2{^30} s — January 2004 — up
+    to 2{^40} s, where it saturates at [max_int]. Any positive input maps
+    to at least 1, so a positive expiry never becomes "never"; zero,
+    negative and NaN inputs map to 0. *)
+
+val float_of_time : time -> float
+(** Item time back to Unix seconds (the persistence records' unit). *)
 
 val make :
   ?cas:int ->
   ?location:location ->
-  flags:int -> exptime:float -> data:string -> now:float -> unit -> t
-(** [location] defaults to {!Hot}. *)
+  flags:int -> exptime:time -> data:string -> now:time -> unit -> t
+(** [location] defaults to {!Hot}; [now] is the initial access stamp. *)
 
 val note_restored_cas : int -> unit
 (** Tell the CAS allocator a recovered item carries [cas], so versions
     minted after a warm restart stay unique (monotonic past any replayed
     value). Thread-safe. *)
 
-val is_expired : t -> now:float -> bool
+val is_expired : t -> now:time -> bool
+(** [exptime] set and not after [now]: an item expiring at [now] is
+    already expired. *)
 
 val is_cold : t -> bool
 (** True when the value lives in the disk tier ([location <> Hot]). *)
 
-val touch_access : t -> now:float -> unit
-(** Bump [last_access]; safe from concurrent lock-free readers. *)
+val touch_access : t -> now:time -> unit
+(** Raise [last_access] to [now]; callable from concurrent lock-free
+    readers (see the field's note on the benign race). *)
 
 val size_bytes : key:string -> t -> int
 (** Approximate memory footprint used for the eviction budget: key + data +

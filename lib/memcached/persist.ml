@@ -93,7 +93,7 @@ let record_of_item key (item : Item.t) =
       op = P.Record.Tset;
       key;
       flags = item.flags;
-      exptime = item.exptime;
+      exptime = Item.float_of_time item.exptime;
       cas = item.cas;
       data = item.data;
     }

@@ -93,42 +93,64 @@ let encode_request = function
   | Version -> "version" ^ crlf
   | Quit -> "quit" ^ crlf
 
+(* Decimal digits straight into the buffer: [string_of_int] would
+   allocate a string per number (and format it through C). *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int buf n =
+  if n >= 0 then add_digits buf n else Buffer.add_string buf (string_of_int n)
+
+let end_line = "END\r\n"
+let stored_line = "STORED\r\n"
+let not_stored_line = "NOT_STORED\r\n"
+let exists_line = "EXISTS\r\n"
+let not_found_line = "NOT_FOUND\r\n"
+let deleted_line = "DELETED\r\n"
+let touched_line = "TOUCHED\r\n"
+let ok_line = "OK\r\n"
+let error_line = "ERROR\r\n"
+
+let add_value buf { vkey; vflags; vdata; vcas } =
+  Buffer.add_string buf "VALUE ";
+  Buffer.add_string buf vkey;
+  Buffer.add_char buf ' ';
+  add_int buf vflags;
+  Buffer.add_char buf ' ';
+  add_int buf (String.length vdata);
+  (match vcas with
+  | None -> ()
+  | Some cas ->
+      Buffer.add_char buf ' ';
+      add_int buf cas);
+  Buffer.add_string buf crlf;
+  Buffer.add_string buf vdata;
+  Buffer.add_string buf crlf
+
+let rec add_values buf = function
+  | [] -> Buffer.add_string buf end_line
+  | v :: rest ->
+      add_value buf v;
+      add_values buf rest
+
 (* Renders straight into a caller-owned buffer so a pipelined batch of
    responses coalesces without one string allocation per command. *)
 let encode_response_into buf = function
-  | Values values ->
-      List.iter
-        (fun { vkey; vflags; vdata; vcas } ->
-          Buffer.add_string buf "VALUE ";
-          Buffer.add_string buf vkey;
-          Buffer.add_char buf ' ';
-          Buffer.add_string buf (string_of_int vflags);
-          Buffer.add_char buf ' ';
-          Buffer.add_string buf (string_of_int (String.length vdata));
-          (match vcas with
-          | None -> ()
-          | Some cas ->
-              Buffer.add_char buf ' ';
-              Buffer.add_string buf (string_of_int cas));
-          Buffer.add_string buf crlf;
-          Buffer.add_string buf vdata;
-          Buffer.add_string buf crlf)
-        values;
-      Buffer.add_string buf "END";
-      Buffer.add_string buf crlf
-  | Stored -> Buffer.add_string buf ("STORED" ^ crlf)
-  | Not_stored -> Buffer.add_string buf ("NOT_STORED" ^ crlf)
-  | Exists -> Buffer.add_string buf ("EXISTS" ^ crlf)
-  | Not_found -> Buffer.add_string buf ("NOT_FOUND" ^ crlf)
-  | Deleted -> Buffer.add_string buf ("DELETED" ^ crlf)
-  | Touched -> Buffer.add_string buf ("TOUCHED" ^ crlf)
-  | Ok_reply -> Buffer.add_string buf ("OK" ^ crlf)
+  | Values values -> add_values buf values
+  | Stored -> Buffer.add_string buf stored_line
+  | Not_stored -> Buffer.add_string buf not_stored_line
+  | Exists -> Buffer.add_string buf exists_line
+  | Not_found -> Buffer.add_string buf not_found_line
+  | Deleted -> Buffer.add_string buf deleted_line
+  | Touched -> Buffer.add_string buf touched_line
+  | Ok_reply -> Buffer.add_string buf ok_line
   | Version_reply v ->
       Buffer.add_string buf "VERSION ";
       Buffer.add_string buf v;
       Buffer.add_string buf crlf
   | Number n ->
-      Buffer.add_string buf (string_of_int n);
+      add_int buf n;
       Buffer.add_string buf crlf
   | Stats_reply stats ->
       List.iter
@@ -139,13 +161,11 @@ let encode_response_into buf = function
           Buffer.add_string buf v;
           Buffer.add_string buf crlf)
         stats;
-      Buffer.add_string buf "END";
-      Buffer.add_string buf crlf
+      Buffer.add_string buf end_line
   | Trace_json json ->
       Buffer.add_string buf json;
       Buffer.add_string buf crlf;
-      Buffer.add_string buf "END";
-      Buffer.add_string buf crlf
+      Buffer.add_string buf end_line
   | Client_error msg ->
       Buffer.add_string buf "CLIENT_ERROR ";
       Buffer.add_string buf msg;
@@ -154,7 +174,7 @@ let encode_response_into buf = function
       Buffer.add_string buf "SERVER_ERROR ";
       Buffer.add_string buf msg;
       Buffer.add_string buf crlf
-  | Error_reply -> Buffer.add_string buf ("ERROR" ^ crlf)
+  | Error_reply -> Buffer.add_string buf error_line
 
 let encode_response response =
   let buf = Buffer.create 128 in
@@ -184,19 +204,23 @@ module Inbuf = struct
 
   let available t = String.length t.data - t.pos
 
+  let rec crlf_from s i last =
+    if i >= last then -1
+    else if String.unsafe_get s i = '\r' && String.unsafe_get s (i + 1) = '\n' then i
+    else crlf_from s (i + 1) last
+
+  (* Index of the next CRLF at or after [pos], or -1. *)
+  let find_crlf t = crlf_from t.data t.pos (String.length t.data - 1)
+
   (* A CRLF-terminated line, without the terminator. *)
   let take_line t =
-    let rec find i =
-      if i + 1 >= String.length t.data then None
-      else if t.data.[i] = '\r' && t.data.[i + 1] = '\n' then Some i
-      else find (i + 1)
-    in
-    match find t.pos with
-    | None -> None
-    | Some i ->
-        let line = String.sub t.data t.pos (i - t.pos) in
-        t.pos <- i + 2;
-        Some line
+    let i = find_crlf t in
+    if i < 0 then None
+    else begin
+      let line = String.sub t.data t.pos (i - t.pos) in
+      t.pos <- i + 2;
+      Some line
+    end
 
   (* Drop buffered bytes up to and including the next CRLF. Returns
      [true] once a CRLF was consumed; [false] when the buffer ran dry
@@ -204,19 +228,16 @@ module Inbuf = struct
      is still recognised). *)
   let discard_line t =
     let len = String.length t.data in
-    let rec find i =
-      if i + 1 >= len then None
-      else if t.data.[i] = '\r' && t.data.[i + 1] = '\n' then Some i
-      else find (i + 1)
-    in
-    match find t.pos with
-    | Some i ->
-        t.pos <- i + 2;
-        true
-    | None ->
-        t.data <- (if len > t.pos && t.data.[len - 1] = '\r' then "\r" else "");
-        t.pos <- 0;
-        false
+    let i = find_crlf t in
+    if i >= 0 then begin
+      t.pos <- i + 2;
+      true
+    end
+    else begin
+      t.data <- (if len > t.pos && t.data.[len - 1] = '\r' then "\r" else "");
+      t.pos <- 0;
+      false
+    end
 
   (* [n] data bytes followed by CRLF. *)
   let take_block t n =
@@ -246,11 +267,16 @@ module Parser = struct
 
   type state = Await_line | Await_data of pending | Discard_line
 
-  type t = { inbuf : Inbuf.t; max_line : int; mutable state : state }
+  type t = {
+    inbuf : Inbuf.t;
+    max_line : int;
+    mutable state : state;
+    mutable eol : int;  (* CRLF index of the line [scan_get] just read *)
+  }
 
   let create ?(max_line = 8192) () =
     if max_line < 1 then invalid_arg "Protocol.Parser.create: max_line < 1";
-    { inbuf = Inbuf.create (); max_line; state = Await_line }
+    { inbuf = Inbuf.create (); max_line; state = Await_line; eol = 0 }
   let feed t s = Inbuf.feed t.inbuf s
   let buffered_bytes t = Inbuf.available t.inbuf
 
@@ -396,26 +422,96 @@ module Parser = struct
         | "quit" -> Some (Ok Quit)
         | _ -> Some (Error "ERROR"))
 
+  (* --- get/gets lines, scanned in place ---
+
+     The hot request. A well-formed get/gets line is read once, straight
+     out of the input buffer: no line copy, no token list — the keys are
+     the only strings allocated. Anything else (no CRLF yet, a missing or
+     invalid key, an over-long line) leaves the buffer untouched and
+     takes the general path below, which gives the same result for every
+     line: keys are the space-separated tokens after the verb. *)
+
+  exception Not_simple
+
+  (* End of the key starting at [j]: the next space or CR. *)
+  let rec key_end s j =
+    if j >= String.length s then raise_notrace Not_simple
+    else
+      let c = String.unsafe_get s j in
+      if c = ' ' || c = '\r' then j
+      else if c < ' ' || c = '\x7f' then raise_notrace Not_simple
+      else key_end s (j + 1)
+
+  (* The keys from [i] to the end of the line; [t.eol] gets the index of
+     the line's CRLF. *)
+  let rec keys_to_eol t s i =
+    if i + 1 >= String.length s then raise_notrace Not_simple
+    else
+      match String.unsafe_get s i with
+      | ' ' -> keys_to_eol t s (i + 1)
+      | '\r' ->
+          if String.unsafe_get s (i + 1) <> '\n' then raise_notrace Not_simple;
+          t.eol <- i;
+          []
+      | _ ->
+          let j = key_end s i in
+          if j - i > 250 then raise_notrace Not_simple;
+          let key = String.sub s i (j - i) in
+          key :: keys_to_eol t s j
+
+  (* Where the keys of a "get " or "gets " line starting at [i] begin
+     (4 or 5 bytes on), or 0 for any other line. *)
+  let get_keys_offset s i =
+    let avail = String.length s - i in
+    if
+      avail >= 5
+      && String.unsafe_get s i = 'g'
+      && String.unsafe_get s (i + 1) = 'e'
+      && String.unsafe_get s (i + 2) = 't'
+    then
+      match String.unsafe_get s (i + 3) with
+      | ' ' -> 4
+      | 's' when String.unsafe_get s (i + 4) = ' ' -> 5
+      | _ -> 0
+    else 0
+
+  let scan_get t =
+    let inbuf = t.inbuf in
+    let s = inbuf.data and i = inbuf.pos in
+    match get_keys_offset s i with
+    | 0 -> None
+    | off -> (
+        match keys_to_eol t s (i + off) with
+        | _ :: _ as keys when t.eol - i <= t.max_line ->
+            inbuf.pos <- t.eol + 2;
+            Some (Ok (if off = 4 then Get keys else Gets keys))
+        | _ -> None
+        | exception Not_simple -> None)
+
   let rec next t =
     match t.state with
     | Await_line -> (
-        match Inbuf.take_line t.inbuf with
-        | None ->
-            (* No CRLF in the buffer. If the partial line has already
-               outgrown the bound, report once and start discarding, so a
-               client streaming an endless line cannot balloon the buffer. *)
-            if Inbuf.available t.inbuf > t.max_line then begin
-              t.state <- Discard_line;
-              ignore (Inbuf.discard_line t.inbuf);
-              Some (Error "line too long")
-            end
-            else None
-        | Some line ->
-            if String.length line > t.max_line then Some (Error "line too long")
-            else (
-              match parse_line t line with
-              | Some result -> Some result
-              | None -> next t (* storage header consumed; try for the data *)))
+        match scan_get t with
+        | Some _ as request -> request
+        | None -> (
+            match Inbuf.take_line t.inbuf with
+            | None ->
+                (* No CRLF in the buffer. If the partial line has already
+                   outgrown the bound, report once and start discarding, so
+                   a client streaming an endless line cannot balloon the
+                   buffer. *)
+                if Inbuf.available t.inbuf > t.max_line then begin
+                  t.state <- Discard_line;
+                  ignore (Inbuf.discard_line t.inbuf);
+                  Some (Error "line too long")
+                end
+                else None
+            | Some line ->
+                if String.length line > t.max_line then Some (Error "line too long")
+                else (
+                  match parse_line t line with
+                  | Some result -> Some result
+                  | None -> next t (* storage header consumed; try for the data *))))
     | Discard_line ->
         (* Resynchronise at the next CRLF, dropping everything before it. *)
         if Inbuf.discard_line t.inbuf then begin

@@ -28,7 +28,7 @@ type rp_state = {
   update_stripes : Mutex.t array;  (* power of two *)
   update_mask : int;
   clock_mu : Mutex.t;
-  clockq : (string * float) Queue.t;
+  clockq : (string * Item.time) Queue.t;
   sweeping : bool Atomic.t;
   (* Promotion single-flight: a flash crowd on one demoted key does one
      disk read. Same mask as the update stripes, but a separate array —
@@ -329,19 +329,21 @@ let reader_offline t =
    relative seconds; anything larger is an absolute Unix timestamp. *)
 let realtime_maxdelta = 30 * 24 * 60 * 60
 
-(* Protocol exptime -> absolute Unix seconds, resolved once here at the
-   original operation. The persistence log stores this absolute value, so
-   replay after a restart re-expires items at the same wall-clock instant
-   no matter when recovery runs — a relative offset re-applied at replay
-   time would silently extend every TTL by the downtime. *)
-let absolute_exptime t exptime =
-  if exptime = 0 then 0.0 (* never expires *)
-  else if exptime < 0 then epsilon_float (* expired since the dawn of time *)
+(* Protocol exptime -> absolute item time, resolved once here at the
+   original operation ([clock] is the operation's own clock reading). The
+   persistence log stores this absolute value, so replay after a restart
+   re-expires items at the same wall-clock instant no matter when
+   recovery runs — a relative offset re-applied at replay time would
+   silently extend every TTL by the downtime. The sum is formed in float
+   seconds, so the logged float converts back to the same item time. *)
+let absolute_exptime ~clock exptime =
+  if exptime = 0 then 0 (* never expires *)
+  else if exptime < 0 then 1 (* expired since the dawn of time *)
   else if exptime <= realtime_maxdelta then
-    t.clock () +. float_of_int exptime (* relative seconds from now *)
-  else float_of_int exptime (* already an absolute Unix time *)
+    Item.time_of_float (clock +. float_of_int exptime) (* relative to now *)
+  else Item.time_of_float (float_of_int exptime) (* already absolute *)
 
-let value_of_item ?(with_cas = false) key (item : Item.t) : Protocol.value =
+let value_of_item ~with_cas key (item : Item.t) : Protocol.value =
   {
     vkey = key;
     vflags = item.flags;
@@ -352,7 +354,7 @@ let value_of_item ?(with_cas = false) key (item : Item.t) : Protocol.value =
 (* --- persistence hook --- *)
 
 let set_persist_hook t hook = t.persist_hook <- hook
-let now t = t.clock ()
+let now t = Item.time_of_float (t.clock ())
 
 (* Callers invoke these while holding the backend's serialization lock
    for the mutated key (the Lock backend's table lock / the Rp backend's
@@ -372,7 +374,7 @@ let record_set t ~op key (item : Item.t) =
              op;
              key;
              flags = item.flags;
-             exptime = item.exptime;
+             exptime = Item.float_of_time item.exptime;
              cas = item.cas;
              data = item.data;
            })
@@ -568,11 +570,11 @@ let rp_store t rs key (item : Item.t) =
       if Item.is_cold old then begin
         tier_mark_dead t old;
         if not (Item.is_cold item) then
-          clock_push rs (key, Atomic.get item.last_access)
+          clock_push rs (key, item.last_access)
       end
   | None ->
       if not (Item.is_cold item) then
-        clock_push rs (key, Atomic.get item.last_access));
+        clock_push rs (key, item.last_access));
   (* replace publishes atomically: readers see the old or new item, never a
      torn one; the unlinked old item is reclaimed after a grace period. *)
   Rp_ht.replace rs.rp key item;
@@ -588,7 +590,7 @@ let rp_demote t rs key (item : Item.t) =
   match t.tier with
   | None -> false
   | Some hooks ->
-      if (not (hooks.th_admit ())) || Item.is_expired item ~now:(t.clock ()) then
+      if (not (hooks.th_admit ())) || Item.is_expired item ~now:(now t) then
         false
       else begin
         let started = Rp_trace.now_ns () in
@@ -600,7 +602,7 @@ let rp_demote t rs key (item : Item.t) =
                 Item.make ~cas:item.cas
                   ~location:(Item.Cold { segment; offset; len })
                   ~flags:item.flags ~exptime:item.exptime ~data:""
-                  ~now:(Atomic.get item.last_access) ()
+                  ~now:item.last_access ()
               in
               rp_store t rs key marker;
               Rp_obs.Counter.incr t.tier_demotions;
@@ -682,7 +684,7 @@ let rp_sweep_locked t rs =
                      the entry — the marker is the tier's to manage. *)
                   ()
               | Some item ->
-                  let last = Atomic.get item.last_access in
+                  let last = item.last_access in
                   if last > seen_access && !chances > 0 then begin
                     decr chances;
                     Rp_obs.Counter.incr t.clock_chances;
@@ -747,38 +749,49 @@ let rp_expire_if_dead t rs ~now key =
           Rp_obs.Counter.incr t.expired
       | Some _ | None -> ())
 
-(* [expired_acc]: when the caller holds a batch-wide read section open it
-   must not take an update stripe inline (the holder could be waiting for
-   readers — us included). Expired keys are collected and reaped by the
-   caller after the section closes. A cold hit is likewise only REPORTED
-   here (`Cold): resolving it means a disk read and a stripe acquisition,
-   which the caller does outside any read section. *)
-let get_rp_raw t rs ?(with_cas = false) ?expired_acc key =
-  let now = t.clock () in
-  (* Fast path: wait-free lookup; the value is copied out inside the
-     table's read-side critical section. *)
-  match Rp_ht.find rs.rp key with
-  | None ->
-      Rp_obs.Counter.incr t.get_misses;
-      heat_miss t key;
-      `Miss
-  | Some item ->
-      if Item.is_expired item ~now then begin
-        (* Slow path: expiry needs the update lock. *)
-        (match expired_acc with
-        | Some acc -> acc := key :: !acc
-        | None -> rp_expire_if_dead t rs ~now key);
-        Rp_obs.Counter.incr t.get_misses;
-        heat_miss t key;
-        `Miss
-      end
-      else if Item.is_cold item then `Cold (* hit/miss counted at resolution *)
-      else begin
-        Item.touch_access item ~now;
-        Rp_obs.Counter.incr t.get_hits;
-        heat_hit t key item.data;
-        `Hit (value_of_item ~with_cas key item)
-      end
+(* A batch's read section must not take an update stripe (the holder
+   could be waiting for readers — us included) nor read the disk. So the
+   section's pass leaves a placeholder in the reply list for each key
+   that needs either — an expired item to reap, a demoted one to promote
+   — marked by one of these tags as its [vdata] (compared physically),
+   and the caller settles them after the section closes. *)
+let expired_tag = String.make 1 'x'
+let cold_tag = String.make 1 'c'
+
+let placeholder key tag : Protocol.value =
+  { vkey = key; vflags = 0; vdata = tag; vcas = None }
+
+let is_placeholder (v : Protocol.value) = v.vdata == expired_tag || v.vdata == cold_tag
+
+(* The wait-free pass over a batch, inside its read section: each value
+   is copied out while the section is open. Misses leave nothing; a hot
+   hit allocates only its reply record and list cell. Built in key order
+   by plain recursion (the bound is the request line's key count). *)
+let rec read_pass t rs ~with_cas ~now = function
+  | [] -> []
+  | key :: rest -> (
+      match Rp_ht.find rs.rp key with
+      | None ->
+          Rp_obs.Counter.incr t.get_misses;
+          heat_miss t key;
+          read_pass t rs ~with_cas ~now rest
+      | Some item ->
+          let v =
+            if Item.is_expired item ~now then begin
+              Rp_obs.Counter.incr t.get_misses;
+              heat_miss t key;
+              placeholder key expired_tag
+            end
+            else if Item.is_cold item then
+              placeholder key cold_tag (* hit/miss counted at resolution *)
+            else begin
+              Item.touch_access item ~now;
+              Rp_obs.Counter.incr t.get_hits;
+              heat_hit t key item.data;
+              value_of_item ~with_cas key item
+            end
+          in
+          v :: read_pass t rs ~with_cas ~now rest)
 
 (* Resolve a cold hit: one positioned segment read, then reinsert under
    the key's update stripe (promote-on-access). The disk read happens
@@ -793,7 +806,7 @@ let get_rp_raw t rs ?(with_cas = false) ?expired_acc key =
    final: the value is gone, so the marker is dropped — later GETs miss
    fast instead of re-reading a bad frame. *)
 let rec promote_attempt t rs ~with_cas ~hooks key tries =
-  let now = t.clock () in
+  let now = now t in
   match Rp_ht.find rs.rp key with
   | None ->
       Rp_obs.Counter.incr t.get_misses;
@@ -891,8 +904,7 @@ let promote_and_get t rs ~with_cas key =
       rp_sweep t rs;
       v
 
-let get_lock t ls ?(with_cas = false) key =
-  let now = t.clock () in
+let get_lock t ls ~with_cas ~now key =
   Rp_baseline.Lock_ht.with_lock ls.table (fun () ->
       match lock_find_live t ls key ~now with
       | None ->
@@ -906,51 +918,55 @@ let get_lock t ls ?(with_cas = false) key =
           heat_hit t key entry.item.data;
           Some (value_of_item ~with_cas key entry.item))
 
-let get t key =
-  Rp_obs.Counter.incr t.cmd_get;
-  match t.state with
-  | Lock_state ls -> get_lock t ls key
-  | Rp_state rs -> (
-      match get_rp_raw t rs key with
-      | `Hit v -> Some v
-      | `Miss -> None
-      | `Cold -> promote_and_get t rs ~with_cas:false key)
+(* Placeholders left by [read_pass], resolved with no read section open:
+   expired items are reaped under their own stripes, cold hits promoted
+   (stripes and a disk read). Reply order is preserved. *)
+let settle t rs ~with_cas ~now values =
+  List.filter_map
+    (fun (v : Protocol.value) ->
+      if v.vdata == expired_tag then begin
+        rp_expire_if_dead t rs ~now v.vkey;
+        None
+      end
+      else if v.vdata == cold_tag then promote_and_get t rs ~with_cas v.vkey
+      else Some v)
+    values
+
+(* The batch size goes on the read-section span's end, and only when the
+   span is recorded: passing [~arg] allocates an option. *)
+let end_read_section section ~n =
+  if section >= 0 then Rp_trace.span_end_sampled ~arg:n k_read_section section
 
 (* The multiget fast path the event loop's batch dispatch hits: one
-   [cmd_get] add for the whole batch and — on the Rp backend — one
-   read-side critical section spanning every lookup (inner sections nest
-   for free), instead of a counter bump and section per key. *)
+   clock read and one [cmd_get] add for the whole batch and — on the Rp
+   backend — one read-side critical section spanning every lookup (inner
+   sections nest for free), instead of a counter bump, clock read and
+   section per key. *)
 let get_many t ?(with_cas = false) keys =
-  Rp_obs.Counter.add t.cmd_get (List.length keys);
+  let n = List.length keys in
+  Rp_obs.Counter.add t.cmd_get n;
+  let now = now t in
   match t.state with
-  | Lock_state ls -> List.filter_map (fun key -> get_lock t ls ~with_cas key) keys
+  | Lock_state ls -> List.filter_map (fun key -> get_lock t ls ~with_cas ~now key) keys
   | Rp_state rs ->
-      let expired_acc = ref [] in
-      let section = Rp_trace.span_begin_sampled ~arg:(List.length keys) k_read_section in
-      let pass =
-        Flavour.with_read (Rp_ht.flavour rs.rp) (fun () ->
-            List.map
-              (fun key -> (key, get_rp_raw t rs ~with_cas ~expired_acc key))
-              keys)
+      let flavour = Rp_ht.flavour rs.rp in
+      let section = Rp_trace.span_begin_sampled k_read_section in
+      flavour.Flavour.read_enter ();
+      let values =
+        match read_pass t rs ~with_cas ~now keys with
+        | values ->
+            flavour.Flavour.read_exit ();
+            values
+        | exception e ->
+            flavour.Flavour.read_exit ();
+            end_read_section section ~n;
+            raise e
       in
-      Rp_trace.span_end_sampled k_read_section section;
-      (match !expired_acc with
-      | [] -> ()
-      | dead ->
-          (* Reap outside the batch read section, each key under its own
-             stripe. *)
-          let now = t.clock () in
-          List.iter (fun key -> rp_expire_if_dead t rs ~now key) dead);
-      (* Cold hits resolve here, after the section closed — promotion
-         takes stripes and reads disk, neither of which belongs inside a
-         batch-wide read section. Response order is preserved. *)
-      List.filter_map
-        (fun (key, outcome) ->
-          match outcome with
-          | `Hit v -> Some v
-          | `Miss -> None
-          | `Cold -> promote_and_get t rs ~with_cas key)
-        pass
+      end_read_section section ~n;
+      if List.exists is_placeholder values then settle t rs ~with_cas ~now values
+      else values
+
+let get t key = match get_many t [ key ] with v :: _ -> Some v | [] -> None
 
 (* --- storage commands --- *)
 
@@ -964,8 +980,9 @@ let fits_slab t ~key ~data =
 let storage_command t ~op ~key ~flags ~exptime ~data ~guard =
   Rp_obs.Counter.incr t.cmd_set;
   heat_set t key ~vbytes:(String.length data);
-  let now = t.clock () in
-  let exptime = absolute_exptime t exptime in
+  let clock = t.clock () in
+  let now = Item.time_of_float clock in
+  let exptime = absolute_exptime ~clock exptime in
   if not (fits_slab t ~key ~data) then Too_large
   else
   match t.state with
@@ -1025,7 +1042,7 @@ let cas t ~key ~flags ~exptime ~data ~unique =
 let concat_command t ~op ~key ~data ~build =
   Rp_obs.Counter.incr t.cmd_set;
   heat_set t key ~vbytes:(String.length data);
-  let now = t.clock () in
+  let now = now t in
   let perform (item : Item.t) ~old_data store =
     let combined = build old_data data in
     if not (fits_slab t ~key ~data:combined) then Too_large
@@ -1099,7 +1116,7 @@ let delete t key =
 (* incr/decr rewrite the stored decimal string; decr saturates at zero. *)
 let counter_command t ~op key delta ~apply =
   heat_mutation t key;
-  let now = t.clock () in
+  let now = now t in
   let compute (item : Item.t) ~data store =
     match int_of_string_opt (String.trim data) with
     | None -> Cnon_numeric
@@ -1151,8 +1168,9 @@ let decr t key delta =
 
 let touch t ~key ~exptime =
   heat_mutation t key;
-  let now = t.clock () in
-  let exptime = absolute_exptime t exptime in
+  let clock = t.clock () in
+  let now = Item.time_of_float clock in
+  let exptime = absolute_exptime ~clock exptime in
   let retouch (item : Item.t) ~data store =
     let fresh =
       Item.make ~cas:item.cas ~flags:item.flags ~exptime ~data ~now ()
@@ -1236,7 +1254,7 @@ let rec iter_resolve_cold t rs ~hooks ~f key tries =
           | Ok (rkey, data) when String.equal rkey key ->
               f key
                 (Item.make ~cas:item.Item.cas ~flags:item.Item.flags
-                   ~exptime:item.Item.exptime ~data ~now:(t.clock ()) ())
+                   ~exptime:item.Item.exptime ~data ~now:(now t) ())
           | Error Tier_gone when tries > 0 ->
               iter_resolve_cold t rs ~hooks ~f key (tries - 1)
           | Ok _ ->
@@ -1276,8 +1294,10 @@ let apply_record ?(log = false) t r =
   match r with
   | Rp_persist.Record.Set { key; flags; exptime; cas; data; _ } ->
       Item.note_restored_cas cas;
-      let now = t.clock () in
-      let item = Item.make ~cas ~flags ~exptime ~data ~now () in
+      let now = now t in
+      let item =
+        Item.make ~cas ~flags ~exptime:(Item.time_of_float exptime) ~data ~now ()
+      in
       if Item.is_expired item ~now then
         ignore
           (match t.state with
@@ -1345,7 +1365,7 @@ let tier_location t key =
   | Rp_state rs -> (
       match Rp_ht.find rs.rp key with
       | Some ({ Item.location = Item.Cold { segment; offset; len }; _ } as item)
-        when not (Item.is_expired item ~now:(t.clock ())) ->
+        when not (Item.is_expired item ~now:(now t)) ->
           Some (segment, offset, len)
       | Some _ | None -> None)
 
@@ -1371,7 +1391,7 @@ let tier_relocate t ~key ~from_ ~relocate =
                     Item.make ~cas:item.Item.cas
                       ~location:(Item.Cold { segment; offset; len })
                       ~flags:item.Item.flags ~exptime:item.Item.exptime
-                      ~data:"" ~now:(Atomic.get item.Item.last_access) ()
+                      ~data:"" ~now:item.Item.last_access ()
                   in
                   (* Same-size marker swap: publish directly (no queue or
                      tier bookkeeping — old frame is the caller's). *)

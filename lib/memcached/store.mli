@@ -6,8 +6,8 @@
       operation, GETs included (lookup + exact-LRU bump + expiry check all
       inside the lock);
     - {!Rp}: the paper's port — GET is a wait-free relativistic lookup that
-      copies the value inside the read-side critical section and bumps an
-      atomic access timestamp instead of LRU list pointers; expiry falls
+      copies the value inside the read-side critical section and bumps a
+      plain-int access stamp instead of LRU list pointers; expiry falls
       back to a locked slow path; updates serialize {e per key} on a
       striped lock (stripe = key hash, aligned with the backing table's own
       writer stripes) so independent SETs/DELETEs/CAS proceed concurrently
@@ -147,8 +147,8 @@ val replicate : t -> Rp_persist.Record.t -> unit
     faithful linearization of what it applied, so it can recover,
     snapshot, and lead after promotion. Bypasses {!read_only}. *)
 
-val now : t -> float
-(** The store's (injectable) clock. *)
+val now : t -> Item.time
+(** The store's (injectable) clock, as an item time. *)
 
 (** {1 Overload guard plumbing}
 

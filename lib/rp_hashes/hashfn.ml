@@ -15,15 +15,17 @@ let splitmix64 x =
   let x = (x lxor (x lsr 27)) * k_mix3 in
   (x lxor (x lsr 31)) land mask63
 
-let fnv1a_fold ~len ~get =
+(* Direct loops, not a fold over a [get] closure: the string hash runs on
+   every store lookup, where a partial application would allocate and
+   make an indirect call per byte. *)
+let fnv1a_string s =
   let h = ref fnv_offset in
-  for i = 0 to len - 1 do
-    h := (!h lxor Char.code (get i)) * fnv_prime
+  for i = 0 to String.length s - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * fnv_prime
   done;
   splitmix64 !h
 
-let fnv1a_string s = fnv1a_fold ~len:(String.length s) ~get:(String.get s)
-let fnv1a_bytes b = fnv1a_fold ~len:(Bytes.length b) ~get:(Bytes.get b)
+let fnv1a_bytes b = fnv1a_string (Bytes.unsafe_to_string b)
 
 let jenkins_string s =
   let h = ref 0 in

@@ -1,6 +1,11 @@
 open Rp_list
 
-type ('k, 'v) table = { size : int; buckets : ('k, 'v) link Atomic.t array }
+(* A bucket slot holds the chain's first node directly. Slots and node
+   [next] fields are plain mutable words: a writer's store into either is
+   [caml_modify], a release store, and readers' loads are dependency
+   ordered (see {!Rp_list.link}). The table record itself is published
+   through the [current] atomic. *)
+type ('k, 'v) table = { size : int; buckets : ('k, 'v) link array }
 
 type resize_stats = {
   expands : int;
@@ -82,7 +87,7 @@ type ('k, 'v) t = {
 (* 8 words = one 64-byte line between adjacent stripes' cells. *)
 let stripe_cell_stride = 8
 
-let make_table size = { size; buckets = Array.init size (fun _ -> Atomic.make Null) }
+let make_table size = { size; buckets = Array.make size Null }
 
 let create ?rcu ?flavour ?(initial_size = 8) ?(min_size = 4)
     ?(max_size = 1 lsl 22) ?(auto_resize = true) ?stripes ~hash ~equal () =
@@ -150,23 +155,22 @@ let stripe_count t = Array.length t.stripes
 
 (* --- read side --- *)
 
-let bucket_link table hash =
-  table.buckets.(Rp_hashes.Size.bucket_of_hash ~hash ~size:table.size)
+let bucket_index table hash = Rp_hashes.Size.bucket_of_hash ~hash ~size:table.size
 
-(* Hot path: no closures, no helper indirection — one atomic load per chain
-   hop, exactly the cost structure the paper measures for RP readers. *)
+(* Hot path: no closures, no helper indirection — one plain load per chain
+   hop (the node block holds key, hash, value and next), exactly the cost
+   structure the paper measures for RP readers. [Null] on a miss. *)
 let rec search_chain equal hash k = function
-  | Null -> None
-  | Node n ->
-      if n.hash = hash && equal n.key k then Some n
-      else search_chain equal hash k (Atomic.get n.next)
+  | Null -> Null
+  | Node n as l ->
+      if n.hash = hash && equal n.key k then l else search_chain equal hash k n.next
 
 let find_node t ~hash k table =
-  search_chain t.equal hash k (Rcu.dereference (bucket_link table hash))
+  search_chain t.equal hash k (Array.unsafe_get table.buckets (bucket_index table hash))
 
-(* Flight-recorder span names. Lookup spans are detail-tier: they record
-   only while the emitting domain is inside a head-sampled request, so
-   the unsampled hot path pays one atomic load and a branch. *)
+(* Flight-recorder span names. Lookup and insert events are detail-tier:
+   they record only while the emitting domain is inside a head-sampled
+   request, so the unsampled hot path pays one atomic load and a branch. *)
 let k_lookup = Rp_trace.intern "rp_ht.lookup"
 let k_insert = Rp_trace.intern "rp_ht.insert"
 let k_expand = Rp_trace.intern "rp_ht.expand"
@@ -175,41 +179,46 @@ let k_unzip = Rp_trace.intern "rp_ht.unzip_pass"
 let k_recovery = Rp_trace.intern "rp_ht.recovery"
 let k_lazy_split = Rp_trace.intern "rp_ht.lazy_split"
 
+(* A lookup is an instant stamped at its start ([arg] 1 on a hit): the
+   flattened chain walk is short enough that a second cycle-counter read
+   at its end — which waits for the walk's loads — would cost more than
+   the walk. Time spent in lookups shows on the enclosing span (the
+   store's read section). *)
 let find_opt_hashed t ~hash k =
   Rp_obs.Counter.incr t.obs_lookups;
-  let span = Rp_trace.span_begin_sampled k_lookup in
+  let stamp = Rp_trace.stamp_sampled () in
   t.flavour.Flavour.read_enter ();
   match find_node t ~hash k (Rcu.dereference t.current) with
-  | Some n ->
-      let v = Atomic.get n.value in
+  | Node n ->
+      let v = n.value in
       t.flavour.Flavour.read_exit ();
-      Rp_trace.span_end_sampled ~arg:1 k_lookup span;
+      Rp_trace.instant_at_sampled ~arg:1 k_lookup stamp;
       Some v
-  | None ->
+  | Null ->
       t.flavour.Flavour.read_exit ();
-      Rp_trace.span_end_sampled k_lookup span;
+      Rp_trace.instant_at_sampled k_lookup stamp;
       None
   | exception e ->
       (* only a user-supplied [equal] can raise *)
       t.flavour.Flavour.read_exit ();
-      Rp_trace.span_end_sampled k_lookup span;
+      Rp_trace.instant_at_sampled k_lookup stamp;
       raise e
 
 let find t k = find_opt_hashed t ~hash:(t.hash k) k
 let mem t k = Option.is_some (find t k)
 
+(* Apply [f] to the bindings whose home is bucket [b], skipping nodes
+   merely passing through an imprecise bucket. *)
+let rec iter_home ~size ~b f = function
+  | Null -> ()
+  | Node n ->
+      if Rp_hashes.Size.bucket_of_hash ~hash:n.hash ~size = b then f n.key n.value;
+      iter_home ~size ~b f n.next
+
 let iter t ~f =
   Flavour.with_read t.flavour (fun () ->
       let table = Rcu.dereference t.current in
-      Array.iteri
-        (fun b link ->
-          iter_links
-            ~f:(fun n ->
-              (* Skip nodes merely passing through an imprecise bucket. *)
-              if Rp_hashes.Size.bucket_of_hash ~hash:n.hash ~size:table.size = b
-              then f n.key (Atomic.get n.value))
-            (Rcu.dereference link))
-        table.buckets)
+      Array.iteri (fun b link -> iter_home ~size:table.size ~b f link) table.buckets)
 
 (* Bounded read sections: the table's bucket index for a key depends only
    on (hash, size), so a walk that has covered [0, b) at size s misses
@@ -239,13 +248,7 @@ let iter_batched ?(batch = 64) t ~f =
           max_size := table.size;
           let stop = min table.size (!b + batch) in
           for i = !b to stop - 1 do
-            iter_links
-              ~f:(fun n ->
-                if
-                  Rp_hashes.Size.bucket_of_hash ~hash:n.hash ~size:table.size
-                  = i
-                then f n.key (Atomic.get n.value))
-              (Rcu.dereference table.buckets.(i))
+            iter_home ~size:table.size ~b:i f table.buckets.(i)
           done;
           b := stop;
           if stop >= table.size then finished := true
@@ -321,8 +324,7 @@ let with_all_stripes t f =
 
 (* --- the split engine (lazy per-bucket rehash) --- *)
 
-let dest_for size (n : _ node) =
-  Rp_hashes.Size.bucket_of_hash ~hash:n.hash ~size
+let dest_for size n = Rp_hashes.Size.bucket_of_hash ~hash:(hash n) ~size
 
 (* The post-publish grace period, deferred from expand to the first
    splicer. Two stripe holders may race here; both waiting is benign. *)
@@ -443,10 +445,10 @@ let complete_splits_locked t =
 
 (* --- resize: shrink --- *)
 
+(* Last node of a non-empty chain. *)
 let rec chain_tail = function
-  | Null -> None
-  | Node n -> (
-      match Rcu.dereference n.next with Null -> Some n | Node _ as l -> chain_tail l)
+  | Node { next = Node _ as l; _ } -> chain_tail l
+  | last -> last
 
 (* Halve the bucket count: link sibling chains end-to-end, publish the new
    bucket array, wait for readers once. All stripes held, and no split
@@ -467,15 +469,15 @@ let shrink_locked t =
   let new_size = old.size / 2 in
   let buckets =
     Array.init new_size (fun i ->
-        let low = Atomic.get old.buckets.(i) in
-        let high = Atomic.get old.buckets.(i + new_size) in
+        let low = old.buckets.(i) in
+        let high = old.buckets.(i + new_size) in
         match chain_tail low with
-        | None -> Atomic.make high
-        | Some tail ->
+        | Null -> high
+        | Node tail ->
             (* Readers of old bucket [i] now continue into the sibling
                chain: an imprecise superset, which lookups tolerate. *)
-            Rcu.publish tail.next high;
-            Atomic.make low)
+            tail.next <- high;
+            low)
   in
   Rcu.publish t.current { size = new_size; buckets };
   (* Once no reader can still traverse via the old bucket array, it is
@@ -507,15 +509,12 @@ let expand_locked t =
   let dest = dest_for new_size in
   let buckets =
     Array.init new_size (fun j ->
-        let parent = Atomic.get old.buckets.(j land (old.size - 1)) in
-        match find_link ~pred:(fun n -> dest n = j) parent with
-        | Some n -> Atomic.make (Node n)
-        | None -> Atomic.make Null)
+        find_link ~pred:(fun n -> dest n = j) old.buckets.(j land (old.size - 1)))
   in
   Rcu.publish t.current { size = new_size; buckets };
   let cells =
     Array.init old.size (fun i ->
-        { cell_state = Unzip.start (Atomic.get old.buckets.(i));
+        { cell_state = Unzip.start old.buckets.(i);
           cell_busy = false })
   in
   let remaining =
@@ -611,9 +610,10 @@ let with_stripe_hashed t ~hash f =
 let insert_locked t ~hash k v =
   let span = Rp_trace.span_begin_sampled k_insert in
   let table = Atomic.get t.current in
-  let link = bucket_link table hash in
-  let node = make_node ~hash ~key:k ~value:v ~next:(Atomic.get link) () in
-  Rcu.publish link (Node node);
+  let b = bucket_index table hash in
+  (* Publication: the node is complete before the slot store (a release)
+     makes it reachable. *)
+  table.buckets.(b) <- make_node ~hash ~key:k ~value:v ~next:table.buckets.(b) ();
   Atomic.incr t.count;
   Rp_obs.Counter.incr t.obs_inserts;
   Rp_trace.span_end_sampled k_insert span
@@ -627,44 +627,47 @@ let replace t k v =
   with_stripe_hashed t ~hash (fun () ->
       let table = Atomic.get t.current in
       match find_node t ~hash k table with
-      | Some n -> Atomic.set n.value v
-      | None -> insert_locked t ~hash k v)
+      | Node n -> n.value <- v
+      | Null -> insert_locked t ~hash k v)
 
-(* Unlink the newest binding of [k]; return the node. Stripe of [hash]
-   held, bucket already split — so the chain walked here is precise. *)
+(* Unlink the newest binding of [k]; return the node ([Null] if absent).
+   Stripe of [hash] held, bucket already split — so the chain walked here
+   is precise. *)
 let unlink_locked t ~hash k =
   let table = Atomic.get t.current in
-  let rec loop prev_link =
-    match Atomic.get prev_link with
-    | Null -> None
-    | Node n ->
+  let b = bucket_index table hash in
+  let rec loop prev = function
+    | Null -> Null
+    | Node n as cur ->
         if n.hash = hash && t.equal n.key k then begin
-          Rcu.publish prev_link (Atomic.get n.next);
+          (match prev with
+          | Null -> table.buckets.(b) <- n.next
+          | Node p -> p.next <- n.next);
           Atomic.decr t.count;
           Rp_obs.Counter.incr t.obs_deletes;
-          Some n
+          cur
         end
-        else loop n.next
+        else loop cur n.next
   in
-  loop (bucket_link table hash)
+  loop Null table.buckets.(b)
 
 let remove_with ~reclaim t k =
   let hash = t.hash k in
   let unlinked = with_stripe_hashed t ~hash (fun () -> unlink_locked t ~hash k) in
   match unlinked with
-  | None -> false
-  | Some n ->
-      reclaim t n;
+  | Null -> false
+  | Node _ ->
+      reclaim t unlinked;
       true
 
 let remove t k =
   remove_with t k ~reclaim:(fun t n ->
-      t.flavour.Flavour.call_rcu (fun () -> Atomic.set n.reclaimed true))
+      t.flavour.Flavour.call_rcu (fun () -> mark_reclaimed n))
 
 let remove_sync t k =
   remove_with t k ~reclaim:(fun t n ->
       t.flavour.Flavour.synchronize ();
-      Atomic.set n.reclaimed true)
+      mark_reclaimed n)
 
 let move t ~from_key ~to_key f =
   let h_from = t.hash from_key in
@@ -692,11 +695,11 @@ let move t ~from_key ~to_key f =
       ensure_bucket_split t ~hash:h_to;
       let table = Atomic.get t.current in
       match find_node t ~hash:h_from from_key table with
-      | None -> None
-      | Some n ->
+      | Null -> Null
+      | Node n ->
           (* Publish the destination binding first, then unlink the
              source: no reader can observe both keys absent. *)
-          insert_locked t ~hash:h_to to_key (f (Atomic.get n.value));
+          insert_locked t ~hash:h_to to_key (f n.value);
           unlink_locked t ~hash:h_from from_key
     with
     | v ->
@@ -708,9 +711,9 @@ let move t ~from_key ~to_key f =
   in
   maybe_auto_resize t;
   match moved with
-  | None -> false
-  | Some n ->
-      t.flavour.Flavour.call_rcu (fun () -> Atomic.set n.reclaimed true);
+  | Null -> false
+  | Node _ ->
+      t.flavour.Flavour.call_rcu (fun () -> mark_reclaimed moved);
       true
 
 (* --- introspection --- *)
@@ -796,7 +799,7 @@ let stripe_heat t =
 
 let bucket_lengths t =
   let table = Atomic.get t.current in
-  Array.map (fun link -> length_link (Atomic.get link)) table.buckets
+  Array.map length_link table.buckets
 
 (* Quiescent whole-table check. Takes every stripe (so no writer is
    mid-mutation) and completes any pending lazy splits first — a
@@ -830,13 +833,13 @@ let validate t =
                     set_error
                       (Printf.sprintf "bucket %d: imprecise node (home bucket %d)"
                          b home);
-                  if Atomic.get n.reclaimed then
+                  if n.reclaimed then
                     set_error
                       (Printf.sprintf "bucket %d: reachable reclaimed node" b);
-                  walk (Atomic.get n.next)
+                  walk n.next
                 end
           in
-          walk (Atomic.get link))
+          walk link)
         table.buckets;
       if !total <> expected && !error = None then
         set_error

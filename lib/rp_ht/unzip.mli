@@ -26,7 +26,7 @@
 type ('k, 'v) state =
   | Done  (** chain fully unzipped *)
   | At of ('k, 'v) Rp_list.node
-      (** next splice examines the run starting at this node *)
+      (** next splice examines the run starting at this node (a [Node]) *)
 
 val start : ('k, 'v) Rp_list.link -> ('k, 'v) state
 (** Initial state for an old chain: its head node, or [Done] if empty. *)

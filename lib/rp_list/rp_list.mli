@@ -1,6 +1,6 @@
 (** Relativistic singly-linked list.
 
-    Readers traverse with plain atomic loads and never wait. Writers
+    Readers traverse with plain loads and never wait. Writers
     serialize on a per-list mutex and order their updates with publication
     and wait-for-readers, exactly as in the paper's insertion/removal
     examples:
@@ -16,20 +16,54 @@
     splices the same nodes between its bucket chains (shrink concatenates
     chains; expand "unzips" them). *)
 
-type ('k, 'v) node = {
-  key : 'k;
-  hash : int;  (** cached key hash; 0 for standalone lists *)
-  value : 'v Atomic.t;  (** in-place updatable payload *)
-  next : ('k, 'v) link Atomic.t;
-  reclaimed : bool Atomic.t;
-      (** set after the grace period that follows unlinking; readers must
-          never observe a node with this mark set *)
-}
+type ('k, 'v) link =
+  | Null
+  | Node of {
+      key : 'k;
+      hash : int;  (** cached key hash; 0 for standalone lists *)
+      mutable value : 'v;  (** in-place updatable payload *)
+      mutable next : ('k, 'v) link;
+      mutable reclaimed : bool;
+          (** set after the grace period that follows unlinking; readers
+              must never observe a node with this mark set *)
+    }
+(** A chain: [Null], or one node whose fields sit inline in the [Node]
+    block — a reader reaches [key], [hash], [value] and [next] with one
+    load of the link, and a bucket slot or [next] field points straight
+    at the node.
 
-and ('k, 'v) link = Null | Node of ('k, 'v) node
+    The shared fields are plain mutable fields, not [Atomic.t] cells.
+    Writers publish by storing a pointer into [next] (or a bucket slot):
+    that store is [caml_modify], a release store in OCaml 5, so every
+    field of a node written before its publication is visible to a reader
+    that loads the pointer (reader loads are address-dependent on that
+    pointer). Whatever must be seen only {e after} a grace period —
+    unlinks before a reclamation mark, one unzip splice before the next —
+    is ordered by the RCU's own atomics: the writer's stores precede its
+    grace-period bump, and a reader entering a section reads that bump. *)
+
+type ('k, 'v) node = ('k, 'v) link
+(** A link known to be a [Node] (what the helpers below expect). *)
 
 val make_node : ?hash:int -> key:'k -> value:'v -> next:('k, 'v) link -> unit -> ('k, 'v) node
 (** Allocate an unpublished node. *)
+
+(** {1 Field access}
+
+    For code outside a pattern match; each raises [Invalid_argument] on
+    [Null]. *)
+
+val key : ('k, 'v) node -> 'k
+val hash : ('k, 'v) node -> int
+val value : ('k, 'v) node -> 'v
+val next : ('k, 'v) node -> ('k, 'v) link
+
+val set_next : ('k, 'v) node -> ('k, 'v) link -> unit
+(** Publish a new successor (a release store). Writers only. *)
+
+val mark_reclaimed : ('k, 'v) link -> unit
+(** Set the [reclaimed] mark (no-op on [Null]). Call only after the grace
+    period that follows the node's unlinking. *)
 
 (** {1 Link traversal helpers (read-side)} *)
 
@@ -37,8 +71,8 @@ val iter_links : f:(('k, 'v) node -> unit) -> ('k, 'v) link -> unit
 (** Apply [f] to every node reachable from a link. Must run inside a
     read-side critical section if the chain is shared. *)
 
-val find_link : pred:(('k, 'v) node -> bool) -> ('k, 'v) link -> ('k, 'v) node option
-(** First node satisfying [pred], or [None]. *)
+val find_link : pred:(('k, 'v) node -> bool) -> ('k, 'v) link -> ('k, 'v) link
+(** First node satisfying [pred], or [Null]. *)
 
 val length_link : ('k, 'v) link -> int
 

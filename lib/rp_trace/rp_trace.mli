@@ -107,6 +107,18 @@ val span_begin_sampled : ?arg:int -> int -> int
 val span_end_sampled : ?arg:int -> int -> int -> unit
 val instant_sampled : ?arg:int -> int -> unit
 
+val stamp_sampled : unit -> int
+(** Detail tier, for operations too short to time: one cycle-counter
+    read when the calling domain is inside a head-sampled request, else
+    [-1]. Take it {e before} the operation issues its loads — a counter
+    read waits for loads in flight, so a read after a short operation
+    serializes it with the next. *)
+
+val instant_at_sampled : ?arg:int -> int -> int -> unit
+(** [instant_at_sampled kind stamp] records a detail-tier instant at
+    [stamp] (from {!stamp_sampled}; nothing when it is negative), so the
+    event can carry the operation's outcome in [arg]. *)
+
 (** {1 Export} *)
 
 type event = {

@@ -78,30 +78,53 @@ let prop_lru_model =
         ops;
       Lru.to_list l = !model && Lru.length l = List.length !model)
 
+(* Item times are fixed-point ints; the tests speak in Unix seconds. *)
+let tm = Item.time_of_float
+
 let test_item_expiry () =
-  let item = Item.make ~flags:0 ~exptime:100.0 ~data:"x" ~now:50.0 () in
-  Alcotest.(check bool) "before expiry" false (Item.is_expired item ~now:99.9);
-  Alcotest.(check bool) "at expiry" true (Item.is_expired item ~now:100.0);
-  Alcotest.(check bool) "after expiry" true (Item.is_expired item ~now:200.0);
-  let eternal = Item.make ~flags:0 ~exptime:0.0 ~data:"x" ~now:50.0 () in
+  let item = Item.make ~flags:0 ~exptime:(tm 100.0) ~data:"x" ~now:(tm 50.0) () in
+  Alcotest.(check bool) "before expiry" false (Item.is_expired item ~now:(tm 99.9));
+  Alcotest.(check bool) "at expiry" true (Item.is_expired item ~now:(tm 100.0));
+  Alcotest.(check bool) "after expiry" true (Item.is_expired item ~now:(tm 200.0));
+  let eternal = Item.make ~flags:0 ~exptime:(tm 0.0) ~data:"x" ~now:(tm 50.0) () in
   Alcotest.(check bool) "exptime 0 never expires" false
-    (Item.is_expired eternal ~now:1e12)
+    (Item.is_expired eternal ~now:(tm 1e12))
 
 let test_item_cas_unique () =
-  let a = Item.make ~flags:0 ~exptime:0.0 ~data:"x" ~now:0.0 () in
-  let b = Item.make ~flags:0 ~exptime:0.0 ~data:"x" ~now:0.0 () in
+  let a = Item.make ~flags:0 ~exptime:0 ~data:"x" ~now:0 () in
+  let b = Item.make ~flags:0 ~exptime:0 ~data:"x" ~now:0 () in
   Alcotest.(check bool) "fresh items get distinct cas" true (a.cas <> b.cas);
-  let pinned = Item.make ~cas:a.cas ~flags:0 ~exptime:0.0 ~data:"y" ~now:0.0 () in
+  let pinned = Item.make ~cas:a.cas ~flags:0 ~exptime:0 ~data:"y" ~now:0 () in
   Alcotest.(check int) "cas pinnable" a.cas pinned.cas
 
 let test_item_touch_access () =
-  let item = Item.make ~flags:0 ~exptime:0.0 ~data:"x" ~now:1.0 () in
-  Alcotest.(check (float 1e-9)) "initial access" 1.0 (Atomic.get item.last_access);
-  Item.touch_access item ~now:9.0;
-  Alcotest.(check (float 1e-9)) "bumped" 9.0 (Atomic.get item.last_access)
+  let item = Item.make ~flags:0 ~exptime:0 ~data:"x" ~now:(tm 1.0) () in
+  Alcotest.(check (float 1e-9)) "initial access" 1.0 (Item.float_of_time item.last_access);
+  Item.touch_access item ~now:(tm 9.0);
+  Alcotest.(check (float 1e-9)) "bumped" 9.0 (Item.float_of_time item.last_access);
+  (* A racing reader holding an older clock reading never moves the
+     stamp back. *)
+  Item.touch_access item ~now:(tm 5.0);
+  Alcotest.(check (float 1e-9)) "never lowered" 9.0 (Item.float_of_time item.last_access)
+
+(* The int representation at its edges: exact both ways for clock-like
+   values, positive stays positive, zero/negative/NaN is 0, saturation. *)
+let test_item_time_conversion () =
+  List.iter
+    (fun f ->
+      Alcotest.(check int64) (Printf.sprintf "%h round-trips bit-identically" f)
+        (Int64.bits_of_float f)
+        (Int64.bits_of_float (Item.float_of_time (tm f))))
+    [ 1_000_000_060.25; 1_760_000_000.123456; 1_760_000_000.0 +. 2592000.;
+      Unix.gettimeofday (); 4_294_967_296.5; 0.0 ];
+  Alcotest.(check bool) "a tiny positive expiry stays an expiry" true (tm epsilon_float > 0);
+  Alcotest.(check int) "negative is 0" 0 (tm (-5.0));
+  Alcotest.(check int) "nan is 0" 0 (tm Float.nan);
+  Alcotest.(check int) "saturates" max_int (tm 1e15);
+  Alcotest.(check bool) "order preserved" true (tm 1e9 < tm (1e9 +. 1e-6))
 
 let test_item_size_accounting () =
-  let item = Item.make ~flags:0 ~exptime:0.0 ~data:"abcd" ~now:0.0 () in
+  let item = Item.make ~flags:0 ~exptime:0 ~data:"abcd" ~now:0 () in
   Alcotest.(check int) "key + data + overhead"
     (3 + 4 + Item.overhead_bytes)
     (Item.size_bytes ~key:"key" item)
@@ -122,6 +145,7 @@ let () =
           Alcotest.test_case "expiry" `Quick test_item_expiry;
           Alcotest.test_case "cas uniqueness" `Quick test_item_cas_unique;
           Alcotest.test_case "touch access" `Quick test_item_touch_access;
+          Alcotest.test_case "time conversion" `Quick test_item_time_conversion;
           Alcotest.test_case "size accounting" `Quick test_item_size_accounting;
         ] );
     ]

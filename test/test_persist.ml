@@ -638,6 +638,59 @@ let test_persist_stats_section () =
                (fun (k, _) -> not (String.length k >= 8 && String.sub k 0 8 = "persist_"))
                (Store.stats store))))
 
+(* The on-disk format keeps float Unix seconds while items hold int
+   times: a snapshot + op-log round trip must hand back the very same
+   float bits for every kind of expiry — relative (from a clock reading
+   with a fraction), absolute, never, and already expired. *)
+let test_persist_exptime_bits () =
+  with_dir (fun dir ->
+      let now = ref 1_760_000_000.123456 in
+      let exptimes dir =
+        let tbl = Hashtbl.create 8 in
+        let note = function
+          | Record.Set { key; exptime; _ } ->
+              Hashtbl.replace tbl key (Int64.bits_of_float exptime)
+          | Record.Delete _ | Record.Flush_all -> ()
+        in
+        let from_gen =
+          match Snapshot.load_newest ~dir ~f:note with Some (g, _) -> g | None -> 1
+        in
+        ignore (Oplog.replay ~dir ~from_gen ~f:note);
+        tbl
+      in
+      let set store key exptime =
+        ignore (Store.set store ~key ~flags:0 ~exptime ~data:"v")
+      in
+      let store, _ = make_store ~now () in
+      with_manager ~dir store (fun p ->
+          set store "relative" 600;
+          set store "absolute" 2_000_000_000;
+          set store "never" 0;
+          set store "expired" (-1);
+          (match Persist.snapshot_now p with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "snapshot: %s" e);
+          (* After the snapshot: these live in the op log only. *)
+          set store "logged" 3600;
+          set store "touched" 0;
+          Alcotest.(check bool) "touch" true (Store.touch store ~key:"touched" ~exptime:90));
+      let before = exptimes dir in
+      let store2, _ = make_store ~now () in
+      with_manager ~dir store2 (fun p2 ->
+          match Persist.snapshot_now p2 with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "second snapshot: %s" e);
+      let after = exptimes dir in
+      List.iter
+        (fun key ->
+          match (Hashtbl.find_opt before key, Hashtbl.find_opt after key) with
+          | Some a, Some b ->
+              Alcotest.(check int64) (key ^ ": exptime bits unchanged") a b
+          | Some _, None -> Alcotest.failf "%s lost in the round trip" key
+          | None, _ -> Alcotest.failf "%s was never logged" key)
+        [ "relative"; "absolute"; "never"; "logged"; "touched" ];
+      Alcotest.(check bool) "expired item not resurrected" false (Hashtbl.mem after "expired"))
+
 let () =
   Alcotest.run "persist"
     [
@@ -692,5 +745,6 @@ let () =
             test_persist_snapshot_failure_keeps_previous;
           Alcotest.test_case "lock backend" `Quick test_persist_lock_backend;
           Alcotest.test_case "stats section" `Quick test_persist_stats_section;
+          Alcotest.test_case "exptime bits survive" `Quick test_persist_exptime_bits;
         ] );
     ]

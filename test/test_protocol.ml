@@ -439,6 +439,118 @@ let test_max_line_leaves_data_blocks_alone () =
       Alcotest.(check int) "data block intact" 4096 (String.length s.Protocol.data)
   | _ -> Alcotest.fail "data block larger than max_line rejected"
 
+(* get/gets lines are scanned in place; whatever the line, the result must
+   be the general tokenizer's: the space-separated tokens after the verb,
+   at least one, every one a valid key. Checked whole and split across two
+   feeds at every point. *)
+let reference_get line =
+  match List.filter (fun t -> t <> "") (String.split_on_char ' ' line) with
+  | (("get" | "gets") as verb) :: keys ->
+      if keys = [] then Error ("bad " ^ verb ^ ": no keys")
+      else if List.for_all Protocol.request_key_valid keys then
+        Ok (if verb = "get" then Protocol.Get keys else Protocol.Gets keys)
+      else Error "bad key"
+  | _ -> Error "ERROR" (* a verb glued to a token: unknown command *)
+
+let get_line_gen =
+  QCheck.Gen.(
+    let token =
+      frequency
+        [
+          (6, string_size ~gen:(oneofl [ 'a'; 'b'; '7'; ':' ]) (int_range 1 6));
+          (1, oneofl [ "\t"; "a\x7fb"; "x\ry"; String.make 251 'k'; String.make 250 'k'; "" ]);
+        ]
+    in
+    map3
+      (fun lead verb toks -> lead ^ verb ^ String.concat " " toks)
+      (oneofl [ ""; ""; ""; " " ])
+      (oneofl [ "get "; "gets "; "get"; "gets"; "get  " ])
+      (list_size (int_bound 4) token))
+
+let prop_get_scan_matches_tokenizer =
+  QCheck.Test.make ~name:"get/gets scan matches the tokenizer" ~count:500
+    (QCheck.make ~print:String.escaped get_line_gen)
+    (fun line ->
+      let want = reference_get line in
+      let input = line ^ "\r\n" in
+      let check got =
+        match (got, want) with
+        | Some (Ok r), Ok w when r = w -> ()
+        | Some (Error e), Error w when e = w -> ()
+        | _ -> QCheck.Test.fail_reportf "%S parsed differently" line
+      in
+      check (parse_one input);
+      for cut = 0 to String.length input do
+        let p = Protocol.Parser.create () in
+        Protocol.Parser.feed p (String.sub input 0 cut);
+        match Protocol.Parser.next p with
+        | Some r -> if cut = String.length input then check (Some r)
+        | None ->
+            Protocol.Parser.feed p (String.sub input cut (String.length input - cut));
+            check (Protocol.Parser.next p)
+      done;
+      true)
+
+let test_get_line_too_long () =
+  let p = Protocol.Parser.create ~max_line:20 () in
+  Protocol.Parser.feed p "get aaaaaaaa bbbbbbbb cccccccc\r\nget ok\r\n";
+  (match Protocol.Parser.next p with
+  | Some (Error "line too long") -> ()
+  | _ -> Alcotest.fail "over-long get line accepted");
+  match Protocol.Parser.next p with
+  | Some (Ok (Protocol.Get [ "ok" ])) -> ()
+  | _ -> Alcotest.fail "next get lost"
+
+(* Minor words [f] allocates, net of the measurement itself; the least of
+   a few runs. *)
+let minor_words f =
+  let once g =
+    let w0 = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. w0
+  in
+  let least g = List.fold_left min infinity (List.init 5 (fun _ -> g ())) in
+  int_of_float (least (fun () -> once f) -. least (fun () -> once ignore))
+
+(* Allocation gates (no timing involved). Parsing one get line allocates
+   its key (3 words for 14 bytes), the key list (3), [Get] (2), [Ok] (2)
+   and [Some] (2); encoding a VALUE reply into a buffer with room
+   allocates nothing. *)
+let test_parse_get_allocation () =
+  let p = Protocol.Parser.create () in
+  Protocol.Parser.feed p (String.concat "" (List.init 16 (fun _ -> "get key:0000012345\r\n")));
+  let next () =
+    match Protocol.Parser.next p with
+    | Some (Ok (Protocol.Get [ _ ])) -> ()
+    | _ -> Alcotest.fail "get line misparsed"
+  in
+  let words = minor_words next in
+  Alcotest.(check bool) (Printf.sprintf "%d words <= 13" words) true (words <= 13)
+
+let test_encode_value_allocation () =
+  let buf = Buffer.create 4096 in
+  let reply =
+    Protocol.Values
+      [ { vkey = "key:0000012345"; vflags = 42; vdata = String.make 100 'v'; vcas = Some 7 } ]
+  in
+  let encode () =
+    Buffer.clear buf;
+    Protocol.encode_response_into buf reply
+  in
+  encode ();
+  Alcotest.(check string) "header digits"
+    ("VALUE key:0000012345 42 100 7\r\n" ^ String.make 100 'v' ^ "\r\nEND\r\n")
+    (Buffer.contents buf);
+  let words = minor_words encode in
+  Alcotest.(check bool) (Printf.sprintf "%d words <= 1" words) true (words <= 1)
+
+let test_encode_numbers () =
+  List.iter
+    (fun n ->
+      Alcotest.(check string) (string_of_int n) (string_of_int n ^ "\r\n")
+        (Protocol.encode_response (Protocol.Number n)))
+    [ 0; 7; 10; 99; 100; 4096; max_int; -1; min_int ]
+
 let () =
   Alcotest.run "protocol"
     [
@@ -474,6 +586,14 @@ let () =
             test_crlf_split_across_discard_chunks;
           Alcotest.test_case "data blocks unaffected" `Quick
             test_max_line_leaves_data_blocks_alone;
+          Alcotest.test_case "over-long get line" `Quick test_get_line_too_long;
+          QCheck_alcotest.to_alcotest prop_get_scan_matches_tokenizer;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "parse one get line" `Quick test_parse_get_allocation;
+          Alcotest.test_case "encode one 100 B value" `Quick test_encode_value_allocation;
+          Alcotest.test_case "number digits" `Quick test_encode_numbers;
         ] );
       ( "round trips",
         [

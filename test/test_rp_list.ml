@@ -70,17 +70,17 @@ let test_iter () =
 
 let test_link_helpers () =
   let n3 = Rp_list.make_node ~key:3 ~value:"c" ~next:Rp_list.Null () in
-  let n2 = Rp_list.make_node ~key:2 ~value:"b" ~next:(Rp_list.Node n3) () in
-  let n1 = Rp_list.make_node ~hash:42 ~key:1 ~value:"a" ~next:(Rp_list.Node n2) () in
-  Alcotest.(check int) "length_link" 3 (Rp_list.length_link (Rp_list.Node n1));
-  Alcotest.(check int) "hash recorded" 42 n1.Rp_list.hash;
-  (match Rp_list.find_link ~pred:(fun n -> n.Rp_list.key = 2) (Rp_list.Node n1) with
-  | Some n -> Alcotest.(check string) "found node" "b" (Atomic.get n.Rp_list.value)
-  | None -> Alcotest.fail "node 2 not found");
+  let n2 = Rp_list.make_node ~key:2 ~value:"b" ~next:n3 () in
+  let n1 = Rp_list.make_node ~hash:42 ~key:1 ~value:"a" ~next:n2 () in
+  Alcotest.(check int) "length_link" 3 (Rp_list.length_link n1);
+  Alcotest.(check int) "hash recorded" 42 (Rp_list.hash n1);
+  (match Rp_list.find_link ~pred:(fun n -> Rp_list.key n = 2) n1 with
+  | Rp_list.Node _ as n -> Alcotest.(check string) "found node" "b" (Rp_list.value n)
+  | Rp_list.Null -> Alcotest.fail "node 2 not found");
   Alcotest.(check bool) "find_link miss" true
-    (Rp_list.find_link ~pred:(fun n -> n.Rp_list.key = 9) (Rp_list.Node n1) = None);
+    (Rp_list.find_link ~pred:(fun n -> Rp_list.key n = 9) n1 == Rp_list.Null);
   let visited = ref [] in
-  Rp_list.iter_links ~f:(fun n -> visited := n.Rp_list.key :: !visited) (Rp_list.Node n1);
+  Rp_list.iter_links ~f:(fun n -> visited := Rp_list.key n :: !visited) n1;
   Alcotest.(check (list int)) "iter_links order" [ 3; 2; 1 ] !visited
 
 (* Concurrent torture: a writer churns while readers verify that resident

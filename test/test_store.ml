@@ -341,6 +341,65 @@ let test_get_many backend () =
     [ ("a", "1"); ("b", "2") ]
     (List.map (fun (v : Protocol.value) -> (v.vkey, v.vdata)) values)
 
+(* Expiry edges of the int time representation: a negative exptime is
+   already expired, an item expiring exactly now is expired, and an
+   exptime past 30 days is an absolute instant, expired exactly at it. *)
+let test_expiry_edges backend () =
+  let store, now = make_store backend in
+  now := 1_000_000_000.5;
+  ignore (Store.set store ~key:"neg" ~flags:0 ~exptime:(-1) ~data:"v");
+  Alcotest.(check (option string)) "negative exptime: expired on arrival" None
+    (get_data store "neg");
+  let start = !now in
+  ignore (Store.set store ~key:"rel" ~flags:0 ~exptime:10 ~data:"v");
+  now := start +. 9.75;
+  Alcotest.(check (option string)) "alive just before" (Some "v") (get_data store "rel");
+  now := start +. 10.0;
+  Alcotest.(check (option string)) "exptime = now is expired" None (get_data store "rel");
+  let absolute = realtime_maxdelta + 1 in
+  ignore (Store.set store ~key:"old_abs" ~flags:0 ~exptime:absolute ~data:"v");
+  Alcotest.(check (option string)) "over 30 days is absolute (long past)" None
+    (get_data store "old_abs");
+  let instant = int_of_float !now + 50 in
+  ignore (Store.set store ~key:"abs" ~flags:0 ~exptime:instant ~data:"v");
+  now := float_of_int instant -. 0.25;
+  Alcotest.(check (option string)) "absolute: alive before the instant" (Some "v")
+    (get_data store "abs");
+  now := float_of_int instant;
+  Alcotest.(check (option string)) "absolute: expired at the instant" None
+    (get_data store "abs")
+
+(* Minor words [f] allocates, net of the measurement itself; the least of
+   a few runs, so a one-off (a GC slice, a lazily grown buffer) does not
+   count. *)
+let minor_words f =
+  let once g =
+    let w0 = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. w0
+  in
+  let least g = List.fold_left min infinity (List.init 5 (fun _ -> g ())) in
+  int_of_float (least (fun () -> once f) -. least (fun () -> once ignore))
+
+(* Allocation gate for the GET hit path (no timing involved): one
+   get_many hit on an Rp/QSBR store with the default wall clock costs
+   the clock reading's box (2 words), the table's [Some] (2), the reply
+   record (5) and its list cell (3). *)
+let test_get_hit_allocation () =
+  let store = Store.create ~backend:Store.Rp ~rcu_mode:Store.Qsbr ~initial_size:64 () in
+  set_ok store "key" (String.make 100 'x');
+  let keys = [ "key" ] in
+  let hit () =
+    match Store.get_many store keys with
+    | [ _ ] -> ()
+    | _ -> Alcotest.fail "get_many missed"
+  in
+  hit ();
+  let words = minor_words hit in
+  Printf.printf "get_many hit: %d minor words\n" words;
+  Alcotest.(check bool) (Printf.sprintf "%d words <= 14" words) true (words <= 14);
+  Store.reader_offline store
+
 (* Model-based: both backends against Hashtbl (no expiry, no eviction). *)
 let model_property name backend =
   QCheck.Test.make
@@ -413,6 +472,9 @@ let () =
       ("exptime logged absolute", per_backend test_exptime_logged_absolute);
       ("stats", per_backend test_stats);
       ("get_many", per_backend test_get_many);
+      ("expiry edges", per_backend test_expiry_edges);
+      ( "allocation",
+        [ Alcotest.test_case "get_many hit, rp/qsbr" `Quick test_get_hit_allocation ] );
       ( "model",
         List.map (fun (n, b) -> QCheck_alcotest.to_alcotest (model_property n b)) backends
       );

@@ -5,7 +5,7 @@
    step the invariant readers rely on: starting from each destination's
    first node, the chain still reaches every node of that destination. *)
 
-let dest (n : (int, string) Rp_list.node) = n.Rp_list.hash
+let dest (n : (int, string) Rp_list.node) = Rp_list.hash n
 
 (* Build a chain from a destination pattern, e.g. [0;0;1;0;1;1]. Returns the
    head link and all nodes in order. *)
@@ -19,18 +19,18 @@ let build pattern =
   in
   let rec link = function
     | a :: (b :: _ as rest) ->
-        Atomic.set a.Rp_list.next (Rp_list.Node b);
+        Rp_list.set_next a b;
         link rest
     | [ _ ] | [] -> ()
   in
   link nodes;
-  ((match nodes with [] -> Rp_list.Null | n :: _ -> Rp_list.Node n), nodes)
+  ((match nodes with [] -> Rp_list.Null | n :: _ -> n), nodes)
 
 (* Keys of destination [d] reachable from link, in order. *)
 let reachable_keys link d =
   let acc = ref [] in
   Rp_list.iter_links
-    ~f:(fun n -> if dest n = d then acc := n.Rp_list.key :: !acc)
+    ~f:(fun n -> if dest n = d then acc := Rp_list.key n :: !acc)
     link;
   List.rev !acc
 
@@ -51,7 +51,7 @@ let unzip_and_check pattern =
         match first_of_dest nodes d with
         | None -> ()
         | Some first ->
-            let got = reachable_keys (Rp_list.Node first) d in
+            let got = reachable_keys first d in
             let want = expected_keys pattern d in
             if got <> want then
               Alcotest.failf "%s: dest %d sees %s, wants %s" context d
@@ -74,7 +74,7 @@ let unzip_and_check pattern =
       match first_of_dest nodes d with
       | None -> ()
       | Some first ->
-          if not (Unzip.chain_is_precise ~dest (Rp_list.Node first)) then
+          if not (Unzip.chain_is_precise ~dest first) then
             Alcotest.failf "dest %d chain still zipped" d)
     [ 0; 1 ];
   !steps
