@@ -966,7 +966,23 @@ let get_many t ?(with_cas = false) keys =
       if List.exists is_placeholder values then settle t rs ~with_cas ~now values
       else values
 
-let get t key = match get_many t [ key ] with v :: _ -> Some v | [] -> None
+(* A lone GET opens no outer section: the table's own read section
+   covers the chain walk and the reply record is built after it.
+   Systhreads of the threaded plane share their domain's memb reader
+   slot, so a section held across allocations (where a thread switch can
+   happen) is one a sibling thread's grace period can trip over. *)
+let get t key =
+  Rp_obs.Counter.incr t.cmd_get;
+  let now = now t in
+  match t.state with
+  | Lock_state ls -> get_lock t ls ~with_cas:false ~now key
+  | Rp_state rs -> (
+      match read_pass t rs ~with_cas:false ~now [ key ] with
+      | [ v ] when not (is_placeholder v) -> Some v
+      | values -> (
+          match settle t rs ~with_cas:false ~now values with
+          | v :: _ -> Some v
+          | [] -> None))
 
 (* --- storage commands --- *)
 

@@ -368,12 +368,13 @@ let instant_sampled ?(arg = 0) kind =
   end
 
 (* The one-stamp detail event, for operations too short to time. A
-   cycle-counter read waits for every load in flight (measured: a loop of
-   independent cache misses goes from 21 to 152 ns per iteration with one
-   read each, on a 2-vCPU Intel Xeon VM), so a stamp after an operation serializes it with the next
-   one. Stamping only at the start, before the operation issues its
-   loads, keeps consecutive operations overlapping; the event is written
-   afterwards, when its outcome ([arg]) is known. *)
+   cycle-counter read waits for every load in flight (measured on a
+   2-vCPU Intel Xeon VM: a loop of independent cache misses goes from 21
+   to 152 ns per iteration with one read each), so a stamp after an
+   operation serializes it with the next one. Stamping only at the
+   start, before the operation issues its loads, keeps consecutive
+   operations overlapping; the event is written afterwards, when its
+   outcome ([arg]) is known. *)
 let[@inline] stamp_sampled () = if sampling_now () then now_ticks () else -1
 
 let instant_at_sampled ?(arg = 0) kind ts =
