@@ -382,13 +382,17 @@ let record_set t ~op key (item : Item.t) =
 (* --- heat plane emission (each call is one branch when the plane is
    off; the plane itself is plain stripe-discipline stores) --- *)
 
-let[@inline] heat_hit t key data =
+(* A GET outcome: its striped counter, whose new per-stripe value also
+   drives the heat plane's sampler. *)
+let[@inline] count_hit t key data =
+  let n = Rp_obs.Counter.incr_get t.get_hits in
   match t.heat with
   | None -> ()
-  | Some h -> Rp_heat.note_hit h key ~vbytes:(String.length data)
+  | Some h -> Rp_heat.note_hit h ~n key ~vbytes:(String.length data)
 
-let[@inline] heat_miss t key =
-  match t.heat with None -> () | Some h -> Rp_heat.note_miss h key
+let[@inline] count_miss t key =
+  let n = Rp_obs.Counter.incr_get t.get_misses in
+  match t.heat with None -> () | Some h -> Rp_heat.note_miss h ~n key
 
 let[@inline] heat_set t key ~vbytes =
   match t.heat with None -> () | Some h -> Rp_heat.note_set h ~vbytes key
@@ -772,22 +776,19 @@ let rec read_pass t rs ~with_cas ~now = function
   | key :: rest -> (
       match Rp_ht.find rs.rp key with
       | None ->
-          Rp_obs.Counter.incr t.get_misses;
-          heat_miss t key;
+          count_miss t key;
           read_pass t rs ~with_cas ~now rest
       | Some item ->
           let v =
             if Item.is_expired item ~now then begin
-              Rp_obs.Counter.incr t.get_misses;
-              heat_miss t key;
+              count_miss t key;
               placeholder key expired_tag
             end
             else if Item.is_cold item then
               placeholder key cold_tag (* hit/miss counted at resolution *)
             else begin
               Item.touch_access item ~now;
-              Rp_obs.Counter.incr t.get_hits;
-              heat_hit t key item.data;
+              count_hit t key item.data;
               value_of_item ~with_cas key item
             end
           in
@@ -809,20 +810,17 @@ let rec promote_attempt t rs ~with_cas ~hooks key tries =
   let now = now t in
   match Rp_ht.find rs.rp key with
   | None ->
-      Rp_obs.Counter.incr t.get_misses;
-      heat_miss t key;
+      count_miss t key;
       None
   | Some item when Item.is_expired item ~now ->
       rp_expire_if_dead t rs ~now key;
-      Rp_obs.Counter.incr t.get_misses;
-      heat_miss t key;
+      count_miss t key;
       None
   | Some item -> (
       match item.Item.location with
       | Item.Hot ->
           Item.touch_access item ~now;
-          Rp_obs.Counter.incr t.get_hits;
-          heat_hit t key item.data;
+          count_hit t key item.data;
           Some (value_of_item ~with_cas key item)
       | Item.Cold { segment; offset; len } -> (
           let started = Rp_trace.now_ns () in
@@ -850,16 +848,14 @@ let rec promote_attempt t rs ~with_cas ~hooks key tries =
               match promoted with
               | Some v ->
                   Rp_obs.Counter.incr t.tier_promotions;
-                  Rp_obs.Counter.incr t.get_hits;
                   heat_tier_promote t ~vbytes:(String.length data);
-                  heat_hit t key data;
+                  count_hit t key data;
                   Some v
               | None ->
                   if tries > 0 then
                     promote_attempt t rs ~with_cas ~hooks key (tries - 1)
                   else begin
-                    Rp_obs.Counter.incr t.get_misses;
-                    heat_miss t key;
+                    count_miss t key;
                     None
                   end)
           | Error Tier_gone when tries > 0 ->
@@ -873,16 +869,14 @@ let rec promote_attempt t rs ~with_cas ~hooks key tries =
                   match Rp_ht.find rs.rp key with
                   | Some cur when cur == item -> ignore (rp_delete t rs key)
                   | _ -> ());
-              Rp_obs.Counter.incr t.get_misses;
-              heat_miss t key;
+              count_miss t key;
               None))
 
 let promote_and_get t rs ~with_cas key =
   match t.tier with
   | None ->
       (* A marker with no tier attached (shutdown window): unreadable. *)
-      Rp_obs.Counter.incr t.get_misses;
-      heat_miss t key;
+      count_miss t key;
       None
   | Some hooks ->
       let span = Rp_trace.span_begin_sampled k_tier_promote in
@@ -908,14 +902,12 @@ let get_lock t ls ~with_cas ~now key =
   Rp_baseline.Lock_ht.with_lock ls.table (fun () ->
       match lock_find_live t ls key ~now with
       | None ->
-          Rp_obs.Counter.incr t.get_misses;
-          heat_miss t key;
+          count_miss t key;
           None
       | Some entry ->
           Lru.touch ls.lru entry.node;
           Item.touch_access entry.item ~now;
-          Rp_obs.Counter.incr t.get_hits;
-          heat_hit t key entry.item.data;
+          count_hit t key entry.item.data;
           Some (value_of_item ~with_cas key entry.item))
 
 (* Placeholders left by [read_pass], resolved with no read section open:

@@ -85,24 +85,22 @@ let hits t = t.hits
 let misses t = t.misses
 let mutations t = t.mutations
 
-(* The note-path gate: kill switch, then this stripe's sampler. True
-   with probability 1/sample_every — the only case that pays for sketch
-   and histogram work. The sampler is a per-stripe LCG rather than a
-   stride counter: a stride phase-locks with periodic key replays
+(* The note-path gate: this stripe's sampler, then the kill switch.
+   True with probability 1/sample_every — the only case that pays for
+   sketch and histogram work. The sampler is a per-stripe LCG rather
+   than a stride counter: a stride phase-locks with periodic key replays
    (cycling an array whose length shares a factor with the period
    samples the same positions every lap, uniformizing the sketch), while
-   LCG high bits are unbiased against any replay pattern. *)
+   LCG high bits are unbiased against any replay pattern. The kill
+   switch is read only for a sampled note: the off-sample path (every
+   GET but one in [sample_every]) stays one call into [Rp_obs]. *)
 let[@inline] tick t =
-  Rp_obs.Stripe.is_enabled ()
-  && begin
-       let i = Rp_obs.Stripe.index () * 8 in
-       let st =
-         (Array.unsafe_get t.samplers i * 2685821657736338717)
-         + 1442695040888963407
-       in
-       Array.unsafe_set t.samplers i st;
-       (st lsr 33) land (t.sample_every - 1) = 0
-     end
+  let i = Rp_obs.Stripe.index () * 8 in
+  let st =
+    (Array.unsafe_get t.samplers i * 2685821657736338717) + 1442695040888963407
+  in
+  Array.unsafe_set t.samplers i st;
+  (st lsr 33) land (t.sample_every - 1) = 0 && Rp_obs.Stripe.is_enabled ()
 
 (* The exemplar riding this record: the in-flight request's trace id,
    but only when that request is head-sampled — an unsampled id points
@@ -110,15 +108,26 @@ let[@inline] tick t =
 let[@inline] exemplar_now () =
   if Rp_trace.sampling_now () then Rp_trace.current_trace_id () else 0
 
-let note_hit t key ~vbytes =
-  if tick t then begin
+(* GET outcomes, the hottest notes, sample on the caller's own count of
+   them ([n], from [Rp_obs.Counter.incr_get] on the store's hit or miss
+   counter, per stripe) instead of ticking the LCG: the store has just
+   looked up its stripe for that counter, and a second lookup here cost
+   about as much as the rest of the off-sample path. The count is mixed
+   by the same multiplier the LCG uses and its high bits tested, so the
+   sampled positions drift across laps of a periodic key replay rather
+   than locking to them. [n < 0] means instruments are off. *)
+let[@inline] sampled_count t n =
+  n >= 0 && ((n * 2685821657736338717) lsr 33) land (t.sample_every - 1) = 0
+
+let note_hit t ~n key ~vbytes =
+  if sampled_count t n then begin
     Sketch.record t.hits ~exemplar:(exemplar_now ()) key;
     Rp_obs.Histogram.observe t.get_key_bytes (String.length key);
     Rp_obs.Histogram.observe t.get_value_bytes vbytes
   end
 
-let note_miss t key =
-  if tick t then begin
+let note_miss t ~n key =
+  if sampled_count t n then begin
     Sketch.record t.misses ~exemplar:(exemplar_now ()) key;
     Rp_obs.Histogram.observe t.get_key_bytes (String.length key)
   end

@@ -13,8 +13,8 @@
     obeys the same global kill switch; a store created with
     [--heat-topk 0] has no [t] at all, so the hot-path cost of an
     unconfigured plane is a single branch. An enabled plane head-samples
-    the note path (every [sample_every]-th operation per stripe pays for
-    sketch + histogram work, the rest bump one private counter), which
+    the note path (one operation in [sample_every] per stripe pays for
+    sketch + histogram work, the rest bump one counter and test it), which
     is what keeps a GET with the plane on inside the 1.15x overhead
     budget. All exposed counts are scaled back to stream units. *)
 
@@ -39,10 +39,14 @@ val mutations : t -> Sketch.t
 
 (** {1 Recording} (hot paths; plain stores only) *)
 
-val note_hit : t -> string -> vbytes:int -> unit
-(** A GET hit on [key] returning a [vbytes]-byte payload. *)
+val note_hit : t -> n:int -> string -> vbytes:int -> unit
+(** A GET hit on [key] returning a [vbytes]-byte payload. [n] is the
+    caller's per-stripe count of GET hits including this one
+    ({!Rp_obs.Counter.incr_get}); the note is sampled on it, one in
+    [sample_every] ([n < 0]: instruments off, nothing recorded). *)
 
-val note_miss : t -> string -> unit
+val note_miss : t -> n:int -> string -> unit
+(** A GET miss; [n] as for {!note_hit}, counting misses. *)
 
 val note_set : t -> ?vbytes:int -> string -> unit
 (** A storage-class mutation (set/add/replace/cas/append/prepend/incr/

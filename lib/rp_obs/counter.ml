@@ -17,6 +17,15 @@ let[@inline] add t n =
 
 let[@inline] incr t = add t 1
 
+let incr_get t =
+  if Stripe.is_enabled () then begin
+    let i = Stripe.index () * Stripe.stride in
+    let v = Array.unsafe_get t.cells i + 1 in
+    Array.unsafe_set t.cells i v;
+    v
+  end
+  else -1
+
 let read t =
   let total = ref 0 in
   for s = 0 to Stripe.capacity - 1 do

@@ -13,6 +13,11 @@ val incr : t -> unit
 (** Add 1 to the calling domain's stripe. No-op while the plane is
     disabled ({!Stripe.set_enabled}). *)
 
+val incr_get : t -> int
+(** {!incr}, returning the calling domain's new stripe value — a count of
+    this domain's events that a caller can sample on without a second
+    stripe lookup. [-1] while the plane is disabled. *)
+
 val add : t -> int -> unit
 (** Add [n] (callers should keep counters monotonic: [n >= 0]). *)
 

@@ -27,7 +27,7 @@ let bucket_of_value v =
       incr b;
       v := !v lsr 1
     done;
-    min (buckets - 1) !b
+    Int.min (buckets - 1) !b
   end
 
 (* Inclusive upper bound of bucket [i]; [max_int] for the last. *)
@@ -42,7 +42,7 @@ let observe t v =
     let b = row + bucket_of_value v in
     Array.unsafe_set t.rows b (Array.unsafe_get t.rows b + 1);
     let s = row + sum_off in
-    Array.unsafe_set t.rows s (Array.unsafe_get t.rows s + max v 0);
+    Array.unsafe_set t.rows s (Array.unsafe_get t.rows s + Int.max v 0);
     let m = row + max_off in
     if v > Array.unsafe_get t.rows m then Array.unsafe_set t.rows m v
   end
