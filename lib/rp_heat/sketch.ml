@@ -92,12 +92,12 @@ let make_slot k =
   }
 
 (* Word-at-a-time for the common protocol-sized key (two 8-byte loads
-   + one mix), FNV for the short tail. The 64-bit load converted
-   straight to an int stays unboxed in native code (no allocation, one
-   load instead of eight; the top bit is dropped, as the byte-wise
-   assembly also did). A full-hash collision only costs the losing key
-   its index cell — the string compare in [record] still separates
-   entries — so mixing quality buys accuracy, not correctness. *)
+   + one mix), FNV for the short tail. A 64-bit load converted straight
+   to an int stays unboxed in native code (no allocation); the
+   conversion keeps the low 63 bits. A full-hash collision only costs
+   the losing key its index cell — the string compare in [record] still
+   separates entries — so mixing quality buys accuracy, not
+   correctness. *)
 let[@inline] word8 s i = Int64.to_int (String.get_int64_le s i)
 
 let hash_key s =
