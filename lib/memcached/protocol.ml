@@ -488,10 +488,92 @@ module Parser = struct
         | _ -> None
         | exception Not_simple -> None)
 
+  (* --- set lines, scanned in place ---
+
+     The hot write. [set <key> <flags> <exptime> <bytes>[ noreply]] with
+     single spaces, plain decimal numbers and the whole data block (and
+     its CRLF) already buffered is read straight out of the input buffer:
+     the key and the data are the only strings allocated. Anything else —
+     a signed or non-decimal number, more than 18 digits, extra spaces, a
+     block not yet complete or not followed by CRLF, an over-long line —
+     leaves the buffer untouched for the tokenizer, whose result is the
+     same on every line this scan accepts. *)
+
+  (* End of the run of decimal digits starting at [i]: 1 to 18 of them,
+     so the value cannot overflow. *)
+  let rec digits_from s j =
+    if j >= String.length s then raise_notrace Not_simple
+    else match String.unsafe_get s j with '0' .. '9' -> digits_from s (j + 1) | _ -> j
+
+  let digits_end s i =
+    let j = digits_from s i in
+    if j = i || j - i > 18 then raise_notrace Not_simple;
+    j
+
+  let rec decimal s i j acc =
+    if i = j then acc
+    else decimal s (i + 1) j ((acc * 10) + Char.code (String.unsafe_get s i) - 48)
+
+  let expect s i c =
+    if i >= String.length s || String.unsafe_get s i <> c then raise_notrace Not_simple
+
+  (* [s] holds [word] from [i] on. *)
+  let expect_word s i word =
+    for j = 0 to String.length word - 1 do
+      expect s (i + j) (String.unsafe_get word j)
+    done
+
+  let scan_set t =
+    let inbuf = t.inbuf in
+    let s = inbuf.data and i = inbuf.pos in
+    if
+      not
+        (String.length s - i > 4
+        && String.unsafe_get s i = 's'
+        && String.unsafe_get s (i + 1) = 'e'
+        && String.unsafe_get s (i + 2) = 't'
+        && String.unsafe_get s (i + 3) = ' ')
+    then None
+    else
+      match
+        let k = i + 4 in
+        let ke = key_end s k in
+        if ke = k || ke - k > 250 then raise_notrace Not_simple;
+        expect s ke ' ';
+        let fe = digits_end s (ke + 1) in
+        expect s fe ' ';
+        let ee = digits_end s (fe + 1) in
+        expect s ee ' ';
+        let be = digits_end s (ee + 1) in
+        let noreply = be < String.length s && String.unsafe_get s be = ' ' in
+        if noreply then expect_word s be " noreply";
+        let eol = if noreply then be + 8 else be in
+        expect s eol '\r';
+        expect s (eol + 1) '\n';
+        if eol - i > t.max_line then raise_notrace Not_simple;
+        let bytes = decimal s (ee + 1) be 0 in
+        let d = eol + 2 in
+        expect s (d + bytes) '\r';
+        expect s (d + bytes + 1) '\n';
+        inbuf.pos <- d + bytes + 2;
+        Set
+          {
+            key = String.sub s k (ke - k);
+            flags = decimal s (ke + 1) fe 0;
+            exptime = decimal s (fe + 1) ee 0;
+            noreply;
+            data = String.sub s d bytes;
+          }
+      with
+      | request -> Some (Ok request)
+      | exception Not_simple -> None
+
+  let scan t = match scan_get t with Some _ as request -> request | None -> scan_set t
+
   let rec next t =
     match t.state with
     | Await_line -> (
-        match scan_get t with
+        match scan t with
         | Some _ as request -> request
         | None -> (
             match Inbuf.take_line t.inbuf with
@@ -499,8 +581,9 @@ module Parser = struct
                 (* No CRLF in the buffer. If the partial line has already
                    outgrown the bound, report once and start discarding, so
                    a client streaming an endless line cannot balloon the
-                   buffer. *)
-                if Inbuf.available t.inbuf > t.max_line then begin
+                   buffer. A line of [max_line] bytes may sit here with its
+                   '\r' while the '\n' is still in flight. *)
+                if Inbuf.available t.inbuf > t.max_line + 1 then begin
                   t.state <- Discard_line;
                   ignore (Inbuf.discard_line t.inbuf);
                   Some (Error "line too long")

@@ -554,11 +554,11 @@ let tier_mark_dead t (item : Item.t) =
   | Item.Cold { segment; offset; len }, Some h -> h.th_mark_dead (segment, offset, len)
   | _, _ -> ()
 
-let rp_delete t rs key =
-  match Rp_ht.find rs.rp key with
+(* [hash] is always [hash_key key], computed once per command. *)
+let rp_delete t rs ~hash key =
+  match Rp_ht.remove_hashed rs.rp ~hash key with
   | None -> false
   | Some item ->
-      ignore (Rp_ht.remove rs.rp key);
       Slab.refund t.slab (Item.size_bytes ~key item);
       tier_mark_dead t item;
       true
@@ -566,23 +566,29 @@ let rp_delete t rs key =
 (* CLOCK-queue invariant: a key is enqueued iff its item is hot. Demotion
    stores a marker over a hot item whose queue entry the sweep just popped
    (no push — markers are evicted by tier budget, not the CLOCK); any
-   store over a cold marker brings the key back to RAM and re-enqueues. *)
-let rp_store t rs key (item : Item.t) =
-  (match Rp_ht.find rs.rp key with
+   store over a cold marker brings the key back to RAM and re-enqueues.
+
+   One chain walk: the exchange publishes atomically (readers see the old
+   or new item, never a torn one) and hands back the item it displaced.
+   An overwrite of the same size occupies the same chunk of the same slab
+   class, so its refund and charge would cancel exactly — both are
+   skipped. *)
+let rp_store t rs ~hash key (item : Item.t) =
+  let size = Item.size_bytes ~key item in
+  match Rp_ht.exchange_hashed rs.rp ~hash key item with
   | Some old ->
-      Slab.refund t.slab (Item.size_bytes ~key old);
+      let old_size = Item.size_bytes ~key old in
+      if old_size <> size then begin
+        Slab.refund t.slab old_size;
+        ignore (Slab.charge t.slab size)
+      end;
       if Item.is_cold old then begin
         tier_mark_dead t old;
-        if not (Item.is_cold item) then
-          clock_push rs (key, item.last_access)
+        if not (Item.is_cold item) then clock_push rs (key, item.last_access)
       end
   | None ->
-      if not (Item.is_cold item) then
-        clock_push rs (key, item.last_access));
-  (* replace publishes atomically: readers see the old or new item, never a
-     torn one; the unlinked old item is reclaimed after a grace period. *)
-  Rp_ht.replace rs.rp key item;
-  ignore (Slab.charge t.slab (Item.size_bytes ~key item))
+      ignore (Slab.charge t.slab size);
+      if not (Item.is_cold item) then clock_push rs (key, item.last_access)
 
 (* Demote one eviction victim to the cold tier: append (key, value) to
    the current segment and swap the item for a compact cold marker that
@@ -590,7 +596,7 @@ let rp_store t rs key (item : Item.t) =
    (the caller's). Returns false — fall back to plain eviction — when no
    tier is attached, the guard is shedding demotions, the item is
    expired (nothing worth keeping), or the append failed/overflowed. *)
-let rp_demote t rs key (item : Item.t) =
+let rp_demote t rs ~hash key (item : Item.t) =
   match t.tier with
   | None -> false
   | Some hooks ->
@@ -608,7 +614,7 @@ let rp_demote t rs key (item : Item.t) =
                   ~flags:item.flags ~exptime:item.exptime ~data:""
                   ~now:item.last_access ()
               in
-              rp_store t rs key marker;
+              rp_store t rs ~hash key marker;
               Rp_obs.Counter.incr t.tier_demotions;
               heat_tier_demote t ~vbytes:(String.length item.data);
               true
@@ -679,8 +685,9 @@ let rp_sweep_locked t rs =
       match clock_pop rs with
       | None -> exhausted := true
       | Some (key, seen_access) ->
-          with_stripe t rs ~hash:(hash_key key) (fun () ->
-              match Rp_ht.find rs.rp key with
+          let hash = hash_key key in
+          with_stripe t rs ~hash (fun () ->
+              match Rp_ht.find_opt_hashed rs.rp ~hash key with
               | None -> () (* already deleted *)
               | Some item when Item.is_cold item ->
                   (* Stale queue entry: the key was demoted and re-stored
@@ -694,8 +701,8 @@ let rp_sweep_locked t rs =
                     Rp_obs.Counter.incr t.clock_chances;
                     clock_push rs (key, last)
                   end
-                  else if not (rp_demote t rs key item) then begin
-                    ignore (rp_delete t rs key);
+                  else if not (rp_demote t rs ~hash key item) then begin
+                    ignore (rp_delete t rs ~hash key);
                     Rp_obs.Counter.incr t.evicted
                   end)
     done;
@@ -746,10 +753,11 @@ let rp_evict_to_budget t rs =
 (* --- GET --- *)
 
 let rp_expire_if_dead t rs ~now key =
-  with_stripe t rs ~hash:(hash_key key) (fun () ->
-      match Rp_ht.find rs.rp key with
+  let hash = hash_key key in
+  with_stripe t rs ~hash (fun () ->
+      match Rp_ht.find_opt_hashed rs.rp ~hash key with
       | Some again when Item.is_expired again ~now ->
-          ignore (rp_delete t rs key);
+          ignore (rp_delete t rs ~hash key);
           Rp_obs.Counter.incr t.expired
       | Some _ | None -> ())
 
@@ -806,9 +814,9 @@ let rec read_pass t rs ~with_cas ~now = function
    it hot and return that), a DELETE can win (miss). A torn record is
    final: the value is gone, so the marker is dropped — later GETs miss
    fast instead of re-reading a bad frame. *)
-let rec promote_attempt t rs ~with_cas ~hooks key tries =
+let rec promote_attempt t rs ~with_cas ~hooks ~hash key tries =
   let now = now t in
-  match Rp_ht.find rs.rp key with
+  match Rp_ht.find_opt_hashed rs.rp ~hash key with
   | None ->
       count_miss t key;
       None
@@ -831,8 +839,8 @@ let rec promote_attempt t rs ~with_cas ~hooks key tries =
           match r with
           | Ok (rkey, data) when String.equal rkey key -> (
               let promoted =
-                with_stripe t rs ~hash:(hash_key key) (fun () ->
-                    match Rp_ht.find rs.rp key with
+                with_stripe t rs ~hash (fun () ->
+                    match Rp_ht.find_opt_hashed rs.rp ~hash key with
                     | Some cur when cur == item ->
                         (* Marker unchanged since the read: publish the
                            hot item ([rp_store] refunds the marker, marks
@@ -841,7 +849,7 @@ let rec promote_attempt t rs ~with_cas ~hooks key tries =
                           Item.make ~cas:item.Item.cas ~flags:item.Item.flags
                             ~exptime:item.Item.exptime ~data ~now ()
                         in
-                        rp_store t rs key hot;
+                        rp_store t rs ~hash key hot;
                         Some (value_of_item ~with_cas key hot)
                     | _ -> None)
               in
@@ -853,21 +861,21 @@ let rec promote_attempt t rs ~with_cas ~hooks key tries =
                   Some v
               | None ->
                   if tries > 0 then
-                    promote_attempt t rs ~with_cas ~hooks key (tries - 1)
+                    promote_attempt t rs ~with_cas ~hooks ~hash key (tries - 1)
                   else begin
                     count_miss t key;
                     None
                   end)
           | Error Tier_gone when tries > 0 ->
-              promote_attempt t rs ~with_cas ~hooks key (tries - 1)
+              promote_attempt t rs ~with_cas ~hooks ~hash key (tries - 1)
           | Ok _ | Error Tier_torn | Error Tier_gone ->
               (match r with
               | Ok _ -> Rp_obs.Counter.incr t.tier_read_mismatches
               | Error _ -> ());
               Rp_obs.Counter.incr t.tier_read_errors;
-              with_stripe t rs ~hash:(hash_key key) (fun () ->
-                  match Rp_ht.find rs.rp key with
-                  | Some cur when cur == item -> ignore (rp_delete t rs key)
+              with_stripe t rs ~hash (fun () ->
+                  match Rp_ht.find_opt_hashed rs.rp ~hash key with
+                  | Some cur when cur == item -> ignore (rp_delete t rs ~hash key)
                   | _ -> ());
               count_miss t key;
               None))
@@ -880,10 +888,11 @@ let promote_and_get t rs ~with_cas key =
       None
   | Some hooks ->
       let span = Rp_trace.span_begin_sampled k_tier_promote in
-      let m = rs.promote_stripes.(hash_key key land rs.update_mask) in
+      let hash = hash_key key in
+      let m = rs.promote_stripes.(hash land rs.update_mask) in
       lock_update t m;
       let v =
-        match promote_attempt t rs ~with_cas ~hooks key 3 with
+        match promote_attempt t rs ~with_cas ~hooks ~hash key 3 with
         | v ->
             Mutex.unlock m;
             v
@@ -978,14 +987,24 @@ let get t key =
 
 (* --- storage commands --- *)
 
-(* [guard] inspects the current live item (if any) and decides whether the
-   store proceeds; shared by set/add/replace/cas. *)
 let fits_slab t ~key ~data =
   Slab.class_of_size t.slab
     (String.length key + String.length data + Item.overhead_bytes)
   <> None
 
-let storage_command t ~op ~key ~flags ~exptime ~data ~guard =
+(* The live (unexpired) item under [key]; its update stripe held. *)
+let rp_live rs ~hash ~now key =
+  match Rp_ht.find_opt_hashed rs.rp ~hash key with
+  | Some item when not (Item.is_expired item ~now) -> Some item
+  | Some _ | None -> None
+
+(* [guard] inspects the current live item (if any) and decides whether the
+   store proceeds; shared by add/replace/cas. A plain [set] has none: it
+   always stores, so on the Rp backend it skips the lookup a guard would
+   need — the key's update stripe already serializes it against every
+   other writer of the key, and the exchange in [rp_store] finds the old
+   item anyway. *)
+let storage_command ?guard t ~op ~key ~flags ~exptime ~data =
   Rp_obs.Counter.incr t.cmd_set;
   heat_set t key ~vbytes:(String.length data);
   let clock = t.clock () in
@@ -997,7 +1016,12 @@ let storage_command t ~op ~key ~flags ~exptime ~data ~guard =
   | Lock_state ls ->
       Rp_baseline.Lock_ht.with_lock ls.table (fun () ->
           let live = lock_find_live t ls key ~now in
-          match guard (Option.map (fun e -> e.item) live) with
+          let verdict =
+            match guard with
+            | None -> Ok ()
+            | Some guard -> guard (Option.map (fun e -> e.item) live)
+          in
+          match verdict with
           | Error result -> result
           | Ok () ->
               let item = Item.make ~flags ~exptime ~data ~now () in
@@ -1005,18 +1029,19 @@ let storage_command t ~op ~key ~flags ~exptime ~data ~guard =
               record_set t ~op key item;
               Stored)
   | Rp_state rs ->
+      let hash = hash_key key in
       let result =
-        with_stripe t rs ~hash:(hash_key key) (fun () ->
-            let live =
-              match Rp_ht.find rs.rp key with
-              | Some item when not (Item.is_expired item ~now) -> Some item
-              | Some _ | None -> None
+        with_stripe t rs ~hash (fun () ->
+            let verdict =
+              match guard with
+              | None -> Ok ()
+              | Some guard -> guard (rp_live rs ~hash ~now key)
             in
-            match guard live with
+            match verdict with
             | Error result -> result
             | Ok () ->
                 let item = Item.make ~flags ~exptime ~data ~now () in
-                rp_store t rs key item;
+                rp_store t rs ~hash key item;
                 record_set t ~op key item;
                 Stored)
       in
@@ -1025,7 +1050,6 @@ let storage_command t ~op ~key ~flags ~exptime ~data ~guard =
 
 let set t ~key ~flags ~exptime ~data =
   storage_command t ~op:Rp_persist.Record.Tset ~key ~flags ~exptime ~data
-    ~guard:(fun _ -> Ok ())
 
 let add t ~key ~flags ~exptime ~data =
   storage_command t ~op:Rp_persist.Record.Tadd ~key ~flags ~exptime ~data
@@ -1073,22 +1097,23 @@ let concat_command t ~op ~key ~data ~build =
               perform entry.item ~old_data:entry.item.data (fun fresh ->
                   lock_store t ls key fresh))
   | Rp_state rs ->
+      let hash = hash_key key in
       let result =
-        with_stripe t rs ~hash:(hash_key key) (fun () ->
-            match Rp_ht.find rs.rp key with
-            | Some item when not (Item.is_expired item ~now) -> (
+        with_stripe t rs ~hash (fun () ->
+            match rp_live rs ~hash ~now key with
+            | Some item -> (
                 (* A demoted key concatenates against its real (cold)
                    value. A frame lost for good means the value is gone:
                    drop the marker and report NOT_STORED rather than
                    store just the suffix/prefix. *)
                 match resolve_cold_locked t key item with
                 | None ->
-                    ignore (rp_delete t rs key);
+                    ignore (rp_delete t rs ~hash key);
                     Not_stored
                 | Some old_data ->
                     perform item ~old_data (fun fresh ->
-                        rp_store t rs key fresh))
-            | Some _ | None -> Not_stored)
+                        rp_store t rs ~hash key fresh))
+            | None -> Not_stored)
       in
       rp_sweep t rs;
       result
@@ -1118,8 +1143,8 @@ let delete t key =
       Rp_baseline.Lock_ht.with_lock ls.table (fun () ->
           perform (lock_delete t ls key))
   | Rp_state rs ->
-      with_stripe t rs ~hash:(hash_key key) (fun () ->
-          perform (rp_delete t rs key))
+      let hash = hash_key key in
+      with_stripe t rs ~hash (fun () -> perform (rp_delete t rs ~hash key))
 
 (* incr/decr rewrite the stored decimal string; decr saturates at zero. *)
 let counter_command t ~op key delta ~apply =
@@ -1149,19 +1174,20 @@ let counter_command t ~op key delta ~apply =
               compute entry.item ~data:entry.item.data (fun fresh ->
                   lock_store t ls key fresh))
   | Rp_state rs ->
+      let hash = hash_key key in
       let result =
-        with_stripe t rs ~hash:(hash_key key) (fun () ->
-            match Rp_ht.find rs.rp key with
-            | Some item when not (Item.is_expired item ~now) -> (
+        with_stripe t rs ~hash (fun () ->
+            match rp_live rs ~hash ~now key with
+            | Some item -> (
                 (* A demoted counter parses its real (cold) value — the
                    marker's "" would turn a valid counter non-numeric. *)
                 match resolve_cold_locked t key item with
                 | None ->
-                    ignore (rp_delete t rs key);
+                    ignore (rp_delete t rs ~hash key);
                     Cnotfound
                 | Some data ->
-                    compute item ~data (fun fresh -> rp_store t rs key fresh))
-            | Some _ | None -> Cnotfound)
+                    compute item ~data (fun fresh -> rp_store t rs ~hash key fresh))
+            | None -> Cnotfound)
       in
       rp_sweep t rs;
       result
@@ -1196,21 +1222,22 @@ let touch t ~key ~exptime =
               retouch entry.item ~data:entry.item.data (fun fresh ->
                   lock_store t ls key fresh))
   | Rp_state rs ->
+      let hash = hash_key key in
       let result =
-        with_stripe t rs ~hash:(hash_key key) (fun () ->
-            match Rp_ht.find rs.rp key with
-            | Some item when not (Item.is_expired item ~now) -> (
+        with_stripe t rs ~hash (fun () ->
+            match rp_live rs ~hash ~now key with
+            | Some item -> (
                 (* Touch on a demoted key promotes it: the new expiry is
                    durably logged as a state record, which carries the
                    full value — rebuilding from the marker's "" would
                    destroy the value (and log the destruction). *)
                 match resolve_cold_locked t key item with
                 | None ->
-                    ignore (rp_delete t rs key);
+                    ignore (rp_delete t rs ~hash key);
                     false
                 | Some data ->
-                    retouch item ~data (fun fresh -> rp_store t rs key fresh))
-            | Some _ | None -> false)
+                    retouch item ~data (fun fresh -> rp_store t rs ~hash key fresh))
+            | None -> false)
       in
       rp_sweep t rs;
       result
@@ -1227,7 +1254,7 @@ let flush_all_with t ~log =
   | Rp_state rs ->
       with_all_stripes t rs (fun () ->
           let keys = Rp_ht.fold rs.rp ~init:[] ~f:(fun acc k _ -> k :: acc) in
-          List.iter (fun k -> ignore (rp_delete t rs k)) keys;
+          List.iter (fun k -> ignore (rp_delete t rs ~hash:(hash_key k) k)) keys;
           finish ())
 
 let flush_all t = flush_all_with t ~log:true
@@ -1315,8 +1342,9 @@ let apply_record ?(log = false) t r =
                   finish ();
                   d)
           | Rp_state rs ->
-              with_stripe t rs ~hash:(hash_key key) (fun () ->
-                  let d = rp_delete t rs key in
+              let hash = hash_key key in
+              with_stripe t rs ~hash (fun () ->
+                  let d = rp_delete t rs ~hash key in
                   finish ();
                   d))
       else begin
@@ -1331,8 +1359,9 @@ let apply_record ?(log = false) t r =
                 lock_store ~evict:false t ls key item;
                 finish ())
         | Rp_state rs ->
-            with_stripe t rs ~hash:(hash_key key) (fun () ->
-                rp_store t rs key item;
+            let hash = hash_key key in
+            with_stripe t rs ~hash (fun () ->
+                rp_store t rs ~hash key item;
                 finish ())
       end
   | Rp_persist.Record.Delete key ->
@@ -1344,8 +1373,9 @@ let apply_record ?(log = false) t r =
                 finish ();
                 d)
         | Rp_state rs ->
-            with_stripe t rs ~hash:(hash_key key) (fun () ->
-                let d = rp_delete t rs key in
+            let hash = hash_key key in
+            with_stripe t rs ~hash (fun () ->
+                let d = rp_delete t rs ~hash key in
                 finish ();
                 d))
   | Rp_persist.Record.Flush_all -> flush_all_with t ~log
@@ -1389,8 +1419,9 @@ let tier_relocate t ~key ~from_ ~relocate =
   | Lock_state _ -> false
   | Rp_state rs ->
       let sfrom, ofrom, lfrom = from_ in
-      with_stripe t rs ~hash:(hash_key key) (fun () ->
-          match Rp_ht.find rs.rp key with
+      let hash = hash_key key in
+      with_stripe t rs ~hash (fun () ->
+          match Rp_ht.find_opt_hashed rs.rp ~hash key with
           | Some ({ Item.location = Item.Cold { segment; offset; len }; _ } as item)
             when segment = sfrom && offset = ofrom && len = lfrom -> (
               match relocate () with
@@ -1401,11 +1432,10 @@ let tier_relocate t ~key ~from_ ~relocate =
                       ~flags:item.Item.flags ~exptime:item.Item.exptime
                       ~data:"" ~now:item.Item.last_access ()
                   in
-                  (* Same-size marker swap: publish directly (no queue or
-                     tier bookkeeping — old frame is the caller's). *)
-                  Slab.refund t.slab (Item.size_bytes ~key item);
-                  Rp_ht.replace rs.rp key marker;
-                  ignore (Slab.charge t.slab (Item.size_bytes ~key marker));
+                  (* Marker for marker: the same size, so the slab
+                     accounting stands; publish directly (no queue or tier
+                     bookkeeping — the old frame is the caller's). *)
+                  ignore (Rp_ht.exchange_hashed rs.rp ~hash key marker);
                   true
               | None -> false)
           | Some _ | None -> false)

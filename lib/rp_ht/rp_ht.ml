@@ -622,14 +622,6 @@ let insert t k v =
   let hash = t.hash k in
   with_stripe_hashed t ~hash (fun () -> insert_locked t ~hash k v)
 
-let replace t k v =
-  let hash = t.hash k in
-  with_stripe_hashed t ~hash (fun () ->
-      let table = Atomic.get t.current in
-      match find_node t ~hash k table with
-      | Node n -> n.value <- v
-      | Null -> insert_locked t ~hash k v)
-
 (* Unlink the newest binding of [k]; return the node ([Null] if absent).
    Stripe of [hash] held, bucket already split — so the chain walked here
    is precise. *)
@@ -651,23 +643,46 @@ let unlink_locked t ~hash k =
   in
   loop Null table.buckets.(b)
 
-let remove_with ~reclaim t k =
-  let hash = t.hash k in
-  let unlinked = with_stripe_hashed t ~hash (fun () -> unlink_locked t ~hash k) in
-  match unlinked with
-  | Null -> false
-  | Node _ ->
-      reclaim t unlinked;
-      true
+(* One walk of the key's precise chain: swap the newest binding's value
+   in place (readers load the old value or the new, never a torn one),
+   or, having found none, link a new node at the chain head. *)
+let exchange_locked t ~hash k v =
+  match find_node t ~hash k (Atomic.get t.current) with
+  | Node n ->
+      let old = n.value in
+      n.value <- v;
+      Some old
+  | Null ->
+      insert_locked t ~hash k v;
+      None
 
-let remove t k =
-  remove_with t k ~reclaim:(fun t n ->
-      t.flavour.Flavour.call_rcu (fun () -> mark_reclaimed n))
+let exchange_hashed t ~hash k v =
+  with_stripe_hashed t ~hash (fun () -> exchange_locked t ~hash k v)
+
+let replace t k v = ignore (exchange_hashed t ~hash:(t.hash k) k v)
+
+(* The paper's removal sequence: unlink under the stripe, then mark the
+   node reclaimed only once a grace period has passed — deferred through
+   [call_rcu], or waited out in place by [remove_sync]. *)
+let unlink_hashed t ~hash k =
+  with_stripe_hashed t ~hash (fun () -> unlink_locked t ~hash k)
+
+let remove_hashed t ~hash k =
+  match unlink_hashed t ~hash k with
+  | Null -> None
+  | Node n as unlinked ->
+      t.flavour.Flavour.call_rcu (fun () -> mark_reclaimed unlinked);
+      Some n.value
+
+let remove t k = Option.is_some (remove_hashed t ~hash:(t.hash k) k)
 
 let remove_sync t k =
-  remove_with t k ~reclaim:(fun t n ->
+  match unlink_hashed t ~hash:(t.hash k) k with
+  | Null -> false
+  | Node _ as unlinked ->
       t.flavour.Flavour.synchronize ();
-      mark_reclaimed n)
+      mark_reclaimed unlinked;
+      true
 
 let move t ~from_key ~to_key f =
   let h_from = t.hash from_key in

@@ -140,12 +140,25 @@ val insert : ('k, 'v) t -> 'k -> 'v -> unit
 (** Publish a new binding. If the key is already bound the new binding
     shadows the old one (lookups return the newest). *)
 
+val exchange_hashed : ('k, 'v) t -> hash:int -> 'k -> 'v -> 'v option
+(** [exchange_hashed t ~hash k v] binds [k] to [v] in one walk of the
+    key's chain under its stripe: the newest binding's value is swapped
+    in place (a reader sees the old value or the new one), or, when [k]
+    is unbound, a new binding is published. Returns the value it
+    replaced. [hash] must be the table's hash of [k]. *)
+
 val replace : ('k, 'v) t -> 'k -> 'v -> unit
-(** Update an existing binding's value in place, or insert if absent. *)
+(** Update an existing binding's value in place, or insert if absent
+    ({!exchange_hashed} with the table's hash). *)
+
+val remove_hashed : ('k, 'v) t -> hash:int -> 'k -> 'v option
+(** Unlink the newest binding for the key in one walk of its chain and
+    return its value; the node is marked reclaimed through [call_rcu],
+    after a grace period. [hash] must be the table's hash of the key. *)
 
 val remove : ('k, 'v) t -> 'k -> bool
-(** Unlink the newest binding for the key; reclamation is deferred through
-    [call_rcu]. [true] if a binding was removed. *)
+(** Unlink the newest binding for the key ({!remove_hashed} with the
+    table's hash). [true] if a binding was removed. *)
 
 val remove_sync : ('k, 'v) t -> 'k -> bool
 (** Like {!remove} but blocks for a full grace period before marking the

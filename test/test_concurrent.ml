@@ -104,7 +104,14 @@ let test_rp_invariants_after_torture () =
   Alcotest.(check bool) "resizes happened" true (stats.expands > 0 && stats.shrinks > 0)
 
 (* The atomic-move guarantee: a reader looking for "the entry" under either
-   key must never find both absent. *)
+   key must never find both absent. A move publishes its destination
+   before unlinking its source, so a reader that looks up the source and
+   then the destination, both within one move, finds at least one. A pair
+   straddling two moves may legitimately find neither (the destination
+   checked before one move's insert, the source after the next move's
+   unlink), so the mover counts its completed moves and a reader keeps
+   only the pairs that saw no move complete. Move [r] goes A->B when [r]
+   is even, B->A when odd. *)
 let test_move_never_neither () =
   let t =
     Rp_ht.create ~initial_size:64 ~auto_resize:false ~hash:Rp_hashes.Hashfn.of_int
@@ -113,25 +120,31 @@ let test_move_never_neither () =
   let key_a = 1 and key_b = 2 in
   Rp_ht.insert t key_a "payload";
   let stop = Atomic.make false in
+  let rounds = Atomic.make 0 in
   let neither = Atomic.make 0 in
+  let fenced = Atomic.make 0 in
   let reader =
     Domain.spawn (fun () ->
         while not (Atomic.get stop) do
-          (* Check B first, then A: a mover going A->B could be missed by
-             checking A first, B later only if the move were non-atomic in
-             the never-neither sense. Check both orders. *)
-          let b_then_a = Rp_ht.find t key_b = None && Rp_ht.find t key_a = None in
-          let a_then_b = Rp_ht.find t key_a = None && Rp_ht.find t key_b = None in
-          if a_then_b || b_then_a then Atomic.incr neither
+          let r = Atomic.get rounds in
+          let from_key, to_key = if r land 1 = 0 then (key_a, key_b) else (key_b, key_a) in
+          let both_absent = Rp_ht.find t from_key = None && Rp_ht.find t to_key = None in
+          if Atomic.get rounds = r then begin
+            Atomic.incr fenced;
+            if both_absent then Atomic.incr neither
+          end
         done)
   in
   for _ = 1 to 2000 do
     ignore (Rp_ht.move t ~from_key:key_a ~to_key:key_b Fun.id);
-    ignore (Rp_ht.move t ~from_key:key_b ~to_key:key_a Fun.id)
+    Atomic.incr rounds;
+    ignore (Rp_ht.move t ~from_key:key_b ~to_key:key_a Fun.id);
+    Atomic.incr rounds
   done;
   Atomic.set stop true;
   Domain.join reader;
-  Alcotest.(check int) "never both absent" 0 (Atomic.get neither)
+  Alcotest.(check int) "never both absent" 0 (Atomic.get neither);
+  Alcotest.(check bool) "some lookup pairs within one move" true (Atomic.get fenced > 0)
 
 (* Value updates via replace must be atomic: readers see old or new, never
    an interleaving. *)

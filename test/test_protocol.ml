@@ -418,6 +418,17 @@ let test_oversized_terminated_line () =
   | Some (Ok (Protocol.Stats None)) -> ()
   | _ -> Alcotest.fail "next command lost"
 
+(* A line of exactly [max_line] bytes is accepted however it is split,
+   including between its '\r' and '\n'. *)
+let test_max_line_split_after_cr () =
+  let p = Protocol.Parser.create ~max_line:8 () in
+  Protocol.Parser.feed p "get abcd\r";
+  Alcotest.(check bool) "waits for the LF" true (Protocol.Parser.next p = None);
+  Protocol.Parser.feed p "\n";
+  match Protocol.Parser.next p with
+  | Some (Ok (Protocol.Get [ "abcd" ])) -> ()
+  | _ -> Alcotest.fail "max_line-byte line rejected when split after its CR"
+
 let test_crlf_split_across_discard_chunks () =
   let p = Protocol.Parser.create ~max_line:16 () in
   Protocol.Parser.feed p (String.make 40 'a' ^ "\r");
@@ -501,6 +512,120 @@ let test_get_line_too_long () =
   | Some (Ok (Protocol.Get [ "ok" ])) -> ()
   | _ -> Alcotest.fail "next get lost"
 
+(* Storage lines whose data block is complete are scanned in place; the
+   result must be the tokenizer's. Fed one byte at a time, a storage
+   line always takes the tokenizer (its data has not arrived when the
+   header's CRLF does), so that feed is the reference. Every request the
+   parser yields, and the bytes it leaves buffered, must agree with it —
+   fed whole, and split across two feeds at every point. *)
+let drain p =
+  let rec go acc =
+    match Protocol.Parser.next p with Some r -> go (r :: acc) | None -> acc
+  in
+  go []
+
+let parse_feeds ~max_line chunks =
+  let p = Protocol.Parser.create ~max_line () in
+  let results =
+    List.concat_map
+      (fun chunk ->
+        Protocol.Parser.feed p chunk;
+        List.rev (drain p))
+      chunks
+  in
+  (results, Protocol.Parser.buffered_bytes p)
+
+let bytewise input = List.init (String.length input) (fun i -> String.make 1 input.[i])
+
+let set_scan_agrees ~max_line input =
+  let want = parse_feeds ~max_line (bytewise input) in
+  parse_feeds ~max_line [ input ] = want
+  && List.for_all
+       (fun cut ->
+         parse_feeds ~max_line
+           [ String.sub input 0 cut; String.sub input cut (String.length input - cut) ]
+         = want)
+       (List.init (String.length input + 1) Fun.id)
+
+let set_input_gen =
+  QCheck.Gen.(
+    let number =
+      frequency
+        [
+          (8, map string_of_int (int_bound 5000));
+          ( 1,
+            oneofl
+              [ "-5"; "+5"; "0x10"; "007"; "999999999999999999"; "1000000000000000000"; "" ] );
+        ]
+    in
+    let key =
+      frequency
+        [
+          (8, string_size ~gen:(oneofl [ 'a'; 'z'; '7'; ':' ]) (int_range 1 12));
+          (1, oneofl [ String.make 250 'k'; String.make 251 'k'; "a\x7fb"; "a\tb"; "" ]);
+        ]
+    in
+    let sep = frequency [ (12, return " "); (1, return "  ") ] in
+    let* lead = frequency [ (12, return ""); (1, return " ") ] in
+    let* key = key and* flags = number and* exptime = number in
+    let* data = string_size ~gen:(oneofl [ 'd'; '\r'; '\n'; ' ' ]) (int_bound 12) in
+    let* bytes =
+      frequency [ (6, return (string_of_int (String.length data))); (1, number) ]
+    in
+    let* noreply =
+      frequency [ (6, return ""); (2, oneofl [ " noreply"; "  noreply"; " noreplyx"; " x" ]) ]
+    in
+    let* ending = frequency [ (8, return "\r\n"); (1, oneofl [ "XY"; ""; "\r" ]) ] in
+    let* s1 = sep and* s2 = sep and* s3 = sep and* s4 = sep in
+    let* next = oneofl [ ""; "get k\r\n"; "set q 1 2 1\r\nv\r\n" ] in
+    let* max_line = oneofl [ 8192; 24; 40; 280 ] in
+    return
+      ( max_line,
+        String.concat ""
+          [ lead; "set"; s1; key; s2; flags; s3; exptime; s4; bytes; noreply; "\r\n"; data; ending; next ] ))
+
+let prop_set_scan_matches_tokenizer =
+  QCheck.Test.make ~name:"set scan matches the tokenizer" ~count:300
+    (QCheck.make
+       ~print:(fun (max_line, input) -> Printf.sprintf "max_line %d: %S" max_line input)
+       set_input_gen)
+    (fun (max_line, input) -> set_scan_agrees ~max_line input)
+
+(* The cases the scan must hand to the tokenizer, each checked by name. *)
+let test_set_scan_fallbacks () =
+  let long_key = String.make 251 'k' in
+  (* a well-formed set line of 294 bytes, then its block and a get *)
+  let over_long =
+    Printf.sprintf "set %s %s %s 5\r\nhello\r\nget k\r\n" (String.make 250 'k')
+      (String.make 18 '1') (String.make 18 '2')
+  in
+  List.iter
+    (fun input ->
+      if not (set_scan_agrees ~max_line:280 input) then
+        Alcotest.failf "%S parsed differently" input)
+    [
+      "set k 1 2 5\r\nhello\r\n";
+      "set k 1 2 5 noreply\r\nhello\r\n";
+      "set k 1 -2 5\r\nhello\r\n";
+      "set k +1 2 5\r\nhello\r\n";
+      "set k 0x1 2 5\r\nhello\r\n";
+      "set k 1 2 0x5\r\nhello\r\n";
+      "set k 1 2 -5\r\nhello\r\n";
+      "set k 1000000000000000000 2 5\r\nhello\r\n";
+      "set k 999999999999999999 2 5\r\nhello\r\n";
+      "set  k 1 2 5\r\nhello\r\n";
+      "set k 1  2 5\r\nhello\r\n";
+      "set k 1 2 5 \r\nhello\r\n";
+      "set k 1 2 5\r\nhelloXY";
+      "set k 1 2 5\r\nhel";
+      "set " ^ long_key ^ " 1 2 5\r\nhello\r\n";
+      "set " ^ String.make 250 'k' ^ " 1 2 5\r\nhello\r\n";
+      over_long;
+    ];
+  match parse_feeds ~max_line:280 [ over_long ] with
+  | [ Error "line too long"; Error "ERROR"; Ok (Protocol.Get [ "k" ]) ], 0 -> ()
+  | _ -> Alcotest.fail "over-long set line accepted"
+
 (* Minor words [f] allocates, net of the measurement itself; the least of
    a few runs. *)
 let minor_words f =
@@ -526,6 +651,21 @@ let test_parse_get_allocation () =
   in
   let words = minor_words next in
   Alcotest.(check bool) (Printf.sprintf "%d words <= 13" words) true (words <= 13)
+
+(* One set line with a 100 B block: the key (3 words), the data (14),
+   the [storage] record (6), [Set] (2), [Ok] (2) and [Some] (2). *)
+let test_parse_set_allocation () =
+  let p = Protocol.Parser.create () in
+  let data = String.make 100 'd' in
+  Protocol.Parser.feed p
+    (String.concat "" (List.init 16 (fun _ -> "set key:0000012345 0 0 100\r\n" ^ data ^ "\r\n")));
+  let next () =
+    match Protocol.Parser.next p with
+    | Some (Ok (Protocol.Set { data = d; _ })) when String.length d = 100 -> ()
+    | _ -> Alcotest.fail "set line misparsed"
+  in
+  let words = minor_words next in
+  Alcotest.(check bool) (Printf.sprintf "%d words <= 29" words) true (words <= 29)
 
 let test_encode_value_allocation () =
   let buf = Buffer.create 4096 in
@@ -584,16 +724,21 @@ let () =
             test_oversized_terminated_line;
           Alcotest.test_case "CRLF split across discard" `Quick
             test_crlf_split_across_discard_chunks;
+          Alcotest.test_case "max_line line split after CR" `Quick
+            test_max_line_split_after_cr;
           Alcotest.test_case "data blocks unaffected" `Quick
             test_max_line_leaves_data_blocks_alone;
           Alcotest.test_case "over-long get line" `Quick test_get_line_too_long;
           QCheck_alcotest.to_alcotest prop_get_scan_matches_tokenizer;
+          Alcotest.test_case "set scan fallbacks" `Quick test_set_scan_fallbacks;
+          QCheck_alcotest.to_alcotest prop_set_scan_matches_tokenizer;
         ] );
       ( "allocation",
         [
           Alcotest.test_case "parse one get line" `Quick test_parse_get_allocation;
           Alcotest.test_case "encode one 100 B value" `Quick test_encode_value_allocation;
           Alcotest.test_case "number digits" `Quick test_encode_numbers;
+          Alcotest.test_case "parse one set line" `Quick test_parse_set_allocation;
         ] );
       ( "round trips",
         [

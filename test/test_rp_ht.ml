@@ -269,7 +269,13 @@ let test_iter_batched_half_split () =
 
 (* --- model-based property tests --- *)
 
-type op = Insert of int * int | Remove of int | Replace of int * int | Resize of int
+type op =
+  | Insert of int * int
+  | Remove of int
+  | Replace of int * int
+  | Exchange of int * int
+  | Remove_hashed of int
+  | Resize of int
 
 let op_gen =
   QCheck.Gen.(
@@ -278,6 +284,8 @@ let op_gen =
         (4, map2 (fun k v -> Insert (k, v)) (int_bound 100) (int_bound 1000));
         (2, map (fun k -> Remove k) (int_bound 100));
         (2, map2 (fun k v -> Replace (k, v)) (int_bound 100) (int_bound 1000));
+        (2, map2 (fun k v -> Exchange (k, v)) (int_bound 100) (int_bound 1000));
+        (2, map (fun k -> Remove_hashed k) (int_bound 100));
         (1, map (fun s -> Resize (1 lsl s)) (int_bound 8));
       ])
 
@@ -285,35 +293,70 @@ let show_op = function
   | Insert (k, v) -> Printf.sprintf "Insert (%d, %d)" k v
   | Remove k -> Printf.sprintf "Remove %d" k
   | Replace (k, v) -> Printf.sprintf "Replace (%d, %d)" k v
+  | Exchange (k, v) -> Printf.sprintf "Exchange (%d, %d)" k v
+  | Remove_hashed k -> Printf.sprintf "Remove_hashed %d" k
   | Resize n -> Printf.sprintf "Resize %d" n
 
 (* Reference model: newest-first association list. *)
+let rec drop_first k = function
+  | [] -> []
+  | (k', _) :: rest when k' = k -> rest
+  | kv :: rest -> kv :: drop_first k rest
+
+(* replace/exchange update only the newest (first) binding, or insert *)
+let rec update_first k v = function
+  | [] -> [ (k, v) ]
+  | (k', _) :: rest when k' = k -> (k', v) :: rest
+  | kv :: rest -> kv :: update_first k v rest
+
 let model_apply model = function
   | Insert (k, v) -> (k, v) :: model
-  | Remove k ->
-      let rec drop_first = function
-        | [] -> []
-        | (k', _) :: rest when k' = k -> rest
-        | kv :: rest -> kv :: drop_first rest
-      in
-      drop_first model
-  | Replace (k, v) ->
-      (* replace updates only the newest (first) binding, or inserts *)
-      if List.mem_assoc k model then begin
-        let rec update = function
-          | [] -> []
-          | (k', _) :: rest when k' = k -> (k', v) :: rest
-          | kv :: rest -> kv :: update rest
-        in
-        update model
-      end
-      else (k, v) :: model
+  | Remove k | Remove_hashed k -> drop_first k model
+  | Replace (k, v) | Exchange (k, v) ->
+      if List.mem_assoc k model then update_first k v model else (k, v) :: model
   | Resize _ -> model
 
-let table_apply t = function
+(* A memb flavour whose grace periods the test ends by hand: [call_rcu]
+   parks each callback until [end_grace_period] runs the parked ones. *)
+let parking_flavour () =
+  let base = Flavour.memb (Rcu.create ()) in
+  let parked = Queue.create () in
+  let end_grace_period () =
+    base.Flavour.synchronize ();
+    while not (Queue.is_empty parked) do
+      (Queue.pop parked) ()
+    done
+  in
+  ({ base with Flavour.call_rcu = (fun f -> Queue.add f parked); barrier = end_grace_period },
+   parked)
+
+let show_opt = function Some v -> string_of_int v | None -> "None"
+
+(* Each op against the table, checking what it returns against the model
+   before the op. A removal must park exactly one reclamation callback
+   (none for a miss) and mark nothing itself: the table stays valid with
+   every callback parked, and once they run — the grace period over — no
+   reachable node carries the mark. *)
+let table_apply t parked model op =
+  let hash = Rp_hashes.Hashfn.of_int in
+  let expect what want got =
+    if want <> got then
+      QCheck.Test.fail_reportf "%s: model %s, table %s" what (show_opt want)
+        (show_opt got)
+  in
+  match op with
   | Insert (k, v) -> Rp_ht.insert t k v
   | Remove k -> ignore (Rp_ht.remove t k)
   | Replace (k, v) -> Rp_ht.replace t k v
+  | Exchange (k, v) ->
+      expect (show_op op) (List.assoc_opt k model) (Rp_ht.exchange_hashed t ~hash:(hash k) k v)
+  | Remove_hashed k ->
+      let before = Queue.length parked in
+      let want = List.assoc_opt k model in
+      expect (show_op op) want (Rp_ht.remove_hashed t ~hash:(hash k) k);
+      let deferred = Queue.length parked - before in
+      if deferred <> Option.fold ~none:0 ~some:(fun _ -> 1) want then
+        QCheck.Test.fail_reportf "%s parked %d reclamation callbacks" (show_op op) deferred
   | Resize n -> Rp_ht.resize t n
 
 let prop_matches_model =
@@ -321,21 +364,33 @@ let prop_matches_model =
     (QCheck.make ~print:(fun l -> String.concat "; " (List.map show_op l))
        QCheck.Gen.(list_size (int_bound 80) op_gen))
     (fun ops ->
-      let t = make ~initial_size:4 () in
-      let model = List.fold_left model_apply [] ops in
-      List.iter (table_apply t) ops;
-      Rcu.barrier (Rp_ht.rcu t);
-      (match Rp_ht.validate t with
-      | Ok () -> ()
-      | Error msg -> QCheck.Test.fail_reportf "invariant: %s" msg);
+      let flavour, parked = parking_flavour () in
+      let t =
+        Rp_ht.create ~flavour ~initial_size:4 ~auto_resize:false
+          ~hash:Rp_hashes.Hashfn.of_int ~equal:Int.equal ()
+      in
+      let model =
+        List.fold_left
+          (fun model op ->
+            table_apply t parked model op;
+            model_apply model op)
+          [] ops
+      in
+      let valid when_ =
+        match Rp_ht.validate t with
+        | Ok () -> ()
+        | Error msg -> QCheck.Test.fail_reportf "invariant (%s): %s" when_ msg
+      in
+      valid "callbacks parked";
+      flavour.Flavour.barrier ();
+      valid "grace period over";
       List.for_all
         (fun k ->
           let expected = List.assoc_opt k model in
           let got = Rp_ht.find t k in
           if expected <> got then
-            QCheck.Test.fail_reportf "key %d: model %s, table %s" k
-              (match expected with Some v -> string_of_int v | None -> "None")
-              (match got with Some v -> string_of_int v | None -> "None")
+            QCheck.Test.fail_reportf "key %d: model %s, table %s" k (show_opt expected)
+              (show_opt got)
           else true)
         (List.init 101 Fun.id))
 

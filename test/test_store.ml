@@ -400,6 +400,94 @@ let test_get_hit_allocation () =
   Alcotest.(check bool) (Printf.sprintf "%d words <= 14" words) true (words <= 14);
   Store.reader_offline store
 
+(* Allocation gate for a same-size SET overwrite on Rp/QSBR (no timing
+   involved): the clock reading's box (2 words), the slab class lookup's
+   [Some] (2), the new item (7), the table exchange's [Some] (2) and the
+   closures around the store's (13) and the table's (7) stripe
+   sections. *)
+let test_set_overwrite_allocation () =
+  let store = Store.create ~backend:Store.Rp ~rcu_mode:Store.Qsbr ~initial_size:64 () in
+  let data = String.make 100 'x' in
+  let overwrite () = set_ok store "key" data in
+  overwrite ();
+  let words = minor_words overwrite in
+  Printf.printf "same-size set overwrite: %d minor words\n" words;
+  Alcotest.(check bool) (Printf.sprintf "%d words <= 35" words) true (words <= 35);
+  Alcotest.(check int) "one item" 1 (Store.items store);
+  Alcotest.(check int) "one chunk charged" (chunk_for (3 + 100 + Item.overhead_bytes))
+    (Store.bytes store);
+  Store.reader_offline store
+
+(* An in-memory cold tier: demotions land in a table keyed by offset. *)
+let memory_tier store =
+  let frames = Hashtbl.create 16 in
+  let next = ref 0 in
+  let admit = ref true in
+  Store.set_tier store
+    (Some
+       {
+         Store.th_demote =
+           (fun key data ->
+             incr next;
+             Hashtbl.replace frames !next (key, data);
+             Some (0, !next, String.length data));
+         th_read =
+           (fun (_, offset, _) ->
+             match Hashtbl.find_opt frames offset with
+             | Some kv -> Ok kv
+             | None -> Error Store.Tier_gone);
+         th_mark_dead = (fun (_, offset, _) -> Hashtbl.remove frames offset);
+         th_admit = (fun () -> !admit);
+       });
+  admit
+
+(* Slab exactness: whatever mix of writes ran, the store's charged bytes
+   are the chunk sizes of exactly the items it holds — a hot item's
+   chunk for its key and data, a cold marker's for its key alone. *)
+let test_slab_exact () =
+  let value_chunk = chunk_for (4 + 100 + Item.overhead_bytes) in
+  let store, now = make_store ~max_bytes:(12 * value_chunk) Store.Rp in
+  let admit = memory_tier store in
+  let key i = Printf.sprintf "k%03d" i in
+  let set i data = set_ok store (key i) data in
+  for i = 0 to 9 do set i (String.make 100 'a') done;
+  set 1 (String.make 100 'b');  (* same size *)
+  set 2 (String.make 300 'c');  (* another slab class *)
+  set 2 (String.make 10 'd');  (* and another *)
+  ignore (Store.delete store (key 3));
+  ignore (Store.delete store (key 3));
+  now := !now +. 1.0;
+  for i = 10 to 39 do set i (String.make 100 'e') done;  (* demotions *)
+  Alcotest.(check bool) "demoted" true (Store.tier_demotions store > 0);
+  admit := false;
+  for i = 40 to 59 do set i (String.make 120 'f') done;  (* plain evictions *)
+  Alcotest.(check bool) "evicted" true (Store.evictions store > 0);
+  let cold = List.filter (fun i -> Store.tier_location store (key i) <> None) (List.init 60 Fun.id) in
+  (match cold with
+  | i :: j :: _ ->
+      set i (String.make 100 'g');  (* overwrite a cold marker *)
+      ignore (Store.delete store (key j))  (* delete one *)
+  | _ -> Alcotest.fail "fewer than two cold markers");
+  ignore (Store.touch store ~key:(key 59) ~exptime:100);
+  ignore (Store.append store ~key:(key 58) ~data:"++");
+  (* Hot items through the walk (no tier: cold keys are skipped), cold
+     markers through their locations. *)
+  Store.set_tier store None;
+  let charged = ref 0 and items = ref 0 in
+  ignore
+    (Store.iter_items store ~f:(fun k item ->
+         incr items;
+         charged := !charged + chunk_for (Item.size_bytes ~key:k item)));
+  List.iter
+    (fun i ->
+      if Store.tier_location store (key i) <> None then begin
+        incr items;
+        charged := !charged + chunk_for (String.length (key i) + Item.overhead_bytes)
+      end)
+    (List.init 60 Fun.id);
+  Alcotest.(check int) "every item counted" (Store.items store) !items;
+  Alcotest.(check int) "bytes = chunks of live items" !charged (Store.bytes store)
+
 (* Model-based: both backends against Hashtbl (no expiry, no eviction). *)
 let model_property name backend =
   QCheck.Test.make
@@ -474,7 +562,12 @@ let () =
       ("get_many", per_backend test_get_many);
       ("expiry edges", per_backend test_expiry_edges);
       ( "allocation",
-        [ Alcotest.test_case "get_many hit, rp/qsbr" `Quick test_get_hit_allocation ] );
+        [
+          Alcotest.test_case "get_many hit, rp/qsbr" `Quick test_get_hit_allocation;
+          Alcotest.test_case "same-size set overwrite, rp/qsbr" `Quick
+            test_set_overwrite_allocation;
+        ] );
+      ("slab", [ Alcotest.test_case "bytes match live items" `Quick test_slab_exact ]);
       ( "model",
         List.map (fun (n, b) -> QCheck_alcotest.to_alcotest (model_property n b)) backends
       );
