@@ -5,9 +5,11 @@
    a reusable output buffer. One poll wakeup drains *all* complete
    pipelined requests buffered on the socket, dispatches them as a batch,
    and coalesces every response into a single write — no per-command
-   syscall, no per-command response string. Partial writes park the
-   remainder in [pending]; the worker then polls the fd for writability
-   and stops reading until the backlog drains (backpressure). *)
+   syscall, no per-command response string. A flush copies the rendered
+   bytes into a reused write buffer, so a flush allocates nothing; partial
+   writes leave the remainder there, and the worker then polls the fd for
+   writability and stops reading until the backlog drains
+   (backpressure). *)
 
 type proto =
   | Detect
@@ -29,13 +31,18 @@ type t = {
   id : int;
   rbuf : Bytes.t;
   out : Buffer.t;
-  mutable pending : string;  (* rendered but unwritten response bytes *)
+  (* Rendered but unwritten response bytes: [wbuf] from [pending_off] to
+     [pending_len], copied out of [out] when it was flushed. *)
+  mutable wbuf : Bytes.t;
   mutable pending_off : int;
+  mutable pending_len : int;
   mutable proto : proto;
   mutable closing : bool;  (* flush remaining output, then close *)
   mutable last_active : float;
   mutable last_progress : float;  (* last write(2) that moved bytes *)
   mutable backlog : bool;  (* parser holds requests the write cap deferred *)
+  (* A request pulled from the parser to end a run of GETs, served next. *)
+  mutable carry : (Protocol.request, string) result option;
   reads : Rp_obs.Counter.t;  (* read(2) calls that moved bytes *)
   writes : Rp_obs.Counter.t;  (* write(2) calls that moved bytes *)
 }
@@ -50,13 +57,15 @@ let create ~id ~buffer_size ~reads ~writes fd =
     id;
     rbuf = Bytes.create buffer_size;
     out = Buffer.create 256;
-    pending = "";
+    wbuf = Bytes.empty;
     pending_off = 0;
+    pending_len = 0;
     proto = Detect;
     closing = false;
     last_active = Unix.gettimeofday ();
     last_progress = Unix.gettimeofday ();
     backlog = false;
+    carry = None;
     reads;
     writes;
   }
@@ -65,11 +74,11 @@ let fd t = t.fd
 let id t = t.id
 let closing t = t.closing
 let last_active t = t.last_active
-let wants_write t = t.pending <> "" || Buffer.length t.out > 0
+let wants_write t = t.pending_off < t.pending_len || Buffer.length t.out > 0
 let has_backlog t = t.backlog
 
 let pending_bytes t =
-  String.length t.pending - t.pending_off + Buffer.length t.out
+  t.pending_len - t.pending_off + Buffer.length t.out
 
 (* Slow-client deadline base: the later of "last byte we received" and
    "last byte the peer drained". A long-idle keepalive connection is not
@@ -110,12 +119,39 @@ let fill t =
   in
   Rp_trace.with_span ~arg:t.id k_fill go
 
+(* A run's replies, one VALUE...END block per request in arrival order
+   ([reqs] holds the requests' keys newest first); the values left. *)
+let rec encode_run out reqs values =
+  match reqs with
+  | [] -> values
+  | keys :: older -> Protocol.encode_values_for_into out keys (encode_run out older values)
+
+(* Serve a run of get (or gets) requests with one multiget, traced as
+   one request: the head sampler and the slow-request trigger count runs,
+   and the store's read section nests under the run's span. *)
+let serve_run t store ~with_cas reqs =
+  Rp_trace.request_begin ~arg:t.id k_req;
+  let keys =
+    match reqs with [ keys ] -> keys | _ -> List.fold_left (fun acc keys -> keys @ acc) [] reqs
+  in
+  let values = Dispatch.get_run store ~with_cas keys in
+  let enc = Rp_trace.span_begin_sampled k_encode in
+  ignore (encode_run t.out reqs values);
+  Rp_trace.span_end_sampled k_encode enc;
+  Rp_trace.request_end ()
+
 (* Execute every complete request buffered in the parser, rendering
    responses into [t.out]. Returns the batch size (dispatched commands,
    protocol errors included). [max_out] caps the rendered-but-unwritten
    bytes: past it, remaining parsed requests stay in the parser
    ([has_backlog] goes true) until a flush makes room — one pipelining
-   client that never reads can pin at most ~cap of coalescer memory. *)
+   client that never reads can pin at most ~cap of coalescer memory.
+
+   Consecutive text [get] requests (or consecutive [gets]) form a run,
+   served by one multiget: at most [Store.batch_keys] keys, unless one
+   request alone has more. Any other request ends the run, so a
+   connection still reads its own writes; the request that ended it is
+   carried to the next turn, which checks the write cap first. *)
 let dispatch ?(max_out = max_int) t store =
   let over_cap () = pending_bytes t >= max_out in
   match t.proto with
@@ -128,10 +164,19 @@ let dispatch ?(max_out = max_int) t store =
           n
         end
         else
-          match Protocol.Parser.next p with
+          let next =
+            match t.carry with
+            | None -> Protocol.Parser.next p
+            | carried ->
+                t.carry <- None;
+                carried
+          in
+          match next with
           | None ->
               t.backlog <- false;
               n
+          | Some (Ok (Protocol.Get keys)) -> run n ~with_cas:false [ keys ] 1 (List.length keys)
+          | Some (Ok (Protocol.Gets keys)) -> run n ~with_cas:true [ keys ] 1 (List.length keys)
           | Some (Error msg) ->
               let reply =
                 if msg = "ERROR" then Protocol.Error_reply
@@ -152,6 +197,22 @@ let dispatch ?(max_out = max_int) t store =
               | None -> ());
               Rp_trace.request_end ();
               go (n + 1)
+      (* Grow the run by the parser's next request while it is a request
+         of the same kind and the run stays within the key cap. *)
+      and run n ~with_cas reqs nreqs nkeys =
+        let next = Protocol.Parser.next p in
+        match next with
+        | Some (Ok (Protocol.Get keys)) when not with_cas -> grow n ~with_cas reqs nreqs nkeys keys next
+        | Some (Ok (Protocol.Gets keys)) when with_cas -> grow n ~with_cas reqs nreqs nkeys keys next
+        | _ -> finish n ~with_cas reqs nreqs next
+      and grow n ~with_cas reqs nreqs nkeys keys next =
+        let nkeys' = nkeys + List.length keys in
+        if nkeys' <= Store.batch_keys then run n ~with_cas (keys :: reqs) (nreqs + 1) nkeys'
+        else finish n ~with_cas reqs nreqs next
+      and finish n ~with_cas reqs nreqs next =
+        serve_run t store ~with_cas reqs;
+        t.carry <- next;
+        go (n + nreqs)
       in
       Rp_trace.with_span ~arg:t.id k_batch (fun () -> go 0)
   | Binary p ->
@@ -190,31 +251,27 @@ let flush t =
   let had_output = wants_write t in
   let span = if had_output then Rp_trace.span_begin ~arg:t.id k_flush else -1 in
   let rec push () =
-    if t.pending <> "" then
+    if t.pending_off < t.pending_len then
       match
-        Io.write_nonblock ~fault:"server.write.partial" t.fd t.pending
-          ~off:t.pending_off
+        Io.write_nonblock ~fault:"server.write.partial" t.fd
+          (Bytes.unsafe_to_string t.wbuf) ~off:t.pending_off
+          ~len:(t.pending_len - t.pending_off)
       with
       | `Would_block -> `Want_write
       | `Wrote n ->
           Rp_obs.Counter.incr t.writes;
           t.last_progress <- Unix.gettimeofday ();
-          let off = t.pending_off + n in
-          if off >= String.length t.pending then begin
-            t.pending <- "";
-            t.pending_off <- 0;
-            push ()
-          end
-          else begin
-            t.pending_off <- off;
-            push ()
-          end
+          t.pending_off <- t.pending_off + n;
+          push ()
     else if Buffer.length t.out > 0 then begin
-      let s = Buffer.contents t.out in
-      if Buffer.length t.out > out_retain_bytes then Buffer.reset t.out
-      else Buffer.clear t.out;
-      t.pending <- s;
+      (* [wbuf] is written to only here, once its bytes are all out. *)
+      let n = Buffer.length t.out in
+      if n > Bytes.length t.wbuf || Bytes.length t.wbuf > max n out_retain_bytes then
+        t.wbuf <- Bytes.create n;
+      Buffer.blit t.out 0 t.wbuf 0 n;
+      if n > out_retain_bytes then Buffer.reset t.out else Buffer.clear t.out;
       t.pending_off <- 0;
+      t.pending_len <- n;
       push ()
     end
     else `Done

@@ -67,8 +67,8 @@ let read_nonblock ?(fault = "") fd buf =
   in
   go ()
 
-let write_nonblock ?(fault = "") fd s ~off =
-  let len = String.length s - off in
+let write_nonblock ?(fault = "") ?len fd s ~off =
+  let len = match len with Some l -> l | None -> String.length s - off in
   let want = if fault = "" then len else Rp_fault.io_cap fault len in
   let rec go () =
     match Unix.write_substring fd s off want with

@@ -42,9 +42,9 @@ val read_nonblock :
     bytes; [`Eof] means the peer closed. *)
 
 val write_nonblock :
-  ?fault:string -> Unix.file_descr -> string -> off:int -> [ `Wrote of int | `Would_block ]
-(** One write attempt of [s] from [off] to the end. [`Wrote n] may be
-    short; the caller keeps the remainder. *)
+  ?fault:string -> ?len:int -> Unix.file_descr -> string -> off:int -> [ `Wrote of int | `Would_block ]
+(** One write attempt of [len] bytes of [s] from [off] (default: to the
+    end). [`Wrote n] may be short; the caller keeps the remainder. *)
 
 val set_tcp_nodelay : Unix.file_descr -> unit
 (** Disable Nagle on a TCP socket (best-effort no-op elsewhere), so small

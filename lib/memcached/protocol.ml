@@ -134,6 +134,19 @@ let rec add_values buf = function
       add_value buf v;
       add_values buf rest
 
+(* One get/gets reply out of a coalesced multiget's: the leading values
+   that answer [keys] — in key order, each [vkey] physically the key it
+   answers — then END. *)
+let rec encode_values_for_into buf keys values =
+  match (keys, values) with
+  | [], _ ->
+      Buffer.add_string buf end_line;
+      values
+  | key :: keys, v :: rest when v.vkey == key ->
+      add_value buf v;
+      encode_values_for_into buf keys rest
+  | _ :: keys, _ -> encode_values_for_into buf keys values
+
 (* Renders straight into a caller-owned buffer so a pipelined batch of
    responses coalesces without one string allocation per command. *)
 let encode_response_into buf = function

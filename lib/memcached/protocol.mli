@@ -74,6 +74,14 @@ val encode_response_into : Buffer.t -> response -> unit
     coalesce a whole pipelined batch this way — one reusable buffer, one
     socket write, no per-command response string. *)
 
+val encode_values_for_into : Buffer.t -> string list -> value list -> value list
+(** [encode_values_for_into buf keys values] renders the reply to one
+    [get]/[gets] of [keys] whose hits lead [values], and returns the
+    values left over. [values] holds hits in key order with each [vkey]
+    physically equal to the key it answers, as {!Store.get_many} returns
+    them, so a run of requests served by one multiget splits back into
+    one [VALUE]…[END] block per request. *)
+
 val request_key_valid : string -> bool
 (** memcached key rules: 1–250 bytes, no spaces or control characters. *)
 

@@ -775,32 +775,20 @@ let placeholder key tag : Protocol.value =
 
 let is_placeholder (v : Protocol.value) = v.vdata == expired_tag || v.vdata == cold_tag
 
-(* The wait-free pass over a batch, inside its read section: each value
-   is copied out while the section is open. Misses leave nothing; a hot
-   hit allocates only its reply record and list cell. Built in key order
-   by plain recursion (the bound is the request line's key count). *)
-let rec read_pass t rs ~with_cas ~now = function
-  | [] -> []
-  | key :: rest -> (
-      match Rp_ht.find rs.rp key with
-      | None ->
-          count_miss t key;
-          read_pass t rs ~with_cas ~now rest
-      | Some item ->
-          let v =
-            if Item.is_expired item ~now then begin
-              count_miss t key;
-              placeholder key expired_tag
-            end
-            else if Item.is_cold item then
-              placeholder key cold_tag (* hit/miss counted at resolution *)
-            else begin
-              Item.touch_access item ~now;
-              count_hit t key item.data;
-              value_of_item ~with_cas key item
-            end
-          in
-          v :: read_pass t rs ~with_cas ~now rest)
+(* A looked-up item's reply, once the read section has closed: a hot hit
+   is counted and stamped for the CLOCK; an expired or cold one leaves a
+   placeholder for [settle]. *)
+let reply t ~with_cas ~now key (item : Item.t) =
+  if Item.is_expired item ~now then begin
+    count_miss t key;
+    placeholder key expired_tag
+  end
+  else if Item.is_cold item then placeholder key cold_tag (* hit/miss counted at resolution *)
+  else begin
+    Item.touch_access item ~now;
+    count_hit t key item.data;
+    value_of_item ~with_cas key item
+  end
 
 (* Resolve a cold hit: one positioned segment read, then reinsert under
    the key's update stripe (promote-on-access). The disk read happens
@@ -919,7 +907,7 @@ let get_lock t ls ~with_cas ~now key =
           count_hit t key entry.item.data;
           Some (value_of_item ~with_cas key entry.item))
 
-(* Placeholders left by [read_pass], resolved with no read section open:
+(* Placeholders left by [reply], resolved with no read section open:
    expired items are reaped under their own stripes, cold hits promoted
    (stripes and a disk read). Reply order is preserved. *)
 let settle t rs ~with_cas ~now values =
@@ -938,32 +926,118 @@ let settle t rs ~with_cas ~now values =
 let end_read_section section ~n =
   if section >= 0 then Rp_trace.span_end_sampled ~arg:n k_read_section section
 
+let batch_keys = 64
+
+(* A domain's staging arrays for [get_many]'s read section, reused across
+   calls so the section allocates nothing: the keys and their hashes
+   going in, each key's table node and item coming out. Systhreads of
+   the threaded plane share their domain's arrays; one that finds them
+   [busy] (a sibling was switched out mid-batch) stages into fresh
+   ones. *)
+type scratch = {
+  mutable busy : bool;
+  mutable staged : int;
+  hashes : int array;
+  keys : string array;
+  found : (string, Item.t) Rp_list.link array;
+  items : Item.t array;
+}
+
+let no_item = Item.make ~cas:0 ~flags:0 ~exptime:0 ~data:"" ~now:0 ()
+
+let fresh_scratch () =
+  {
+    busy = false;
+    staged = 0;
+    hashes = Array.make batch_keys 0;
+    keys = Array.make batch_keys "";
+    found = Array.make batch_keys Rp_list.Null;
+    items = Array.make batch_keys no_item;
+  }
+
+let scratch_key = Domain.DLS.new_key fresh_scratch
+
+(* Stage up to [batch_keys] keys, hashing each before the section opens;
+   returns the keys left over, and the count staged in [staged]. *)
+let rec stage s i = function
+  | key :: rest when i < batch_keys ->
+      Array.unsafe_set s.keys i key;
+      Array.unsafe_set s.hashes i (hash_key key);
+      stage s (i + 1) rest
+  | rest ->
+      s.staged <- i;
+      rest
+
+(* The read section: the staged table walk, then one load of each hit's
+   item so those misses overlap too. Nothing here allocates; the nodes'
+   values are read while the section pins them. *)
+let read_section rs s n =
+  Rp_ht.find_batch_hashed rs.rp ~hashes:s.hashes ~keys:s.keys s.found n;
+  let touched = ref 0 in
+  for i = 0 to n - 1 do
+    match Array.unsafe_get s.found i with
+    | Rp_list.Node nd ->
+        let item = nd.value in
+        Array.unsafe_set s.items i item;
+        touched := !touched lxor item.Item.exptime
+    | Rp_list.Null -> ()
+  done;
+  ignore (Sys.opaque_identity !touched)
+
+(* The staged batch's replies, in key order. *)
+let rec replies t s ~with_cas ~now i n =
+  if i = n then []
+  else
+    let key = Array.unsafe_get s.keys i in
+    match Array.unsafe_get s.found i with
+    | Rp_list.Null ->
+        count_miss t key;
+        replies t s ~with_cas ~now (i + 1) n
+    | Rp_list.Node _ ->
+        let v = reply t ~with_cas ~now key (Array.unsafe_get s.items i) in
+        v :: replies t s ~with_cas ~now (i + 1) n
+
+(* One read section per [batch_keys] of [keys]. Replies, counters and
+   heat notes are built after each section closes. *)
+let rec get_batches t rs ~with_cas ~now keys =
+  let shared = Domain.DLS.get scratch_key in
+  let s = if shared.busy then fresh_scratch () else shared in
+  s.busy <- true;
+  let rest = stage s 0 keys in
+  let n = s.staged in
+  let flavour = Rp_ht.flavour rs.rp in
+  let section = Rp_trace.span_begin_sampled k_read_section in
+  flavour.Flavour.read_enter ();
+  (match read_section rs s n with
+  | () -> flavour.Flavour.read_exit ()
+  | exception e ->
+      flavour.Flavour.read_exit ();
+      end_read_section section ~n;
+      s.busy <- false;
+      raise e);
+  end_read_section section ~n;
+  let values =
+    match replies t s ~with_cas ~now 0 n with
+    | values ->
+        s.busy <- false;
+        values
+    | exception e ->
+        s.busy <- false;
+        raise e
+  in
+  match rest with [] -> values | _ -> values @ get_batches t rs ~with_cas ~now rest
+
 (* The multiget fast path the event loop's batch dispatch hits: one
    clock read and one [cmd_get] add for the whole batch and — on the Rp
-   backend — one read-side critical section spanning every lookup (inner
-   sections nest for free), instead of a counter bump, clock read and
-   section per key. *)
+   backend — one staged read section per [batch_keys] keys, instead of a
+   counter bump, clock read, section and serial chain walk per key. *)
 let get_many t ?(with_cas = false) keys =
-  let n = List.length keys in
-  Rp_obs.Counter.add t.cmd_get n;
+  Rp_obs.Counter.add t.cmd_get (List.length keys);
   let now = now t in
   match t.state with
   | Lock_state ls -> List.filter_map (fun key -> get_lock t ls ~with_cas ~now key) keys
   | Rp_state rs ->
-      let flavour = Rp_ht.flavour rs.rp in
-      let section = Rp_trace.span_begin_sampled k_read_section in
-      flavour.Flavour.read_enter ();
-      let values =
-        match read_pass t rs ~with_cas ~now keys with
-        | values ->
-            flavour.Flavour.read_exit ();
-            values
-        | exception e ->
-            flavour.Flavour.read_exit ();
-            end_read_section section ~n;
-            raise e
-      in
-      end_read_section section ~n;
+      let values = get_batches t rs ~with_cas ~now keys in
       if List.exists is_placeholder values then settle t rs ~with_cas ~now values
       else values
 
@@ -978,12 +1052,17 @@ let get t key =
   match t.state with
   | Lock_state ls -> get_lock t ls ~with_cas:false ~now key
   | Rp_state rs -> (
-      match read_pass t rs ~with_cas:false ~now [ key ] with
-      | [ v ] when not (is_placeholder v) -> Some v
-      | values -> (
-          match settle t rs ~with_cas:false ~now values with
-          | v :: _ -> Some v
-          | [] -> None))
+      match Rp_ht.find_opt_hashed rs.rp ~hash:(hash_key key) key with
+      | None ->
+          count_miss t key;
+          None
+      | Some item -> (
+          match reply t ~with_cas:false ~now key item with
+          | v when not (is_placeholder v) -> Some v
+          | v -> (
+              match settle t rs ~with_cas:false ~now [ v ] with
+              | v :: _ -> Some v
+              | [] -> None)))
 
 (* --- storage commands --- *)
 

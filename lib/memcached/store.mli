@@ -87,9 +87,19 @@ val get : t -> string -> Protocol.value option
 val get_many : t -> ?with_cas:bool -> string list -> Protocol.value list
 (** Batch lookup — the multiget fast path the event loop's batch dispatch
     hits: one [cmd_get] counter add for the whole batch and, on the {!Rp}
-    backend, a single read-side critical section spanning every key.
-    Expired items encountered inside the batch are reaped after the
-    section closes, each under its own key's update stripe. *)
+    backend, one read-side critical section per {!batch_keys} keys. The
+    keys are hashed before the section; inside it the table is walked in
+    stages ({!Rp_ht.find_batch_hashed}) and nothing is allocated. Replies
+    are built after it closes: hits in key order, each [vkey] physically
+    the requested key. Expired items encountered inside the batch are
+    reaped after the section closes, each under its own key's update
+    stripe; cold ones are promoted then too. *)
+
+val batch_keys : int
+(** The most keys one {!get_many} read section serves (64): longer key
+    lists are split, and the event loop ends a run of pipelined GET
+    requests at this many keys, so a QSBR reader never stretches a grace
+    period over an unbounded batch. *)
 
 val set : t -> key:string -> flags:int -> exptime:int -> data:string -> stored_result
 val add : t -> key:string -> flags:int -> exptime:int -> data:string -> stored_result

@@ -207,6 +207,42 @@ let find_opt_hashed t ~hash k =
 let find t k = find_opt_hashed t ~hash:(t.hash k) k
 let mem t k = Option.is_some (find t k)
 
+(* A batch's lookups in three passes, for a caller already inside a read
+   section: load every bucket slot, then every first node, then walk each
+   chain. The loads within a pass are independent of each other, so an
+   out-of-order core keeps the whole pass's misses in flight where a
+   key-at-a-time walk waits out each chain of dependent misses in turn
+   (group prefetching). Readers write no shared memory, so running a
+   section's lookups in any order is linearizable. [found] carries the
+   passes' state — bucket head, then the key's node or [Null] — and no
+   pass allocates. *)
+let find_batch_hashed t ~hashes ~keys found n =
+  if n < 0 || n > Array.length hashes || n > Array.length keys || n > Array.length found
+  then invalid_arg "Rp_ht.find_batch_hashed: n exceeds an array";
+  Rp_obs.Counter.add t.obs_lookups n;
+  let stamp = Rp_trace.stamp_sampled () in
+  let table = Rcu.dereference t.current in
+  for i = 0 to n - 1 do
+    let b = bucket_index table (Array.unsafe_get hashes i) in
+    Array.unsafe_set found i (Array.unsafe_get table.buckets b)
+  done;
+  let touched = ref 0 in
+  for i = 0 to n - 1 do
+    match Array.unsafe_get found i with Node nd -> touched := !touched lxor nd.hash | Null -> ()
+  done;
+  ignore (Sys.opaque_identity !touched);
+  for i = 0 to n - 1 do
+    Array.unsafe_set found i
+      (search_chain t.equal (Array.unsafe_get hashes i) (Array.unsafe_get keys i)
+         (Array.unsafe_get found i))
+  done;
+  if stamp >= 0 then
+    for i = 0 to n - 1 do
+      Rp_trace.instant_at_sampled
+        ~arg:(match Array.unsafe_get found i with Node _ -> 1 | Null -> 0)
+        k_lookup stamp
+    done
+
 (* Apply [f] to the bindings whose home is bucket [b], skipping nodes
    merely passing through an imprecise bucket. *)
 let rec iter_home ~size ~b f = function

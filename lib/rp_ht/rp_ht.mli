@@ -103,6 +103,22 @@ val mem : ('k, 'v) t -> 'k -> bool
 val find_opt_hashed : ('k, 'v) t -> hash:int -> 'k -> 'v option
 (** {!find} with a precomputed hash (protocol servers cache hashes). *)
 
+val find_batch_hashed :
+  ('k, 'v) t ->
+  hashes:int array ->
+  keys:'k array ->
+  ('k, 'v) Rp_list.link array ->
+  int ->
+  unit
+(** [find_batch_hashed t ~hashes ~keys found n] looks up [keys.(i)]
+    (whose hash is [hashes.(i)]) for every [i < n], storing its node — or
+    [Rp_list.Null] on a miss — in [found.(i)]. The caller must already
+    hold a read section, and read each node's [value] before leaving it.
+    The batch is walked in stages (every bucket slot, then every first
+    node, then every chain) so the lookups' cache misses overlap; nothing
+    is allocated. Counts [n] lookups. Raises [Invalid_argument] when [n]
+    exceeds an array's length. *)
+
 val iter : ('k, 'v) t -> f:('k -> 'v -> unit) -> unit
 (** Iterate over a snapshot inside one read-side critical section. [f] must
     not block and must not update this table. Bindings inserted or removed

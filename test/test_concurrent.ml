@@ -59,6 +59,75 @@ let torture (module T : Rp_baseline.Table_intf.TABLE) ~with_resize () =
   Alcotest.(check int) "no lookup violations" 0 (Atomic.get violations);
   Alcotest.(check bool) "made progress" true (checks > 0)
 
+(* Staged batch lookups racing a resizer: two reader domains look up 32
+   resident keys at a time with [Rp_ht.find_batch_hashed], one read
+   section per batch, while a third domain expands and shrinks the table
+   and a writer churns a disjoint key range. Every resident key must be
+   found, with its value, in every batch. *)
+let batch_torture ~qsbr () =
+  let resident = 512 and batch = 32 in
+  let hash = Rp_hashes.Hashfn.of_int in
+  let t =
+    if qsbr then
+      Rp_ht.create ~flavour:(Flavour.qsbr (Rcu_qsbr.create ())) ~initial_size:256
+        ~auto_resize:false ~hash ~equal:Int.equal ()
+    else Rp_ht.create ~initial_size:256 ~auto_resize:false ~hash ~equal:Int.equal ()
+  in
+  for i = 0 to resident - 1 do
+    Rp_ht.insert t i (i * 3)
+  done;
+  let flavour = Rp_ht.flavour t in
+  let stop = Atomic.make false and violations = Atomic.make 0 in
+  let reader seed =
+    Domain.spawn (fun () ->
+        let prng = Rp_workload.Prng.create ~seed in
+        let keys = Array.make batch 0 and hashes = Array.make batch 0 in
+        let found = Array.make batch Rp_list.Null in
+        let batches = ref 0 in
+        while not (Atomic.get stop) do
+          for i = 0 to batch - 1 do
+            keys.(i) <- Rp_workload.Prng.below prng resident;
+            hashes.(i) <- hash keys.(i)
+          done;
+          flavour.Flavour.read_enter ();
+          Rp_ht.find_batch_hashed t ~hashes ~keys found batch;
+          for i = 0 to batch - 1 do
+            match found.(i) with
+            | Rp_list.Node n when n.value = keys.(i) * 3 -> ()
+            | Rp_list.Node _ | Rp_list.Null -> Atomic.incr violations
+          done;
+          flavour.Flavour.read_exit ();
+          incr batches
+        done;
+        flavour.Flavour.thread_offline ();
+        !batches)
+  in
+  let writer =
+    Domain.spawn (fun () ->
+        let prng = Rp_workload.Prng.create ~seed:99 in
+        while not (Atomic.get stop) do
+          let k = resident + Rp_workload.Prng.below prng 256 in
+          if Rp_workload.Prng.bool prng then Rp_ht.replace t k k else ignore (Rp_ht.remove t k)
+        done;
+        flavour.Flavour.thread_offline ())
+  in
+  let resizer =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          Rp_ht.resize t 2048;
+          Rp_ht.resize t 128
+        done;
+        flavour.Flavour.thread_offline ())
+  in
+  let readers = List.init 2 (fun i -> reader (i + 1)) in
+  Unix.sleepf duration;
+  Atomic.set stop true;
+  let batches = List.fold_left (fun acc d -> acc + Domain.join d) 0 readers in
+  Domain.join writer;
+  Domain.join resizer;
+  Alcotest.(check int) "no batch lookup violations" 0 (Atomic.get violations);
+  Alcotest.(check bool) "made progress" true (batches > 0)
+
 let rp_table = (module Rp_baseline.Rp_table.Resizable : Rp_baseline.Table_intf.TABLE)
 let qsbr_table = (module Rp_baseline.Rp_table.Qsbr : Rp_baseline.Table_intf.TABLE)
 let ddds_table = (module Rp_baseline.Ddds_ht : Rp_baseline.Table_intf.TABLE)
@@ -135,11 +204,20 @@ let test_move_never_neither () =
           end
         done)
   in
-  for _ = 1 to 2000 do
+  let move_round () =
     ignore (Rp_ht.move t ~from_key:key_a ~to_key:key_b Fun.id);
     Atomic.incr rounds;
     ignore (Rp_ht.move t ~from_key:key_b ~to_key:key_a Fun.id);
     Atomic.incr rounds
+  in
+  for _ = 1 to 2000 do
+    move_round ()
+  done;
+  (* On a loaded machine the reader domain may not have run yet: keep
+     moving until it has checked a pair, for at most 5 s. *)
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while Atomic.get fenced = 0 && Unix.gettimeofday () < deadline do
+    move_round ()
   done;
   Atomic.set stop true;
   Domain.join reader;
@@ -339,6 +417,9 @@ let () =
           Alcotest.test_case "replace is atomic" `Slow test_replace_is_atomic;
           Alcotest.test_case "shrink vs striped inserts" `Slow
             test_shrink_vs_striped_inserts;
+          Alcotest.test_case "batch lookups vs resizer" `Slow (batch_torture ~qsbr:false);
+          Alcotest.test_case "batch lookups vs resizer, qsbr" `Slow
+            (batch_torture ~qsbr:true);
         ] );
       ( "memcached store",
         [

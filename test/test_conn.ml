@@ -1,0 +1,297 @@
+(* Coalesced GET runs: [Conn.dispatch] serves each run of consecutive
+   get (or gets) requests with one multiget, and must answer exactly as
+   request-at-a-time dispatch does. The property drives a connection over
+   a socketpair (no server thread) and compares it with [Dispatch.handle]
+   plus [Protocol.encode_response_into] on a twin store. *)
+
+open Memcached
+
+let base_time = 1_000_000_000.0
+let nkeys = 14 (* k0..k11 are set up; k12 and k13 never exist *)
+let key i = Printf.sprintf "k%d" i
+let value i = String.init 100 (fun j -> Char.chr (97 + ((i + j) mod 26)))
+
+(* An in-memory cold tier that always admits: demoted values are never
+   lost, so which keys sit cold is a cache-residency detail no reply can
+   see. *)
+let memory_tier store =
+  let frames = Hashtbl.create 16 and next = ref 0 in
+  Store.set_tier store
+    (Some
+       {
+         Store.th_demote =
+           (fun key data ->
+             incr next;
+             Hashtbl.replace frames !next (key, data);
+             Some (0, !next, String.length data));
+         th_read =
+           (fun (_, offset, _) ->
+             match Hashtbl.find_opt frames offset with
+             | Some kv -> Ok kv
+             | None -> Error Store.Tier_gone);
+         th_mark_dead = (fun (_, offset, _) -> Hashtbl.remove frames offset);
+         th_admit = (fun () -> true);
+       })
+
+(* CAS values come from one process-wide counter. Twin stores built and
+   driven by the same sequence of mutations draw the same run of values
+   from it, offset by where each started: this reads that start. *)
+let cas_base () = (Item.make ~flags:0 ~exptime:0 ~data:"" ~now:0 ()).Item.cas
+
+let chunk_bytes =
+  let s = Store.create ~backend:Store.Rp () in
+  ignore (Store.set s ~key:(key 0) ~flags:0 ~exptime:0 ~data:(value 0));
+  Store.bytes s
+
+(* A store six values large holding twelve keys, so some are cold
+   markers; k9..k11 expired five seconds ago. Returns the store and its
+   CAS base. *)
+let make_store () =
+  let base = cas_base () in
+  let now = ref base_time in
+  let store =
+    Store.create ~backend:Store.Rp ~max_bytes:(6 * chunk_bytes) ~initial_size:64
+      ~clock:(fun () -> !now)
+      ()
+  in
+  memory_tier store;
+  for i = 0 to 11 do
+    ignore
+      (Store.set store ~key:(key i) ~flags:i ~exptime:(if i >= 9 then 5 else 0) ~data:(value i))
+  done;
+  now := base_time +. 10.;
+  (store, base)
+
+(* Rewrite the CAS field of every VALUE line relative to [base]. Data
+   blocks here are lower-case letters, so no data line looks like one. *)
+let normalize base s =
+  String.split_on_char '\n' s
+  |> List.map (fun line ->
+         match String.split_on_char ' ' line with
+         | [ "VALUE"; k; f; n; cas ] ->
+             let cas = int_of_string (String.trim cas) - base in
+             Printf.sprintf "VALUE %s %s %s %d\r" k f n cas
+         | _ -> line)
+  |> String.concat "\n"
+
+(* Request-at-a-time reference: every request through [Dispatch.handle]
+   in arrival order, stopping at quit. Returns the replies and the
+   number of requests answered (errors and quit included). *)
+let reference store pipeline =
+  let p = Protocol.Parser.create () in
+  Protocol.Parser.feed p pipeline;
+  let out = Buffer.create 256 in
+  let rec go n =
+    match Protocol.Parser.next p with
+    | None -> n
+    | Some (Error msg) ->
+        Protocol.encode_response_into out
+          (if msg = "ERROR" then Protocol.Error_reply else Protocol.Client_error msg);
+        go (n + 1)
+    | Some (Ok Protocol.Quit) -> n + 1
+    | Some (Ok request) ->
+        Option.iter (Protocol.encode_response_into out) (Dispatch.handle store request);
+        go (n + 1)
+  in
+  let n = go 0 in
+  (Buffer.contents out, n)
+
+let rec write_all fd s off =
+  if off < String.length s then
+    write_all fd s (off + Unix.write_substring fd s off (String.length s - off))
+
+(* The coalescing connection: each chunk written to the peer end, then
+   fill, dispatch and flush until nothing is deferred. Returns the
+   replies and the requests [dispatch] counted. *)
+let coalesced ?max_out store chunks =
+  let client, server = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock client;
+  Unix.set_nonblock server;
+  let c =
+    Conn.create ~id:1 ~buffer_size:4096 ~reads:(Rp_obs.Counter.create ())
+      ~writes:(Rp_obs.Counter.create ()) server
+  in
+  let out = Buffer.create 256 and sink = Bytes.create 65536 and count = ref 0 in
+  let rec drain () =
+    match Unix.read client sink 0 (Bytes.length sink) with
+    | 0 -> ()
+    | n ->
+        Buffer.add_subbytes out sink 0 n;
+        drain ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  in
+  let dispatch () = count := !count + Conn.dispatch ?max_out c store in
+  let rec pump () =
+    match Conn.flush c with
+    | `Want_write ->
+        drain ();
+        pump ()
+    | `Closed -> Alcotest.fail "connection torn"
+    | `Done ->
+        if (not (Conn.closing c)) && Conn.has_backlog c then begin
+          dispatch ();
+          pump ()
+        end
+  in
+  List.iter
+    (fun chunk ->
+      if not (Conn.closing c) then begin
+        write_all client chunk 0;
+        ignore (Conn.fill c);
+        dispatch ();
+        pump ();
+        drain ()
+      end)
+    chunks;
+  drain ();
+  Unix.close client;
+  Unix.close server;
+  (Buffer.contents out, !count)
+
+(* What a store holds: every key's gets reply and the GET counters. *)
+let state store base =
+  let out = Buffer.create 256 in
+  for i = 0 to nkeys - 1 do
+    Option.iter (Protocol.encode_response_into out)
+      (Dispatch.handle store (Protocol.Gets [ key i ]))
+  done;
+  let counters =
+    List.filter
+      (fun (k, _) -> List.mem k [ "get_hits"; "get_misses"; "cmd_get"; "cmd_set" ])
+      (Store.stats store)
+  in
+  ( normalize base (Buffer.contents out),
+    String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) counters) )
+
+(* --- pipelines ------------------------------------------------------- *)
+
+let key_gen = QCheck.Gen.(map key (int_bound (nkeys - 1)))
+let noreply_gen = QCheck.Gen.(map (fun b -> if b then " noreply" else "") (frequencyl [ (3, false); (1, true) ]))
+let exptime_gen = QCheck.Gen.oneofl [ 0; -1; 100 ]
+
+let request_gen =
+  let open QCheck.Gen in
+  let keys = list_size (int_range 1 5) key_gen >|= String.concat " " in
+  frequency
+    [
+      (6, keys >|= Printf.sprintf "get %s\r\n");
+      (3, keys >|= Printf.sprintf "gets %s\r\n");
+      ( 2,
+        map4
+          (fun k e n d ->
+            Printf.sprintf "set %s 7 %d %d%s\r\n%s\r\n" k e (String.length d) n d)
+          key_gen exptime_gen noreply_gen
+          (string_size ~gen:(char_range 'a' 'z') (int_range 0 150)) );
+      (1, map2 (Printf.sprintf "delete %s%s\r\n") key_gen noreply_gen);
+      (1, map3 (Printf.sprintf "touch %s %d%s\r\n") key_gen exptime_gen noreply_gen);
+      (1, oneofl [ "bogus\r\n"; "get\r\n" ]);
+      (1, return "quit\r\n");
+    ]
+
+let pipeline_arb =
+  QCheck.make ~print:String.escaped
+    QCheck.Gen.(list_size (int_range 1 12) request_gen >|= String.concat "")
+
+(* Every way of feeding a pipeline: whole, split at each offset, and
+   whole under a write cap small enough to defer requests mid-run. *)
+let feeds pipeline =
+  let len = String.length pipeline in
+  ((None, [ pipeline ]) :: (Some 64, [ pipeline ])
+  :: List.init (len - 1) (fun i ->
+         (None, [ String.sub pipeline 0 (i + 1); String.sub pipeline (i + 1) (len - i - 1) ]))
+  )
+
+let prop_coalesced_matches_reference =
+  QCheck.Test.make ~name:"coalesced dispatch = per-request dispatch" ~count:20 pipeline_arb
+    (fun pipeline ->
+      let ref_store, ref_base = make_store () in
+      let want, want_n = reference ref_store pipeline in
+      let want = normalize ref_base want and want_state = state ref_store ref_base in
+      List.for_all
+        (fun (max_out, chunks) ->
+          let store, base = make_store () in
+          let got, got_n = coalesced ?max_out store chunks in
+          let got = normalize base got in
+          let how =
+            Printf.sprintf "max_out %s, chunks %s"
+              (Option.fold ~none:"none" ~some:string_of_int max_out)
+              (String.concat " | " (List.map String.escaped chunks))
+          in
+          if got <> want then
+            QCheck.Test.fail_reportf "%s\nreplies:\n%s\nreference:\n%s" how (String.escaped got)
+              (String.escaped want);
+          if got_n <> want_n then
+            QCheck.Test.fail_reportf "%s: dispatch counted %d requests, reference %d" how got_n
+              want_n;
+          if state store base <> want_state then
+            QCheck.Test.fail_reportf "%s: final store state differs" how;
+          true)
+        (feeds pipeline))
+
+(* The twin stores the property starts from hold what it means to test:
+   cold markers, expired items and plain hot items. *)
+let test_fixture () =
+  let store, _ = make_store () in
+  let cold = List.filter (fun i -> Store.tier_location store (key i) <> None) (List.init 12 Fun.id) in
+  Alcotest.(check bool) "some keys are cold" true (cold <> []);
+  Alcotest.(check bool) "some keys are hot" true (List.length cold < 12);
+  let out, _ = reference store "get k9 k10 k11\r\n" in
+  Alcotest.(check string) "k9..k11 expired" "END\r\n" out
+
+(* A run splits its replies back per request, in order, including a
+   request's duplicate keys and misses; a set ends the run, so the next
+   get reads it. *)
+let test_run_replies () =
+  let store, _ = make_store () in
+  let pipeline =
+    "get k1 k1 k13\r\nget k12\r\nget k2\r\nset k1 0 0 1\r\nx\r\nget k1\r\n"
+  in
+  let got, n = coalesced store [ pipeline ] in
+  Alcotest.(check int) "requests counted, not runs" 5 n;
+  let v1 = value 1 and v2 = value 2 in
+  Alcotest.(check string) "one block per request"
+    (String.concat ""
+       [
+         "VALUE k1 1 100\r\n"; v1; "\r\nVALUE k1 1 100\r\n"; v1; "\r\nEND\r\n";
+         "END\r\n";
+         "VALUE k2 2 100\r\n"; v2; "\r\nEND\r\n";
+         "STORED\r\n";
+         "VALUE k1 0 1\r\nx\r\nEND\r\n";
+       ])
+    got
+
+(* A run is one traced request, and stops at the key cap: 70 one-key
+   GETs are two runs, one multiget each, 64 keys then 6. *)
+let test_run_cap () =
+  let store, _ = make_store () in
+  let pipeline = String.concat "" (List.init 70 (fun i -> Printf.sprintf "get %s\r\n" (key (i mod 9)))) in
+  Rp_trace.reset ();
+  Rp_trace.configure ~sample:1 ();
+  let got, n =
+    Fun.protect
+      ~finally:(fun () -> Rp_trace.configure ~sample:1024 ())
+      (fun () -> coalesced store [ pipeline ])
+  in
+  Alcotest.(check int) "every request counted" 70 n;
+  let events, _ = Rp_trace.snapshot () in
+  Rp_trace.reset ();
+  let named name phase =
+    List.filter (fun (e : Rp_trace.event) -> e.name = name && e.phase = phase) events
+  in
+  Alcotest.(check int) "two request spans" 2 (List.length (named "req.text" 0));
+  Alcotest.(check (list int)) "read sections of 64 and 6 keys" [ 64; 6 ]
+    (List.map (fun (e : Rp_trace.event) -> e.arg) (named "store.read_section" 3));
+  let want, _ = reference (fst (make_store ())) pipeline in
+  Alcotest.(check string) "replies" want got
+
+let () =
+  Alcotest.run "conn"
+    [
+      ( "get runs",
+        [
+          Alcotest.test_case "fixture" `Quick test_fixture;
+          Alcotest.test_case "replies split per request" `Quick test_run_replies;
+          Alcotest.test_case "key cap" `Quick test_run_cap;
+          QCheck_alcotest.to_alcotest ~long:false prop_coalesced_matches_reference;
+        ] );
+    ]

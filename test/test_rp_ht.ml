@@ -267,6 +267,57 @@ let test_iter_batched_half_split () =
   Alcotest.(check int) "splits drained" 0 (Rp_ht.pending_splits t);
   check_valid t
 
+(* [find_batch_hashed] over [keys] in one read section, as options. *)
+let find_batch t keys =
+  let n = Array.length keys in
+  let hashes = Array.map Rp_hashes.Hashfn.of_int keys in
+  let found = Array.make n Rp_list.Null in
+  Flavour.with_read (Rp_ht.flavour t) (fun () ->
+      Rp_ht.find_batch_hashed t ~hashes ~keys found n;
+      Array.map (function Rp_list.Node nd -> Some nd.value | Rp_list.Null -> None) found)
+
+(* A staged batch walks imprecise buckets too: mid-split, it finds what
+   per-key lookups find, hits and misses alike, and splits nothing. *)
+let test_find_batch_half_split () =
+  let t =
+    Rp_ht.create ~initial_size:8 ~min_size:8 ~auto_resize:true
+      ~hash:Rp_hashes.Hashfn.of_int ~equal:Int.equal ()
+  in
+  for i = 0 to 399 do
+    Rp_ht.insert t i (i * 7)
+  done;
+  Alcotest.(check bool) "table is half-split" true (Rp_ht.pending_splits t > 0);
+  let before = Rp_ht.lookups t in
+  for b = 0 to 6 do
+    let keys = Array.init 64 (fun i -> (b * 64) + i) in
+    let want =
+      Array.map (fun k -> Rp_ht.find_opt_hashed t ~hash:(Rp_hashes.Hashfn.of_int k) k) keys
+    in
+    Alcotest.(check (array (option int))) "batch = per-key" want (find_batch t keys)
+  done;
+  Alcotest.(check int) "each batch key counted once" (7 * 64 * 2) (Rp_ht.lookups t - before);
+  Alcotest.(check bool) "still half-split" true (Rp_ht.pending_splits t > 0);
+  check_valid t
+
+(* The staged walk allocates nothing: not a word per batch. *)
+let test_find_batch_allocation () =
+  let t = make ~initial_size:64 () in
+  for i = 0 to 99 do
+    Rp_ht.insert t i i
+  done;
+  let keys = Array.init 64 (fun i -> i * 2) in
+  let hashes = Array.map Rp_hashes.Hashfn.of_int keys in
+  let found = Array.make 64 Rp_list.Null in
+  let flavour = Rp_ht.flavour t in
+  let walk () = Rp_ht.find_batch_hashed t ~hashes ~keys found 64 in
+  flavour.Flavour.read_enter ();
+  walk ();
+  let w0 = Gc.minor_words () in
+  walk ();
+  let words = Gc.minor_words () -. w0 in
+  flavour.Flavour.read_exit ();
+  Alcotest.(check (float 0.)) "minor words" 0. words
+
 (* --- model-based property tests --- *)
 
 type op =
@@ -382,6 +433,15 @@ let prop_matches_model =
         | Error msg -> QCheck.Test.fail_reportf "invariant (%s): %s" when_ msg
       in
       valid "callbacks parked";
+      let keys = Array.init 101 Fun.id in
+      let staged = find_batch t keys in
+      Array.iter
+        (fun k ->
+          let per_key = Rp_ht.find_opt_hashed t ~hash:(Rp_hashes.Hashfn.of_int k) k in
+          if staged.(k) <> per_key then
+            QCheck.Test.fail_reportf "key %d: per-key %s, staged batch %s" k
+              (show_opt per_key) (show_opt staged.(k)))
+        keys;
       flavour.Flavour.barrier ();
       valid "grace period over";
       List.for_all
@@ -426,6 +486,8 @@ let () =
           Alcotest.test_case "iter and fold" `Quick test_iter_fold;
           Alcotest.test_case "bucket lengths" `Quick test_bucket_lengths;
           Alcotest.test_case "find_opt_hashed" `Quick test_find_opt_hashed;
+          Alcotest.test_case "find_batch_hashed allocates nothing" `Quick
+            test_find_batch_allocation;
           Alcotest.test_case "load factor" `Quick test_load_factor;
         ] );
       ( "resize",
@@ -441,6 +503,8 @@ let () =
           Alcotest.test_case "stripe rounding" `Quick test_stripe_rounding;
           Alcotest.test_case "iter_batched over half-split table" `Quick
             test_iter_batched_half_split;
+          Alcotest.test_case "find_batch_hashed over half-split table" `Quick
+            test_find_batch_half_split;
         ] );
       ( "move",
         [

@@ -400,6 +400,23 @@ let test_get_hit_allocation () =
   Alcotest.(check bool) (Printf.sprintf "%d words <= 14" words) true (words <= 14);
   Store.reader_offline store
 
+(* Allocation gate for a 32-key multiget of hits on Rp/QSBR: the staged
+   read section allocates nothing, so each hit costs only its reply
+   record (5) and list cell (3), plus the batch's one clock box — per
+   hit, no more than the single-hit gate above. *)
+let test_get_many_batch_allocation () =
+  let store = Store.create ~backend:Store.Rp ~rcu_mode:Store.Qsbr ~initial_size:64 () in
+  let keys = List.init 32 (Printf.sprintf "key%02d") in
+  List.iter (fun key -> set_ok store key (String.make 100 'x')) keys;
+  let hit () =
+    if List.length (Store.get_many store keys) <> 32 then Alcotest.fail "get_many missed"
+  in
+  hit ();
+  let words = minor_words hit in
+  Printf.printf "32-key get_many: %d minor words\n" words;
+  Alcotest.(check bool) (Printf.sprintf "%d words <= 32 * 14" words) true (words <= 32 * 14);
+  Store.reader_offline store
+
 (* Allocation gate for a same-size SET overwrite on Rp/QSBR (no timing
    involved): the clock reading's box (2 words), the slab class lookup's
    [Some] (2), the new item (7), the table exchange's [Some] (2) and the
@@ -564,6 +581,8 @@ let () =
       ( "allocation",
         [
           Alcotest.test_case "get_many hit, rp/qsbr" `Quick test_get_hit_allocation;
+          Alcotest.test_case "32-key get_many, rp/qsbr" `Quick
+            test_get_many_batch_allocation;
           Alcotest.test_case "same-size set overwrite, rp/qsbr" `Quick
             test_set_overwrite_allocation;
         ] );

@@ -187,11 +187,17 @@ let test_tail_trigger () =
               Rp_fault.reset ();
               (* The server acknowledges before closing the request
                  context, so retention can land a beat after the client
-                 returns: poll briefly. *)
+                 returns: poll briefly — for the stalled request itself,
+                 since parallel load can slow the warm one past the
+                 budget and get it retained first. *)
+              let stall_retained () =
+                List.exists
+                  (fun (e : Rp_trace.slow_entry) -> e.slow_dur_ns >= 20_000_000)
+                  (Rp_trace.slow_snapshot ())
+              in
               let deadline = Unix.gettimeofday () +. 2.0 in
               while
-                stat_int "trace_slow_retained" = 0
-                && Unix.gettimeofday () < deadline
+                (not (stall_retained ())) && Unix.gettimeofday () < deadline
               do
                 Thread.delay 0.005
               done;
