@@ -142,16 +142,15 @@ let put_u64 b off v =
   put_u32 b off ((v lsr 32) land 0xffffffff);
   put_u32 b (off + 4) (v land 0xffffffff)
 
-let get_u8 s off = Char.code s.[off]
-let get_u16 s off = (get_u8 s off lsl 8) lor get_u8 s (off + 1)
-let get_u32 s off = (get_u16 s off lsl 16) lor get_u16 s (off + 2)
+let get_u32 b off = (Bytes.get_uint16_be b off lsl 16) lor Bytes.get_uint16_be b (off + 2)
 
-let get_u64 s off =
+let get_u64 b off =
   (* Mask to 62 bits to stay within OCaml int range. *)
-  ((get_u32 s off land 0x3fffffff) lsl 32) lor get_u32 s (off + 4)
+  ((get_u32 b off land 0x3fffffff) lsl 32) lor get_u32 b (off + 4)
 
-let parse_u32 = get_u32
-let parse_u64 = get_u64
+(* Extras arrive as strings; reading one as bytes never writes it. *)
+let parse_u32 s off = get_u32 (Bytes.unsafe_of_string s) off
+let parse_u64 s off = get_u64 (Bytes.unsafe_of_string s) off
 
 (* --- extras helpers --- *)
 
@@ -247,114 +246,82 @@ let encode_response_into buf (r : response) =
   Buffer.add_string buf r.r_key;
   Buffer.add_string buf r.r_value
 
-(* --- incremental frame decoding --- *)
+(* --- incremental frame decoding ---
 
-module Frame = struct
-  (* Accumulates bytes; yields (header, body) frames. *)
-  type t = { mutable data : string; mutable pos : int }
+   Frames are decoded in place from the input window shared with the
+   text protocol ({!Protocol.Inbuf}): the header's fields are read
+   straight out of it, and extras, key and value are the only copies. *)
 
-  let create () = { data = ""; pos = 0 }
-
-  let feed t s =
-    if t.pos > 0 && t.pos = String.length t.data then begin
-      t.data <- s;
-      t.pos <- 0
-    end
-    else if s <> "" then begin
-      if t.pos > 4096 then begin
-        t.data <- String.sub t.data t.pos (String.length t.data - t.pos);
-        t.pos <- 0
-      end;
-      t.data <- t.data ^ s
-    end
-
-  let available t = String.length t.data - t.pos
-
-  (* Returns (header_offset_string, body) without copying the header. *)
-  let next_frame t ~expected_magic =
-    if available t < header_size then None
+(* The next complete frame carrying [expected_magic]: [decode opcode b
+   base ~extras ~key ~value] builds the message whose 24-byte header
+   starts at [base] of [b]. *)
+let next_frame (w : Protocol.Inbuf.t) ~expected_magic decode =
+  if Protocol.Inbuf.available w < header_size then None
+  else begin
+    let b = w.data and base = w.pos in
+    let magic = Bytes.get_uint8 b base in
+    if magic <> expected_magic then Some (Error (Printf.sprintf "bad magic 0x%02x" magic))
     else begin
-      let base = t.pos in
-      let magic = get_u8 t.data base in
-      if magic <> expected_magic then
-        Some (Error (Printf.sprintf "bad magic 0x%02x" magic))
+      let key_len = Bytes.get_uint16_be b (base + 2) in
+      let extras_len = Bytes.get_uint8 b (base + 4) in
+      let body_len = get_u32 b (base + 8) in
+      if extras_len + key_len > body_len then Some (Error "inconsistent lengths")
+      else if Protocol.Inbuf.available w < header_size + body_len then None
       else begin
-        let key_len = get_u16 t.data (base + 2) in
-        let extras_len = get_u8 t.data (base + 4) in
-        let body_len = get_u32 t.data (base + 8) in
-        if extras_len + key_len > body_len then Some (Error "inconsistent lengths")
-        else if available t < header_size + body_len then None
-        else begin
-          let header = String.sub t.data base header_size in
-          let body = String.sub t.data (base + header_size) body_len in
-          t.pos <- base + header_size + body_len;
-          Some (Ok (header, body))
-        end
+        let opcode = Bytes.get_uint8 b (base + 1) in
+        let body = base + header_size in
+        let frame =
+          match opcode_of_byte opcode with
+          | None -> Error (Printf.sprintf "unknown opcode 0x%02x" opcode)
+          | Some opcode ->
+              Ok
+                (decode opcode b base
+                   ~extras:(Bytes.sub_string b body extras_len)
+                   ~key:(Bytes.sub_string b (body + extras_len) key_len)
+                   ~value:
+                     (Bytes.sub_string b (body + extras_len + key_len)
+                        (body_len - extras_len - key_len)))
+        in
+        Protocol.Inbuf.advance w (body + body_len);
+        Some frame
       end
     end
-end
-
-let split_body header body =
-  let key_len = get_u16 header 2 in
-  let extras_len = get_u8 header 4 in
-  let extras = String.sub body 0 extras_len in
-  let key = String.sub body extras_len key_len in
-  let value =
-    String.sub body (extras_len + key_len) (String.length body - extras_len - key_len)
-  in
-  (extras, key, value)
+  end
 
 module Parser = struct
-  type t = Frame.t
+  type t = Protocol.Inbuf.t
 
-  let create () = Frame.create ()
-  let feed = Frame.feed
+  let create ?(inbuf = Protocol.Inbuf.create ()) () = inbuf
+  let feed = Protocol.Inbuf.feed
 
   let next t =
-    match Frame.next_frame t ~expected_magic:magic_request with
-    | None -> None
-    | Some (Error e) -> Some (Error e)
-    | Some (Ok (header, body)) -> (
-        match opcode_of_byte (get_u8 header 1) with
-        | None -> Some (Error (Printf.sprintf "unknown opcode 0x%02x" (get_u8 header 1)))
-        | Some opcode ->
-            let extras, key, value = split_body header body in
-            Some
-              (Ok
-                 {
-                   opcode;
-                   key;
-                   value;
-                   extras;
-                   opaque = get_u32 header 12;
-                   cas = get_u64 header 16;
-                 }))
+    next_frame t ~expected_magic:magic_request (fun opcode b base ~extras ~key ~value ->
+        {
+          opcode;
+          key;
+          value;
+          extras;
+          opaque = get_u32 b (base + 12);
+          cas = get_u64 b (base + 16);
+        })
 end
 
 module Response_parser = struct
-  type t = Frame.t
+  type t = Protocol.Inbuf.t
 
-  let create () = Frame.create ()
-  let feed = Frame.feed
+  let create () = Protocol.Inbuf.create ()
+  let feed = Protocol.Inbuf.feed
 
   let next t =
-    match Frame.next_frame t ~expected_magic:magic_response with
-    | None -> None
-    | Some (Error e) -> Some (Error e)
-    | Some (Ok (header, body)) -> (
-        match opcode_of_byte (get_u8 header 1) with
-        | None -> Some (Error (Printf.sprintf "unknown opcode 0x%02x" (get_u8 header 1)))
-        | Some r_opcode ->
-            let r_extras, r_key, r_value = split_body header body in
-            Some
-              (Ok
-                 {
-                   r_opcode;
-                   status = status_of_int (get_u16 header 6);
-                   r_key;
-                   r_value;
-                   r_extras;
-                   r_opaque = get_u32 header 12;
-                   r_cas = get_u64 header 16;
-                 }))
+    next_frame t ~expected_magic:magic_response
+      (fun r_opcode b base ~extras:r_extras ~key:r_key ~value:r_value ->
+        {
+          r_opcode;
+          status = status_of_int (Bytes.get_uint16_be b (base + 6));
+          r_key;
+          r_value;
+          r_extras;
+          r_opaque = get_u32 b (base + 12);
+          r_cas = get_u64 b (base + 16);
+        })
 end

@@ -103,7 +103,11 @@ val encode_response_into : Buffer.t -> response -> unit
 module Parser : sig
   type t
 
-  val create : unit -> t
+  val create : ?inbuf:Protocol.Inbuf.t -> unit -> t
+  (** [inbuf] (default: a fresh one) is the input window the parser
+      reads; a connection passes the window its first bytes were read
+      into. *)
+
   val feed : t -> string -> unit
 
   val next : t -> (request, string) result option

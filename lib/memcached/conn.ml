@@ -1,15 +1,16 @@
 (* Per-connection state machine for the event-loop plane.
 
-   A connection owns a fixed read buffer, an incremental protocol parser
-   (text or binary, decided by the first byte, as in stock memcached), and
-   a reusable output buffer. One poll wakeup drains *all* complete
-   pipelined requests buffered on the socket, dispatches them as a batch,
-   and coalesces every response into a single write — no per-command
-   syscall, no per-command response string. A flush copies the rendered
-   bytes into a reused write buffer, so a flush allocates nothing; partial
-   writes leave the remainder there, and the worker then polls the fd for
-   writability and stops reading until the backlog drains
-   (backpressure). *)
+   A connection owns an input window (reads land straight in its tail and
+   the parser scans it in place; see [Protocol.Inbuf]), an incremental
+   protocol parser over that window (text or binary, decided by the first
+   byte, as in stock memcached), and a reusable output buffer. One poll
+   wakeup drains *all* complete pipelined requests buffered on the
+   socket, dispatches them as a batch, and coalesces every response into
+   a single write — no per-command syscall, no per-command response
+   string. A flush copies the rendered bytes into a reused write buffer,
+   so a flush allocates nothing; partial writes leave the remainder
+   there, and the worker then polls the fd for writability and stops
+   reading until the backlog drains (backpressure). *)
 
 type proto =
   | Detect
@@ -29,7 +30,8 @@ let k_encode = Rp_trace.intern "conn.encode"
 type t = {
   fd : Unix.file_descr;
   id : int;
-  rbuf : Bytes.t;
+  inbuf : Protocol.Inbuf.t;  (* read into by [fill], scanned by the parser *)
+  read_size : int;  (* bytes asked of each read(2) *)
   out : Buffer.t;
   (* Rendered but unwritten response bytes: [wbuf] from [pending_off] to
      [pending_len], copied out of [out] when it was flushed. *)
@@ -47,15 +49,12 @@ type t = {
   writes : Rp_obs.Counter.t;  (* write(2) calls that moved bytes *)
 }
 
-(* Above this, a drained output buffer releases its storage instead of
-   pinning the high-water mark for the connection's lifetime. *)
-let out_retain_bytes = 262_144
-
 let create ~id ~buffer_size ~reads ~writes fd =
   {
     fd;
     id;
-    rbuf = Bytes.create buffer_size;
+    inbuf = Protocol.Inbuf.create ();
+    read_size = buffer_size;
     out = Buffer.create 256;
     wbuf = Bytes.empty;
     pending_off = 0;
@@ -76,6 +75,7 @@ let closing t = t.closing
 let last_active t = t.last_active
 let wants_write t = t.pending_off < t.pending_len || Buffer.length t.out > 0
 let has_backlog t = t.backlog
+let input_capacity t = Protocol.Inbuf.capacity t.inbuf
 
 let pending_bytes t =
   t.pending_len - t.pending_off + Buffer.length t.out
@@ -86,38 +86,40 @@ let pending_bytes t =
    is. *)
 let no_progress_since t = Float.max t.last_active t.last_progress
 
-let feed t s =
-  match t.proto with
-  | Detect ->
-      if s <> "" then
-        if s.[0] = Binary_protocol.magic_request_byte then begin
-          let p = Binary_protocol.Parser.create () in
-          Binary_protocol.Parser.feed p s;
-          t.proto <- Binary p
-        end
-        else begin
-          let p = Protocol.Parser.create () in
-          Protocol.Parser.feed p s;
-          t.proto <- Text p
-        end
-  | Text p -> Protocol.Parser.feed p s
-  | Binary p -> Binary_protocol.Parser.feed p s
+(* The first byte decides the protocol; the chosen parser takes over
+   the window those bytes were read into. *)
+let detect t =
+  let w = t.inbuf in
+  if Protocol.Inbuf.available w > 0 then
+    if Bytes.get w.data w.pos = Binary_protocol.magic_request_byte then
+      t.proto <- Binary (Binary_protocol.Parser.create ~inbuf:w ())
+    else t.proto <- Text (Protocol.Parser.create ~inbuf:w ())
 
-(* Drain the socket until it would block (or EOF), feeding the parser.
-   Raises like any socket read (Unix_error, injected faults); the worker
-   treats that as a torn connection. *)
+(* Drain the socket until it would block (or EOF), reading straight into
+   the window's tail. Raises like any socket read (Unix_error, injected
+   faults); the worker treats that as a torn connection. A fill that
+   finds nothing, with nothing unread, lets the window go: an idle
+   connection holds no input storage. *)
 let fill t =
+  let w = t.inbuf in
   let rec go () =
-    match Io.read_nonblock ~fault:"server.read.split" t.fd t.rbuf with
-    | `Would_block -> `Ok
+    Protocol.Inbuf.reserve w t.read_size;
+    match
+      Io.read_nonblock ~fault:"server.read.split" ~off:w.len ~len:t.read_size t.fd w.data
+    with
+    | `Would_block ->
+        Protocol.Inbuf.release w;
+        `Ok
     | `Eof -> `Eof
     | `Data n ->
         Rp_obs.Counter.incr t.reads;
         t.last_active <- Unix.gettimeofday ();
-        feed t (Bytes.sub_string t.rbuf 0 n);
+        Protocol.Inbuf.commit w n;
         go ()
   in
-  Rp_trace.with_span ~arg:t.id k_fill go
+  let verdict = Rp_trace.with_span ~arg:t.id k_fill go in
+  (match t.proto with Detect -> detect t | Text _ | Binary _ -> ());
+  verdict
 
 (* A run's replies, one VALUE...END block per request in arrival order
    ([reqs] holds the requests' keys newest first); the values left. *)
@@ -266,10 +268,11 @@ let flush t =
     else if Buffer.length t.out > 0 then begin
       (* [wbuf] is written to only here, once its bytes are all out. *)
       let n = Buffer.length t.out in
-      if n > Bytes.length t.wbuf || Bytes.length t.wbuf > max n out_retain_bytes then
+      let retain = Protocol.Inbuf.retain_bytes in
+      if n > Bytes.length t.wbuf || Bytes.length t.wbuf > max n retain then
         t.wbuf <- Bytes.create n;
       Buffer.blit t.out 0 t.wbuf 0 n;
-      if n > out_retain_bytes then Buffer.reset t.out else Buffer.clear t.out;
+      if n > retain then Buffer.reset t.out else Buffer.clear t.out;
       t.pending_off <- 0;
       t.pending_len <- n;
       push ()

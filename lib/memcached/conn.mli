@@ -1,9 +1,10 @@
 (** Per-connection state machine for the event-loop plane.
 
-    Owns the read buffer, the incremental protocol parser (text/binary by
-    first-byte sniffing), and a reusable output buffer. One poll wakeup
-    drains every complete pipelined request, dispatches them as a batch,
-    and coalesces the responses into a single write. *)
+    Owns the input window ({!Protocol.Inbuf}, allocated on the first
+    byte), the incremental protocol parser scanning it in place
+    (text/binary by first-byte sniffing), and a reusable output buffer.
+    One poll wakeup drains every complete pipelined request, dispatches
+    them as a batch, and coalesces the responses into a single write. *)
 
 type t
 
@@ -14,9 +15,9 @@ val create :
   writes:Rp_obs.Counter.t ->
   Unix.file_descr ->
   t
-(** The fd must already be non-blocking. [buffer_size] sizes the read
-    buffer ({!Server.config.read_buffer_size}); [reads]/[writes] count
-    data-moving syscalls. *)
+(** The fd must already be non-blocking. [buffer_size] is the most bytes
+    one read(2) asks for ({!Server.config.read_buffer_size});
+    [reads]/[writes] count data-moving syscalls. *)
 
 val fd : t -> Unix.file_descr
 val id : t -> int
@@ -45,11 +46,16 @@ val no_progress_since : t -> float
     direction (byte received or byte drained) — the slow-client kill
     deadline is measured from here. *)
 
+val input_capacity : t -> int
+(** Bytes of input-window storage held: 0 before the first byte and once
+    an idle connection's window drained; at most
+    {!Protocol.Inbuf.retain_bytes} whenever it is drained. *)
+
 val fill : t -> [ `Eof | `Ok ]
-(** Read until the socket would block, feeding the parser. Raises like a
-    socket read ([Unix.Unix_error], {!Rp_fault.Injected}); the worker
-    treats that as a torn connection. Runs through the
-    ["server.read.split"] failpoint. *)
+(** Read until the socket would block, straight into the input window's
+    tail. Raises like a socket read ([Unix.Unix_error],
+    {!Rp_fault.Injected}); the worker treats that as a torn connection.
+    Runs through the ["server.read.split"] failpoint. *)
 
 val dispatch : ?max_out:int -> t -> Store.t -> int
 (** Execute every complete buffered request, rendering responses into the

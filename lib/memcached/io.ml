@@ -54,11 +54,11 @@ let write_all ?(fault = "") ?deadline fd s =
    same failpoint sites as the blocking path apply, so torture scenarios
    can tear or shrink event-loop I/O identically. *)
 
-let read_nonblock ?(fault = "") fd buf =
-  let want = Bytes.length buf in
+let read_nonblock ?(fault = "") ?(off = 0) ?len fd buf =
+  let want = match len with Some l -> l | None -> Bytes.length buf - off in
   let want = if fault = "" then want else Rp_fault.io_cap fault want in
   let rec go () =
-    match Unix.read fd buf 0 want with
+    match Unix.read fd buf off want with
     | 0 -> `Eof
     | n -> `Data n
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()

@@ -37,9 +37,15 @@ val read : ?fault:string -> ?timeout:float -> Unix.file_descr -> Bytes.t -> int
     [`Would_block]. The same failpoint sites as the blocking path apply. *)
 
 val read_nonblock :
-  ?fault:string -> Unix.file_descr -> Bytes.t -> [ `Data of int | `Eof | `Would_block ]
-(** One read attempt into [buf] from offset 0. [`Data n] delivered [n > 0]
-    bytes; [`Eof] means the peer closed. *)
+  ?fault:string ->
+  ?off:int ->
+  ?len:int ->
+  Unix.file_descr ->
+  Bytes.t ->
+  [ `Data of int | `Eof | `Would_block ]
+(** One read attempt of at most [len] bytes into [buf] at [off] (defaults:
+    offset 0, to the end of [buf]). [`Data n] delivered [n > 0] bytes;
+    [`Eof] means the peer closed. *)
 
 val write_nonblock :
   ?fault:string -> ?len:int -> Unix.file_descr -> string -> off:int -> [ `Wrote of int | `Would_block ]

@@ -194,44 +194,79 @@ let encode_response response =
   encode_response_into buf response;
   Buffer.contents buf
 
-(* --- shared incremental buffer --- *)
+(* --- the input window ---
+
+   One growable byte window per input stream. The unread bytes are
+   [data.[pos] .. data.[len - 1]]; reads land at the tail, parsers scan
+   the window in place and copy out only what they keep. *)
 
 module Inbuf = struct
-  type t = { mutable data : string; mutable pos : int }
+  type t = { mutable data : Bytes.t; mutable pos : int; mutable len : int }
 
-  let create () = { data = ""; pos = 0 }
+  let retain_bytes = 262_144
 
-  let feed t s =
-    if t.pos > 0 && t.pos = String.length t.data then begin
-      t.data <- s;
-      t.pos <- 0
+  let create () = { data = Bytes.empty; pos = 0; len = 0 }
+  let available t = t.len - t.pos
+  let capacity t = Bytes.length t.data
+
+  (* Room for [n] more bytes at [len]. The unread bytes slide to the
+     front only when the tail is too short, into a window twice as large
+     only when they and [n] do not fit at all. *)
+  let reserve t n =
+    let cap = Bytes.length t.data in
+    if t.len + n > cap then begin
+      let avail = t.len - t.pos in
+      let data =
+        if avail + n <= cap then t.data else Bytes.create (Int.max (avail + n) (2 * cap))
+      in
+      Bytes.blit t.data t.pos data 0 avail;
+      t.data <- data;
+      t.pos <- 0;
+      t.len <- avail
     end
-    else if s <> "" then begin
-      (* Compact occasionally so pos never grows without bound. *)
-      if t.pos > 4096 then begin
-        t.data <- String.sub t.data t.pos (String.length t.data - t.pos);
-        t.pos <- 0
-      end;
-      t.data <- t.data ^ s
+
+  let commit t n = t.len <- t.len + n
+
+  (* Consume up to [p]. A drained window restarts at offset 0, and one
+     grown past [retain_bytes] is let go. *)
+  let advance t p =
+    if p < t.len then t.pos <- p
+    else begin
+      t.pos <- 0;
+      t.len <- 0;
+      if Bytes.length t.data > retain_bytes then t.data <- Bytes.empty
     end
 
-  let available t = String.length t.data - t.pos
+  let release t =
+    if t.pos = t.len then begin
+      t.data <- Bytes.empty;
+      t.pos <- 0;
+      t.len <- 0
+    end
+
+  let feed_bytes t b n =
+    reserve t n;
+    Bytes.blit b 0 t.data t.len n;
+    commit t n
+
+  (* [s] is only read. *)
+  let feed t s = feed_bytes t (Bytes.unsafe_of_string s) (String.length s)
 
   let rec crlf_from s i last =
     if i >= last then -1
-    else if String.unsafe_get s i = '\r' && String.unsafe_get s (i + 1) = '\n' then i
+    else if Bytes.unsafe_get s i = '\r' && Bytes.unsafe_get s (i + 1) = '\n' then i
     else crlf_from s (i + 1) last
 
   (* Index of the next CRLF at or after [pos], or -1. *)
-  let find_crlf t = crlf_from t.data t.pos (String.length t.data - 1)
+  let find_crlf t = crlf_from t.data t.pos (t.len - 1)
 
   (* A CRLF-terminated line, without the terminator. *)
   let take_line t =
     let i = find_crlf t in
     if i < 0 then None
     else begin
-      let line = String.sub t.data t.pos (i - t.pos) in
-      t.pos <- i + 2;
+      let line = Bytes.sub_string t.data t.pos (i - t.pos) in
+      advance t (i + 2);
       Some line
     end
 
@@ -240,15 +275,14 @@ module Inbuf = struct
      first (a trailing '\r' is kept so a CRLF split across feed chunks
      is still recognised). *)
   let discard_line t =
-    let len = String.length t.data in
     let i = find_crlf t in
     if i >= 0 then begin
-      t.pos <- i + 2;
+      advance t (i + 2);
       true
     end
     else begin
-      t.data <- (if len > t.pos && t.data.[len - 1] = '\r' then "\r" else "");
-      t.pos <- 0;
+      let cr = t.len > t.pos && Bytes.get t.data (t.len - 1) = '\r' in
+      advance t (if cr then t.len - 1 else t.len);
       false
     end
 
@@ -256,11 +290,12 @@ module Inbuf = struct
   let take_block t n =
     if available t < n + 2 then None
     else begin
-      let block = String.sub t.data t.pos n in
+      let p = t.pos in
+      let block = Bytes.sub_string t.data p n in
       let terminated =
-        t.data.[t.pos + n] = '\r' && t.data.[t.pos + n + 1] = '\n'
+        Bytes.get t.data (p + n) = '\r' && Bytes.get t.data (p + n + 1) = '\n'
       in
-      t.pos <- t.pos + n + 2;
+      advance t (p + n + 2);
       Some (block, terminated)
     end
 end
@@ -287,9 +322,9 @@ module Parser = struct
     mutable eol : int;  (* CRLF index of the line [scan_get] just read *)
   }
 
-  let create ?(max_line = 8192) () =
+  let create ?(max_line = 8192) ?(inbuf = Inbuf.create ()) () =
     if max_line < 1 then invalid_arg "Protocol.Parser.create: max_line < 1";
-    { inbuf = Inbuf.create (); max_line; state = Await_line; eol = 0 }
+    { inbuf; max_line; state = Await_line; eol = 0 }
   let feed t s = Inbuf.feed t.inbuf s
   let buffered_bytes t = Inbuf.available t.inbuf
 
@@ -438,65 +473,67 @@ module Parser = struct
   (* --- get/gets lines, scanned in place ---
 
      The hot request. A well-formed get/gets line is read once, straight
-     out of the input buffer: no line copy, no token list — the keys are
+     out of the input window: no line copy, no token list — the keys are
      the only strings allocated. Anything else (no CRLF yet, a missing or
-     invalid key, an over-long line) leaves the buffer untouched and
+     invalid key, an over-long line) leaves the window untouched and
      takes the general path below, which gives the same result for every
-     line: keys are the space-separated tokens after the verb. *)
+     line: keys are the space-separated tokens after the verb.
+
+     The scans read the window's bytes below [lim] (its [len]) and never
+     view it as a string: the window is mutable and is reused. *)
 
   exception Not_simple
 
   (* End of the key starting at [j]: the next space or CR. *)
-  let rec key_end s j =
-    if j >= String.length s then raise_notrace Not_simple
+  let rec key_end s lim j =
+    if j >= lim then raise_notrace Not_simple
     else
-      let c = String.unsafe_get s j in
+      let c = Bytes.unsafe_get s j in
       if c = ' ' || c = '\r' then j
       else if c < ' ' || c = '\x7f' then raise_notrace Not_simple
-      else key_end s (j + 1)
+      else key_end s lim (j + 1)
 
   (* The keys from [i] to the end of the line; [t.eol] gets the index of
      the line's CRLF. *)
-  let rec keys_to_eol t s i =
-    if i + 1 >= String.length s then raise_notrace Not_simple
+  let rec keys_to_eol t s lim i =
+    if i + 1 >= lim then raise_notrace Not_simple
     else
-      match String.unsafe_get s i with
-      | ' ' -> keys_to_eol t s (i + 1)
+      match Bytes.unsafe_get s i with
+      | ' ' -> keys_to_eol t s lim (i + 1)
       | '\r' ->
-          if String.unsafe_get s (i + 1) <> '\n' then raise_notrace Not_simple;
+          if Bytes.unsafe_get s (i + 1) <> '\n' then raise_notrace Not_simple;
           t.eol <- i;
           []
       | _ ->
-          let j = key_end s i in
+          let j = key_end s lim i in
           if j - i > 250 then raise_notrace Not_simple;
-          let key = String.sub s i (j - i) in
-          key :: keys_to_eol t s j
+          let key = Bytes.sub_string s i (j - i) in
+          key :: keys_to_eol t s lim j
 
   (* Where the keys of a "get " or "gets " line starting at [i] begin
      (4 or 5 bytes on), or 0 for any other line. *)
-  let get_keys_offset s i =
-    let avail = String.length s - i in
+  let get_keys_offset s lim i =
     if
-      avail >= 5
-      && String.unsafe_get s i = 'g'
-      && String.unsafe_get s (i + 1) = 'e'
-      && String.unsafe_get s (i + 2) = 't'
+      lim - i >= 5
+      && Bytes.unsafe_get s i = 'g'
+      && Bytes.unsafe_get s (i + 1) = 'e'
+      && Bytes.unsafe_get s (i + 2) = 't'
     then
-      match String.unsafe_get s (i + 3) with
+      match Bytes.unsafe_get s (i + 3) with
       | ' ' -> 4
-      | 's' when String.unsafe_get s (i + 4) = ' ' -> 5
+      | 's' when Bytes.unsafe_get s (i + 4) = ' ' -> 5
       | _ -> 0
     else 0
 
   let scan_get t =
-    let inbuf = t.inbuf in
-    let s = inbuf.data and i = inbuf.pos in
-    match get_keys_offset s i with
+    let w = t.inbuf in
+    let s = w.data and lim = w.len and i = w.pos in
+    match get_keys_offset s lim i with
     | 0 -> None
     | off -> (
-        match keys_to_eol t s (i + off) with
+        match keys_to_eol t s lim (i + off) with
         | _ :: _ as keys when t.eol - i <= t.max_line ->
-            inbuf.pos <- t.eol + 2;
+            Inbuf.advance w (t.eol + 2);
             Some (Ok (if off = 4 then Get keys else Gets keys))
         | _ -> None
         | exception Not_simple -> None)
@@ -505,78 +542,81 @@ module Parser = struct
 
      The hot write. [set <key> <flags> <exptime> <bytes>[ noreply]] with
      single spaces, plain decimal numbers and the whole data block (and
-     its CRLF) already buffered is read straight out of the input buffer:
+     its CRLF) already buffered is read straight out of the input window:
      the key and the data are the only strings allocated. Anything else —
      a signed or non-decimal number, more than 18 digits, extra spaces, a
      block not yet complete or not followed by CRLF, an over-long line —
-     leaves the buffer untouched for the tokenizer, whose result is the
+     leaves the window untouched for the tokenizer, whose result is the
      same on every line this scan accepts. *)
 
   (* End of the run of decimal digits starting at [i]: 1 to 18 of them,
      so the value cannot overflow. *)
-  let rec digits_from s j =
-    if j >= String.length s then raise_notrace Not_simple
-    else match String.unsafe_get s j with '0' .. '9' -> digits_from s (j + 1) | _ -> j
+  let rec digits_from s lim j =
+    if j >= lim then raise_notrace Not_simple
+    else match Bytes.unsafe_get s j with '0' .. '9' -> digits_from s lim (j + 1) | _ -> j
 
-  let digits_end s i =
-    let j = digits_from s i in
+  let digits_end s lim i =
+    let j = digits_from s lim i in
     if j = i || j - i > 18 then raise_notrace Not_simple;
     j
 
   let rec decimal s i j acc =
     if i = j then acc
-    else decimal s (i + 1) j ((acc * 10) + Char.code (String.unsafe_get s i) - 48)
+    else decimal s (i + 1) j ((acc * 10) + Char.code (Bytes.unsafe_get s i) - 48)
 
-  let expect s i c =
-    if i >= String.length s || String.unsafe_get s i <> c then raise_notrace Not_simple
+  let expect s lim i c =
+    if i >= lim || Bytes.unsafe_get s i <> c then raise_notrace Not_simple
 
   (* [s] holds [word] from [i] on. *)
-  let expect_word s i word =
+  let expect_word s lim i word =
     for j = 0 to String.length word - 1 do
-      expect s (i + j) (String.unsafe_get word j)
+      expect s lim (i + j) (String.unsafe_get word j)
     done
 
   let scan_set t =
-    let inbuf = t.inbuf in
-    let s = inbuf.data and i = inbuf.pos in
+    let w = t.inbuf in
+    let s = w.data and lim = w.len and i = w.pos in
     if
       not
-        (String.length s - i > 4
-        && String.unsafe_get s i = 's'
-        && String.unsafe_get s (i + 1) = 'e'
-        && String.unsafe_get s (i + 2) = 't'
-        && String.unsafe_get s (i + 3) = ' ')
+        (lim - i > 4
+        && Bytes.unsafe_get s i = 's'
+        && Bytes.unsafe_get s (i + 1) = 'e'
+        && Bytes.unsafe_get s (i + 2) = 't'
+        && Bytes.unsafe_get s (i + 3) = ' ')
     then None
     else
       match
         let k = i + 4 in
-        let ke = key_end s k in
+        let ke = key_end s lim k in
         if ke = k || ke - k > 250 then raise_notrace Not_simple;
-        expect s ke ' ';
-        let fe = digits_end s (ke + 1) in
-        expect s fe ' ';
-        let ee = digits_end s (fe + 1) in
-        expect s ee ' ';
-        let be = digits_end s (ee + 1) in
-        let noreply = be < String.length s && String.unsafe_get s be = ' ' in
-        if noreply then expect_word s be " noreply";
+        expect s lim ke ' ';
+        let fe = digits_end s lim (ke + 1) in
+        expect s lim fe ' ';
+        let ee = digits_end s lim (fe + 1) in
+        expect s lim ee ' ';
+        let be = digits_end s lim (ee + 1) in
+        let noreply = be < lim && Bytes.unsafe_get s be = ' ' in
+        if noreply then expect_word s lim be " noreply";
         let eol = if noreply then be + 8 else be in
-        expect s eol '\r';
-        expect s (eol + 1) '\n';
+        expect s lim eol '\r';
+        expect s lim (eol + 1) '\n';
         if eol - i > t.max_line then raise_notrace Not_simple;
         let bytes = decimal s (ee + 1) be 0 in
         let d = eol + 2 in
-        expect s (d + bytes) '\r';
-        expect s (d + bytes + 1) '\n';
-        inbuf.pos <- d + bytes + 2;
-        Set
-          {
-            key = String.sub s k (ke - k);
-            flags = decimal s (ke + 1) fe 0;
-            exptime = decimal s (fe + 1) ee 0;
-            noreply;
-            data = String.sub s d bytes;
-          }
+        expect s lim (d + bytes) '\r';
+        expect s lim (d + bytes + 1) '\n';
+        let request =
+          Set
+            {
+              key = Bytes.sub_string s k (ke - k);
+              flags = decimal s (ke + 1) fe 0;
+              exptime = decimal s (fe + 1) ee 0;
+              noreply;
+              data = Bytes.sub_string s d bytes;
+            }
+        in
+        Inbuf.advance w (d + bytes + 2);
+        request
       with
       | request -> Some (Ok request)
       | exception Not_simple -> None

@@ -85,6 +85,57 @@ val encode_values_for_into : Buffer.t -> string list -> value list -> value list
 val request_key_valid : string -> bool
 (** memcached key rules: 1–250 bytes, no spaces or control characters. *)
 
+(** The input window: one growable byte buffer per input stream, shared
+    by the text and binary parsers. Bytes are read (or fed) straight into
+    its tail, parsers scan them in place, and only keys, data blocks and
+    fallback lines are copied out. *)
+module Inbuf : sig
+  type t = private {
+    mutable data : Bytes.t;
+    mutable pos : int;
+    mutable len : int;
+  }
+  (** The unread bytes are [data] from [pos] to [len]. *)
+
+  val create : unit -> t
+  (** An empty window holding no storage: it is allocated by the first
+      {!reserve} that needs room. *)
+
+  val retain_bytes : int
+  (** 256 KiB. A window larger than this is released as soon as it
+      drains, so one large request does not pin its buffer; the
+      connection's output buffers follow the same rule. *)
+
+  val reserve : t -> int -> unit
+  (** [reserve t n] makes room for [n] bytes at [len]. The unread bytes
+      slide to the front only when the tail is too short, and the window
+      grows (at least doubling) only when they and [n] exceed it. *)
+
+  val commit : t -> int -> unit
+  (** [commit t n] appends the [n] bytes just written at [len]. *)
+
+  val advance : t -> int -> unit
+  (** [advance t p] consumes the bytes before index [p]. A drained window
+      restarts at offset 0, and is released if above {!retain_bytes}. *)
+
+  val release : t -> unit
+  (** Let go of a drained window's storage (a no-op while bytes are
+      unread). *)
+
+  val feed_bytes : t -> Bytes.t -> int -> unit
+  (** [feed_bytes t b n] appends the first [n] bytes of [b]: {!reserve},
+      blit, {!commit}. *)
+
+  val feed : t -> string -> unit
+  (** Append a string. *)
+
+  val available : t -> int
+  (** Unread bytes. *)
+
+  val capacity : t -> int
+  (** Bytes of storage held (0 when none). *)
+end
+
 (** Incremental request parser (server side). Feed raw bytes; pull complete
     requests. A malformed line yields [Error _] and the parser resynchronises
     at the next line. *)
@@ -96,8 +147,10 @@ module Parser : sig
       or not — yields [Error "line too long"] exactly once, the
       oversized bytes are dropped without being buffered, and parsing
       resynchronises at the next CRLF. Data blocks of an announced
-      length are not affected. *)
-  val create : ?max_line:int -> unit -> t
+      length are not affected. [inbuf] (default: a fresh one) is the
+      input window the parser reads; a connection passes the window its
+      first bytes were read into. *)
+  val create : ?max_line:int -> ?inbuf:Inbuf.t -> unit -> t
   val feed : t -> string -> unit
 
   val next : t -> (request, string) result option

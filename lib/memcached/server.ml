@@ -104,9 +104,8 @@ let recv config fd buf =
   in
   Io.read ~fault:"server.read.split" ?timeout fd buf
 
-let serve_text config store fd buf ~initial =
-  let parser = Protocol.Parser.create () in
-  Protocol.Parser.feed parser initial;
+let serve_text config store fd buf inbuf =
+  let parser = Protocol.Parser.create ~inbuf () in
   let closing = ref false in
   let drain () =
     let rec go () =
@@ -139,14 +138,13 @@ let serve_text config store fd buf ~initial =
     let n = recv config fd buf in
     if n = 0 then closing := true
     else begin
-      Protocol.Parser.feed parser (Bytes.sub_string buf 0 n);
+      Protocol.Inbuf.feed_bytes inbuf buf n;
       drain ()
     end
   done
 
-let serve_binary config store fd buf ~initial =
-  let parser = Binary_protocol.Parser.create () in
-  Binary_protocol.Parser.feed parser initial;
+let serve_binary config store fd buf inbuf =
+  let parser = Binary_protocol.Parser.create ~inbuf () in
   let closing = ref false in
   let drain () =
     let rec go () =
@@ -172,7 +170,7 @@ let serve_binary config store fd buf ~initial =
     let n = recv config fd buf in
     if n = 0 then closing := true
     else begin
-      Binary_protocol.Parser.feed parser (Bytes.sub_string buf 0 n);
+      Protocol.Inbuf.feed_bytes inbuf buf n;
       drain ()
     end
   done
@@ -210,10 +208,11 @@ let serve_connection t th store fd =
   (try
      let n = recv t.config fd buf in
      if n > 0 then begin
-       let initial = Bytes.sub_string buf 0 n in
-       if initial.[0] = Binary_protocol.magic_request_byte then
-         serve_binary t.config store fd buf ~initial
-       else serve_text t.config store fd buf ~initial
+       let inbuf = Protocol.Inbuf.create () in
+       Protocol.Inbuf.feed_bytes inbuf buf n;
+       if Bytes.get buf 0 = Binary_protocol.magic_request_byte then
+         serve_binary t.config store fd buf inbuf
+       else serve_text t.config store fd buf inbuf
      end
    with
   | Unix.Unix_error _ | End_of_file | Io.Timeout -> ()

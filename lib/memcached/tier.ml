@@ -73,14 +73,11 @@ let compact_once t =
 let compactor_loop t =
   (* Idle backoff: every pass that found no candidate doubles the doze,
      capped at max(interval, 1s), so an idle tier doesn't wake the domain
-     every interval forever; any pass that compacted resets it. *)
+     every interval forever; any pass that compacted resets it. The first
+     pass, too, waits one interval: run as [attach] returns, it would race
+     the caller's own first moves on the tier. *)
   let idle = ref 0 in
   while not (Atomic.get t.stop_flag) do
-    let worked = try compact_once t with _ -> false in
-    if worked then idle := 0 else if !idle < 5 then incr idle;
-    (* QSBR discipline: this domain reads the table in compact_segment;
-       go offline before blocking so grace periods don't wait on us. *)
-    Store.reader_offline t.store;
     (* Sleep in slices so [stop] never waits out a long interval. The
        deadline is pure wall-clock sleep bookkeeping, not cache time, so
        it stays on the real clock rather than the store's injected one. *)
@@ -99,7 +96,14 @@ let compactor_loop t =
         end
       end
     in
-    doze ()
+    doze ();
+    if not (Atomic.get t.stop_flag) then begin
+      let worked = try compact_once t with _ -> false in
+      if worked then idle := 0 else if !idle < 5 then incr idle;
+      (* QSBR discipline: this domain reads the table in compact_segment;
+         go offline before blocking so grace periods don't wait on us. *)
+      Store.reader_offline t.store
+    end
   done
 
 let stats_kv t () =

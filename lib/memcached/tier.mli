@@ -24,7 +24,8 @@ val attach :
     registers the ["tier"] pressure source (tier bytes / budget) and the
     Emergency actuator (pause compaction, shed demotions — cold reads
     are never shed; both revert on descent). Spawns the compaction
-    domain: every [compact_interval] (default 0.05 s) it looks for a
+    domain: every [compact_interval] (default 0.05 s), the first time
+    one interval after [attach] returns, it looks for a
     sealed segment at least [min_dead_ratio] (default 0.5) dead and
     copies its live records to the head. [segment_bytes] caps one
     segment file (default: budget / 8). *)

@@ -423,6 +423,79 @@ let prop_value_roundtrip =
       | Some (Ok parsed) -> parsed = r
       | _ -> false)
 
+(* --- the input window ---
+
+   Frames read into the window in any chunking parse as they do fed
+   whole, including values larger than the window, with the chunks
+   sliding and growing it under partial frames. *)
+
+let frame_gen =
+  QCheck.Gen.(
+    let key = map (Printf.sprintf "k%d") (int_bound 40) in
+    let* opaque = int_bound 0xffff and* cas = int_bound 1_000_000 and* key = key in
+    let* value =
+      frequency
+        [
+          (6, string_size (int_bound 300));
+          (1, map (fun n -> String.make n 'B') (int_range 2000 6000));
+        ]
+    in
+    oneofl
+      [
+        request Binary_protocol.Get ~key ~opaque;
+        request Binary_protocol.GetQ ~key ~opaque;
+        request Binary_protocol.Set ~key ~value ~cas ~opaque
+          ~extras:(Binary_protocol.set_extras ~flags:3 ~exptime:0);
+        request Binary_protocol.Delete ~key ~opaque;
+        request Binary_protocol.Noop ~opaque;
+      ])
+
+let parse_window stream ~cuts ~extra =
+  let w = Protocol.Inbuf.create () in
+  let p = Binary_protocol.Parser.create ~inbuf:w () in
+  let results, moves =
+    Window_feed.feed w ~cuts ~extra stream (fun () -> Binary_protocol.Parser.next p)
+  in
+  (results, Protocol.Inbuf.available w, moves)
+
+(* Whole and chunked parses agree; returns the chunked parse's moves. *)
+let window_case (frames, seed) =
+  let stream = String.concat "" (List.map Binary_protocol.encode_request frames) in
+  let whole, left, _ =
+    parse_window stream ~cuts:[ String.length stream ] ~extra:(fun _ -> 0)
+  in
+  let cuts =
+    Window_feed.cuts (Random.State.make [| seed |]) ~max_chunk:700 ~forced:[]
+      (String.length stream)
+  in
+  let split, split_left, moves = parse_window stream ~cuts ~extra:Window_feed.extra in
+  (whole = List.map Result.ok frames && split = whole && split_left = left && left = 0, moves)
+
+let window_gen = QCheck.Gen.(pair (list_size (int_range 1 20) frame_gen) int)
+
+let prop_window_split_reads =
+  QCheck.Test.make ~name:"split reads parse as one feed" ~count:200
+    (QCheck.make
+       ~print:(fun (frames, seed) ->
+         Printf.sprintf "%d frames, seed %d" (List.length frames) seed)
+       window_gen)
+    (fun case -> fst (window_case case))
+
+(* The property is not vacuous: its chunkings do slide and grow the
+   window under a partial frame. *)
+let test_window_moves () =
+  let rand = Random.State.make [| 17 |] in
+  let slides = ref 0 and grows = ref 0 in
+  for _ = 1 to 100 do
+    let ((_, seed) as case) = QCheck.Gen.generate1 ~rand window_gen in
+    let ok, moves = window_case case in
+    if not ok then Alcotest.failf "chunking seed %d parsed differently" seed;
+    slides := !slides + moves.Window_feed.slides;
+    grows := !grows + moves.Window_feed.grows
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d slides" !slides) true (!slides > 0);
+  Alcotest.(check bool) (Printf.sprintf "%d grows" !grows) true (!grows > 0)
+
 let () =
   Alcotest.run "binary"
     [
@@ -459,5 +532,10 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_parser_never_crashes;
           QCheck_alcotest.to_alcotest prop_value_roundtrip;
+        ] );
+      ( "window",
+        [
+          QCheck_alcotest.to_alcotest ~long:false prop_window_split_reads;
+          Alcotest.test_case "slides and grows" `Quick test_window_moves;
         ] );
     ]

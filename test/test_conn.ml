@@ -284,6 +284,119 @@ let test_run_cap () =
   let want, _ = reference (fst (make_store ())) pipeline in
   Alcotest.(check string) "replies" want got
 
+(* --- the input window ------------------------------------------------ *)
+
+(* A connection over a socketpair, and a way to serve one batch through
+   it: write the batch, fill, dispatch, flush, then read every reply
+   back into [sink]. Returns the requests dispatched and the reply bytes
+   read. *)
+let window_conn () =
+  let client, server = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock client;
+  Unix.set_nonblock server;
+  let c =
+    Conn.create ~id:1 ~buffer_size:Server.default_config.read_buffer_size
+      ~reads:(Rp_obs.Counter.create ()) ~writes:(Rp_obs.Counter.create ()) server
+  in
+  (client, server, c)
+
+let rec read_replies client sink got =
+  match Unix.read client sink 0 (Bytes.length sink) with
+  | n -> read_replies client sink (got + n)
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> got
+
+let serve_batch client c store sink batch =
+  write_all client batch 0;
+  ignore (Conn.fill c);
+  let n = Conn.dispatch c store in
+  (match Conn.flush c with `Done -> () | _ -> Alcotest.fail "flush did not complete");
+  (n, read_replies client sink 0)
+
+(* Words allocated straight in the major heap so far: major words less
+   those promoted from the minor heap. A domain's major-word count is
+   brought up to date by a major slice, so one runs to completion first. *)
+let direct_major_words () =
+  Gc.full_major ();
+  let s = Gc.quick_stat () in
+  s.major_words -. s.promoted_words
+
+(* Steady-state serving allocates nothing straight in the major heap:
+   reads land in the connection's window instead of a fresh string per
+   read (batches here are 3-5 KB, past the minor heap's largest block). *)
+let test_window_no_major_allocation () =
+  let store = Store.create ~backend:Store.Rp () in
+  let key i = Printf.sprintf "key:%012d" i in
+  let gets = String.concat "" (List.init 128 (fun i -> Printf.sprintf "get %s\r\n" (key (i mod 64)))) in
+  let sets =
+    String.concat ""
+      (List.init 32 (fun i -> Printf.sprintf "set %s 0 0 100\r\n%s\r\n" (key i) (value i)))
+  in
+  let client, server, c = window_conn () in
+  let sink = Bytes.create 65536 in
+  let round () =
+    let n, _ = serve_batch client c store sink sets in
+    Alcotest.(check int) "sets served" 32 n;
+    let n, got = serve_batch client c store sink gets in
+    Alcotest.(check int) "gets served" 128 n;
+    (* 32 of the 64 keys hit: 64 VALUE blocks (132 B each), 128 ENDs *)
+    Alcotest.(check int) "get replies" ((64 * 132) + (128 * 5)) got
+  in
+  for _ = 1 to 8 do
+    round ()
+  done;
+  let before = direct_major_words () in
+  for _ = 1 to 200 do
+    round ()
+  done;
+  let words = direct_major_words () -. before in
+  Unix.close client;
+  Unix.close server;
+  Alcotest.(check (float 0.)) "words allocated directly in the major heap" 0. words
+
+(* A 1 MB SET grows the window; once it drains, the window is back at or
+   below the retain size. *)
+let test_window_retained_after_large_set () =
+  let store = Store.create ~backend:Store.Rp () in
+  let data = String.make 1_000_000 'L' in
+  let request = Printf.sprintf "set big 0 0 %d\r\n%s\r\n" (String.length data) data in
+  let client, server, c = window_conn () in
+  let sink = Bytes.create 65536 and peak = ref 0 and replies = Buffer.create 16 in
+  let rec pump off =
+    let off =
+      if off = String.length request then off
+      else
+        match Unix.write_substring client request off (String.length request - off) with
+        | n -> off + n
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> off
+    in
+    ignore (Conn.fill c);
+    peak := max !peak (Conn.input_capacity c);
+    ignore (Conn.dispatch c store);
+    ignore (Conn.flush c);
+    let got = read_replies client sink 0 in
+    Buffer.add_subbytes replies sink 0 got;
+    if Buffer.length replies = 0 then pump off
+  in
+  pump 0;
+  Unix.close client;
+  Unix.close server;
+  Alcotest.(check string) "reply" "STORED\r\n" (Buffer.contents replies);
+  Alcotest.(check bool) "the window grew past the retain size" true
+    (!peak > Protocol.Inbuf.retain_bytes);
+  Alcotest.(check bool) "drained window at or below the retain size" true
+    (Conn.input_capacity c <= Protocol.Inbuf.retain_bytes)
+
+(* A connection that never sends holds no window. *)
+let test_idle_holds_no_window () =
+  let store = Store.create ~backend:Store.Rp () in
+  let client, server, c = window_conn () in
+  Alcotest.(check int) "after accept" 0 (Conn.input_capacity c);
+  (match Conn.fill c with `Ok -> () | `Eof -> Alcotest.fail "unexpected EOF");
+  Alcotest.(check int) "dispatched" 0 (Conn.dispatch c store);
+  Alcotest.(check int) "after a read that found nothing" 0 (Conn.input_capacity c);
+  Unix.close client;
+  Unix.close server
+
 let () =
   Alcotest.run "conn"
     [
@@ -293,5 +406,12 @@ let () =
           Alcotest.test_case "replies split per request" `Quick test_run_replies;
           Alcotest.test_case "key cap" `Quick test_run_cap;
           QCheck_alcotest.to_alcotest ~long:false prop_coalesced_matches_reference;
+        ] );
+      ( "window",
+        [
+          Alcotest.test_case "no direct major allocation" `Quick test_window_no_major_allocation;
+          Alcotest.test_case "retain size after a 1 MB set" `Quick
+            test_window_retained_after_large_set;
+          Alcotest.test_case "idle connection holds no window" `Quick test_idle_holds_no_window;
         ] );
     ]

@@ -691,6 +691,108 @@ let test_encode_numbers () =
         (Protocol.encode_response (Protocol.Number n)))
     [ 0; 7; 10; 99; 100; 4096; max_int; -1; min_int ]
 
+(* --- the input window ---
+
+   Requests read into the window in any chunking parse as they do fed
+   whole: the stream mixes get/gets/set/delete lines, data blocks larger
+   than the window, a binary frame (text garbage here) and a line of
+   exactly [max_line] bytes cut between its CR and LF; the chunks slide
+   and grow the window under partial requests. *)
+
+let window_max_line = 120
+
+let window_part_gen =
+  QCheck.Gen.(
+    let key = map (Printf.sprintf "k%d") (int_bound 40) in
+    let keys = list_size (int_range 1 3) key >|= String.concat " " in
+    let set key data =
+      Printf.sprintf "set %s 5 0 %d\r\n%s\r\n" key (String.length data) data
+    in
+    frequency
+      [
+        (4, keys >|= Printf.sprintf "get %s\r\n");
+        (2, keys >|= Printf.sprintf "gets %s\r\n");
+        (3, map2 set key (string_size ~gen:(oneofl [ 'a'; '\r'; '\n'; ' ' ]) (int_bound 200)));
+        (1, map2 set key (map (fun n -> String.make n 'B') (int_range 2000 6000)));
+        (2, key >|= Printf.sprintf "delete %s\r\n");
+        ( 1,
+          key >|= fun key ->
+          Binary_protocol.encode_request
+            { opcode = Binary_protocol.Get; key; value = ""; extras = ""; opaque = 1; cas = 0 } );
+      ])
+
+(* The stream, the offset just past the [max_line]-byte line's CR, and a
+   chunking seed. *)
+let window_stream_gen =
+  QCheck.Gen.(
+    let* before = list_size (int_bound 10) window_part_gen
+    and* after = list_size (int_bound 10) window_part_gen
+    and* seed = int in
+    let line = "get " ^ String.make (window_max_line - 4) 'm' in
+    let head = String.concat "" before ^ line ^ "\r" in
+    return (head ^ "\n" ^ String.concat "" after, String.length head, seed))
+
+let parse_window stream ~cuts ~extra =
+  let w = Protocol.Inbuf.create () in
+  let p = Protocol.Parser.create ~max_line:window_max_line ~inbuf:w () in
+  let results, moves =
+    Window_feed.feed w ~cuts ~extra stream (fun () -> Protocol.Parser.next p)
+  in
+  (results, Protocol.Inbuf.available w, moves)
+
+let window_case (stream, cr, seed) =
+  let whole, left, _ =
+    parse_window stream ~cuts:[ String.length stream ] ~extra:(fun _ -> 0)
+  in
+  let cuts =
+    Window_feed.cuts (Random.State.make [| seed |]) ~max_chunk:700 ~forced:[ cr ]
+      (String.length stream)
+  in
+  let split, split_left, moves = parse_window stream ~cuts ~extra:Window_feed.extra in
+  (split = whole && split_left = left, moves)
+
+let prop_window_split_reads =
+  QCheck.Test.make ~name:"split reads parse as one feed" ~count:200
+    (QCheck.make
+       ~print:(fun (s, cr, seed) -> Printf.sprintf "cr at %d, seed %d: %S" cr seed s)
+       window_stream_gen)
+    (fun case -> fst (window_case case))
+
+(* The property is not vacuous: its chunkings do slide and grow the
+   window under a partial request. *)
+let test_window_moves () =
+  let rand = Random.State.make [| 17 |] in
+  let slides = ref 0 and grows = ref 0 in
+  for _ = 1 to 100 do
+    let case = QCheck.Gen.generate1 ~rand window_stream_gen in
+    let ok, moves = window_case case in
+    let _, _, seed = case in
+    if not ok then Alcotest.failf "chunking seed %d parsed differently" seed;
+    slides := !slides + moves.Window_feed.slides;
+    grows := !grows + moves.Window_feed.grows
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d slides" !slides) true (!slides > 0);
+  Alcotest.(check bool) (Printf.sprintf "%d grows" !grows) true (!grows > 0)
+
+(* A window grown past the retain size is released once it drains; one
+   at or below it is kept. *)
+let test_window_retain () =
+  let w = Protocol.Inbuf.create () in
+  Alcotest.(check int) "no storage before the first byte" 0 (Protocol.Inbuf.capacity w);
+  let p = Protocol.Parser.create ~inbuf:w () in
+  Protocol.Parser.feed p "get a\r\n";
+  ignore (Protocol.Parser.next p);
+  Alcotest.(check bool) "small window kept" true (Protocol.Inbuf.capacity w > 0);
+  let data = String.make (2 * Protocol.Inbuf.retain_bytes) 'x' in
+  Protocol.Parser.feed p
+    (Printf.sprintf "set big 0 0 %d\r\n%s\r\n" (String.length data) data);
+  Alcotest.(check bool) "grown" true (Protocol.Inbuf.capacity w > Protocol.Inbuf.retain_bytes);
+  (match Protocol.Parser.next p with
+  | Some (Ok (Protocol.Set { data = d; _ })) ->
+      Alcotest.(check bool) "block intact" true (d = data)
+  | _ -> Alcotest.fail "large set misparsed");
+  Alcotest.(check int) "released once drained" 0 (Protocol.Inbuf.capacity w)
+
 let () =
   Alcotest.run "protocol"
     [
@@ -749,4 +851,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_values_roundtrip;
         ] );
       ("fuzz", fuzz_tests);
+      ( "input window",
+        [
+          QCheck_alcotest.to_alcotest ~long:false prop_window_split_reads;
+          Alcotest.test_case "slides and grows" `Quick test_window_moves;
+          Alcotest.test_case "retain size" `Quick test_window_retain;
+        ] );
     ]
