@@ -1,46 +1,38 @@
 #!/bin/sh
-# GC cost of serving one perfbench socket workload.
+# GC cost of one perfbench workload.
 #
 #   bench/gc_report.sh <workload> <seed>      (from the root of a checkout)
 #
-# Starts memcached_server with the flags perfbench/run.py gives it for
-# <workload> (get_pipelined or set_evict_mix) and OCAMLRUNPARAM=v=0x400,
-# so the runtime prints its GC totals when the server exits. `pb gen`
-# sets the server up and drives it for 5 s; then the server is stopped
-# and the totals are divided by the operations it served over its life
-# (set-up included): major-heap, promoted and direct-major words per
-# operation (direct major = major - promoted: blocks too large for the
-# minor heap), and major GC cycles per million operations. Server and
-# generator are pinned to two CPUs when taskset and two CPUs exist.
+# Socket workloads (get_pipelined, set_evict_mix): starts memcached_server
+# with the flags perfbench/run.py gives it for <workload> and
+# OCAMLRUNPARAM=v=0x400, so the runtime prints its GC totals when the
+# server exits. `pb gen` sets the server up and drives it for 5 s; then
+# the server is stopped and the totals are divided by the operations it
+# served over its life (set-up included): major-heap, promoted and
+# direct-major words per operation (direct major = major - promoted:
+# blocks too large for the minor heap), and major GC cycles per million
+# operations. Server and generator are pinned to two CPUs when taskset
+# and two CPUs exist.
+#
+# table_resize runs in process: `pb table` for 10 s under the same
+# OCAMLRUNPARAM. The process totals (its five table builds included) are
+# divided by the timed lookups and by the resizes completed, beside the
+# top heap size and the major GC cycles.
 set -eu
 
 if [ $# -ne 2 ]; then
-  echo "usage: $0 <get_pipelined|set_evict_mix> <seed>" >&2
+  echo "usage: $0 <get_pipelined|set_evict_mix|table_resize> <seed>" >&2
   exit 2
 fi
 workload=$1
 seed=$2
 case $workload in
-  get_pipelined | set_evict_mix) ;;
+  get_pipelined | set_evict_mix | table_resize) ;;
   *)
-    echo "gc_report: $workload starts no server" >&2
+    echo "gc_report: unknown workload $workload" >&2
     exit 2
     ;;
 esac
-
-dune build ./perfbench/pb.exe ./bin/memcached_server.exe
-flags=$(python3 -B -c "
-import sys
-sys.path.insert(0, 'perfbench')
-import run
-print(' '.join(run.SERVER_BASE + run.SERVER_FLAGS['$workload']))")
-
-pin_srv=""
-pin_gen=""
-if command -v taskset >/dev/null 2>&1 && [ "$(nproc)" -ge 2 ]; then
-  pin_srv="taskset -c 0"
-  pin_gen="taskset -c 1"
-fi
 
 dir=$(mktemp -d)
 srv=""
@@ -50,25 +42,41 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-# shellcheck disable=SC2086
-OCAMLRUNPARAM=v=0x400 $pin_srv _build/default/bin/memcached_server.exe $flags \
-  --socket "$dir/mc.sock" >"$dir/server.out" 2>"$dir/gc.txt" &
-srv=$!
-# shellcheck disable=SC2086
-$pin_gen _build/default/perfbench/pb.exe gen --workload "$workload" --socket "$dir/mc.sock" \
-  --seed "$seed" --server-pid "$srv" --seconds 5 >"$dir/gen.txt"
-kill -TERM "$srv"
-wait "$srv" || true
-srv=""
+if [ "$workload" = table_resize ]; then
+  dune build ./perfbench/pb.exe
+  OCAMLRUNPARAM=v=0x400 _build/default/perfbench/pb.exe table --workload table_resize \
+    --seed "$seed" --seconds 10 >"$dir/run.txt" 2>"$dir/gc.txt"
+else
+  dune build ./perfbench/pb.exe ./bin/memcached_server.exe
+  flags=$(python3 -B -c "
+import sys
+sys.path.insert(0, 'perfbench')
+import run
+print(' '.join(run.SERVER_BASE + run.SERVER_FLAGS['$workload']))")
 
-python3 - "$workload" "$seed" "$dir/gen.txt" "$dir/gc.txt" <<'EOF'
+  pin_srv=""
+  pin_gen=""
+  if command -v taskset >/dev/null 2>&1 && [ "$(nproc)" -ge 2 ]; then
+    pin_srv="taskset -c 0"
+    pin_gen="taskset -c 1"
+  fi
+
+  # shellcheck disable=SC2086
+  OCAMLRUNPARAM=v=0x400 $pin_srv _build/default/bin/memcached_server.exe $flags \
+    --socket "$dir/mc.sock" >"$dir/server.out" 2>"$dir/gc.txt" &
+  srv=$!
+  # shellcheck disable=SC2086
+  $pin_gen _build/default/perfbench/pb.exe gen --workload "$workload" --socket "$dir/mc.sock" \
+    --seed "$seed" --server-pid "$srv" --seconds 5 >"$dir/run.txt"
+  kill -TERM "$srv"
+  wait "$srv" || true
+  srv=""
+fi
+
+python3 - "$workload" "$seed" "$dir/run.txt" "$dir/gc.txt" <<'EOF'
 import json, sys
 
-workload, seed, gen_path, gc_path = sys.argv[1:]
-lines = open(gen_path).read().splitlines()
-ready = json.loads(lines[0][len("ready "):])
-window = json.loads(lines[1])
-ops = ready["setup_attempted"] + window["attempted"]
+workload, seed, run_path, gc_path = sys.argv[1:]
 gc = {}
 for line in open(gc_path):
     key, sep, value = line.partition(":")
@@ -77,16 +85,34 @@ for line in open(gc_path):
             gc[key.strip()] = float(value)
         except ValueError:
             pass
-for key in ("major_words", "promoted_words", "major_collections"):
+for key in ("major_words", "promoted_words", "major_collections", "top_heap_words"):
     if key not in gc:
-        sys.exit("gc_report: the server printed no %s at exit" % key)
+        sys.exit("gc_report: the run printed no %s at exit" % key)
 direct = gc["major_words"] - gc["promoted_words"]
-print("workload %s, seed %s: %d operations served (set-up %d, run %d)"
-      % (workload, seed, ops, ready["setup_attempted"], window["attempted"]))
-print("major_words_per_op          %.2f" % (gc["major_words"] / ops))
-print("promoted_words_per_op       %.2f" % (gc["promoted_words"] / ops))
-print("direct_major_words_per_op   %.2f" % (direct / ops))
-print("major_cycles_per_mop        %.2f" % (gc["major_collections"] * 1e6 / ops))
+lines = open(run_path).read().splitlines()
+
+if workload == "table_resize":
+    run = json.loads(lines[-1])
+    lookups = run["get_n"]
+    resizes = round(run["resizes_per_s"] * 10)
+    print("workload table_resize, seed %s: %d timed lookups, %d resizes, correct %s"
+          % (seed, lookups, resizes, run["correct"]))
+    for name, words in (("major", gc["major_words"]), ("promoted", gc["promoted_words"]),
+                        ("direct_major", direct)):
+        print("%-30s%.3f" % (name + "_words_per_lookup", words / max(lookups, 1)))
+        print("%-30s%.0f" % (name + "_words_per_resize", words / max(resizes, 1)))
+    print("top_heap_words                %d" % gc["top_heap_words"])
+    print("major_cycles                  %d" % gc["major_collections"])
+else:
+    ready = json.loads(lines[0][len("ready "):])
+    window = json.loads(lines[1])
+    ops = ready["setup_attempted"] + window["attempted"]
+    print("workload %s, seed %s: %d operations served (set-up %d, run %d)"
+          % (workload, seed, ops, ready["setup_attempted"], window["attempted"]))
+    print("major_words_per_op          %.2f" % (gc["major_words"] / ops))
+    print("promoted_words_per_op       %.2f" % (gc["promoted_words"] / ops))
+    print("direct_major_words_per_op   %.2f" % (direct / ops))
+    print("major_cycles_per_mop        %.2f" % (gc["major_collections"] * 1e6 / ops))
 print("totals: major_words %d, promoted_words %d, direct_major_words %d, major_collections %d"
       % (gc["major_words"], gc["promoted_words"], direct, gc["major_collections"]))
 EOF

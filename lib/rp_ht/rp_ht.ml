@@ -16,29 +16,27 @@ type resize_stats = {
   lazy_splits : int;
 }
 
-(* One split cell per parent bucket of an in-progress expansion. The cell
-   owns the unzip of old bucket [i] into new buckets [i] and
-   [i + old_size]; both children map to the same stripe (stripe count
-   never exceeds [min_size]), so the stripe lock covering a key also
-   covers its cell. [cell_busy] marks a splicer that died between a
-   splice and its closing grace period — the next toucher re-establishes
-   the grace period before splicing further. *)
-type ('k, 'v) split_cell = {
-  mutable cell_state : ('k, 'v) Unzip.state;
-  mutable cell_busy : bool;
-}
-
 (* An expansion in progress: the doubled bucket array is already
    published (readers are fine — buckets are imprecise but complete);
    each chain splits lazily on first writer touch, or eagerly under the
    all-stripes protocol. [ps_sync_done] witnesses the post-publish grace
    period: no chain may be spliced before readers that entered through
    the pre-expansion bucket array have drained, because for them the
-   zipped chain is the only path to keys of both child buckets. *)
+   zipped chain is the only path to keys of both child buckets.
+
+   The split state is flat, one slot per parent bucket [i]: its unzip
+   position ([Null] once precise) and a busy byte. Parent [i] splits into
+   new buckets [i] and [i + old_size]; both children map to the same
+   stripe (stripe count never exceeds [min_size]), so the stripe lock
+   covering a key also covers its slot. A busy byte marks a splicer that
+   died between a splice and its closing grace period — the next toucher
+   re-establishes the grace period before splicing further. *)
 type ('k, 'v) pending_split = {
   ps_new_size : int;
-  ps_cells : ('k, 'v) split_cell array;  (* length [ps_new_size / 2] *)
-  ps_remaining : int Atomic.t;  (* cells not yet Done *)
+  ps_dest : ('k, 'v) node -> int;  (* a node's bucket at [ps_new_size] *)
+  ps_pos : ('k, 'v) link array;  (* length [ps_new_size / 2] *)
+  ps_busy : Bytes.t;  (* same length; '\001' = busy *)
+  ps_remaining : int Atomic.t;  (* positions not yet [Null] *)
   ps_sync_done : bool Atomic.t;
 }
 
@@ -82,6 +80,16 @@ type ('k, 'v) t = {
   stripe_acq_cells : int array;  (* index: stripe * stripe_cell_stride *)
   stripe_cont_cells : int Atomic.t array;
   resize_hist : Rp_obs.Histogram.t;  (* per expand/shrink duration, ns *)
+  (* Resize memory (DESIGN.md §15.2 "Resize memory discipline"): the last
+     retired bucket array, reusable by the next resize to its size once
+     [spare_ready], and the last expansion's split-state arrays. Touched
+     under every stripe, or under one stripe by the splitter that ends an
+     expansion's post-publish grace period (the spare) or completes its
+     last split (the split-state arrays). *)
+  mutable spare : ('k, 'v) link array;
+  mutable spare_ready : bool;
+  mutable spare_pos : ('k, 'v) link array;
+  mutable spare_busy : Bytes.t;
 }
 
 (* 8 words = one 64-byte line between adjacent stripes' cells. *)
@@ -142,6 +150,10 @@ let create ?rcu ?flavour ?(initial_size = 8) ?(min_size = 4)
     stripe_acq_cells = Array.make (nstripes * stripe_cell_stride) 0;
     stripe_cont_cells = Array.init nstripes (fun _ -> Atomic.make 0);
     resize_hist = Rp_obs.Histogram.create ();
+    spare = [||];
+    spare_ready = false;
+    spare_pos = [||];
+    spare_busy = Bytes.empty;
   }
 
 let rcu t =
@@ -358,16 +370,53 @@ let with_all_stripes t f =
       unlock_all_stripes t;
       raise e
 
+(* --- resize memory --- *)
+
+(* A bucket array of [n] slots for the table about to be published: the
+   spare, when it has that size and its grace period is behind it, else
+   a fresh one. The caller writes every slot before publishing. *)
+let take_buckets t n =
+  if t.spare_ready && Array.length t.spare = n then begin
+    let a = t.spare in
+    t.spare <- [||];
+    t.spare_ready <- false;
+    a
+  end
+  else Array.make n Null
+
+(* [old] was just unpublished. Readers may still walk it until a grace
+   period that begins after this point ends; see [spare_quiesced]. *)
+let retire t old =
+  t.spare <- old;
+  t.spare_ready <- false
+
+(* Called only after a grace period the resize itself waited out, begun
+   after the spare's retirement — the shrink's own, or an expansion's
+   post-publish one. Never credited from a counter, so a grace period
+   already running at the retirement (say a [remove_sync]'s) cannot make
+   the spare reusable. No reader can reach the spare any more: drop the
+   chain heads it holds, so it pins no node removed later, and let the
+   next resize of its size reuse it. *)
+let spare_quiesced t =
+  Array.fill t.spare 0 (Array.length t.spare) Null;
+  t.spare_ready <- true
+
 (* --- the split engine (lazy per-bucket rehash) --- *)
 
 let dest_for size n = Rp_hashes.Size.bucket_of_hash ~hash:(hash n) ~size
 
 (* The post-publish grace period, deferred from expand to the first
-   splicer. Two stripe holders may race here; both waiting is benign. *)
+   splicer. Two stripe holders may race here; both waiting is benign,
+   and only the first to finish frees the parent array: a lazy split can
+   stay pending for a long time, and the array must not pin what is
+   removed meanwhile. *)
+let publish_synced t ps =
+  if Atomic.compare_and_set ps.ps_sync_done false true then spare_quiesced t
+
 let ensure_publish_synced t ps =
   if not (Atomic.get ps.ps_sync_done) then begin
     t.flavour.Flavour.synchronize ();
-    Atomic.set ps.ps_sync_done true
+    publish_synced t ps
   end
 
 let note_recovery t ~new_size =
@@ -375,36 +424,43 @@ let note_recovery t ~new_size =
   Rp_trace.instant ~arg:new_size k_recovery;
   Rp_obs.Trace.emit Rp_obs.Trace.default ~arg:new_size "rp_ht.recovery"
 
-(* Splice one chain to precision: one grace period between consecutive
+let cell_busy ps i = Bytes.get ps.ps_busy i <> '\000'
+let set_cell_busy ps i b = Bytes.set ps.ps_busy i (if b then '\001' else '\000')
+
+(* Splice chain [i] to precision: one grace period between consecutive
    splices (readers that crossed a splice point before it moved must
    drain before the chain changes again); the step that finds no crossing
    run publishes nothing and needs no trailing grace period. Caller holds
-   the cell's stripe and has dealt with ps_sync_done / cell_busy. *)
-let rec drive_cell t ~new_size cell =
-  match cell.cell_state with
-  | Unzip.Done -> ()
-  | Unzip.At _ as st ->
+   the chain's stripe and has dealt with ps_sync_done / the busy byte. *)
+let rec drive_cell t ps i =
+  match ps.ps_pos.(i) with
+  | Null -> ()
+  | Node _ as p -> (
       Rp_fault.point "rp_ht.unzip.splice";
-      let next = Unzip.step ~dest:(dest_for new_size) st in
-      cell.cell_state <- next;
-      (match next with
-      | Unzip.Done -> ()
-      | Unzip.At _ ->
-          cell.cell_busy <- true;
+      let next = Unzip.step ~dest:ps.ps_dest p in
+      ps.ps_pos.(i) <- next;
+      match next with
+      | Null -> ()
+      | Node _ ->
+          set_cell_busy ps i true;
           Atomic.incr t.unzip_splices;
-          let span = Rp_trace.span_begin ~arg:new_size k_unzip in
+          let span = Rp_trace.span_begin ~arg:ps.ps_new_size k_unzip in
           t.flavour.Flavour.synchronize ();
-          Rp_trace.span_end ~arg:new_size k_unzip span;
-          cell.cell_busy <- false;
+          Rp_trace.span_end ~arg:ps.ps_new_size k_unzip span;
+          set_cell_busy ps i false;
           Atomic.incr t.unzip_passes;
-          drive_cell t ~new_size cell)
+          drive_cell t ps i)
 
-(* Caller holds the cell's stripe; an expansion needs every stripe, so
+(* Caller holds the chain's stripe; an expansion needs every stripe, so
    nobody can install a new pending split between our decrement and the
-   clear. *)
+   clear. The last chain done ends the expansion: no splitter reads its
+   split state again. *)
 let note_cell_done t ps =
-  if Atomic.fetch_and_add ps.ps_remaining (-1) = 1 then
-    Atomic.set t.splitting None
+  if Atomic.fetch_and_add ps.ps_remaining (-1) = 1 then begin
+    Atomic.set t.splitting None;
+    t.spare_pos <- ps.ps_pos;
+    t.spare_busy <- ps.ps_busy
+  end
 
 (* First-writer-touch split: the lazy rehash step. Stripe of [hash]
    held. After this returns, the bucket chains for [hash] are precise. *)
@@ -412,26 +468,26 @@ let ensure_bucket_split t ~hash =
   match Atomic.get t.splitting with
   | None -> ()
   | Some ps -> (
-      let cell = ps.ps_cells.(hash land (Array.length ps.ps_cells - 1)) in
-      match cell.cell_state with
-      | Unzip.Done -> ()
-      | Unzip.At _ ->
+      let i = hash land (Array.length ps.ps_pos - 1) in
+      match ps.ps_pos.(i) with
+      | Null -> ()
+      | Node _ ->
           Rp_fault.point "rp_ht.split.lazy";
           ensure_publish_synced t ps;
-          if cell.cell_busy then begin
+          if cell_busy ps i then begin
             (* A splicer died between a splice and its grace period:
                re-establish it before touching the chain again. *)
             t.flavour.Flavour.synchronize ();
-            cell.cell_busy <- false;
+            set_cell_busy ps i false;
             note_recovery t ~new_size:ps.ps_new_size
           end;
           Atomic.incr t.lazy_splits;
           let span = Rp_trace.span_begin ~arg:ps.ps_new_size k_lazy_split in
-          drive_cell t ~new_size:ps.ps_new_size cell;
+          drive_cell t ps i;
           Rp_trace.span_end ~arg:ps.ps_new_size k_lazy_split span;
           note_cell_done t ps)
 
-(* Complete every remaining cell. All stripes held. One splice per live
+(* Complete every remaining chain. All stripes held. One splice per live
    chain per pass, one grace period per pass — the eager path keeps the
    paper's amortized cost structure instead of paying a grace period per
    splice. *)
@@ -440,32 +496,31 @@ let complete_splits_locked t =
   | None -> ()
   | Some ps ->
       let new_size = ps.ps_new_size in
-      let dest = dest_for new_size in
-      let interrupted = Array.exists (fun c -> c.cell_busy) ps.ps_cells in
+      let cells = Array.length ps.ps_pos in
+      let interrupted = Bytes.contains ps.ps_busy '\001' in
       if interrupted || not (Atomic.get ps.ps_sync_done) then begin
         t.flavour.Flavour.synchronize ();
-        Atomic.set ps.ps_sync_done true;
-        Array.iter (fun c -> c.cell_busy <- false) ps.ps_cells;
+        publish_synced t ps;
+        Bytes.fill ps.ps_busy 0 cells '\000';
         if interrupted then note_recovery t ~new_size
       end;
       let live = ref true in
       while !live do
         live := false;
-        Array.iter
-          (fun cell ->
-            match cell.cell_state with
-            | Unzip.Done -> ()
-            | Unzip.At _ as st -> (
-                Rp_fault.point "rp_ht.unzip.splice";
-                let next = Unzip.step ~dest st in
-                cell.cell_state <- next;
-                match next with
-                | Unzip.Done -> note_cell_done t ps
-                | Unzip.At _ ->
-                    cell.cell_busy <- true;
-                    Atomic.incr t.unzip_splices;
-                    live := true))
-          ps.ps_cells;
+        for i = 0 to cells - 1 do
+          match ps.ps_pos.(i) with
+          | Null -> ()
+          | Node _ as p -> (
+              Rp_fault.point "rp_ht.unzip.splice";
+              let next = Unzip.step ~dest:ps.ps_dest p in
+              ps.ps_pos.(i) <- next;
+              match next with
+              | Null -> note_cell_done t ps
+              | Node _ ->
+                  set_cell_busy ps i true;
+                  Atomic.incr t.unzip_splices;
+                  live := true)
+        done;
         if !live then begin
           (* One grace period per pass protects readers that crossed a
              splice point before it moved. *)
@@ -473,7 +528,7 @@ let complete_splits_locked t =
           t.flavour.Flavour.synchronize ();
           Rp_trace.span_end ~arg:new_size k_unzip pass_span;
           Atomic.incr t.unzip_passes;
-          Array.iter (fun c -> c.cell_busy <- false) ps.ps_cells;
+          Bytes.fill ps.ps_busy 0 cells '\000';
           Rp_obs.Trace.emit Rp_obs.Trace.default ~arg:new_size
             "rp_ht.unzip_pass"
         end
@@ -495,30 +550,31 @@ let rec chain_tail = function
    Crash safety: once the half-size array is published its chains are
    already precise (bucket i holds exactly old buckets i and i+new_size),
    so a failure after publication loses only the final grace period —
-   which, with GC reclamation, defers nothing unsafe. No poisoning
-   needed. *)
+   which leaves the retired array unready, never reused early. No
+   poisoning needed. *)
 let shrink_locked t =
   Rp_fault.point "rp_ht.shrink.pre";
   let started = Unix.gettimeofday () in
   let shrink_span = Rp_trace.span_begin k_shrink in
   let old = Atomic.get t.current in
   let new_size = old.size / 2 in
-  let buckets =
-    Array.init new_size (fun i ->
-        let low = old.buckets.(i) in
-        let high = old.buckets.(i + new_size) in
-        match chain_tail low with
-        | Null -> high
-        | Node tail ->
-            (* Readers of old bucket [i] now continue into the sibling
-               chain: an imprecise superset, which lookups tolerate. *)
-            tail.next <- high;
-            low)
-  in
+  let buckets = take_buckets t new_size in
+  for i = 0 to new_size - 1 do
+    let low = old.buckets.(i) in
+    let high = old.buckets.(i + new_size) in
+    buckets.(i) <-
+      (match chain_tail low with
+      | Null -> high
+      | Node tail ->
+          (* Readers of old bucket [i] now continue into the sibling
+             chain: an imprecise superset, which lookups tolerate. *)
+          tail.next <- high;
+          low)
+  done;
   Rcu.publish t.current { size = new_size; buckets };
-  (* Once no reader can still traverse via the old bucket array, it is
-     reclaimable (the GC does the actual freeing). *)
+  retire t old.buckets;
   t.flavour.Flavour.synchronize ();
+  spare_quiesced t;
   Atomic.incr t.shrinks;
   Rp_obs.Trace.emit Rp_obs.Trace.default ~arg:new_size "rp_ht.shrink";
   Rp_trace.span_end ~arg:new_size k_shrink shrink_span;
@@ -527,46 +583,66 @@ let shrink_locked t =
 
 (* --- resize: expand --- *)
 
+(* Point child buckets [lo] and [hi] of a doubled array at the first node
+   of the parent chain that belongs to each: one walk, which ends once
+   both are found. *)
+let rec split_heads buckets ~size ~lo ~hi lo_head hi_head = function
+  | Node n as l when lo_head == Null || hi_head == Null ->
+      if Rp_hashes.Size.bucket_of_hash ~hash:n.hash ~size = lo then
+        split_heads buckets ~size ~lo ~hi
+          (if lo_head == Null then l else lo_head)
+          hi_head n.next
+      else
+        split_heads buckets ~size ~lo ~hi lo_head
+          (if hi_head == Null then l else hi_head)
+          n.next
+  | _ ->
+      buckets.(lo) <- lo_head;
+      buckets.(hi) <- hi_head
+
 (* Double the bucket count. All stripes held; no split pending. The
    doubled array is published immediately — each new bucket points at the
    first node of its parent chain that belongs to it, so buckets are
-   imprecise (zipped) but complete — and a split cell per parent chain is
-   parked on the table. Chains then split lazily, on first writer touch
-   under the owning stripe, or eagerly when the caller follows up with
-   {!complete_splits_locked}. Even the post-publish grace period is
-   deferred to the first splicer (ps_sync_done), so an auto-resize
-   expansion costs one array allocation, not a stop-the-world unzip. *)
+   imprecise (zipped) but complete — and each parent chain's unzip
+   position is parked on the table. Chains then split lazily, on first
+   writer touch under the owning stripe, or eagerly when the caller
+   follows up with {!complete_splits_locked}. Even the post-publish grace
+   period is deferred to the first splicer (ps_sync_done), so an
+   auto-resize expansion costs one walk over the parent chains, not a
+   stop-the-world unzip. *)
 let expand_locked t =
   Rp_fault.point "rp_ht.expand.pre";
   let started = Unix.gettimeofday () in
   let expand_span = Rp_trace.span_begin k_expand in
   let old = Atomic.get t.current in
-  let new_size = old.size * 2 in
-  let dest = dest_for new_size in
-  let buckets =
-    Array.init new_size (fun j ->
-        find_link ~pred:(fun n -> dest n = j) old.buckets.(j land (old.size - 1)))
-  in
+  let half = old.size in
+  let new_size = half * 2 in
+  let buckets = take_buckets t new_size in
+  let pos = if Array.length t.spare_pos = half then t.spare_pos else Array.make half Null in
+  let busy = if Bytes.length t.spare_busy = half then t.spare_busy else Bytes.create half in
+  t.spare_pos <- [||];
+  t.spare_busy <- Bytes.empty;
+  Bytes.fill busy 0 half '\000';
+  let remaining = ref 0 in
+  for i = 0 to half - 1 do
+    let head = old.buckets.(i) in
+    pos.(i) <- head;
+    (match head with Null -> () | Node _ -> incr remaining);
+    split_heads buckets ~size:new_size ~lo:i ~hi:(i + half) Null Null head
+  done;
   Rcu.publish t.current { size = new_size; buckets };
-  let cells =
-    Array.init old.size (fun i ->
-        { cell_state = Unzip.start old.buckets.(i);
-          cell_busy = false })
-  in
-  let remaining =
-    Array.fold_left
-      (fun n c -> if Unzip.is_done c.cell_state then n else n + 1)
-      0 cells
-  in
-  (* An empty parent chain is born Done; a table of only such chains
+  retire t old.buckets;
+  (* An empty parent chain is born precise; a table of only such chains
      needs no splits (and no splice means no grace period either). *)
-  if remaining > 0 then
+  if !remaining > 0 then
     Atomic.set t.splitting
       (Some
          {
            ps_new_size = new_size;
-           ps_cells = cells;
-           ps_remaining = Atomic.make remaining;
+           ps_dest = dest_for new_size;
+           ps_pos = pos;
+           ps_busy = busy;
+           ps_remaining = Atomic.make !remaining;
            ps_sync_done = Atomic.make false;
          });
   Atomic.incr t.expands;
@@ -848,9 +924,11 @@ let stripe_heat t =
       (t.stripe_acq_cells.(i * stripe_cell_stride),
        Atomic.get t.stripe_cont_cells.(i)))
 
+(* In a read section: a retired bucket array is scrubbed for reuse once
+   its readers have drained. *)
 let bucket_lengths t =
-  let table = Atomic.get t.current in
-  Array.map length_link table.buckets
+  Flavour.with_read t.flavour (fun () ->
+      Array.map length_link (Rcu.dereference t.current).buckets)
 
 (* Quiescent whole-table check. Takes every stripe (so no writer is
    mid-mutation) and completes any pending lazy splits first — a

@@ -8,11 +8,13 @@
     wait-for-readers between passes (performed by the caller, once per pass,
     covering all chains).
 
-    A single {!step} on a chain positioned at node [p]:
+    A chain's unzip position is a link: the node its next splice examines,
+    or [Null] once the chain is precise. It starts at the old chain's head.
+    A single {!step} at node [p]:
 
     + advance to the end of [p]'s run (consecutive nodes with [p]'s
       destination bucket);
-    + if the chain ends there, the chain is fully unzipped — done;
+    + if the chain ends there, the chain is fully unzipped — [Null];
     + otherwise the next node [q] starts a run for the other bucket: find
       that run's end, and splice the run out of [p]'s chain by pointing the
       end of [p]'s run at the first node after [q]'s run;
@@ -23,21 +25,13 @@
     [q]'s run's outgoing pointer; only after all such readers finish may that
     pointer be redirected by the following step. *)
 
-type ('k, 'v) state =
-  | Done  (** chain fully unzipped *)
-  | At of ('k, 'v) Rp_list.node
-      (** next splice examines the run starting at this node (a [Node]) *)
-
-val start : ('k, 'v) Rp_list.link -> ('k, 'v) state
-(** Initial state for an old chain: its head node, or [Done] if empty. *)
-
 val step :
-  dest:(('k, 'v) Rp_list.node -> int) -> ('k, 'v) state -> ('k, 'v) state
-(** Perform one splice (or discover completion). [dest] maps a node to its
-    new bucket index. The caller must hold the table's writer lock and must
-    run a grace period between consecutive steps on the same chain. *)
-
-val is_done : ('k, 'v) state -> bool
+  dest:(('k, 'v) Rp_list.node -> int) -> ('k, 'v) Rp_list.link -> ('k, 'v) Rp_list.link
+(** Perform one splice (or discover completion) at a position and return
+    the next position; [step ~dest Null] is [Null]. [dest] maps a node to
+    its new bucket index. Allocates nothing. The caller must hold the
+    table's writer lock and must run a grace period between consecutive
+    steps on the same chain. *)
 
 val chain_is_precise :
   dest:(('k, 'v) Rp_list.node -> int) -> ('k, 'v) Rp_list.link -> bool

@@ -31,10 +31,6 @@ let rec iter_links ~f = function
       f l;
       iter_links ~f n.next
 
-let rec find_link ~pred = function
-  | Null -> Null
-  | Node n as l -> if pred l then l else find_link ~pred n.next
-
 let length_link link =
   let rec go acc = function Null -> acc | Node n -> go (acc + 1) n.next in
   go 0 link

@@ -71,9 +71,6 @@ val iter_links : f:(('k, 'v) node -> unit) -> ('k, 'v) link -> unit
 (** Apply [f] to every node reachable from a link. Must run inside a
     read-side critical section if the chain is shared. *)
 
-val find_link : pred:(('k, 'v) node -> bool) -> ('k, 'v) link -> ('k, 'v) link
-(** First node satisfying [pred], or [Null]. *)
-
 val length_link : ('k, 'v) link -> int
 
 (** {1 Standalone list} *)

@@ -318,6 +318,152 @@ let test_find_batch_allocation () =
   flavour.Flavour.read_exit ();
   Alcotest.(check (float 0.)) "minor words" 0. words
 
+(* --- resize memory --- *)
+
+(* Words a steady resize allocates: after one warm-up cycle between [keys]
+   and [2 * keys] buckets, [cycles] more. [Gc.full_major] settles the
+   major-heap counters before each reading, and nothing else allocates in
+   this domain, so the counts are exact. Direct-major words (major minus
+   promoted) are blocks too large for the minor heap: bucket and
+   split-state arrays. *)
+let resize_allocation ~keys =
+  let cycles = 8 in
+  let t = make ~initial_size:keys () in
+  for i = 0 to keys - 1 do
+    Rp_ht.insert t i i
+  done;
+  let cycle () =
+    Rp_ht.resize t (2 * keys);
+    Rp_ht.resize t keys
+  in
+  cycle ();
+  Gc.full_major ();
+  let s0 = Gc.quick_stat () in
+  let m0 = Gc.minor_words () in
+  for _ = 1 to cycles do
+    cycle ()
+  done;
+  let minor = Gc.minor_words () -. m0 in
+  Gc.full_major ();
+  let s1 = Gc.quick_stat () in
+  check_valid t;
+  let direct =
+    s1.major_words -. s0.major_words -. (s1.promoted_words -. s0.promoted_words)
+  in
+  (direct, minor /. float_of_int (2 * cycles))
+
+(* A steady resize reuses the arrays earlier grace periods freed and
+   unzips without allocating: no direct-major word at either size, and
+   minor words per resize that stay flat from 2^10 to 2^14 keys (16x the
+   buckets). *)
+let test_resize_allocation () =
+  let small_direct, small_minor = resize_allocation ~keys:(1 lsl 10) in
+  let large_direct, large_minor = resize_allocation ~keys:(1 lsl 14) in
+  Alcotest.(check (float 0.)) "direct-major words, 2^10 keys" 0. small_direct;
+  Alcotest.(check (float 0.)) "direct-major words, 2^14 keys" 0. large_direct;
+  if large_minor > small_minor +. 16. then
+    Alcotest.failf "minor words per resize grow with the table: %.1f at 2^10 keys, %.1f at 2^14"
+      small_minor large_minor
+
+(* A retired bucket array kept for reuse pins nothing: once its grace
+   period has passed it holds no chain heads, so bindings removed later
+   are collectable. Covers both retirements: the parent array of an
+   expansion and the larger array of a shrink. *)
+let test_spare_pins_nothing () =
+  let n = 512 in
+  let t = make ~initial_size:n () in
+  let live = Weak.create n in
+  let fill () =
+    for i = 0 to n - 1 do
+      let v = Bytes.make 8 'v' in
+      Weak.set live i (Some v);
+      Rp_ht.insert t i v
+    done
+  in
+  let remove_all_and_check what =
+    for i = 0 to n - 1 do
+      if not (Rp_ht.remove_sync t i) then Alcotest.failf "%s: key %d missing" what i
+    done;
+    Gc.full_major ();
+    for i = 0 to n - 1 do
+      if Weak.check live i then Alcotest.failf "%s: removed value %d still reachable" what i
+    done
+  in
+  fill ();
+  Rp_ht.resize t (2 * n);
+  remove_all_and_check "after an expand";
+  fill ();
+  Rp_ht.resize t n;
+  remove_all_and_check "after a shrink";
+  check_valid t
+
+(* The reuse rule: a grace period that began before a bucket array's
+   retirement does not free it. A reader holds a read section open; a
+   [remove_sync] starts its grace period (which waits for that reader);
+   then a third domain resizes back and forth. The reader keeps looking
+   up every resident key until the first expansion is published, then
+   leaves, releasing the grace periods. No lookup may miss, before or
+   after, and the table must validate. *)
+let test_gp_before_retirement () =
+  let rcu = Rcu.create () in
+  let base = Flavour.memb rcu in
+  let syncs_begun = Atomic.make 0 in
+  let flavour =
+    {
+      base with
+      Flavour.synchronize =
+        (fun () ->
+          Atomic.incr syncs_begun;
+          base.Flavour.synchronize ());
+    }
+  in
+  let n = 256 in
+  let t =
+    Rp_ht.create ~flavour ~initial_size:n ~auto_resize:false
+      ~hash:Rp_hashes.Hashfn.of_int ~equal:Int.equal ()
+  in
+  for i = 0 to n - 1 do
+    Rp_ht.insert t i (i * 3)
+  done;
+  Rp_ht.insert t n 0;
+  let misses = Atomic.make 0 in
+  let lookup_all () =
+    for i = 0 to n - 1 do
+      if Rp_ht.find t i <> Some (i * 3) then Atomic.incr misses
+    done
+  in
+  let in_section = Atomic.make false in
+  let reader =
+    Domain.spawn (fun () ->
+        Flavour.with_read flavour (fun () ->
+            Atomic.set in_section true;
+            while Rp_ht.size t = n do
+              lookup_all ()
+            done;
+            lookup_all ()))
+  in
+  while not (Atomic.get in_section) do
+    Domain.cpu_relax ()
+  done;
+  let remover = Domain.spawn (fun () -> Rp_ht.remove_sync t n) in
+  while Atomic.get syncs_begun = 0 do
+    Domain.cpu_relax ()
+  done;
+  let resizer =
+    Domain.spawn (fun () ->
+        for _ = 1 to 3 do
+          Rp_ht.resize t (2 * n);
+          Rp_ht.resize t n
+        done)
+  in
+  Domain.join reader;
+  Alcotest.(check bool) "remove_sync removed" true (Domain.join remover);
+  Domain.join resizer;
+  lookup_all ();
+  Alcotest.(check int) "false misses" 0 (Atomic.get misses);
+  Alcotest.(check (option int)) "removed key gone" None (Rp_ht.find t n);
+  check_valid t
+
 (* --- model-based property tests --- *)
 
 type op =
@@ -505,6 +651,12 @@ let () =
             test_iter_batched_half_split;
           Alcotest.test_case "find_batch_hashed over half-split table" `Quick
             test_find_batch_half_split;
+          Alcotest.test_case "steady resize allocates no arrays" `Quick
+            test_resize_allocation;
+          Alcotest.test_case "retired arrays pin no removed value" `Quick
+            test_spare_pins_nothing;
+          Alcotest.test_case "grace period begun before retirement frees nothing" `Quick
+            test_gp_before_retirement;
         ] );
       ( "move",
         [

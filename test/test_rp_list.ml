@@ -74,11 +74,6 @@ let test_link_helpers () =
   let n1 = Rp_list.make_node ~hash:42 ~key:1 ~value:"a" ~next:n2 () in
   Alcotest.(check int) "length_link" 3 (Rp_list.length_link n1);
   Alcotest.(check int) "hash recorded" 42 (Rp_list.hash n1);
-  (match Rp_list.find_link ~pred:(fun n -> Rp_list.key n = 2) n1 with
-  | Rp_list.Node _ as n -> Alcotest.(check string) "found node" "b" (Rp_list.value n)
-  | Rp_list.Null -> Alcotest.fail "node 2 not found");
-  Alcotest.(check bool) "find_link miss" true
-    (Rp_list.find_link ~pred:(fun n -> Rp_list.key n = 9) n1 == Rp_list.Null);
   let visited = ref [] in
   Rp_list.iter_links ~f:(fun n -> visited := Rp_list.key n :: !visited) n1;
   Alcotest.(check (list int)) "iter_links order" [ 3; 2; 1 ] !visited

@@ -3,7 +3,8 @@
    We build zipped chains by hand (nodes labelled with their destination
    bucket in [hash]), run [Unzip.step] to completion, and check after every
    step the invariant readers rely on: starting from each destination's
-   first node, the chain still reaches every node of that destination. *)
+   first node, the chain still reaches every node of that destination. A
+   chain's unzip position is a link; [Null] means done. *)
 
 let dest (n : (int, string) Rp_list.node) = Rp_list.hash n
 
@@ -27,66 +28,77 @@ let build pattern =
   ((match nodes with [] -> Rp_list.Null | n :: _ -> n), nodes)
 
 (* Keys of destination [d] reachable from link, in order. *)
-let reachable_keys link d =
+let reachable_keys ?(dest = dest) link d =
   let acc = ref [] in
   Rp_list.iter_links
     ~f:(fun n -> if dest n = d then acc := Rp_list.key n :: !acc)
     link;
   List.rev !acc
 
-let first_of_dest nodes d =
+let first_of_dest ?(dest = dest) nodes d =
   List.find_opt (fun n -> dest n = d) nodes
 
 let expected_keys pattern d =
   List.mapi (fun i x -> (i, x)) pattern
   |> List.filter_map (fun (i, x) -> if x = d then Some i else None)
 
-(* Run the unzip to completion, checking completeness after every step. *)
-let unzip_and_check pattern =
+let is_done = function Rp_list.Null -> true | Rp_list.Node _ -> false
+
+(* Run the unzip to completion, checking completeness after every step.
+   [pattern] lists the nodes' hashes, [dest] maps a node to one of
+   [dests]. *)
+let unzip_and_check ?(dest = dest) ?(dests = [ 0; 1 ]) pattern =
   let head, nodes = build pattern in
-  let state = ref (Unzip.start head) in
+  let pattern = List.map dest nodes in
+  let pos = ref head in
   let check_complete context =
     List.iter
       (fun d ->
-        match first_of_dest nodes d with
+        match first_of_dest ~dest nodes d with
         | None -> ()
         | Some first ->
-            let got = reachable_keys first d in
+            let got = reachable_keys ~dest first d in
             let want = expected_keys pattern d in
             if got <> want then
               Alcotest.failf "%s: dest %d sees %s, wants %s" context d
                 (String.concat "," (List.map string_of_int got))
                 (String.concat "," (List.map string_of_int want)))
-      [ 0; 1 ]
+      dests
   in
   check_complete "pre-unzip";
   let steps = ref 0 in
-  while not (Unzip.is_done !state) do
-    state := Unzip.step ~dest !state;
+  while not (is_done !pos) do
+    pos := Unzip.step ~dest !pos;
     incr steps;
     check_complete (Printf.sprintf "after step %d" !steps);
     if !steps > 10 * List.length pattern + 10 then
       Alcotest.fail "unzip did not terminate"
   done;
-  (* Post-condition: both sub-chains are precise. *)
-  List.iter
-    (fun d ->
-      match first_of_dest nodes d with
-      | None -> ()
-      | Some first ->
-          if not (Unzip.chain_is_precise ~dest first) then
-            Alcotest.failf "dest %d chain still zipped" d)
-    [ 0; 1 ];
+  (* Post-condition: both sub-chains are precise, and between them they
+     hold every node exactly once. *)
+  let held =
+    List.concat_map
+      (fun d ->
+        match first_of_dest ~dest nodes d with
+        | None -> []
+        | Some first ->
+            if not (Unzip.chain_is_precise ~dest first) then
+              Alcotest.failf "dest %d chain still zipped" d;
+            reachable_keys ~dest first d)
+      dests
+  in
+  if List.sort compare held <> List.init (List.length nodes) Fun.id then
+    Alcotest.failf "unzipped chains hold %d nodes of %d" (List.length held)
+      (List.length nodes);
   !steps
 
 let test_empty_chain () =
-  Alcotest.(check bool) "empty starts done" true
-    (Unzip.is_done (Unzip.start Rp_list.Null))
+  Alcotest.(check bool) "empty starts done" true (is_done Rp_list.Null)
 
 let test_single_node () =
   let head, _ = build [ 0 ] in
-  let state = Unzip.step ~dest (Unzip.start head) in
-  Alcotest.(check bool) "single node done in one step" true (Unzip.is_done state)
+  Alcotest.(check bool) "single node done in one step" true
+    (is_done (Unzip.step ~dest head))
 
 let test_already_precise () =
   let steps = unzip_and_check [ 0; 0; 0; 0 ] in
@@ -101,8 +113,8 @@ let test_paper_example () =
   ignore (unzip_and_check [ 1; 0; 1; 0 ])
 
 let test_step_on_done_is_done () =
-  Alcotest.(check bool) "step Done = Done" true
-    (Unzip.is_done (Unzip.step ~dest Unzip.Done))
+  Alcotest.(check bool) "step Null = Null" true
+    (is_done (Unzip.step ~dest Rp_list.Null))
 
 let test_chain_is_precise () =
   let zipped, _ = build [ 0; 1; 0 ] in
@@ -117,6 +129,22 @@ let prop_any_pattern_unzips =
     QCheck.(list_of_size Gen.(int_bound 24) (int_bound 1))
     (fun pattern ->
       ignore (unzip_and_check pattern);
+      true)
+
+(* A zipped chain as an expansion leaves it: every node hashes to parent
+   bucket [p] of a table of [half] buckets, and its destination at the
+   doubled size is [p] or [p + half], as the hash's next bit says. *)
+let prop_zipped_chain_unzips =
+  QCheck.Test.make ~name:"unzip splits any zipped chain into precise chains" ~count:500
+    QCheck.(
+      triple (int_bound 5) (int_bound 1000)
+        (list_of_size Gen.(int_bound 32) (int_bound 1000)))
+    (fun (log_half, p, highs) ->
+      let half = 1 lsl log_half in
+      let p = p land (half - 1) in
+      let hashes = List.map (fun r -> p + (half * r)) highs in
+      let dest n = Rp_list.hash n land ((2 * half) - 1) in
+      ignore (unzip_and_check ~dest ~dests:[ p; p + half ] hashes);
       true)
 
 (* Through the real table: expansion must produce fully precise buckets. *)
@@ -155,6 +183,7 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_any_pattern_unzips;
+          QCheck_alcotest.to_alcotest prop_zipped_chain_unzips;
           QCheck_alcotest.to_alcotest prop_table_expand_precise;
         ] );
     ]
