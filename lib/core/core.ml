@@ -9,7 +9,6 @@ module Rcu = Rcu
 module Rcu_qsbr = Rcu_qsbr
 module Flavour = Flavour
 module Table = Rp_ht
-module Radix = Rp_radix
 module Torture = Rp_torture.Torture
 module Unzip = Unzip
 module List_rp = Rp_list
@@ -18,9 +17,7 @@ module Size = Rp_hashes.Size
 
 module Sync = struct
   module Rwlock = Rp_sync.Rwlock
-  module Brlock = Rp_sync.Brlock
   module Seqlock = Rp_sync.Seqlock
-  module Spinlock = Rp_sync.Spinlock
   module Backoff = Rp_sync.Backoff
   module Barrier = Rp_sync.Barrier_sync
 end

@@ -1,5 +1,5 @@
-(* Text-protocol request dispatch, shared by the threaded server, the
-   event-loop workers, and the in-process benchmark loopback. *)
+(* Text-protocol request dispatch, shared by the event-loop workers and
+   the in-process benchmark loopback. *)
 
 let stored_reply : Store.stored_result -> Protocol.response = function
   | Store.Stored -> Protocol.Stored

@@ -1,6 +1,6 @@
 (** Text-protocol request dispatch onto the {!Store}, shared by the
-    threaded server, the event-loop workers ({!Evloop}/{!Conn}), and the
-    in-process benchmark loopback. *)
+    event-loop workers ({!Evloop}/{!Conn}) and the in-process benchmark
+    loopback. *)
 
 val stored_reply : Store.stored_result -> Protocol.response
 

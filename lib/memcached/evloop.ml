@@ -24,6 +24,14 @@ type config = {
 
 let k_wakeup = Rp_trace.intern "evloop.wakeup"
 let k_adopt = Rp_trace.intern "evloop.adopt"
+let k_drop = Rp_trace.intern "server.conn.drop"
+let k_slow_kill = Rp_trace.intern "server.conn.slow_kill"
+
+(* [Unix.select] takes an fd_set: one descriptor at or past FD_SETSIZE
+   fails the whole call with EINVAL. On Unix a [file_descr] is the
+   kernel's int. *)
+let fd_setsize = 1024
+let pollable (fd : Unix.file_descr) = (Obj.magic fd : int) < fd_setsize
 
 type worker = {
   index : int;
@@ -62,7 +70,7 @@ let drop t w conns conn =
   Hashtbl.remove conns fd;
   Atomic.decr w.load;
   Atomic.decr t.live;
-  Rp_obs.Trace.emit Rp_obs.Trace.default ~arg:(Conn.id conn) "server.conn.drop";
+  Rp_trace.instant ~arg:(Conn.id conn) k_drop;
   (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
@@ -148,8 +156,7 @@ let sweep_slow t w conns =
     List.iter
       (fun conn ->
         Rp_obs.Counter.incr t.slow_kills;
-        Rp_obs.Trace.emit Rp_obs.Trace.default ~arg:(Conn.id conn)
-          "server.conn.slow_kill";
+        Rp_trace.instant ~arg:(Conn.id conn) k_slow_kill;
         drop t w conns conn)
       hung
   end

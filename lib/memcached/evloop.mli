@@ -34,10 +34,16 @@ val create : store:Store.t -> config -> t
     [server_event_workers], per-worker connection gauges) in the store's
     registry. *)
 
+val pollable : Unix.file_descr -> bool
+(** Whether a worker's poll set can hold this descriptor: [select]
+    takes only descriptors below [FD_SETSIZE] (1024), and one past it
+    fails the whole call. {!Server} refuses any other socket at accept. *)
+
 val submit : t -> id:int -> Unix.file_descr -> unit
 (** Hand an accepted socket to the least-loaded worker. Ownership
     transfers: the worker makes it non-blocking, serves it, and closes
-    it. [id] tags ["server.conn.*"] trace events. *)
+    it. [fd] must be {!pollable}. [id] tags the ["server.conn.drop"] and
+    ["server.conn.slow_kill"] trace instants. *)
 
 val live_connections : t -> int
 val worker_count : t -> int

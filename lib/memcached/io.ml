@@ -1,5 +1,3 @@
-exception Timeout
-
 (* Writing to a peer-closed socket must surface as EPIPE, not kill the
    process (stock memcached ignores SIGPIPE the same way). Forced once by
    every socket-endpoint constructor. *)
@@ -10,27 +8,15 @@ let ignore_sigpipe_once =
 
 let ignore_sigpipe () = Lazy.force ignore_sigpipe_once
 
-(* Wait until [fd] is ready in the given direction, or until [deadline]
-   (absolute; None = forever). EINTR during the wait restarts it. *)
-let wait_ready ~for_write ?deadline fd =
-  let rec go () =
-    let budget =
-      match deadline with
-      | None -> -1.0
-      | Some d ->
-          let left = d -. Unix.gettimeofday () in
-          if left <= 0.0 then raise Timeout;
-          left
-    in
-    let r, w = if for_write then ([], [ fd ]) else ([ fd ], []) in
-    match Unix.select r w [] budget with
-    | [], [], _ when deadline <> None -> raise Timeout
-    | _ -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-  in
-  go ()
+(* Wait until [fd] is ready in the given direction. EINTR during the
+   wait restarts it. *)
+let rec wait_ready ~for_write fd =
+  let r, w = if for_write then ([], [ fd ]) else ([ fd ], []) in
+  match Unix.select r w [] (-1.0) with
+  | _ -> ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_ready ~for_write fd
 
-let write_all ?(fault = "") ?deadline fd s =
+let write_all ?(fault = "") fd s =
   let bytes = Bytes.unsafe_of_string s in
   let len = Bytes.length bytes in
   let rec go off =
@@ -41,7 +27,7 @@ let write_all ?(fault = "") ?deadline fd s =
       | n -> go (off + n)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          wait_ready ~for_write:true ?deadline fd;
+          wait_ready ~for_write:true fd;
           go off
     end
   in
@@ -83,23 +69,15 @@ let set_tcp_nodelay fd =
   (* Best-effort: meaningless (and an error) on AF_UNIX sockets. *)
   try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
 
-let read ?(fault = "") ?timeout fd buf =
+let read ?(fault = "") fd buf =
   let want = Bytes.length buf in
   let want = if fault = "" then want else Rp_fault.io_cap fault want in
-  let deadline =
-    match timeout with
-    | Some t when t > 0.0 -> Some (Unix.gettimeofday () +. t)
-    | Some _ | None -> None
-  in
-  (* A blocking read would ignore the idle budget, so wait explicitly when
-     one is set. *)
-  if deadline <> None then wait_ready ~for_write:false ?deadline fd;
   let rec go () =
     match Unix.read fd buf 0 want with
     | n -> n
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        wait_ready ~for_write:false ?deadline fd;
+        wait_ready ~for_write:false fd;
         go ()
   in
   go ()

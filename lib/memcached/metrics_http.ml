@@ -23,7 +23,7 @@ let respond fd ~status ~content_type body =
       status content_type (String.length body)
   in
   try Io.write_all fd (head ^ body)
-  with Unix.Unix_error _ | Io.Timeout | Rp_fault.Injected _ -> ()
+  with Unix.Unix_error _ | Rp_fault.Injected _ -> ()
 
 (* The (path, query) from a "GET /path?query HTTP/1.x" request line.
    Anything unparseable routes like "/" (the scrape default). *)
@@ -67,7 +67,7 @@ let serve ?heat registry fd =
   let buf = Bytes.create 4096 in
   let n =
     try Io.read fd buf with
-    | Unix.Unix_error _ | End_of_file | Io.Timeout | Rp_fault.Injected _ -> 0
+    | Unix.Unix_error _ | End_of_file | Rp_fault.Injected _ -> 0
   in
   let path, query = request_target (Bytes.sub_string buf 0 n) in
   (match path with

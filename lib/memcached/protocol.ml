@@ -244,13 +244,11 @@ module Inbuf = struct
       t.len <- 0
     end
 
-  let feed_bytes t b n =
+  let feed t s =
+    let n = String.length s in
     reserve t n;
-    Bytes.blit b 0 t.data t.len n;
+    Bytes.blit_string s 0 t.data t.len n;
     commit t n
-
-  (* [s] is only read. *)
-  let feed t s = feed_bytes t (Bytes.unsafe_of_string s) (String.length s)
 
   let rec crlf_from s i last =
     if i >= last then -1

@@ -122,12 +122,8 @@ module Inbuf : sig
   (** Let go of a drained window's storage (a no-op while bytes are
       unread). *)
 
-  val feed_bytes : t -> Bytes.t -> int -> unit
-  (** [feed_bytes t b n] appends the first [n] bytes of [b]: {!reserve},
-      blit, {!commit}. *)
-
   val feed : t -> string -> unit
-  (** Append a string. *)
+  (** Append a string: {!reserve}, blit, {!commit}. *)
 
   val available : t -> int
   (** Unread bytes. *)

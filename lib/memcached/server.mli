@@ -1,16 +1,12 @@
 (** memcached server: request dispatch plus a socket front end.
 
-    {!handle} is the pure dispatch used by both socket planes and the
-    in-process benchmark loopback. Two serving planes share one accept
-    loop and one config:
-
-    - {!Threaded} (default): one thread per connection, blocking I/O —
-      simple, torture-hardened, and immune to a slow connection stalling
-      others;
-    - {!Event_loop}: the sharded event-loop plane ({!Evloop}) — worker
-      domains with private poll sets, pipelined batch dispatch, coalesced
-      writes, and per-worker QSBR discipline for zero-cost GET read
-      sections (pair it with a {!Store.rcu_mode} [Qsbr] store). *)
+    {!handle} is the pure dispatch used by the socket plane and the
+    in-process benchmark loopback. {!start} listens and runs an accept
+    loop that hands each admitted socket to the sharded event loop
+    ({!Evloop}): worker domains with private poll sets, pipelined batch
+    dispatch, coalesced writes, and per-worker QSBR discipline for
+    zero-cost GET read sections (pair it with a {!Store.rcu_mode} [Qsbr]
+    store; a [Memb] store serves too, with ordinary read sections). *)
 
 val version_string : string
 
@@ -24,8 +20,6 @@ type address = Unix_socket of string | Tcp of int | Inet of string * int
 (** [Tcp port] binds/connects loopback; [Inet (host, port)] names a
     remote (or any resolvable) endpoint — the cluster plane's address
     shape. *)
-
-type mode = Threaded | Event_loop
 
 val sockaddr_of : address -> Unix.socket_domain * Unix.sockaddr
 (** Resolve an address to its socket domain and sockaddr (numeric hosts
@@ -42,35 +36,31 @@ type config = {
   idle_timeout : float;
       (** seconds a connection may sit without sending bytes before the
           server closes it; [0.] disables (default) *)
-  write_timeout : float;
-      (** seconds a single response write may block before the connection
-          is dropped; [0.] disables (default 30; threaded plane only —
-          the event loop parks pending bytes and polls for writability) *)
   listen_backlog : int;  (** [listen(2)] backlog (default 64) *)
   read_buffer_size : int;
-      (** per-connection read buffer in bytes (default 16 KiB); the
-          threaded plane pools these across connections *)
-  tcp_nodelay : bool;
-      (** disable Nagle on accepted TCP sockets (default [true]) so
-          pipelined responses aren't held back by coalescing timers *)
-  mode : mode;  (** serving plane (default {!Threaded}) *)
+      (** per-connection read size in bytes (default 16 KiB) *)
   workers : int;
       (** event-loop worker domains; [0] (default) means
           [Domain.recommended_domain_count ()] *)
   conn_write_cap : int;
-      (** event-loop plane: per-connection pending-write byte cap
-          (default 1 MiB; [0] = unlimited). See
-          {!Evloop.config.conn_write_cap} *)
+      (** per-connection pending-write byte cap (default 1 MiB; [0] =
+          unlimited). See {!Evloop.config.conn_write_cap} *)
   drain_deadline : float;
-      (** event-loop plane: kill a backed-up connection making no
-          progress for this many seconds (default 30; [<= 0] disables).
-          See {!Evloop.config.drain_deadline} *)
+      (** kill a backed-up connection making no progress for this many
+          seconds (default 30; [<= 0] disables). See
+          {!Evloop.config.drain_deadline} *)
 }
 
 val default_config : config
-(** 1024 connections, no inflight cap, no idle timeout, 30 s write
-    timeout, backlog 64, 16 KiB buffers, TCP_NODELAY on, threaded mode,
-    1 MiB write cap, 30 s drain deadline.
+(** 1024 connections, no inflight cap, no idle timeout, backlog 64,
+    16 KiB reads, one worker per recommended domain, 1 MiB write cap,
+    30 s drain deadline. Accepted TCP sockets always get TCP_NODELAY, so
+    pipelined responses are not held back by coalescing timers.
+
+    A socket whose descriptor the workers' poll set cannot hold
+    ({!Evloop.pollable}: 1024 and up) is refused like one past
+    [max_connections], with [SERVER_ERROR too many connections], and
+    counted in {!rejected_connections}.
 
     When a {!Store.guard} is attached and in [Emergency], new connections
     are refused with [SERVER_ERROR overloaded] regardless of the caps —
@@ -79,17 +69,16 @@ val default_config : config
 
 val start : store:Store.t -> ?config:config -> address -> t
 (** Start listening and serving connections (the accept loop runs on a
-    background thread; connection service runs on per-connection threads
-    or event-loop worker domains, by [config.mode]). Connection I/O runs
-    through the failpoint sites ["server.read.split"],
-    ["server.write.partial"], and ["server.conn.reset"] (see {!Rp_fault})
-    on both planes, so tests can split reads, shorten writes, or tear
-    connections. *)
+    background thread; connections are served by the event-loop worker
+    domains). Connection I/O runs through the failpoint sites
+    ["server.read.split"], ["server.write.partial"], and
+    ["server.conn.reset"] (see {!Rp_fault}), so tests can split reads,
+    shorten writes, or tear connections. *)
 
 val stop : t -> unit
-(** Close the listener, wait for the accept loop to exit, then shut down
-    and drain every in-flight connection thread or worker domain: when
-    [stop] returns, no server thread or domain is left running. *)
+(** Close the listener, wait for the accept loop to exit, then close
+    every connection and join the worker domains: when [stop] returns,
+    no server thread or domain is left running. *)
 
 val active_connections : t -> int
 (** Currently live connections. *)
@@ -100,12 +89,12 @@ val capacity : t -> int
     pressure. *)
 
 val rejected_connections : t -> int
-(** Connections turned away by the [max_connections] cap so far. *)
+(** Connections turned away at accept so far (by either cap, the poll
+    set's descriptor limit, or the guard). *)
 
 val address : t -> address
 (** The bound address. A [Tcp 0] / [Inet (host, 0)] request (OS-assigned
     port) is resolved to the port the kernel actually picked. *)
 
 val workers : t -> int
-(** Event-loop worker domains serving this instance; [0] on the threaded
-    plane. *)
+(** Event-loop worker domains serving this instance. *)

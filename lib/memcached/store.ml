@@ -930,10 +930,10 @@ let batch_keys = 64
 
 (* A domain's staging arrays for [get_many]'s read section, reused across
    calls so the section allocates nothing: the keys and their hashes
-   going in, each key's table node and item coming out. Systhreads of
-   the threaded plane share their domain's arrays; one that finds them
-   [busy] (a sibling was switched out mid-batch) stages into fresh
-   ones. *)
+   going in, each key's table node and item coming out. Systhreads on
+   one domain (a follower's apply thread, an in-process bench client)
+   share its arrays; one that finds them [busy] (a sibling was switched
+   out mid-batch) stages into fresh ones. *)
 type scratch = {
   mutable busy : bool;
   mutable staged : int;
@@ -1043,9 +1043,10 @@ let get_many t ?(with_cas = false) keys =
 
 (* A lone GET opens no outer section: the table's own read section
    covers the chain walk and the reply record is built after it.
-   Systhreads of the threaded plane share their domain's memb reader
-   slot, so a section held across allocations (where a thread switch can
-   happen) is one a sibling thread's grace period can trip over. *)
+   Systhreads on one domain (a follower's apply thread, an in-process
+   bench client) share its memb reader slot, so a section held across
+   allocations (where a thread switch can happen) is one a sibling
+   thread's grace period can trip over. *)
 let get t key =
   Rp_obs.Counter.incr t.cmd_get;
   let now = now t in

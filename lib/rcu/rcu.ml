@@ -233,7 +233,6 @@ let synchronize t =
   let gp_span = Rp_trace.span_begin k_gp in
   Mutex.lock t.gp_mutex;
   let new_epoch = 1 + Atomic.fetch_and_add t.epoch 1 in
-  Rp_obs.Trace.emit Rp_obs.Trace.default ~arg:new_epoch "rcu.gp_begin";
   (* The scan can raise via the failpoint; never leave gp_mutex held. *)
   (match scan_slots t ~new_epoch with
   | () -> ()
@@ -244,7 +243,6 @@ let synchronize t =
   Atomic.incr t.gp_count;
   Atomic.incr t.sync_count;
   Mutex.unlock t.gp_mutex;
-  Rp_obs.Trace.emit Rp_obs.Trace.default ~arg:new_epoch "rcu.gp_end";
   Rp_trace.span_end ~arg:new_epoch k_gp gp_span;
   Rp_obs.Histogram.observe_span t.gp_hist ~start:started
     ~stop:(Unix.gettimeofday ())

@@ -166,9 +166,9 @@ val pp_stats : Format.formatter -> stats -> unit
 (** {1 Observability}
 
     Every flavour records grace-period latency into a striped
-    {!Rp_obs.Histogram} and emits ["rcu.gp_begin"] / ["rcu.gp_end"]
-    events (with the target epoch as argument) into
-    {!Rp_obs.Trace.default}. *)
+    {!Rp_obs.Histogram} and records each grace period as an ["rcu.gp"]
+    span (with the target epoch as argument) in the {!Rp_trace} flight
+    recorder. *)
 
 val observe : ?prefix:string -> t -> Rp_obs.Registry.t -> unit
 (** Register this flavour's instruments under [prefix] (default

@@ -5,6 +5,7 @@ type action = Delay of float | Yield | Raise | Truncate_io of int
 type trigger = Always | Every of int | Probability of float | One_shot
 
 type site = {
+  key : int;  (* the interned ["fault.<site>"] trace name *)
   mutable trigger : trigger;
   mutable action : action;
   mutable prng : Rp_workload.Prng.t;
@@ -50,6 +51,7 @@ let arm ?seed name ~trigger ~action =
       | None ->
           Hashtbl.add registry name
             {
+              key = Rp_trace.intern ("fault." ^ name);
               trigger;
               action;
               prng = Rp_workload.Prng.create ~seed;
@@ -117,7 +119,7 @@ let evaluate name =
           in
           if fire then begin
             site.fires <- site.fires + 1;
-            Some site.action
+            Some (site.key, site.action)
           end
           else None)
 
@@ -127,17 +129,14 @@ let perform name = function
   | Raise -> raise (Injected name)
   | Truncate_io _ -> ()
 
-(* Fires are rare, armed-only events: worth a trace-ring entry each so a
+(* Fires are rare, armed-only events: worth a trace instant each so a
    torture run's timeline shows exactly where faults landed. *)
-let trace_fire name =
-  Rp_obs.Trace.emit Rp_obs.Trace.default ("fault." ^ name)
-
 let point name =
   if Atomic.get armed_count > 0 then
     match evaluate name with
     | None -> ()
-    | Some action ->
-        trace_fire name;
+    | Some (key, action) ->
+        Rp_trace.instant key;
         perform name action
 
 let io_cap name len =
@@ -145,10 +144,10 @@ let io_cap name len =
   else
     match evaluate name with
     | None -> len
-    | Some (Truncate_io cap) ->
-        trace_fire name;
+    | Some (key, Truncate_io cap) ->
+        Rp_trace.instant key;
         max 1 (min cap len)
-    | Some action ->
-        trace_fire name;
+    | Some (key, action) ->
+        Rp_trace.instant key;
         perform name action;
         len

@@ -65,8 +65,8 @@ val fires : string -> int
 val point : string -> unit
 (** The hook: no-op unless the site is armed and its trigger fires, in
     which case the action runs here ([Delay]/[Yield]/[Raise]). Every fire
-    also emits a ["fault.<site>"] event into {!Rp_obs.Trace.default}, so
-    torture timelines show where faults landed. *)
+    also records a ["fault.<site>"] {!Rp_trace} instant, so torture
+    timelines show where faults landed. *)
 
 val io_cap : string -> int -> int
 (** [io_cap site len] is the hook for I/O sites: returns how many bytes

@@ -194,7 +194,6 @@ let sweep t =
       (* Control tier: always recorded, so every transition lands in the
          Perfetto export with old*4+new packed in the arg. *)
       Rp_trace.instant ~arg:((cur * 4) + next) k_state;
-      Rp_obs.Trace.emit Rp_obs.Trace.default ~arg:next "guard.state";
       Some (t.listeners, state_of_int cur, state_of_int next)
     end
     else None

@@ -421,8 +421,7 @@ let ensure_publish_synced t ps =
 
 let note_recovery t ~new_size =
   Atomic.incr t.recoveries;
-  Rp_trace.instant ~arg:new_size k_recovery;
-  Rp_obs.Trace.emit Rp_obs.Trace.default ~arg:new_size "rp_ht.recovery"
+  Rp_trace.instant ~arg:new_size k_recovery
 
 let cell_busy ps i = Bytes.get ps.ps_busy i <> '\000'
 let set_cell_busy ps i b = Bytes.set ps.ps_busy i (if b then '\001' else '\000')
@@ -528,9 +527,7 @@ let complete_splits_locked t =
           t.flavour.Flavour.synchronize ();
           Rp_trace.span_end ~arg:new_size k_unzip pass_span;
           Atomic.incr t.unzip_passes;
-          Bytes.fill ps.ps_busy 0 cells '\000';
-          Rp_obs.Trace.emit Rp_obs.Trace.default ~arg:new_size
-            "rp_ht.unzip_pass"
+          Bytes.fill ps.ps_busy 0 cells '\000'
         end
       done
 
@@ -576,7 +573,6 @@ let shrink_locked t =
   t.flavour.Flavour.synchronize ();
   spare_quiesced t;
   Atomic.incr t.shrinks;
-  Rp_obs.Trace.emit Rp_obs.Trace.default ~arg:new_size "rp_ht.shrink";
   Rp_trace.span_end ~arg:new_size k_shrink shrink_span;
   Rp_obs.Histogram.observe_span t.resize_hist ~start:started
     ~stop:(Unix.gettimeofday ())
@@ -646,7 +642,6 @@ let expand_locked t =
            ps_sync_done = Atomic.make false;
          });
   Atomic.incr t.expands;
-  Rp_obs.Trace.emit Rp_obs.Trace.default ~arg:new_size "rp_ht.expand";
   Rp_trace.span_end ~arg:new_size k_expand expand_span;
   Rp_obs.Histogram.observe_span t.resize_hist ~start:started
     ~stop:(Unix.gettimeofday ())

@@ -259,8 +259,9 @@ val to_list : ('k, 'v) t -> ('k * 'v) list
     records expand/shrink durations into a striped histogram. Stripe-lock
     traffic is counted the same way (acquisitions, contended
     acquisitions, lazy splits). Resize milestones (["rp_ht.expand"],
-    ["rp_ht.shrink"], ["rp_ht.unzip_pass"], ["rp_ht.recovery"], each with
-    the new bucket count as argument) go to {!Rp_obs.Trace.default}. *)
+    ["rp_ht.shrink"] and ["rp_ht.unzip_pass"] spans, ["rp_ht.recovery"]
+    instants, each with the new bucket count as argument) go to the
+    {!Rp_trace} flight recorder. *)
 
 val observe : ?prefix:string -> ('k, 'v) t -> Rp_obs.Registry.t -> unit
 (** Register this table's instruments under [prefix] (default ["rp_ht"]):

@@ -7,8 +7,6 @@
       per increment on a cache-line-padded per-domain cell;
     - {!Histogram}: 64-bucket power-of-two latency/size histograms with
       striped recording and merged snapshots;
-    - {!Trace}: a fixed-capacity lock-free ring of timestamped
-      control-plane events;
     - {!Registry}: names instruments and renders memcached [stats]
       lines, Prometheus text exposition, and JSON snapshots;
     - {!Stripe}: the shared per-domain slot registry underneath, plus
@@ -17,7 +15,6 @@
 module Stripe = Stripe
 module Counter = Counter
 module Histogram = Histogram
-module Trace = Trace
 module Registry = Registry
 
 let set_enabled = Stripe.set_enabled

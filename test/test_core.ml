@@ -14,12 +14,6 @@ let test_table_via_facade () =
   Alcotest.(check (option int)) "survives" (Some 2011)
     (Core.Table.find table "rp-hashtable")
 
-let test_radix_via_facade () =
-  let tree = Core.Radix.create () in
-  Core.Radix.insert tree 12345 "x";
-  Alcotest.(check (option string)) "radix find" (Some "x")
-    (Core.Radix.find tree 12345)
-
 let test_rcu_via_facade () =
   let rcu = Core.Rcu.create () in
   Core.Rcu.with_read_current rcu (fun () -> ());
@@ -60,7 +54,6 @@ let () =
       ( "facade",
         [
           Alcotest.test_case "table" `Quick test_table_via_facade;
-          Alcotest.test_case "radix" `Quick test_radix_via_facade;
           Alcotest.test_case "rcu" `Quick test_rcu_via_facade;
           Alcotest.test_case "memcached" `Quick test_memcached_via_facade;
           Alcotest.test_case "torture" `Quick test_torture_via_facade;

@@ -1,5 +1,5 @@
-(* Observability plane: striped counters, histograms, trace ring, registry
-   rendering, server stats round-trip, and the read-path overhead guard. *)
+(* Observability plane: striped counters, histograms, registry rendering,
+   server stats round-trip, and the read-path overhead guard. *)
 
 open Rp_obs
 
@@ -93,53 +93,6 @@ let test_histogram_domains () =
   Alcotest.(check int) "merged sum"
     (per_domain * (10 + 20 + 30 + 40))
     s.Histogram.sum
-
-(* --- trace ring --- *)
-
-let test_trace_wraparound () =
-  let ring = Trace.create ~capacity:16 () in
-  for i = 0 to 39 do
-    Trace.emit ring ~arg:(i * 7) "test.event"
-  done;
-  Alcotest.(check int) "emitted" 40 (Trace.emitted ring);
-  Alcotest.(check int) "capacity rounded" 16 (Trace.capacity ring);
-  let events = Trace.snapshot ring in
-  Alcotest.(check int) "ring keeps newest capacity" 16 (List.length events);
-  (* Coherent snapshot: each surviving event is the newest for its slot,
-     in ascending seq order, with its own (seq-derived) payload — no torn
-     or stale records. *)
-  List.iteri
-    (fun i e ->
-      Alcotest.(check int) "seq" (24 + i) e.Trace.seq;
-      Alcotest.(check int) "payload matches seq" ((24 + i) * 7) e.Trace.arg;
-      Alcotest.(check string) "kind" "test.event" e.Trace.kind)
-    events;
-  Trace.clear ring;
-  Alcotest.(check int) "cleared" 0 (List.length (Trace.snapshot ring));
-  Trace.emit ring "test.after";
-  (match Trace.snapshot ring with
-  | [ e ] -> Alcotest.(check int) "seq continues after clear" 40 e.Trace.seq
-  | _ -> Alcotest.fail "expected exactly one event after clear")
-
-let test_trace_concurrent () =
-  let ring = Trace.create ~capacity:256 () in
-  let per_domain = 64 in
-  let domains =
-    Array.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            for i = 1 to per_domain do
-              Trace.emit ring ~arg:i (Printf.sprintf "d%d" d)
-            done))
-  in
-  Array.iter Domain.join domains;
-  let events = Trace.snapshot ring in
-  Alcotest.(check int) "all events fit" (4 * per_domain) (List.length events);
-  (* seqs strictly ascending, i.e. no slot collisions below capacity *)
-  let rec ascending = function
-    | a :: (b :: _ as rest) -> a.Trace.seq < b.Trace.seq && ascending rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "ascending seq" true (ascending events)
 
 (* --- registry rendering --- *)
 
@@ -438,11 +391,6 @@ let () =
           Alcotest.test_case "percentile bounds" `Quick test_histogram_percentiles;
           Alcotest.test_case "bucket boundaries" `Quick test_histogram_buckets;
           Alcotest.test_case "4-domain merge" `Quick test_histogram_domains;
-        ] );
-      ( "trace ring",
-        [
-          Alcotest.test_case "wraparound snapshot" `Quick test_trace_wraparound;
-          Alcotest.test_case "concurrent emit" `Quick test_trace_concurrent;
         ] );
       ( "registry",
         [

@@ -85,24 +85,34 @@ let test_dispatch_admin () =
 
 (* --- socket integration ---
 
-   Every socket test runs against both serving planes: the threaded
-   fallback (memb-flavoured store) and the sharded event loop (QSBR
-   store, the paper configuration). A "plane" bundles the server config
-   with the store's RCU mode. *)
+   Every socket test runs against both store configurations the server
+   binary serves: the rp backend on a QSBR store (the paper
+   configuration, [--backend rp]) and the lock backend on a memb store
+   ([--backend lock]). A "plane" bundles the server config with the
+   store's backend and RCU mode. *)
 
-let threaded_plane = ("threaded", Server.default_config, Store.Memb)
+type plane = {
+  config : Server.config;
+  backend : Store.backend;
+  rcu_mode : Store.rcu_mode;
+}
 
 let ev_plane =
-  ( "event-loop",
-    { Server.default_config with Server.mode = Server.Event_loop; workers = 2 },
-    Store.Qsbr )
+  {
+    config = { Server.default_config with Server.workers = 2 };
+    backend = Store.Rp;
+    rcu_mode = Store.Qsbr;
+  }
 
-let with_server ?(config = Server.default_config) ?(rcu_mode = Store.Memb) f =
+let lock_plane = { ev_plane with backend = Store.Lock; rcu_mode = Store.Memb }
+
+let with_server ?(config = Server.default_config) ?(backend = Store.Rp)
+    ?(rcu_mode = Store.Memb) f =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "rp-mc-test-%d.sock" (Unix.getpid ()))
   in
-  let store = Store.create ~backend:Store.Rp ~rcu_mode ~initial_size:64 () in
+  let store = Store.create ~backend ~rcu_mode ~initial_size:64 () in
   let server = Server.start ~store ~config (Server.Unix_socket path) in
   let finish () = Server.stop server in
   (match f ~server (Server.Unix_socket path) store with
@@ -111,7 +121,8 @@ let with_server ?(config = Server.default_config) ?(rcu_mode = Store.Memb) f =
       finish ();
       raise e)
 
-let with_plane (_, config, rcu_mode) f = with_server ~config ~rcu_mode f
+let with_plane { config; backend; rcu_mode } f =
+  with_server ~config ~backend ~rcu_mode f
 
 let test_socket_roundtrip plane () =
   with_plane plane (fun ~server:_ addr _store ->
@@ -231,9 +242,9 @@ let test_socket_protocol_error_keeps_connection plane () =
 
 (* --- hardening: connection cap, timeouts, fault tolerance, drain --- *)
 
-let test_max_connections_cap (_, config, rcu_mode) () =
-  let config = { config with Server.max_connections = 1 } in
-  with_server ~config ~rcu_mode (fun ~server addr _store ->
+let test_max_connections_cap plane () =
+  let config = { plane.config with Server.max_connections = 1 } in
+  with_plane { plane with config } (fun ~server addr _store ->
       let c1 = Client.connect addr in
       Alcotest.(check bool) "first client served" true
         (Client.set c1 ~key:"k" ~data:"v" ());
@@ -260,9 +271,9 @@ let test_max_connections_cap (_, config, rcu_mode) () =
       | None -> Alcotest.fail "existing connection broken by rejection");
       Client.close c1)
 
-let test_idle_timeout_closes_connection (_, config, rcu_mode) () =
-  let config = { config with Server.idle_timeout = 0.05 } in
-  with_server ~config ~rcu_mode (fun ~server:_ addr _store ->
+let test_idle_timeout_closes_connection plane () =
+  let config = { plane.config with Server.idle_timeout = 0.05 } in
+  with_plane { plane with config } (fun ~server:_ addr _store ->
       let c = Client.connect addr in
       Alcotest.(check bool) "first op" true (Client.set c ~key:"k" ~data:"v" ());
       Unix.sleepf 0.2;
@@ -318,12 +329,12 @@ let test_conn_reset_with_client_retry plane () =
           Alcotest.(check int) "reset fired" 1 (Rp_fault.fires "server.conn.reset"));
       Client.close c)
 
-let test_stop_drains_connections (_, config, rcu_mode) () =
+let test_stop_drains_connections { config; backend; rcu_mode } () =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "rp-mc-drain-%d.sock" (Unix.getpid ()))
   in
-  let store = Store.create ~backend:Store.Rp ~rcu_mode ~initial_size:64 () in
+  let store = Store.create ~backend ~rcu_mode ~initial_size:64 () in
   let server = Server.start ~store ~config (Server.Unix_socket path) in
   let clients =
     List.init 3 (fun _ -> Client.connect (Server.Unix_socket path))
@@ -334,7 +345,7 @@ let test_stop_drains_connections (_, config, rcu_mode) () =
     clients;
   Alcotest.(check bool) "connections live" true
     (Server.active_connections server >= 1);
-  (* stop must shut down and join every connection thread. *)
+  (* stop must close every connection and join the worker domains. *)
   Server.stop server;
   Alcotest.(check int) "all connections drained" 0
     (Server.active_connections server);
@@ -482,9 +493,7 @@ let test_binary_frame_straddles_reads plane () =
    own key before any response is read; each must get back exactly its
    own values, in order — nothing crossed between workers. *)
 let test_multiworker_routing () =
-  let config =
-    { Server.default_config with Server.mode = Server.Event_loop; workers = 4 }
-  in
+  let config = { Server.default_config with Server.workers = 4 } in
   with_server ~config ~rcu_mode:Store.Qsbr (fun ~server addr _store ->
       Alcotest.(check int) "worker domains" 4 (Server.workers server);
       let n = 8 and reps = 25 in
@@ -521,6 +530,90 @@ let test_multiworker_routing () =
             true (got = expected))
         fds;
       Array.iter Unix.close fds)
+
+(* Descriptor ceiling: the workers poll with [select], which holds only
+   descriptors below 1024. Connections are opened until the server
+   refuses one or this process runs out of descriptors. Every
+   connection must get [STORED] or the hard cap's refusal — none may
+   hang — and once they are all closed a fresh connection is served, so
+   no worker died. With a soft fd limit above ~2100 the server's fds
+   reach 1024 and the refusal path runs; below it, the loop ends at
+   EMFILE. A spare descriptor is held while each client socket is made
+   and released just before [connect], so the server's [accept] always
+   finds one free. *)
+let test_fd_ceiling plane () =
+  with_plane plane (fun ~server addr _store ->
+      let path =
+        match addr with Server.Unix_socket p -> p | _ -> assert false
+      in
+      let out_of_fds = function
+        | Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> true
+        | _ -> false
+      in
+      let open_one () =
+        match Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 with
+        | exception e when out_of_fds e -> None
+        | spare -> (
+            match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
+            | exception e when out_of_fds e ->
+                Unix.close spare;
+                None
+            | fd ->
+                Unix.close spare;
+                Unix.connect fd (Unix.ADDR_UNIX path);
+                Some fd)
+      in
+      let buf = Bytes.create 64 in
+      let reply fd key =
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+        (* A refused socket may be closed before the request lands; its
+           refusal is still there to read. *)
+        (try send_all fd (Printf.sprintf "set %s 0 0 1\r\nx\r\n" key)
+         with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+        let rec line acc =
+          match Unix.read fd buf 0 (Bytes.length buf) with
+          | 0 -> acc
+          | n ->
+              let acc = acc ^ Bytes.sub_string buf 0 n in
+              if String.ends_with ~suffix:"\r\n" acc then acc else line acc
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+            ->
+              Alcotest.failf "connection for %s got no reply" key
+          | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> acc
+        in
+        line ""
+      in
+      let refusal = "SERVER_ERROR too many connections\r\n" in
+      let rec fill served =
+        if List.length served > 2 * Server.default_config.max_connections
+        then Alcotest.fail "neither refused nor out of descriptors";
+        match open_one () with
+        | None -> (served, false)
+        | Some fd -> (
+            match reply fd (Printf.sprintf "fd%d" (List.length served)) with
+            | "STORED\r\n" -> fill (fd :: served)
+            | r ->
+                Unix.close fd;
+                Alcotest.(check string) "refused with the hard cap" refusal r;
+                (served, true))
+      in
+      let served, refused = fill [] in
+      if refused then
+        Alcotest.(check bool) "refusal counted" true
+          (Server.rejected_connections server >= 1);
+      Alcotest.(check bool) "served before the limit" true (served <> []);
+      List.iter Unix.close served;
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      while
+        Server.active_connections server > 0
+        && Unix.gettimeofday () < deadline
+      do
+        Unix.sleepf 0.01
+      done;
+      let c = Client.connect addr in
+      Alcotest.(check bool) "fresh connection served" true
+        (Client.set c ~key:"fresh" ~data:"v" ());
+      Client.close c)
 
 let socket_cases plane =
   let tc name f = Alcotest.test_case name `Quick (f plane) in
@@ -559,13 +652,14 @@ let () =
           Alcotest.test_case "gets/cas flow" `Quick test_dispatch_gets_cas_flow;
           Alcotest.test_case "admin" `Quick test_dispatch_admin;
         ] );
-      ("socket integration (threaded)", socket_cases threaded_plane);
       ("socket integration (event loop)", socket_cases ev_plane);
-      ("hardening (threaded)", hardening_cases threaded_plane);
+      ("socket integration (lock)", socket_cases lock_plane);
       ("hardening (event loop)", hardening_cases ev_plane);
+      ("hardening (lock)", hardening_cases lock_plane);
       ( "event-loop sharding",
         [
           Alcotest.test_case "multi-worker response routing" `Quick
             test_multiworker_routing;
+          Alcotest.test_case "fd ceiling" `Quick (test_fd_ceiling ev_plane);
         ] );
     ]

@@ -1,6 +1,6 @@
-(* Synchronization substrate: rwlock (both variants), brlock, seqlock,
-   spinlock, backoff, barrier — including concurrent mutual-exclusion and
-   consistency checks. *)
+(* Synchronization substrate: rwlock (both variants), seqlock, backoff,
+   barrier — including concurrent mutual-exclusion and consistency
+   checks. *)
 
 let test_backoff_growth () =
   let b = Rp_sync.Backoff.create ~min_wait:2 ~max_wait:16 () in
@@ -21,37 +21,6 @@ let test_backoff_validation () =
   Alcotest.check_raises "max < min"
     (Invalid_argument "Backoff.create: max_wait < min_wait") (fun () ->
       ignore (Rp_sync.Backoff.create ~min_wait:8 ~max_wait:4 ()))
-
-let test_spinlock_basic () =
-  let l = Rp_sync.Spinlock.create () in
-  Alcotest.(check bool) "initially free" false (Rp_sync.Spinlock.is_locked l);
-  Rp_sync.Spinlock.acquire l;
-  Alcotest.(check bool) "held" true (Rp_sync.Spinlock.is_locked l);
-  Alcotest.(check bool) "try fails when held" false (Rp_sync.Spinlock.try_acquire l);
-  Rp_sync.Spinlock.release l;
-  Alcotest.(check bool) "try succeeds when free" true (Rp_sync.Spinlock.try_acquire l);
-  Rp_sync.Spinlock.release l
-
-let test_spinlock_releases_on_exception () =
-  let l = Rp_sync.Spinlock.create () in
-  (try Rp_sync.Spinlock.with_lock l (fun () -> failwith "x") with Failure _ -> ());
-  Alcotest.(check bool) "released" false (Rp_sync.Spinlock.is_locked l)
-
-(* Mutual exclusion: concurrent increments of an unprotected counter under
-   the lock must not lose updates. *)
-let test_spinlock_mutual_exclusion () =
-  let l = Rp_sync.Spinlock.create () in
-  let counter = ref 0 in
-  let per_domain = 20_000 in
-  let domains =
-    List.init 3 (fun _ ->
-        Domain.spawn (fun () ->
-            for _ = 1 to per_domain do
-              Rp_sync.Spinlock.with_lock l (fun () -> incr counter)
-            done))
-  in
-  List.iter Domain.join domains;
-  Alcotest.(check int) "no lost updates" (3 * per_domain) !counter
 
 let rwlock_variants = [ ("spin", Rp_sync.Rwlock.create); ("blocking", Rp_sync.Rwlock.create_blocking) ]
 
@@ -92,36 +61,6 @@ let test_rwlock_writer_exclusion make () =
   Atomic.set stop true;
   List.iter Domain.join readers;
   Alcotest.(check int) "no torn read observed" 0 (Atomic.get inconsistent)
-
-let test_brlock_basic () =
-  let l = Rp_sync.Brlock.create ~slots:4 () in
-  Alcotest.(check int) "slots" 4 (Rp_sync.Brlock.slots l);
-  let slot = Rp_sync.Brlock.read_lock l in
-  Rp_sync.Brlock.read_unlock l slot;
-  Rp_sync.Brlock.write_lock l;
-  Rp_sync.Brlock.write_unlock l;
-  Rp_sync.Brlock.with_read l (fun () -> ());
-  Rp_sync.Brlock.with_write l (fun () -> ())
-
-let test_brlock_writer_waits_for_readers () =
-  let l = Rp_sync.Brlock.create ~slots:2 () in
-  let value = ref (0, 0) in
-  let inconsistent = Atomic.make 0 in
-  let stop = Atomic.make false in
-  let reader =
-    Domain.spawn (fun () ->
-        while not (Atomic.get stop) do
-          Rp_sync.Brlock.with_read l (fun () ->
-              let a, b = !value in
-              if b <> -a then Atomic.incr inconsistent)
-        done)
-  in
-  for i = 1 to 10_000 do
-    Rp_sync.Brlock.with_write l (fun () -> value := (i, -i))
-  done;
-  Atomic.set stop true;
-  Domain.join reader;
-  Alcotest.(check int) "no torn read under brlock" 0 (Atomic.get inconsistent)
 
 let test_seqlock_basic () =
   let s = Rp_sync.Seqlock.create () in
@@ -184,32 +123,6 @@ let test_barrier_validation () =
     (Invalid_argument "Barrier_sync.create: parties < 1") (fun () ->
       ignore (Rp_sync.Barrier_sync.create 0))
 
-(* Sequential model check: try_acquire succeeds iff the model says the lock
-   is free, and the final observable state matches the model. *)
-let prop_spinlock_try_acquire_consistent =
-  QCheck.Test.make ~name:"spinlock matches a bool model" ~count:100
-    QCheck.(list_of_size Gen.(int_bound 30) bool)
-    (fun ops ->
-      let l = Rp_sync.Spinlock.create () in
-      let held = ref false in
-      List.for_all
-        (fun acquire ->
-          if acquire then begin
-            let got = Rp_sync.Spinlock.try_acquire l in
-            let expected = not !held in
-            if got then held := true;
-            got = expected
-          end
-          else begin
-            if !held then begin
-              Rp_sync.Spinlock.release l;
-              held := false
-            end;
-            true
-          end)
-        ops
-      && Rp_sync.Spinlock.is_locked l = !held)
-
 let () =
   let rwlock_tests =
     List.concat_map
@@ -228,21 +141,7 @@ let () =
           Alcotest.test_case "growth and reset" `Quick test_backoff_growth;
           Alcotest.test_case "validation" `Quick test_backoff_validation;
         ] );
-      ( "spinlock",
-        [
-          Alcotest.test_case "basic" `Quick test_spinlock_basic;
-          Alcotest.test_case "releases on exception" `Quick
-            test_spinlock_releases_on_exception;
-          Alcotest.test_case "mutual exclusion" `Quick test_spinlock_mutual_exclusion;
-          QCheck_alcotest.to_alcotest prop_spinlock_try_acquire_consistent;
-        ] );
       ("rwlock", rwlock_tests);
-      ( "brlock",
-        [
-          Alcotest.test_case "basic" `Quick test_brlock_basic;
-          Alcotest.test_case "writer waits for readers" `Quick
-            test_brlock_writer_waits_for_readers;
-        ] );
       ( "seqlock",
         [
           Alcotest.test_case "basic" `Quick test_seqlock_basic;

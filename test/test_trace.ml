@@ -295,6 +295,54 @@ let test_perfetto_schema () =
             0 d)
         depth)
 
+(* --- control instants: failpoint fires and connection drops ---------- *)
+
+(* Failpoint fires and event-loop connection drops are control-tier
+   instants: each must land in the snapshot without any sampling. *)
+let test_control_instants () =
+  with_recorder (fun () ->
+      let site = "test.trace.instant" in
+      Rp_fault.arm site ~trigger:Rp_fault.Always ~action:(Rp_fault.Delay 0.0);
+      Fun.protect
+        ~finally:(fun () -> Rp_fault.disarm site)
+        (fun () -> Rp_fault.point site);
+      let events, _ = Rp_trace.snapshot () in
+      Alcotest.(check bool) "failpoint fire recorded" true
+        (has_name events ("fault." ^ site));
+      let store =
+        Memcached.Store.create ~backend:Memcached.Store.Rp
+          ~rcu_mode:Memcached.Store.Qsbr ~initial_size:8 ()
+      in
+      let path =
+        Filename.concat (Filename.get_temp_dir_name ())
+          (Printf.sprintf "rp-trace-drop-%d.sock" (Unix.getpid ()))
+      in
+      let config =
+        { Memcached.Server.default_config with Memcached.Server.workers = 1 }
+      in
+      let server =
+        Memcached.Server.start ~store ~config (Memcached.Server.Unix_socket path)
+      in
+      Fun.protect
+        ~finally:(fun () -> Memcached.Server.stop server)
+        (fun () ->
+          let client =
+            Memcached.Client.connect (Memcached.Server.Unix_socket path)
+          in
+          Alcotest.(check bool) "set" true
+            (Memcached.Client.set client ~key:"k" ~data:"v" ());
+          Memcached.Client.close client;
+          let deadline = Unix.gettimeofday () +. 5.0 in
+          while
+            Memcached.Server.active_connections server > 0
+            && Unix.gettimeofday () < deadline
+          do
+            Unix.sleepf 0.01
+          done;
+          let events, _ = Rp_trace.snapshot () in
+          Alcotest.(check bool) "connection drop recorded" true
+            (has_name events "server.conn.drop")))
+
 (* --- end-to-end: pipelined GETs through the event loop ----------------- *)
 
 (* The acceptance path: a fully-sampled pipelined batch through the
@@ -319,8 +367,7 @@ let test_evloop_end_to_end () =
       let config =
         {
           Memcached.Server.default_config with
-          Memcached.Server.mode = Memcached.Server.Event_loop;
-          workers = 1;
+          Memcached.Server.workers = 1;
         }
       in
       let server =
@@ -517,6 +564,7 @@ let () =
       ( "integration",
         [
           Alcotest.test_case "tail-trigger retention" `Quick test_tail_trigger;
+          Alcotest.test_case "control instants" `Quick test_control_instants;
           Alcotest.test_case "evloop end-to-end spans" `Quick
             test_evloop_end_to_end;
           Alcotest.test_case "fully-sampled overhead" `Slow
