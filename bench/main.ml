@@ -803,7 +803,7 @@ let run_cluster_bench () =
     Printf.printf "cluster bench: live stream never drained\n";
     exit 1
   end;
-  let stats = Memcached.Store.cluster_stats follower in
+  let stats = Option.get (Memcached.Store.stats_section follower "cluster") in
   let stat name =
     match List.assoc_opt name stats with Some v -> v | None -> "0"
   in
@@ -1180,7 +1180,8 @@ let run_heat_bench () =
     nn > 0 && go 0
   in
   let in_stats =
-    List.assoc_opt "heat_top_hits_0_key" (Memcached.Store.heat_stats store_on)
+    List.assoc_opt "heat_top_hits_0_key"
+      (Option.get (Memcached.Store.stats_section store_on "heat"))
     = Some topkey
   in
   let in_prom =

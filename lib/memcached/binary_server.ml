@@ -177,22 +177,7 @@ let handle store (request : request) : response list =
   | Stat -> (
       (* The key selects the section, as [stats <arg>] does in text:
          one response per stat, then an empty-key terminator. *)
-      let section =
-        match request.key with
-        | "" -> Some (Store.stats store)
-        | "rp" -> Some (Store.rp_stats store)
-        | "persist" -> Some (Store.persist_stats store)
-        | "trace" -> Some (Store.trace_stats store)
-        | "guard" -> Some (Store.guard_stats store)
-        | "tier" -> Some (Store.tier_stats store)
-        | "cluster" -> Some (Store.cluster_stats store)
-        | "heat" -> Some (Store.heat_stats store)
-        | "reset" ->
-            Store.reset_stats store;
-            Some []
-        | _ -> None
-      in
-      match section with
+      match Store.stats_section store request.key with
       | None -> [ reply request ~status:Invalid_arguments ]
       | Some stats ->
           List.map (fun (k, v) -> reply request ~key:k ~value:v) stats

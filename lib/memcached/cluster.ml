@@ -75,7 +75,7 @@ let lead ~store ~persist addr =
     (Some
        (fun ~gen ~trace r ->
          Rp_cluster.Repl_leader.publish listener ~gen ~trace (P.Record.encode r)));
-  Store.set_cluster_info store (Some (leader_info t ls));
+  Store.set_section store "cluster" (Some (leader_info t ls));
   let reg = Store.registry store in
   Rp_obs.Registry.gauge reg ~help:"cluster role (1 leader, 2 replica, 3 promoted)"
     "cluster_role" (fun () ->
@@ -164,7 +164,7 @@ let follow ~store ?persist ~leader () =
     }
   in
   let t = { store; role = Replica; state = F fs; stopped = false } in
-  Store.set_cluster_info store (Some (follower_info t fs));
+  Store.set_section store "cluster" (Some (follower_info t fs));
   Store.set_promote_hook store (Some (fun () -> promote t));
   let reg = Store.registry store in
   Rp_obs.Registry.gauge reg ~help:"cluster role (1 leader, 2 replica, 3 promoted)"

@@ -17,7 +17,7 @@
       path.
 
     Both roles publish their live state through [stats cluster]
-    ({!Store.cluster_stats}) and register [cluster_*] instruments in the
+    ({!Store.set_section}) and register [cluster_*] instruments in the
     store's registry. The leader trace id rides the stream: a sampled
     leader request and the follower's apply span share a trace id in the
     Perfetto export. *)

@@ -110,26 +110,11 @@ let handle store (request : Protocol.request) : Protocol.response option =
         else Protocol.Not_found
       in
       if noreply then None else Some r
-  | Protocol.Stats None -> Some (Protocol.Stats_reply (Store.stats store))
-  | Protocol.Stats (Some "rp") ->
-      Some (Protocol.Stats_reply (Store.rp_stats store))
-  | Protocol.Stats (Some "persist") ->
-      Some (Protocol.Stats_reply (Store.persist_stats store))
-  | Protocol.Stats (Some "trace") ->
-      Some (Protocol.Stats_reply (Store.trace_stats store))
-  | Protocol.Stats (Some "guard") ->
-      Some (Protocol.Stats_reply (Store.guard_stats store))
-  | Protocol.Stats (Some "tier") ->
-      Some (Protocol.Stats_reply (Store.tier_stats store))
-  | Protocol.Stats (Some "cluster") ->
-      Some (Protocol.Stats_reply (Store.cluster_stats store))
-  | Protocol.Stats (Some "heat") ->
-      Some (Protocol.Stats_reply (Store.heat_stats store))
-  | Protocol.Stats (Some "reset") ->
-      Store.reset_stats store;
-      Some (Protocol.Stats_reply [])
-  | Protocol.Stats (Some arg) ->
-      Some (Protocol.Client_error ("unknown stats argument: " ^ arg))
+  | Protocol.Stats arg -> (
+      let name = Option.value arg ~default:"" in
+      match Store.stats_section store name with
+      | Some lines -> Some (Protocol.Stats_reply lines)
+      | None -> Some (Protocol.Client_error ("unknown stats argument: " ^ name)))
   | Protocol.Trace_dump max_events ->
       Some (Protocol.Trace_json (Rp_trace.export_json ?max_events ()))
   | Protocol.Heat_dump n -> Some (Protocol.Trace_json (Store.heat_json ?n store))

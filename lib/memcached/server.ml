@@ -59,6 +59,7 @@ type t = {
   running : bool Atomic.t;
   accepted : int Atomic.t;
   rejected : int Atomic.t;
+  fd_exhausted : int Atomic.t;
   evloop : Evloop.t;
 }
 
@@ -104,6 +105,12 @@ let lowest_fd fd =
         low
     | exception Unix.Unix_error _ -> fd
 
+(* While the process (or the system) is out of descriptors, accept(2)
+   fails at once — it takes the new descriptor before it waits for a
+   connection. Pause instead of spinning until one frees, as stock
+   memcached stops accepting for a while. *)
+let fd_exhausted_pause = 0.01
+
 let accept_loop t store =
   let next_id = ref 0 in
   while Atomic.get t.running do
@@ -126,6 +133,9 @@ let accept_loop t store =
               Rp_trace.instant ~arg:id k_accept;
               Evloop.submit t.evloop ~id fd
         end
+    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+        Atomic.incr t.fd_exhausted;
+        Thread.delay fd_exhausted_pause
     | exception Unix.Unix_error _ -> ()
   done
 
@@ -173,6 +183,7 @@ let start ~store ?(config = default_config) addr =
       running = Atomic.make true;
       accepted = Atomic.make 0;
       rejected = Atomic.make 0;
+      fd_exhausted = Atomic.make 0;
       evloop;
     }
   in
@@ -183,6 +194,11 @@ let start ~store ?(config = default_config) addr =
     "server_connections_accepted_total" (fn t.accepted);
   Rp_obs.Registry.fn_counter reg ~help:"connections rejected at the cap"
     "server_connections_rejected_total" (fn t.rejected);
+  Rp_obs.Registry.fn_counter reg
+    ~help:
+      "accepts failed for want of a descriptor (EMFILE/ENFILE), each \
+       followed by a pause"
+    "server_accept_fd_exhausted_total" (fn t.fd_exhausted);
   Rp_obs.Registry.gauge reg ~help:"live connections" "server_connections_active"
     (fun () -> float_of_int (live t));
   t

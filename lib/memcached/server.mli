@@ -60,7 +60,10 @@ val default_config : config
     A socket whose descriptor the workers' poll set cannot hold
     ({!Evloop.pollable}: 1024 and up) is refused like one past
     [max_connections], with [SERVER_ERROR too many connections], and
-    counted in {!rejected_connections}.
+    counted in {!rejected_connections}. While the process is out of
+    descriptors ([EMFILE]/[ENFILE]), the accept loop pauses 10 ms after
+    each failed [accept(2)] instead of retrying at once, and counts the
+    failure in [server_accept_fd_exhausted_total].
 
     When a {!Store.guard} is attached and in [Emergency], new connections
     are refused with [SERVER_ERROR overloaded] regardless of the caps —

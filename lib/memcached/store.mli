@@ -1,24 +1,29 @@
 (** The cache store: memcached semantics over a pluggable table backend.
 
-    Two backends implement the same command set:
+    Every command is written once here, over the small backend signature
+    of [Store_core] (per-key writer serialization, all-keys
+    serialization, live lookup / store / remove under the key's lock, the
+    budget step after the lock is released, multiget, walk, sizes). Two
+    backends fill it in:
 
-    - {!Lock}: stock memcached's discipline — one global lock around every
-      operation, GETs included (lookup + exact-LRU bump + expiry check all
-      inside the lock);
-    - {!Rp}: the paper's port — GET is a wait-free relativistic lookup that
-      copies the value inside the read-side critical section and bumps a
-      plain-int access stamp instead of LRU list pointers; expiry falls
-      back to a locked slow path; updates serialize {e per key} on a
-      striped lock (stripe = key hash, aligned with the backing table's own
-      writer stripes) so independent SETs/DELETEs/CAS proceed concurrently
-      from different workers, and use safe relativistic memory reclamation
-      (the table's deferred reclamation). CLOCK-style second-chance
-      eviction replaces the exact LRU; sweeps are single-flighted and lock
-      only each victim's stripe, never the whole store. *)
+    - {!Lock} ([Store_lock]): stock memcached's discipline — one global
+      lock around every operation, GETs included (lookup + exact-LRU bump
+      + expiry check all inside the lock); eviction is exact LRU;
+    - {!Rp} ([Store_rp]): the paper's port — GET is a wait-free
+      relativistic lookup that copies the value inside the read-side
+      critical section and bumps a plain-int access stamp instead of LRU
+      list pointers; expiry falls back to a locked slow path; updates
+      serialize {e per key} on a striped lock (stripe = key hash, aligned
+      with the backing table's own writer stripes) so independent
+      SETs/DELETEs/CAS proceed concurrently from different workers, and
+      use safe relativistic memory reclamation (the table's deferred
+      reclamation). CLOCK-style second-chance eviction replaces the exact
+      LRU; sweeps are single-flighted and lock only each victim's stripe,
+      never the whole store. Only this backend carries the cold tier. *)
 
-type backend = Lock | Rp
+type backend = Store_core.kind = Lock | Rp
 
-type rcu_mode =
+type rcu_mode = Store_core.rcu_mode =
   | Memb  (** safe default: readers pay two stores per section, any thread
               may touch the store at any time *)
   | Qsbr
@@ -180,10 +185,6 @@ val set_read_only : t -> bool -> unit
 
 val read_only : t -> bool
 
-val set_cluster_info : t -> (unit -> (string * string) list) option -> unit
-(** Provider for the [stats cluster] section (role, watermarks,
-    follower list). *)
-
 val set_promote_hook : t -> (unit -> (string, string) result) option -> unit
 (** Action behind the [cluster promote] admin command. *)
 
@@ -201,9 +202,9 @@ val promote : t -> (string, string) result
     single-flighted per key on a dedicated promote-stripe array). Keys,
     flags, expiry and CAS never leave the RP table. *)
 
-type tier_read_error = Tier_gone | Tier_torn
+type tier_read_error = Store_core.tier_read_error = Tier_gone | Tier_torn
 
-type tier_hooks = {
+type tier_hooks = Store_core.tier_hooks = {
   th_demote : string -> string -> (int * int * int) option;
       (** [th_demote key data] appends to the tier; [(segment, offset,
           len)] on success, [None] when full/failing (the store then
@@ -212,9 +213,9 @@ type tier_hooks = {
   th_read : int * int * int -> (string * string, tier_read_error) result;
       (** Positioned read of [(key, data)]; runs with no store lock held. *)
   th_mark_dead : int * int * int -> unit;
-      (** Location dereferenced (delete/overwrite/promote/flush); feeds
-          the tier's per-segment live accounting. Runs under the key's
-          update stripe. *)
+      (** Location dereferenced (delete, overwrite, promote, relocate,
+          flush); feeds the tier's per-segment live accounting. Runs
+          under the key's update stripe. *)
   th_admit : unit -> bool;
       (** Demotion gate (false = shed demotions; cold reads are never
           shed). *)
@@ -222,12 +223,10 @@ type tier_hooks = {
 
 val set_tier : t -> tier_hooks option -> unit
 
-val set_tier_info : t -> (unit -> (string * string) list) option -> unit
-(** Provider for the live part of the [stats tier] section. *)
-
 val tier_location : t -> string -> (int * int * int) option
-(** The key's cold-marker location, if it is live and demoted (wait-free;
-    the tier's recovery and compactor use it as the liveness oracle). *)
+(** The key's cold-marker location, if it is live and demoted, read under
+    the key's update stripe (the tier's recovery and compactor use it as
+    the liveness oracle). *)
 
 val tier_relocate :
   t ->
@@ -237,9 +236,9 @@ val tier_relocate :
   bool
 (** Compaction step: under the key's update stripe, verify the marker
     still points at [from_], run [relocate] (copy the frame to the head
-    segment), and publish a marker for the returned location. [false] =
-    the record was already dead or the copy failed; nothing changed. The
-    caller marks the old frame dead on [true]. *)
+    segment), and publish a marker for the returned location; the old
+    frame is marked dead through [th_mark_dead]. [false] = the record was
+    already dead or the copy failed; nothing changed. *)
 
 val tier_demotions : t -> int
 val tier_promotions : t -> int
@@ -276,46 +275,27 @@ val registry : t -> Rp_obs.Registry.t
     files). *)
 
 val stats : t -> (string * string) list
-(** memcached [stats] lines: [backend] plus every store-level instrument
-    (the [rp_ht_*]/[rcu_*] internals are left to {!rp_stats}). *)
+(** The default [stats] section: [backend] plus every store-level
+    instrument (each plane's own instruments are left to its section;
+    [tier_demotions_total] stays here, next to [evictions]). *)
 
-val rp_stats : t -> (string * string) list
-(** [stats rp] lines: the relativistic-stack instruments only ([rp_ht_*]
-    lookup/insert/resize counters and histogram, [rcu_*] grace-period
-    counters and latency histogram). Empty for the {!Lock} backend. *)
+val stats_section : t -> string -> (string * string) list option
+(** [stats <name>] lines, for the text and binary protocols alike: [""]
+    is {!stats}; [rp] the [rp_ht_*]/[rcu_*] instruments (empty on
+    {!Lock}); [persist] the [persist_*] ones; [trace] the flight
+    recorder's live state ({!Rp_trace.stats_kv}); [guard], [heat],
+    [tier] and [cluster] a plane's section, a lone [<plane>_enabled 0]
+    while it is off; [reset] runs {!reset_stats} and answers nothing.
+    [None] for an unknown name. *)
 
-val persist_stats : t -> (string * string) list
-(** [stats persist] lines: every [persist_*] instrument the {!Persist}
-    manager registered. Empty when persistence is not attached. *)
-
-val trace_stats : t -> (string * string) list
-(** [stats trace] lines: the flight recorder's live state — sample rate,
-    spans recorded/dropped, sampled-request percentage, retained slow
-    requests ({!Rp_trace.stats_kv}; process-wide). *)
-
-val guard_stats : t -> (string * string) list
-(** [stats guard] lines: the overload guard's live ladder state plus
-    every [guard_*] instrument. A single disabled marker when no guard
-    is attached. *)
-
-val tier_stats : t -> (string * string) list
-(** [stats tier] lines: the tier glue's live view (mode, dir) plus every
-    [tier_*] instrument. A single disabled marker when no tier is
-    attached. *)
-
-val cluster_stats : t -> (string * string) list
-(** [stats cluster] lines: the cluster glue's live view (role, sent and
-    acked watermarks, follower list / leader link). A single disabled
-    marker when the cluster plane is off. *)
+val set_section : t -> string -> (unit -> (string * string) list) option -> unit
+(** Plug ([Some live]) or unplug ([None]) a plane's section: [stats
+    <name>] then answers [<name>_enabled 1] followed by [live ()], or
+    [<name>_enabled 0]. The {!Tier} and {!Cluster} glue register theirs. *)
 
 val heat : t -> Rp_heat.t option
 (** The workload-insight plane, when the store was created with
     [heat_topk > 0]. *)
-
-val heat_stats : t -> (string * string) list
-(** [stats heat] lines: per-rank heavy-hitter detail plus every [heat_*]
-    instrument (top-k labeled gauges, size histograms, stripe heatmap).
-    A single disabled marker when the plane is off. *)
 
 val heat_json : ?n:int -> t -> string
 (** The [/heat] JSON document (top [n] entries per sketch, default all

@@ -1,0 +1,227 @@
+(* What the two {!Store} backends share — the slab accounting, the
+   command counters, the heat plane, the cold-tier hooks — and the
+   backend signature each of them fills in ({!Store_lock}, {!Store_rp}).
+   Internal to the store family: everything else goes through {!Store},
+   which writes each memcached command once over this signature. *)
+
+type kind = Lock | Rp
+type rcu_mode = Memb | Qsbr
+
+(* Cold-tier hooks, installed by [Tier.attach] (documented in
+   store.mli). The store never touches segment files itself; locations
+   are bare ints ([Item.Cold] fields) so the store family stays
+   independent of the tier's own types. *)
+
+type tier_read_error = Tier_gone | Tier_torn
+
+type tier_hooks = {
+  th_demote : string -> string -> (int * int * int) option;
+  th_read : int * int * int -> (string * string, tier_read_error) result;
+  th_mark_dead : int * int * int -> unit;
+  th_admit : unit -> bool;
+}
+
+type t = {
+  max_bytes : int;
+  slab : Slab.t;  (* chunk-level accounting; eviction compares chunk bytes *)
+  clock : unit -> float;
+  (* Workload-insight plane (Some iff created with [heat_topk > 0]).
+     Every hot-path emission sits behind one branch on this option, so
+     an unconfigured plane costs nothing but that branch. *)
+  heat : Rp_heat.t option;
+  (* Cold-tier hooks, installed by [Tier.attach]. *)
+  mutable tier : tier_hooks option;
+  (* striped counters, registered in [registry] under their stats names.
+     GET-path counters ride the wait-free lookup, so they must never be a
+     shared atomic RMW. *)
+  registry : Rp_obs.Registry.t;
+  get_hits : Rp_obs.Counter.t;
+  get_misses : Rp_obs.Counter.t;
+  cmd_get : Rp_obs.Counter.t;
+  cmd_set : Rp_obs.Counter.t;
+  deletes : Rp_obs.Counter.t;
+  evicted : Rp_obs.Counter.t;
+  expired : Rp_obs.Counter.t;
+  clock_chances : Rp_obs.Counter.t;
+  evict_sweep_us : Rp_obs.Histogram.t;  (* CLOCK sweep wall time, us *)
+  (* Tier traffic counters. [tier_demotions] is deliberately separate
+     from [evicted]: operators must be able to tell "moved to disk" from
+     "lost" — an eviction wave that demotes costs latency, one that
+     drops costs data. *)
+  tier_demotions : Rp_obs.Counter.t;
+  tier_promotions : Rp_obs.Counter.t;
+  tier_read_errors : Rp_obs.Counter.t;
+  (* A CRC-valid frame holding the WRONG key is not media corruption —
+     it means marker/segment bookkeeping is off. Counted apart from torn
+     frames so a tier accounting bug is distinguishable in stats. *)
+  tier_read_mismatches : Rp_obs.Counter.t;
+  tier_read_us : Rp_obs.Histogram.t;  (* cold read wall time, us *)
+  tier_demote_us : Rp_obs.Histogram.t;  (* demote append wall time, us *)
+}
+
+(* The backend signature: only what differs between the global-lock
+   table and the RP table. Each command computes its key's [hash] once
+   and passes it to every call below. Lock order, RP side: store stripe
+   > table stripe > [clock_mu]; never acquire upward. *)
+type backend = {
+  kind : kind;
+  rcu_mode : rcu_mode;
+  stripes : int;  (* writer serialization units (the global lock is one) *)
+  hash : string -> int;  (* the key's stripe hash; the lock table needs none *)
+  with_key : 'a. hash:int -> (unit -> 'a) -> 'a;
+      (* Serialize a writer of the key: its RP store stripe, taken with
+         QSBR's quiescing spin, or the global lock. *)
+  with_all : 'a. (unit -> 'a) -> 'a;  (* every writer stopped: flush_all *)
+  live : hash:int -> now:Item.time -> string -> Item.t option;
+      (* The unexpired item, under the key's lock. *)
+  store : hash:int -> string -> Item.t -> unit;
+      (* Publish under the key's lock: slab charge, recency bookkeeping,
+         a displaced cold frame marked dead. Never evicts. *)
+  remove : hash:int -> string -> bool;  (* under the key's lock *)
+  keys : unit -> string list;  (* under [with_all] *)
+  budget : unit -> unit;
+      (* The budget step once the key's lock is released: the CLOCK
+         sweep, or exact-LRU eviction. *)
+  evict_to_budget : unit -> unit;  (* like [budget], but waits it out *)
+  get : now:Item.time -> string -> Protocol.value option;
+  get_many : with_cas:bool -> now:Item.time -> string list -> Protocol.value list;
+  iter : (string -> Item.t -> unit) -> int;
+  length : unit -> int;
+  buckets : unit -> int;
+  reader_offline : unit -> unit;
+  observe : unit -> unit;  (* register the backend's own instruments *)
+  stripe_heat : unit -> (int * int) array;
+}
+
+let hash_key = Rp_hashes.Hashfn.fnv1a_string
+
+let create ~max_bytes ~clock ~heat_topk ~heat_sample =
+  let registry = Rp_obs.Registry.create () in
+  let counter name help = Rp_obs.Registry.counter registry ~help name in
+  let histogram name help = Rp_obs.Registry.histogram registry ~help name in
+  {
+    max_bytes;
+    slab = Slab.create ();
+    clock;
+    heat =
+      (if heat_topk > 0 then
+         Some (Rp_heat.create ~k:heat_topk ~sample_every:heat_sample ())
+       else None);
+    tier = None;
+    registry;
+    get_hits = counter "get_hits" "GETs that found a live item";
+    get_misses = counter "get_misses" "GETs that missed or hit an expired item";
+    cmd_get = counter "cmd_get" "GET commands (one per key)";
+    cmd_set = counter "cmd_set" "storage commands";
+    deletes = counter "deletes" "DELETE commands";
+    evicted = counter "evictions" "items evicted to fit the byte budget";
+    expired = counter "expired" "items dropped on expiry";
+    clock_chances =
+      counter "clock_second_chances"
+        "CLOCK eviction second chances granted to recently-touched items";
+    evict_sweep_us =
+      histogram "eviction_sweep_us"
+        "wall time of CLOCK eviction sweeps, microseconds (second chances \
+         included)";
+    tier_demotions =
+      counter "tier_demotions_total"
+        "evictions demoted to the cold tier instead of dropped";
+    tier_promotions =
+      counter "tier_promotions_total" "cold items promoted back to RAM on access";
+    tier_read_errors =
+      counter "tier_read_errors_total"
+        "cold reads that failed for good (torn record or vanished segment)";
+    tier_read_mismatches =
+      counter "tier_read_mismatches_total"
+        "cold reads that returned a CRC-valid frame for a different key (tier \
+         location bookkeeping bug, not media corruption)";
+    tier_read_us =
+      histogram "tier_read_us" "cold-tier positioned read wall time, microseconds";
+    tier_demote_us =
+      histogram "tier_demote_us"
+        "cold-tier demotion (segment append) wall time, microseconds";
+  }
+
+let now c = Item.time_of_float (c.clock ())
+
+let value_of_item ~with_cas key (item : Item.t) : Protocol.value =
+  {
+    vkey = key;
+    vflags = item.flags;
+    vdata = item.data;
+    vcas = (if with_cas then Some item.cas else None);
+  }
+
+(* --- heat plane emission (each call is one branch when the plane is
+   off; the plane itself is plain stripe-discipline stores) --- *)
+
+(* A GET outcome: its striped counter, whose new per-stripe value also
+   drives the heat plane's sampler. *)
+let[@inline] count_hit c key data =
+  let n = Rp_obs.Counter.incr_get c.get_hits in
+  match c.heat with
+  | None -> ()
+  | Some h -> Rp_heat.note_hit h ~n key ~vbytes:(String.length data)
+
+let[@inline] count_miss c key =
+  let n = Rp_obs.Counter.incr_get c.get_misses in
+  match c.heat with None -> () | Some h -> Rp_heat.note_miss h ~n key
+
+(* Exemplar stamp beside a [Histogram.observe] of the same value. *)
+let[@inline] heat_slo c name value =
+  match c.heat with None -> () | Some h -> Rp_heat.note_slo h name value
+
+(* --- cold items --- *)
+
+(* Whenever a cold marker leaves the table (delete, overwrite, promote,
+   relocate, flush), its segment frame becomes garbage: tell the tier so
+   per-segment live accounting — and through it, compaction — stays
+   exact. *)
+let tier_mark_dead c (item : Item.t) =
+  match (item.location, c.tier) with
+  | Item.Cold { segment; offset; len }, Some h -> h.th_mark_dead (segment, offset, len)
+  | _, _ -> ()
+
+(* A frame read back for [key]: a CRC-valid frame for another key counts
+   as a mismatch and reads as torn. Torn reads are counted as errors;
+   [Tier_gone] is left to the caller, which may re-resolve and retry. *)
+let check_frame c key = function
+  | Ok (rkey, data) when String.equal rkey key -> Ok data
+  | Ok _ ->
+      Rp_obs.Counter.incr c.tier_read_mismatches;
+      Rp_obs.Counter.incr c.tier_read_errors;
+      Error Tier_torn
+  | Error Tier_torn ->
+      Rp_obs.Counter.incr c.tier_read_errors;
+      Error Tier_torn
+  | Error Tier_gone -> Error Tier_gone
+
+(* One timed positioned read of a cold item's frame. *)
+let read_cold c hooks key loc =
+  let started = Rp_trace.now_ns () in
+  let r = hooks.th_read loc in
+  let us = (Rp_trace.now_ns () - started) / 1000 in
+  Rp_obs.Histogram.observe c.tier_read_us us;
+  heat_slo c "tier_read_us" us;
+  check_frame c key r
+
+(* Resolve the live value of [item] while HOLDING the key's lock: the
+   read-modify-write commands — append/prepend, incr/decr, touch — need a
+   demoted key's real value, not the marker's "". Reading under the
+   stripe is safe: the tier's own mutex is a leaf below every store lock
+   (demotion already appends under this very stripe), and the frame
+   cannot move mid-read because compaction's relocate step needs this
+   same stripe — which also makes [Tier_gone] unreachable here, so any
+   failure is final: the value is gone, and the caller drops the marker
+   rather than operate on "". Hot items return their data directly. *)
+let resolve_cold_locked c key (item : Item.t) =
+  match (item.location, c.tier) with
+  | Item.Hot, _ -> Some item.data
+  | Item.Cold _, None -> None (* marker with no tier attached (shutdown window) *)
+  | Item.Cold { segment; offset; len }, Some hooks -> (
+      match read_cold c hooks key (segment, offset, len) with
+      | Ok data -> Some data
+      | Error Tier_torn -> None
+      | Error Tier_gone ->
+          Rp_obs.Counter.incr c.tier_read_errors;
+          None)

@@ -1,0 +1,670 @@
+(* The relativistic backend: the paper's port. GETs are wait-free
+   lookups; updates serialize per key on a striped lock (stripe = key
+   hash land mask, the same fnv1a hash the table stripes on, so one store
+   stripe maps into one table stripe and independent SETs/DELETEs/CAS
+   from different evloop workers proceed concurrently). The CLOCK queue
+   holds (key, last_access seen when enqueued) pairs for second-chance
+   eviction; it has its own leaf mutex [clock_mu] — always acquired
+   *inside* a stripe (or alone), never the other way around — and sweeps
+   are single-flighted through [sweeping] and run with no stripe held,
+   locking each victim's stripe as they go. With tier hooks installed,
+   sweeps demote victims to the cold tier and GETs promote them back. *)
+
+open Store_core
+
+type t = {
+  c : Store_core.t;
+  rp : (string, Item.t) Rp_ht.t;
+  (* Some on the QSBR flavour (zero-cost read sections). Readers must
+     then respect QSBR discipline: the event-loop workers go offline
+     around their poll wait, and the update stripes are acquired with a
+     quiescing spin. *)
+  qsbr : Rcu_qsbr.t option;
+  update_stripes : Mutex.t array;  (* power of two *)
+  update_mask : int;
+  clock_mu : Mutex.t;
+  clockq : (string * Item.time) Queue.t;
+  sweeping : bool Atomic.t;
+  (* Promotion single-flight: a flash crowd on one demoted key does one
+     disk read. Same mask as the update stripes, but a separate array —
+     a promoter holds its promote stripe ACROSS the disk read and only
+     then takes the key's update stripe, so promote stripe > update
+     stripe in the lock order and the two must not share mutexes. *)
+  promote_stripes : Mutex.t array;
+}
+
+(* Flight-recorder span names. The read-section and update spans are
+   detail-tier (recorded only inside a head-sampled request); the CLOCK
+   sweep is control-tier — rare and worth seeing unconditionally. *)
+let k_read_section = Rp_trace.intern "store.read_section"
+let k_update = Rp_trace.intern "store.update"
+let k_evict_sweep = Rp_trace.intern "store.evict_sweep"
+let k_tier_demote = Rp_trace.intern "tier.demote"
+let k_tier_promote = Rp_trace.intern "tier.promote"
+
+(* --- update locking --- *)
+
+(* Acquire one update stripe. Under QSBR a plain blocking lock could
+   deadlock: the holder may be inside wait-for-readers (a table resize
+   pass or a deferred-reclamation flush) while we sit here online and
+   non-quiescent, so it would wait on us forever. Spin with try_lock
+   instead, announcing a quiescent state each round (we hold no
+   RCU-protected references while asking for a writer stripe). *)
+let lock_update t (m : Mutex.t) =
+  match t.qsbr with
+  | None -> Mutex.lock m
+  | Some q ->
+      if not (Mutex.try_lock m) then begin
+        let th = Rcu_qsbr.thread_for_current_domain q in
+        let can_quiesce =
+          Rcu_qsbr.is_online th && not (Rcu_qsbr.in_critical_section th)
+        in
+        let rec spin () =
+          if not (Mutex.try_lock m) then begin
+            if can_quiesce then Rcu_qsbr.quiescent_state th;
+            Domain.cpu_relax ();
+            spin ()
+          end
+        in
+        spin ()
+      end
+
+(* Serialize an update on the stripe its key hashes to. *)
+let with_stripe t ~hash f =
+  let m = t.update_stripes.(hash land t.update_mask) in
+  let span = Rp_trace.span_begin_sampled k_update in
+  lock_update t m;
+  match f () with
+  | v ->
+      Mutex.unlock m;
+      Rp_trace.span_end_sampled k_update span;
+      v
+  | exception e ->
+      Mutex.unlock m;
+      Rp_trace.span_end_sampled k_update span;
+      raise e
+
+(* Cross-stripe operations (flush_all and its replicated/recovered form)
+   stop every writer by taking all stripes in ascending index order. *)
+let with_all_stripes t f =
+  let n = Array.length t.update_stripes in
+  for i = 0 to n - 1 do
+    lock_update t t.update_stripes.(i)
+  done;
+  Fun.protect
+    ~finally:(fun () ->
+      for i = n - 1 downto 0 do
+        Mutex.unlock t.update_stripes.(i)
+      done)
+    f
+
+(* The CLOCK queue's leaf mutex: holders only touch the queue (no grace
+   periods, no stripes), so a blocking lock is safe even under QSBR. *)
+let with_clock t f =
+  Mutex.lock t.clock_mu;
+  let v = f t.clockq in
+  Mutex.unlock t.clock_mu;
+  v
+
+let clock_push t entry =
+  Mutex.lock t.clock_mu;
+  Queue.add entry t.clockq;
+  Mutex.unlock t.clock_mu
+
+(* --- primitives (the key's update stripe held by callers) --- *)
+
+let delete t ~hash key =
+  match Rp_ht.remove_hashed t.rp ~hash key with
+  | None -> false
+  | Some item ->
+      Slab.refund t.c.slab (Item.size_bytes ~key item);
+      tier_mark_dead t.c item;
+      true
+
+(* CLOCK-queue invariant: a key is enqueued iff its item is hot. Demotion
+   stores a marker over a hot item whose queue entry the sweep just popped
+   (no push — markers are evicted by tier budget, not the CLOCK); any
+   store over a cold marker brings the key back to RAM and re-enqueues.
+
+   One chain walk: the exchange publishes atomically (readers see the old
+   or new item, never a torn one) and hands back the item it displaced.
+   An overwrite of the same size occupies the same chunk of the same slab
+   class, so its refund and charge would cancel exactly — both are
+   skipped. *)
+let store t ~hash key (item : Item.t) =
+  let size = Item.size_bytes ~key item in
+  match Rp_ht.exchange_hashed t.rp ~hash key item with
+  | Some old ->
+      let old_size = Item.size_bytes ~key old in
+      if old_size <> size then begin
+        Slab.refund t.c.slab old_size;
+        ignore (Slab.charge t.c.slab size)
+      end;
+      if Item.is_cold old then begin
+        tier_mark_dead t.c old;
+        if not (Item.is_cold item) then clock_push t (key, item.last_access)
+      end
+  | None ->
+      ignore (Slab.charge t.c.slab size);
+      if not (Item.is_cold item) then clock_push t (key, item.last_access)
+
+(* Demote one eviction victim to the cold tier: append (key, value) to
+   the current segment and swap the item for a compact cold marker that
+   keeps flags/expiry/CAS in RAM. Runs under the victim's update stripe
+   (the caller's). Returns false — fall back to plain eviction — when no
+   tier is attached, the guard is shedding demotions, the item is
+   expired (nothing worth keeping), or the append failed/overflowed. *)
+let demote t ~hash key (item : Item.t) =
+  match t.c.tier with
+  | None -> false
+  | Some hooks ->
+      if (not (hooks.th_admit ())) || Item.is_expired item ~now:(now t.c) then
+        false
+      else begin
+        let started = Rp_trace.now_ns () in
+        let span = Rp_trace.span_begin_sampled k_tier_demote in
+        let demoted =
+          match hooks.th_demote key item.data with
+          | Some (segment, offset, len) ->
+              let marker =
+                Item.make ~cas:item.cas
+                  ~location:(Item.Cold { segment; offset; len })
+                  ~flags:item.flags ~exptime:item.exptime ~data:""
+                  ~now:item.last_access ()
+              in
+              store t ~hash key marker;
+              Rp_obs.Counter.incr t.c.tier_demotions;
+              (match t.c.heat with
+              | None -> ()
+              | Some h ->
+                  Rp_heat.note_tier_demote h ~vbytes:(String.length item.data));
+              true
+          | None -> false
+        in
+        Rp_trace.span_end_sampled k_tier_demote span;
+        let us = (Rp_trace.now_ns () - started) / 1000 in
+        Rp_obs.Histogram.observe t.c.tier_demote_us us;
+        heat_slo t.c "tier_demote_us" us;
+        demoted
+      end
+
+(* --- eviction --- *)
+
+let over_budget t = Slab.allocated_bytes t.c.slab > t.c.max_bytes
+
+(* CLOCK second-chance eviction: pop (key, last_access at enqueue); a key
+   touched since its enqueue gets requeued with the newer stamp — but only
+   while the sweep's second-chance budget lasts. The budget is the queue
+   length when the sweep starts, so every loop turn either frees memory,
+   drops a stale entry, or spends a chance: a sweep over a table of
+   all-hot keys (readers re-touching every item faster than we pop)
+   terminates after at most 2x the queue length instead of spinning
+   unboundedly. Once the budget is gone the sweep degrades to FIFO, which
+   still frees memory.
+
+   The sweeper holds NO stripe across the sweep — it locks each victim's
+   own stripe just long enough to re-check and unlink it, so a sweep
+   triggered by one writer never stalls writers on unrelated stripes.
+   Caller must hold the [sweeping] flag (single-flight). *)
+let sweep_locked t =
+  if over_budget t then begin
+    (* Time the whole sweep, second-chance requeues included: its tail is
+       the CLOCK degradation the all-hot torture worries about. *)
+    let sweep_start = Rp_trace.now_ns () in
+    let sweep_span = Rp_trace.span_begin k_evict_sweep in
+    let chances = ref (with_clock t Queue.length) in
+    let exhausted = ref false in
+    while (not !exhausted) && over_budget t do
+      match with_clock t Queue.take_opt with
+      | None -> exhausted := true
+      | Some (key, seen_access) ->
+          let hash = hash_key key in
+          with_stripe t ~hash (fun () ->
+              match Rp_ht.find_opt_hashed t.rp ~hash key with
+              | None -> () (* already deleted *)
+              | Some item when Item.is_cold item ->
+                  (* Stale queue entry: the key was demoted and re-stored
+                     since (markers live outside the CLOCK). Just drop
+                     the entry — the marker is the tier's to manage. *)
+                  ()
+              | Some item ->
+                  let last = item.last_access in
+                  if last > seen_access && !chances > 0 then begin
+                    decr chances;
+                    Rp_obs.Counter.incr t.c.clock_chances;
+                    clock_push t (key, last)
+                  end
+                  else if not (demote t ~hash key item) then begin
+                    ignore (delete t ~hash key);
+                    Rp_obs.Counter.incr t.c.evicted
+                  end)
+    done;
+    Rp_trace.span_end k_evict_sweep sweep_span;
+    let us = (Rp_trace.now_ns () - sweep_start) / 1000 in
+    Rp_obs.Histogram.observe t.c.evict_sweep_us us;
+    heat_slo t.c "eviction_sweep_us" us
+  end
+
+let single_flight t =
+  Fun.protect ~finally:(fun () -> Atomic.set t.sweeping false) (fun () -> sweep_locked t)
+
+(* Post-store budget enforcement. Mutating commands call this AFTER
+   releasing their stripe (a sweep locks victim stripes itself); the CAS
+   single-flights concurrent triggers so racing writers don't convoy on
+   eviction — the one sweeper runs until the heap fits. *)
+let sweep t =
+  if over_budget t && Atomic.compare_and_set t.sweeping false true then single_flight t
+
+(* Blocking variant for [evict_to_budget]: callers there (post-recovery
+   attach, the guard's Emergency actuator) need the budget actually met on
+   return, so losing the single-flight race means waiting the sweeper out
+   and re-checking. *)
+let rec evict_to_budget t =
+  if over_budget t then
+    if Atomic.compare_and_set t.sweeping false true then begin
+      let before = Slab.allocated_bytes t.c.slab in
+      single_flight t;
+      (* A sweep that freed nothing had an empty CLOCK queue: with a
+         tier attached the residue can be all cold markers, which are
+         not evictable — stop rather than spin on an unmeetable
+         budget. *)
+      if Slab.allocated_bytes t.c.slab < before then evict_to_budget t
+    end
+    else begin
+      Domain.cpu_relax ();
+      evict_to_budget t
+    end
+
+(* --- GET --- *)
+
+let expire_if_dead t ~now key =
+  let hash = hash_key key in
+  with_stripe t ~hash (fun () ->
+      match Rp_ht.find_opt_hashed t.rp ~hash key with
+      | Some again when Item.is_expired again ~now ->
+          ignore (delete t ~hash key);
+          Rp_obs.Counter.incr t.c.expired
+      | Some _ | None -> ())
+
+(* A batch's read section must not take an update stripe (the holder
+   could be waiting for readers — us included) nor read the disk. So the
+   section's pass leaves a placeholder in the reply list for each key
+   that needs either — an expired item to reap, a demoted one to promote
+   — marked by one of these tags as its [vdata] (compared physically),
+   and the caller settles them after the section closes. *)
+let expired_tag = String.make 1 'x'
+let cold_tag = String.make 1 'c'
+
+let placeholder key tag : Protocol.value =
+  { vkey = key; vflags = 0; vdata = tag; vcas = None }
+
+let is_placeholder (v : Protocol.value) = v.vdata == expired_tag || v.vdata == cold_tag
+
+(* A looked-up item's reply, once the read section has closed: a hot hit
+   is counted and stamped for the CLOCK; an expired or cold one leaves a
+   placeholder for [settle]. *)
+let reply t ~with_cas ~now key (item : Item.t) =
+  if Item.is_expired item ~now then begin
+    count_miss t.c key;
+    placeholder key expired_tag
+  end
+  else if Item.is_cold item then
+    placeholder key cold_tag (* hit/miss counted at resolution *)
+  else begin
+    Item.touch_access item ~now;
+    count_hit t.c key item.data;
+    value_of_item ~with_cas key item
+  end
+
+(* Resolve a cold hit: one positioned segment read, then reinsert under
+   the key's update stripe (promote-on-access). The disk read happens
+   with no store lock held — only the key's promote stripe, whose sole
+   job is single-flighting: a flash crowd on one demoted key queues here
+   and every loser finds the item already hot on its own pass.
+
+   Races are re-resolved by re-reading the table (bounded retries): a
+   compaction can relocate the marker mid-read (read returns [Tier_gone]
+   — the fresh marker points at the copy), a SET can replace it (we find
+   it hot and return that), a DELETE can win (miss). A torn record is
+   final: the value is gone, so the marker is dropped — later GETs miss
+   fast instead of re-reading a bad frame. *)
+let rec promote_attempt t ~with_cas ~hooks ~hash key tries =
+  let now = now t.c in
+  match Rp_ht.find_opt_hashed t.rp ~hash key with
+  | None ->
+      count_miss t.c key;
+      None
+  | Some item when Item.is_expired item ~now ->
+      expire_if_dead t ~now key;
+      count_miss t.c key;
+      None
+  | Some item -> (
+      match item.Item.location with
+      | Item.Hot ->
+          Item.touch_access item ~now;
+          count_hit t.c key item.data;
+          Some (value_of_item ~with_cas key item)
+      | Item.Cold { segment; offset; len } -> (
+          match read_cold t.c hooks key (segment, offset, len) with
+          | Ok data -> (
+              let promoted =
+                with_stripe t ~hash (fun () ->
+                    match Rp_ht.find_opt_hashed t.rp ~hash key with
+                    | Some cur when cur == item ->
+                        (* Marker unchanged since the read: publish the
+                           hot item ([store] refunds the marker, marks its
+                           frame dead, re-enqueues in the CLOCK). *)
+                        let hot =
+                          Item.make ~cas:item.Item.cas ~flags:item.Item.flags
+                            ~exptime:item.Item.exptime ~data ~now ()
+                        in
+                        store t ~hash key hot;
+                        Some (value_of_item ~with_cas key hot)
+                    | _ -> None)
+              in
+              match promoted with
+              | Some v ->
+                  Rp_obs.Counter.incr t.c.tier_promotions;
+                  (match t.c.heat with
+                  | None -> ()
+                  | Some h -> Rp_heat.note_tier_promote h ~vbytes:(String.length data));
+                  count_hit t.c key data;
+                  Some v
+              | None ->
+                  if tries > 0 then
+                    promote_attempt t ~with_cas ~hooks ~hash key (tries - 1)
+                  else begin
+                    count_miss t.c key;
+                    None
+                  end)
+          | Error Tier_gone when tries > 0 ->
+              promote_attempt t ~with_cas ~hooks ~hash key (tries - 1)
+          | Error e ->
+              if e = Tier_gone then Rp_obs.Counter.incr t.c.tier_read_errors;
+              with_stripe t ~hash (fun () ->
+                  match Rp_ht.find_opt_hashed t.rp ~hash key with
+                  | Some cur when cur == item -> ignore (delete t ~hash key)
+                  | _ -> ());
+              count_miss t.c key;
+              None))
+
+let promote_and_get t ~with_cas key =
+  match t.c.tier with
+  | None ->
+      (* A marker with no tier attached (shutdown window): unreadable. *)
+      count_miss t.c key;
+      None
+  | Some hooks ->
+      let span = Rp_trace.span_begin_sampled k_tier_promote in
+      let hash = hash_key key in
+      let m = t.promote_stripes.(hash land t.update_mask) in
+      lock_update t m;
+      let v =
+        Fun.protect
+          ~finally:(fun () ->
+            Mutex.unlock m;
+            Rp_trace.span_end_sampled k_tier_promote span)
+          (fun () -> promote_attempt t ~with_cas ~hooks ~hash key 3)
+      in
+      (* Promotion re-charged the full value: settle the budget (the sweep
+         may well demote something colder in its place). *)
+      sweep t;
+      v
+
+(* Placeholders left by [reply], resolved with no read section open:
+   expired items are reaped under their own stripes, cold hits promoted
+   (stripes and a disk read). Reply order is preserved. *)
+let settle t ~with_cas ~now values =
+  List.filter_map
+    (fun (v : Protocol.value) ->
+      if v.vdata == expired_tag then begin
+        expire_if_dead t ~now v.vkey;
+        None
+      end
+      else if v.vdata == cold_tag then promote_and_get t ~with_cas v.vkey
+      else Some v)
+    values
+
+(* The batch size goes on the read-section span's end, and only when the
+   span is recorded: passing [~arg] allocates an option. *)
+let end_read_section section ~n =
+  if section >= 0 then Rp_trace.span_end_sampled ~arg:n k_read_section section
+
+let batch_keys = 64
+
+(* A domain's staging arrays for [get_many]'s read section, reused across
+   calls so the section allocates nothing: the keys and their hashes
+   going in, each key's table node and item coming out. Systhreads on
+   one domain (a follower's apply thread, an in-process bench client)
+   share its arrays; one that finds them [busy] (a sibling was switched
+   out mid-batch) stages into fresh ones. *)
+type scratch = {
+  mutable busy : bool;
+  mutable staged : int;
+  hashes : int array;
+  keys : string array;
+  found : (string, Item.t) Rp_list.link array;
+  items : Item.t array;
+}
+
+let no_item = Item.make ~cas:0 ~flags:0 ~exptime:0 ~data:"" ~now:0 ()
+
+let fresh_scratch () =
+  {
+    busy = false;
+    staged = 0;
+    hashes = Array.make batch_keys 0;
+    keys = Array.make batch_keys "";
+    found = Array.make batch_keys Rp_list.Null;
+    items = Array.make batch_keys no_item;
+  }
+
+let scratch_key = Domain.DLS.new_key fresh_scratch
+
+(* Stage up to [batch_keys] keys, hashing each before the section opens;
+   returns the keys left over, and the count staged in [staged]. *)
+let rec stage s i = function
+  | key :: rest when i < batch_keys ->
+      Array.unsafe_set s.keys i key;
+      Array.unsafe_set s.hashes i (hash_key key);
+      stage s (i + 1) rest
+  | rest ->
+      s.staged <- i;
+      rest
+
+(* The read section: the staged table walk, then one load of each hit's
+   item so those misses overlap too. Nothing here allocates; the nodes'
+   values are read while the section pins them. *)
+let read_section t s n =
+  Rp_ht.find_batch_hashed t.rp ~hashes:s.hashes ~keys:s.keys s.found n;
+  let touched = ref 0 in
+  for i = 0 to n - 1 do
+    match Array.unsafe_get s.found i with
+    | Rp_list.Node nd ->
+        let item = nd.value in
+        Array.unsafe_set s.items i item;
+        touched := !touched lxor item.Item.exptime
+    | Rp_list.Null -> ()
+  done;
+  ignore (Sys.opaque_identity !touched)
+
+(* The staged batch's replies, in key order. *)
+let rec replies t s ~with_cas ~now i n =
+  if i = n then []
+  else
+    let key = Array.unsafe_get s.keys i in
+    match Array.unsafe_get s.found i with
+    | Rp_list.Null ->
+        count_miss t.c key;
+        replies t s ~with_cas ~now (i + 1) n
+    | Rp_list.Node _ ->
+        let v = reply t ~with_cas ~now key (Array.unsafe_get s.items i) in
+        v :: replies t s ~with_cas ~now (i + 1) n
+
+(* One read section per [batch_keys] of [keys]. Replies, counters and
+   heat notes are built after each section closes. *)
+let rec get_batches t ~with_cas ~now keys =
+  let shared = Domain.DLS.get scratch_key in
+  let s = if shared.busy then fresh_scratch () else shared in
+  s.busy <- true;
+  let rest = stage s 0 keys in
+  let n = s.staged in
+  let flavour = Rp_ht.flavour t.rp in
+  let section = Rp_trace.span_begin_sampled k_read_section in
+  flavour.Flavour.read_enter ();
+  (match read_section t s n with
+  | () -> flavour.Flavour.read_exit ()
+  | exception e ->
+      flavour.Flavour.read_exit ();
+      end_read_section section ~n;
+      s.busy <- false;
+      raise e);
+  end_read_section section ~n;
+  let values =
+    match replies t s ~with_cas ~now 0 n with
+    | values ->
+        s.busy <- false;
+        values
+    | exception e ->
+        s.busy <- false;
+        raise e
+  in
+  match rest with [] -> values | _ -> values @ get_batches t ~with_cas ~now rest
+
+(* The multiget fast path: one staged read section per [batch_keys]
+   keys, instead of a section and serial chain walk per key. *)
+let get_many t ~with_cas ~now keys =
+  let values = get_batches t ~with_cas ~now keys in
+  if List.exists is_placeholder values then settle t ~with_cas ~now values
+  else values
+
+(* A lone GET opens no outer section: the table's own read section
+   covers the chain walk and the reply record is built after it.
+   Systhreads on one domain (a follower's apply thread, an in-process
+   bench client) share its memb reader slot, so a section held across
+   allocations (where a thread switch can happen) is one a sibling
+   thread's grace period can trip over. *)
+let get t ~now key =
+  match Rp_ht.find_opt_hashed t.rp ~hash:(hash_key key) key with
+  | None ->
+      count_miss t.c key;
+      None
+  | Some item -> (
+      match reply t ~with_cas:false ~now key item with
+      | v when not (is_placeholder v) -> Some v
+      | v -> (
+          match settle t ~with_cas:false ~now [ v ] with
+          | v :: _ -> Some v
+          | [] -> None))
+
+(* --- the snapshotter's walk --- *)
+
+(* Cold items would otherwise walk out with empty data — and a snapshot
+   that persisted a marker's "" would LOSE the value once log compaction
+   pruned the original SET record. Read the segment through instead,
+   outside the walk's read sections. The marker can move under us
+   (compaction relocates, a SET replaces, a DELETE wins): re-resolve from
+   the table, bounded; a key that vanished was deleted (logged), a torn
+   frame is already lost either way. *)
+let rec iter_resolve_cold t ~hooks ~f key tries =
+  match Rp_ht.find t.rp key with
+  | None -> ()
+  | Some item -> (
+      match item.Item.location with
+      | Item.Hot -> f key item
+      | Item.Cold { segment; offset; len } -> (
+          match check_frame t.c key (hooks.th_read (segment, offset, len)) with
+          | Ok data ->
+              f key
+                (Item.make ~cas:item.Item.cas ~flags:item.Item.flags
+                   ~exptime:item.Item.exptime ~data ~now:(now t.c) ())
+          | Error Tier_gone when tries > 0 ->
+              iter_resolve_cold t ~hooks ~f key (tries - 1)
+          | Error Tier_gone -> Rp_obs.Counter.incr t.c.tier_read_errors
+          | Error Tier_torn -> ()))
+
+(* A batched relativistic read (bounded read sections, never an update
+   stripe), so a multi-second walk over a large table neither blocks
+   writers nor extends any grace period beyond one batch. *)
+let iter t f =
+  let cold = ref [] in
+  let restarts =
+    Rp_ht.iter_batched t.rp ~f:(fun key (item : Item.t) ->
+        if Item.is_cold item then cold := key :: !cold else f key item)
+  in
+  (match (!cold, t.c.tier) with
+  | [], _ | _, None -> ()
+  | keys, Some hooks -> List.iter (fun key -> iter_resolve_cold t ~hooks ~f key 3) keys);
+  restarts
+
+let create (c : Store_core.t) ~rcu_mode ~initial_size ~auto_resize ~stripes =
+  let qsbr = match rcu_mode with Qsbr -> Some (Rcu_qsbr.create ()) | Memb -> None in
+  let nstripes =
+    let rec pow2 n = if n >= stripes then n else pow2 (n * 2) in
+    pow2 1
+  in
+  (* The table stripes on the same fnv1a hash with its own (also
+     power-of-two) stripe array, so a store stripe maps onto a fixed set
+     of table stripes and two ops serialized here never contend below. *)
+  let rp =
+    match qsbr with
+    | Some q ->
+        Rp_ht.create ~flavour:(Flavour.qsbr q) ~initial_size ~auto_resize
+          ~stripes:nstripes ~hash:hash_key ~equal:String.equal ()
+    | None ->
+        Rp_ht.create ~initial_size ~auto_resize ~stripes:nstripes ~hash:hash_key
+          ~equal:String.equal ()
+  in
+  let t =
+    {
+      c;
+      rp;
+      qsbr;
+      update_stripes = Array.init nstripes (fun _ -> Mutex.create ());
+      update_mask = nstripes - 1;
+      clock_mu = Mutex.create ();
+      clockq = Queue.create ();
+      sweeping = Atomic.make false;
+      promote_stripes = Array.init nstripes (fun _ -> Mutex.create ());
+    }
+  in
+  let observe () =
+    Rp_ht.observe rp c.registry;
+    match qsbr with
+    | None -> Rcu.observe (Rp_ht.rcu rp) c.registry
+    | Some q ->
+        (* Flavoured tables have no memb instance; expose the QSBR
+           grace-period counter and participant count instead. *)
+        Rp_obs.Registry.fn_counter c.registry ~help:"QSBR grace periods completed"
+          "rcu_grace_periods_total" (fun () ->
+            float_of_int (Rcu_qsbr.grace_periods q));
+        Rp_obs.Registry.gauge c.registry ~help:"QSBR participant threads registered"
+          "rcu_qsbr_threads" (fun () -> float_of_int (Rcu_qsbr.registered_threads q))
+  in
+  let live ~hash ~now key =
+    match Rp_ht.find_opt_hashed rp ~hash key with
+    | Some item when not (Item.is_expired item ~now) -> Some item
+    | Some _ | None -> None
+  in
+  {
+    kind = Rp;
+    rcu_mode;
+    stripes = nstripes;
+    hash = hash_key;
+    with_key = (fun ~hash f -> with_stripe t ~hash f);
+    with_all = (fun f -> with_all_stripes t f);
+    live;
+    store = (fun ~hash key item -> store t ~hash key item);
+    remove = (fun ~hash key -> delete t ~hash key);
+    keys = (fun () -> Rp_ht.fold rp ~init:[] ~f:(fun acc k _ -> k :: acc));
+    budget = (fun () -> sweep t);
+    evict_to_budget = (fun () -> evict_to_budget t);
+    get = (fun ~now key -> get t ~now key);
+    get_many = (fun ~with_cas ~now keys -> get_many t ~with_cas ~now keys);
+    iter = (fun f -> iter t f);
+    length = (fun () -> Rp_ht.length rp);
+    buckets = (fun () -> Rp_ht.size rp);
+    reader_offline = (fun () -> (Rp_ht.flavour rp).Flavour.thread_offline ());
+    observe;
+    stripe_heat = (fun () -> Rp_ht.stripe_heat rp);
+  }

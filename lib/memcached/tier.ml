@@ -27,9 +27,11 @@ let paused t = Atomic.get t.paused
 (* Copy one segment's still-live records to the head. Each record is
    re-checked against the table (tier_location) before the copy and
    re-verified under the key's stripe inside tier_relocate — a record
-   promoted or deleted mid-pass is simply skipped. A copy that fails
-   (budget full, injected fault) leaves the record where it is; the
-   segment then stays until a later pass. *)
+   promoted or deleted mid-pass is simply skipped. The store retires the
+   old frame through [th_mark_dead]; a fully-dead sealed segment
+   auto-drops there. A copy that fails (budget full, injected fault)
+   leaves the record where it is; the segment then stays until a later
+   pass. *)
 let compact_segment t gen =
   let copied = ref 0 in
   List.iter
@@ -41,12 +43,7 @@ let compact_segment t gen =
           | Ok l -> Some (l.Rp_tier.segment, l.Rp_tier.offset, l.Rp_tier.len)
           | Error _ -> None
         in
-        if Store.tier_relocate t.store ~key ~from_ ~relocate then begin
-          (* The marker now points at the copy; the old frame is ours to
-             retire. A fully-dead sealed segment auto-drops here. *)
-          Rp_tier.Cold_store.mark_dead t.cold loc;
-          incr copied
-        end
+        if Store.tier_relocate t.store ~key ~from_ ~relocate then incr copied
       end)
     (Rp_tier.Cold_store.segment_entries t.cold gen);
   !copied
@@ -106,6 +103,9 @@ let compactor_loop t =
     end
   done
 
+(* The [stats tier] section: the live view (mode, dir), then every
+   tier_* instrument (demote/promote counters, read/demote latency
+   histograms, the byte gauges registered below). *)
 let stats_kv t () =
   [
     ("tier_mode", "demote");
@@ -113,6 +113,8 @@ let stats_kv t () =
     ("tier_max_bytes", string_of_int t.max_bytes);
     ("tier_recovery_dropped_segments", string_of_int t.recovery_dropped);
   ]
+  @ Rp_obs.Registry.to_stats ~filter:(String.starts_with ~prefix:"tier_")
+      (Store.registry t.store)
 
 let register_instruments t reg =
   let g name help f = Rp_obs.Registry.gauge reg ~help name f in
@@ -135,6 +137,11 @@ let register_instruments t reg =
 let attach ?(min_dead_ratio = 0.5) ?(compact_interval = 0.05) ?segment_bytes
     ~dir ~max_mb store =
   let max_bytes = max_mb * 1024 * 1024 in
+  (* Only the RP backend's CLOCK sweep demotes; a tier under the lock
+     backend would never receive a value. *)
+  if Store.backend store <> Store.Rp then
+    Error "the cold tier needs the rp backend (--backend rp)"
+  else
   match Rp_tier.Cold_store.open_ ?segment_bytes ~dir ~max_bytes () with
   | Error e -> Error e
   | Ok cold ->
@@ -178,7 +185,7 @@ let attach ?(min_dead_ratio = 0.5) ?(compact_interval = 0.05) ?segment_bytes
       let th_admit () = not (Atomic.get t.paused) in
       Store.set_tier store
         (Some { Store.th_demote; th_read; th_mark_dead; th_admit });
-      Store.set_tier_info store (Some (stats_kv t));
+      Store.set_section store "tier" (Some (stats_kv t));
       register_instruments t reg;
       (match Store.guard store with
       | None -> ()
@@ -210,5 +217,5 @@ let stop t =
       t.domain <- None
   | None -> ());
   Store.set_tier t.store None;
-  Store.set_tier_info t.store None;
+  Store.set_section t.store "tier" None;
   Rp_tier.Cold_store.close t.cold

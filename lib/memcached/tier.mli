@@ -20,8 +20,10 @@ val attach :
   Store.t ->
   (t, string) result
 (** Open the segment store under [dir] with a [max_mb] byte budget and
-    install the tier hooks. If a guard is already attached to the store,
-    registers the ["tier"] pressure source (tier bytes / budget) and the
+    install the tier hooks. [Error] for a store on the {!Store.Lock}
+    backend, whose eviction never demotes. If a guard is already
+    attached to the store, registers the ["tier"] pressure source (tier
+    bytes / budget) and the
     Emergency actuator (pause compaction, shed demotions — cold reads
     are never shed; both revert on descent). Spawns the compaction
     domain: every [compact_interval] (default 0.05 s), the first time

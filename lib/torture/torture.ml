@@ -1073,11 +1073,11 @@ let run_crash_recovery config =
     List.filter
       (fun (name, _) ->
         String.length name < 18 || String.sub name 0 18 <> "persist_recovered_")
-      (Memcached.Store.persist_stats store)
+      (Option.get (Memcached.Store.stats_section store "persist"))
     @ List.filter
         (fun (name, _) ->
           String.length name >= 18 && String.sub name 0 18 = "persist_recovered_")
-        (Memcached.Store.persist_stats store2)
+        (Option.get (Memcached.Store.stats_section store2 "persist"))
   in
   Memcached.Persist.stop persist2;
   let reader_checks =

@@ -239,6 +239,82 @@ let test_dispatch_stat_sections () =
         (r.status = Binary_protocol.Invalid_arguments)
   | _ -> Alcotest.fail "unknown section shape"
 
+(* Every [stats] section answers the same lines in text and binary, and
+   both are [Store.stats_section]: first with no plane attached, then
+   with the guard, a cold tier and the heat plane attached. An unknown
+   section is refused by each protocol in its own way, and [reset]
+   clears the heat sketches through either. *)
+let sections = [ ""; "rp"; "persist"; "trace"; "guard"; "tier"; "cluster"; "heat" ]
+
+let check_stats_parity store =
+  List.iter
+    (fun name ->
+      let text =
+        let arg = if name = "" then None else Some name in
+        match Dispatch.handle store (Protocol.Stats arg) with
+        | Some (Protocol.Stats_reply lines) -> lines
+        | _ -> Alcotest.failf "text stats %S: not a stats reply" name
+      in
+      let binary =
+        List.filter_map
+          (fun (r : Binary_protocol.response) ->
+            if r.r_key = "" then None else Some (r.r_key, r.r_value))
+          (Binary_server.handle store (request Binary_protocol.Stat ~key:name))
+      in
+      let expected = Option.get (Store.stats_section store name) in
+      let lines = Alcotest.(list (pair string string)) in
+      Alcotest.check lines (Printf.sprintf "text stats %S" name) expected text;
+      Alcotest.check lines (Printf.sprintf "binary stats %S" name) expected binary)
+    sections;
+  (match Dispatch.handle store (Protocol.Stats (Some "bogus")) with
+  | Some (Protocol.Client_error _) -> ()
+  | _ -> Alcotest.fail "text: unknown section not refused");
+  match Binary_server.handle store (request Binary_protocol.Stat ~key:"bogus") with
+  | [ r ] ->
+      Alcotest.(check bool) "binary: unknown section refused" true
+        (r.status = Binary_protocol.Invalid_arguments)
+  | _ -> Alcotest.fail "binary: unknown section shape"
+
+let test_dispatch_stats_parity () =
+  check_stats_parity (make_store ());
+  let dir = Filename.temp_file "rp-parity" ".tier" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let store =
+    Store.create ~backend:Store.Rp ~initial_size:64 ~heat_topk:4 ~heat_sample:1 ()
+  in
+  ignore (Guard.install store);
+  let tier =
+    match Tier.attach ~dir ~max_mb:1 store with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "tier attach: %s" e
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Tier.stop tier;
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () ->
+      ignore (Store.set store ~key:"hot" ~flags:0 ~exptime:0 ~data:"v");
+      ignore (Store.get store "hot");
+      check_stats_parity store;
+      List.iter
+        (fun plane ->
+          Alcotest.(check (option string)) (plane ^ " attached") (Some "1")
+            (List.assoc_opt (plane ^ "_enabled")
+               (Option.get (Store.stats_section store plane))))
+        [ "guard"; "tier"; "heat" ];
+      let heat_top () =
+        List.mem_assoc "heat_top_hits_0_key"
+          (Option.get (Store.stats_section store "heat"))
+      in
+      Alcotest.(check bool) "a hit is tracked" true (heat_top ());
+      ignore (Dispatch.handle store (Protocol.Stats (Some "reset")));
+      Alcotest.(check bool) "text reset clears" false (heat_top ());
+      ignore (Store.get store "hot");
+      ignore (Binary_server.handle store (request Binary_protocol.Stat ~key:"reset"));
+      Alcotest.(check bool) "binary reset clears" false (heat_top ()))
+
 let test_dispatch_touch_gat () =
   let store = make_store () in
   ignore
@@ -517,6 +593,7 @@ let () =
           Alcotest.test_case "counter seeding" `Quick test_dispatch_counter_seeding;
           Alcotest.test_case "stat terminator" `Quick test_dispatch_stat_terminator;
           Alcotest.test_case "stat sections" `Quick test_dispatch_stat_sections;
+          Alcotest.test_case "stats parity" `Quick test_dispatch_stats_parity;
           Alcotest.test_case "touch and gat" `Quick test_dispatch_touch_gat;
           Alcotest.test_case "misc + validation" `Quick test_dispatch_misc;
         ] );

@@ -285,7 +285,8 @@ let test_replication_e2e () =
        ~data:"mine"
     = Store.Stored);
   Alcotest.(check string) "role" "promoted"
-    (List.assoc "cluster_role" (Store.cluster_stats follower_store));
+    (List.assoc "cluster_role"
+       (Option.get (Store.stats_section follower_store "cluster")));
   (* The follower re-logged the stream: its own oplog alone rebuilds the
      replicated state (what makes a promoted replica durable). *)
   Persist.stop follower_persist;

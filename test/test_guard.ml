@@ -265,7 +265,7 @@ let test_binary_shed () =
 let test_guard_stats_disabled () =
   let store = Store.create ~backend:Store.Rp () in
   Alcotest.(check (option string)) "disabled" (Some "0")
-    (List.assoc_opt "guard_enabled" (Store.guard_stats store))
+    (List.assoc_opt "guard_enabled" (Option.get (Store.stats_section store "guard")))
 
 (* --- post-recovery eviction sweep --- *)
 

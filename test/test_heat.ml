@@ -206,7 +206,8 @@ let test_store_exposition () =
   (* A store without the plane answers disabled everywhere. *)
   let off = Memcached.Store.create ~backend:Memcached.Store.Rp () in
   Alcotest.(check (option string)) "plane off" (Some "0")
-    (List.assoc_opt "heat_enabled" (Memcached.Store.heat_stats off));
+    (List.assoc_opt "heat_enabled"
+       (Option.get (Memcached.Store.stats_section off "heat")));
   Alcotest.(check string) "json off" "{\"heat_enabled\":false}"
     (Memcached.Store.heat_json off)
 
@@ -222,7 +223,7 @@ let test_stats_reset () =
     ignore (Memcached.Store.get store "hot")
   done;
   let stat_of kvs name = List.assoc_opt name kvs in
-  let before = Memcached.Store.heat_stats store in
+  let before = Option.get (Memcached.Store.stats_section store "heat") in
   Alcotest.(check (option string)) "sketch populated" (Some "hot")
     (stat_of before "heat_top_hits_0_key");
   Alcotest.(check (option string)) "size histogram populated" (Some "10")
@@ -234,7 +235,7 @@ let test_stats_reset () =
   (match handle store (Memcached.Protocol.Stats (Some "reset")) with
   | Memcached.Protocol.Stats_reply [] -> ()
   | _ -> Alcotest.fail "stats reset: not an empty stats reply");
-  let after = Memcached.Store.heat_stats store in
+  let after = Option.get (Memcached.Store.stats_section store "heat") in
   Alcotest.(check (option string)) "sketch cleared" None
     (stat_of after "heat_top_hits_0_key");
   Alcotest.(check (option string)) "size histogram cleared" (Some "0")

@@ -621,7 +621,7 @@ let test_persist_stats_section () =
       with_manager ~dir store (fun p ->
           ignore (Store.set store ~key:"k" ~flags:0 ~exptime:0 ~data:"v");
           ignore (Persist.snapshot_now p);
-          let stats = Store.persist_stats store in
+          let stats = Option.get (Store.stats_section store "persist") in
           let get k =
             match List.assoc_opt k stats with
             | Some v -> v

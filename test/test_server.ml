@@ -615,6 +615,70 @@ let test_fd_ceiling plane () =
         (Client.set c ~key:"fresh" ~data:"v" ());
       Client.close c)
 
+(* Descriptor exhaustion: with no descriptor free, accept(2) fails with
+   EMFILE at once — it takes the new descriptor before it waits — for as
+   long as the shortage lasts. The accept loop must pause rather than
+   spin: over ~200 ms a spin counts hundreds of thousands of failures, a
+   10 ms pause about twenty. Clients left in the backlog meanwhile must
+   be served once descriptors are released. Descriptors are exhausted
+   in-process by [dup], once the accept thread is parked in accept(2).
+   A parked accept already holds a descriptor, so the first client may
+   be accepted with it and the loop may park again on any descriptor
+   freed meanwhile; taking every free one again before the second
+   client connects leaves the loop none to park on. *)
+let test_accept_fd_exhausted plane () =
+  with_plane plane (fun ~server:_ addr store ->
+      let path =
+        match addr with Server.Unix_socket p -> p | _ -> assert false
+      in
+      let clients =
+        List.init 2 (fun _ -> Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0)
+      in
+      let spare = List.hd clients in
+      Unix.sleepf 0.05;
+      let rec exhaust held n =
+        if n >= 1 lsl 17 then (held, false) (* soft limit too high to reach *)
+        else
+          match Unix.dup spare with
+          | fd -> exhaust (fd :: held) (n + 1)
+          | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+              (held, true)
+      in
+      (* A Unix-domain connect takes no new descriptor on this side. *)
+      let held, exhausted =
+        List.fold_left
+          (fun (held, exhausted) client ->
+            let more, ok = exhaust held (List.length held) in
+            Unix.connect client (Unix.ADDR_UNIX path);
+            Unix.sleepf 0.02;
+            (more, exhausted && ok))
+          ([], true) clients
+      in
+      Unix.sleepf 0.2;
+      let failures =
+        Rp_obs.Registry.value (Store.registry store)
+          "server_accept_fd_exhausted_total"
+      in
+      (* Lowest first: a socket accepted meanwhile gets a number the
+         workers can poll. *)
+      List.iter Unix.close (List.rev held);
+      if exhausted then begin
+        let n = Option.value failures ~default:0. in
+        Alcotest.(check bool)
+          (Printf.sprintf
+             "accept failed %.0f times while exhausted: paused, not spun" n)
+          true
+          (n >= 1. && n <= 100.)
+      end;
+      List.iteri
+        (fun i client ->
+          Unix.setsockopt_float client Unix.SO_RCVTIMEO 5.0;
+          send_all client (Printf.sprintf "set pending%d 0 0 1\r\nx\r\n" i);
+          Alcotest.(check string) "pending client served" "STORED\r\n"
+            (recv_exactly client 8);
+          Unix.close client)
+        clients)
+
 let socket_cases plane =
   let tc name f = Alcotest.test_case name `Quick (f plane) in
   [
@@ -661,5 +725,7 @@ let () =
           Alcotest.test_case "multi-worker response routing" `Quick
             test_multiworker_routing;
           Alcotest.test_case "fd ceiling" `Quick (test_fd_ceiling ev_plane);
+          Alcotest.test_case "accept backs off when out of descriptors" `Quick
+            (test_accept_fd_exhausted ev_plane);
         ] );
     ]

@@ -493,7 +493,7 @@ let test_tier_compaction () =
       | None -> Alcotest.failf "survivor %s lost by compaction" (key i))
     survivors;
   (* The stats section is live while attached. *)
-  let stats = Store.tier_stats store in
+  let stats = Option.get (Store.stats_section store "tier") in
   Alcotest.(check (option string)) "mode" (Some "demote")
     (List.assoc_opt "tier_mode" stats);
   Alcotest.(check bool) "demotion counter exported" true
@@ -502,7 +502,20 @@ let test_tier_compaction () =
 let test_tier_stats_disabled () =
   let store = Store.create ~backend:Store.Rp () in
   Alcotest.(check (option string)) "disabled marker" (Some "0")
-    (List.assoc_opt "tier_enabled" (Store.tier_stats store))
+    (List.assoc_opt "tier_enabled" (Option.get (Store.stats_section store "tier")))
+
+(* Only the rp backend's CLOCK sweep demotes: a tier under a lock store
+   would never receive a value while [stats tier] claimed it enabled. *)
+let test_tier_refuses_lock () =
+  with_dir @@ fun dir ->
+  let store = Store.create ~backend:Store.Lock () in
+  (match Tier.attach ~dir ~max_mb:1 store with
+  | Ok t ->
+      Tier.stop t;
+      Alcotest.fail "a cold tier attached to a lock store"
+  | Error _ -> ());
+  Alcotest.(check (option string)) "stats tier stays off" (Some "0")
+    (List.assoc_opt "tier_enabled" (Option.get (Store.stats_section store "tier")))
 
 (* --- startup directory validation --- *)
 
@@ -558,6 +571,7 @@ let () =
         [
           Alcotest.test_case "compaction" `Quick test_tier_compaction;
           Alcotest.test_case "stats_disabled" `Quick test_tier_stats_disabled;
+          Alcotest.test_case "refuses_lock_backend" `Quick test_tier_refuses_lock;
         ] );
       ( "dircheck", [ Alcotest.test_case "validate" `Quick test_dircheck ] );
     ]
