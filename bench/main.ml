@@ -12,7 +12,10 @@
    BENCH_smoke.json (the @bench-smoke alias, wired into @runtest), so
    every test run leaves a machine-readable metrics report behind.
 
-   Usage: main.exe [--quick] [--micro-only | --figures-only | --smoke] *)
+   Usage: main.exe [--quick] [--micro-only | --figures-only | --smoke]
+
+   A full run writes the figures' CSV series to the tracked
+   bench_results/, a --quick run to _build/quick_results/. *)
 
 open Bechamel
 open Toolkit
@@ -1251,8 +1254,17 @@ let () =
     if quick then Rp_figures.Figures.quick_options
     else Rp_figures.Figures.default_options
   in
-  let csv_dir = "bench_results" in
-  (try Unix.mkdir csv_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  (* Full runs refresh the tracked series under bench_results/; a quick
+     run's numbers are a smoke check, not figures, so they land in the
+     build tree. *)
+  let csv_dir = if quick then Filename.concat "_build" "quick_results" else "bench_results" in
+  let rec mkdir_p dir =
+    if not (Sys.file_exists dir) then begin
+      mkdir_p (Filename.dirname dir);
+      try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+    end
+  in
+  mkdir_p csv_dir;
   let options = { options with Rp_figures.Figures.csv_dir = Some csv_dir } in
   if not figures_only then run_micro ~quota:(if quick then 0.1 else 0.5);
   if not micro_only then begin

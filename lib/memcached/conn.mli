@@ -33,10 +33,6 @@ val wants_write : t -> bool
 (** Unflushed response bytes exist: poll for writability and stop reading
     until they drain. *)
 
-val pending_bytes : t -> int
-(** Rendered-but-unwritten response bytes (parked remainder + output
-    buffer) — what the slow-client write cap measures. *)
-
 val has_backlog : t -> bool
 (** The parser holds complete requests that {!dispatch}'s write cap
     deferred; re-dispatch after a flush makes room. *)
@@ -60,7 +56,8 @@ val fill : t -> [ `Eof | `Ok ]
 val dispatch : ?max_out:int -> t -> Store.t -> int
 (** Execute every complete buffered request, rendering responses into the
     output buffer; returns the batch size. [max_out] (default unlimited)
-    stops rendering once {!pending_bytes} reaches it, leaving the rest in
+    stops rendering once the rendered-but-unwritten response bytes
+    (parked remainder + output buffer) reach it, leaving the rest in
     the parser ({!has_backlog}). *)
 
 val flush : t -> [ `Closed | `Done | `Want_write ]

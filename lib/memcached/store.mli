@@ -285,8 +285,10 @@ val stats_section : t -> string -> (string * string) list option
     {!Lock}); [persist] the [persist_*] ones; [trace] the flight
     recorder's live state ({!Rp_trace.stats_kv}); [guard], [heat],
     [tier] and [cluster] a plane's section, a lone [<plane>_enabled 0]
-    while it is off; [reset] runs {!reset_stats} and answers nothing.
-    [None] for an unknown name. *)
+    while it is off; [reset] clears the heat sketches, exemplar cells
+    and every registry histogram — monotonic counters ([cmd_get],
+    [evictions], ...) survive, as in stock memcached — and answers
+    nothing. [None] for an unknown name. *)
 
 val set_section : t -> string -> (unit -> (string * string) list) option -> unit
 (** Plug ([Some live]) or unplug ([None]) a plane's section: [stats
@@ -300,11 +302,6 @@ val heat : t -> Rp_heat.t option
 val heat_json : ?n:int -> t -> string
 (** The [/heat] JSON document (top [n] entries per sketch, default all
     [k]); [{"heat_enabled": false}] when the plane is off. *)
-
-val reset_stats : t -> unit
-(** [stats reset]: clear the heat sketches, exemplar cells, and every
-    registry histogram. Monotonic counters ([cmd_get], [evictions], ...)
-    survive — matching stock memcached's reset semantics. *)
 
 val items : t -> int
 

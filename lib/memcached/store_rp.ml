@@ -472,21 +472,47 @@ let rec stage s i = function
       s.staged <- i;
       rest
 
-(* The read section: the staged table walk, then one load of each hit's
-   item so those misses overlap too. Nothing here allocates; the nodes'
-   values are read while the section pins them. *)
+(* Bytes of a hit's value, header included, that [read_section] asks the
+   cache for ahead of the reply: the first lines, which encoding reads
+   first; a longer value streams in behind them during the copy. *)
+let value_prefetch_bytes = 256
+
+(* The read section: the staged table walk, then two more stages over
+   the hits, each prefetching what the next one loads — every hit's item
+   record (its fields span two lines at most), then every value's header
+   line, then the rest of its first [value_prefetch_bytes]. The replies,
+   built after the section closes, then read from cache. Every block
+   hinted at is reached from a node the section pins; nothing here
+   allocates. *)
 let read_section t s n =
   Rp_ht.find_batch_hashed t.rp ~hashes:s.hashes ~keys:s.keys s.found n;
-  let touched = ref 0 in
   for i = 0 to n - 1 do
     match Array.unsafe_get s.found i with
     | Rp_list.Node nd ->
         let item = nd.value in
         Array.unsafe_set s.items i item;
-        touched := !touched lxor item.Item.exptime
+        Rp_list.prefetch item 0;
+        Rp_list.prefetch item 40
     | Rp_list.Null -> ()
   done;
-  ignore (Sys.opaque_identity !touched)
+  for i = 0 to n - 1 do
+    match Array.unsafe_get s.found i with
+    | Rp_list.Node _ -> Rp_list.prefetch (Array.unsafe_get s.items i).Item.data (-8)
+    | Rp_list.Null -> ()
+  done;
+  for i = 0 to n - 1 do
+    match Array.unsafe_get s.found i with
+    | Rp_list.Node _ ->
+        let data = (Array.unsafe_get s.items i).Item.data in
+        let stop = min (String.length data) (value_prefetch_bytes - 8) in
+        let off = ref 56 in
+        while !off < stop do
+          Rp_list.prefetch data !off;
+          off := !off + 64
+        done;
+        if stop > 0 then Rp_list.prefetch data (stop - 1)
+    | Rp_list.Null -> ()
+  done
 
 (* The staged batch's replies, in key order. *)
 let rec replies t s ~with_cas ~now i n =

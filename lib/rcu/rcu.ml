@@ -327,8 +327,6 @@ let pp_stats ppf s =
 
 (* --- observability --- *)
 
-let grace_period_hist t = t.gp_hist
-
 let observe ?(prefix = "rcu") t reg =
   let name suffix = prefix ^ "_" ^ suffix in
   let fn c () = float_of_int (Atomic.get c) in

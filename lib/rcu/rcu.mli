@@ -177,6 +177,3 @@ val observe : ?prefix:string -> t -> Rp_obs.Registry.t -> unit
     surface), [<prefix>_readers], [<prefix>_callbacks_pending], and the
     [<prefix>_grace_period_ns] latency histogram. *)
 
-val grace_period_hist : t -> Rp_obs.Histogram.t
-(** The grace-period latency histogram (nanoseconds per
-    {!synchronize}). *)

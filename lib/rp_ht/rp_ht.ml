@@ -57,7 +57,7 @@ type ('k, 'v) t = {
   count : int Atomic.t;
   min_size : int;
   max_size : int;
-  mutable auto_resize : bool;
+  auto_resize : bool;
   expands : int Atomic.t;
   shrinks : int Atomic.t;
   unzip_passes : int Atomic.t;
@@ -219,30 +219,43 @@ let find_opt_hashed t ~hash k =
 let find t k = find_opt_hashed t ~hash:(t.hash k) k
 let mem t k = Option.is_some (find t k)
 
-(* A batch's lookups in three passes, for a caller already inside a read
-   section: load every bucket slot, then every first node, then walk each
-   chain. The loads within a pass are independent of each other, so an
-   out-of-order core keeps the whole pass's misses in flight where a
-   key-at-a-time walk waits out each chain of dependent misses in turn
-   (group prefetching). Readers write no shared memory, so running a
-   section's lookups in any order is linearizable. [found] carries the
-   passes' state — bucket head, then the key's node or [Null] — and no
-   pass allocates. *)
+(* A batch's lookups in stages, for a caller already inside a read
+   section. Each stage issues, for every key, a prefetch of the load the
+   next stage depends on: every key's bucket slot, then every slot's
+   first node, then — where that node's hash matches — its key string;
+   the last stage walks each chain, reading what the earlier stages
+   brought in. The hints of one stage are independent of each other, so
+   the whole batch's misses are in flight at once where a key-at-a-time
+   walk waits out each chain of dependent misses in turn (group
+   prefetching). A prefetch is only a hint: it never faults and changes
+   no memory, and every block hinted at is reachable from the table the
+   section dereferenced, so the section pins it. Readers write no shared
+   memory, so running a section's lookups in any order is linearizable.
+   [found] carries the stages' state — bucket head, then the key's node
+   or [Null] — and no stage allocates. *)
 let find_batch_hashed t ~hashes ~keys found n =
   if n < 0 || n > Array.length hashes || n > Array.length keys || n > Array.length found
   then invalid_arg "Rp_ht.find_batch_hashed: n exceeds an array";
   Rp_obs.Counter.add t.obs_lookups n;
   let stamp = Rp_trace.stamp_sampled () in
   let table = Rcu.dereference t.current in
+  let buckets = table.buckets in
+  let mask = table.size - 1 in
   for i = 0 to n - 1 do
-    let b = bucket_index table (Array.unsafe_get hashes i) in
-    Array.unsafe_set found i (Array.unsafe_get table.buckets b)
+    prefetch buckets ((Array.unsafe_get hashes i land mask) * (Sys.word_size / 8))
   done;
-  let touched = ref 0 in
   for i = 0 to n - 1 do
-    match Array.unsafe_get found i with Node nd -> touched := !touched lxor nd.hash | Null -> ()
+    let head = Array.unsafe_get buckets (Array.unsafe_get hashes i land mask) in
+    Array.unsafe_set found i head;
+    (* the node's fields span [0, 40): one hint per line it may touch *)
+    prefetch head 0;
+    prefetch head 32
   done;
-  ignore (Sys.opaque_identity !touched);
+  for i = 0 to n - 1 do
+    match Array.unsafe_get found i with
+    | Node nd when nd.hash = Array.unsafe_get hashes i -> prefetch nd.key (-8)
+    | Node _ | Null -> ()
+  done;
   for i = 0 to n - 1 do
     Array.unsafe_set found i
       (search_chain t.equal (Array.unsafe_get hashes i) (Array.unsafe_get keys i)
@@ -846,8 +859,6 @@ let length t = Atomic.get t.count
 let load_factor t =
   let table = Atomic.get t.current in
   float_of_int (Atomic.get t.count) /. float_of_int table.size
-
-let set_auto_resize t flag = t.auto_resize <- flag
 
 let resize_stats t =
   {

@@ -114,9 +114,11 @@ val find_batch_hashed :
     (whose hash is [hashes.(i)]) for every [i < n], storing its node — or
     [Rp_list.Null] on a miss — in [found.(i)]. The caller must already
     hold a read section, and read each node's [value] before leaving it.
-    The batch is walked in stages (every bucket slot, then every first
-    node, then every chain) so the lookups' cache misses overlap; nothing
-    is allocated. Counts [n] lookups. Raises [Invalid_argument] when [n]
+    The batch is walked in stages, each prefetching for every key what
+    the next one loads (every bucket slot, then every first node, then
+    each first node's key string where its hash matches, then every
+    chain walk), so the lookups' cache misses overlap; nothing is
+    allocated. Counts [n] lookups. Raises [Invalid_argument] when [n]
     exceeds an array's length. *)
 
 val iter : ('k, 'v) t -> f:('k -> 'v -> unit) -> unit
@@ -209,8 +211,6 @@ val length : ('k, 'v) t -> int
 (** Number of bindings (O(1); exact under quiescence). *)
 
 val load_factor : ('k, 'v) t -> float
-
-val set_auto_resize : ('k, 'v) t -> bool -> unit
 
 (** {1 Crash recovery}
 

@@ -25,6 +25,10 @@ let next = function Node n -> n.next | Null -> null_arg "next"
 let set_next l v = match l with Node n -> n.next <- v | Null -> null_arg "set_next"
 let mark_reclaimed = function Node n -> n.reclaimed <- true | Null -> ()
 
+external prefetch : 'a -> (int[@untagged]) -> unit
+  = "rp_list_prefetch_byte" "rp_list_prefetch"
+  [@@noalloc]
+
 let rec iter_links ~f = function
   | Null -> ()
   | Node n as l ->

@@ -73,6 +73,16 @@ val iter_links : f:(('k, 'v) node -> unit) -> ('k, 'v) link -> unit
 
 val length_link : ('k, 'v) link -> int
 
+external prefetch : 'a -> (int[@untagged]) -> unit
+  = "rp_list_prefetch_byte" "rp_list_prefetch"
+  [@@noalloc]
+(** [prefetch v off] hints that the byte [off] bytes past the start of
+    block [v]'s first field will be loaded soon ([-8] is the header, which
+    [String.length] and string comparison read first). It neither waits
+    nor faults, and does nothing for an immediate ([Null], an int).
+    Batched readers issue it inside their read section, on blocks the
+    section pins, one stage ahead of the dependent load. *)
+
 (** {1 Standalone list} *)
 
 type ('k, 'v) t

@@ -268,9 +268,9 @@ let test_iter_batched_half_split () =
   check_valid t
 
 (* [find_batch_hashed] over [keys] in one read section, as options. *)
-let find_batch t keys =
+let find_batch ~hash t keys =
   let n = Array.length keys in
-  let hashes = Array.map Rp_hashes.Hashfn.of_int keys in
+  let hashes = Array.map hash keys in
   let found = Array.make n Rp_list.Null in
   Flavour.with_read (Rp_ht.flavour t) (fun () ->
       Rp_ht.find_batch_hashed t ~hashes ~keys found n;
@@ -293,9 +293,51 @@ let test_find_batch_half_split () =
     let want =
       Array.map (fun k -> Rp_ht.find_opt_hashed t ~hash:(Rp_hashes.Hashfn.of_int k) k) keys
     in
-    Alcotest.(check (array (option int))) "batch = per-key" want (find_batch t keys)
+    Alcotest.(check (array (option int))) "batch = per-key" want
+      (find_batch ~hash:Rp_hashes.Hashfn.of_int t keys)
   done;
   Alcotest.(check int) "each batch key counted once" (7 * 64 * 2) (Rp_ht.lookups t - before);
+  Alcotest.(check bool) "still half-split" true (Rp_ht.pending_splits t > 0);
+  check_valid t
+
+(* String keys are heap blocks, so every prefetch stage runs: slot, first
+   node, and the key string of a first node whose hash matches. Keys come
+   in groups of four sharing one hash, so chains hold several nodes and a
+   group's absent fourth key is a miss whose first node's hash collides
+   with its own (the last group inserted heads its bucket). The table is
+   half-split, and the lookup keys are fresh strings, so equality compares
+   contents. Batches of 0, 1 and 64 keys equal the per-key lookups. *)
+let test_find_batch_string_keys () =
+  let index k = int_of_string (String.sub k 4 (String.length k - 4)) in
+  let hash k = Rp_hashes.Hashfn.of_int (index k / 4) in
+  let t =
+    Rp_ht.create ~initial_size:8 ~min_size:8 ~auto_resize:true ~hash ~equal:String.equal ()
+  in
+  let groups = 200 in
+  for i = 0 to (groups * 4) - 1 do
+    if i mod 4 <> 3 then Rp_ht.insert t (Printf.sprintf "key:%d" i) (i * 7)
+  done;
+  Alcotest.(check bool) "table is half-split" true (Rp_ht.pending_splits t > 0);
+  Alcotest.(check bool) "multi-node chains" true
+    (Array.exists (fun l -> l >= 4) (Rp_ht.bucket_lengths t));
+  let last = (groups * 4) - 1 in
+  let check_batch keys =
+    let want = Array.map (fun k -> Rp_ht.find_opt_hashed t ~hash:(hash k) k) keys in
+    Alcotest.(check (array (option int)))
+      (Printf.sprintf "batch of %d = per-key" (Array.length keys))
+      want (find_batch ~hash t keys)
+  in
+  let key i = Printf.sprintf "key:%d" i in
+  check_batch [||];
+  check_batch [| key 5 |];
+  check_batch [| key last |];
+  Alcotest.(check (option int)) "colliding miss" None
+    (Rp_ht.find_opt_hashed t ~hash:(hash (key last)) (key last));
+  for b = 0 to (groups * 4 / 64) - 1 do
+    check_batch (Array.init 64 (fun i -> key ((b * 64) + i)))
+  done;
+  (* absent groups past the end: misses on other groups' chains *)
+  check_batch (Array.init 64 (fun i -> key (last + 1 + (i * 5))));
   Alcotest.(check bool) "still half-split" true (Rp_ht.pending_splits t > 0);
   check_valid t
 
@@ -580,7 +622,7 @@ let prop_matches_model =
       in
       valid "callbacks parked";
       let keys = Array.init 101 Fun.id in
-      let staged = find_batch t keys in
+      let staged = find_batch ~hash:Rp_hashes.Hashfn.of_int t keys in
       Array.iter
         (fun k ->
           let per_key = Rp_ht.find_opt_hashed t ~hash:(Rp_hashes.Hashfn.of_int k) k in
@@ -651,6 +693,8 @@ let () =
             test_iter_batched_half_split;
           Alcotest.test_case "find_batch_hashed over half-split table" `Quick
             test_find_batch_half_split;
+          Alcotest.test_case "find_batch_hashed with string keys" `Quick
+            test_find_batch_string_keys;
           Alcotest.test_case "steady resize allocates no arrays" `Quick
             test_resize_allocation;
           Alcotest.test_case "retired arrays pin no removed value" `Quick
