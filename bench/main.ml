@@ -115,8 +115,8 @@ let resize_tests =
 let rcu_tests =
   let rcu = Rcu.create () in
   let reader = Rcu.reader_for_current_domain rcu in
-  let q = Rcu_qsbr.create () in
-  let qth = Rcu_qsbr.thread_for_current_domain q in
+  let q = Rcu.create ~mode:Qsbr () in
+  let qr = Rcu.reader_for_current_domain q in
   Test.make_grouped ~name:"rcu"
     [
       Test.make ~name:"memb-read-section"
@@ -125,14 +125,14 @@ let rcu_tests =
              Rcu.read_unlock reader));
       Test.make ~name:"qsbr-read-section"
         (Staged.stage (fun () ->
-             Rcu_qsbr.read_lock qth;
-             Rcu_qsbr.read_unlock_auto ~mask:63 qth));
+             Rcu.read_lock qr;
+             Rcu.read_unlock qr));
       Test.make ~name:"qsbr-quiescent-state"
-        (Staged.stage (fun () -> Rcu_qsbr.quiescent_state qth));
+        (Staged.stage (fun () -> Rcu.quiescent_state qr));
       Test.make ~name:"memb-synchronize-quiescent"
         (Staged.stage (fun () -> Rcu.synchronize rcu));
       Test.make ~name:"qsbr-synchronize-self-only"
-        (Staged.stage (fun () -> Rcu_qsbr.synchronize q));
+        (Staged.stage (fun () -> Rcu.synchronize q));
     ]
 
 let sync_tests =

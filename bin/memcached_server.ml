@@ -32,7 +32,8 @@ let metrics_port_arg =
 let event_loop_arg =
   let doc =
     "Accepted and ignored: the sharded event loop is the only serving \
-     plane (kept so older command lines still start)."
+     plane. Kept because existing command lines pass it, among them the \
+     perfbench driver (perfbench/run.py)."
   in
   Arg.(value & flag & info [ "event-loop" ] ~doc)
 

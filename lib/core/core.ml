@@ -6,8 +6,6 @@
     evaluation machinery (workloads, harness, cost model, mini-memcached). *)
 
 module Rcu = Rcu
-module Rcu_qsbr = Rcu_qsbr
-module Flavour = Flavour
 module Table = Rp_ht
 module Torture = Rp_torture.Torture
 module Unzip = Unzip

@@ -6,32 +6,16 @@
     added, how much unzip work an expansion performs, and what Xu's
     two-pointer scheme pays in memory. *)
 
-val lookup_latency_under_resize :
-  ?duration:float -> ?entries:int -> ?buckets:int -> unit -> unit
-(** One reader samples per-lookup latency (ns histogram) while a resizer
-    flips the table size continuously; prints p50 / p99 / p99.9 / mean for
-    rp-qsbr, rp-memb and ddds. The paper's "DDDS significantly slows
-    lookups while resizing" shows up as a fat tail. *)
-
-val update_ratio_sweep :
-  ?duration:float -> ?entries:int -> ?buckets:int -> ?ratios:float list ->
-  unit -> unit
-(** Single-worker throughput as the update fraction grows: RP's read-side
-    advantage must not collapse the moment writes appear. *)
-
-val grace_period_latency : ?readers:int list -> unit -> unit
-(** Cost of one [synchronize] (memb flavour) against n registered readers:
-    idle readers (all quiescent) vs churning readers (entering/leaving
-    sections continuously). *)
-
-val unzip_work : ?load_factors:float list -> ?buckets:int -> unit -> unit
-(** Expansion work as load factor grows: unzip passes and total splices for
-    one doubling, plus wall-clock time. Passes track the longest
-    interleaved-run count in any chain. *)
-
-val memory_overhead : ?entries:int list -> unit -> unit
-(** Analytic per-node and per-table word counts: the unzip algorithm's
-    1-pointer nodes vs Herbert Xu's 2-pointer nodes (the "high memory
-    usage" trade-off the talk cites), including bucket-array overhead. *)
-
 val run_all : unit -> unit
+(** Print every ablation, each at its default size:
+    - lookup latency under resize: one reader samples per-lookup latency
+      while a resizer flips the table size; p50 / p99 / p99.9 / mean for
+      rp-qsbr, rp-memb and ddds (DDDS's resize pain is a fat tail);
+    - update-ratio sweep: single-worker throughput as the update fraction
+      grows (RP's read-side advantage must not collapse with writes);
+    - grace-period latency: one memb [synchronize] against n idle and n
+      churning readers;
+    - unzip work: passes, splices and time for one doubling as the load
+      factor grows (passes track the longest interleaved run);
+    - memory overhead: per-node and per-table words, the unzip
+      algorithm's 1-pointer nodes against Xu's 2-pointer nodes. *)

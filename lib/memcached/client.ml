@@ -351,16 +351,6 @@ let stats ?arg t =
   | Protocol.Stats_reply kvs -> kvs
   | _ -> failwith "Memcached.Client.stats: unexpected response"
 
-let trace_dump ?max_events t =
-  match request t (Protocol.Trace_dump max_events) with
-  | Protocol.Trace_json json -> json
-  | _ -> failwith "Memcached.Client.trace_dump: unexpected response"
-
-let heat_dump ?n t =
-  match request t (Protocol.Heat_dump n) with
-  | Protocol.Trace_json json -> json
-  | _ -> failwith "Memcached.Client.heat_dump: unexpected response"
-
 let version t =
   match request t Protocol.Version with
   | Protocol.Version_reply v -> v

@@ -87,15 +87,6 @@ val stats : ?arg:string -> t -> (string * string) list
     returns the relativistic-stack instrument lines only. Routed to the
     first live member in cluster mode. *)
 
-val trace_dump : ?max_events:int -> t -> string
-(** Send [trace dump [n]] and return the server's flight-recorder export
-    (one line of Chrome trace-event JSON). *)
-
-val heat_dump : ?n:int -> t -> string
-(** Send [heat dump [n]] and return the server's workload-insight export
-    (one line of JSON: top-[n] heavy hitters per sketch, stripe heatmap,
-    size histograms). *)
-
 val version : t -> string
 
 val promote : t -> (unit, string) result
@@ -110,7 +101,3 @@ val request : t -> Protocol.request -> Protocol.response
 (** Send any request and wait for its response (raises [Failure] on
     protocol errors or closed connections). Routed to the first live
     member in cluster mode. *)
-
-val request_for : t -> string -> Protocol.request -> Protocol.response
-(** Like {!request} but routed by [key] — for sending hand-built keyed
-    requests (e.g. noreply batches) to the right cluster member. *)

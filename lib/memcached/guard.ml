@@ -36,14 +36,13 @@ let install ?watermarks ?(interval = 0.05) ?(stall_window = 1.0) store =
           float_of_int (Store.bytes store) /. float_of_int max_bytes
         in
         if Store.tier_active store then Float.max 0.0 (raw -. 1.0) else raw);
-  (* RCU stalls: the watchdog's counter lives in the store registry under
-     flavour-specific names; watch whichever is present. A count that
-     moved within [stall_window] seconds holds stall pressure. *)
+  (* RCU stalls: an rp store's watchdog counts every grace period that
+     waits on one reader past its budget (a lock store has no RCU). A
+     count that moved within [stall_window] seconds holds stall
+     pressure. *)
   let reg = Store.registry store in
   let stall_count () =
-    match Rp_obs.Registry.value reg "rcu_stalls_total" with
-    | Some v -> v
-    | None -> 0.0
+    Option.value ~default:0.0 (Rp_obs.Registry.value reg "rcu_stalls_total")
   in
   let last_count = ref (stall_count ()) in
   let last_moved = ref neg_infinity in

@@ -68,7 +68,7 @@ val create :
     period — one note in that many pays for sketch work, and exposed
     counts are scaled back (pass 1 for exact counts in tests); [clock]
     is injectable for expiry tests. [rcu_mode] (default {!Memb}) selects
-    the RCU flavour backing the {!Rp} table; {!Qsbr} makes every GET a
+    the RCU reader protocol backing the {!Rp} table; {!Qsbr} makes every GET a
     zero-cost read section but obliges callers to QSBR discipline. *)
 
 val backend : t -> backend
@@ -98,7 +98,9 @@ val get_many : t -> ?with_cas:bool -> string list -> Protocol.value list
     are built after it closes: hits in key order, each [vkey] physically
     the requested key. Expired items encountered inside the batch are
     reaped after the section closes, each under its own key's update
-    stripe; cold ones are promoted then too. *)
+    stripe; cold ones are promoted then too. Systhreads sharing a domain
+    may call it concurrently: a grace period one of them starts waits out
+    a sibling's section. *)
 
 val batch_keys : int
 (** The most keys one {!get_many} read section serves (64): longer key

@@ -5,7 +5,7 @@
    which writes each memcached command once over this signature. *)
 
 type kind = Lock | Rp
-type rcu_mode = Memb | Qsbr
+type rcu_mode = Rcu.mode = Memb | Qsbr
 
 (* Cold-tier hooks, installed by [Tier.attach] (documented in
    store.mli). The store never touches segment files itself; locations
@@ -70,7 +70,7 @@ type backend = {
   hash : string -> int;  (* the key's stripe hash; the lock table needs none *)
   with_key : 'a. hash:int -> (unit -> 'a) -> 'a;
       (* Serialize a writer of the key: its RP store stripe, taken with
-         QSBR's quiescing spin, or the global lock. *)
+         [Rcu.mutex_lock], or the global lock. *)
   with_all : 'a. (unit -> 'a) -> 'a;  (* every writer stopped: flush_all *)
   live : hash:int -> now:Item.time -> string -> Item.t option;
       (* The unexpired item, under the key's lock. *)

@@ -14,12 +14,10 @@ open Store_core
 
 type t = {
   c : Store_core.t;
+  (* Under QSBR (zero-cost read sections) readers must respect QSBR
+     discipline: the event-loop workers go offline around their poll
+     wait, and a writer waiting for an update stripe goes offline. *)
   rp : (string, Item.t) Rp_ht.t;
-  (* Some on the QSBR flavour (zero-cost read sections). Readers must
-     then respect QSBR discipline: the event-loop workers go offline
-     around their poll wait, and the update stripes are acquired with a
-     quiescing spin. *)
-  qsbr : Rcu_qsbr.t option;
   update_stripes : Mutex.t array;  (* power of two *)
   update_mask : int;
   clock_mu : Mutex.t;
@@ -44,36 +42,11 @@ let k_tier_promote = Rp_trace.intern "tier.promote"
 
 (* --- update locking --- *)
 
-(* Acquire one update stripe. Under QSBR a plain blocking lock could
-   deadlock: the holder may be inside wait-for-readers (a table resize
-   pass or a deferred-reclamation flush) while we sit here online and
-   non-quiescent, so it would wait on us forever. Spin with try_lock
-   instead, announcing a quiescent state each round (we hold no
-   RCU-protected references while asking for a writer stripe). *)
-let lock_update t (m : Mutex.t) =
-  match t.qsbr with
-  | None -> Mutex.lock m
-  | Some q ->
-      if not (Mutex.try_lock m) then begin
-        let th = Rcu_qsbr.thread_for_current_domain q in
-        let can_quiesce =
-          Rcu_qsbr.is_online th && not (Rcu_qsbr.in_critical_section th)
-        in
-        let rec spin () =
-          if not (Mutex.try_lock m) then begin
-            if can_quiesce then Rcu_qsbr.quiescent_state th;
-            Domain.cpu_relax ();
-            spin ()
-          end
-        in
-        spin ()
-      end
-
 (* Serialize an update on the stripe its key hashes to. *)
 let with_stripe t ~hash f =
   let m = t.update_stripes.(hash land t.update_mask) in
   let span = Rp_trace.span_begin_sampled k_update in
-  lock_update t m;
+  Rcu.mutex_lock (Rp_ht.rcu t.rp) m;
   match f () with
   | v ->
       Mutex.unlock m;
@@ -89,7 +62,7 @@ let with_stripe t ~hash f =
 let with_all_stripes t f =
   let n = Array.length t.update_stripes in
   for i = 0 to n - 1 do
-    lock_update t t.update_stripes.(i)
+    Rcu.mutex_lock (Rp_ht.rcu t.rp) t.update_stripes.(i)
   done;
   Fun.protect
     ~finally:(fun () ->
@@ -398,7 +371,7 @@ let promote_and_get t ~with_cas key =
       let span = Rp_trace.span_begin_sampled k_tier_promote in
       let hash = hash_key key in
       let m = t.promote_stripes.(hash land t.update_mask) in
-      lock_update t m;
+      Rcu.mutex_lock (Rp_ht.rcu t.rp) m;
       let v =
         Fun.protect
           ~finally:(fun () ->
@@ -535,13 +508,13 @@ let rec get_batches t ~with_cas ~now keys =
   s.busy <- true;
   let rest = stage s 0 keys in
   let n = s.staged in
-  let flavour = Rp_ht.flavour t.rp in
+  let rcu = Rp_ht.rcu t.rp in
   let section = Rp_trace.span_begin_sampled k_read_section in
-  flavour.Flavour.read_enter ();
+  Rcu.read_lock_current rcu;
   (match read_section t s n with
-  | () -> flavour.Flavour.read_exit ()
+  | () -> Rcu.read_unlock_current rcu
   | exception e ->
-      flavour.Flavour.read_exit ();
+      Rcu.read_unlock_current rcu;
       end_read_section section ~n;
       s.busy <- false;
       raise e);
@@ -565,11 +538,8 @@ let get_many t ~with_cas ~now keys =
   else values
 
 (* A lone GET opens no outer section: the table's own read section
-   covers the chain walk and the reply record is built after it.
-   Systhreads on one domain (a follower's apply thread, an in-process
-   bench client) share its memb reader slot, so a section held across
-   allocations (where a thread switch can happen) is one a sibling
-   thread's grace period can trip over. *)
+   covers the chain walk, and the reply record is built after it, so the
+   section is no longer than the walk. *)
 let get t ~now key =
   match Rp_ht.find_opt_hashed t.rp ~hash:(hash_key key) key with
   | None ->
@@ -623,8 +593,12 @@ let iter t f =
   | keys, Some hooks -> List.iter (fun key -> iter_resolve_cold t ~hooks ~f key 3) keys);
   restarts
 
+(* How long a grace period waits on one reader before the watchdog
+   counts a stall (the guard's [rcu] source). *)
+let stall_budget = 1.0
+
 let create (c : Store_core.t) ~rcu_mode ~initial_size ~auto_resize ~stripes =
-  let qsbr = match rcu_mode with Qsbr -> Some (Rcu_qsbr.create ()) | Memb -> None in
+  let rcu = Rcu.create ~mode:rcu_mode ~stall_budget () in
   let nstripes =
     let rec pow2 n = if n >= stripes then n else pow2 (n * 2) in
     pow2 1
@@ -633,19 +607,13 @@ let create (c : Store_core.t) ~rcu_mode ~initial_size ~auto_resize ~stripes =
      power-of-two) stripe array, so a store stripe maps onto a fixed set
      of table stripes and two ops serialized here never contend below. *)
   let rp =
-    match qsbr with
-    | Some q ->
-        Rp_ht.create ~flavour:(Flavour.qsbr q) ~initial_size ~auto_resize
-          ~stripes:nstripes ~hash:hash_key ~equal:String.equal ()
-    | None ->
-        Rp_ht.create ~initial_size ~auto_resize ~stripes:nstripes ~hash:hash_key
-          ~equal:String.equal ()
+    Rp_ht.create ~rcu ~initial_size ~auto_resize ~stripes:nstripes ~hash:hash_key
+      ~equal:String.equal ()
   in
   let t =
     {
       c;
       rp;
-      qsbr;
       update_stripes = Array.init nstripes (fun _ -> Mutex.create ());
       update_mask = nstripes - 1;
       clock_mu = Mutex.create ();
@@ -656,16 +624,7 @@ let create (c : Store_core.t) ~rcu_mode ~initial_size ~auto_resize ~stripes =
   in
   let observe () =
     Rp_ht.observe rp c.registry;
-    match qsbr with
-    | None -> Rcu.observe (Rp_ht.rcu rp) c.registry
-    | Some q ->
-        (* Flavoured tables have no memb instance; expose the QSBR
-           grace-period counter and participant count instead. *)
-        Rp_obs.Registry.fn_counter c.registry ~help:"QSBR grace periods completed"
-          "rcu_grace_periods_total" (fun () ->
-            float_of_int (Rcu_qsbr.grace_periods q));
-        Rp_obs.Registry.gauge c.registry ~help:"QSBR participant threads registered"
-          "rcu_qsbr_threads" (fun () -> float_of_int (Rcu_qsbr.registered_threads q))
+    Rcu.observe rcu c.registry
   in
   let live ~hash ~now key =
     match Rp_ht.find_opt_hashed rp ~hash key with
@@ -690,7 +649,7 @@ let create (c : Store_core.t) ~rcu_mode ~initial_size ~auto_resize ~stripes =
     iter = (fun f -> iter t f);
     length = (fun () -> Rp_ht.length rp);
     buckets = (fun () -> Rp_ht.size rp);
-    reader_offline = (fun () -> (Rp_ht.flavour rp).Flavour.thread_offline ());
+    reader_offline = (fun () -> Rcu.offline_current rcu);
     observe;
     stripe_heat = (fun () -> Rp_ht.stripe_heat rp);
   }

@@ -1,5 +1,5 @@
 (** The {!Store} backend over {!Rp_ht}: wait-free GETs, per-key update
-    stripes (a quiescing spin under QSBR), CLOCK eviction with cold-tier
+    stripes (a waiter goes offline under QSBR), CLOCK eviction with cold-tier
     demotion, and promote-on-access. *)
 
 val batch_keys : int

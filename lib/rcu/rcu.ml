@@ -1,22 +1,35 @@
-(* Epoch-based userspace RCU ("memb" flavour).
+(* Userspace RCU: two reader protocols over one registry.
 
-   Reader slot protocol: ctr = 0 when quiescent, otherwise the global epoch
-   value observed at the outermost read_lock. synchronize advances the epoch
-   to E and waits, per slot, for ctr = 0 or ctr >= E. Under OCaml's seq_cst
-   atomics this single advance is a full grace period: if synchronize's scan
-   reads ctr = 0 for a slot, that slot's next read_lock stores an epoch value
-   loaded after our epoch increment, hence >= E, and every write made before
-   synchronize began (e.g. an unlink) is visible inside that later critical
-   section. *)
+   Slot protocol: ctr = 0 when the slot pins nothing (memb: outside any
+   section; QSBR: offline), otherwise an epoch the slot observed (memb: at
+   its outermost read_lock; QSBR: at its last quiescent state).
+   synchronize advances the epoch to E and waits, per slot, for ctr = 0 or
+   ctr >= E. Under OCaml's seq_cst atomics this single advance is a full
+   grace period: if synchronize's scan reads ctr = 0 for a slot, that
+   slot's next read_lock (memb) or online (QSBR) stores an epoch value
+   loaded after our epoch increment, hence >= E, and every write made
+   before synchronize began (e.g. an unlink) is visible inside that later
+   critical section.
+
+   A slot belongs to a domain, and the domain's systhreads share it: the
+   nesting count is the domain's, and [holder] names the systhread that
+   opened the outermost section. So synchronize can tell its own thread's
+   section (an error) from a sibling thread's (waited out, yielding the
+   domain to it). Systhreads switch only at allocations and polls, so the
+   plain read-modify-writes of [nesting] below are never interleaved. *)
+
+type mode = Memb | Qsbr
 
 type slot = {
   ctr : int Atomic.t;
   in_use : bool Atomic.t;
   mutable owner : int;  (* domain id, meaningful while in_use *)
   mutable nesting : int;  (* touched only by the owning domain *)
+  mutable holder : int;  (* Thread.id that opened the outermost section *)
+  mutable sections : int;  (* completed outermost sections (QSBR) *)
 }
 
-type reader = { slot : slot; epoch : int Atomic.t }
+type reader = { slot : slot; epoch : int Atomic.t; mode : mode }
 
 exception Too_many_readers
 
@@ -37,6 +50,7 @@ type stall_report = {
 }
 
 type t = {
+  mode : mode;
   epoch : int Atomic.t;
   slots : slot array;
   reg_mutex : Mutex.t;
@@ -55,9 +69,14 @@ type t = {
   gp_hist : Rp_obs.Histogram.t;  (* grace-period latency, ns *)
 }
 
-let create ?(max_readers = 128) ?stall_budget () =
+(* A QSBR slot announces a quiescent state by itself after every 64th
+   completed outermost section. *)
+let quiesce_mask = 63
+
+let create ?(mode = Memb) ?(max_readers = 128) ?stall_budget () =
   if max_readers < 1 then invalid_arg "Rcu.create: max_readers < 1";
   {
+    mode;
     epoch = Atomic.make 1;
     slots =
       Array.init max_readers (fun _ ->
@@ -66,6 +85,8 @@ let create ?(max_readers = 128) ?stall_budget () =
             in_use = Atomic.make false;
             owner = -1;
             nesting = 0;
+            holder = -1;
+            sections = 0;
           });
     reg_mutex = Mutex.create ();
     gp_mutex = Mutex.create ();
@@ -83,6 +104,9 @@ let create ?(max_readers = 128) ?stall_budget () =
     gp_hist = Rp_obs.Histogram.create ();
   }
 
+let mode t = t.mode
+let self_thread () = Thread.id (Thread.self ())
+
 (* --- registration --- *)
 
 let register t =
@@ -95,14 +119,14 @@ let register t =
     else if not (Atomic.get t.slots.(i).in_use) then i
     else find (i + 1)
   in
-  let i = find 0 in
-  let slot = t.slots.(i) in
+  let slot = t.slots.(find 0) in
   slot.owner <- (Domain.self () :> int);
   slot.nesting <- 0;
-  Atomic.set slot.ctr 0;
+  (* A QSBR reader is born online, quiescent as of now. *)
+  Atomic.set slot.ctr (match t.mode with Memb -> 0 | Qsbr -> Atomic.get t.epoch);
   Atomic.set slot.in_use true;
   Mutex.unlock t.reg_mutex;
-  { slot; epoch = t.epoch }
+  { slot; epoch = t.epoch; mode = t.mode }
 
 let unregister t r =
   if r.slot.nesting <> 0 then
@@ -129,21 +153,60 @@ let registered_readers t =
     (fun acc slot -> if Atomic.get slot.in_use then acc + 1 else acc)
     0 t.slots
 
+(* --- quiescent states (QSBR; memb readers are quiescent outside sections) --- *)
+
+let check_outside r what =
+  if r.slot.nesting <> 0 then invalid_arg ("Rcu." ^ what ^ ": inside a critical section")
+
+let quiescent_state (r : reader) =
+  check_outside r "quiescent_state";
+  if r.mode = Qsbr then Atomic.set r.slot.ctr (Atomic.get r.epoch)
+
+let offline (r : reader) =
+  check_outside r "offline";
+  if r.mode = Qsbr then Atomic.set r.slot.ctr 0
+
+(* Only an offline slot is written: a sibling thread's section may have
+   brought it online, and a newer epoch would announce a quiescent state
+   on that section's behalf. *)
+let online (r : reader) =
+  if r.mode = Qsbr && Atomic.get r.slot.ctr = 0 then
+    Atomic.set r.slot.ctr (Atomic.get r.epoch)
+
+let is_online (r : reader) = r.mode = Memb || Atomic.get r.slot.ctr <> 0
+
+let offline_current t =
+  match Domain.DLS.get t.dls with Some r -> offline r | None -> ()
+
 (* --- read-side critical sections --- *)
 
-let read_lock r =
+let enter (r : reader) =
   let slot = r.slot in
-  if slot.nesting = 0 then Atomic.set slot.ctr (Atomic.get r.epoch);
+  if slot.nesting = 0 then begin
+    slot.holder <- self_thread ();
+    if r.mode = Memb then Atomic.set slot.ctr (Atomic.get r.epoch)
+  end;
   slot.nesting <- slot.nesting + 1
 
-let read_unlock r =
+let read_lock (r : reader) =
+  if r.mode = Qsbr && Atomic.get r.slot.ctr = 0 then
+    invalid_arg "Rcu.read_lock: reader is offline";
+  enter r
+
+let read_unlock (r : reader) =
   let slot = r.slot in
   if slot.nesting <= 0 then invalid_arg "Rcu.read_unlock: not in a critical section";
   slot.nesting <- slot.nesting - 1;
-  if slot.nesting = 0 then Atomic.set slot.ctr 0
+  if slot.nesting = 0 then
+    match r.mode with
+    | Memb -> Atomic.set slot.ctr 0
+    | Qsbr ->
+        slot.sections <- slot.sections + 1;
+        if slot.sections land quiesce_mask = 0 then
+          Atomic.set slot.ctr (Atomic.get r.epoch)
 
-let with_read r f =
-  read_lock r;
+(* Run [f] inside the section [r] was just entered into. *)
+let section r f =
   match f () with
   | v ->
       read_unlock r;
@@ -152,9 +215,21 @@ let with_read r f =
       read_unlock r;
       raise e
 
-let read_lock_current t = read_lock (reader_for_current_domain t)
+let with_read r f =
+  read_lock r;
+  section r f
+
+(* The current domain's section, bringing a QSBR domain back online. *)
+let enter_current t =
+  let r = reader_for_current_domain t in
+  online r;
+  enter r;
+  r
+
+let read_lock_current t = ignore (enter_current t : reader)
 let read_unlock_current t = read_unlock (reader_for_current_domain t)
-let with_read_current t f = with_read (reader_for_current_domain t) f
+let with_read_current t f = section (enter_current t) f
+
 let in_critical_section r = r.slot.nesting > 0
 
 (* --- publication --- *)
@@ -164,14 +239,27 @@ let dereference cell = Atomic.get cell
 
 (* --- grace periods --- *)
 
-let check_not_reading t =
-  let self = (Domain.self () :> int) in
-  Array.iter
-    (fun slot ->
-      if Atomic.get slot.in_use && slot.owner = self && Atomic.get slot.ctr <> 0
-      then
-        invalid_arg "Rcu.synchronize: called from within a read-side critical section")
-    t.slots
+(* A slot of the caller's own domain in a section is held either by the
+   calling thread, which would wait on itself forever, or by a sibling
+   systhread, which can only leave once the caller yields the domain. *)
+let wait_sibling (slot : slot) =
+  if slot.nesting > 0 && slot.holder = self_thread () then
+    invalid_arg "Rcu.synchronize: called from within a read-side critical section";
+  Thread.yield ()
+
+(* QSBR: the caller holds no references, so its domain goes offline for
+   the wait (concurrent synchronize callers queued on gp_mutex then do not
+   stall each other's grace periods), once any sibling thread's section
+   has ended. Returns the reader to bring back online. *)
+let leave_for_wait t =
+  match (t.mode, Domain.DLS.get t.dls) with
+  | Qsbr, Some r when Atomic.get r.slot.ctr <> 0 ->
+      while r.slot.nesting > 0 do
+        wait_sibling r.slot
+      done;
+      offline r;
+      Some r
+  | _ -> None
 
 (* Watchdog: called from the scan's wait loop once the per-slot wait
    exceeds the budget. Reports once per slot per grace period (like Linux
@@ -196,10 +284,12 @@ let report_stall t ~slot_index ~slot ~slot_epoch ~target_epoch ~waited =
   | None -> ()
 
 let scan_slots t ~new_epoch =
+  let dom = (Domain.self () :> int) in
   Array.iteri
     (fun i slot ->
       if Atomic.get slot.in_use then begin
         Rp_fault.point "rcu.synchronize.scan";
+        let sibling = slot.owner = dom in
         let backoff = Rp_sync.Backoff.create ~max_wait:256 () in
         let started = ref 0.0 in
         let reported = ref false in
@@ -216,7 +306,7 @@ let scan_slots t ~new_epoch =
                     ~target_epoch:new_epoch ~waited:(now -. !started)
                 end
             | Some _ | None -> ());
-            Rp_sync.Backoff.once backoff;
+            if sibling then wait_sibling slot else Rp_sync.Backoff.once backoff;
             wait ()
           end
         in
@@ -227,25 +317,42 @@ let scan_slots t ~new_epoch =
 let k_gp = Rp_trace.intern "rcu.gp"
 
 let synchronize t =
-  check_not_reading t;
   Rp_fault.point "rcu.synchronize.pre";
+  let rejoin = leave_for_wait t in
   let started = Unix.gettimeofday () in
   let gp_span = Rp_trace.span_begin k_gp in
   Mutex.lock t.gp_mutex;
   let new_epoch = 1 + Atomic.fetch_and_add t.epoch 1 in
-  (* The scan can raise via the failpoint; never leave gp_mutex held. *)
+  let finish () =
+    Mutex.unlock t.gp_mutex;
+    Rp_trace.span_end ~arg:new_epoch k_gp gp_span;
+    Option.iter online rejoin
+  in
+  (* The scan can raise (the failpoint, or the caller's own section);
+     never leave gp_mutex held. *)
   (match scan_slots t ~new_epoch with
   | () -> ()
   | exception e ->
-      Mutex.unlock t.gp_mutex;
-      Rp_trace.span_end ~arg:new_epoch k_gp gp_span;
+      finish ();
       raise e);
   Atomic.incr t.gp_count;
   Atomic.incr t.sync_count;
-  Mutex.unlock t.gp_mutex;
-  Rp_trace.span_end ~arg:new_epoch k_gp gp_span;
+  finish ();
   Rp_obs.Histogram.observe_span t.gp_hist ~start:started
     ~stop:(Unix.gettimeofday ())
+
+(* A writer lock whose holder may be waiting for a grace period: a QSBR
+   domain blocked on it while online would stall that grace period
+   forever, so it goes offline for the wait. A memb waiter outside any
+   section pins nothing and simply blocks. *)
+let mutex_lock t m =
+  if not (Mutex.try_lock m) then
+    match (t.mode, Domain.DLS.get t.dls) with
+    | Qsbr, Some r when r.slot.nesting = 0 && Atomic.get r.slot.ctr <> 0 ->
+        offline r;
+        Mutex.lock m;
+        online r
+    | _ -> Mutex.lock m
 
 (* --- deferred callbacks --- *)
 
@@ -267,6 +374,12 @@ let flush t =
       pending
   end
 
+let pending_callbacks t =
+  Mutex.lock t.cb_mutex;
+  let n = Queue.length t.cb_queue in
+  Mutex.unlock t.cb_mutex;
+  n
+
 let call_rcu t cb =
   Rp_fault.point "rcu.call_rcu.enqueue";
   Mutex.lock t.cb_mutex;
@@ -275,21 +388,9 @@ let call_rcu t cb =
   Mutex.unlock t.cb_mutex;
   if n >= t.cb_threshold then flush t
 
-let barrier t =
-  let rec loop () =
-    flush t;
-    Mutex.lock t.cb_mutex;
-    let n = Queue.length t.cb_queue in
-    Mutex.unlock t.cb_mutex;
-    if n > 0 then loop ()
-  in
-  loop ()
-
-let pending_callbacks t =
-  Mutex.lock t.cb_mutex;
-  let n = Queue.length t.cb_queue in
-  Mutex.unlock t.cb_mutex;
-  n
+let rec barrier t =
+  flush t;
+  if pending_callbacks t > 0 then barrier t
 
 (* --- stall watchdog configuration --- *)
 

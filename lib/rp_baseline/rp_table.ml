@@ -16,7 +16,7 @@ module Resizable = struct
   let resize = Rp_ht.resize
   let size = Rp_ht.size
   let length = Rp_ht.length
-  let reader_exit t = (Rp_ht.flavour t).Flavour.thread_offline ()
+  let reader_exit t = Rcu.offline_current (Rp_ht.rcu t)
 end
 
 (** The same table with resizing forbidden — the paper's fixed-size
@@ -38,23 +38,21 @@ module Fixed = struct
 
   let size = Rp_ht.size
   let length = Rp_ht.length
-  let reader_exit t = (Rp_ht.flavour t).Flavour.thread_offline ()
+  let reader_exit t = Rcu.offline_current (Rp_ht.rcu t)
 end
 
-(** The same table running on the QSBR flavour: zero-cost readers, matching
-    the paper's kernel-RCU setting. Callers must respect QSBR's rule that
-    participating domains never block indefinitely while registered (the
-    flavour auto-announces quiescent states between read sections). *)
+(** The same table running on QSBR RCU: zero-cost readers, matching the
+    paper's kernel-RCU setting. Callers must respect QSBR's rule that
+    participating domains never block indefinitely while online (a reader
+    announces a quiescent state by itself every 64 read sections). *)
 module Qsbr = struct
   type ('k, 'v) t = ('k, 'v) Rp_ht.t
 
   let name = "rp-qsbr"
 
   let create ~hash ~equal ~size () =
-    let q = Rcu_qsbr.create () in
-    Rp_ht.create
-      ~flavour:(Flavour.qsbr q)
-      ~initial_size:size ~auto_resize:false ~hash ~equal ()
+    Rp_ht.create ~rcu:(Rcu.create ~mode:Qsbr ()) ~initial_size:size ~auto_resize:false
+      ~hash ~equal ()
 
   let find = Rp_ht.find
   let insert = Rp_ht.replace
@@ -62,5 +60,5 @@ module Qsbr = struct
   let resize = Rp_ht.resize
   let size = Rp_ht.size
   let length = Rp_ht.length
-  let reader_exit t = (Rp_ht.flavour t).Flavour.thread_offline ()
+  let reader_exit t = Rcu.offline_current (Rp_ht.rcu t)
 end

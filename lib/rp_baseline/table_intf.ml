@@ -37,7 +37,7 @@ module type TABLE = sig
 
   val reader_exit : ('k, 'v) t -> unit
   (** The calling domain will stop reading (blocking indefinitely or
-      exiting). QSBR-flavoured tables take their thread offline so grace
+      exiting). Tables on QSBR RCU take their domain offline so grace
       periods stop waiting for it; every other implementation is a no-op.
       Reading again later is allowed. *)
 end

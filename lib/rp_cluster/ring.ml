@@ -88,6 +88,3 @@ let lookup ?(avoid = fun _ -> false) t key =
     done;
     !found
   end
-
-let server_for_key ?avoid t key =
-  match lookup ?avoid t key with Some i -> Some t.members.(i) | None -> None

@@ -30,5 +30,3 @@ val lookup : ?avoid:(int -> bool) -> t -> string -> int option
 (** Index of the member owning [key], skipping members for which
     [avoid] holds; [None] when the ring is empty or everything is
     avoided. *)
-
-val server_for_key : ?avoid:(int -> bool) -> t -> string -> member option

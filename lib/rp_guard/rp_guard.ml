@@ -28,12 +28,6 @@ let state_name = function
   | Shed -> "shed"
   | Emergency -> "emergency"
 
-let int_of_state = function
-  | Healthy -> 0
-  | Throttle -> 1
-  | Shed -> 2
-  | Emergency -> 3
-
 let state_of_int = function
   | 0 -> Healthy
   | 1 -> Throttle

@@ -13,8 +13,6 @@
 type state = Healthy | Throttle | Shed | Emergency
 
 val state_name : state -> string
-val int_of_state : state -> int
-val state_of_int : int -> state
 
 (** Ladder thresholds over normalized pressure (1.0 = at the configured
     limit). Each rung's [down] sits below its [up]: the hysteresis band
@@ -62,7 +60,6 @@ val sweep : t -> unit
 val state : t -> state
 val peak_state : t -> state
 val pressure : t -> float
-val source_pressures : t -> (string * float) list
 val interval : t -> float
 
 val admit_mutation : t -> bool

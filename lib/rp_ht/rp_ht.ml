@@ -41,8 +41,7 @@ type ('k, 'v) pending_split = {
 }
 
 type ('k, 'v) t = {
-  rcu_memb : Rcu.t option;  (* the default flavour's underlying Rcu.t *)
-  flavour : Flavour.t;
+  rcu : Rcu.t;
   hash : 'k -> int;
   equal : 'k -> 'k -> bool;
   current : ('k, 'v) table Atomic.t;
@@ -97,18 +96,9 @@ let stripe_cell_stride = 8
 
 let make_table size = { size; buckets = Array.make size Null }
 
-let create ?rcu ?flavour ?(initial_size = 8) ?(min_size = 4)
-    ?(max_size = 1 lsl 22) ?(auto_resize = true) ?stripes ~hash ~equal () =
-  let rcu_memb, flavour =
-    match flavour with
-    | Some f ->
-        if rcu <> None then
-          invalid_arg "Rp_ht.create: pass either ~rcu or ~flavour, not both";
-        (None, f)
-    | None ->
-        let r = match rcu with Some r -> r | None -> Rcu.create () in
-        (Some r, Flavour.memb r)
-  in
+let create ?rcu ?(initial_size = 8) ?(min_size = 4) ?(max_size = 1 lsl 22)
+    ?(auto_resize = true) ?stripes ~hash ~equal () =
+  let rcu = match rcu with Some r -> r | None -> Rcu.create () in
   let min_size = Rp_hashes.Size.next_power_of_two (max 1 min_size) in
   (* Default stripe count: 8, but never more than min_size (the
      bucket-to-stripe mapping must be stable across resizes). An explicit
@@ -124,8 +114,7 @@ let create ?rcu ?flavour ?(initial_size = 8) ?(min_size = 4)
     min max_size (max min_size (Rp_hashes.Size.next_power_of_two initial_size))
   in
   {
-    rcu_memb;
-    flavour;
+    rcu;
     hash;
     equal;
     current = Atomic.make (make_table initial_size);
@@ -156,13 +145,7 @@ let create ?rcu ?flavour ?(initial_size = 8) ?(min_size = 4)
     spare_busy = Bytes.empty;
   }
 
-let rcu t =
-  match t.rcu_memb with
-  | Some r -> r
-  | None ->
-      invalid_arg "Rp_ht.rcu: table was built with a custom flavour"
-
-let flavour t = t.flavour
+let rcu t = t.rcu
 let stripe_count t = Array.length t.stripes
 
 (* --- read side --- *)
@@ -199,20 +182,20 @@ let k_lazy_split = Rp_trace.intern "rp_ht.lazy_split"
 let find_opt_hashed t ~hash k =
   Rp_obs.Counter.incr t.obs_lookups;
   let stamp = Rp_trace.stamp_sampled () in
-  t.flavour.Flavour.read_enter ();
+  Rcu.read_lock_current t.rcu;
   match find_node t ~hash k (Rcu.dereference t.current) with
   | Node n ->
       let v = n.value in
-      t.flavour.Flavour.read_exit ();
+      Rcu.read_unlock_current t.rcu;
       Rp_trace.instant_at_sampled ~arg:1 k_lookup stamp;
       Some v
   | Null ->
-      t.flavour.Flavour.read_exit ();
+      Rcu.read_unlock_current t.rcu;
       Rp_trace.instant_at_sampled k_lookup stamp;
       None
   | exception e ->
       (* only a user-supplied [equal] can raise *)
-      t.flavour.Flavour.read_exit ();
+      Rcu.read_unlock_current t.rcu;
       Rp_trace.instant_at_sampled k_lookup stamp;
       raise e
 
@@ -277,7 +260,7 @@ let rec iter_home ~size ~b f = function
       iter_home ~size ~b f n.next
 
 let iter t ~f =
-  Flavour.with_read t.flavour (fun () ->
+  Rcu.with_read_current t.rcu (fun () ->
       let table = Rcu.dereference t.current in
       Array.iteri (fun b link -> iter_home ~size:table.size ~b f link) table.buckets)
 
@@ -298,7 +281,7 @@ let iter_batched ?(batch = 64) t ~f =
   let b = ref 0 in
   let max_size = ref 0 in
   while not !finished do
-    Flavour.with_read t.flavour (fun () ->
+    Rcu.with_read_current t.rcu (fun () ->
         let table = Rcu.dereference t.current in
         if table.size < !max_size then begin
           incr restarts;
@@ -328,13 +311,9 @@ let to_list t = fold t ~init:[] ~f:(fun acc k v -> (k, v) :: acc)
 
 let stripe_of_hash t hash = hash land t.stripe_mask
 
-(* Why not a plain blocking lock on flavoured (QSBR) tables: the holder
-   may be inside wait-for-readers (a splice's grace period), and a QSBR
-   peer blocked in Mutex.lock while online would stall that grace period
-   forever. Going offline first keeps grace periods live while we spin;
-   memb readers never block on these locks, so memb's synchronize cannot
-   wait on a lock waiter and a blocking lock is safe (and cheaper than
-   spinning) there. *)
+(* A contended stripe's holder may be inside wait-for-readers (a
+   splice's grace period): [Rcu.mutex_lock] keeps a QSBR waiter from
+   stalling it. *)
 let lock_stripe t i =
   let m = t.stripes.(i) in
   Rp_fault.point "rp_ht.stripe.lock";
@@ -342,13 +321,7 @@ let lock_stripe t i =
    else begin
      Rp_obs.Counter.incr t.obs_stripe_contended;
      Atomic.incr t.stripe_cont_cells.(i);
-     (match t.rcu_memb with
-     | Some _ -> Mutex.lock m
-     | None ->
-         t.flavour.Flavour.thread_offline ();
-         while not (Mutex.try_lock m) do
-           Domain.cpu_relax ()
-         done);
+     Rcu.mutex_lock t.rcu m;
      Rp_obs.Counter.incr t.obs_stripe_acq
    end);
   (* Held now: the acquisition heatmap cell is lock-protected state. *)
@@ -428,7 +401,7 @@ let publish_synced t ps =
 
 let ensure_publish_synced t ps =
   if not (Atomic.get ps.ps_sync_done) then begin
-    t.flavour.Flavour.synchronize ();
+    Rcu.synchronize t.rcu;
     publish_synced t ps
   end
 
@@ -457,7 +430,7 @@ let rec drive_cell t ps i =
           set_cell_busy ps i true;
           Atomic.incr t.unzip_splices;
           let span = Rp_trace.span_begin ~arg:ps.ps_new_size k_unzip in
-          t.flavour.Flavour.synchronize ();
+          Rcu.synchronize t.rcu;
           Rp_trace.span_end ~arg:ps.ps_new_size k_unzip span;
           set_cell_busy ps i false;
           Atomic.incr t.unzip_passes;
@@ -489,7 +462,7 @@ let ensure_bucket_split t ~hash =
           if cell_busy ps i then begin
             (* A splicer died between a splice and its grace period:
                re-establish it before touching the chain again. *)
-            t.flavour.Flavour.synchronize ();
+            Rcu.synchronize t.rcu;
             set_cell_busy ps i false;
             note_recovery t ~new_size:ps.ps_new_size
           end;
@@ -511,7 +484,7 @@ let complete_splits_locked t =
       let cells = Array.length ps.ps_pos in
       let interrupted = Bytes.contains ps.ps_busy '\001' in
       if interrupted || not (Atomic.get ps.ps_sync_done) then begin
-        t.flavour.Flavour.synchronize ();
+        Rcu.synchronize t.rcu;
         publish_synced t ps;
         Bytes.fill ps.ps_busy 0 cells '\000';
         if interrupted then note_recovery t ~new_size
@@ -537,7 +510,7 @@ let complete_splits_locked t =
           (* One grace period per pass protects readers that crossed a
              splice point before it moved. *)
           let pass_span = Rp_trace.span_begin ~arg:new_size k_unzip in
-          t.flavour.Flavour.synchronize ();
+          Rcu.synchronize t.rcu;
           Rp_trace.span_end ~arg:new_size k_unzip pass_span;
           Atomic.incr t.unzip_passes;
           Bytes.fill ps.ps_busy 0 cells '\000'
@@ -583,7 +556,7 @@ let shrink_locked t =
   done;
   Rcu.publish t.current { size = new_size; buckets };
   retire t old.buckets;
-  t.flavour.Flavour.synchronize ();
+  Rcu.synchronize t.rcu;
   spare_quiesced t;
   Atomic.incr t.shrinks;
   Rp_trace.span_end ~arg:new_size k_shrink shrink_span;
@@ -791,7 +764,7 @@ let remove_hashed t ~hash k =
   match unlink_hashed t ~hash k with
   | Null -> None
   | Node n as unlinked ->
-      t.flavour.Flavour.call_rcu (fun () -> mark_reclaimed unlinked);
+      Rcu.call_rcu t.rcu (fun () -> mark_reclaimed unlinked);
       Some n.value
 
 let remove t k = Option.is_some (remove_hashed t ~hash:(t.hash k) k)
@@ -800,7 +773,7 @@ let remove_sync t k =
   match unlink_hashed t ~hash:(t.hash k) k with
   | Null -> false
   | Node _ as unlinked ->
-      t.flavour.Flavour.synchronize ();
+      Rcu.synchronize t.rcu;
       mark_reclaimed unlinked;
       true
 
@@ -848,7 +821,7 @@ let move t ~from_key ~to_key f =
   match moved with
   | Null -> false
   | Node _ ->
-      t.flavour.Flavour.call_rcu (fun () -> mark_reclaimed moved);
+      Rcu.call_rcu t.rcu (fun () -> mark_reclaimed moved);
       true
 
 (* --- introspection --- *)
@@ -933,7 +906,7 @@ let stripe_heat t =
 (* In a read section: a retired bucket array is scrubbed for reuse once
    its readers have drained. *)
 let bucket_lengths t =
-  Flavour.with_read t.flavour (fun () ->
+  Rcu.with_read_current t.rcu (fun () ->
       Array.map length_link (Rcu.dereference t.current).buckets)
 
 (* Quiescent whole-table check. Takes every stripe (so no writer is

@@ -50,7 +50,6 @@ type resize_stats = {
 
 val create :
   ?rcu:Rcu.t ->
-  ?flavour:Flavour.t ->
   ?initial_size:int ->
   ?min_size:int ->
   ?max_size:int ->
@@ -62,13 +61,11 @@ val create :
   ('k, 'v) t
 (** [create ~hash ~equal ()] builds an empty table.
 
-    - [rcu]: the memb-RCU instance delimiting this table's readers (fresh
-      one by default; share an instance to amortize grace periods across
-      structures);
-    - [flavour]: run the table on an explicit RCU flavour instead — e.g.
-      [Flavour.qsbr] for kernel-RCU-like zero-cost readers (every domain
-      touching the table must then respect QSBR's no-indefinite-blocking
-      rule). Mutually exclusive with [rcu];
+    - [rcu]: the RCU instance delimiting this table's readers (a fresh
+      memb one by default; share an instance to amortize grace periods
+      across structures). A {!Rcu.Qsbr} instance gives kernel-RCU-like
+      zero-cost readers, and every domain touching the table must then
+      respect QSBR's no-indefinite-blocking rule;
     - [initial_size]: initial bucket count, rounded up to a power of two
       (default 8);
     - [min_size] / [max_size]: clamp for resizing, rounded to powers of two
@@ -82,11 +79,8 @@ val create :
       which requires [stripes <= size] at every size. *)
 
 val rcu : ('k, 'v) t -> Rcu.t
-(** The memb-RCU instance of a default-flavoured table. Raises
-    [Invalid_argument] when the table was built with [~flavour]. *)
-
-val flavour : ('k, 'v) t -> Flavour.t
-(** The flavour running this table's read sections and grace periods. *)
+(** The RCU instance running this table's read sections and grace
+    periods. *)
 
 val stripe_count : ('k, 'v) t -> int
 (** Number of writer-lock stripes (a power of two, fixed at creation). *)

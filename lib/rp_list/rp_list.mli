@@ -95,7 +95,7 @@ val rcu : ('k, 'v) t -> Rcu.t
 
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Wait-free lookup: runs inside a read-side critical section of the
-    list's flavour (registered for the calling domain on first use).
+    list's RCU instance (registered for the calling domain on first use).
     The value is copied out before the section ends. *)
 
 val mem : ('k, 'v) t -> 'k -> bool

@@ -561,9 +561,6 @@ let request_end () =
     end
   end
 
-let in_request () =
-  (Array.unsafe_get ctxs (Stripe.index ())).trace_id <> 0
-
 let current_trace_id () = (Array.unsafe_get ctxs (Stripe.index ())).trace_id
 
 (* ------------------------------------------------------------------ *)

@@ -53,8 +53,6 @@ val intern : string -> int
 (** Intern a span name to the id the emit path takes. Call once at
     module init, not per span. *)
 
-val name_of : int -> string
-
 (** {1 Request context (per-connection trace context)} *)
 
 val request_begin : ?arg:int -> ?trace:int -> int -> unit
@@ -71,8 +69,6 @@ val request_end : unit -> unit
 (** Emit the request-tier E record, close the context, and — when total
     latency exceeded the budget — retain the request's span window in
     the slow-request log. *)
-
-val in_request : unit -> bool
 
 val current_trace_id : unit -> int
 (** Trace id of the request in flight on the calling domain (0 when
@@ -157,8 +153,6 @@ val slow_snapshot : unit -> slow_entry list
 (** Retained slow requests, newest first. *)
 
 (** {1 Introspection} *)
-
-val spans_recorded : unit -> int
 
 val stats_kv : unit -> (string * string) list
 (** The [stats trace] section. *)

@@ -67,16 +67,11 @@ let torture (module T : Rp_baseline.Table_intf.TABLE) ~with_resize () =
 let batch_torture ~qsbr () =
   let resident = 512 and batch = 32 in
   let hash = Rp_hashes.Hashfn.of_int in
-  let t =
-    if qsbr then
-      Rp_ht.create ~flavour:(Flavour.qsbr (Rcu_qsbr.create ())) ~initial_size:256
-        ~auto_resize:false ~hash ~equal:Int.equal ()
-    else Rp_ht.create ~initial_size:256 ~auto_resize:false ~hash ~equal:Int.equal ()
-  in
+  let rcu = Rcu.create ~mode:(if qsbr then Qsbr else Memb) () in
+  let t = Rp_ht.create ~rcu ~initial_size:256 ~auto_resize:false ~hash ~equal:Int.equal () in
   for i = 0 to resident - 1 do
     Rp_ht.insert t i (i * 3)
   done;
-  let flavour = Rp_ht.flavour t in
   let stop = Atomic.make false and violations = Atomic.make 0 in
   let reader seed =
     Domain.spawn (fun () ->
@@ -89,17 +84,17 @@ let batch_torture ~qsbr () =
             keys.(i) <- Rp_workload.Prng.below prng resident;
             hashes.(i) <- hash keys.(i)
           done;
-          flavour.Flavour.read_enter ();
+          Rcu.read_lock_current rcu;
           Rp_ht.find_batch_hashed t ~hashes ~keys found batch;
           for i = 0 to batch - 1 do
             match found.(i) with
             | Rp_list.Node n when n.value = keys.(i) * 3 -> ()
             | Rp_list.Node _ | Rp_list.Null -> Atomic.incr violations
           done;
-          flavour.Flavour.read_exit ();
+          Rcu.read_unlock_current rcu;
           incr batches
         done;
-        flavour.Flavour.thread_offline ();
+        Rcu.offline_current rcu;
         !batches)
   in
   let writer =
@@ -109,7 +104,7 @@ let batch_torture ~qsbr () =
           let k = resident + Rp_workload.Prng.below prng 256 in
           if Rp_workload.Prng.bool prng then Rp_ht.replace t k k else ignore (Rp_ht.remove t k)
         done;
-        flavour.Flavour.thread_offline ())
+        Rcu.offline_current rcu)
   in
   let resizer =
     Domain.spawn (fun () ->
@@ -117,7 +112,7 @@ let batch_torture ~qsbr () =
           Rp_ht.resize t 2048;
           Rp_ht.resize t 128
         done;
-        flavour.Flavour.thread_offline ())
+        Rcu.offline_current rcu)
   in
   let readers = List.init 2 (fun i -> reader (i + 1)) in
   Unix.sleepf duration;

@@ -18,9 +18,9 @@ let test_rcu_via_facade () =
   let rcu = Core.Rcu.create () in
   Core.Rcu.with_read_current rcu (fun () -> ());
   Core.Rcu.synchronize rcu;
-  let q = Core.Rcu_qsbr.create () in
-  let f = Core.Flavour.qsbr q in
-  Core.Flavour.with_read f (fun () -> ())
+  let q = Core.Rcu.create ~mode:Qsbr () in
+  Core.Rcu.with_read_current q (fun () -> ());
+  Core.Rcu.synchronize q
 
 let test_memcached_via_facade () =
   let store = Core.Memcached.Store.create ~backend:Core.Memcached.Store.Rp () in

@@ -445,6 +445,38 @@ let test_append_failure_latch () =
 
 (* --- connection admission --- *)
 
+(* The rcu source on a QSBR store: a domain that read, then sleeps online
+   until the watchdog has counted a stall, holds up the grace period that
+   100 deletes force (their reclamation callbacks flush at 64); the guard
+   then reads Shed-level pressure from the stall. *)
+let test_rcu_stall_pressure () =
+  let store = Store.create ~backend:Store.Rp ~rcu_mode:Store.Qsbr ~initial_size:64 () in
+  let g = Guard.install ~interval:10.0 store in
+  let reg = Store.registry store in
+  let stalls () = Option.value ~default:0.0 (Rp_obs.Registry.value reg "rcu_stalls_total") in
+  let keys = List.init 100 string_of_int in
+  List.iter (fun key -> ignore (Store.set store ~key ~flags:0 ~exptime:0 ~data:"v")) keys;
+  let has_read = Atomic.make false in
+  let sleeper =
+    Domain.spawn (fun () ->
+        ignore (Store.get store "0");
+        Atomic.set has_read true;
+        let deadline = Unix.gettimeofday () +. 30.0 in
+        while stalls () < 1.0 && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.01
+        done;
+        Store.reader_offline store)
+  in
+  while not (Atomic.get has_read) do
+    Domain.cpu_relax ()
+  done;
+  List.iter (fun key -> ignore (Store.delete store key)) keys;
+  Domain.join sleeper;
+  Alcotest.(check bool) "stall counted" true (stalls () >= 1.0);
+  Rp_guard.sweep g;
+  Alcotest.(check (option (float 1e-9))) "rcu pressure" (Some 0.90)
+    (Rp_obs.Registry.value reg "guard_pressure_rcu")
+
 let test_admission_cap () =
   let store = Store.create ~backend:Store.Rp () in
   ignore (Store.set store ~key:"k" ~flags:0 ~exptime:0 ~data:"v");
@@ -510,6 +542,7 @@ let () =
         [
           Alcotest.test_case "sampling + persist" `Quick
             test_adaptive_sampling_and_persist_actuators;
+          Alcotest.test_case "rcu stall pressure" `Quick test_rcu_stall_pressure;
         ] );
       ( "admission",
         [ Alcotest.test_case "inflight cap" `Quick test_admission_cap ] );

@@ -121,6 +121,54 @@ let test_synchronize_waits_for_reader () =
     completed_early;
   Alcotest.(check bool) "completed after release" true (Atomic.get sync_done)
 
+(* Two systhreads of one domain share its reader slot. Thread A holds a
+   section, parked on a condition; thread B's synchronize must wait for A
+   to leave, not mistake A's section for its own. *)
+let test_synchronize_waits_for_sibling_thread () =
+  let rcu = Rcu.create () in
+  let m = Mutex.create () and cond = Condition.create () in
+  let reader_in = ref false and release = ref false in
+  let a =
+    Thread.create
+      (fun () ->
+        Rcu.read_lock_current rcu;
+        Mutex.lock m;
+        reader_in := true;
+        Condition.broadcast cond;
+        while not !release do
+          Condition.wait cond m
+        done;
+        Mutex.unlock m;
+        Rcu.read_unlock_current rcu)
+      ()
+  in
+  Mutex.lock m;
+  while not !reader_in do
+    Condition.wait cond m
+  done;
+  Mutex.unlock m;
+  let outcome = Atomic.make None in
+  let b =
+    Thread.create
+      (fun () ->
+        Atomic.set outcome
+          (Some (match Rcu.synchronize rcu with () -> Ok () | exception e -> Error e)))
+      ()
+  in
+  Unix.sleepf 0.05;
+  Alcotest.(check bool) "synchronize waits for the sibling" true
+    (Atomic.get outcome = None);
+  Mutex.lock m;
+  release := true;
+  Condition.broadcast cond;
+  Mutex.unlock m;
+  Thread.join a;
+  Thread.join b;
+  match Atomic.get outcome with
+  | Some (Ok ()) -> Alcotest.(check int) "one grace period" 1 (Rcu.stats rcu).grace_periods
+  | Some (Error e) -> Alcotest.failf "synchronize raised %s" (Printexc.to_string e)
+  | None -> Alcotest.fail "synchronize did not return"
+
 (* Readers that begin after synchronize starts must not be waited for:
    lookups arriving during a grace period don't stall it forever. *)
 let test_synchronize_ignores_new_readers () =
@@ -351,6 +399,8 @@ let () =
             test_synchronize_rejected_inside_section;
           Alcotest.test_case "waits for pre-existing reader" `Quick
             test_synchronize_waits_for_reader;
+          Alcotest.test_case "waits for a sibling thread's section" `Quick
+            test_synchronize_waits_for_sibling_thread;
           Alcotest.test_case "ignores new readers" `Quick
             test_synchronize_ignores_new_readers;
           Alcotest.test_case "publication ordering" `Quick test_publication_ordering;

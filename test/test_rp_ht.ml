@@ -272,7 +272,7 @@ let find_batch ~hash t keys =
   let n = Array.length keys in
   let hashes = Array.map hash keys in
   let found = Array.make n Rp_list.Null in
-  Flavour.with_read (Rp_ht.flavour t) (fun () ->
+  Rcu.with_read_current (Rp_ht.rcu t) (fun () ->
       Rp_ht.find_batch_hashed t ~hashes ~keys found n;
       Array.map (function Rp_list.Node nd -> Some nd.value | Rp_list.Null -> None) found)
 
@@ -350,14 +350,14 @@ let test_find_batch_allocation () =
   let keys = Array.init 64 (fun i -> i * 2) in
   let hashes = Array.map Rp_hashes.Hashfn.of_int keys in
   let found = Array.make 64 Rp_list.Null in
-  let flavour = Rp_ht.flavour t in
+  let rcu = Rp_ht.rcu t in
   let walk () = Rp_ht.find_batch_hashed t ~hashes ~keys found 64 in
-  flavour.Flavour.read_enter ();
+  Rcu.read_lock_current rcu;
   walk ();
   let w0 = Gc.minor_words () in
   walk ();
   let words = Gc.minor_words () -. w0 in
-  flavour.Flavour.read_exit ();
+  Rcu.read_unlock_current rcu;
   Alcotest.(check (float 0.)) "minor words" 0. words
 
 (* --- resize memory --- *)
@@ -441,27 +441,17 @@ let test_spare_pins_nothing () =
 
 (* The reuse rule: a grace period that began before a bucket array's
    retirement does not free it. A reader holds a read section open; a
-   [remove_sync] starts its grace period (which waits for that reader);
+   [remove_sync] starts its grace period (which waits for that reader;
+   the [rcu.synchronize.pre] failpoint, armed to yield, counts the start);
    then a third domain resizes back and forth. The reader keeps looking
    up every resident key until the first expansion is published, then
    leaves, releasing the grace periods. No lookup may miss, before or
    after, and the table must validate. *)
 let test_gp_before_retirement () =
   let rcu = Rcu.create () in
-  let base = Flavour.memb rcu in
-  let syncs_begun = Atomic.make 0 in
-  let flavour =
-    {
-      base with
-      Flavour.synchronize =
-        (fun () ->
-          Atomic.incr syncs_begun;
-          base.Flavour.synchronize ());
-    }
-  in
   let n = 256 in
   let t =
-    Rp_ht.create ~flavour ~initial_size:n ~auto_resize:false
+    Rp_ht.create ~rcu ~initial_size:n ~auto_resize:false
       ~hash:Rp_hashes.Hashfn.of_int ~equal:Int.equal ()
   in
   for i = 0 to n - 1 do
@@ -477,7 +467,7 @@ let test_gp_before_retirement () =
   let in_section = Atomic.make false in
   let reader =
     Domain.spawn (fun () ->
-        Flavour.with_read flavour (fun () ->
+        Rcu.with_read_current rcu (fun () ->
             Atomic.set in_section true;
             while Rp_ht.size t = n do
               lookup_all ()
@@ -487,10 +477,12 @@ let test_gp_before_retirement () =
   while not (Atomic.get in_section) do
     Domain.cpu_relax ()
   done;
+  Rp_fault.arm "rcu.synchronize.pre" ~trigger:Always ~action:Yield;
   let remover = Domain.spawn (fun () -> Rp_ht.remove_sync t n) in
-  while Atomic.get syncs_begun = 0 do
+  while Rp_fault.hits "rcu.synchronize.pre" = 0 do
     Domain.cpu_relax ()
   done;
+  Rp_fault.disarm "rcu.synchronize.pre";
   let resizer =
     Domain.spawn (fun () ->
         for _ = 1 to 3 do
@@ -555,20 +547,10 @@ let model_apply model = function
       if List.mem_assoc k model then update_first k v model else (k, v) :: model
   | Resize _ -> model
 
-(* A memb flavour whose grace periods the test ends by hand: [call_rcu]
-   parks each callback until [end_grace_period] runs the parked ones. *)
-let parking_flavour () =
-  let base = Flavour.memb (Rcu.create ()) in
-  let parked = Queue.create () in
-  let end_grace_period () =
-    base.Flavour.synchronize ();
-    while not (Queue.is_empty parked) do
-      (Queue.pop parked) ()
-    done
-  in
-  ({ base with Flavour.call_rcu = (fun f -> Queue.add f parked); barrier = end_grace_period },
-   parked)
-
+(* A fresh memb instance whose queued callbacks the test counts: a
+   generated sequence removes at most 40 keys, under the 64 that would
+   flush the queue by itself, so every reclamation callback stays queued
+   until [Rcu.barrier] ends the grace period. *)
 let show_opt = function Some v -> string_of_int v | None -> "None"
 
 (* Each op against the table, checking what it returns against the model
@@ -576,7 +558,7 @@ let show_opt = function Some v -> string_of_int v | None -> "None"
    (none for a miss) and mark nothing itself: the table stays valid with
    every callback parked, and once they run — the grace period over — no
    reachable node carries the mark. *)
-let table_apply t parked model op =
+let table_apply t model op =
   let hash = Rp_hashes.Hashfn.of_int in
   let expect what want got =
     if want <> got then
@@ -590,10 +572,10 @@ let table_apply t parked model op =
   | Exchange (k, v) ->
       expect (show_op op) (List.assoc_opt k model) (Rp_ht.exchange_hashed t ~hash:(hash k) k v)
   | Remove_hashed k ->
-      let before = Queue.length parked in
+      let before = Rcu.pending_callbacks (Rp_ht.rcu t) in
       let want = List.assoc_opt k model in
       expect (show_op op) want (Rp_ht.remove_hashed t ~hash:(hash k) k);
-      let deferred = Queue.length parked - before in
+      let deferred = Rcu.pending_callbacks (Rp_ht.rcu t) - before in
       if deferred <> Option.fold ~none:0 ~some:(fun _ -> 1) want then
         QCheck.Test.fail_reportf "%s parked %d reclamation callbacks" (show_op op) deferred
   | Resize n -> Rp_ht.resize t n
@@ -603,15 +585,14 @@ let prop_matches_model =
     (QCheck.make ~print:(fun l -> String.concat "; " (List.map show_op l))
        QCheck.Gen.(list_size (int_bound 80) op_gen))
     (fun ops ->
-      let flavour, parked = parking_flavour () in
       let t =
-        Rp_ht.create ~flavour ~initial_size:4 ~auto_resize:false
+        Rp_ht.create ~initial_size:4 ~auto_resize:false
           ~hash:Rp_hashes.Hashfn.of_int ~equal:Int.equal ()
       in
       let model =
         List.fold_left
           (fun model op ->
-            table_apply t parked model op;
+            table_apply t model op;
             model_apply model op)
           [] ops
       in
@@ -630,7 +611,7 @@ let prop_matches_model =
             QCheck.Test.fail_reportf "key %d: per-key %s, staged batch %s" k
               (show_opt per_key) (show_opt staged.(k)))
         keys;
-      flavour.Flavour.barrier ();
+      Rcu.barrier (Rp_ht.rcu t);
       valid "grace period over";
       List.for_all
         (fun k ->
