@@ -14,7 +14,9 @@ let table_arg =
 let scenario_arg =
   let doc =
     "Fault scenario: " ^ String.concat ", " Rp_torture.Torture.scenario_names
-    ^ ". The crash/stall/torn scenarios require --table rp."
+    ^ ". These require --table rp: "
+    ^ String.concat ", " Rp_torture.Torture.rp_only_scenarios
+    ^ "."
   in
   Arg.(
     value

@@ -206,10 +206,6 @@ let get t key =
       Some (r.r_value, flags)
   | _ -> None
 
-let gets_cas t key =
-  let r = request t (make_request ~key Get) in
-  match r.status with Ok_status -> Some r.r_cas | _ -> None
-
 let set t ?(flags = 0) ?(exptime = 0) ?(cas = 0) ~key ~data () =
   let r =
     request t

@@ -51,5 +51,3 @@ val stats : ?key:string -> t -> (string * string) list
 val request : t -> Binary_protocol.request -> Binary_protocol.response
 (** Send any request expecting exactly one response frame. *)
 
-val gets_cas : t -> string -> int option
-(** The CAS unique of a key (from a Get response). *)

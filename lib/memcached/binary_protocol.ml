@@ -65,8 +65,6 @@ let opcode_of_byte = function
   | 0x1e -> Some GATQ
   | _ -> None
 
-let opcode_is_quiet = function GetQ | GetKQ | GATQ -> true | _ -> false
-
 type status =
   | Ok_status
   | Key_not_found

@@ -34,7 +34,6 @@ type opcode =
 
 val opcode_to_byte : opcode -> int
 val opcode_of_byte : int -> opcode option
-val opcode_is_quiet : opcode -> bool
 
 type status =
   | Ok_status

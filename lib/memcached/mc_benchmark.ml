@@ -132,17 +132,6 @@ type socket_config = {
   sdist : Rp_workload.Keygen.dist;
 }
 
-let default_socket_config =
-  {
-    connections = 1;
-    pipeline = 16;
-    sduration = 1.0;
-    skeyspace = 10_000;
-    svalue_size = 100;
-    sseed = 42;
-    sdist = Rp_workload.Keygen.Uniform;
-  }
-
 let connect addr =
   let domain, sockaddr = Server.sockaddr_of addr in
   let fd = Unix.socket domain Unix.SOCK_STREAM 0 in

@@ -60,9 +60,6 @@ type socket_config = {
   sdist : Rp_workload.Keygen.dist;  (** key popularity, as in {!config} *)
 }
 
-val default_socket_config : socket_config
-(** 1 connection, pipeline 16, 1 s, 10k keys, 100 B values. *)
-
 val socket_prefill :
   Server.address -> keyspace:int -> value_size:int -> unit
 (** Populate every key over the wire (pipelined SETs on one connection) —

@@ -19,8 +19,22 @@ let run ~duration ~workers () =
   let started = now () in
   Unix.sleepf duration;
   Atomic.set stop true;
-  let per_worker_ops = Array.map Domain.join domains in
+  (* Join every domain before re-raising, so a caller's teardown never
+     runs while another worker still uses the resource. *)
+  let results =
+    Array.map
+      (fun d ->
+        match Domain.join d with
+        | ops -> Ok ops
+        | exception e -> Error (e, Printexc.get_raw_backtrace ()))
+      domains
+  in
   let elapsed = now () -. started in
+  let per_worker_ops =
+    Array.map
+      (function Ok ops -> ops | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+      results
+  in
   { per_worker_ops; elapsed }
 
 let total_ops outcome = Array.fold_left ( + ) 0 outcome.per_worker_ops

@@ -14,7 +14,9 @@ val run :
   duration:float -> workers:(stop:bool Atomic.t -> int) array -> unit -> outcome
 (** [run ~duration ~workers ()] executes all workers concurrently for
     [duration] seconds. Each worker receives the shared stop flag and must
-    return its operation count when the flag goes up. *)
+    return its operation count when the flag goes up. If a worker raises,
+    [run] still joins every domain, then re-raises the first exception in
+    worker order. *)
 
 val total_ops : outcome -> int
 val throughput : outcome -> float

@@ -80,8 +80,3 @@ let[@inline] index () =
   end
   else Domain.DLS.get dls
 
-let slots_in_use () =
-  Mutex.lock mutex;
-  let n = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 in_use in
-  Mutex.unlock mutex;
-  n

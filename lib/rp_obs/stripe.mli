@@ -21,9 +21,6 @@ val index : unit -> int
     domains), returns a shared round-robin slot; instruments then
     undercount under write races but never crash. *)
 
-val slots_in_use : unit -> int
-(** Currently claimed slots (live domains that have recorded something). *)
-
 (** {1 Global enable switch} *)
 
 val set_enabled : bool -> unit

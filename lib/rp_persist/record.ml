@@ -21,17 +21,6 @@ type t =
   | Delete of string
   | Flush_all
 
-let op_name = function
-  | Tset -> "set"
-  | Tadd -> "add"
-  | Treplace -> "replace"
-  | Tappend -> "append"
-  | Tprepend -> "prepend"
-  | Tcas -> "cas"
-  | Tincr -> "incr"
-  | Tdecr -> "decr"
-  | Ttouch -> "touch"
-
 let op_byte = function
   | Tset -> 0
   | Tadd -> 1

@@ -37,8 +37,6 @@ type t =
   | Delete of string
   | Flush_all
 
-val op_name : op_tag -> string
-
 val encode : t -> string
 (** Binary encoding (framed by {!Frame} when written to disk). *)
 

@@ -52,7 +52,6 @@ module Cold_store = struct
   }
 
   let dir t = t.tdir
-  let head_gen t = t.head.gen
 
   (* --- record encoding: frame payload = [u32 klen][key][data] --- *)
 
@@ -334,12 +333,6 @@ module Cold_store = struct
             else best)
           t.segs None
         |> Option.map fst)
-
-  let drop_segment t gen =
-    with_mu t (fun () ->
-        match Hashtbl.find_opt t.segs gen with
-        | Some seg when seg.sealed -> drop_locked t seg
-        | Some _ | None -> ())
 
   (* --- recovery --- *)
 

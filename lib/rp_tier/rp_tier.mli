@@ -82,8 +82,6 @@ module Cold_store : sig
       Fully-dead segments are unlinked. Returns the number of segments
       dropped. Call after the store's own recovery has replayed. *)
 
-  val head_gen : t -> int
-
   val segment_entries : t -> int -> (location * string * string) list
   (** Every decodable [(location, key, data)] frame in a segment, in
       file order, stopping at a torn tail. Dead records included — the
@@ -92,10 +90,6 @@ module Cold_store : sig
   val compact_candidate : t -> min_dead_ratio:float -> int option
   (** The sealed, recovered segment with the highest dead ratio, if any
       is at least [min_dead_ratio] dead. The head is never a candidate. *)
-
-  val drop_segment : t -> int -> unit
-  (** Unlink a sealed segment unconditionally (test/maintenance hatch —
-      live records in it become {!Gone}). *)
 
   val dir : t -> string
 end

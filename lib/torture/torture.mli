@@ -11,39 +11,39 @@
     lookup that returns a {e wrong} value (as opposed to a miss, which is
     legitimate for churned keys) is a violation.
 
-    Beyond the classic "steady" run, three fault scenarios (driven by the
-    {!Rp_fault} failpoint plane) attack specific robustness claims:
+    Every scenario shares one skeleton: a run phase that arms the
+    perturbation sites and the scenario's own failpoints around
+    {!Rp_harness.Runner.run}, one oracle tally, and one teardown that
+    releases what the scenario took (servers, child processes, persist
+    managers, guards, armed sites) on every exit path. The twelve, with
+    the attack, the oracle, the report fields each sets and the proof
+    obligation each discharges, are tabled in DESIGN.md §8 "Torture
+    scenarios":
 
-    - {b crash_resizer}: resizers are killed mid-unzip (the
-      ["rp_ht.unzip.splice"] site raises); the table is left imprecise but
-      complete, readers must stay violation-free throughout, and subsequent
-      writer ops must complete the interrupted unzips
-      ([report.recoveries]).
-    - {b stalled_reader}: a dedicated domain naps inside read-side critical
-      sections for several times the grace-period stall budget; the {!Rcu}
-      stall watchdog must detect and attribute it
-      ([report.stalls_detected]) while grace periods still complete.
-    - {b torn_io}: a memcached server/client pair runs over a transport
-      with injected short writes, split reads, and connection resets;
-      retrying clients must still observe every resident key correctly.
-    - {b crash_recovery}: writers mutate a persisted store (op log,
-      [fsync=always]) under repeated concurrent snapshots; the run ends
-      with a staged [kill -9] — a failpoint crashes the snapshotter
-      mid-walk, the manager dies without syncing, the newest log segment
-      gets a torn tail — and a warm restart into a fresh store must
-      reproduce the writers' tracked models exactly (acked ops survive,
-      nothing resurrects).
-    - {b replication_divergence}: two real [memcached_server] child
-      processes form a leader/follower pair; the follower attaches
-      mid-load, catches up over the replication stream, the leader is
-      killed with a true [SIGKILL] once the acked watermark meets the
-      sent watermark, the follower is promoted over the wire, and the
-      promoted store must equal the writers' tracked models exactly —
-      then a ring-aware client spanning both members must eject the dead
-      leader and land writes on the survivor.
+    - {b steady}: any table; optional random stalls.
+    - {b crash_resizer}: resizers and writers die mid-unzip; writers
+      complete the interrupted unzips ([report.recoveries]).
+    - {b lazy_split_crash}: writers die before and inside their per-bucket
+      lazy splits; a peer finishes each one.
+    - {b mixed_rw}: striped writers run a 50/50 GET/SET mix; the store must
+      equal the per-writer models.
+    - {b stalled_reader}: a reader naps in its read section; the stall
+      watchdog must catch it ([report.stalls_detected]).
+    - {b torn_io}: short writes, split reads and resets on the memcached
+      socket; retrying clients still see every resident.
+    - {b crash_recovery}: a staged [kill -9] mid-snapshot; the warm restart
+      must reproduce the writers' models exactly.
+    - {b tier_crash}: the same with the cold tier attached, killed
+      mid-demotion and mid-compaction.
+    - {b overload_storm}, {b slow_client}, {b disk_full}: the guard sheds
+      mutations, kills a non-draining client, rides out failing appends,
+      and walks back to healthy while GETs stay exact.
+    - {b replication_divergence}: two real [memcached_server] children; the
+      leader is [SIGKILL]ed, the follower promoted, and it must equal the
+      models exactly.
 
-    The crash/stall/torn/recovery/replication scenarios run on the rp
-    table only. *)
+    Every scenario but steady runs on the rp table only
+    ({!rp_only_scenarios}). *)
 
 type config = {
   table : string;  (** implementation under test; see {!table_names} *)
@@ -104,8 +104,13 @@ type report = {
 val violations : report -> int
 val pp_report : Format.formatter -> report -> unit
 
+val rp_only_scenarios : string list
+(** The scenarios that refuse any table but "rp": every one but
+    "steady". *)
+
 val run : config -> report
 (** Raises [Invalid_argument] on an unknown table or scenario name, a
     non-positive worker/duration configuration, or a non-rp table paired
     with a fault scenario. Failpoint sites armed by the run are disarmed
-    (and only those) before it returns. *)
+    (and only those), and every server, child process and manager it
+    started is stopped, before it returns or raises. *)

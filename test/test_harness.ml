@@ -25,6 +25,26 @@ let test_runner_rejects_empty () =
   Alcotest.check_raises "no workers" (Invalid_argument "Runner.run: no workers")
     (fun () -> ignore (Rp_harness.Runner.run ~duration:0.01 ~workers:[||] ()))
 
+(* A raising worker must not cut the join short: the slower worker's
+   shutdown finishes before the exception reaches the caller. *)
+let test_runner_joins_all_before_raising () =
+  let finished = Atomic.make false in
+  let workers =
+    [|
+      (fun ~stop:_ -> failwith "worker 0");
+      (fun ~stop ->
+        while not (Atomic.get stop) do
+          Domain.cpu_relax ()
+        done;
+        Unix.sleepf 0.05;
+        Atomic.set finished true;
+        0);
+    |]
+  in
+  Alcotest.check_raises "first exception re-raised" (Failure "worker 0")
+    (fun () -> ignore (Rp_harness.Runner.run ~duration:0.01 ~workers ()));
+  Alcotest.(check bool) "every worker joined first" true (Atomic.get finished)
+
 let test_loop_batched () =
   let stop = Atomic.make false in
   let calls = ref 0 in
@@ -303,6 +323,8 @@ let () =
         [
           Alcotest.test_case "counts ops" `Quick test_runner_counts_ops;
           Alcotest.test_case "rejects empty" `Quick test_runner_rejects_empty;
+          Alcotest.test_case "joins all before raising" `Quick
+            test_runner_joins_all_before_raising;
           Alcotest.test_case "loop_batched" `Quick test_loop_batched;
         ] );
       ( "stats",

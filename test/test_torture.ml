@@ -107,13 +107,14 @@ let test_scenario_validation () =
   bad (fun () ->
       Rp_torture.Torture.run
         { Rp_torture.Torture.default_config with scenario = "nope" });
-  bad (fun () ->
-      Rp_torture.Torture.run
-        {
-          Rp_torture.Torture.default_config with
-          scenario = "crash_resizer";
-          table = "lock";
-        });
+  (* Every fault scenario refuses a non-rp table; only steady takes any. *)
+  List.iter
+    (fun scenario ->
+      if scenario <> "steady" then
+        bad (fun () ->
+            Rp_torture.Torture.run
+              { Rp_torture.Torture.default_config with scenario; table = "lock" }))
+    Rp_torture.Torture.scenario_names;
   Alcotest.(check (list string))
     "scenario names"
     [
@@ -122,6 +123,69 @@ let test_scenario_validation () =
       "slow_client"; "disk_full"; "replication_divergence"; "tier_crash";
     ]
     Rp_torture.Torture.scenario_names
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
+  at 0
+
+(* A scenario that fails mid-run must still release what it took. The
+   follower child exits at startup, so replication_divergence raises; the
+   leader child it spawned first must not outlive the run. *)
+let test_teardown_on_failure () =
+  let real =
+    match Sys.getenv_opt "TORTURE_SERVER_BIN" with
+    | Some path -> path
+    | None ->
+        Filename.concat
+          (Filename.dirname Sys.executable_name)
+          (Filename.concat ".." (Filename.concat "bin" "memcached_server.exe"))
+  in
+  let real =
+    if Filename.is_relative real then Filename.concat (Sys.getcwd ()) real
+    else real
+  in
+  let script = Filename.temp_file "rp-torture-no-follower" ".sh" in
+  Out_channel.with_open_text script (fun oc ->
+      Printf.fprintf oc
+        "#!/bin/sh\n\
+         for a in \"$@\"; do [ \"$a\" = --replica-of ] && exit 1; done\n\
+         exec %s \"$@\"\n"
+        (Filename.quote real));
+  Unix.chmod script 0o755;
+  Unix.putenv "TORTURE_SERVER_BIN" script;
+  let raised =
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.putenv "TORTURE_SERVER_BIN" real;
+        Sys.remove script)
+      (fun () ->
+        match
+          Rp_torture.Torture.run
+            {
+              (quick "rp" ~resizers:0) with
+              scenario = "replication_divergence";
+              duration = 0.3;
+              churn_keys = 32;
+            }
+        with
+        | _ -> false
+        | exception _ -> true)
+  in
+  Alcotest.(check bool) "run raises" true raised;
+  let leader = Printf.sprintf "rp-torture-repl-leader-%d" (Unix.getpid ()) in
+  let cmdline pid =
+    try
+      In_channel.with_open_bin
+        (Filename.concat "/proc" (Filename.concat pid "cmdline"))
+        In_channel.input_all
+    with Sys_error _ -> ""
+  in
+  Alcotest.(check (list string))
+    "no process left running" []
+    (List.filter
+       (fun pid -> contains (cmdline pid) leader)
+       (Array.to_list (Sys.readdir "/proc")))
 
 let test_report_rendering () =
   let report =
@@ -181,6 +245,7 @@ let () =
           Alcotest.test_case "stalled_reader" `Slow test_scenario_stalled_reader;
           Alcotest.test_case "torn_io" `Slow test_scenario_torn_io;
           Alcotest.test_case "scenario validation" `Quick test_scenario_validation;
+          Alcotest.test_case "teardown on failure" `Slow test_teardown_on_failure;
         ] );
       ( "config",
         [
