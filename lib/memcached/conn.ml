@@ -43,8 +43,6 @@ type t = {
   mutable last_active : float;
   mutable last_progress : float;  (* last write(2) that moved bytes *)
   mutable backlog : bool;  (* parser holds requests the write cap deferred *)
-  (* A request pulled from the parser to end a run of GETs, served next. *)
-  mutable carry : (Protocol.request, string) result option;
   reads : Rp_obs.Counter.t;  (* read(2) calls that moved bytes *)
   writes : Rp_obs.Counter.t;  (* write(2) calls that moved bytes *)
 }
@@ -64,7 +62,6 @@ let create ~id ~buffer_size ~reads ~writes fd =
     last_active = Unix.gettimeofday ();
     last_progress = Unix.gettimeofday ();
     backlog = false;
-    carry = None;
     reads;
     writes;
   }
@@ -121,24 +118,34 @@ let fill t =
   (match t.proto with Detect -> detect t | Text _ | Binary _ -> ());
   verdict
 
-(* A run's replies, one VALUE...END block per request in arrival order
-   ([reqs] holds the requests' keys newest first); the values left. *)
-let rec encode_run out reqs values =
-  match reqs with
-  | [] -> values
-  | keys :: older -> Protocol.encode_values_for_into out keys (encode_run out older values)
+(* A run's replies, one VALUE...END block per line: each hit is three
+   appends (header, value, CRLF), its key copied from the run's slice. *)
+let render_run out (run : Protocol.Get_run.t) items =
+  let keys = run.keys in
+  let i = ref 0 in
+  for l = 0 to run.lines - 1 do
+    let stop = Array.unsafe_get run.ends l in
+    while !i < stop do
+      let item = Array.unsafe_get items !i in
+      if item != Item.none then
+        Protocol.add_value_slice out keys.buf (Array.unsafe_get keys.offs !i)
+          (Array.unsafe_get keys.lens !i) ~flags:item.Item.flags ~with_cas:run.with_cas
+          ~cas:item.cas item.data;
+      incr i
+    done;
+    Protocol.add_end out
+  done
 
-(* Serve a run of get (or gets) requests with one multiget, traced as
-   one request: the head sampler and the slow-request trigger count runs,
-   and the store's read section nests under the run's span. *)
-let serve_run t store ~with_cas reqs =
+(* Serve a run of get (or gets) lines with one multiget, traced as one
+   request: the head sampler and the slow-request trigger count runs,
+   and the store's read sections nest under the run's span. GETs are
+   never shed and are allowed on a read-only replica, so none of
+   [Dispatch.handle]'s gates applies. *)
+let serve_run t store run =
   Rp_trace.request_begin ~arg:t.id k_req;
-  let keys =
-    match reqs with [ keys ] -> keys | _ -> List.fold_left (fun acc keys -> keys @ acc) [] reqs
-  in
-  let values = Dispatch.get_run store ~with_cas keys in
+  let items = Store.get_keys store run.Protocol.Get_run.keys in
   let enc = Rp_trace.span_begin_sampled k_encode in
-  ignore (encode_run t.out reqs values);
+  render_run t.out run items;
   Rp_trace.span_end_sampled k_encode enc;
   Rp_trace.request_end ()
 
@@ -149,11 +156,11 @@ let serve_run t store ~with_cas reqs =
    ([has_backlog] goes true) until a flush makes room — one pipelining
    client that never reads can pin at most ~cap of coalescer memory.
 
-   Consecutive text [get] requests (or consecutive [gets]) form a run,
-   served by one multiget: at most [Store.batch_keys] keys, unless one
-   request alone has more. Any other request ends the run, so a
-   connection still reads its own writes; the request that ended it is
-   carried to the next turn, which checks the write cap first. *)
+   Consecutive text [get] lines (or consecutive [gets]) form a run, read
+   in place by the parser's run scanner and served by one multiget: at
+   most [Store.batch_keys] keys, unless one line alone has more. The
+   scanner stops before any other request, so a connection still reads
+   its own writes, and the write cap is checked between runs. *)
 let dispatch ?(max_out = max_int) t store =
   let over_cap () = pending_bytes t >= max_out in
   match t.proto with
@@ -166,55 +173,36 @@ let dispatch ?(max_out = max_int) t store =
           n
         end
         else
-          let next =
-            match t.carry with
-            | None -> Protocol.Parser.next p
-            | carried ->
-                t.carry <- None;
-                carried
-          in
-          match next with
-          | None ->
-              t.backlog <- false;
-              n
-          | Some (Ok (Protocol.Get keys)) -> run n ~with_cas:false [ keys ] 1 (List.length keys)
-          | Some (Ok (Protocol.Gets keys)) -> run n ~with_cas:true [ keys ] 1 (List.length keys)
-          | Some (Error msg) ->
-              let reply =
-                if msg = "ERROR" then Protocol.Error_reply
-                else Protocol.Client_error msg
-              in
-              Protocol.encode_response_into t.out reply;
-              go (n + 1)
-          | Some (Ok Protocol.Quit) ->
-              t.closing <- true;
-              n + 1
-          | Some (Ok request) ->
-              Rp_trace.request_begin ~arg:t.id k_req;
-              (match Dispatch.handle store request with
-              | Some response ->
-                  let enc = Rp_trace.span_begin_sampled k_encode in
-                  Protocol.encode_response_into t.out response;
-                  Rp_trace.span_end_sampled k_encode enc
-              | None -> ());
-              Rp_trace.request_end ();
-              go (n + 1)
-      (* Grow the run by the parser's next request while it is a request
-         of the same kind and the run stays within the key cap. *)
-      and run n ~with_cas reqs nreqs nkeys =
-        let next = Protocol.Parser.next p in
-        match next with
-        | Some (Ok (Protocol.Get keys)) when not with_cas -> grow n ~with_cas reqs nreqs nkeys keys next
-        | Some (Ok (Protocol.Gets keys)) when with_cas -> grow n ~with_cas reqs nreqs nkeys keys next
-        | _ -> finish n ~with_cas reqs nreqs next
-      and grow n ~with_cas reqs nreqs nkeys keys next =
-        let nkeys' = nkeys + List.length keys in
-        if nkeys' <= Store.batch_keys then run n ~with_cas (keys :: reqs) (nreqs + 1) nkeys'
-        else finish n ~with_cas reqs nreqs next
-      and finish n ~with_cas reqs nreqs next =
-        serve_run t store ~with_cas reqs;
-        t.carry <- next;
-        go (n + nreqs)
+          let run = Protocol.Parser.get_run p ~max_keys:Store.batch_keys in
+          if run.lines > 0 then begin
+            serve_run t store run;
+            go (n + run.lines)
+          end
+          else
+            match Protocol.Parser.next p with
+            | None ->
+                t.backlog <- false;
+                n
+            | Some (Error msg) ->
+                let reply =
+                  if msg = "ERROR" then Protocol.Error_reply
+                  else Protocol.Client_error msg
+                in
+                Protocol.encode_response_into t.out reply;
+                go (n + 1)
+            | Some (Ok Protocol.Quit) ->
+                t.closing <- true;
+                n + 1
+            | Some (Ok request) ->
+                Rp_trace.request_begin ~arg:t.id k_req;
+                (match Dispatch.handle store request with
+                | Some response ->
+                    let enc = Rp_trace.span_begin_sampled k_encode in
+                    Protocol.encode_response_into t.out response;
+                    Rp_trace.span_end_sampled k_encode enc
+                | None -> ());
+                Rp_trace.request_end ();
+                go (n + 1)
       in
       Rp_trace.with_span ~arg:t.id k_batch (fun () -> go 0)
   | Binary p ->

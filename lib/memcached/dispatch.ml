@@ -44,12 +44,6 @@ let shed store (request : Protocol.request) =
       true
   | _ -> false
 
-(* GETs are never shed and are served on a read-only replica, so
-   [handle]'s gates never stop one: a get/gets — a lone one here, or a
-   connection's run of them coalesced into one key list — goes straight
-   to one multiget. *)
-let get_run store ~with_cas keys = Store.get_many store ~with_cas keys
-
 let handle store (request : Protocol.request) : Protocol.response option =
   if shed store request then
     if request_noreply request then None
@@ -61,8 +55,8 @@ let handle store (request : Protocol.request) : Protocol.response option =
     else Some (Protocol.Server_error "replica is read-only")
   else
   match request with
-  | Protocol.Get keys -> Some (Protocol.Values (get_run store ~with_cas:false keys))
-  | Protocol.Gets keys -> Some (Protocol.Values (get_run store ~with_cas:true keys))
+  | Protocol.Get keys -> Some (Protocol.Values (Store.get_many store ~with_cas:false keys))
+  | Protocol.Gets keys -> Some (Protocol.Values (Store.get_many store ~with_cas:true keys))
   | Protocol.Set { key; flags; exptime; noreply; data } ->
       let r = Store.set store ~key ~flags ~exptime ~data in
       if noreply then None else Some (stored_reply r)

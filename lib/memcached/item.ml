@@ -38,6 +38,8 @@ let make ?cas ?(location = Hot) ~flags ~exptime ~data ~now () =
   let cas = match cas with Some c -> c | None -> Atomic.fetch_and_add next_cas 1 in
   { flags; exptime; data; cas; last_access = now; location }
 
+let none = make ~cas:0 ~flags:0 ~exptime:0 ~data:"" ~now:0 ()
+
 (* Replayed items keep their original CAS; push the allocator past them so
    post-recovery items never collide with a restored version. *)
 let rec note_restored_cas cas =

@@ -93,15 +93,6 @@ let encode_request = function
   | Version -> "version" ^ crlf
   | Quit -> "quit" ^ crlf
 
-(* Decimal digits straight into the buffer: [string_of_int] would
-   allocate a string per number (and format it through C). *)
-let rec add_digits buf n =
-  if n >= 10 then add_digits buf (n / 10);
-  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
-
-let add_int buf n =
-  if n >= 0 then add_digits buf n else Buffer.add_string buf (string_of_int n)
-
 let end_line = "END\r\n"
 let stored_line = "STORED\r\n"
 let not_stored_line = "NOT_STORED\r\n"
@@ -112,40 +103,129 @@ let touched_line = "TOUCHED\r\n"
 let ok_line = "OK\r\n"
 let error_line = "ERROR\r\n"
 
-let add_value buf { vkey; vflags; vdata; vcas } =
-  Buffer.add_string buf "VALUE ";
-  Buffer.add_string buf vkey;
-  Buffer.add_char buf ' ';
-  add_int buf vflags;
-  Buffer.add_char buf ' ';
-  add_int buf (String.length vdata);
-  (match vcas with
-  | None -> ()
-  | Some cas ->
-      Buffer.add_char buf ' ';
-      add_int buf cas);
-  Buffer.add_string buf crlf;
-  Buffer.add_string buf vdata;
+(* --- VALUE blocks ---
+
+   A hit renders as three appends: its header line, built in a reused
+   scratch, then the value, then CRLF. The scratch is the domain's own
+   and always starts with "VALUE "; the key and the numbers are written
+   after it in place. *)
+
+let rec count_digits n =
+  if n < 10 then 1
+  else if n < 100 then 2
+  else if n < 1000 then 3
+  else if n < 10000 then 4
+  else 4 + count_digits (n / 10000)
+
+let digit b i d = Bytes.unsafe_set b i (Char.unsafe_chr (48 + d))
+
+(* The digits of [n >= 0], the last one at [i] of [b]. *)
+let rec fill_digits b i n =
+  digit b i (n mod 10);
+  if n >= 10 then fill_digits b (i - 1) (n / 10)
+
+(* [n >= 0] in decimal at [pos] of [b]; the index past it. Numbers
+   under 1000 — a hit's flags and most value lengths — are written with
+   independent divisions instead of a chain of them. *)
+let put_nat b pos n =
+  if n < 10 then begin
+    digit b pos n;
+    pos + 1
+  end
+  else if n < 100 then begin
+    let q = n / 10 in
+    digit b pos q;
+    digit b (pos + 1) (n - (10 * q));
+    pos + 2
+  end
+  else if n < 1000 then begin
+    let h = n / 100 and q = n / 10 in
+    digit b pos h;
+    digit b (pos + 1) (q - (10 * h));
+    digit b (pos + 2) (n - (10 * q));
+    pos + 3
+  end
+  else begin
+    let stop = pos + count_digits n in
+    fill_digits b (stop - 1) n;
+    stop
+  end
+
+(* Any [n]: a negative one's magnitude is written from [-(n / 10)] and
+   [-(n mod 10)], which stay in range for [min_int]. *)
+let put_int b pos n =
+  if n >= 0 then put_nat b pos n
+  else begin
+    Bytes.unsafe_set b pos '-';
+    let q = -(n / 10) in
+    let pos = if q > 0 then put_nat b (pos + 1) q else pos + 1 in
+    Bytes.unsafe_set b pos (Char.unsafe_chr (48 - (n mod 10)));
+    pos + 1
+  end
+
+let value_prefix = "VALUE "
+
+(* Room for the prefix, three numbers of up to 20 characters, their
+   spaces and CRLF. *)
+let header_room key_len = String.length value_prefix + key_len + 66
+
+let new_header key_len =
+  let h = Bytes.create (header_room (max key_len 250)) in
+  Bytes.blit_string value_prefix 0 h 0 (String.length value_prefix);
+  h
+
+let header_key = Domain.DLS.new_key (fun () -> new_header 250)
+
+let header_scratch key_len =
+  let h = Domain.DLS.get header_key in
+  if Bytes.length h >= header_room key_len then h
+  else begin
+    let h = new_header key_len in
+    Domain.DLS.set header_key h;
+    h
+  end
+
+let add_value_slice buf kbuf koff klen ~flags ~with_cas ~cas data =
+  let h = header_scratch klen in
+  let p = String.length value_prefix in
+  Bytes.unsafe_blit kbuf koff h p klen;
+  let p = p + klen in
+  Bytes.unsafe_set h p ' ';
+  let p = put_int h (p + 1) flags in
+  Bytes.unsafe_set h p ' ';
+  let p = put_nat h (p + 1) (String.length data) in
+  let p =
+    if with_cas then begin
+      Bytes.unsafe_set h p ' ';
+      put_int h (p + 1) cas
+    end
+    else p
+  in
+  Bytes.unsafe_set h p '\r';
+  Bytes.unsafe_set h (p + 1) '\n';
+  Buffer.add_subbytes buf h 0 (p + 2);
+  Buffer.add_string buf data;
   Buffer.add_string buf crlf
 
+let add_value buf { vkey; vflags; vdata; vcas } =
+  let key = Bytes.unsafe_of_string vkey and len = String.length vkey in
+  match vcas with
+  | None -> add_value_slice buf key 0 len ~flags:vflags ~with_cas:false ~cas:0 vdata
+  | Some cas -> add_value_slice buf key 0 len ~flags:vflags ~with_cas:true ~cas vdata
+
+(* A number reply's digits, written past the scratch's prefix: neither
+   [string_of_int] nor a character at a time. *)
+let add_int buf n =
+  let h = header_scratch 0 and p = String.length value_prefix in
+  Buffer.add_subbytes buf h p (put_int h p n - p)
+
+let add_end buf = Buffer.add_string buf end_line
+
 let rec add_values buf = function
-  | [] -> Buffer.add_string buf end_line
+  | [] -> add_end buf
   | v :: rest ->
       add_value buf v;
       add_values buf rest
-
-(* One get/gets reply out of a coalesced multiget's: the leading values
-   that answer [keys] — in key order, each [vkey] physically the key it
-   answers — then END. *)
-let rec encode_values_for_into buf keys values =
-  match (keys, values) with
-  | [], _ ->
-      Buffer.add_string buf end_line;
-      values
-  | key :: keys, v :: rest when v.vkey == key ->
-      add_value buf v;
-      encode_values_for_into buf keys rest
-  | _ :: keys, _ -> encode_values_for_into buf keys values
 
 (* Renders straight into a caller-owned buffer so a pipelined batch of
    responses coalesces without one string allocation per command. *)
@@ -298,6 +378,93 @@ module Inbuf = struct
     end
 end
 
+(* --- key slices ---
+
+   A multiget's keys as slices of one byte buffer, each with its hash:
+   the GET-run scanner records them straight out of the input window,
+   and a caller holding strings copies them into a buffer of its own. *)
+
+module Keys = struct
+  type t = {
+    mutable buf : Bytes.t;
+    mutable offs : int array;
+    mutable lens : int array;
+    mutable hashes : int array;
+    mutable n : int;
+  }
+
+  let create () = { buf = Bytes.empty; offs = [||]; lens = [||]; hashes = [||]; n = 0 }
+  let length t = t.n
+
+  let key t i =
+    if i < 0 || i >= t.n then invalid_arg "Protocol.Keys.key";
+    Bytes.sub_string t.buf t.offs.(i) t.lens.(i)
+
+  let rec keys_before t i acc = if i < 0 then acc else keys_before t (i - 1) (key t i :: acc)
+  let to_list t = keys_before t (t.n - 1) []
+
+  let grow t =
+    let cap = max 8 (2 * Array.length t.offs) in
+    let extend a =
+      let b = Array.make cap 0 in
+      Array.blit a 0 b 0 t.n;
+      b
+    in
+    t.offs <- extend t.offs;
+    t.lens <- extend t.lens;
+    t.hashes <- extend t.hashes
+
+  let push t off len hash =
+    if t.n = Array.length t.offs then grow t;
+    let i = t.n in
+    Array.unsafe_set t.offs i off;
+    Array.unsafe_set t.lens i len;
+    Array.unsafe_set t.hashes i hash;
+    t.n <- i + 1
+
+  let rec total_bytes acc = function
+    | [] -> acc
+    | k :: rest -> total_bytes (acc + String.length k) rest
+
+  let rec copy t off = function
+    | [] -> ()
+    | k :: rest ->
+        let len = String.length k in
+        Bytes.unsafe_blit_string k 0 t.buf off len;
+        push t off len (Rp_hashes.Hashfn.fnv1a_string k);
+        copy t (off + len) rest
+
+  let stage t keys =
+    let bytes = total_bytes 0 keys in
+    if Bytes.length t.buf < bytes then
+      t.buf <- Bytes.create (max bytes (2 * Bytes.length t.buf));
+    t.n <- 0;
+    copy t 0 keys
+end
+
+(* A run of consecutive get (or gets) lines: their keys, and where each
+   line's keys end. *)
+module Get_run = struct
+  type t = {
+    keys : Keys.t;
+    mutable ends : int array;
+    mutable lines : int;
+    mutable with_cas : bool;
+  }
+
+  let create () = { keys = Keys.create (); ends = [||]; lines = 0; with_cas = false }
+
+  let end_line t ~with_cas =
+    if t.lines = Array.length t.ends then begin
+      let ends = Array.make (max 8 (2 * t.lines)) 0 in
+      Array.blit t.ends 0 ends 0 t.lines;
+      t.ends <- ends
+    end;
+    Array.unsafe_set t.ends t.lines t.keys.n;
+    t.lines <- t.lines + 1;
+    t.with_cas <- with_cas
+end
+
 (* --- request parser --- *)
 
 module Parser = struct
@@ -317,12 +484,12 @@ module Parser = struct
     inbuf : Inbuf.t;
     max_line : int;
     mutable state : state;
-    mutable eol : int;  (* CRLF index of the line [scan_get] just read *)
+    run : Get_run.t;  (* the GET run [get_run] read last *)
   }
 
   let create ?(max_line = 8192) ?(inbuf = Inbuf.create ()) () =
     if max_line < 1 then invalid_arg "Protocol.Parser.create: max_line < 1";
-    { inbuf; max_line; state = Await_line; eol = 0 }
+    { inbuf; max_line; state = Await_line; run = Get_run.create () }
   let feed t s = Inbuf.feed t.inbuf s
   let buffered_bytes t = Inbuf.available t.inbuf
 
@@ -470,12 +637,14 @@ module Parser = struct
 
   (* --- get/gets lines, scanned in place ---
 
-     The hot request. A well-formed get/gets line is read once, straight
-     out of the input window: no line copy, no token list — the keys are
-     the only strings allocated. Anything else (no CRLF yet, a missing or
-     invalid key, an over-long line) leaves the window untouched and
-     takes the general path below, which gives the same result for every
-     line: keys are the space-separated tokens after the verb.
+     The hot request. Consecutive well-formed get (or gets) lines are
+     read once, straight out of the input window: no line copy, no token
+     list, no key string. Each key is recorded as a slice of the window
+     with its hash, computed in the pass that finds the key's end. A line
+     the scan does not take (no CRLF yet, a missing or invalid key, an
+     over-long line) is left in the window for the general path below,
+     which gives the same result for every line the scan takes: keys are
+     the space-separated tokens after the verb.
 
      The scans read the window's bytes below [lim] (its [len]) and never
      view it as a string: the window is mutable and is reused. *)
@@ -491,22 +660,32 @@ module Parser = struct
       else if c < ' ' || c = '\x7f' then raise_notrace Not_simple
       else key_end s lim (j + 1)
 
-  (* The keys from [i] to the end of the line; [t.eol] gets the index of
-     the line's CRLF. *)
-  let rec keys_to_eol t s lim i =
+  (* The key starting at [start], whose bytes before [j] hash to [h]:
+     pushed on [keys] with its hash once the space or CR that ends it is
+     found; returns that index. Each byte takes one step of
+     {!Rp_hashes.Hashfn.fnv1a_string}, written out here so the byte loop
+     makes no call. *)
+  let rec scan_key keys s lim start j h =
+    if j >= lim then raise_notrace Not_simple
+    else
+      let c = Bytes.unsafe_get s j in
+      if c > ' ' && c <> '\x7f' then
+        scan_key keys s lim start (j + 1) ((h lxor Char.code c) * Rp_hashes.Hashfn.fnv_prime)
+      else if (c = ' ' || c = '\r') && j - start <= 250 then begin
+        Keys.push keys start (j - start) (Rp_hashes.Hashfn.splitmix64 h);
+        j
+      end
+      else raise_notrace Not_simple
+
+  (* The keys from [i] to the end of the line, pushed on [keys] with
+     their hashes; returns the index of the line's CRLF. *)
+  let rec scan_keys keys s lim i =
     if i + 1 >= lim then raise_notrace Not_simple
     else
       match Bytes.unsafe_get s i with
-      | ' ' -> keys_to_eol t s lim (i + 1)
-      | '\r' ->
-          if Bytes.unsafe_get s (i + 1) <> '\n' then raise_notrace Not_simple;
-          t.eol <- i;
-          []
-      | _ ->
-          let j = key_end s lim i in
-          if j - i > 250 then raise_notrace Not_simple;
-          let key = Bytes.sub_string s i (j - i) in
-          key :: keys_to_eol t s lim j
+      | ' ' -> scan_keys keys s lim (i + 1)
+      | '\r' -> if Bytes.unsafe_get s (i + 1) = '\n' then i else raise_notrace Not_simple
+      | _ -> scan_keys keys s lim (scan_key keys s lim i i Rp_hashes.Hashfn.fnv_offset)
 
   (* Where the keys of a "get " or "gets " line starting at [i] begin
      (4 or 5 bytes on), or 0 for any other line. *)
@@ -523,18 +702,51 @@ module Parser = struct
       | _ -> 0
     else 0
 
-  let scan_get t =
-    let w = t.inbuf in
-    let s = w.data and lim = w.len and i = w.pos in
-    match get_keys_offset s lim i with
-    | 0 -> None
+  (* Take lines from [pos] while each is a get line of the run's kind
+     that the scan accepts and the run stays within [max_keys] (its
+     first line is taken whatever its key count); returns where the
+     first line not taken starts. A full run stops before scanning
+     another line: every line holds a key. *)
+  let rec take_lines t run s lim pos ~max_keys =
+    let keys = run.Get_run.keys in
+    match get_keys_offset s lim pos with
+    | 0 -> pos
+    | off when run.lines > 0 && ((off = 5) <> run.with_cas || keys.n >= max_keys) -> pos
     | off -> (
-        match keys_to_eol t s lim (i + off) with
-        | _ :: _ as keys when t.eol - i <= t.max_line ->
-            Inbuf.advance w (t.eol + 2);
-            Some (Ok (if off = 4 then Get keys else Gets keys))
-        | _ -> None
-        | exception Not_simple -> None)
+        let n0 = keys.n in
+        match scan_keys keys s lim (pos + off) with
+        | eol when eol - pos <= t.max_line && keys.n > n0 && (run.lines = 0 || keys.n <= max_keys)
+          ->
+            Get_run.end_line run ~with_cas:(off = 5);
+            take_lines t run s lim (eol + 2) ~max_keys
+        | _ ->
+            keys.n <- n0;
+            pos
+        | exception Not_simple ->
+            keys.n <- n0;
+            pos)
+
+  let get_run t ~max_keys =
+    let run = t.run in
+    run.keys.n <- 0;
+    run.lines <- 0;
+    (match t.state with
+    | Await_line ->
+        let w = t.inbuf in
+        let pos = take_lines t run w.data w.len w.pos ~max_keys in
+        if run.lines > 0 then begin
+          run.keys.buf <- w.data;
+          Inbuf.advance w pos
+        end
+    | Await_data _ | Discard_line -> ());
+    run
+
+  let scan_get t =
+    let run = get_run t ~max_keys:0 in
+    if run.lines = 0 then None
+    else
+      let keys = Keys.to_list run.keys in
+      Some (Ok (if run.with_cas then Gets keys else Get keys))
 
   (* --- set lines, scanned in place ---
 

@@ -74,13 +74,16 @@ val encode_response_into : Buffer.t -> response -> unit
     coalesce a whole pipelined batch this way — one reusable buffer, one
     socket write, no per-command response string. *)
 
-val encode_values_for_into : Buffer.t -> string list -> value list -> value list
-(** [encode_values_for_into buf keys values] renders the reply to one
-    [get]/[gets] of [keys] whose hits lead [values], and returns the
-    values left over. [values] holds hits in key order with each [vkey]
-    physically equal to the key it answers, as {!Store.get_many} returns
-    them, so a run of requests served by one multiget splits back into
-    one [VALUE]…[END] block per request. *)
+val add_value_slice :
+  Buffer.t -> Bytes.t -> int -> int -> flags:int -> with_cas:bool -> cas:int -> string -> unit
+(** [add_value_slice buf key off len ~flags ~with_cas ~cas data] renders
+    one [VALUE] block of a get/gets reply — the key being [len] bytes of
+    [key] from [off], [cas] rendered only [with_cas] — as three appends
+    to [buf]: the header line, built in a reused per-domain scratch,
+    then [data], then CRLF. Allocates nothing once the scratch exists. *)
+
+val add_end : Buffer.t -> unit
+(** The [END] line closing a get/gets reply. *)
 
 val request_key_valid : string -> bool
 (** memcached key rules: 1–250 bytes, no spaces or control characters. *)
@@ -132,6 +135,43 @@ module Inbuf : sig
   (** Bytes of storage held (0 when none). *)
 end
 
+(** The keys of a multiget as slices of one byte buffer: key [i] is the
+    [lens.(i)] bytes of [buf] from [offs.(i)], and [hashes.(i)] is
+    {!Rp_hashes.Hashfn.fnv1a_string} of those bytes (the store's key
+    hash). *)
+module Keys : sig
+  type t = private {
+    mutable buf : Bytes.t;
+    mutable offs : int array;
+    mutable lens : int array;
+    mutable hashes : int array;
+    mutable n : int;  (** keys held: entries [0 .. n - 1] *)
+  }
+
+  val create : unit -> t
+  val length : t -> int
+
+  val key : t -> int -> string
+  (** Key [i] as a fresh string. *)
+
+  val stage : t -> string list -> unit
+  (** Replace the keys by copies of [keys] in [t]'s own buffer (grown
+      when too small), with their hashes. For a caller holding strings;
+      a parser's keys slice its input window instead. *)
+end
+
+(** A run of consecutive [get] (or consecutive [gets]) lines, read in
+    place by {!Parser.get_run}. *)
+module Get_run : sig
+  type t = private {
+    keys : Keys.t;  (** every key of the run, slicing the input window *)
+    mutable ends : int array;
+        (** [ends.(l)]: the index past line [l]'s last key *)
+    mutable lines : int;  (** lines taken; 0 when none was *)
+    mutable with_cas : bool;  (** the lines are [gets] *)
+  }
+end
+
 (** Incremental request parser (server side). Feed raw bytes; pull complete
     requests. A malformed line yields [Error _] and the parser resynchronises
     at the next line. *)
@@ -151,6 +191,19 @@ module Parser : sig
 
   val next : t -> (request, string) result option
   (** [None] means more bytes are needed. *)
+
+  val get_run : t -> max_keys:int -> Get_run.t
+  (** Read, in place, the run of consecutive [get] lines (or of [gets]
+      lines, as the first one is) that starts the buffered input: the
+      lines {!next} would return as [Get]/[Gets] through its scan, taken
+      while the run holds at most [max_keys] keys — its first line is
+      taken whatever its key count. The scan stops before the first line
+      it does not take, which {!next} then parses. Each key is recorded
+      as a slice of the input window with its hash, computed in the pass
+      that finds the key's end; nothing is allocated once the run's
+      arrays are large enough. Returns the parser's own run record
+      ([lines] = 0 when the input does not start with such a line),
+      valid until the parser's next call. *)
 
   val buffered_bytes : t -> int
 end

@@ -111,11 +111,41 @@ let[@inline] heat_mutation t key =
 
 let batch_keys = Store_rp.batch_keys
 
-(* The multiget fast path the event loop's batch dispatch hits: one
-   clock read and one [cmd_get] add for the whole batch. *)
+(* The multiget path: one clock read and one [cmd_get] add for the
+   whole batch. *)
+let get_keys t keys =
+  Rp_obs.Counter.add t.c.cmd_get (Protocol.Keys.length keys);
+  t.b.get_keys ~now:(now t) keys
+
+(* A domain's key slices for [get_many], reused across calls. Systhreads
+   on one domain (a follower's apply thread, an in-process bench client)
+   share them; one that finds them [busy] (a sibling was switched out
+   mid-call) stages into fresh ones. *)
+type staging = { mutable busy : bool; keys : Protocol.Keys.t }
+
+let staging_key = Domain.DLS.new_key (fun () -> { busy = false; keys = Protocol.Keys.create () })
+
+let rec values ~with_cas items i = function
+  | [] -> []
+  | key :: rest ->
+      let item = Array.unsafe_get items i in
+      if item == Item.none then values ~with_cas items (i + 1) rest
+      else value_of_item ~with_cas key item :: values ~with_cas items (i + 1) rest
+
+(* String keys in, replies out, through the same lookup as a text GET
+   run: the keys are copied into the domain's slices first. *)
 let get_many t ?(with_cas = false) keys =
-  Rp_obs.Counter.add t.c.cmd_get (List.length keys);
-  t.b.get_many ~with_cas ~now:(now t) keys
+  let shared = Domain.DLS.get staging_key in
+  let s = if shared.busy then { busy = false; keys = Protocol.Keys.create () } else shared in
+  s.busy <- true;
+  Protocol.Keys.stage s.keys keys;
+  match get_keys t s.keys with
+  | items ->
+      s.busy <- false;
+      values ~with_cas items 0 keys
+  | exception e ->
+      s.busy <- false;
+      raise e
 
 let get t key =
   Rp_obs.Counter.incr t.c.cmd_get;

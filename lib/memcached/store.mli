@@ -89,21 +89,29 @@ val reader_offline : t -> unit
 val get : t -> string -> Protocol.value option
 (** The GET path whose scalability the paper's figure 5 measures. *)
 
+val get_keys : t -> Protocol.Keys.t -> Item.t array
+(** The multiget path a connection's run of text [get] lines takes: each
+    key's live item, or {!Item.none} for a miss, in key order. One clock
+    read and one [cmd_get] add serve the whole batch. On the {!Rp}
+    backend each {!batch_keys} keys are one read-side critical section:
+    inside it the table is walked in stages over the key slices
+    ({!Rp_ht.find_batch_hashed}), the hits' items and values are
+    prefetched, and nothing is allocated. Each key is settled once its
+    section closes: a miss is counted; a hit is touched, counted and
+    noted to the heat plane with the stored key; an expired item is
+    reaped under its own key's update stripe and a cold one promoted.
+    Allocates the two staging arrays (one word per key each). *)
+
 val get_many : t -> ?with_cas:bool -> string list -> Protocol.value list
-(** Batch lookup — the multiget fast path the event loop's batch dispatch
-    hits: one [cmd_get] counter add for the whole batch and, on the {!Rp}
-    backend, one read-side critical section per {!batch_keys} keys. The
-    keys are hashed before the section; inside it the table is walked in
-    stages ({!Rp_ht.find_batch_hashed}) and nothing is allocated. Replies
-    are built after it closes: hits in key order, each [vkey] physically
-    the requested key. Expired items encountered inside the batch are
-    reaped after the section closes, each under its own key's update
-    stripe; cold ones are promoted then too. Systhreads sharing a domain
-    may call it concurrently: a grace period one of them starts waits out
-    a sibling's section. *)
+(** {!get_keys} for string keys (binary GETs, {!Dispatch.handle},
+    in-process callers): the keys are copied into the calling domain's
+    reused slices and served through the same read sections; replies
+    are the hits in key order, each [vkey] physically the requested
+    key. Systhreads sharing a domain may call it concurrently: a grace
+    period one of them starts waits out a sibling's section. *)
 
 val batch_keys : int
-(** The most keys one {!get_many} read section serves (64): longer key
+(** The most keys one {!get_keys} read section serves (64): longer key
     lists are split, and the event loop ends a run of pipelined GET
     requests at this many keys, so a QSBR reader never stretches a grace
     period over an unbounded batch. *)

@@ -84,7 +84,9 @@ type backend = {
          sweep, or exact-LRU eviction. *)
   evict_to_budget : unit -> unit;  (* like [budget], but waits it out *)
   get : now:Item.time -> string -> Protocol.value option;
-  get_many : with_cas:bool -> now:Item.time -> string list -> Protocol.value list;
+  get_keys : now:Item.time -> Protocol.Keys.t -> Item.t array;
+      (* Each key's live item, [Item.none] for a miss, every outcome
+         counted and every hit touched. *)
   iter : (string -> Item.t -> unit) -> int;
   length : unit -> int;
   buckets : unit -> int;
@@ -166,6 +168,12 @@ let[@inline] count_hit c key data =
 let[@inline] count_miss c key =
   let n = Rp_obs.Counter.incr_get c.get_misses in
   match c.heat with None -> () | Some h -> Rp_heat.note_miss h ~n key
+
+(* A miss on key [i] of a batch: its key string is built only for the
+   heat plane. *)
+let count_miss_key c keys i =
+  let n = Rp_obs.Counter.incr_get c.get_misses in
+  match c.heat with None -> () | Some h -> Rp_heat.note_miss h ~n (Protocol.Keys.key keys i)
 
 (* Exemplar stamp beside a [Histogram.observe] of the same value. *)
 let[@inline] heat_slo c name value =

@@ -52,17 +52,23 @@ let create (c : Store_core.t) ~initial_size =
               Rp_obs.Counter.incr c.evicted);
           evict ()
   in
-  let get ~with_cas ~now key =
+  (* The live item, LRU-bumped and counted; [Item.none] on a miss. *)
+  let lookup ~now key =
     locked (fun () ->
         match find_live ~now key with
         | None ->
             count_miss c key;
-            None
+            Item.none
         | Some entry ->
             Lru.touch lru entry.node;
             Item.touch_access entry.item ~now;
             count_hit c key entry.item.data;
-            Some (value_of_item ~with_cas key entry.item))
+            entry.item)
+  in
+  let get ~now key =
+    match lookup ~now key with
+    | item when item == Item.none -> None
+    | item -> Some (value_of_item ~with_cas:false key item)
   in
   {
     kind = Lock;
@@ -82,8 +88,10 @@ let create (c : Store_core.t) ~initial_size =
     budget =
       (fun () -> if Slab.allocated_bytes c.slab > c.max_bytes then locked evict);
     evict_to_budget = (fun () -> locked evict);
-    get = get ~with_cas:false;
-    get_many = (fun ~with_cas ~now keys -> List.filter_map (get ~with_cas ~now) keys);
+    get;
+    get_keys =
+      (fun ~now keys ->
+        Array.init (Protocol.Keys.length keys) (fun i -> lookup ~now (Protocol.Keys.key keys i)));
     iter =
       (fun f ->
         locked (fun () -> H.unsafe_iter table ~f:(fun k e -> f k e.item));

@@ -259,36 +259,6 @@ let expire_if_dead t ~now key =
           Rp_obs.Counter.incr t.c.expired
       | Some _ | None -> ())
 
-(* A batch's read section must not take an update stripe (the holder
-   could be waiting for readers — us included) nor read the disk. So the
-   section's pass leaves a placeholder in the reply list for each key
-   that needs either — an expired item to reap, a demoted one to promote
-   — marked by one of these tags as its [vdata] (compared physically),
-   and the caller settles them after the section closes. *)
-let expired_tag = String.make 1 'x'
-let cold_tag = String.make 1 'c'
-
-let placeholder key tag : Protocol.value =
-  { vkey = key; vflags = 0; vdata = tag; vcas = None }
-
-let is_placeholder (v : Protocol.value) = v.vdata == expired_tag || v.vdata == cold_tag
-
-(* A looked-up item's reply, once the read section has closed: a hot hit
-   is counted and stamped for the CLOCK; an expired or cold one leaves a
-   placeholder for [settle]. *)
-let reply t ~with_cas ~now key (item : Item.t) =
-  if Item.is_expired item ~now then begin
-    count_miss t.c key;
-    placeholder key expired_tag
-  end
-  else if Item.is_cold item then
-    placeholder key cold_tag (* hit/miss counted at resolution *)
-  else begin
-    Item.touch_access item ~now;
-    count_hit t.c key item.data;
-    value_of_item ~with_cas key item
-  end
-
 (* Resolve a cold hit: one positioned segment read, then reinsert under
    the key's update stripe (promote-on-access). The disk read happens
    with no store lock held — only the key's promote stripe, whose sole
@@ -301,25 +271,25 @@ let reply t ~with_cas ~now key (item : Item.t) =
    it hot and return that), a DELETE can win (miss). A torn record is
    final: the value is gone, so the marker is dropped — later GETs miss
    fast instead of re-reading a bad frame. *)
-let rec promote_attempt t ~with_cas ~hooks ~hash key tries =
+let rec promote_attempt t ~hooks ~hash key tries =
   let now = now t.c in
   match Rp_ht.find_opt_hashed t.rp ~hash key with
   | None ->
       count_miss t.c key;
-      None
+      Item.none
   | Some item when Item.is_expired item ~now ->
       expire_if_dead t ~now key;
       count_miss t.c key;
-      None
+      Item.none
   | Some item -> (
       match item.Item.location with
       | Item.Hot ->
           Item.touch_access item ~now;
           count_hit t.c key item.data;
-          Some (value_of_item ~with_cas key item)
+          item
       | Item.Cold { segment; offset; len } -> (
           match read_cold t.c hooks key (segment, offset, len) with
-          | Ok data -> (
+          | Ok data ->
               let promoted =
                 with_stripe t ~hash (fun () ->
                     match Rp_ht.find_opt_hashed t.rp ~hash key with
@@ -332,26 +302,23 @@ let rec promote_attempt t ~with_cas ~hooks ~hash key tries =
                             ~exptime:item.Item.exptime ~data ~now ()
                         in
                         store t ~hash key hot;
-                        Some (value_of_item ~with_cas key hot)
-                    | _ -> None)
+                        hot
+                    | _ -> Item.none)
               in
-              match promoted with
-              | Some v ->
-                  Rp_obs.Counter.incr t.c.tier_promotions;
-                  (match t.c.heat with
-                  | None -> ()
-                  | Some h -> Rp_heat.note_tier_promote h ~vbytes:(String.length data));
-                  count_hit t.c key data;
-                  Some v
-              | None ->
-                  if tries > 0 then
-                    promote_attempt t ~with_cas ~hooks ~hash key (tries - 1)
-                  else begin
-                    count_miss t.c key;
-                    None
-                  end)
-          | Error Tier_gone when tries > 0 ->
-              promote_attempt t ~with_cas ~hooks ~hash key (tries - 1)
+              if promoted != Item.none then begin
+                Rp_obs.Counter.incr t.c.tier_promotions;
+                (match t.c.heat with
+                | None -> ()
+                | Some h -> Rp_heat.note_tier_promote h ~vbytes:(String.length data));
+                count_hit t.c key data;
+                promoted
+              end
+              else if tries > 0 then promote_attempt t ~hooks ~hash key (tries - 1)
+              else begin
+                count_miss t.c key;
+                Item.none
+              end
+          | Error Tier_gone when tries > 0 -> promote_attempt t ~hooks ~hash key (tries - 1)
           | Error e ->
               if e = Tier_gone then Rp_obs.Counter.incr t.c.tier_read_errors;
               with_stripe t ~hash (fun () ->
@@ -359,14 +326,15 @@ let rec promote_attempt t ~with_cas ~hooks ~hash key tries =
                   | Some cur when cur == item -> ignore (delete t ~hash key)
                   | _ -> ());
               count_miss t.c key;
-              None))
+              Item.none))
 
-let promote_and_get t ~with_cas key =
+(* The hot item a cold hit promotes to, or [Item.none]. *)
+let promote_and_get t key =
   match t.c.tier with
   | None ->
       (* A marker with no tier attached (shutdown window): unreadable. *)
       count_miss t.c key;
-      None
+      Item.none
   | Some hooks ->
       let span = Rp_trace.span_begin_sampled k_tier_promote in
       let hash = hash_key key in
@@ -377,26 +345,32 @@ let promote_and_get t ~with_cas key =
           ~finally:(fun () ->
             Mutex.unlock m;
             Rp_trace.span_end_sampled k_tier_promote span)
-          (fun () -> promote_attempt t ~with_cas ~hooks ~hash key 3)
+          (fun () -> promote_attempt t ~hooks ~hash key 3)
       in
       (* Promotion re-charged the full value: settle the budget (the sweep
          may well demote something colder in its place). *)
       sweep t;
       v
 
-(* Placeholders left by [reply], resolved with no read section open:
-   expired items are reaped under their own stripes, cold hits promoted
-   (stripes and a disk read). Reply order is preserved. *)
-let settle t ~with_cas ~now values =
-  List.filter_map
-    (fun (v : Protocol.value) ->
-      if v.vdata == expired_tag then begin
-        expire_if_dead t ~now v.vkey;
-        None
-      end
-      else if v.vdata == cold_tag then promote_and_get t ~with_cas v.vkey
-      else Some v)
-    values
+(* A looked-up item's outcome, once the read section has closed — a
+   section must not take an update stripe (the holder could be waiting
+   for readers, this one included) nor read the disk: a hot hit is
+   touched and counted; an expired item counts as a miss and is reaped
+   under its own stripe; a cold one is promoted (stripes and a disk
+   read). Returns the item to reply with, or [Item.none]. A batch passes
+   its node's stored key, so no outcome allocates one. *)
+let settle t ~now key (item : Item.t) =
+  if Item.is_expired item ~now then begin
+    count_miss t.c key;
+    expire_if_dead t ~now key;
+    Item.none
+  end
+  else if Item.is_cold item then promote_and_get t key
+  else begin
+    Item.touch_access item ~now;
+    count_hit t.c key item.data;
+    item
+  end
 
 (* The batch size goes on the read-section span's end, and only when the
    span is recorded: passing [~arg] allocates an option. *)
@@ -405,78 +379,39 @@ let end_read_section section ~n =
 
 let batch_keys = 64
 
-(* A domain's staging arrays for [get_many]'s read section, reused across
-   calls so the section allocates nothing: the keys and their hashes
-   going in, each key's table node and item coming out. Systhreads on
-   one domain (a follower's apply thread, an in-process bench client)
-   share its arrays; one that finds them [busy] (a sibling was switched
-   out mid-batch) stages into fresh ones. *)
-type scratch = {
-  mutable busy : bool;
-  mutable staged : int;
-  hashes : int array;
-  keys : string array;
-  found : (string, Item.t) Rp_list.link array;
-  items : Item.t array;
-}
-
-let no_item = Item.make ~cas:0 ~flags:0 ~exptime:0 ~data:"" ~now:0 ()
-
-let fresh_scratch () =
-  {
-    busy = false;
-    staged = 0;
-    hashes = Array.make batch_keys 0;
-    keys = Array.make batch_keys "";
-    found = Array.make batch_keys Rp_list.Null;
-    items = Array.make batch_keys no_item;
-  }
-
-let scratch_key = Domain.DLS.new_key fresh_scratch
-
-(* Stage up to [batch_keys] keys, hashing each before the section opens;
-   returns the keys left over, and the count staged in [staged]. *)
-let rec stage s i = function
-  | key :: rest when i < batch_keys ->
-      Array.unsafe_set s.keys i key;
-      Array.unsafe_set s.hashes i (hash_key key);
-      stage s (i + 1) rest
-  | rest ->
-      s.staged <- i;
-      rest
-
 (* Bytes of a hit's value, header included, that [read_section] asks the
    cache for ahead of the reply: the first lines, which encoding reads
    first; a longer value streams in behind them during the copy. *)
 let value_prefetch_bytes = 256
 
-(* The read section: the staged table walk, then two more stages over
-   the hits, each prefetching what the next one loads — every hit's item
-   record (its fields span two lines at most), then every value's header
-   line, then the rest of its first [value_prefetch_bytes]. The replies,
-   built after the section closes, then read from cache. Every block
-   hinted at is reached from a node the section pins; nothing here
-   allocates. *)
-let read_section t s n =
-  Rp_ht.find_batch_hashed t.rp ~hashes:s.hashes ~keys:s.keys s.found n;
-  for i = 0 to n - 1 do
-    match Array.unsafe_get s.found i with
+(* The read section over keys [first, first + n) of [keys]: the staged
+   table walk, then two more stages over the hits, each prefetching what
+   the next one loads — every hit's item record (its fields span two
+   lines at most), then every value's header line, then the rest of its
+   first [value_prefetch_bytes]. Settlement and the replies, after the
+   section closes, then read from cache. Every block hinted at is
+   reached from a node the section pins; nothing here allocates. *)
+let read_section t (keys : Protocol.Keys.t) found items first n =
+  Rp_ht.find_batch_hashed t.rp ~buf:keys.buf ~offs:keys.offs ~lens:keys.lens
+    ~hashes:keys.hashes ~first found n;
+  for j = 0 to n - 1 do
+    match Array.unsafe_get found j with
     | Rp_list.Node nd ->
         let item = nd.value in
-        Array.unsafe_set s.items i item;
+        Array.unsafe_set items (first + j) item;
         Rp_list.prefetch item 0;
         Rp_list.prefetch item 40
     | Rp_list.Null -> ()
   done;
-  for i = 0 to n - 1 do
-    match Array.unsafe_get s.found i with
-    | Rp_list.Node _ -> Rp_list.prefetch (Array.unsafe_get s.items i).Item.data (-8)
+  for j = 0 to n - 1 do
+    match Array.unsafe_get found j with
+    | Rp_list.Node _ -> Rp_list.prefetch (Array.unsafe_get items (first + j)).Item.data (-8)
     | Rp_list.Null -> ()
   done;
-  for i = 0 to n - 1 do
-    match Array.unsafe_get s.found i with
+  for j = 0 to n - 1 do
+    match Array.unsafe_get found j with
     | Rp_list.Node _ ->
-        let data = (Array.unsafe_get s.items i).Item.data in
+        let data = (Array.unsafe_get items (first + j)).Item.data in
         let stop = min (String.length data) (value_prefetch_bytes - 8) in
         let off = ref 56 in
         while !off < stop do
@@ -487,55 +422,44 @@ let read_section t s n =
     | Rp_list.Null -> ()
   done
 
-(* The staged batch's replies, in key order. *)
-let rec replies t s ~with_cas ~now i n =
-  if i = n then []
-  else
-    let key = Array.unsafe_get s.keys i in
-    match Array.unsafe_get s.found i with
-    | Rp_list.Null ->
-        count_miss t.c key;
-        replies t s ~with_cas ~now (i + 1) n
-    | Rp_list.Node _ ->
-        let v = reply t ~with_cas ~now key (Array.unsafe_get s.items i) in
-        v :: replies t s ~with_cas ~now (i + 1) n
+(* Each key of the section just closed, settled in place: a miss is
+   counted and stays [Item.none]; a hit is settled with its node's key. *)
+let settle_batch t keys found items ~now first n =
+  for j = 0 to n - 1 do
+    let i = first + j in
+    match Array.unsafe_get found j with
+    | Rp_list.Null -> count_miss_key t.c keys i
+    | Rp_list.Node nd ->
+        let item = Array.unsafe_get items i in
+        let settled = settle t ~now nd.key item in
+        if settled != item then Array.unsafe_set items i settled
+  done
 
-(* One read section per [batch_keys] of [keys]. Replies, counters and
-   heat notes are built after each section closes. *)
-let rec get_batches t ~with_cas ~now keys =
-  let shared = Domain.DLS.get scratch_key in
-  let s = if shared.busy then fresh_scratch () else shared in
-  s.busy <- true;
-  let rest = stage s 0 keys in
-  let n = s.staged in
-  let rcu = Rp_ht.rcu t.rp in
-  let section = Rp_trace.span_begin_sampled k_read_section in
-  Rcu.read_lock_current rcu;
-  (match read_section t s n with
-  | () -> Rcu.read_unlock_current rcu
-  | exception e ->
-      Rcu.read_unlock_current rcu;
-      end_read_section section ~n;
-      s.busy <- false;
-      raise e);
-  end_read_section section ~n;
-  let values =
-    match replies t s ~with_cas ~now 0 n with
-    | values ->
-        s.busy <- false;
-        values
+(* One read section per [batch_keys] keys, each settled as soon as it
+   closes. The staging arrays are fresh, so they are young: the walk's
+   and the item stage's stores into them never take the write barrier's
+   major-heap path (remembered set, darkening the value overwritten). *)
+let rec batches t ~now (keys : Protocol.Keys.t) found items first =
+  if first < keys.n then begin
+    let m = min batch_keys (keys.n - first) in
+    let rcu = Rp_ht.rcu t.rp in
+    let section = Rp_trace.span_begin_sampled k_read_section in
+    Rcu.read_lock_current rcu;
+    (match read_section t keys found items first m with
+    | () -> Rcu.read_unlock_current rcu
     | exception e ->
-        s.busy <- false;
-        raise e
-  in
-  match rest with [] -> values | _ -> values @ get_batches t ~with_cas ~now rest
+        Rcu.read_unlock_current rcu;
+        end_read_section section ~n:m;
+        raise e);
+    end_read_section section ~n:m;
+    settle_batch t keys found items ~now first m;
+    batches t ~now keys found items (first + m)
+  end
 
-(* The multiget fast path: one staged read section per [batch_keys]
-   keys, instead of a section and serial chain walk per key. *)
-let get_many t ~with_cas ~now keys =
-  let values = get_batches t ~with_cas ~now keys in
-  if List.exists is_placeholder values then settle t ~with_cas ~now values
-  else values
+let get_keys t ~now (keys : Protocol.Keys.t) =
+  let items = Array.make keys.n Item.none in
+  batches t ~now keys (Array.make (min keys.n batch_keys) Rp_list.Null) items 0;
+  items
 
 (* A lone GET opens no outer section: the table's own read section
    covers the chain walk, and the reply record is built after it, so the
@@ -545,13 +469,9 @@ let get t ~now key =
   | None ->
       count_miss t.c key;
       None
-  | Some item -> (
-      match reply t ~with_cas:false ~now key item with
-      | v when not (is_placeholder v) -> Some v
-      | v -> (
-          match settle t ~with_cas:false ~now [ v ] with
-          | v :: _ -> Some v
-          | [] -> None))
+  | Some item ->
+      let item = settle t ~now key item in
+      if item == Item.none then None else Some (value_of_item ~with_cas:false key item)
 
 (* --- the snapshotter's walk --- *)
 
@@ -645,7 +565,7 @@ let create (c : Store_core.t) ~rcu_mode ~initial_size ~auto_resize ~stripes =
     budget = (fun () -> sweep t);
     evict_to_budget = (fun () -> evict_to_budget t);
     get = (fun ~now key -> get t ~now key);
-    get_many = (fun ~with_cas ~now keys -> get_many t ~with_cas ~now keys);
+    get_keys = (fun ~now keys -> get_keys t ~now keys);
     iter = (fun f -> iter t f);
     length = (fun () -> Rp_ht.length rp);
     buckets = (fun () -> Rp_ht.size rp);

@@ -11,6 +11,13 @@ val splitmix64 : int -> int
 val fnv1a_string : string -> int
 (** FNV-1a over the bytes of a string, post-mixed with {!splitmix64}. *)
 
+val fnv_offset : int
+val fnv_prime : int
+(** {!fnv1a_string} spelled out, for a scan that hashes a key in the
+    pass that finds its end: from [h = fnv_offset], each byte [c] sets
+    [h] to [(h lxor Char.code c) * fnv_prime], and {!splitmix64} of the
+    last [h] is [fnv1a_string] of the bytes. *)
+
 val fnv1a_bytes : bytes -> int
 (** FNV-1a over a [bytes] value, post-mixed with {!splitmix64}. *)
 

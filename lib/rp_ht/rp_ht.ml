@@ -202,6 +202,35 @@ let find_opt_hashed t ~hash k =
 let find t k = find_opt_hashed t ~hash:(t.hash k) k
 let mem t k = Option.is_some (find t k)
 
+(* Key slices against stored string keys, 8 bytes at a time: a key of
+   [len] >= 8 bytes is compared in whole words, the last one overlapping
+   its predecessor, and a shorter one byte by byte. The loads are plain
+   unboxed 64-bit reads; no C call is made. *)
+external string_get64 : string -> int -> int64 = "%caml_string_get64u"
+external bytes_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+let rec words_equal key buf off len i =
+  if i + 8 >= len then
+    Int64.equal (string_get64 key (len - 8)) (bytes_get64 buf (off + len - 8))
+  else
+    Int64.equal (string_get64 key i) (bytes_get64 buf (off + i))
+    && words_equal key buf off len (i + 8)
+
+let rec bytes_equal key buf off len i =
+  i >= len
+  || (String.unsafe_get key i = Bytes.unsafe_get buf (off + i)
+     && bytes_equal key buf off len (i + 1))
+
+let slice_equal key buf off len =
+  String.length key = len
+  && if len >= 8 then words_equal key buf off len 0 else bytes_equal key buf off len 0
+
+let rec search_slice hash buf off len = function
+  | Null -> Null
+  | Node n as l ->
+      if n.hash = hash && slice_equal n.key buf off len then l
+      else search_slice hash buf off len n.next
+
 (* A batch's lookups in stages, for a caller already inside a read
    section. Each stage issues, for every key, a prefetch of the load the
    next stage depends on: every key's bucket slot, then every slot's
@@ -214,40 +243,54 @@ let mem t k = Option.is_some (find t k)
    no memory, and every block hinted at is reachable from the table the
    section dereferenced, so the section pins it. Readers write no shared
    memory, so running a section's lookups in any order is linearizable.
-   [found] carries the stages' state — bucket head, then the key's node
-   or [Null] — and no stage allocates. *)
-let find_batch_hashed t ~hashes ~keys found n =
-  if n < 0 || n > Array.length hashes || n > Array.length keys || n > Array.length found
-  then invalid_arg "Rp_ht.find_batch_hashed: n exceeds an array";
+   The stages before the walk re-read each bucket slot (a cache hit by
+   then) instead of staging the head, so [found] is written once per
+   key, and nothing is allocated. *)
+let find_batch_hashed t ~buf ~offs ~lens ~hashes ~first found n =
+  if
+    first < 0 || n < 0
+    || first + n > Array.length hashes
+    || first + n > Array.length offs
+    || first + n > Array.length lens
+    || n > Array.length found
+  then invalid_arg "Rp_ht.find_batch_hashed: a range exceeds an array";
+  (* The compares read the slices unchecked. *)
+  for i = first to first + n - 1 do
+    let off = Array.unsafe_get offs i and len = Array.unsafe_get lens i in
+    if off < 0 || len < 0 || off > Bytes.length buf - len then
+      invalid_arg "Rp_ht.find_batch_hashed: a slice exceeds the buffer"
+  done;
   Rp_obs.Counter.add t.obs_lookups n;
   let stamp = Rp_trace.stamp_sampled () in
   let table = Rcu.dereference t.current in
   let buckets = table.buckets in
   let mask = table.size - 1 in
-  for i = 0 to n - 1 do
+  let last = first + n - 1 in
+  for i = first to last do
     prefetch buckets ((Array.unsafe_get hashes i land mask) * (Sys.word_size / 8))
   done;
-  for i = 0 to n - 1 do
+  for i = first to last do
     let head = Array.unsafe_get buckets (Array.unsafe_get hashes i land mask) in
-    Array.unsafe_set found i head;
     (* the node's fields span [0, 40): one hint per line it may touch *)
     prefetch head 0;
     prefetch head 32
   done;
-  for i = 0 to n - 1 do
-    match Array.unsafe_get found i with
-    | Node nd when nd.hash = Array.unsafe_get hashes i -> prefetch nd.key (-8)
+  for i = first to last do
+    let hash = Array.unsafe_get hashes i in
+    match Array.unsafe_get buckets (hash land mask) with
+    | Node nd when nd.hash = hash -> prefetch nd.key (-8)
     | Node _ | Null -> ()
   done;
-  for i = 0 to n - 1 do
-    Array.unsafe_set found i
-      (search_chain t.equal (Array.unsafe_get hashes i) (Array.unsafe_get keys i)
-         (Array.unsafe_get found i))
+  for i = first to last do
+    let hash = Array.unsafe_get hashes i in
+    Array.unsafe_set found (i - first)
+      (search_slice hash buf (Array.unsafe_get offs i) (Array.unsafe_get lens i)
+         (Array.unsafe_get buckets (hash land mask)))
   done;
   if stamp >= 0 then
-    for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
       Rp_trace.instant_at_sampled
-        ~arg:(match Array.unsafe_get found i with Node _ -> 1 | Null -> 0)
+        ~arg:(match Array.unsafe_get found j with Node _ -> 1 | Null -> 0)
         k_lookup stamp
     done
 

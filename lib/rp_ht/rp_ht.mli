@@ -98,22 +98,29 @@ val find_opt_hashed : ('k, 'v) t -> hash:int -> 'k -> 'v option
 (** {!find} with a precomputed hash (protocol servers cache hashes). *)
 
 val find_batch_hashed :
-  ('k, 'v) t ->
+  (string, 'v) t ->
+  buf:Bytes.t ->
+  offs:int array ->
+  lens:int array ->
   hashes:int array ->
-  keys:'k array ->
-  ('k, 'v) Rp_list.link array ->
+  first:int ->
+  (string, 'v) Rp_list.link array ->
   int ->
   unit
-(** [find_batch_hashed t ~hashes ~keys found n] looks up [keys.(i)]
-    (whose hash is [hashes.(i)]) for every [i < n], storing its node — or
-    [Rp_list.Null] on a miss — in [found.(i)]. The caller must already
-    hold a read section, and read each node's [value] before leaving it.
-    The batch is walked in stages, each prefetching for every key what
-    the next one loads (every bucket slot, then every first node, then
-    each first node's key string where its hash matches, then every
-    chain walk), so the lookups' cache misses overlap; nothing is
-    allocated. Counts [n] lookups. Raises [Invalid_argument] when [n]
-    exceeds an array's length. *)
+(** [find_batch_hashed t ~buf ~offs ~lens ~hashes ~first found n] looks
+    up, for every [i] from [first] to [first + n - 1], the key held in
+    the slice of [buf] at [offs.(i)] of [lens.(i)] bytes, whose hash is
+    [hashes.(i)], storing its node — or [Rp_list.Null] on a miss — in
+    [found.(i - first)]. Keys are compared with the stored keys byte for
+    byte, 8 bytes at a time, so the table's [equal] must be
+    [String.equal]. The caller must already hold a read section, and
+    read each node's [value] before leaving it. The batch is walked in
+    stages, each prefetching for every key what the next one loads
+    (every bucket slot, then every first node, then each first node's
+    key string where its hash matches, then every chain walk), so the
+    lookups' cache misses overlap; nothing is allocated. Counts [n]
+    lookups. Raises [Invalid_argument] when a range exceeds its array
+    or a slice exceeds [buf]. *)
 
 val iter : ('k, 'v) t -> f:('k -> 'v -> unit) -> unit
 (** Iterate over a snapshot inside one read-side critical section. [f] must

@@ -162,9 +162,12 @@ type phase = {
 
 (* Arm the perturbation sites and the scenario's own [sites], run the
    readers, writers and [extra] workers (flippers, parkers, controllers)
-   for the configured duration, and disarm on every exit path. *)
+   for the configured duration, and disarm on every exit path. A site in
+   both lists is armed once, with the scenario's action, and its fires
+   are counted once. *)
 let run_phase config ?(sites = []) ?(extra = [||]) ~readers ~writers () =
-  let sites = perturbations config @ sites in
+  let own (site, _, _, _) = List.exists (fun (s, _, _, _) -> s = site) sites in
+  let sites = List.filter (fun p -> not (own p)) (perturbations config) @ sites in
   let outcome =
     with_armed sites (fun () ->
         Rp_harness.Runner.run ~duration:config.duration

@@ -66,26 +66,35 @@ let torture (module T : Rp_baseline.Table_intf.TABLE) ~with_resize () =
    found, with its value, in every batch. *)
 let batch_torture ~qsbr () =
   let resident = 512 and batch = 32 in
-  let hash = Rp_hashes.Hashfn.of_int in
+  let key i = Printf.sprintf "key:%06d" i in
+  let hash = Rp_hashes.Hashfn.fnv1a_string in
   let rcu = Rcu.create ~mode:(if qsbr then Qsbr else Memb) () in
-  let t = Rp_ht.create ~rcu ~initial_size:256 ~auto_resize:false ~hash ~equal:Int.equal () in
+  let t =
+    Rp_ht.create ~rcu ~initial_size:256 ~auto_resize:false ~hash ~equal:String.equal ()
+  in
   for i = 0 to resident - 1 do
-    Rp_ht.insert t i (i * 3)
+    Rp_ht.insert t (key i) (i * 3)
   done;
   let stop = Atomic.make false and violations = Atomic.make 0 in
+  (* Each batch's keys are slices of one buffer, one after another. *)
+  let klen = String.length (key 0) in
   let reader seed =
     Domain.spawn (fun () ->
         let prng = Rp_workload.Prng.create ~seed in
         let keys = Array.make batch 0 and hashes = Array.make batch 0 in
+        let buf = Bytes.create (batch * klen) in
+        let offs = Array.init batch (fun i -> i * klen) and lens = Array.make batch klen in
         let found = Array.make batch Rp_list.Null in
         let batches = ref 0 in
         while not (Atomic.get stop) do
           for i = 0 to batch - 1 do
             keys.(i) <- Rp_workload.Prng.below prng resident;
-            hashes.(i) <- hash keys.(i)
+            let k = key keys.(i) in
+            Bytes.blit_string k 0 buf offs.(i) klen;
+            hashes.(i) <- hash k
           done;
           Rcu.read_lock_current rcu;
-          Rp_ht.find_batch_hashed t ~hashes ~keys found batch;
+          Rp_ht.find_batch_hashed t ~buf ~offs ~lens ~hashes ~first:0 found batch;
           for i = 0 to batch - 1 do
             match found.(i) with
             | Rp_list.Node n when n.value = keys.(i) * 3 -> ()
@@ -102,7 +111,8 @@ let batch_torture ~qsbr () =
         let prng = Rp_workload.Prng.create ~seed:99 in
         while not (Atomic.get stop) do
           let k = resident + Rp_workload.Prng.below prng 256 in
-          if Rp_workload.Prng.bool prng then Rp_ht.replace t k k else ignore (Rp_ht.remove t k)
+          if Rp_workload.Prng.bool prng then Rp_ht.replace t (key k) k
+          else ignore (Rp_ht.remove t (key k))
         done;
         Rcu.offline_current rcu)
   in

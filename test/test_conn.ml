@@ -43,14 +43,19 @@ let chunk_bytes =
   ignore (Store.set s ~key:(key 0) ~flags:0 ~exptime:0 ~data:(value 0));
   Store.bytes s
 
-(* A store six values large holding twelve keys, so some are cold
-   markers; k9..k11 expired five seconds ago. Returns the store and its
+(* The longest valid key; the fixture stores it. *)
+let long_key = String.make 250 'L'
+
+(* A store six values large holding twelve keys and [long_key], so some
+   are cold markers; k9..k11 expired five seconds ago. With [heat], the
+   heat plane notes every GET and mutation. Returns the store and its
    CAS base. *)
-let make_store () =
+let make_store ?(heat = false) () =
   let base = cas_base () in
   let now = ref base_time in
   let store =
     Store.create ~backend:Store.Rp ~max_bytes:(6 * chunk_bytes) ~initial_size:64
+      ~heat_topk:(if heat then 32 else 0) ~heat_sample:1
       ~clock:(fun () -> !now)
       ()
   in
@@ -59,6 +64,7 @@ let make_store () =
     ignore
       (Store.set store ~key:(key i) ~flags:i ~exptime:(if i >= 9 then 5 else 0) ~data:(value i))
   done;
+  ignore (Store.set store ~key:long_key ~flags:250 ~exptime:0 ~data:(value 250));
   now := base_time +. 10.;
   (store, base)
 
@@ -100,10 +106,7 @@ let rec write_all fd s off =
   if off < String.length s then
     write_all fd s (off + Unix.write_substring fd s off (String.length s - off))
 
-(* The coalescing connection: each chunk written to the peer end, then
-   fill, dispatch and flush until nothing is deferred. Returns the
-   replies and the requests [dispatch] counted. *)
-let coalesced ?max_out store chunks =
+let coalesced_chunks ?max_out store chunks =
   let client, server = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.set_nonblock client;
   Unix.set_nonblock server;
@@ -148,6 +151,21 @@ let coalesced ?max_out store chunks =
   Unix.close server;
   (Buffer.contents out, !count)
 
+(* The coalescing connection: each chunk written to the peer end, then
+   fill, dispatch and flush until nothing is deferred. With [split],
+   the ["server.read.split"] failpoint caps reads at random lengths up
+   to [split] bytes. Returns the replies and the requests [dispatch]
+   counted. *)
+let coalesced ?max_out ?split store chunks =
+  match split with
+  | None -> coalesced_chunks ?max_out store chunks
+  | Some cap ->
+      Rp_fault.arm ~seed:cap "server.read.split" ~trigger:(Probability 0.7)
+        ~action:(Truncate_io cap);
+      Fun.protect
+        ~finally:(fun () -> Rp_fault.disarm "server.read.split")
+        (fun () -> coalesced_chunks ?max_out store chunks)
+
 (* What a store holds: every key's gets reply and the GET counters. *)
 let state store base =
   let out = Buffer.create 256 in
@@ -160,8 +178,20 @@ let state store base =
       (fun (k, _) -> List.mem k [ "get_hits"; "get_misses"; "cmd_get"; "cmd_set" ])
       (Store.stats store)
   in
+  let heat =
+    match Store.heat store with
+    | None -> ""
+    | Some h ->
+        let top sketch =
+          List.sort compare
+            (List.map
+               (fun (e : Rp_heat.Sketch.entry) -> Printf.sprintf "%s:%d" (String.escaped e.key) e.count)
+               (Rp_heat.Sketch.top sketch))
+        in
+        String.concat " " (top (Rp_heat.hits h) @ ("|" :: top (Rp_heat.misses h)))
+  in
   ( normalize base (Buffer.contents out),
-    String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) counters) )
+    String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) counters) ^ " heat " ^ heat )
 
 (* --- pipelines ------------------------------------------------------- *)
 
@@ -227,6 +257,115 @@ let prop_coalesced_matches_reference =
             QCheck.Test.fail_reportf "%s: final store state differs" how;
           true)
         (feeds pipeline))
+
+(* GET runs read in place against the general path: streams that are
+   mostly get/gets lines — one to eight keys, now and then a line of 20
+   to 70 so runs cross [Store.batch_keys] — over hot, cold and expired
+   keys, misses, the 250-byte key, and keys the run scanner must leave
+   to the general path (251 bytes, a control character, DEL), with a set,
+   delete or garbage line now and then. Each stream is served whole, in
+   random chunks, and in random chunks read through
+   ["server.read.split"], on stores with the heat plane on and off; the
+   replies, the request count, the final store state and the heat
+   sketches must equal request-at-a-time [Parser.next] plus
+   [Dispatch.handle] on a twin store, fed the same stream with one space
+   before each command: the tokenizer skips it, and the in-place scans
+   take no line that starts with one, so every request of the reference
+   is read by the general path. *)
+let run_key_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (14, key_gen);
+        (1, return long_key);
+        (1, return (String.make 251 'L'));
+        (1, return "k\001x");
+        (1, return "k\x7fy");
+      ])
+
+(* Lines and their reference form. Long lines hold short keys only, so
+   every line stays far below [max_line]. *)
+let run_line_gen =
+  let open QCheck.Gen in
+  let line verb keys n =
+    map2
+      (fun sep ks ->
+        let l = verb ^ " " ^ String.concat sep ks ^ "\r\n" in
+        (l, " " ^ l))
+      (oneofl [ " "; "  " ])
+      (list_repeat n keys)
+  in
+  let command l = (l, " " ^ l) in
+  frequency
+    [
+      (12, int_range 1 8 >>= line "get" run_key_gen);
+      (4, int_range 1 8 >>= line "gets" run_key_gen);
+      (1, int_range 20 70 >>= line "get" key_gen);
+      (1, int_range 20 70 >>= line "gets" key_gen);
+      ( 1,
+        map2
+          (fun k d -> command (Printf.sprintf "set %s 3 0 %d\r\n%s\r\n" k (String.length d) d))
+          key_gen
+          (string_size ~gen:(char_range 'a' 'z') (int_range 0 40)) );
+      (1, map (fun k -> command (Printf.sprintf "delete %s\r\n" k)) key_gen);
+      (1, map command (oneofl [ "bogus\r\n"; "get\r\n"; "gets \r\n" ]));
+    ]
+
+let run_stream_arb =
+  QCheck.make
+    ~print:(fun (stream, _, _) -> String.escaped stream)
+    QCheck.Gen.(
+      list_size (int_range 1 30) run_line_gen >>= fun lines ->
+      let stream = String.concat "" (List.map fst lines) in
+      (* three sets of cut points *)
+      map
+        (fun cuts -> (stream, String.concat "" (List.map snd lines), cuts))
+        (list_repeat 3 (list_size (int_range 1 8) (int_bound (String.length stream)))))
+
+let chunks_at stream cuts =
+  let cuts = List.sort_uniq compare (List.filter (fun c -> c > 0 && c < String.length stream) cuts) in
+  let rec go from = function
+    | [] -> [ String.sub stream from (String.length stream - from) ]
+    | c :: rest -> String.sub stream from (c - from) :: go c rest
+  in
+  go 0 cuts
+
+let prop_runs_match_general_path =
+  QCheck.Test.make ~name:"GET runs = general path" ~count:25 run_stream_arb
+    (fun (stream, general, cut_sets) ->
+      List.for_all
+        (fun heat ->
+          let ref_store, ref_base = make_store ~heat () in
+          let want, want_n = reference ref_store general in
+          let want = normalize ref_base want and want_state = state ref_store ref_base in
+          let feeds =
+            (None, [ stream ])
+            :: List.concat_map
+                 (fun cuts -> [ (None, chunks_at stream cuts); (Some 7, chunks_at stream cuts) ])
+                 cut_sets
+          in
+          List.for_all
+            (fun (split, chunks) ->
+              let store, base = make_store ~heat () in
+              let got, got_n = coalesced ?split store chunks in
+              let got = normalize base got in
+              let how =
+                Printf.sprintf "heat %b, split %s, %d chunks" heat
+                  (Option.fold ~none:"off" ~some:string_of_int split)
+                  (List.length chunks)
+              in
+              if got <> want then
+                QCheck.Test.fail_reportf "%s\nreplies:\n%s\nreference:\n%s" how
+                  (String.escaped got) (String.escaped want);
+              if got_n <> want_n then
+                QCheck.Test.fail_reportf "%s: dispatch counted %d requests, reference %d" how
+                  got_n want_n;
+              if state store base <> want_state then
+                QCheck.Test.fail_reportf "%s: final store state differs:\n%s\n%s" how
+                  (snd (state store base)) (snd want_state);
+              true)
+            feeds)
+        [ false; true ])
 
 (* The twin stores the property starts from hold what it means to test:
    cold markers, expired items and plain hot items. *)
@@ -353,6 +492,39 @@ let test_window_no_major_allocation () =
   Unix.close server;
   Alcotest.(check (float 0.)) "words allocated directly in the major heap" 0. words
 
+(* Allocation gate (exact, no timing): serving a run of 64 one-key get
+   lines, every one a hit, through [Conn.dispatch] allocates at most 3
+   minor words per key. The run's two staging arrays take 2 (one word
+   per key each); keys, requests and replies are never built as values. *)
+let test_run_allocation () =
+  let store = Store.create ~backend:Store.Rp ~rcu_mode:Store.Qsbr ~initial_size:64 () in
+  let key i = Printf.sprintf "key:%012d" i in
+  for i = 0 to 63 do
+    ignore (Store.set store ~key:(key i) ~flags:i ~exptime:0 ~data:(value i))
+  done;
+  let run = String.concat "" (List.init 64 (fun i -> Printf.sprintf "get %s\r\n" (key i))) in
+  let client, server, c = window_conn () in
+  let sink = Bytes.create 65536 in
+  let words = ref infinity in
+  for _ = 1 to 8 do
+    write_all client run 0;
+    ignore (Conn.fill c);
+    let w0 = Gc.minor_words () in
+    let n = Conn.dispatch c store in
+    words := Float.min !words (Gc.minor_words () -. w0);
+    Alcotest.(check int) "requests" 64 n;
+    (match Conn.flush c with `Done -> () | _ -> Alcotest.fail "flush did not complete");
+    (* 64 VALUE blocks of 132 B, 54 of them with a two-digit flag, and
+       64 ENDs *)
+    Alcotest.(check int) "reply bytes" ((64 * 132) + 54 + (64 * 5)) (read_replies client sink 0)
+  done;
+  Store.reader_offline store;
+  Unix.close client;
+  Unix.close server;
+  let per_key = !words /. 64. in
+  Printf.printf "64-key run: %.0f minor words, %.2f per key\n" !words per_key;
+  Alcotest.(check bool) (Printf.sprintf "%.2f words per key <= 3" per_key) true (per_key <= 3.)
+
 (* A 1 MB SET grows the window; once it drains, the window is back at or
    below the retain size. *)
 let test_window_retained_after_large_set () =
@@ -406,6 +578,7 @@ let () =
           Alcotest.test_case "replies split per request" `Quick test_run_replies;
           Alcotest.test_case "key cap" `Quick test_run_cap;
           QCheck_alcotest.to_alcotest ~long:false prop_coalesced_matches_reference;
+          QCheck_alcotest.to_alcotest ~long:false prop_runs_match_general_path;
         ] );
       ( "window",
         [
@@ -413,5 +586,6 @@ let () =
           Alcotest.test_case "retain size after a 1 MB set" `Quick
             test_window_retained_after_large_set;
           Alcotest.test_case "idle connection holds no window" `Quick test_idle_holds_no_window;
+          Alcotest.test_case "64-key run allocation" `Quick test_run_allocation;
         ] );
     ]

@@ -118,6 +118,50 @@ let prop_next_power_is_power =
       let p = Rp_hashes.Size.next_power_of_two n in
       Rp_hashes.Size.is_power_of_two p && p >= max 1 n && (p = 1 || p / 2 < max 1 n))
 
+(* The text GET-run scanner hashes each key in the pass that finds its
+   end; the table is keyed by the store's hash of the key string, so the
+   two must agree on every key. Random keys of 1 to 250 bytes, drawn
+   from every byte a key may hold (0x21-0x7e and 0x80-0xff), several to
+   a line behind random runs of spaces, after a random number of earlier
+   lines: each key sits at a random offset of the input window. *)
+let key_gen =
+  QCheck.Gen.(
+    string_size
+      ~gen:(map Char.chr (oneof [ int_range 0x21 0x7e; int_range 0x80 0xff ]))
+      (oneof [ int_range 1 16; int_range 1 250 ]))
+
+let prop_scan_hash_is_store_hash =
+  QCheck.Test.make ~name:"run scanner's slice hash = Store_core.hash_key" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (skip, keys) -> Printf.sprintf "%d lines, then %s" skip (String.concat " | " (List.map String.escaped keys)))
+        Gen.(pair (int_bound 5) (list_size (int_range 1 8) (pair (int_range 1 4) key_gen))
+             |> map (fun (skip, ks) ->
+                    (skip, List.map (fun (sp, k) -> String.make sp ' ' ^ k) ks))))
+    (fun (skip, spaced) ->
+      let p = Memcached.Protocol.Parser.create () in
+      for i = 1 to skip do
+        Memcached.Protocol.Parser.feed p (Printf.sprintf "set x%d 0 0 1\r\nv\r\n" i)
+      done;
+      Memcached.Protocol.Parser.feed p ("get" ^ String.concat "" spaced ^ "\r\n");
+      for _ = 1 to skip do
+        ignore (Memcached.Protocol.Parser.next p)
+      done;
+      let run = Memcached.Protocol.Parser.get_run p ~max_keys:0 in
+      let keys = run.keys in
+      let want = List.map String.trim spaced in
+      if run.lines <> 1 || keys.n <> List.length want then
+        QCheck.Test.fail_reportf "scanned %d lines, %d keys" run.lines keys.n;
+      List.iteri
+        (fun i key ->
+          let slice = Bytes.sub_string keys.buf keys.offs.(i) keys.lens.(i) in
+          if slice <> key then QCheck.Test.fail_reportf "key %d sliced as %S" i slice;
+          if keys.hashes.(i) <> Memcached.Store_core.hash_key key then
+            QCheck.Test.fail_reportf "key %d (%S at offset %d): hash %d, store %d" i key
+              keys.offs.(i) keys.hashes.(i) (Memcached.Store_core.hash_key key))
+        want;
+      true)
+
 let () =
   Alcotest.run "hashes"
     [
@@ -133,6 +177,7 @@ let () =
             test_string_key_diffusion;
           Alcotest.test_case "combine order-sensitive" `Quick
             test_combine_order_sensitive;
+          QCheck_alcotest.to_alcotest prop_scan_hash_is_store_hash;
         ] );
       ( "sizing",
         [

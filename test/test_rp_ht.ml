@@ -267,34 +267,53 @@ let test_iter_batched_half_split () =
   Alcotest.(check int) "splits drained" 0 (Rp_ht.pending_splits t);
   check_valid t
 
+(* Integer [k] as a string key hashing as [k] does in an int table, so
+   string tables built from it chain exactly as the int tables would. *)
+let skey = string_of_int
+let skey_hash s = Rp_hashes.Hashfn.of_int (int_of_string s)
+
+(* [keys] as slices of one buffer, each at an odd offset behind a
+   separator, and with the separator bytes and the slice ends chosen so
+   a compare that read past a slice would see a difference. *)
+let slices keys =
+  let buf = Buffer.create 64 in
+  let offs = Array.make (Array.length keys) 0 and lens = Array.make (Array.length keys) 0 in
+  Array.iteri
+    (fun i k ->
+      Buffer.add_string buf "\xff";
+      offs.(i) <- Buffer.length buf;
+      lens.(i) <- String.length k;
+      Buffer.add_string buf k)
+    keys;
+  Buffer.add_string buf "\xff";
+  (Buffer.to_bytes buf, offs, lens)
+
 (* [find_batch_hashed] over [keys] in one read section, as options. *)
 let find_batch ~hash t keys =
   let n = Array.length keys in
   let hashes = Array.map hash keys in
+  let buf, offs, lens = slices keys in
   let found = Array.make n Rp_list.Null in
   Rcu.with_read_current (Rp_ht.rcu t) (fun () ->
-      Rp_ht.find_batch_hashed t ~hashes ~keys found n;
+      Rp_ht.find_batch_hashed t ~buf ~offs ~lens ~hashes ~first:0 found n;
       Array.map (function Rp_list.Node nd -> Some nd.value | Rp_list.Null -> None) found)
 
 (* A staged batch walks imprecise buckets too: mid-split, it finds what
    per-key lookups find, hits and misses alike, and splits nothing. *)
 let test_find_batch_half_split () =
   let t =
-    Rp_ht.create ~initial_size:8 ~min_size:8 ~auto_resize:true
-      ~hash:Rp_hashes.Hashfn.of_int ~equal:Int.equal ()
+    Rp_ht.create ~initial_size:8 ~min_size:8 ~auto_resize:true ~hash:skey_hash
+      ~equal:String.equal ()
   in
   for i = 0 to 399 do
-    Rp_ht.insert t i (i * 7)
+    Rp_ht.insert t (skey i) (i * 7)
   done;
   Alcotest.(check bool) "table is half-split" true (Rp_ht.pending_splits t > 0);
   let before = Rp_ht.lookups t in
   for b = 0 to 6 do
-    let keys = Array.init 64 (fun i -> (b * 64) + i) in
-    let want =
-      Array.map (fun k -> Rp_ht.find_opt_hashed t ~hash:(Rp_hashes.Hashfn.of_int k) k) keys
-    in
-    Alcotest.(check (array (option int))) "batch = per-key" want
-      (find_batch ~hash:Rp_hashes.Hashfn.of_int t keys)
+    let keys = Array.init 64 (fun i -> skey ((b * 64) + i)) in
+    let want = Array.map (fun k -> Rp_ht.find_opt_hashed t ~hash:(skey_hash k) k) keys in
+    Alcotest.(check (array (option int))) "batch = per-key" want (find_batch ~hash:skey_hash t keys)
   done;
   Alcotest.(check int) "each batch key counted once" (7 * 64 * 2) (Rp_ht.lookups t - before);
   Alcotest.(check bool) "still half-split" true (Rp_ht.pending_splits t > 0);
@@ -338,26 +357,38 @@ let test_find_batch_string_keys () =
   done;
   (* absent groups past the end: misses on other groups' chains *)
   check_batch (Array.init 64 (fun i -> key (last + 1 + (i * 5))));
+  (* a slice past the buffer's end is refused before a compare reads it *)
+  Alcotest.check_raises "slice past the buffer"
+    (Invalid_argument "Rp_ht.find_batch_hashed: a slice exceeds the buffer") (fun () ->
+      Rcu.with_read_current (Rp_ht.rcu t) (fun () ->
+          Rp_ht.find_batch_hashed t ~buf:(Bytes.of_string (key 5)) ~offs:[| 1 |]
+            ~lens:[| String.length (key 5) |] ~hashes:[| hash (key 5) |] ~first:0
+            (Array.make 1 Rp_list.Null) 1));
   Alcotest.(check bool) "still half-split" true (Rp_ht.pending_splits t > 0);
   check_valid t
 
-(* The staged walk allocates nothing: not a word per batch. *)
+(* The staged walk allocates nothing: not a word per batch. Keys of
+   3 to 21 bytes run both the byte and the word compare. *)
 let test_find_batch_allocation () =
-  let t = make ~initial_size:64 () in
+  let t = make_str ~initial_size:64 () in
+  let key i = String.make (3 + (i mod 19)) (Char.chr (97 + (i mod 26))) ^ string_of_int i in
   for i = 0 to 99 do
-    Rp_ht.insert t i i
+    Rp_ht.insert t (key i) i
   done;
-  let keys = Array.init 64 (fun i -> i * 2) in
-  let hashes = Array.map Rp_hashes.Hashfn.of_int keys in
+  let keys = Array.init 64 (fun i -> key (i * 2)) in
+  let hashes = Array.map Rp_hashes.Hashfn.fnv1a_string keys in
+  let buf, offs, lens = slices keys in
   let found = Array.make 64 Rp_list.Null in
   let rcu = Rp_ht.rcu t in
-  let walk () = Rp_ht.find_batch_hashed t ~hashes ~keys found 64 in
+  let walk () = Rp_ht.find_batch_hashed t ~buf ~offs ~lens ~hashes ~first:0 found 64 in
   Rcu.read_lock_current rcu;
   walk ();
   let w0 = Gc.minor_words () in
   walk ();
   let words = Gc.minor_words () -. w0 in
   Rcu.read_unlock_current rcu;
+  Alcotest.(check int) "hits" 50
+    (Array.fold_left (fun n l -> match l with Rp_list.Node _ -> n + 1 | Rp_list.Null -> n) 0 found);
   Alcotest.(check (float 0.)) "minor words" 0. words
 
 (* --- resize memory --- *)
@@ -566,15 +597,16 @@ let table_apply t model op =
         (show_opt got)
   in
   match op with
-  | Insert (k, v) -> Rp_ht.insert t k v
-  | Remove k -> ignore (Rp_ht.remove t k)
-  | Replace (k, v) -> Rp_ht.replace t k v
+  | Insert (k, v) -> Rp_ht.insert t (skey k) v
+  | Remove k -> ignore (Rp_ht.remove t (skey k))
+  | Replace (k, v) -> Rp_ht.replace t (skey k) v
   | Exchange (k, v) ->
-      expect (show_op op) (List.assoc_opt k model) (Rp_ht.exchange_hashed t ~hash:(hash k) k v)
+      expect (show_op op) (List.assoc_opt k model)
+        (Rp_ht.exchange_hashed t ~hash:(hash k) (skey k) v)
   | Remove_hashed k ->
       let before = Rcu.pending_callbacks (Rp_ht.rcu t) in
       let want = List.assoc_opt k model in
-      expect (show_op op) want (Rp_ht.remove_hashed t ~hash:(hash k) k);
+      expect (show_op op) want (Rp_ht.remove_hashed t ~hash:(hash k) (skey k));
       let deferred = Rcu.pending_callbacks (Rp_ht.rcu t) - before in
       if deferred <> Option.fold ~none:0 ~some:(fun _ -> 1) want then
         QCheck.Test.fail_reportf "%s parked %d reclamation callbacks" (show_op op) deferred
@@ -586,8 +618,7 @@ let prop_matches_model =
        QCheck.Gen.(list_size (int_bound 80) op_gen))
     (fun ops ->
       let t =
-        Rp_ht.create ~initial_size:4 ~auto_resize:false
-          ~hash:Rp_hashes.Hashfn.of_int ~equal:Int.equal ()
+        Rp_ht.create ~initial_size:4 ~auto_resize:false ~hash:skey_hash ~equal:String.equal ()
       in
       let model =
         List.fold_left
@@ -602,11 +633,11 @@ let prop_matches_model =
         | Error msg -> QCheck.Test.fail_reportf "invariant (%s): %s" when_ msg
       in
       valid "callbacks parked";
-      let keys = Array.init 101 Fun.id in
-      let staged = find_batch ~hash:Rp_hashes.Hashfn.of_int t keys in
-      Array.iter
-        (fun k ->
-          let per_key = Rp_ht.find_opt_hashed t ~hash:(Rp_hashes.Hashfn.of_int k) k in
+      let keys = Array.init 101 skey in
+      let staged = find_batch ~hash:skey_hash t keys in
+      Array.iteri
+        (fun k key ->
+          let per_key = Rp_ht.find_opt_hashed t ~hash:(skey_hash key) key in
           if staged.(k) <> per_key then
             QCheck.Test.fail_reportf "key %d: per-key %s, staged batch %s" k
               (show_opt per_key) (show_opt staged.(k)))
@@ -616,7 +647,7 @@ let prop_matches_model =
       List.for_all
         (fun k ->
           let expected = List.assoc_opt k model in
-          let got = Rp_ht.find t k in
+          let got = Rp_ht.find t (skey k) in
           if expected <> got then
             QCheck.Test.fail_reportf "key %d: model %s, table %s" k (show_opt expected)
               (show_opt got)

@@ -383,8 +383,8 @@ let minor_words f =
 
 (* Allocation gate for the GET hit path (no timing involved): one
    get_many hit on an Rp/QSBR store with the default wall clock costs
-   the clock reading's box (2 words), the table's [Some] (2), the reply
-   record (5) and its list cell (3). *)
+   the clock reading's box (2 words), the two one-key staging arrays
+   (2 each), the reply record (5) and its list cell (3). *)
 let test_get_hit_allocation () =
   let store = Store.create ~backend:Store.Rp ~rcu_mode:Store.Qsbr ~initial_size:64 () in
   set_ok store "key" (String.make 100 'x');
@@ -401,9 +401,10 @@ let test_get_hit_allocation () =
   Store.reader_offline store
 
 (* Allocation gate for a 32-key multiget of hits on Rp/QSBR: the staged
-   read section allocates nothing, so each hit costs only its reply
-   record (5) and list cell (3), plus the batch's one clock box — per
-   hit, no more than the single-hit gate above. *)
+   read section allocates nothing, so each hit costs its reply record
+   (5), its list cell (3) and a word in each of the two staging arrays,
+   plus the batch's one clock box and the arrays' headers — per hit, no
+   more than the single-hit gate above. *)
 let test_get_many_batch_allocation () =
   let store = Store.create ~backend:Store.Rp ~rcu_mode:Store.Qsbr ~initial_size:64 () in
   let keys = List.init 32 (Printf.sprintf "key%02d") in

@@ -74,6 +74,32 @@ let test_scenario_crash_resizer () =
   Alcotest.(check bool) "writers completed interrupted unzips" true
     (report.recoveries >= 1)
 
+(* With fault injection on, the splice site is both a perturbation and
+   the crash scenarios' own kill site: it is armed once, with the
+   scenario's [Raise], and each fire counts once, so [faults_injected]
+   is the sum of the armed sites' fires. *)
+let test_crash_fault_count () =
+  List.iter
+    (fun (scenario, own) ->
+      Rp_fault.reset ();
+      let config =
+        { (quick "rp" ~resizers:2) with scenario; duration = 0.3; fault_injection = true }
+      in
+      let report = Rp_torture.Torture.run config in
+      let sites =
+        [ "rcu.synchronize.scan"; "rcu.call_rcu.enqueue"; "rp_ht.unzip.splice"; "rcu.synchronize.pre" ]
+        @ own
+      in
+      Alcotest.(check int) (scenario ^ ": no violations") 0 (Rp_torture.Torture.violations report);
+      Alcotest.(check bool) (scenario ^ ": the splice site fired") true
+        (Rp_fault.fires "rp_ht.unzip.splice" > 0);
+      Alcotest.(check int)
+        (scenario ^ ": faults_injected = the armed sites' fires")
+        (List.fold_left (fun n site -> n + Rp_fault.fires site) 0 sites)
+        report.faults_injected)
+    [ ("crash_resizer", []); ("lazy_split_crash", [ "rp_ht.split.lazy" ]) ];
+  Rp_fault.reset ()
+
 let test_scenario_stalled_reader () =
   let config =
     { (quick "rp" ~resizers:1) with scenario = "stalled_reader"; duration = 0.4 }
@@ -242,6 +268,7 @@ let () =
       ( "scenarios",
         [
           Alcotest.test_case "crash_resizer" `Slow test_scenario_crash_resizer;
+          Alcotest.test_case "crash fault count" `Slow test_crash_fault_count;
           Alcotest.test_case "stalled_reader" `Slow test_scenario_stalled_reader;
           Alcotest.test_case "torn_io" `Slow test_scenario_torn_io;
           Alcotest.test_case "scenario validation" `Quick test_scenario_validation;
