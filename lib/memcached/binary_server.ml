@@ -123,21 +123,7 @@ let sheddable_opcode = function
   | Get | GetQ | GetK | GetKQ | GAT | GATQ | Noop | Version | Stat | Quit ->
       false
 
-let shed store (request : request) =
-  match Store.guard store with
-  | Some g when sheddable_opcode request.opcode && not (Rp_guard.admit_mutation g)
-    ->
-      Rp_guard.note_shed g;
-      true
-  | _ -> false
-
-let handle store (request : request) : response list =
-  if shed store request then [ reply request ~status:Busy ]
-  else if Store.read_only store && sheddable_opcode request.opcode then
-    (* Following replica: mutations only arrive via the replication
-       stream, never from clients. *)
-    [ reply request ~status:Read_only ]
-  else
+let execute store (request : request) : response list =
   match request.opcode with
   | Get -> handle_get store request ~with_key:false ~quiet:false
   | GetQ -> handle_get store request ~with_key:false ~quiet:true
@@ -183,3 +169,13 @@ let handle store (request : request) : response list =
           List.map (fun (k, v) -> reply request ~key:k ~value:v) stats
           @ [ reply request ])
   | Quit -> []
+
+(* Mutations pass [Dispatch]'s gates first: the overload guard (a shed
+   one answers [Busy]), then a following replica's read-only flag. *)
+let handle store (request : request) =
+  if sheddable_opcode request.opcode then
+    match Dispatch.admit_mutation store with
+    | Dispatch.Admit -> execute store request
+    | Dispatch.Shed -> [ reply request ~status:Busy ]
+    | Dispatch.Read_only -> [ reply request ~status:Read_only ]
+  else execute store request

@@ -92,11 +92,14 @@ let detect t =
       t.proto <- Binary (Binary_protocol.Parser.create ~inbuf:w ())
     else t.proto <- Text (Protocol.Parser.create ~inbuf:w ())
 
-(* Drain the socket until it would block (or EOF), reading straight into
-   the window's tail. Raises like any socket read (Unix_error, injected
-   faults); the worker treats that as a torn connection. A fill that
-   finds nothing, with nothing unread, lets the window go: an idle
-   connection holds no input storage. *)
+(* Read the socket straight into the window's tail until a read returns
+   fewer bytes than it asked for, would block, or meets EOF. A short
+   read ends the fill: what arrives after it waits in the socket, and
+   the worker, polling level-triggered, wakes for it again — so a
+   wakeup makes no trailing read(2) that moves nothing. Raises like any
+   socket read (Unix_error, injected faults); the worker treats that as
+   a torn connection. A fill that finds nothing, with nothing unread,
+   lets the window go: an idle connection holds no input storage. *)
 let fill t =
   let w = t.inbuf in
   let rec go () =
@@ -112,41 +115,75 @@ let fill t =
         Rp_obs.Counter.incr t.reads;
         t.last_active <- Unix.gettimeofday ();
         Protocol.Inbuf.commit w n;
-        go ()
+        if n < t.read_size then `Ok else go ()
   in
   let verdict = Rp_trace.with_span ~arg:t.id k_fill go in
   (match t.proto with Detect -> detect t | Text _ | Binary _ -> ());
   verdict
 
-(* A run's replies, one VALUE...END block per line: each hit is three
-   appends (header, value, CRLF), its key copied from the run's slice. *)
-let render_run out (run : Protocol.Get_run.t) items =
+(* The replies of get lines [l0, l1) of a run, one VALUE...END block per
+   line: each hit is three appends (header, value, CRLF), its key copied
+   from the run's slice. [items] holds the lines' keys from [first]. *)
+let render_gets out (run : Protocol.Run.t) items ~first l0 l1 =
   let keys = run.keys in
-  let i = ref 0 in
-  for l = 0 to run.lines - 1 do
+  let i = ref first in
+  for l = l0 to l1 - 1 do
     let stop = Array.unsafe_get run.ends l in
+    let with_cas =
+      match Array.unsafe_get run.kinds l with
+      | Protocol.Run.Gets_line -> true
+      | Protocol.Run.Get_line | Protocol.Run.Set_line | Protocol.Run.Set_noreply_line -> false
+    in
     while !i < stop do
-      let item = Array.unsafe_get items !i in
+      let item = Array.unsafe_get items (!i - first) in
       if item != Item.none then
         Protocol.add_value_slice out keys.buf (Array.unsafe_get keys.offs !i)
-          (Array.unsafe_get keys.lens !i) ~flags:item.Item.flags ~with_cas:run.with_cas
-          ~cas:item.cas item.data;
+          (Array.unsafe_get keys.lens !i) ~flags:item.Item.flags ~with_cas ~cas:item.cas
+          item.data;
       incr i
     done;
     Protocol.add_end out
   done
 
-(* Serve a run of get (or gets) lines with one multiget, traced as one
-   request: the head sampler and the slow-request trigger count runs,
-   and the store's read sections nest under the run's span. GETs are
-   never shed and are allowed on a read-only replica, so none of
-   [Dispatch.handle]'s gates applies. *)
-let serve_run t store run =
-  Rp_trace.request_begin ~arg:t.id k_req;
-  let items = Store.get_keys store run.Protocol.Get_run.keys in
+(* The get lines from [l0] up to the next set line (or the run's end),
+   with one multiget; returns the line after them. *)
+let serve_gets t store ~clock (run : Protocol.Run.t) l0 =
+  let rec stop l = if l < run.lines && not (Protocol.Run.is_set run l) then stop (l + 1) else l in
+  let l1 = stop (l0 + 1) in
+  let first = Protocol.Run.first_key run l0 in
+  let items =
+    Store.get_keys store ~clock run.keys ~first ~n:(Array.unsafe_get run.ends (l1 - 1) - first)
+  in
   let enc = Rp_trace.span_begin_sampled k_encode in
-  render_run t.out run items;
+  render_gets t.out run items ~first l0 l1;
   Rp_trace.span_end_sampled k_encode enc;
+  l1
+
+(* Serve a run of get, gets and set lines, traced as one request: the
+   head sampler and the slow-request trigger count runs, and the store's
+   read sections and update spans nest under the run's span. The lines
+   are executed in order — each stretch of get lines with one multiget,
+   each set line through [Dispatch.set_line] with [Dispatch.handle]'s
+   gates — so a get reads every set before it. The run is served at one
+   reading of the store's clock. A run holding a set
+   first asks the cache for all its keys' lines at once
+   ([Store.prefetch]): the updates then walk their chains one at a time
+   from cache. That pass only hints, so it changes no result. GETs are
+   never shed and are allowed on a read-only replica, so an all-get run
+   passes no gate and skips the pass: its multigets stage their own. *)
+let serve_run t store (run : Protocol.Run.t) =
+  Rp_trace.request_begin ~arg:t.id k_req;
+  if run.sets > 0 then Store.prefetch store run.keys;
+  let clock = Store.clock store in
+  let rec lines l =
+    if l < run.lines then
+      if Protocol.Run.is_set run l then begin
+        Dispatch.set_line store ~clock t.out run l;
+        lines (l + 1)
+      end
+      else lines (serve_gets t store ~clock run l)
+  in
+  lines 0;
   Rp_trace.request_end ()
 
 (* Execute every complete request buffered in the parser, rendering
@@ -156,11 +193,12 @@ let serve_run t store run =
    ([has_backlog] goes true) until a flush makes room — one pipelining
    client that never reads can pin at most ~cap of coalescer memory.
 
-   Consecutive text [get] lines (or consecutive [gets]) form a run, read
-   in place by the parser's run scanner and served by one multiget: at
-   most [Store.batch_keys] keys, unless one line alone has more. The
-   scanner stops before any other request, so a connection still reads
-   its own writes, and the write cap is checked between runs. *)
+   Consecutive text [get], [gets] and [set] lines form a run, read in
+   place by the parser's run scanner and served in order by
+   [serve_run]: at most [Store.batch_keys] keys, unless one line alone
+   has more. The scanner stops before any other request, so every
+   request is executed in arrival order, and the write cap is checked
+   between runs. *)
 let dispatch ?(max_out = max_int) t store =
   let over_cap () = pending_bytes t >= max_out in
   match t.proto with
@@ -173,7 +211,7 @@ let dispatch ?(max_out = max_int) t store =
           n
         end
         else
-          let run = Protocol.Parser.get_run p ~max_keys:Store.batch_keys in
+          let run = Protocol.Parser.run p ~max_keys:Store.batch_keys in
           if run.lines > 0 then begin
             serve_run t store run;
             go (n + run.lines)

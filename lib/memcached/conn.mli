@@ -48,8 +48,10 @@ val input_capacity : t -> int
     {!Protocol.Inbuf.retain_bytes} whenever it is drained. *)
 
 val fill : t -> [ `Eof | `Ok ]
-(** Read until the socket would block, straight into the input window's
-    tail. Raises like a socket read ([Unix.Unix_error],
+(** Read straight into the input window's tail until a read returns
+    fewer bytes than it asked for, would block, or meets EOF; the caller
+    polls level-triggered, so bytes left in the socket wake it again.
+    Raises like a socket read ([Unix.Unix_error],
     {!Rp_fault.Injected}); the worker treats that as a torn connection.
     Runs through the ["server.read.split"] failpoint. *)
 

@@ -37,23 +37,24 @@ let request_noreply : Protocol.request -> bool = function
       noreply
   | _ -> false
 
-let shed store (request : Protocol.request) =
-  match Store.guard store with
-  | Some g when sheddable request && not (Rp_guard.admit_mutation g) ->
-      Rp_guard.note_shed g;
-      true
-  | _ -> false
+type admission = Admit | Shed | Read_only
 
-let handle store (request : Protocol.request) : Protocol.response option =
-  if shed store request then
-    if request_noreply request then None
-    else Some (Protocol.Server_error "overloaded")
-  else if Store.read_only store && sheddable request then
-    (* A following replica refuses client mutations: its state is the
-       leader's, applied through the replication stream only. *)
-    if request_noreply request then None
-    else Some (Protocol.Server_error "replica is read-only")
-  else
+let admit_mutation store =
+  match Store.guard store with
+  | Some g when not (Rp_guard.admit_mutation g) ->
+      Rp_guard.note_shed g;
+      Shed
+  | _ ->
+      (* A following replica refuses client mutations: its state is the
+         leader's, applied through the replication stream only. *)
+      if Store.read_only store then Read_only else Admit
+
+let refusal = function
+  | Shed -> Protocol.Server_error "overloaded"
+  | Read_only -> Protocol.Server_error "replica is read-only"
+  | Admit -> invalid_arg "Dispatch.refusal: admitted"
+
+let execute store (request : Protocol.request) : Protocol.response option =
   match request with
   | Protocol.Get keys -> Some (Protocol.Values (Store.get_many store ~with_cas:false keys))
   | Protocol.Gets keys -> Some (Protocol.Values (Store.get_many store ~with_cas:true keys))
@@ -121,3 +122,29 @@ let handle store (request : Protocol.request) : Protocol.response option =
       if noreply then None else Some Protocol.Ok_reply
   | Protocol.Version -> Some (Protocol.Version_reply Version.string)
   | Protocol.Quit -> None
+
+let handle store (request : Protocol.request) =
+  if sheddable request then
+    match admit_mutation store with
+    | Admit -> execute store request
+    | (Shed | Read_only) as refused ->
+        if request_noreply request then None else Some (refusal refused)
+  else execute store request
+
+(* A set line read in place by the run scanner: [handle]'s gates, then
+   [Store.set_slice] on the line's slices, the reply rendered straight
+   into [out]. Every reply here is a constant, so nothing is built. *)
+let set_line store ~clock out (run : Protocol.Run.t) l =
+  let reply =
+    match admit_mutation store with
+    | Admit ->
+        stored_reply
+          (Store.set_slice store ~clock run.keys (Protocol.Run.first_key run l)
+             ~flags:(Array.unsafe_get run.flags l) ~exptime:(Array.unsafe_get run.exptimes l)
+             ~off:(Array.unsafe_get run.data_offs l) ~len:(Array.unsafe_get run.data_lens l))
+    | (Shed | Read_only) as refused -> refusal refused
+  in
+  match Array.unsafe_get run.kinds l with
+  | Protocol.Run.Set_noreply_line -> ()
+  | Protocol.Run.Set_line | Protocol.Run.Get_line | Protocol.Run.Gets_line ->
+      Protocol.encode_response_into out reply

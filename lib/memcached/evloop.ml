@@ -31,7 +31,19 @@ let k_slow_kill = Rp_trace.intern "server.conn.slow_kill"
    fails the whole call with EINVAL. On Unix a [file_descr] is the
    kernel's int. *)
 let fd_setsize = 1024
-let pollable (fd : Unix.file_descr) = (Obj.magic fd : int) < fd_setsize
+let fd_int (fd : Unix.file_descr) : int = Obj.magic fd
+let pollable fd = fd_int fd < fd_setsize
+
+(* A worker's connections by descriptor number: fds are compared and
+   hashed as ints, not through the polymorphic compare and hash. *)
+module Conns = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash fd = fd
+end)
+
+let rec mem_fd fd = function [] -> false | x :: rest -> fd_int x = fd || mem_fd fd rest
 
 type worker = {
   index : int;
@@ -67,7 +79,7 @@ let wake w =
 
 let drop t w conns conn =
   let fd = Conn.fd conn in
-  Hashtbl.remove conns fd;
+  Conns.remove conns (fd_int fd);
   Atomic.decr w.load;
   Atomic.decr t.live;
   Rp_trace.instant ~arg:(Conn.id conn) k_drop;
@@ -87,7 +99,7 @@ let adopt t w conns =
         Conn.create ~id ~buffer_size:t.config.read_buffer_size ~reads:t.reads
           ~writes:t.writes fd
       in
-      Hashtbl.replace conns fd conn)
+      Conns.replace conns (fd_int fd) conn)
     !adopted
 
 (* Flush, then keep re-dispatching requests the write cap deferred as
@@ -119,7 +131,7 @@ let on_readable t conn =
     if batch > 0 then Rp_obs.Histogram.observe t.batches batch;
     match pump t conn with
     | `Close -> `Close
-    | `Keep -> if eof = `Eof then `Close else `Keep
+    | `Keep -> ( match eof with `Eof -> `Close | `Ok -> `Keep)
   with
   | verdict -> verdict
   | exception (Unix.Unix_error _ | End_of_file | Rp_fault.Injected _) -> `Close
@@ -127,7 +139,7 @@ let on_readable t conn =
 let sweep_idle t w conns =
   let now = Unix.gettimeofday () in
   let stale =
-    Hashtbl.fold
+    Conns.fold
       (fun _ conn acc ->
         if now -. Conn.last_active conn > t.config.idle_timeout then
           conn :: acc
@@ -139,35 +151,39 @@ let sweep_idle t w conns =
 (* Slow-client defense: a connection we owe bytes that has made no
    progress in either direction for a whole drain deadline is dead
    weight pinning coalescer memory — kill it. Healthy-but-slow peers
-   are safe: any drained byte resets the clock. *)
-let sweep_slow t w conns =
-  if t.config.drain_deadline > 0.0 then begin
-    let now = Unix.gettimeofday () in
-    let hung =
-      Hashtbl.fold
-        (fun _ conn acc ->
-          if
-            Conn.wants_write conn
-            && now -. Conn.no_progress_since conn > t.config.drain_deadline
-          then conn :: acc
-          else acc)
-        conns []
-    in
-    List.iter
-      (fun conn ->
-        Rp_obs.Counter.incr t.slow_kills;
-        Rp_trace.instant ~arg:(Conn.id conn) k_slow_kill;
-        drop t w conns conn)
-      hung
-  end
+   are safe: any drained byte resets the clock. Only a connection that
+   was backed up when the worker polled can be overdue, and the worker
+   sweeps at most once per [slow_tick]. *)
+let sweep_slow t w conns ~now =
+  let hung =
+    Conns.fold
+      (fun _ conn acc ->
+        if
+          Conn.wants_write conn
+          && now -. Conn.no_progress_since conn > t.config.drain_deadline
+        then conn :: acc
+        else acc)
+      conns []
+  in
+  List.iter
+    (fun conn ->
+      Rp_obs.Counter.incr t.slow_kills;
+      Rp_trace.instant ~arg:(Conn.id conn) k_slow_kill;
+      drop t w conns conn)
+    hung
+
+(* How often a worker with a backed-up connection wakes on its own to
+   sweep for slow clients: a quarter of the drain deadline, within
+   [10 ms, 50 ms]. *)
+let slow_tick config = Float.max 0.01 (Float.min 0.05 (config.drain_deadline /. 4.))
 
 (* Defensive: a select EBADF means a descriptor went bad under us; evict
    whichever connections no longer stat rather than spinning. *)
 let sweep_bad t w conns =
   let bad =
-    Hashtbl.fold
-      (fun fd conn acc ->
-        match Unix.fstat fd with
+    Conns.fold
+      (fun _ conn acc ->
+        match Unix.fstat (Conn.fd conn) with
         | _ -> acc
         | exception Unix.Unix_error _ -> conn :: acc)
       conns []
@@ -175,16 +191,19 @@ let sweep_bad t w conns =
   List.iter (fun conn -> drop t w conns conn) bad
 
 let worker_loop t w =
-  let conns : (Unix.file_descr, Conn.t) Hashtbl.t = Hashtbl.create 64 in
+  let conns : Conn.t Conns.t = Conns.create 64 in
   let scratch = Bytes.create 64 in
+  let wake_fd = fd_int w.wake_r in
+  let slow_tick = slow_tick t.config and slow_due = ref 0.0 in
   while Atomic.get t.running do
     let rset = ref [ w.wake_r ] and wset = ref [] in
-    Hashtbl.iter
-      (fun fd conn ->
+    Conns.iter
+      (fun _ conn ->
         (* Backpressure: stop reading while response bytes are parked. *)
-        if Conn.wants_write conn then wset := fd :: !wset
-        else rset := fd :: !rset)
+        if Conn.wants_write conn then wset := Conn.fd conn :: !wset
+        else rset := Conn.fd conn :: !rset)
       conns;
+    let backed_up = match !wset with [] -> false | _ :: _ -> true in
     let timeout =
       let base =
         if t.config.idle_timeout > 0.0 then
@@ -194,12 +213,8 @@ let worker_loop t w =
       (* With a backed-up connection and a drain deadline armed, the
          worker must wake on its own: the hung socket may never become
          writable, and only the sweep can kill it. *)
-      if t.config.drain_deadline > 0.0 && !wset <> [] then begin
-        let tick =
-          Float.max 0.01 (Float.min 0.05 (t.config.drain_deadline /. 4.))
-        in
-        if base < 0.0 then tick else Float.min base tick
-      end
+      if t.config.drain_deadline > 0.0 && backed_up then
+        if base < 0.0 then slow_tick else Float.min base slow_tick
       else base
     in
     (* Parked workers must not stall QSBR grace periods. *)
@@ -210,10 +225,11 @@ let worker_loop t w =
     | readable, writable, _ ->
         Rp_obs.Counter.incr t.wakeups;
         let wakeup_span =
-          if readable = [] && writable = [] then -1
-          else Rp_trace.span_begin ~arg:w.index k_wakeup
+          match (readable, writable) with
+          | [], [] -> -1
+          | _ -> Rp_trace.span_begin ~arg:w.index k_wakeup
         in
-        if List.mem w.wake_r readable then begin
+        if mem_fd wake_fd readable then begin
           (try ignore (Unix.read w.wake_r scratch 0 (Bytes.length scratch))
            with Unix.Unix_error _ -> ());
           Rp_trace.instant ~arg:w.index k_adopt;
@@ -221,7 +237,7 @@ let worker_loop t w =
         end;
         List.iter
           (fun fd ->
-            match Hashtbl.find_opt conns fd with
+            match Conns.find_opt conns (fd_int fd) with
             | None -> ()
             | Some conn -> (
                 match pump t conn with
@@ -230,8 +246,9 @@ let worker_loop t w =
           writable;
         List.iter
           (fun fd ->
-            if fd <> w.wake_r then
-              match Hashtbl.find_opt conns fd with
+            let fd = fd_int fd in
+            if fd <> wake_fd then
+              match Conns.find_opt conns fd with
               | None -> ()
               | Some conn -> (
                   match on_readable t conn with
@@ -239,10 +256,16 @@ let worker_loop t w =
                   | `Close -> drop t w conns conn))
           readable;
         Rp_trace.span_end ~arg:w.index k_wakeup wakeup_span;
-        sweep_slow t w conns;
+        if t.config.drain_deadline > 0.0 && backed_up then begin
+          let now = Unix.gettimeofday () in
+          if now >= !slow_due then begin
+            sweep_slow t w conns ~now;
+            slow_due := now +. slow_tick
+          end
+        end;
         if t.config.idle_timeout > 0.0 then sweep_idle t w conns
   done;
-  let leftovers = Hashtbl.fold (fun _ conn acc -> conn :: acc) conns [] in
+  let leftovers = Conns.fold (fun _ conn acc -> conn :: acc) conns [] in
   List.iter (fun conn -> drop t w conns conn) leftovers;
   (* Exit clean: deregistration is implicit, but leave no reader online. *)
   Store.reader_offline t.store

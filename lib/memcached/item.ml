@@ -53,4 +53,5 @@ let is_cold t = match t.location with Hot -> false | Cold _ -> true
 (* A racy read-then-store of an immediate: no allocation, no write
    barrier. Two readers racing may leave the older of their stamps. *)
 let touch_access t ~now = if now > t.last_access then t.last_access <- now
-let size_bytes ~key t = String.length key + String.length t.data + overhead_bytes
+let footprint ~key_len t = key_len + String.length t.data + overhead_bytes
+let size_bytes ~key t = footprint ~key_len:(String.length key) t

@@ -73,4 +73,7 @@ val size_bytes : key:string -> t -> int
 (** Approximate memory footprint used for the eviction budget: key + data +
     a fixed per-item overhead (matching memcached's accounting style). *)
 
+val footprint : key_len:int -> t -> int
+(** {!size_bytes} for a key of [key_len] bytes. *)
+
 val overhead_bytes : int

@@ -394,7 +394,6 @@ module Keys = struct
   }
 
   let create () = { buf = Bytes.empty; offs = [||]; lens = [||]; hashes = [||]; n = 0 }
-  let length t = t.n
 
   let key t i =
     if i < 0 || i >= t.n then invalid_arg "Protocol.Keys.key";
@@ -442,27 +441,74 @@ module Keys = struct
     copy t 0 keys
 end
 
-(* A run of consecutive get (or gets) lines: their keys, and where each
-   line's keys end. *)
-module Get_run = struct
+(* A run of consecutive get, gets and set lines read in place: every
+   key (a set line has one), where each line's keys end, and each set
+   line's numbers and data block. The per-line arrays are indexed by
+   line; a get line's entries in the set-only ones are left as they
+   were. *)
+module Run = struct
+  type kind = Get_line | Gets_line | Set_line | Set_noreply_line
+
   type t = {
     keys : Keys.t;
+    mutable kinds : kind array;
     mutable ends : int array;
+    mutable flags : int array;
+    mutable exptimes : int array;
+    mutable data_offs : int array;
+    mutable data_lens : int array;
     mutable lines : int;
-    mutable with_cas : bool;
+    mutable sets : int;
   }
 
-  let create () = { keys = Keys.create (); ends = [||]; lines = 0; with_cas = false }
+  let create () =
+    {
+      keys = Keys.create ();
+      kinds = [||];
+      ends = [||];
+      flags = [||];
+      exptimes = [||];
+      data_offs = [||];
+      data_lens = [||];
+      lines = 0;
+      sets = 0;
+    }
 
-  let end_line t ~with_cas =
-    if t.lines = Array.length t.ends then begin
-      let ends = Array.make (max 8 (2 * t.lines)) 0 in
-      Array.blit t.ends 0 ends 0 t.lines;
-      t.ends <- ends
-    end;
+  let is_set t l =
+    match Array.unsafe_get t.kinds l with
+    | Set_line | Set_noreply_line -> true
+    | Get_line | Gets_line -> false
+
+  let first_key t l = if l = 0 then 0 else Array.unsafe_get t.ends (l - 1)
+
+  let grow t =
+    let cap = max 8 (2 * t.lines) in
+    let extend a zero =
+      let b = Array.make cap zero in
+      Array.blit a 0 b 0 t.lines;
+      b
+    in
+    t.kinds <- extend t.kinds Get_line;
+    t.ends <- extend t.ends 0;
+    t.flags <- extend t.flags 0;
+    t.exptimes <- extend t.exptimes 0;
+    t.data_offs <- extend t.data_offs 0;
+    t.data_lens <- extend t.data_lens 0
+
+  let end_line t kind =
+    if t.lines = Array.length t.ends then grow t;
+    Array.unsafe_set t.kinds t.lines kind;
     Array.unsafe_set t.ends t.lines t.keys.n;
-    t.lines <- t.lines + 1;
-    t.with_cas <- with_cas
+    t.lines <- t.lines + 1
+
+  let end_set t ~noreply ~flags ~exptime ~off ~len =
+    let l = t.lines in
+    end_line t (if noreply then Set_noreply_line else Set_line);
+    Array.unsafe_set t.flags l flags;
+    Array.unsafe_set t.exptimes l exptime;
+    Array.unsafe_set t.data_offs l off;
+    Array.unsafe_set t.data_lens l len;
+    t.sets <- t.sets + 1
 end
 
 (* --- request parser --- *)
@@ -484,12 +530,12 @@ module Parser = struct
     inbuf : Inbuf.t;
     max_line : int;
     mutable state : state;
-    run : Get_run.t;  (* the GET run [get_run] read last *)
+    run : Run.t;  (* the run [run] read last *)
   }
 
   let create ?(max_line = 8192) ?(inbuf = Inbuf.create ()) () =
     if max_line < 1 then invalid_arg "Protocol.Parser.create: max_line < 1";
-    { inbuf; max_line; state = Await_line; run = Get_run.create () }
+    { inbuf; max_line; state = Await_line; run = Run.create () }
   let feed t s = Inbuf.feed t.inbuf s
   let buffered_bytes t = Inbuf.available t.inbuf
 
@@ -635,30 +681,29 @@ module Parser = struct
         | "quit" -> Some (Ok Quit)
         | _ -> Some (Error "ERROR"))
 
-  (* --- get/gets lines, scanned in place ---
+  (* --- get, gets and set lines, scanned in place ---
 
-     The hot request. Consecutive well-formed get (or gets) lines are
-     read once, straight out of the input window: no line copy, no token
-     list, no key string. Each key is recorded as a slice of the window
-     with its hash, computed in the pass that finds the key's end. A line
-     the scan does not take (no CRLF yet, a missing or invalid key, an
-     over-long line) is left in the window for the general path below,
-     which gives the same result for every line the scan takes: keys are
-     the space-separated tokens after the verb.
+     The hot requests. Consecutive well-formed get, gets and set lines
+     are read once, straight out of the input window: no line copy, no
+     token list, no key or data string. Each key is recorded as a slice
+     of the window with its hash, computed in the pass that finds the
+     key's end; a set line's data block is recorded as a slice too. A
+     line the scan does not take is left in the window for the general
+     path below, which gives the same result for every line the scan
+     takes:
+     - a get or gets line's keys are the space-separated tokens after
+       the verb;
+     - a set line is [set <key> <flags> <exptime> <bytes>[ noreply]]
+       with single spaces, plain decimal numbers of 1 to 18 digits, and
+       its whole data block and the CRLF after it already buffered.
+     Anything else — no CRLF yet, a missing or invalid key, a signed or
+     non-decimal number, extra spaces, a block not yet complete or not
+     followed by CRLF, an over-long line — ends the run.
 
      The scans read the window's bytes below [lim] (its [len]) and never
      view it as a string: the window is mutable and is reused. *)
 
   exception Not_simple
-
-  (* End of the key starting at [j]: the next space or CR. *)
-  let rec key_end s lim j =
-    if j >= lim then raise_notrace Not_simple
-    else
-      let c = Bytes.unsafe_get s j in
-      if c = ' ' || c = '\r' then j
-      else if c < ' ' || c = '\x7f' then raise_notrace Not_simple
-      else key_end s lim (j + 1)
 
   (* The key starting at [start], whose bytes before [j] hash to [h]:
      pushed on [keys] with its hash once the space or CR that ends it is
@@ -671,7 +716,7 @@ module Parser = struct
       let c = Bytes.unsafe_get s j in
       if c > ' ' && c <> '\x7f' then
         scan_key keys s lim start (j + 1) ((h lxor Char.code c) * Rp_hashes.Hashfn.fnv_prime)
-      else if (c = ' ' || c = '\r') && j - start <= 250 then begin
+      else if (c = ' ' || c = '\r') && j > start && j - start <= 250 then begin
         Keys.push keys start (j - start) (Rp_hashes.Hashfn.splitmix64 h);
         j
       end
@@ -686,78 +731,6 @@ module Parser = struct
       | ' ' -> scan_keys keys s lim (i + 1)
       | '\r' -> if Bytes.unsafe_get s (i + 1) = '\n' then i else raise_notrace Not_simple
       | _ -> scan_keys keys s lim (scan_key keys s lim i i Rp_hashes.Hashfn.fnv_offset)
-
-  (* Where the keys of a "get " or "gets " line starting at [i] begin
-     (4 or 5 bytes on), or 0 for any other line. *)
-  let get_keys_offset s lim i =
-    if
-      lim - i >= 5
-      && Bytes.unsafe_get s i = 'g'
-      && Bytes.unsafe_get s (i + 1) = 'e'
-      && Bytes.unsafe_get s (i + 2) = 't'
-    then
-      match Bytes.unsafe_get s (i + 3) with
-      | ' ' -> 4
-      | 's' when Bytes.unsafe_get s (i + 4) = ' ' -> 5
-      | _ -> 0
-    else 0
-
-  (* Take lines from [pos] while each is a get line of the run's kind
-     that the scan accepts and the run stays within [max_keys] (its
-     first line is taken whatever its key count); returns where the
-     first line not taken starts. A full run stops before scanning
-     another line: every line holds a key. *)
-  let rec take_lines t run s lim pos ~max_keys =
-    let keys = run.Get_run.keys in
-    match get_keys_offset s lim pos with
-    | 0 -> pos
-    | off when run.lines > 0 && ((off = 5) <> run.with_cas || keys.n >= max_keys) -> pos
-    | off -> (
-        let n0 = keys.n in
-        match scan_keys keys s lim (pos + off) with
-        | eol when eol - pos <= t.max_line && keys.n > n0 && (run.lines = 0 || keys.n <= max_keys)
-          ->
-            Get_run.end_line run ~with_cas:(off = 5);
-            take_lines t run s lim (eol + 2) ~max_keys
-        | _ ->
-            keys.n <- n0;
-            pos
-        | exception Not_simple ->
-            keys.n <- n0;
-            pos)
-
-  let get_run t ~max_keys =
-    let run = t.run in
-    run.keys.n <- 0;
-    run.lines <- 0;
-    (match t.state with
-    | Await_line ->
-        let w = t.inbuf in
-        let pos = take_lines t run w.data w.len w.pos ~max_keys in
-        if run.lines > 0 then begin
-          run.keys.buf <- w.data;
-          Inbuf.advance w pos
-        end
-    | Await_data _ | Discard_line -> ());
-    run
-
-  let scan_get t =
-    let run = get_run t ~max_keys:0 in
-    if run.lines = 0 then None
-    else
-      let keys = Keys.to_list run.keys in
-      Some (Ok (if run.with_cas then Gets keys else Get keys))
-
-  (* --- set lines, scanned in place ---
-
-     The hot write. [set <key> <flags> <exptime> <bytes>[ noreply]] with
-     single spaces, plain decimal numbers and the whole data block (and
-     its CRLF) already buffered is read straight out of the input window:
-     the key and the data are the only strings allocated. Anything else —
-     a signed or non-decimal number, more than 18 digits, extra spaces, a
-     block not yet complete or not followed by CRLF, an over-long line —
-     leaves the window untouched for the tokenizer, whose result is the
-     same on every line this scan accepts. *)
 
   (* End of the run of decimal digits starting at [i]: 1 to 18 of them,
      so the value cannot overflow. *)
@@ -783,55 +756,106 @@ module Parser = struct
       expect s lim (i + j) (String.unsafe_get word j)
     done
 
-  let scan_set t =
-    let w = t.inbuf in
-    let s = w.data and lim = w.len and i = w.pos in
-    if
-      not
-        (lim - i > 4
-        && Bytes.unsafe_get s i = 's'
-        && Bytes.unsafe_get s (i + 1) = 'e'
-        && Bytes.unsafe_get s (i + 2) = 't'
-        && Bytes.unsafe_get s (i + 3) = ' ')
-    then None
-    else
-      match
-        let k = i + 4 in
-        let ke = key_end s lim k in
-        if ke = k || ke - k > 250 then raise_notrace Not_simple;
-        expect s lim ke ' ';
-        let fe = digits_end s lim (ke + 1) in
-        expect s lim fe ' ';
-        let ee = digits_end s lim (fe + 1) in
-        expect s lim ee ' ';
-        let be = digits_end s lim (ee + 1) in
-        let noreply = be < lim && Bytes.unsafe_get s be = ' ' in
-        if noreply then expect_word s lim be " noreply";
-        let eol = if noreply then be + 8 else be in
-        expect s lim eol '\r';
-        expect s lim (eol + 1) '\n';
-        if eol - i > t.max_line then raise_notrace Not_simple;
-        let bytes = decimal s (ee + 1) be 0 in
-        let d = eol + 2 in
-        expect s lim (d + bytes) '\r';
-        expect s lim (d + bytes + 1) '\n';
-        let request =
-          Set
-            {
-              key = Bytes.sub_string s k (ke - k);
-              flags = decimal s (ke + 1) fe 0;
-              exptime = decimal s (fe + 1) ee 0;
-              noreply;
-              data = Bytes.sub_string s d bytes;
-            }
-        in
-        Inbuf.advance w (d + bytes + 2);
-        request
-      with
-      | request -> Some (Ok request)
-      | exception Not_simple -> None
+  (* The get line starting at [i], whose keys begin at [k]; returns
+     where the next line starts. A line past [max_line], or one that
+     would take a run that already has lines past [max_keys] keys, is
+     not taken. *)
+  let scan_get_line t (run : Run.t) s lim i k kind ~max_keys =
+    let keys = run.keys in
+    let n0 = keys.n in
+    let eol = scan_keys keys s lim k in
+    if eol - i > t.max_line || keys.n = n0 || (run.lines > 0 && keys.n > max_keys) then
+      raise_notrace Not_simple;
+    Run.end_line run kind;
+    eol + 2
 
-  let scan t = match scan_get t with Some _ as request -> request | None -> scan_set t
+  (* The set line starting at [i] and its data block; returns where the
+     next line starts. *)
+  let scan_set_line t (run : Run.t) s lim i =
+    let k = i + 4 in
+    let ke = scan_key run.keys s lim k k Rp_hashes.Hashfn.fnv_offset in
+    expect s lim ke ' ';
+    let fe = digits_end s lim (ke + 1) in
+    expect s lim fe ' ';
+    let ee = digits_end s lim (fe + 1) in
+    expect s lim ee ' ';
+    let be = digits_end s lim (ee + 1) in
+    let noreply = be < lim && Bytes.unsafe_get s be = ' ' in
+    if noreply then expect_word s lim be " noreply";
+    let eol = if noreply then be + 8 else be in
+    expect s lim eol '\r';
+    expect s lim (eol + 1) '\n';
+    if eol - i > t.max_line then raise_notrace Not_simple;
+    let bytes = decimal s (ee + 1) be 0 in
+    let d = eol + 2 in
+    expect s lim (d + bytes) '\r';
+    expect s lim (d + bytes + 1) '\n';
+    Run.end_set run ~noreply ~flags:(decimal s (ke + 1) fe 0)
+      ~exptime:(decimal s (fe + 1) ee 0) ~off:d ~len:bytes;
+    d + bytes + 2
+
+  (* Take lines from [pos] while each is one the scans accept and the
+     run stays within [max_keys] keys (its first line is taken whatever
+     its key count); returns where the first line not taken starts. A
+     full run stops before scanning another line: every line holds a
+     key. *)
+  let rec take_lines t (run : Run.t) s lim pos ~max_keys =
+    let keys = run.keys in
+    if (run.lines > 0 && keys.n >= max_keys) || lim - pos < 5 then pos
+    else
+      let n0 = keys.n in
+      match
+        if Bytes.unsafe_get s pos = 'g' && Bytes.unsafe_get s (pos + 1) = 'e'
+           && Bytes.unsafe_get s (pos + 2) = 't'
+        then
+          match Bytes.unsafe_get s (pos + 3) with
+          | ' ' -> scan_get_line t run s lim pos (pos + 4) Run.Get_line ~max_keys
+          | 's' when Bytes.unsafe_get s (pos + 4) = ' ' ->
+              scan_get_line t run s lim pos (pos + 5) Run.Gets_line ~max_keys
+          | _ -> raise_notrace Not_simple
+        else if Bytes.unsafe_get s pos = 's' && Bytes.unsafe_get s (pos + 1) = 'e'
+                && Bytes.unsafe_get s (pos + 2) = 't' && Bytes.unsafe_get s (pos + 3) = ' '
+        then scan_set_line t run s lim pos
+        else raise_notrace Not_simple
+      with
+      | next -> take_lines t run s lim next ~max_keys
+      | exception Not_simple ->
+          keys.n <- n0;
+          pos
+
+  let run t ~max_keys =
+    let run = t.run and w = t.inbuf in
+    run.keys.n <- 0;
+    run.lines <- 0;
+    run.sets <- 0;
+    run.keys.buf <- w.data;
+    (match t.state with
+    | Await_line ->
+        let pos = take_lines t run w.data w.len w.pos ~max_keys in
+        if run.lines > 0 then Inbuf.advance w pos
+    | Await_data _ | Discard_line -> ());
+    run
+
+  (* A lone line through the run scanner, as a request. *)
+  let scan t =
+    let run = run t ~max_keys:0 in
+    if run.lines = 0 then None
+    else
+      let keys = run.keys in
+      Some
+        (Ok
+           (match run.kinds.(0) with
+           | Run.Get_line -> Get (Keys.to_list keys)
+           | Run.Gets_line -> Gets (Keys.to_list keys)
+           | Run.Set_line | Run.Set_noreply_line ->
+               Set
+                 {
+                   key = Keys.key keys 0;
+                   flags = run.flags.(0);
+                   exptime = run.exptimes.(0);
+                   noreply = run.kinds.(0) = Run.Set_noreply_line;
+                   data = Bytes.sub_string keys.buf run.data_offs.(0) run.data_lens.(0);
+                 }))
 
   let rec next t =
     match t.state with

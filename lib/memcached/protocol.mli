@@ -149,7 +149,6 @@ module Keys : sig
   }
 
   val create : unit -> t
-  val length : t -> int
 
   val key : t -> int -> string
   (** Key [i] as a fresh string. *)
@@ -160,16 +159,31 @@ module Keys : sig
       a parser's keys slice its input window instead. *)
 end
 
-(** A run of consecutive [get] (or consecutive [gets]) lines, read in
-    place by {!Parser.get_run}. *)
-module Get_run : sig
+(** A run of consecutive [get], [gets] and [set] lines, read in place by
+    {!Parser.run}. *)
+module Run : sig
+  type kind = Get_line | Gets_line | Set_line | Set_noreply_line
+
   type t = private {
-    keys : Keys.t;  (** every key of the run, slicing the input window *)
-    mutable ends : int array;
-        (** [ends.(l)]: the index past line [l]'s last key *)
+    keys : Keys.t;
+        (** every key of the run, slicing the input window: a get line's
+            keys, then the next line's; a set line has one *)
+    mutable kinds : kind array;  (** [kinds.(l)]: line [l]'s command *)
+    mutable ends : int array;  (** [ends.(l)]: the index past line [l]'s last key *)
+    mutable flags : int array;  (** a set line's flags *)
+    mutable exptimes : int array;  (** a set line's exptime *)
+    mutable data_offs : int array;
+        (** where a set line's data block starts in [keys.buf] *)
+    mutable data_lens : int array;  (** a set line's data length *)
     mutable lines : int;  (** lines taken; 0 when none was *)
-    mutable with_cas : bool;  (** the lines are [gets] *)
+    mutable sets : int;  (** how many of them are set lines *)
   }
+
+  val is_set : t -> int -> bool
+  (** Line [l] is a set line. *)
+
+  val first_key : t -> int -> int
+  (** The index of line [l]'s first key. *)
 end
 
 (** Incremental request parser (server side). Feed raw bytes; pull complete
@@ -192,18 +206,19 @@ module Parser : sig
   val next : t -> (request, string) result option
   (** [None] means more bytes are needed. *)
 
-  val get_run : t -> max_keys:int -> Get_run.t
-  (** Read, in place, the run of consecutive [get] lines (or of [gets]
-      lines, as the first one is) that starts the buffered input: the
-      lines {!next} would return as [Get]/[Gets] through its scan, taken
-      while the run holds at most [max_keys] keys — its first line is
-      taken whatever its key count. The scan stops before the first line
-      it does not take, which {!next} then parses. Each key is recorded
-      as a slice of the input window with its hash, computed in the pass
-      that finds the key's end; nothing is allocated once the run's
-      arrays are large enough. Returns the parser's own run record
-      ([lines] = 0 when the input does not start with such a line),
-      valid until the parser's next call. *)
+  val run : t -> max_keys:int -> Run.t
+  (** Read, in place, the run of consecutive [get], [gets] and [set]
+      lines that starts the buffered input: the lines {!next} would
+      return as [Get], [Gets] or [Set] through its scan (a set line only
+      with its whole data block buffered), taken while the run holds at
+      most [max_keys] keys — its first line is taken whatever its key
+      count. The scan stops before the first line it does not take,
+      which {!next} then parses. Each key is recorded as a slice of the
+      input window with its hash, computed in the pass that finds the
+      key's end, and each set line's data block as a slice; nothing is
+      allocated once the run's arrays are large enough. Returns the
+      parser's own run record ([lines] = 0 when the input does not start
+      with such a line), valid until the parser's next call. *)
 
   val buffered_bytes : t -> int
 end

@@ -59,6 +59,9 @@ let class_of_size t size =
     Some !lo
   end
 
+(* The largest class's chunk holds [size] bytes. *)
+let fits t size = size <= t.classes.(Array.length t.classes - 1).chunk_size
+
 let charge t size =
   match class_of_size t size with
   | None -> None

@@ -27,6 +27,9 @@ val class_of_size : t -> int -> int option
 (** Smallest class whose chunk holds [size] bytes; [None] if the item is
     larger than the maximum chunk (memcached refuses such items). *)
 
+val fits : t -> int -> bool
+(** [class_of_size t size <> None], without the option. *)
+
 val chunk_size_of : t -> int -> int
 (** Chunk size of a class index. *)
 

@@ -111,11 +111,16 @@ let[@inline] heat_mutation t key =
 
 let batch_keys = Store_rp.batch_keys
 
-(* The multiget path: one clock read and one [cmd_get] add for the
-   whole batch. *)
-let get_keys t keys =
-  Rp_obs.Counter.add t.c.cmd_get (Protocol.Keys.length keys);
-  t.b.get_keys ~now:(now t) keys
+let clock t = t.c.clock ()
+
+(* The multiget path: one [cmd_get] add for the whole batch, read at the
+   caller's clock reading. *)
+let get_keys t ~clock (keys : Protocol.Keys.t) ~first ~n =
+  if first < 0 || n < 0 || first > keys.n - n then invalid_arg "Store.get_keys";
+  Rp_obs.Counter.add t.c.cmd_get n;
+  t.b.get_keys ~now:(Item.time_of_float clock) keys ~first ~n
+
+let prefetch t keys = t.b.prefetch keys
 
 (* A domain's key slices for [get_many], reused across calls. Systhreads
    on one domain (a follower's apply thread, an in-process bench client)
@@ -139,7 +144,7 @@ let get_many t ?(with_cas = false) keys =
   let s = if shared.busy then { busy = false; keys = Protocol.Keys.create () } else shared in
   s.busy <- true;
   Protocol.Keys.stage s.keys keys;
-  match get_keys t s.keys with
+  match get_keys t ~clock:(clock t) s.keys ~first:0 ~n:s.keys.n with
   | items ->
       s.busy <- false;
       values ~with_cas items 0 keys
@@ -153,10 +158,8 @@ let get t key =
 
 (* --- storage commands --- *)
 
-let fits_slab t ~key ~data =
-  Slab.class_of_size t.c.slab
-    (String.length key + String.length data + Item.overhead_bytes)
-  <> None
+let fits t ~key_len ~data_len = Slab.fits t.c.slab (key_len + data_len + Item.overhead_bytes)
+let fits_slab t ~key ~data = fits t ~key_len:(String.length key) ~data_len:(String.length data)
 
 (* Run [f] under the key's lock, then take the budget step with the lock
    released (a CLOCK sweep locks each victim's stripe itself). *)
@@ -193,8 +196,49 @@ let storage_command ?guard t ~op ~key ~flags ~exptime ~data =
             record_set t ~op key item;
             Stored)
 
+(* A plain SET with no op log to write: the backend takes the key's
+   lock itself and compares the key in place ([buf] from [off], [len]
+   bytes), so no closure is built and a key string is made only for a
+   new binding. [data] already fits a slab class. *)
+let publish_set t ~clock ~hash buf off len ~flags ~exptime data =
+  let item =
+    Item.make ~flags ~exptime:(absolute_exptime ~clock exptime) ~data
+      ~now:(Item.time_of_float clock) ()
+  in
+  t.b.set ~hash buf off len item;
+  t.b.budget ();
+  Stored
+
 let set t ~key ~flags ~exptime ~data =
-  storage_command t ~op:Rp_persist.Record.Tset ~key ~flags ~exptime ~data
+  match t.persist_hook with
+  | Some _ -> storage_command t ~op:Rp_persist.Record.Tset ~key ~flags ~exptime ~data
+  | None ->
+      Rp_obs.Counter.incr t.c.cmd_set;
+      heat_set t key ~vbytes:(String.length data);
+      if not (fits_slab t ~key ~data) then Too_large
+      else
+        publish_set t ~clock:(clock t) ~hash:(t.b.hash key) (Bytes.unsafe_of_string key) 0
+          (String.length key) ~flags ~exptime data
+
+(* A SET read in place: key [i] of [keys] (its hash already computed),
+   its data the [len] bytes of [keys.buf] from [off]. The data is copied
+   out only once it is known to fit; the key only for a new binding, or
+   up front when the heat plane or the op log needs it as a string.
+   [clock] is the caller's reading of the store's clock. *)
+let set_slice t ~clock (keys : Protocol.Keys.t) i ~flags ~exptime ~off ~len =
+  if i < 0 || i >= keys.n || off < 0 || len < 0 || off > Bytes.length keys.buf - len then
+    invalid_arg "Store.set_slice";
+  match (t.persist_hook, t.c.heat) with
+  | None, None ->
+      Rp_obs.Counter.incr t.c.cmd_set;
+      let koff = keys.offs.(i) and klen = keys.lens.(i) in
+      if not (fits t ~key_len:klen ~data_len:len) then Too_large
+      else
+        publish_set t ~clock ~hash:keys.hashes.(i) keys.buf koff klen ~flags ~exptime
+          (Bytes.sub_string keys.buf off len)
+  | Some _, _ | None, Some _ ->
+      set t ~key:(Protocol.Keys.key keys i) ~flags ~exptime
+        ~data:(Bytes.sub_string keys.buf off len)
 
 let add t ~key ~flags ~exptime ~data =
   storage_command t ~op:Rp_persist.Record.Tadd ~key ~flags ~exptime ~data

@@ -89,10 +89,16 @@ val reader_offline : t -> unit
 val get : t -> string -> Protocol.value option
 (** The GET path whose scalability the paper's figure 5 measures. *)
 
-val get_keys : t -> Protocol.Keys.t -> Item.t array
-(** The multiget path a connection's run of text [get] lines takes: each
-    key's live item, or {!Item.none} for a miss, in key order. One clock
-    read and one [cmd_get] add serve the whole batch. On the {!Rp}
+val clock : t -> float
+(** A reading of the store's clock (the [clock] it was created with). *)
+
+val get_keys : t -> clock:float -> Protocol.Keys.t -> first:int -> n:int -> Item.t array
+(** The multiget path a connection's run of text [get] lines takes: the
+    live item of each of the [n] keys from index [first] of the slices,
+    or {!Item.none} for a miss, in key order (the key at [first + j] at
+    index [j]), as of the caller's reading [clock] of the store's clock.
+    Raises [Invalid_argument] when the range exceeds the keys. One
+    [cmd_get] add serves the whole batch. On the {!Rp}
     backend each {!batch_keys} keys are one read-side critical section:
     inside it the table is walked in stages over the key slices
     ({!Rp_ht.find_batch_hashed}), the hits' items and values are
@@ -116,7 +122,39 @@ val batch_keys : int
     requests at this many keys, so a QSBR reader never stretches a grace
     period over an unbounded batch. *)
 
+val prefetch : t -> Protocol.Keys.t -> unit
+(** Cache hints for every key of the slices, ahead of serving them one
+    by one (a connection's run holding a [set]): on the {!Rp} backend,
+    one read section asks for each key's bucket slot and first chain
+    node and, where that node's hash matches, its key, its item and its
+    value's header line ({!Rp_ht.prefetch_batch_hashed}). Changes no
+    memory and no counter; a no-op on {!Lock}. *)
+
 val set : t -> key:string -> flags:int -> exptime:int -> data:string -> stored_result
+(** Store [data] under [key] unconditionally. With no op log attached,
+    the key's lock is taken without building a closure and the key is
+    matched in one chain walk. *)
+
+val set_slice :
+  t ->
+  clock:float ->
+  Protocol.Keys.t ->
+  int ->
+  flags:int ->
+  exptime:int ->
+  off:int ->
+  len:int ->
+  stored_result
+(** [set_slice t ~clock keys i ~flags ~exptime ~off ~len] is {!set} of
+    key [i] of the slices, with the [len] bytes of [keys.buf] from [off]
+    as its data, at the caller's reading [clock] of the store's clock
+    (with the heat plane or an op log attached, {!set} reads its own):
+    the path of a [set] line read in place. The key's hash is the
+    one the slices hold; the key is compared in place and copied out
+    only for a new binding, or when the heat plane or the op log needs
+    it; the data is copied out once it is known to fit. Raises
+    [Invalid_argument] when [i] or the data slice is out of range. *)
+
 val add : t -> key:string -> flags:int -> exptime:int -> data:string -> stored_result
 val replace : t -> key:string -> flags:int -> exptime:int -> data:string -> stored_result
 val append : t -> key:string -> data:string -> stored_result

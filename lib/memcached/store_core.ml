@@ -77,6 +77,10 @@ type backend = {
   store : hash:int -> string -> Item.t -> unit;
       (* Publish under the key's lock: slab charge, recency bookkeeping,
          a displaced cold frame marked dead. Never evicts. *)
+  set : hash:int -> Bytes.t -> int -> int -> Item.t -> unit;
+      (* [store] for a plain SET whose key is a slice of a buffer, taking
+         and releasing the key's lock itself: the key string is made
+         only for a new binding. *)
   remove : hash:int -> string -> bool;  (* under the key's lock *)
   keys : unit -> string list;  (* under [with_all] *)
   budget : unit -> unit;
@@ -84,9 +88,11 @@ type backend = {
          sweep, or exact-LRU eviction. *)
   evict_to_budget : unit -> unit;  (* like [budget], but waits it out *)
   get : now:Item.time -> string -> Protocol.value option;
-  get_keys : now:Item.time -> Protocol.Keys.t -> Item.t array;
-      (* Each key's live item, [Item.none] for a miss, every outcome
-         counted and every hit touched. *)
+  get_keys : now:Item.time -> Protocol.Keys.t -> first:int -> n:int -> Item.t array;
+      (* Each of keys [first, first + n)'s live item, [Item.none] for a
+         miss, every outcome counted and every hit touched. *)
+  prefetch : Protocol.Keys.t -> unit;
+      (* Cache hints for the keys about to be served one by one. *)
   iter : (string -> Item.t -> unit) -> int;
   length : unit -> int;
   buckets : unit -> int;

@@ -79,6 +79,10 @@ let create (c : Store_core.t) ~initial_size =
     with_all = locked;
     live = (fun ~hash:_ ~now key -> Option.map (fun e -> e.item) (find_live ~now key));
     store;
+    set =
+      (fun ~hash buf off len item ->
+        let key = Bytes.sub_string buf off len in
+        locked (fun () -> store ~hash key item));
     remove;
     keys =
       (fun () ->
@@ -90,8 +94,9 @@ let create (c : Store_core.t) ~initial_size =
     evict_to_budget = (fun () -> locked evict);
     get;
     get_keys =
-      (fun ~now keys ->
-        Array.init (Protocol.Keys.length keys) (fun i -> lookup ~now (Protocol.Keys.key keys i)));
+      (fun ~now keys ~first ~n ->
+        Array.init n (fun j -> lookup ~now (Protocol.Keys.key keys (first + j))));
+    prefetch = ignore;
     iter =
       (fun f ->
         locked (fun () -> H.unsafe_iter table ~f:(fun k e -> f k e.item));

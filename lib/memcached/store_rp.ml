@@ -42,19 +42,25 @@ let k_tier_promote = Rp_trace.intern "tier.promote"
 
 (* --- update locking --- *)
 
-(* Serialize an update on the stripe its key hashes to. *)
-let with_stripe t ~hash f =
-  let m = t.update_stripes.(hash land t.update_mask) in
+(* Serialize an update on the stripe its key hashes to. [lock_key]
+   returns the span [unlock_key] ends. *)
+let lock_key t ~hash =
   let span = Rp_trace.span_begin_sampled k_update in
-  Rcu.mutex_lock (Rp_ht.rcu t.rp) m;
+  Rcu.mutex_lock (Rp_ht.rcu t.rp) t.update_stripes.(hash land t.update_mask);
+  span
+
+let unlock_key t ~hash span =
+  Mutex.unlock t.update_stripes.(hash land t.update_mask);
+  Rp_trace.span_end_sampled k_update span
+
+let with_stripe t ~hash f =
+  let span = lock_key t ~hash in
   match f () with
   | v ->
-      Mutex.unlock m;
-      Rp_trace.span_end_sampled k_update span;
+      unlock_key t ~hash span;
       v
   | exception e ->
-      Mutex.unlock m;
-      Rp_trace.span_end_sampled k_update span;
+      unlock_key t ~hash span;
       raise e
 
 (* Cross-stripe operations (flush_all and its replicated/recovered form)
@@ -99,27 +105,43 @@ let delete t ~hash key =
    (no push — markers are evicted by tier budget, not the CLOCK); any
    store over a cold marker brings the key back to RAM and re-enqueues.
 
-   One chain walk: the exchange publishes atomically (readers see the old
-   or new item, never a torn one) and hands back the item it displaced.
-   An overwrite of the same size occupies the same chunk of the same slab
+   One chain walk, the key compared in place ([len] bytes of [buf] from
+   [off]): the exchange publishes atomically (readers see the old or new
+   item, never a torn one) and hands back the item it displaced, or the
+   key string it made for a new node, which the CLOCK entry shares. An
+   overwrite of the same size occupies the same chunk of the same slab
    class, so its refund and charge would cancel exactly — both are
    skipped. *)
-let store t ~hash key (item : Item.t) =
-  let size = Item.size_bytes ~key item in
-  match Rp_ht.exchange_hashed t.rp ~hash key item with
-  | Some old ->
-      let old_size = Item.size_bytes ~key old in
+let store_slice t ~hash buf off len (item : Item.t) =
+  let size = Item.footprint ~key_len:len item in
+  match Rp_ht.exchange_slice t.rp ~hash buf off len item with
+  | Rp_ht.Replaced old ->
+      let old_size = Item.footprint ~key_len:len old in
       if old_size <> size then begin
         Slab.refund t.c.slab old_size;
         ignore (Slab.charge t.c.slab size)
       end;
       if Item.is_cold old then begin
         tier_mark_dead t.c old;
-        if not (Item.is_cold item) then clock_push t (key, item.last_access)
+        if not (Item.is_cold item) then
+          clock_push t (Bytes.sub_string buf off len, item.last_access)
       end
-  | None ->
+  | Rp_ht.Linked key ->
       ignore (Slab.charge t.c.slab size);
       if not (Item.is_cold item) then clock_push t (key, item.last_access)
+
+let store t ~hash key item =
+  store_slice t ~hash (Bytes.unsafe_of_string key) 0 (String.length key) item
+
+(* A plain SET: [store_slice] under the key's stripe, taken and released
+   here so no closure is built. *)
+let set t ~hash buf off len item =
+  let span = lock_key t ~hash in
+  match store_slice t ~hash buf off len item with
+  | () -> unlock_key t ~hash span
+  | exception e ->
+      unlock_key t ~hash span;
+      raise e
 
 (* Demote one eviction victim to the cold tier: append (key, value) to
    the current segment and swap the item for a compact cold marker that
@@ -384,35 +406,37 @@ let batch_keys = 64
    first; a longer value streams in behind them during the copy. *)
 let value_prefetch_bytes = 256
 
-(* The read section over keys [first, first + n) of [keys]: the staged
-   table walk, then two more stages over the hits, each prefetching what
-   the next one loads — every hit's item record (its fields span two
-   lines at most), then every value's header line, then the rest of its
-   first [value_prefetch_bytes]. Settlement and the replies, after the
-   section closes, then read from cache. Every block hinted at is
-   reached from a node the section pins; nothing here allocates. *)
-let read_section t (keys : Protocol.Keys.t) found items first n =
+(* The read section over keys [first, first + n) of [keys], whose
+   items go to [items] from index [first - base]: the staged table walk,
+   then two more stages over the hits, each prefetching what the next
+   one loads — every hit's item record (its fields span two lines at
+   most), then every value's header line, then the rest of its first
+   [value_prefetch_bytes]. Settlement and the replies, after the section
+   closes, then read from cache. Every block hinted at is reached from a
+   node the section pins; nothing here allocates. *)
+let read_section t (keys : Protocol.Keys.t) found items ~base first n =
   Rp_ht.find_batch_hashed t.rp ~buf:keys.buf ~offs:keys.offs ~lens:keys.lens
     ~hashes:keys.hashes ~first found n;
+  let at = first - base in
   for j = 0 to n - 1 do
     match Array.unsafe_get found j with
     | Rp_list.Node nd ->
         let item = nd.value in
-        Array.unsafe_set items (first + j) item;
+        Array.unsafe_set items (at + j) item;
         Rp_list.prefetch item 0;
         Rp_list.prefetch item 40
     | Rp_list.Null -> ()
   done;
   for j = 0 to n - 1 do
     match Array.unsafe_get found j with
-    | Rp_list.Node _ -> Rp_list.prefetch (Array.unsafe_get items (first + j)).Item.data (-8)
+    | Rp_list.Node _ -> Rp_list.prefetch (Array.unsafe_get items (at + j)).Item.data (-8)
     | Rp_list.Null -> ()
   done;
   for j = 0 to n - 1 do
     match Array.unsafe_get found j with
     | Rp_list.Node _ ->
-        let data = (Array.unsafe_get items (first + j)).Item.data in
-        let stop = min (String.length data) (value_prefetch_bytes - 8) in
+        let data = (Array.unsafe_get items (at + j)).Item.data in
+        let stop = Int.min (String.length data) (value_prefetch_bytes - 8) in
         let off = ref 56 in
         while !off < stop do
           Rp_list.prefetch data !off;
@@ -424,42 +448,54 @@ let read_section t (keys : Protocol.Keys.t) found items first n =
 
 (* Each key of the section just closed, settled in place: a miss is
    counted and stays [Item.none]; a hit is settled with its node's key. *)
-let settle_batch t keys found items ~now first n =
+let settle_batch t keys found items ~base ~now first n =
   for j = 0 to n - 1 do
     let i = first + j in
     match Array.unsafe_get found j with
     | Rp_list.Null -> count_miss_key t.c keys i
     | Rp_list.Node nd ->
-        let item = Array.unsafe_get items i in
+        let item = Array.unsafe_get items (i - base) in
         let settled = settle t ~now nd.key item in
-        if settled != item then Array.unsafe_set items i settled
+        if settled != item then Array.unsafe_set items (i - base) settled
   done
 
-(* One read section per [batch_keys] keys, each settled as soon as it
-   closes. The staging arrays are fresh, so they are young: the walk's
-   and the item stage's stores into them never take the write barrier's
-   major-heap path (remembered set, darkening the value overwritten). *)
-let rec batches t ~now (keys : Protocol.Keys.t) found items first =
-  if first < keys.n then begin
-    let m = min batch_keys (keys.n - first) in
+(* One read section per [batch_keys] keys of [first, stop), each settled
+   as soon as it closes. The staging arrays are fresh, so they are
+   young: the walk's and the item stage's stores into them never take
+   the write barrier's major-heap path (remembered set, darkening the
+   value overwritten). *)
+let rec batches t ~now (keys : Protocol.Keys.t) found items ~base first stop =
+  if first < stop then begin
+    let m = Int.min batch_keys (stop - first) in
     let rcu = Rp_ht.rcu t.rp in
     let section = Rp_trace.span_begin_sampled k_read_section in
     Rcu.read_lock_current rcu;
-    (match read_section t keys found items first m with
+    (match read_section t keys found items ~base first m with
     | () -> Rcu.read_unlock_current rcu
     | exception e ->
         Rcu.read_unlock_current rcu;
         end_read_section section ~n:m;
         raise e);
     end_read_section section ~n:m;
-    settle_batch t keys found items ~now first m;
-    batches t ~now keys found items (first + m)
+    settle_batch t keys found items ~base ~now first m;
+    batches t ~now keys found items ~base (first + m) stop
   end
 
-let get_keys t ~now (keys : Protocol.Keys.t) =
-  let items = Array.make keys.n Item.none in
-  batches t ~now keys (Array.make (min keys.n batch_keys) Rp_list.Null) items 0;
+let get_keys t ~now (keys : Protocol.Keys.t) ~first ~n =
+  let items = Array.make n Item.none in
+  batches t ~now keys (Array.make (Int.min n batch_keys) Rp_list.Null) items ~base:first first
+    (first + n);
   items
+
+(* The cache lines a run's SETs and GETs will load, asked for at once
+   before the run is served key by key: after the table's own stages,
+   each matching first node's item record, then its value's header line
+   (the length a SET's slab accounting reads, the first bytes a GET's
+   reply copies). *)
+let prefetch_value (item : Item.t) = Rp_list.prefetch item.data (-8)
+
+let prefetch t (keys : Protocol.Keys.t) =
+  Rp_ht.prefetch_batch_hashed t.rp ~hashes:keys.hashes ~first:0 keys.n ~hint:prefetch_value
 
 (* A lone GET opens no outer section: the table's own read section
    covers the chain walk, and the reply record is built after it, so the
@@ -560,12 +596,14 @@ let create (c : Store_core.t) ~rcu_mode ~initial_size ~auto_resize ~stripes =
     with_all = (fun f -> with_all_stripes t f);
     live;
     store = (fun ~hash key item -> store t ~hash key item);
+    set = (fun ~hash buf off len item -> set t ~hash buf off len item);
     remove = (fun ~hash key -> delete t ~hash key);
     keys = (fun () -> Rp_ht.fold rp ~init:[] ~f:(fun acc k _ -> k :: acc));
     budget = (fun () -> sweep t);
     evict_to_budget = (fun () -> evict_to_budget t);
     get = (fun ~now key -> get t ~now key);
-    get_keys = (fun ~now keys -> get_keys t ~now keys);
+    get_keys = (fun ~now keys ~first ~n -> get_keys t ~now keys ~first ~n);
+    prefetch = (fun keys -> prefetch t keys);
     iter = (fun f -> iter t f);
     length = (fun () -> Rp_ht.length rp);
     buckets = (fun () -> Rp_ht.size rp);

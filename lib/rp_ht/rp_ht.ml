@@ -294,6 +294,70 @@ let find_batch_hashed t ~buf ~offs ~lens ~hashes ~first found n =
         k_lookup stamp
     done
 
+(* Hints only, for a batch about to be looked up or updated one key at
+   a time: the stages of [find_batch_hashed] before its walk — every
+   key's bucket slot, then every slot's first node — carried one node
+   further, then one stage that hands each key's value to [hint], which
+   prefetches what the caller will read through it. A key's node is the
+   first of its chain's first two nodes whose hash matches (most chains
+   hold one or two nodes: auto-resize keeps the load factor at most
+   3/4); its key string and value are asked for as soon as it is known.
+   No slice is compared and nothing is recorded: the later lookups and
+   updates walk their chains again, from cache, so a stale hint costs a
+   wasted line and never a wrong result. One read section covers the
+   stages, so every block hinted at is pinned while it is. *)
+let prefetch_node_fields key value =
+  prefetch key (-8);
+  (* a value's first 48 bytes: at most two lines *)
+  prefetch value 0;
+  prefetch value 40
+
+let prefetch_batch_hashed t ~hashes ~first n ~hint =
+  if first < 0 || n < 0 || first + n > Array.length hashes then
+    invalid_arg "Rp_ht.prefetch_batch_hashed: the range exceeds the array";
+  Rcu.read_lock_current t.rcu;
+  let table = Rcu.dereference t.current in
+  let buckets = table.buckets in
+  let mask = table.size - 1 in
+  let last = first + n - 1 in
+  for i = first to last do
+    prefetch buckets ((Array.unsafe_get hashes i land mask) * (Sys.word_size / 8))
+  done;
+  for i = first to last do
+    let head = Array.unsafe_get buckets (Array.unsafe_get hashes i land mask) in
+    prefetch head 0;
+    prefetch head 32
+  done;
+  for i = first to last do
+    let hash = Array.unsafe_get hashes i in
+    match Array.unsafe_get buckets (hash land mask) with
+    | Node nd when nd.hash = hash -> prefetch_node_fields nd.key nd.value
+    | Node nd ->
+        prefetch nd.next 0;
+        prefetch nd.next 32
+    | Null -> ()
+  done;
+  for i = first to last do
+    let hash = Array.unsafe_get hashes i in
+    match Array.unsafe_get buckets (hash land mask) with
+    | Node { hash = h; next = Node nd; _ } when h <> hash && nd.hash = hash ->
+        prefetch_node_fields nd.key nd.value
+    | Node _ | Null -> ()
+  done;
+  match
+    for i = first to last do
+      let hash = Array.unsafe_get hashes i in
+      match Array.unsafe_get buckets (hash land mask) with
+      | Node nd when nd.hash = hash -> hint nd.value
+      | Node { next = Node nd; _ } when nd.hash = hash -> hint nd.value
+      | Node _ | Null -> ()
+    done
+  with
+  | () -> Rcu.read_unlock_current t.rcu
+  | exception e ->
+      Rcu.read_unlock_current t.rcu;
+      raise e
+
 (* Apply [f] to the bindings whose home is bucket [b], skipping nodes
    merely passing through an imprecise bucket. *)
 let rec iter_home ~size ~b f = function
@@ -796,6 +860,37 @@ let exchange_hashed t ~hash k v =
   with_stripe_hashed t ~hash (fun () -> exchange_locked t ~hash k v)
 
 let replace t k v = ignore (exchange_hashed t ~hash:(t.hash k) k v)
+
+type 'v exchanged = Replaced of 'v | Linked of string
+
+(* [exchange_hashed] for a key given as a slice of a buffer, compared in
+   place: the key string is made only for a fresh node. Written out
+   rather than through [with_stripe_hashed], so no closure is built. *)
+let exchange_slice t ~hash buf off len v =
+  if off < 0 || len < 0 || off > Bytes.length buf - len then
+    invalid_arg "Rp_ht.exchange_slice: the slice exceeds the buffer";
+  let i = stripe_of_hash t hash in
+  lock_stripe t i;
+  match
+    ensure_bucket_split t ~hash;
+    let table = Atomic.get t.current in
+    match search_slice hash buf off len (Array.unsafe_get table.buckets (bucket_index table hash)) with
+    | Node n ->
+        let old = n.value in
+        n.value <- v;
+        Replaced old
+    | Null ->
+        let key = Bytes.sub_string buf off len in
+        insert_locked t ~hash key v;
+        Linked key
+  with
+  | r ->
+      Mutex.unlock t.stripes.(i);
+      maybe_auto_resize t;
+      r
+  | exception e ->
+      Mutex.unlock t.stripes.(i);
+      raise e
 
 (* The paper's removal sequence: unlink under the stripe, then mark the
    node reclaimed only once a grace period has passed — deferred through

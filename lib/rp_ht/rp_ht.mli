@@ -122,6 +122,18 @@ val find_batch_hashed :
     lookups. Raises [Invalid_argument] when a range exceeds its array
     or a slice exceeds [buf]. *)
 
+val prefetch_batch_hashed :
+  ('k, 'v) t -> hashes:int array -> first:int -> int -> hint:('v -> unit) -> unit
+(** [prefetch_batch_hashed t ~hashes ~first n ~hint] asks the cache, for
+    every [i] from [first] to [first + n - 1], for the lines a lookup of
+    the key hashing to [hashes.(i)] would load first: its bucket slot,
+    its chain's first two nodes and, for the first of them whose hash
+    matches, the node's key and value, and then whatever [hint]
+    prefetches from that value. Hints only, in one read section of its own, which [hint] must
+    not leave: no key is compared, nothing is recorded or counted, and
+    no later result depends on it. Raises [Invalid_argument] when the
+    range exceeds [hashes]. *)
+
 val iter : ('k, 'v) t -> f:('k -> 'v -> unit) -> unit
 (** Iterate over a snapshot inside one read-side critical section. [f] must
     not block and must not update this table. Bindings inserted or removed
@@ -165,6 +177,18 @@ val exchange_hashed : ('k, 'v) t -> hash:int -> 'k -> 'v -> 'v option
     in place (a reader sees the old value or the new one), or, when [k]
     is unbound, a new binding is published. Returns the value it
     replaced. [hash] must be the table's hash of [k]. *)
+
+type 'v exchanged =
+  | Replaced of 'v  (** the value the key was bound to *)
+  | Linked of string  (** the key was unbound: the fresh node's key *)
+
+val exchange_slice : (string, 'v) t -> hash:int -> Bytes.t -> int -> int -> 'v -> 'v exchanged
+(** [exchange_slice t ~hash buf off len v] is {!exchange_hashed} for the
+    key held in the [len] bytes of [buf] from [off], compared with the
+    stored keys in place: a copy of the slice is made only when a new
+    binding is published, and returned with it. The table's [equal]
+    must be [String.equal]. Raises [Invalid_argument] when the slice
+    exceeds [buf]. *)
 
 val replace : ('k, 'v) t -> 'k -> 'v -> unit
 (** Update an existing binding's value in place, or insert if absent

@@ -106,6 +106,9 @@ let rec write_all fd s off =
   if off < String.length s then
     write_all fd s (off + Unix.write_substring fd s off (String.length s - off))
 
+(* The fd has bytes (or EOF) to read now. *)
+let readable fd = match Unix.select [ fd ] [] [] 0.0 with [], _, _ -> false | _ -> true
+
 let coalesced_chunks ?max_out store chunks =
   let client, server = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.set_nonblock client;
@@ -136,16 +139,28 @@ let coalesced_chunks ?max_out store chunks =
           pump ()
         end
   in
-  List.iter
-    (fun chunk ->
-      if not (Conn.closing c) then begin
-        write_all client chunk 0;
-        ignore (Conn.fill c);
-        dispatch ();
-        pump ();
-        drain ()
-      end)
-    chunks;
+  (* One wakeup per turn, while the socket holds unread bytes: [fill]
+     stops after a short read, as the event loop's does. *)
+  let rec serve () =
+    ignore (Conn.fill c);
+    dispatch ();
+    pump ();
+    drain ();
+    if (not (Conn.closing c)) && readable server then serve ()
+  in
+  (* A chunk larger than the socket's buffer goes in as it drains. *)
+  let rec feed chunk off =
+    if off < String.length chunk && not (Conn.closing c) then begin
+      let off =
+        match Unix.write_substring client chunk off (String.length chunk - off) with
+        | n -> off + n
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> off
+      in
+      serve ();
+      feed chunk off
+    end
+  in
+  List.iter (fun chunk -> feed chunk 0) chunks;
   drain ();
   Unix.close client;
   Unix.close server;
@@ -367,6 +382,193 @@ let prop_runs_match_general_path =
             feeds)
         [ false; true ])
 
+(* Mixed runs against the general path: streams of get, gets and set
+   lines, so runs hold SETs next to GETs and are served in order with
+   one prefetch pass each. Set lines cover new and existing keys, a
+   [set k] followed by [get k] in the same run, noreply, flags and
+   exptimes the scan reads (and a negative exptime it leaves to the
+   tokenizer), a declared length shorter than the block (a bad data
+   chunk; the block's excess ends in CRLF, so the request after it
+   parses the same in both streams), an invalid key, and now and then a value too large for
+   any slab class; get lines cover runs past [Store.batch_keys] keys.
+   Each stream is served whole, in random chunks, and in random chunks
+   read through ["server.read.split"], with the heat plane on and off
+   and with mutations admitted, shed by an overloaded guard, or refused
+   by a read-only replica; replies, request count, final store state and
+   heat sketches must equal request-at-a-time [Parser.next] plus
+   [Dispatch.handle] on a twin store fed the same stream with a space
+   before each command. *)
+let oversize = String.make ((1 lsl 20) + 1) 'o'
+
+let mixed_line_gen =
+  let open QCheck.Gen in
+  let command l = (l, " " ^ l) in
+  let set_line k flags exptime data noreply =
+    Printf.sprintf "set %s %d %d %d%s\r\n" k flags exptime (String.length data) noreply
+  in
+  let set_gen =
+    map4
+      (fun k (flags, exptime) data noreply ->
+        let l = set_line k flags exptime data noreply in
+        (l ^ data ^ "\r\n", " " ^ l ^ data ^ "\r\n"))
+      (frequency [ (12, key_gen); (1, return long_key); (1, return (String.make 251 'L')) ])
+      (pair (oneofl [ 0; 7; 65535 ]) (oneofl [ 0; 100; -1 ]))
+      (string_size ~gen:(char_range 'a' 'z') (int_range 0 150))
+      noreply_gen
+  in
+  let get_line verb n =
+    map (fun ks -> command (verb ^ " " ^ String.concat " " ks ^ "\r\n")) (list_repeat n key_gen)
+  in
+  frequency
+    [
+      (8, set_gen);
+      (6, int_range 1 4 >>= get_line "get");
+      (3, int_range 1 4 >>= get_line "gets");
+      (1, int_range 40 70 >>= get_line "get");
+      ( 2,
+        (* read your own write, inside one run *)
+        map2
+          (fun k d ->
+            let l = set_line k 5 0 d "" ^ d ^ "\r\n" and g = "get " ^ k ^ "\r\n" in
+            (l ^ g, " " ^ l ^ " " ^ g))
+          key_gen
+          (string_size ~gen:(char_range 'a' 'z') (int_range 0 40)) );
+      ( 1,
+        map command
+          (oneofl
+             [ "set k1 0 0 5\r\nabcdefg\r\n"; "set k2 0 0 1\r\nxyz\r\n"; "delete k3\r\n"; "bogus\r\n" ]) );
+    ]
+
+let mixed_stream_arb =
+  QCheck.make
+    ~print:(fun (stream, _, _) ->
+      if String.length stream > 4096 then String.escaped (String.sub stream 0 4096) ^ "..."
+      else String.escaped stream)
+    QCheck.Gen.(
+      pair (list_size (int_range 1 40) mixed_line_gen) (frequencyl [ (7, false); (1, true) ])
+      >>= fun (lines, big) ->
+      (* A value one byte past the largest slab class, as the last line. *)
+      let lines =
+        if big then
+          let l = Printf.sprintf "set k4 0 0 %d\r\n%s\r\n" (String.length oversize) oversize in
+          lines @ [ (l, " " ^ l) ]
+        else lines
+      in
+      let stream = String.concat "" (List.map fst lines) in
+      map
+        (fun cuts -> (stream, String.concat "" (List.map snd lines), cuts))
+        (list_repeat 2 (list_size (int_range 1 8) (int_bound (String.length stream)))))
+
+(* A guard pinned at [Shed]: it refuses every mutation. *)
+let shedding_guard () =
+  let g = Rp_guard.create ~interval:60.0 () in
+  Rp_guard.add_source g ~name:"pinned" (fun () -> 0.9);
+  Rp_guard.sweep g;
+  if Rp_guard.admit_mutation g then Alcotest.fail "guard admits mutations";
+  g
+
+let gate_store gate store =
+  match gate with
+  | `Admit -> ()
+  | `Shed -> Store.set_guard store (Some (shedding_guard ()))
+  | `Read_only -> Store.set_read_only store true
+
+let prop_mixed_runs_match_general_path =
+  QCheck.Test.make ~name:"mixed runs = general path" ~count:25 mixed_stream_arb
+    (fun (stream, general, cut_sets) ->
+      (* A 1 MB stream read 7 bytes at a time would take 150k wakeups. *)
+      let split = if String.length stream > 100_000 then 65_536 else 7 in
+      List.for_all
+        (fun (heat, gate) ->
+          let ref_store, ref_base = make_store ~heat () in
+          gate_store gate ref_store;
+          let want, want_n = reference ref_store general in
+          let want = normalize ref_base want and want_state = state ref_store ref_base in
+          let feeds =
+            (None, [ stream ])
+            :: List.concat_map
+                 (fun cuts -> [ (None, chunks_at stream cuts); (Some split, chunks_at stream cuts) ])
+                 cut_sets
+          in
+          List.for_all
+            (fun (split, chunks) ->
+              let store, base = make_store ~heat () in
+              gate_store gate store;
+              let got, got_n = coalesced ?split store chunks in
+              let got = normalize base got in
+              let how =
+                Printf.sprintf "heat %b, gate %s, split %s, %d chunks" heat
+                  (match gate with `Admit -> "admit" | `Shed -> "shed" | `Read_only -> "read-only")
+                  (Option.fold ~none:"off" ~some:string_of_int split)
+                  (List.length chunks)
+              in
+              if got <> want then begin
+                (* 600 bytes of each around the first difference *)
+                let rec first i =
+                  if i < String.length got && i < String.length want && got.[i] = want.[i] then
+                    first (i + 1)
+                  else i
+                in
+                let at = max 0 (first 0 - 300) in
+                let clip s = String.escaped (String.sub s at (min 600 (String.length s - at))) in
+                QCheck.Test.fail_reportf "%s\nreplies from byte %d:\n%s\nreference:\n%s" how at
+                  (clip got) (clip want)
+              end;
+              if got_n <> want_n then
+                QCheck.Test.fail_reportf "%s: dispatch counted %d requests, reference %d" how
+                  got_n want_n;
+              if state store base <> want_state then
+                QCheck.Test.fail_reportf "%s: final store state differs:\n%s\n%s" how
+                  (snd (state store base)) (snd want_state);
+              true)
+            feeds)
+        [ (false, `Admit); (true, `Admit); (false, `Shed); (true, `Read_only) ])
+
+(* Read-your-writes inside one run (DESIGN §10 "Batched reads"): a run
+   mixing get and set lines is one request, and executes its lines in
+   order, so a get reads every set before it in the same run — an
+   overwrite, a new key, and a noreply set — whatever the run's prefetch
+   pass brought into cache before the sets ran. *)
+let test_mixed_run_reads_own_writes () =
+  let store, _ = make_store () in
+  let pipeline =
+    String.concat ""
+      [
+        "get k1\r\n";
+        "set k1 9 0 3\r\nnew\r\n";
+        "get k1 k13\r\n";
+        "set k13 4 0 2\r\nhi\r\n";
+        "get k13\r\n";
+        "set k1 8 0 4 noreply\r\nlast\r\n";
+        "get k1\r\n";
+      ]
+  in
+  Rp_trace.reset ();
+  Rp_trace.configure ~sample:1 ();
+  let got, n =
+    Fun.protect
+      ~finally:(fun () -> Rp_trace.configure ~sample:1024 ())
+      (fun () -> coalesced store [ pipeline ])
+  in
+  let events, _ = Rp_trace.snapshot () in
+  Rp_trace.reset ();
+  Alcotest.(check int) "requests counted" 7 n;
+  Alcotest.(check int) "one run, one request span" 1
+    (List.length
+       (List.filter (fun (e : Rp_trace.event) -> e.name = "req.text" && e.phase = 0) events));
+  let v1 = value 1 in
+  Alcotest.(check string) "each get reads the sets before it"
+    (String.concat ""
+       [
+         "VALUE k1 1 100\r\n"; v1; "\r\nEND\r\n";
+         "STORED\r\n";
+         "VALUE k1 9 3\r\nnew\r\nEND\r\n";
+         "STORED\r\n";
+         "VALUE k13 4 2\r\nhi\r\nEND\r\n";
+         "VALUE k1 8 4\r\nlast\r\nEND\r\n";
+       ])
+    got
+
 (* The twin stores the property starts from hold what it means to test:
    cold markers, expired items and plain hot items. *)
 let test_fixture () =
@@ -378,8 +580,8 @@ let test_fixture () =
   Alcotest.(check string) "k9..k11 expired" "END\r\n" out
 
 (* A run splits its replies back per request, in order, including a
-   request's duplicate keys and misses; a set ends the run, so the next
-   get reads it. *)
+   request's duplicate keys and misses; a get after a set in the same
+   run reads it. *)
 let test_run_replies () =
   let store, _ = make_store () in
   let pipeline =
@@ -525,6 +727,48 @@ let test_run_allocation () =
   Printf.printf "64-key run: %.0f minor words, %.2f per key\n" !words per_key;
   Alcotest.(check bool) (Printf.sprintf "%.2f words per key <= 3" per_key) true (per_key <= 3.)
 
+(* Allocation gate (exact, no timing): a run of 64 same-size overwrite
+   set lines, heat and op log off, served through [Conn.dispatch]. Each
+   SET allocates its data (14 words for 100 bytes), its item (7) and the
+   table exchange's [Replaced] (2): 23 words, where the
+   request-at-a-time path allocated 29 to parse a set line and 33 to
+   store it. No key, request or reply value is built. The run's one
+   clock reading and the dispatch call's loop closures and span add a
+   fixed 29 words; at most 32 are allowed for them. *)
+let test_set_run_allocation () =
+  let store = Store.create ~backend:Store.Rp ~rcu_mode:Store.Qsbr ~initial_size:64 () in
+  let key i = Printf.sprintf "key:%012d" i in
+  for i = 0 to 63 do
+    ignore (Store.set store ~key:(key i) ~flags:0 ~exptime:0 ~data:(value i))
+  done;
+  let run =
+    String.concat ""
+      (List.init 64 (fun i -> Printf.sprintf "set %s 0 0 100\r\n%s\r\n" (key i) (value (i + 1))))
+  in
+  let client, server, c = window_conn () in
+  let sink = Bytes.create 65536 in
+  let words = ref infinity in
+  for _ = 1 to 8 do
+    write_all client run 0;
+    ignore (Conn.fill c);
+    let w0 = Gc.minor_words () in
+    let n = Conn.dispatch c store in
+    words := Float.min !words (Gc.minor_words () -. w0);
+    Alcotest.(check int) "requests" 64 n;
+    (match Conn.flush c with `Done -> () | _ -> Alcotest.fail "flush did not complete");
+    Alcotest.(check int) "reply bytes" (64 * 8) (read_replies client sink 0)
+  done;
+  Store.reader_offline store;
+  Unix.close client;
+  Unix.close server;
+  Alcotest.(check int) "items" 64 (Store.items store);
+  let per_set = !words /. 64. in
+  Printf.printf "64-set run: %.0f minor words, %.2f per set\n" !words per_set;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words <= 64 * 23 + 32" !words)
+    true
+    (!words <= (64. *. 23.) +. 32.)
+
 (* A 1 MB SET grows the window; once it drains, the window is back at or
    below the retain size. *)
 let test_window_retained_after_large_set () =
@@ -558,6 +802,45 @@ let test_window_retained_after_large_set () =
   Alcotest.(check bool) "drained window at or below the retain size" true
     (Conn.input_capacity c <= Protocol.Inbuf.retain_bytes)
 
+(* [Conn.fill] stops after a read that returns less than it asked for,
+   leaving the rest to the next wakeup of a level-triggered poll: bytes
+   that arrive over several short reads (["server.read.split"] caps
+   each at 7) are all served, one fill per wakeup, and an EOF that
+   follows a short read still closes the connection. *)
+let test_fill_short_reads () =
+  let store, _ = make_store () in
+  let client, server, c = window_conn () in
+  let sink = Bytes.create 65536 in
+  let pipeline = "set k1 0 0 3\r\nabc\r\nget k1\r\nget k2 k13\r\n" in
+  let want, _ = reference (fst (make_store ())) pipeline in
+  Rp_fault.arm "server.read.split" ~trigger:Always ~action:(Truncate_io 7);
+  let fills = ref 0 and served = ref 0 and replies = Buffer.create 256 in
+  Fun.protect
+    ~finally:(fun () -> Rp_fault.disarm "server.read.split")
+    (fun () ->
+      write_all client pipeline 0;
+      while readable server do
+        (match Conn.fill c with `Ok -> () | `Eof -> Alcotest.fail "EOF before the end");
+        incr fills;
+        served := !served + Conn.dispatch c store;
+        (match Conn.flush c with `Done -> () | _ -> Alcotest.fail "flush did not complete");
+        let n = read_replies client sink 0 in
+        Buffer.add_subbytes replies sink 0 n
+      done);
+  Alcotest.(check int) "one 7-byte read per fill"
+    ((String.length pipeline + 6) / 7) !fills;
+  Alcotest.(check int) "every request served" 3 !served;
+  Alcotest.(check string) "replies" want (Buffer.contents replies);
+  (* a short read, then EOF: the next wakeup's fill reports it *)
+  write_all client "get k1\r\n" 0;
+  Unix.shutdown client Unix.SHUTDOWN_SEND;
+  (match Conn.fill c with `Ok -> () | `Eof -> Alcotest.fail "EOF with the data");
+  Alcotest.(check int) "the last request served" 1 (Conn.dispatch c store);
+  Alcotest.(check bool) "the EOF wakes the poll" true (readable server);
+  (match Conn.fill c with `Eof -> () | `Ok -> Alcotest.fail "EOF missed");
+  Unix.close client;
+  Unix.close server
+
 (* A connection that never sends holds no window. *)
 let test_idle_holds_no_window () =
   let store = Store.create ~backend:Store.Rp () in
@@ -580,12 +863,19 @@ let () =
           QCheck_alcotest.to_alcotest ~long:false prop_coalesced_matches_reference;
           QCheck_alcotest.to_alcotest ~long:false prop_runs_match_general_path;
         ] );
+      ( "mixed runs",
+        [
+          Alcotest.test_case "reads its own writes" `Quick test_mixed_run_reads_own_writes;
+          QCheck_alcotest.to_alcotest ~long:false prop_mixed_runs_match_general_path;
+        ] );
       ( "window",
         [
           Alcotest.test_case "no direct major allocation" `Quick test_window_no_major_allocation;
           Alcotest.test_case "retain size after a 1 MB set" `Quick
             test_window_retained_after_large_set;
           Alcotest.test_case "idle connection holds no window" `Quick test_idle_holds_no_window;
+          Alcotest.test_case "short reads all served" `Quick test_fill_short_reads;
           Alcotest.test_case "64-key run allocation" `Quick test_run_allocation;
+          Alcotest.test_case "64-set run allocation" `Quick test_set_run_allocation;
         ] );
     ]

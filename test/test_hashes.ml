@@ -147,7 +147,7 @@ let prop_scan_hash_is_store_hash =
       for _ = 1 to skip do
         ignore (Memcached.Protocol.Parser.next p)
       done;
-      let run = Memcached.Protocol.Parser.get_run p ~max_keys:0 in
+      let run = Memcached.Protocol.Parser.run p ~max_keys:0 in
       let keys = run.keys in
       let want = List.map String.trim spaced in
       if run.lines <> 1 || keys.n <> List.length want then

@@ -246,6 +246,49 @@ let test_stats_reset () =
     (stat_of (Memcached.Store.stats store) "cmd_get");
   Alcotest.(check bool) "cmd_get was non-zero" true (cmd_get_before <> None)
 
+(* --- hot-path cost, exactly ------------------------------------------ *)
+
+(* The plane's read-path obligation without a clock (DESIGN §17.4): a
+   GET hit on a store with the heat plane on allocates what the same GET
+   allocates with it off, plus 2 words per sampled hit, once the sketch
+   tracks the keys — an unsampled hit adds one branch on the stripe
+   count the store already read, a sampled one updates the sketch in
+   place. *)
+let test_heat_get_allocation () =
+  let make ~heat_topk =
+    let store =
+      Memcached.Store.create ~backend:Memcached.Store.Rp ~initial_size:256 ~heat_topk
+        ~heat_sample:4 ()
+    in
+    for i = 0 to 31 do
+      ignore (Memcached.Store.set store ~key:(key i) ~flags:0 ~exptime:0 ~data:"v")
+    done;
+    store
+  in
+  let sampled store =
+    match Memcached.Store.heat store with
+    | None -> 0
+    | Some h -> Rp_heat.Sketch.total (Rp_heat.hits h)
+  in
+  let words store =
+    let gets () =
+      for i = 0 to 1023 do
+        ignore (Memcached.Store.get store (key (i land 31)))
+      done
+    in
+    gets ();
+    let s0 = sampled store and w0 = Gc.minor_words () in
+    gets ();
+    (Gc.minor_words () -. w0, sampled store - s0)
+  in
+  let off, _ = words (make ~heat_topk:0) and on, sampled = words (make ~heat_topk:64) in
+  Printf.printf "1024 GET hits: %.0f minor words heat off, %.0f heat on, %d sampled\n" off on
+    sampled;
+  Alcotest.(check bool) "some hits sampled" true (sampled > 0);
+  Alcotest.(check (float 0.)) "heat-on words = heat-off words + 2 per sampled hit"
+    (off +. (2. *. float_of_int sampled))
+    on
+
 (* --- hot-path overhead guard --------------------------------------- *)
 
 (* GET cost with --heat-topk 64 on vs off, same keys, same store shape:
@@ -334,5 +377,8 @@ let () =
           Alcotest.test_case "stats reset" `Quick test_stats_reset;
         ] );
       ( "overhead",
-        [ Alcotest.test_case "heat-on GET guard" `Slow test_heat_overhead ] );
+        [
+          Alcotest.test_case "heat-on GET allocation" `Quick test_heat_get_allocation;
+          Alcotest.test_case "heat-on GET guard" `Slow test_heat_overhead;
+        ] );
     ]

@@ -436,6 +436,71 @@ let test_set_overwrite_allocation () =
     (Store.bytes store);
   Store.reader_offline store
 
+(* Writer scaling and the read path (DESIGN §15.3), without a clock: a
+   writer holding its key's update stripe — parked inside the op-log
+   hook, which runs under that stripe — blocks neither GETs (of its own
+   key or of any key on its stripe) nor SETs and DELETEs of keys on
+   every other stripe. They run in a second domain, which must finish
+   while the stripe is still held; the deadline only bounds a hang. *)
+let test_held_stripe_blocks_nothing_else () =
+  let store = Store.create ~backend:Store.Rp ~initial_size:256 ~stripes:8 () in
+  let stripes = Store.write_stripes store in
+  let stripe k = Store_core.hash_key k land (stripes - 1) in
+  let held = "held" in
+  let key j i = Printf.sprintf "k%d-%d" j i in
+  (* twenty keys per stripe *)
+  let keys =
+    List.init stripes (fun j ->
+        List.filter (fun k -> stripe k = j) (List.init 2000 (key j))
+        |> List.filteri (fun i _ -> i < 20))
+    |> List.concat
+  in
+  List.iter (fun k -> set_ok store k "old") (held :: keys);
+  let parked = Atomic.make false and release = Atomic.make false in
+  Store.set_persist_hook store
+    (Some
+       (function
+       | Rp_persist.Record.Set { key; _ } when key = held ->
+           Atomic.set parked true;
+           while not (Atomic.get release) do
+             Domain.cpu_relax ()
+           done
+       | _ -> ()));
+  let holder = Domain.spawn (fun () -> set_ok store held "new") in
+  while not (Atomic.get parked) do
+    Domain.cpu_relax ()
+  done;
+  let same, other = List.partition (fun k -> stripe k = stripe held) keys in
+  let done_ = Atomic.make false in
+  let worker =
+    Domain.spawn (fun () ->
+        let held_value = get_data store held in
+        let same_values = List.map (get_data store) same in
+        List.iter (fun k -> set_ok store k "fresh") other;
+        List.iter (fun k -> ignore (Store.delete store k)) other;
+        Atomic.set done_ true;
+        (held_value, same_values))
+  in
+  let deadline = Unix.gettimeofday () +. 30. in
+  while (not (Atomic.get done_)) && Unix.gettimeofday () < deadline do
+    Domain.cpu_relax ()
+  done;
+  let finished = Atomic.get done_ in
+  Atomic.set release true;
+  Domain.join holder;
+  let held_value, same_values = Domain.join worker in
+  Store.set_persist_hook store None;
+  Alcotest.(check bool) "reads and other stripes' writes finished under the held stripe" true
+    finished;
+  Alcotest.(check bool) "keys on the held stripe and on others" true (same <> [] && other <> []);
+  (* the hook runs after the exchange published the new item *)
+  Alcotest.(check (option string)) "the held key reads its published value" (Some "new")
+    held_value;
+  Alcotest.(check bool) "its stripe's keys read" true
+    (List.for_all (fun v -> v = Some "old") same_values);
+  Alcotest.(check (option string)) "the parked SET completes" (Some "new") (get_data store held);
+  Alcotest.(check int) "the other stripes' keys deleted" (1 + List.length same) (Store.items store)
+
 (* An in-memory cold tier: demotions land in a table keyed by offset. *)
 let memory_tier store =
   let frames = Hashtbl.create 16 in
@@ -588,6 +653,11 @@ let () =
             test_set_overwrite_allocation;
         ] );
       ("slab", [ Alcotest.test_case "bytes match live items" `Quick test_slab_exact ]);
+      ( "stripes",
+        [
+          Alcotest.test_case "a held stripe blocks nothing else" `Quick
+            test_held_stripe_blocks_nothing_else;
+        ] );
       ( "model",
         List.map (fun (n, b) -> QCheck_alcotest.to_alcotest (model_property n b)) backends
       );
