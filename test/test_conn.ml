@@ -863,7 +863,7 @@ let () =
           QCheck_alcotest.to_alcotest ~long:false prop_coalesced_matches_reference;
           QCheck_alcotest.to_alcotest ~long:false prop_runs_match_general_path;
         ] );
-      ( "mixed runs",
+      ( "mixed",
         [
           Alcotest.test_case "reads its own writes" `Quick test_mixed_run_reads_own_writes;
           QCheck_alcotest.to_alcotest ~long:false prop_mixed_runs_match_general_path;
