@@ -80,23 +80,7 @@ let absolute_exptime ~clock exptime =
    the log a faithful per-key history. *)
 let record t r = match t.persist_hook with None -> () | Some h -> h r
 
-let record_set t ~op key (item : Item.t) =
-  match t.persist_hook with
-  | None -> ()
-  | Some h ->
-      (* State-based record: the resulting item, not the command's
-         arguments — replay is idempotent and convergent (see
-         [Rp_persist.Record]). *)
-      h
-        (Rp_persist.Record.Set
-           {
-             op;
-             key;
-             flags = item.flags;
-             exptime = Item.float_of_time item.exptime;
-             cas = item.cas;
-             data = item.data;
-           })
+let record_set t ~op key item = log_set t.persist_hook ~op key item
 
 (* Mutations note their key in the heat plane (one branch when off);
    [heat_mutation] is for those with no payload of their own (touch,
@@ -196,49 +180,34 @@ let storage_command ?guard t ~op ~key ~flags ~exptime ~data =
             record_set t ~op key item;
             Stored)
 
-(* A plain SET with no op log to write: the backend takes the key's
-   lock itself and compares the key in place ([buf] from [off], [len]
-   bytes), so no closure is built and a key string is made only for a
-   new binding. [data] already fits a slab class. *)
-let publish_set t ~clock ~hash buf off len ~flags ~exptime data =
-  let item =
-    Item.make ~flags ~exptime:(absolute_exptime ~clock exptime) ~data
-      ~now:(Item.time_of_float clock) ()
-  in
-  t.b.set ~hash buf off len item;
-  t.b.budget ();
-  Stored
-
 let set t ~key ~flags ~exptime ~data =
-  match t.persist_hook with
-  | Some _ -> storage_command t ~op:Rp_persist.Record.Tset ~key ~flags ~exptime ~data
-  | None ->
-      Rp_obs.Counter.incr t.c.cmd_set;
-      heat_set t key ~vbytes:(String.length data);
-      if not (fits_slab t ~key ~data) then Too_large
-      else
-        publish_set t ~clock:(clock t) ~hash:(t.b.hash key) (Bytes.unsafe_of_string key) 0
-          (String.length key) ~flags ~exptime data
+  storage_command t ~op:Rp_persist.Record.Tset ~key ~flags ~exptime ~data
 
 (* A SET read in place: key [i] of [keys] (its hash already computed),
-   its data the [len] bytes of [keys.buf] from [off]. The data is copied
-   out only once it is known to fit; the key only for a new binding, or
-   up front when the heat plane or the op log needs it as a string.
-   [clock] is the caller's reading of the store's clock. *)
+   its data the [len] bytes of [keys.buf] from [off], at the caller's
+   reading [clock] of the store's clock. [storage_command]'s steps with
+   no guard, in one route whatever is attached: the data is copied out
+   only once it is known to fit, and the backend takes the key's lock
+   itself (no closure) and compares the key in place. The key string is
+   made only for a new binding, the heat plane or the op log. *)
 let set_slice t ~clock (keys : Protocol.Keys.t) i ~flags ~exptime ~off ~len =
   if i < 0 || i >= keys.n || off < 0 || len < 0 || off > Bytes.length keys.buf - len then
     invalid_arg "Store.set_slice";
-  match (t.persist_hook, t.c.heat) with
-  | None, None ->
-      Rp_obs.Counter.incr t.c.cmd_set;
-      let koff = keys.offs.(i) and klen = keys.lens.(i) in
-      if not (fits t ~key_len:klen ~data_len:len) then Too_large
-      else
-        publish_set t ~clock ~hash:keys.hashes.(i) keys.buf koff klen ~flags ~exptime
-          (Bytes.sub_string keys.buf off len)
-  | Some _, _ | None, Some _ ->
-      set t ~key:(Protocol.Keys.key keys i) ~flags ~exptime
-        ~data:(Bytes.sub_string keys.buf off len)
+  Rp_obs.Counter.incr t.c.cmd_set;
+  (match t.c.heat with
+  | None -> ()
+  | Some h -> Rp_heat.note_set h ~vbytes:len (Protocol.Keys.key keys i));
+  let koff = keys.offs.(i) and klen = keys.lens.(i) in
+  if not (fits t ~key_len:klen ~data_len:len) then Too_large
+  else begin
+    let item =
+      Item.make ~flags ~exptime:(absolute_exptime ~clock exptime)
+        ~data:(Bytes.sub_string keys.buf off len) ~now:(Item.time_of_float clock) ()
+    in
+    t.b.set ~hash:keys.hashes.(i) ~log:t.persist_hook keys.buf koff klen item;
+    t.b.budget ();
+    Stored
+  end
 
 let add t ~key ~flags ~exptime ~data =
   storage_command t ~op:Rp_persist.Record.Tadd ~key ~flags ~exptime ~data

@@ -131,9 +131,7 @@ val prefetch : t -> Protocol.Keys.t -> unit
     memory and no counter; a no-op on {!Lock}. *)
 
 val set : t -> key:string -> flags:int -> exptime:int -> data:string -> stored_result
-(** Store [data] under [key] unconditionally. With no op log attached,
-    the key's lock is taken without building a closure and the key is
-    matched in one chain walk. *)
+(** Store [data] under [key] unconditionally. *)
 
 val set_slice :
   t ->
@@ -147,13 +145,13 @@ val set_slice :
   stored_result
 (** [set_slice t ~clock keys i ~flags ~exptime ~off ~len] is {!set} of
     key [i] of the slices, with the [len] bytes of [keys.buf] from [off]
-    as its data, at the caller's reading [clock] of the store's clock
-    (with the heat plane or an op log attached, {!set} reads its own):
-    the path of a [set] line read in place. The key's hash is the
-    one the slices hold; the key is compared in place and copied out
-    only for a new binding, or when the heat plane or the op log needs
-    it; the data is copied out once it is known to fit. Raises
-    [Invalid_argument] when [i] or the data slice is out of range. *)
+    as its data, at the caller's reading [clock] of the store's clock:
+    the path of a [set] line read in place, the same with or without
+    the heat plane and an op log. The key's hash is the one the slices
+    hold; the key is compared in place and copied out only for a new
+    binding, or when the heat plane or the op log needs it; the data is
+    copied out once it is known to fit. Raises [Invalid_argument] when
+    [i] or the data slice is out of range. *)
 
 val add : t -> key:string -> flags:int -> exptime:int -> data:string -> stored_result
 val replace : t -> key:string -> flags:int -> exptime:int -> data:string -> stored_result

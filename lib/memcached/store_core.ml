@@ -77,10 +77,12 @@ type backend = {
   store : hash:int -> string -> Item.t -> unit;
       (* Publish under the key's lock: slab charge, recency bookkeeping,
          a displaced cold frame marked dead. Never evicts. *)
-  set : hash:int -> Bytes.t -> int -> int -> Item.t -> unit;
-      (* [store] for a plain SET whose key is a slice of a buffer, taking
-         and releasing the key's lock itself: the key string is made
-         only for a new binding. *)
+  set :
+    hash:int -> log:(Rp_persist.Record.t -> unit) option -> Bytes.t -> int -> int -> Item.t -> unit;
+      (* A plain SET whose key is a slice of a buffer: [store], and the
+         op-log record handed to [log] ({!log_set}), under the key's
+         lock, which it takes and releases itself. The key string is
+         made only for a new binding or a record. *)
   remove : hash:int -> string -> bool;  (* under the key's lock *)
   keys : unit -> string list;  (* under [with_all] *)
   budget : unit -> unit;
@@ -151,6 +153,27 @@ let create ~max_bytes ~clock ~heat_topk ~heat_sample =
   }
 
 let now c = Item.time_of_float (c.clock ())
+
+(* The op-log record of a SET-family command that left [key] bound to
+   [item], handed to the persistence hook [log] (none: nothing to do).
+   Callers run it under the key's lock, which is what keeps the log a
+   faithful per-key history. State-based: the resulting item, not the
+   command's arguments, so replay is idempotent and convergent (see
+   [Rp_persist.Record]). *)
+let log_set log ~op key (item : Item.t) =
+  match log with
+  | None -> ()
+  | Some h ->
+      h
+        (Rp_persist.Record.Set
+           {
+             op;
+             key;
+             flags = item.flags;
+             exptime = Item.float_of_time item.exptime;
+             cas = item.cas;
+             data = item.data;
+           })
 
 let value_of_item ~with_cas key (item : Item.t) : Protocol.value =
   {

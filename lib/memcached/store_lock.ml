@@ -80,9 +80,11 @@ let create (c : Store_core.t) ~initial_size =
     live = (fun ~hash:_ ~now key -> Option.map (fun e -> e.item) (find_live ~now key));
     store;
     set =
-      (fun ~hash buf off len item ->
+      (fun ~hash ~log buf off len item ->
         let key = Bytes.sub_string buf off len in
-        locked (fun () -> store ~hash key item));
+        locked (fun () ->
+            store ~hash key item;
+            Store_core.log_set log ~op:Rp_persist.Record.Tset key item));
     remove;
     keys =
       (fun () ->

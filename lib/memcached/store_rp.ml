@@ -105,39 +105,57 @@ let delete t ~hash key =
    (no push — markers are evicted by tier budget, not the CLOCK); any
    store over a cold marker brings the key back to RAM and re-enqueues.
 
-   One chain walk, the key compared in place ([len] bytes of [buf] from
-   [off]): the exchange publishes atomically (readers see the old or new
-   item, never a torn one) and hands back the item it displaced, or the
-   key string it made for a new node, which the CLOCK entry shares. An
-   overwrite of the same size occupies the same chunk of the same slab
+   One chain walk: the exchange publishes atomically (readers see the old
+   or new item, never a torn one) and hands back the item it displaced.
+   An overwrite of the same size occupies the same chunk of the same slab
    class, so its refund and charge would cancel exactly — both are
-   skipped. *)
-let store_slice t ~hash buf off len (item : Item.t) =
-  let size = Item.footprint ~key_len:len item in
-  match Rp_ht.exchange_slice t.rp ~hash buf off len item with
-  | Rp_ht.Replaced old ->
-      let old_size = Item.footprint ~key_len:len old in
-      if old_size <> size then begin
-        Slab.refund t.c.slab old_size;
-        ignore (Slab.charge t.c.slab size)
-      end;
-      if Item.is_cold old then begin
-        tier_mark_dead t.c old;
-        if not (Item.is_cold item) then
-          clock_push t (Bytes.sub_string buf off len, item.last_access)
-      end
-  | Rp_ht.Linked key ->
-      ignore (Slab.charge t.c.slab size);
-      if not (Item.is_cold item) then clock_push t (key, item.last_access)
+   skipped. [replaced] returns whether the key goes back on the CLOCK
+   queue (a cold marker overwritten by a RAM item); [linked] pushes a
+   new hot key itself. *)
+let replaced t ~key_len (item : Item.t) (old : Item.t) =
+  let size = Item.footprint ~key_len item in
+  let old_size = Item.footprint ~key_len old in
+  if old_size <> size then begin
+    Slab.refund t.c.slab old_size;
+    ignore (Slab.charge t.c.slab size)
+  end;
+  Item.is_cold old
+  && begin
+       tier_mark_dead t.c old;
+       not (Item.is_cold item)
+     end
 
-let store t ~hash key item =
-  store_slice t ~hash (Bytes.unsafe_of_string key) 0 (String.length key) item
+let linked t key (item : Item.t) =
+  ignore (Slab.charge t.c.slab (Item.size_bytes ~key item));
+  if not (Item.is_cold item) then clock_push t (key, item.last_access)
 
-(* A plain SET: [store_slice] under the key's stripe, taken and released
-   here so no closure is built. *)
-let set t ~hash buf off len item =
+let store t ~hash key (item : Item.t) =
+  match Rp_ht.exchange_hashed t.rp ~hash key item with
+  | Some old ->
+      if replaced t ~key_len:(String.length key) item old then
+        clock_push t (key, item.last_access)
+  | None -> linked t key item
+
+(* A plain SET of the key held in the [len] bytes of [buf] from [off]:
+   [store] with the key compared in place, and its op-log record, under
+   the key's stripe, taken and released here so no closure is built. A
+   new node's key string is the one the table made; an overwrite copies
+   the key out only for a CLOCK push or a record. *)
+let set t ~hash ~log buf off len (item : Item.t) =
   let span = lock_key t ~hash in
-  match store_slice t ~hash buf off len item with
+  match
+    match Rp_ht.exchange_slice t.rp ~hash buf off len item with
+    | Rp_ht.Replaced old ->
+        let push = replaced t ~key_len:len item old in
+        if push || Option.is_some log then begin
+          let key = Bytes.sub_string buf off len in
+          if push then clock_push t (key, item.last_access);
+          log_set log ~op:Rp_persist.Record.Tset key item
+        end
+    | Rp_ht.Linked key ->
+        linked t key item;
+        log_set log ~op:Rp_persist.Record.Tset key item
+  with
   | () -> unlock_key t ~hash span
   | exception e ->
       unlock_key t ~hash span;
@@ -406,6 +424,10 @@ let batch_keys = 64
    first; a longer value streams in behind them during the copy. *)
 let value_prefetch_bytes = 256
 
+(* A value's header line: its length, and the first bytes a reply
+   copies. *)
+let prefetch_value (item : Item.t) = Rp_list.prefetch item.data (-8)
+
 (* The read section over keys [first, first + n) of [keys], whose
    items go to [items] from index [first - base]: the staged table walk,
    then two more stages over the hits, each prefetching what the next
@@ -429,7 +451,7 @@ let read_section t (keys : Protocol.Keys.t) found items ~base first n =
   done;
   for j = 0 to n - 1 do
     match Array.unsafe_get found j with
-    | Rp_list.Node _ -> Rp_list.prefetch (Array.unsafe_get items (at + j)).Item.data (-8)
+    | Rp_list.Node _ -> prefetch_value (Array.unsafe_get items (at + j))
     | Rp_list.Null -> ()
   done;
   for j = 0 to n - 1 do
@@ -492,8 +514,6 @@ let get_keys t ~now (keys : Protocol.Keys.t) ~first ~n =
    each matching first node's item record, then its value's header line
    (the length a SET's slab accounting reads, the first bytes a GET's
    reply copies). *)
-let prefetch_value (item : Item.t) = Rp_list.prefetch item.data (-8)
-
 let prefetch t (keys : Protocol.Keys.t) =
   Rp_ht.prefetch_batch_hashed t.rp ~hashes:keys.hashes ~first:0 keys.n ~hint:prefetch_value
 
@@ -596,7 +616,7 @@ let create (c : Store_core.t) ~rcu_mode ~initial_size ~auto_resize ~stripes =
     with_all = (fun f -> with_all_stripes t f);
     live;
     store = (fun ~hash key item -> store t ~hash key item);
-    set = (fun ~hash buf off len item -> set t ~hash buf off len item);
+    set = (fun ~hash ~log buf off len item -> set t ~hash ~log buf off len item);
     remove = (fun ~hash key -> delete t ~hash key);
     keys = (fun () -> Rp_ht.fold rp ~init:[] ~f:(fun acc k _ -> k :: acc));
     budget = (fun () -> sweep t);

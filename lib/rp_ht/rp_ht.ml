@@ -231,6 +231,19 @@ let rec search_slice hash buf off len = function
       if n.hash = hash && slice_equal n.key buf off len then l
       else search_slice hash buf off len n.next
 
+(* The first two stages of a staged batch over keys [first, last]:
+   every key's bucket slot, then every slot's first node. *)
+let prefetch_heads buckets mask hashes first last =
+  for i = first to last do
+    prefetch buckets ((Array.unsafe_get hashes i land mask) * (Sys.word_size / 8))
+  done;
+  for i = first to last do
+    let head = Array.unsafe_get buckets (Array.unsafe_get hashes i land mask) in
+    (* the node's fields span [0, 40): one hint per line it may touch *)
+    prefetch head 0;
+    prefetch head 32
+  done
+
 (* A batch's lookups in stages, for a caller already inside a read
    section. Each stage issues, for every key, a prefetch of the load the
    next stage depends on: every key's bucket slot, then every slot's
@@ -266,15 +279,7 @@ let find_batch_hashed t ~buf ~offs ~lens ~hashes ~first found n =
   let buckets = table.buckets in
   let mask = table.size - 1 in
   let last = first + n - 1 in
-  for i = first to last do
-    prefetch buckets ((Array.unsafe_get hashes i land mask) * (Sys.word_size / 8))
-  done;
-  for i = first to last do
-    let head = Array.unsafe_get buckets (Array.unsafe_get hashes i land mask) in
-    (* the node's fields span [0, 40): one hint per line it may touch *)
-    prefetch head 0;
-    prefetch head 32
-  done;
+  prefetch_heads buckets mask hashes first last;
   for i = first to last do
     let hash = Array.unsafe_get hashes i in
     match Array.unsafe_get buckets (hash land mask) with
@@ -295,10 +300,10 @@ let find_batch_hashed t ~buf ~offs ~lens ~hashes ~first found n =
     done
 
 (* Hints only, for a batch about to be looked up or updated one key at
-   a time: the stages of [find_batch_hashed] before its walk — every
-   key's bucket slot, then every slot's first node — carried one node
-   further, then one stage that hands each key's value to [hint], which
-   prefetches what the caller will read through it. A key's node is the
+   a time: the stages of [find_batch_hashed] before its walk
+   ([prefetch_heads], then each matching first node's key) carried one
+   node further, then one stage that hands each key's value to [hint],
+   which prefetches what the caller will read through it. A key's node is the
    first of its chain's first two nodes whose hash matches (most chains
    hold one or two nodes: auto-resize keeps the load factor at most
    3/4); its key string and value are asked for as soon as it is known.
@@ -320,14 +325,7 @@ let prefetch_batch_hashed t ~hashes ~first n ~hint =
   let buckets = table.buckets in
   let mask = table.size - 1 in
   let last = first + n - 1 in
-  for i = first to last do
-    prefetch buckets ((Array.unsafe_get hashes i land mask) * (Sys.word_size / 8))
-  done;
-  for i = first to last do
-    let head = Array.unsafe_get buckets (Array.unsafe_get hashes i land mask) in
-    prefetch head 0;
-    prefetch head 32
-  done;
+  prefetch_heads buckets mask hashes first last;
   for i = first to last do
     let hash = Array.unsafe_get hashes i in
     match Array.unsafe_get buckets (hash land mask) with

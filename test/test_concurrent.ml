@@ -253,6 +253,47 @@ let test_replace_is_atomic () =
   Domain.join reader;
   Alcotest.(check int) "no torn values" 0 (Atomic.get torn)
 
+(* [replace is atomic] for the slice exchange on a string-keyed table:
+   the writer swaps key "k"'s value through [Rp_ht.exchange_slice], its
+   key a slice of a wider buffer, and between swaps links fresh keys the
+   same way, so auto-resize keeps expanding the table and the exchanges
+   run over lazily split buckets. A reader racing them must always find
+   "k" bound to a whole pair, never missing or torn. *)
+let test_slice_exchange_is_atomic () =
+  let hash = Rp_hashes.Hashfn.fnv1a_string in
+  let t = Rp_ht.create ~initial_size:16 ~hash ~equal:String.equal () in
+  Rp_ht.insert t "k" (0, 0);
+  let stop = Atomic.make false in
+  let torn = Atomic.make 0 in
+  let reader =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          match Rp_ht.find t "k" with
+          | Some (a, b) -> if b <> a * 7 then Atomic.incr torn
+          | None -> Atomic.incr torn
+        done)
+  in
+  let buf = Bytes.of_string "<k>" and fresh = Bytes.create 16 in
+  let linked = ref 0 in
+  for i = 1 to 50_000 do
+    (match Rp_ht.exchange_slice t ~hash:(hash "k") buf 1 1 (i, i * 7) with
+    | Rp_ht.Replaced (a, b) when a = i - 1 && b = a * 7 -> ()
+    | Rp_ht.Replaced _ | Rp_ht.Linked _ -> Atomic.incr torn);
+    if i mod 8 = 0 then begin
+      let key = Printf.sprintf "key:%d" i in
+      Bytes.blit_string key 0 fresh 0 (String.length key);
+      match Rp_ht.exchange_slice t ~hash:(hash key) fresh 0 (String.length key) (i, i * 7) with
+      | Rp_ht.Linked k when k = key -> incr linked
+      | Rp_ht.Linked _ | Rp_ht.Replaced _ -> Atomic.incr torn
+    end
+  done;
+  Atomic.set stop true;
+  Domain.join reader;
+  Alcotest.(check int) "no torn values" 0 (Atomic.get torn);
+  Alcotest.(check int) "every fresh key linked" (50_000 / 8) !linked;
+  Alcotest.(check bool) "the table grew" true (Rp_ht.size t > 16);
+  match Rp_ht.validate t with Ok () -> () | Error msg -> Alcotest.failf "invariant: %s" msg
+
 (* Cross-stripe vs per-stripe: a shrinker repeatedly takes every stripe
    (ascending order) while writers insert into disjoint key ranges on
    whatever stripes those hash to; no binding may be lost and the table
@@ -420,6 +461,7 @@ let () =
           Alcotest.test_case "move never leaves neither key" `Slow
             test_move_never_neither;
           Alcotest.test_case "replace is atomic" `Slow test_replace_is_atomic;
+          Alcotest.test_case "slice exchange is atomic" `Slow test_slice_exchange_is_atomic;
           Alcotest.test_case "shrink vs striped inserts" `Slow
             test_shrink_vs_striped_inserts;
           Alcotest.test_case "batch lookups vs resizer" `Slow (batch_torture ~qsbr:false);

@@ -50,6 +50,50 @@ let test_replace () =
   Alcotest.(check int) "single binding" 1 (Rp_ht.length t);
   check_valid t
 
+(* The slice exchange on keys held in a wider buffer: an unbound key is
+   linked under a copy of its slice, a bound one has its value swapped
+   and handed back. Keys of eight bytes or more are compared a word at a
+   time, shorter ones byte by byte: keys differing only in their last
+   byte, or one a prefix of the other, stay distinct. A slice past
+   either end of the buffer is refused before anything is read or
+   changed. *)
+let test_exchange_slice () =
+  let t = make_str () in
+  let hash = Rp_hashes.Hashfn.fnv1a_string in
+  let keys = [ "k"; "key:0001"; "key:0002"; "key:00010"; "key:000100000001"; "key:000100000002" ] in
+  let exchange key v =
+    let buf = Bytes.of_string ("[[" ^ key ^ "]]") in
+    Rp_ht.exchange_slice t ~hash:(hash key) buf 2 (String.length key) v
+  in
+  List.iteri
+    (fun i key ->
+      match exchange key i with
+      | Rp_ht.Linked k -> Alcotest.(check string) ("linked " ^ key) key k
+      | Rp_ht.Replaced _ -> Alcotest.failf "%s was not bound" key)
+    keys;
+  List.iteri
+    (fun i key ->
+      match exchange key (100 + i) with
+      | Rp_ht.Replaced old -> Alcotest.(check int) ("replaced " ^ key) i old
+      | Rp_ht.Linked _ -> Alcotest.failf "%s was bound" key)
+    keys;
+  List.iteri
+    (fun i key -> Alcotest.(check (option int)) key (Some (100 + i)) (Rp_ht.find t key))
+    keys;
+  Alcotest.(check int) "one binding per key" (List.length keys) (Rp_ht.length t);
+  let refused off len =
+    Alcotest.check_raises
+      (Printf.sprintf "slice %d+%d of 4 bytes" off len)
+      (Invalid_argument "Rp_ht.exchange_slice: the slice exceeds the buffer")
+      (fun () -> ignore (Rp_ht.exchange_slice t ~hash:0 (Bytes.of_string "abcd") off len 0))
+  in
+  refused (-1) 2;
+  refused 0 (-1);
+  refused 3 2;
+  refused 5 0;
+  Alcotest.(check int) "nothing linked by a refused slice" (List.length keys) (Rp_ht.length t);
+  check_valid t
+
 let test_remove () =
   let t = make () in
   for i = 0 to 9 do
@@ -536,6 +580,7 @@ type op =
   | Remove of int
   | Replace of int * int
   | Exchange of int * int
+  | Exchange_slice of int * int
   | Remove_hashed of int
   | Resize of int
 
@@ -547,6 +592,7 @@ let op_gen =
         (2, map (fun k -> Remove k) (int_bound 100));
         (2, map2 (fun k v -> Replace (k, v)) (int_bound 100) (int_bound 1000));
         (2, map2 (fun k v -> Exchange (k, v)) (int_bound 100) (int_bound 1000));
+        (2, map2 (fun k v -> Exchange_slice (k, v)) (int_bound 100) (int_bound 1000));
         (2, map (fun k -> Remove_hashed k) (int_bound 100));
         (1, map (fun s -> Resize (1 lsl s)) (int_bound 8));
       ])
@@ -556,6 +602,7 @@ let show_op = function
   | Remove k -> Printf.sprintf "Remove %d" k
   | Replace (k, v) -> Printf.sprintf "Replace (%d, %d)" k v
   | Exchange (k, v) -> Printf.sprintf "Exchange (%d, %d)" k v
+  | Exchange_slice (k, v) -> Printf.sprintf "Exchange_slice (%d, %d)" k v
   | Remove_hashed k -> Printf.sprintf "Remove_hashed %d" k
   | Resize n -> Printf.sprintf "Resize %d" n
 
@@ -574,7 +621,7 @@ let rec update_first k v = function
 let model_apply model = function
   | Insert (k, v) -> (k, v) :: model
   | Remove k | Remove_hashed k -> drop_first k model
-  | Replace (k, v) | Exchange (k, v) ->
+  | Replace (k, v) | Exchange (k, v) | Exchange_slice (k, v) ->
       if List.mem_assoc k model then update_first k v model else (k, v) :: model
   | Resize _ -> model
 
@@ -603,6 +650,16 @@ let table_apply t model op =
   | Exchange (k, v) ->
       expect (show_op op) (List.assoc_opt k model)
         (Rp_ht.exchange_hashed t ~hash:(hash k) (skey k) v)
+  | Exchange_slice (k, v) -> (
+      (* the key in the middle of a wider buffer *)
+      let buf = Bytes.of_string ("<" ^ skey k ^ ">") in
+      match
+        (List.assoc_opt k model, Rp_ht.exchange_slice t ~hash:(hash k) buf 1 (Bytes.length buf - 2) v)
+      with
+      | Some want, Rp_ht.Replaced got -> expect (show_op op) (Some want) (Some got)
+      | None, Rp_ht.Linked key when key = skey k -> ()
+      | _, Rp_ht.Linked key -> QCheck.Test.fail_reportf "%s: linked %S" (show_op op) key
+      | None, Rp_ht.Replaced got -> expect (show_op op) None (Some got))
   | Remove_hashed k ->
       let before = Rcu.pending_callbacks (Rp_ht.rcu t) in
       let want = List.assoc_opt k model in
@@ -681,6 +738,7 @@ let () =
           Alcotest.test_case "insert and find" `Quick test_insert_find;
           Alcotest.test_case "insert shadows" `Quick test_insert_shadows;
           Alcotest.test_case "replace" `Quick test_replace;
+          Alcotest.test_case "exchange_slice" `Quick test_exchange_slice;
           Alcotest.test_case "remove" `Quick test_remove;
           Alcotest.test_case "remove_sync" `Quick test_remove_sync;
           Alcotest.test_case "iter and fold" `Quick test_iter_fold;

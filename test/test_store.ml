@@ -436,6 +436,59 @@ let test_set_overwrite_allocation () =
     (Store.bytes store);
   Store.reader_offline store
 
+(* [Store.set_slice] (a set line read in place) against [Store.set] on a
+   twin store, with an op log attached to both: the same replies, the
+   same records but for their CAS uniques, in the same order (new keys,
+   overwrites of the same and of another size, an oversize value), the same items, bytes and
+   [cmd_set]. The slices share one buffer: each key, then its data. *)
+let test_set_slice_logs_as_set backend () =
+  let logged () =
+    let store, _ = make_store backend in
+    let records = ref [] in
+    Store.set_persist_hook store (Some (fun r -> records := r :: !records));
+    (store, records)
+  in
+  let by_set, set_records = logged () and by_slice, slice_records = logged () in
+  let too_large = String.make (2 * 1024 * 1024) 'z' in
+  let ops =
+    [ ("a", "one"); ("b", "two"); ("a", "uno"); ("b", "a longer value"); ("c", too_large);
+      ("a", "") ]
+  in
+  let keys = Protocol.Keys.create () in
+  List.iteri
+    (fun exptime (key, data) ->
+      let want = Store.set by_set ~key ~flags:exptime ~exptime ~data in
+      Protocol.Keys.stage keys [ key; data ];
+      let got =
+        Store.set_slice by_slice ~clock:(Store.clock by_slice) keys 0 ~flags:exptime ~exptime
+          ~off:keys.offs.(1) ~len:keys.lens.(1)
+      in
+      Alcotest.(check bool) (Printf.sprintf "set %s: same reply" key) true (want = got))
+    ops;
+  Alcotest.(check int) "five records" 5 (List.length !set_records);
+  (* CAS uniques come from one counter shared by every store *)
+  let fields =
+    List.map (function
+      | Rp_persist.Record.Set { op; key; flags; exptime; data; cas = _ } ->
+          (op, key, flags, exptime, data)
+      | _ -> Alcotest.fail "not a set record")
+  in
+  Alcotest.(check bool) "the same records" true (fields !set_records = fields !slice_records);
+  List.iter
+    (fun key ->
+      Alcotest.(check (option string)) key (get_data by_set key) (get_data by_slice key))
+    [ "a"; "b"; "c" ];
+  Alcotest.(check int) "items" (Store.items by_set) (Store.items by_slice);
+  Alcotest.(check int) "bytes" (Store.bytes by_set) (Store.bytes by_slice);
+  Alcotest.(check int) "cmd_set" (stat by_set "cmd_set") (stat by_slice "cmd_set");
+  Alcotest.check_raises "key index out of range" (Invalid_argument "Store.set_slice")
+    (fun () -> ignore (Store.set_slice by_slice ~clock:0. keys 2 ~flags:0 ~exptime:0 ~off:0 ~len:0));
+  Alcotest.check_raises "data slice out of range" (Invalid_argument "Store.set_slice")
+    (fun () ->
+      ignore
+        (Store.set_slice by_slice ~clock:0. keys 0 ~flags:0 ~exptime:0 ~off:1
+           ~len:(Bytes.length keys.buf)))
+
 (* Writer scaling and the read path (DESIGN §15.3), without a clock: a
    writer holding its key's update stripe — parked inside the op-log
    hook, which runs under that stripe — blocks neither GETs (of its own
@@ -643,6 +696,7 @@ let () =
       ("exptime logged absolute", per_backend test_exptime_logged_absolute);
       ("stats", per_backend test_stats);
       ("get_many", per_backend test_get_many);
+      ("set_slice", per_backend test_set_slice_logs_as_set);
       ("expiry edges", per_backend test_expiry_edges);
       ( "allocation",
         [
