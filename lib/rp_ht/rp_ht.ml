@@ -788,21 +788,31 @@ let maybe_auto_resize t =
 
 (* Every mutation: lock the key's stripe, lazily split the key's bucket if
    an expansion left it zipped (updates below assume precise chains),
-   mutate, release, then check the auto-resize thresholds. *)
-let with_stripe_hashed t ~hash f =
+   mutate, release, then check the auto-resize thresholds. [enter_key]
+   and [leave_key] are the halves around the mutation, for the updates
+   written out so that no closure is built; one that raises releases
+   the stripe with a bare unlock. *)
+let enter_key t ~hash =
   let i = stripe_of_hash t hash in
-  let m = t.stripes.(i) in
   lock_stripe t i;
-  match
-    ensure_bucket_split t ~hash;
-    f ()
-  with
+  match ensure_bucket_split t ~hash with
+  | () -> i
+  | exception e ->
+      Mutex.unlock t.stripes.(i);
+      raise e
+
+let leave_key t i =
+  Mutex.unlock t.stripes.(i);
+  maybe_auto_resize t
+
+let with_stripe_hashed t ~hash f =
+  let i = enter_key t ~hash in
+  match f () with
   | v ->
-      Mutex.unlock m;
-      maybe_auto_resize t;
+      leave_key t i;
       v
   | exception e ->
-      Mutex.unlock m;
+      Mutex.unlock t.stripes.(i);
       raise e
 
 let insert_locked t ~hash k v =
@@ -855,22 +865,26 @@ let exchange_locked t ~hash k v =
       None
 
 let exchange_hashed t ~hash k v =
-  with_stripe_hashed t ~hash (fun () -> exchange_locked t ~hash k v)
+  let i = enter_key t ~hash in
+  match exchange_locked t ~hash k v with
+  | r ->
+      leave_key t i;
+      r
+  | exception e ->
+      Mutex.unlock t.stripes.(i);
+      raise e
 
 let replace t k v = ignore (exchange_hashed t ~hash:(t.hash k) k v)
 
 type 'v exchanged = Replaced of 'v | Linked of string
 
 (* [exchange_hashed] for a key given as a slice of a buffer, compared in
-   place: the key string is made only for a fresh node. Written out
-   rather than through [with_stripe_hashed], so no closure is built. *)
+   place: the key string is made only for a fresh node. *)
 let exchange_slice t ~hash buf off len v =
   if off < 0 || len < 0 || off > Bytes.length buf - len then
     invalid_arg "Rp_ht.exchange_slice: the slice exceeds the buffer";
-  let i = stripe_of_hash t hash in
-  lock_stripe t i;
+  let i = enter_key t ~hash in
   match
-    ensure_bucket_split t ~hash;
     let table = Atomic.get t.current in
     match search_slice hash buf off len (Array.unsafe_get table.buckets (bucket_index table hash)) with
     | Node n ->
@@ -883,8 +897,7 @@ let exchange_slice t ~hash buf off len v =
         Linked key
   with
   | r ->
-      Mutex.unlock t.stripes.(i);
-      maybe_auto_resize t;
+      leave_key t i;
       r
   | exception e ->
       Mutex.unlock t.stripes.(i);

@@ -419,10 +419,9 @@ let test_get_many_batch_allocation () =
   Store.reader_offline store
 
 (* Allocation gate for a same-size SET overwrite on Rp/QSBR (no timing
-   involved): the clock reading's box (2 words), the slab class lookup's
-   [Some] (2), the new item (7), the table exchange's [Some] (2) and the
-   closures around the store's (12) and the table's (7) stripe
-   sections. *)
+   involved): the clock reading's box (2 words), the new item (7), the
+   table exchange's [Some] (2) and the closure around the store's stripe
+   section (12); it reads 23. *)
 let test_set_overwrite_allocation () =
   let store = Store.create ~backend:Store.Rp ~rcu_mode:Store.Qsbr ~initial_size:64 () in
   let data = String.make 100 'x' in
