@@ -14,6 +14,15 @@
 # operations. Server and generator are pinned to two CPUs when taskset
 # and two CPUs exist.
 #
+# Every workload also prints the GC's largest major heap (top_heap_words,
+# as MiB) and its mean_space_overhead (the garbage it carried, as a
+# percentage of live data); socket workloads add the server's peak RSS
+# (VmHWM, read just before it is stopped). An OCAMLRUNPARAM already in
+# the environment is kept, with v=0x400 added, so a GC setting can be
+# swept from the command line:
+#
+#   OCAMLRUNPARAM=o=40 bench/gc_report.sh set_evict_mix 1
+#
 # table_resize runs in process: `pb table` for 10 s under the same
 # OCAMLRUNPARAM. The process totals (its five table builds included) are
 # divided by the timed lookups and by the resizes completed, beside the
@@ -34,6 +43,8 @@ case $workload in
     ;;
 esac
 
+gcparam="v=0x400${OCAMLRUNPARAM:+,$OCAMLRUNPARAM}"
+
 dir=$(mktemp -d)
 srv=""
 cleanup() {
@@ -44,7 +55,7 @@ trap cleanup EXIT INT TERM
 
 if [ "$workload" = table_resize ]; then
   dune build ./perfbench/pb.exe
-  OCAMLRUNPARAM=v=0x400 _build/default/perfbench/pb.exe table --workload table_resize \
+  OCAMLRUNPARAM=$gcparam _build/default/perfbench/pb.exe table --workload table_resize \
     --seed "$seed" --seconds 10 >"$dir/run.txt" 2>"$dir/gc.txt"
 else
   dune build ./perfbench/pb.exe ./bin/memcached_server.exe
@@ -62,21 +73,22 @@ print(' '.join(run.SERVER_BASE + run.SERVER_FLAGS['$workload']))")
   fi
 
   # shellcheck disable=SC2086
-  OCAMLRUNPARAM=v=0x400 $pin_srv _build/default/bin/memcached_server.exe $flags \
+  OCAMLRUNPARAM=$gcparam $pin_srv _build/default/bin/memcached_server.exe $flags \
     --socket "$dir/mc.sock" >"$dir/server.out" 2>"$dir/gc.txt" &
   srv=$!
   # shellcheck disable=SC2086
   $pin_gen _build/default/perfbench/pb.exe gen --workload "$workload" --socket "$dir/mc.sock" \
     --seed "$seed" --server-pid "$srv" --seconds 5 >"$dir/run.txt"
+  grep VmHWM "/proc/$srv/status" >"$dir/hwm.txt" || true
   kill -TERM "$srv"
   wait "$srv" || true
   srv=""
 fi
 
-python3 - "$workload" "$seed" "$dir/run.txt" "$dir/gc.txt" <<'EOF'
-import json, sys
+python3 - "$workload" "$seed" "$dir/run.txt" "$dir/gc.txt" "$dir/hwm.txt" <<'EOF'
+import json, os, sys
 
-workload, seed, run_path, gc_path = sys.argv[1:]
+workload, seed, run_path, gc_path, hwm_path = sys.argv[1:]
 gc = {}
 for line in open(gc_path):
     key, sep, value = line.partition(":")
@@ -101,7 +113,6 @@ if workload == "table_resize":
                         ("direct_major", direct)):
         print("%-30s%.3f" % (name + "_words_per_lookup", words / max(lookups, 1)))
         print("%-30s%.0f" % (name + "_words_per_resize", words / max(resizes, 1)))
-    print("top_heap_words                %d" % gc["top_heap_words"])
     print("major_cycles                  %d" % gc["major_collections"])
 else:
     ready = json.loads(lines[0][len("ready "):])
@@ -113,6 +124,13 @@ else:
     print("promoted_words_per_op       %.2f" % (gc["promoted_words"] / ops))
     print("direct_major_words_per_op   %.2f" % (direct / ops))
     print("major_cycles_per_mop        %.2f" % (gc["major_collections"] * 1e6 / ops))
+print("top_heap_words              %d (%.1f MiB)"
+      % (gc["top_heap_words"], gc["top_heap_words"] * 8 / 2**20))
+if "mean_space_overhead" in gc:
+    print("mean_space_overhead         %.1f" % gc["mean_space_overhead"])
+if os.path.exists(hwm_path) and os.path.getsize(hwm_path) > 0:
+    kb = float(open(hwm_path).read().split()[1])
+    print("server_vmhwm                %.1f MiB" % (kb / 1024))
 print("totals: major_words %d, promoted_words %d, direct_major_words %d, major_collections %d"
       % (gc["major_words"], gc["promoted_words"], direct, gc["major_collections"]))
 EOF

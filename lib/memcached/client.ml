@@ -120,9 +120,6 @@ let of_servers ?retries ?(eject_after = 3) ?(rejoin_after = 0.5) servers =
 
 let close t = Array.iter close_member t.members
 
-let servers t =
-  Array.to_list (Array.map (fun m -> (m.m_host, m.m_port, m.m_weight)) t.members)
-
 (* --- ejection / rejoin --- *)
 
 let ejected m ~now = m.m_ejected_until > now

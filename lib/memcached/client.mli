@@ -46,10 +46,6 @@ val of_servers :
 
 val close : t -> unit
 
-val servers : t -> (string * int * int) list
-(** The configured [(host, port, weight)] list (singleton for
-    {!connect}). *)
-
 val live_members : t -> int
 (** Members not currently ejected. *)
 

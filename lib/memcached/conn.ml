@@ -33,6 +33,7 @@ type t = {
   inbuf : Protocol.Inbuf.t;  (* read into by [fill], scanned by the parser *)
   read_size : int;  (* bytes asked of each read(2) *)
   out : Buffer.t;
+  hits : Store.Hits.t;  (* a GET stretch's values, copied out of the store *)
   (* Rendered but unwritten response bytes: [wbuf] from [pending_off] to
      [pending_len], copied out of [out] when it was flushed. *)
   mutable wbuf : Bytes.t;
@@ -54,6 +55,7 @@ let create ~id ~buffer_size ~reads ~writes fd =
     inbuf = Protocol.Inbuf.create ();
     read_size = buffer_size;
     out = Buffer.create 256;
+    hits = Store.Hits.create ();
     wbuf = Bytes.empty;
     pending_off = 0;
     pending_len = 0;
@@ -123,8 +125,11 @@ let fill t =
 
 (* The replies of get lines [l0, l1) of a run, one VALUE...END block per
    line: each hit is three appends (header, value, CRLF), its key copied
-   from the run's slice. [items] holds the lines' keys from [first]. *)
-let render_gets out (run : Protocol.Run.t) items ~first l0 l1 =
+   from the run's slice and its value from [hits], which holds the
+   lines' keys from [first]: the store copied each value out of its slab
+   chunk before its read section closed, so rendering needs no
+   section. *)
+let render_gets out (run : Protocol.Run.t) (hits : Store.Hits.t) ~first l0 l1 =
   let keys = run.keys in
   let i = ref first in
   for l = l0 to l1 - 1 do
@@ -135,11 +140,12 @@ let render_gets out (run : Protocol.Run.t) items ~first l0 l1 =
       | Protocol.Run.Get_line | Protocol.Run.Set_line | Protocol.Run.Set_noreply_line -> false
     in
     while !i < stop do
-      let item = Array.unsafe_get items (!i - first) in
-      if item != Item.none then
+      let j = !i - first in
+      let len = Array.unsafe_get hits.vlen j in
+      if len >= 0 then
         Protocol.add_value_slice out keys.buf (Array.unsafe_get keys.offs !i)
-          (Array.unsafe_get keys.lens !i) ~flags:item.Item.flags ~with_cas ~cas:item.cas
-          item.data;
+          (Array.unsafe_get keys.lens !i) ~flags:(Array.unsafe_get hits.flags j) ~with_cas
+          ~cas:(Array.unsafe_get hits.cas j) hits.vbuf (Array.unsafe_get hits.voff j) len;
       incr i
     done;
     Protocol.add_end out
@@ -151,11 +157,9 @@ let serve_gets t store ~clock (run : Protocol.Run.t) l0 =
   let rec stop l = if l < run.lines && not (Protocol.Run.is_set run l) then stop (l + 1) else l in
   let l1 = stop (l0 + 1) in
   let first = Protocol.Run.first_key run l0 in
-  let items =
-    Store.get_keys store ~clock run.keys ~first ~n:(Array.unsafe_get run.ends (l1 - 1) - first)
-  in
+  Store.get_keys store ~clock run.keys ~first ~n:(Array.unsafe_get run.ends (l1 - 1) - first) t.hits;
   let enc = Rp_trace.span_begin_sampled k_encode in
-  render_gets t.out run items ~first l0 l1;
+  render_gets t.out run t.hits ~first l0 l1;
   Rp_trace.span_end_sampled k_encode enc;
   l1
 

@@ -1,5 +1,5 @@
-(* Where an item's value lives. [Hot] values are in [data]; a [Cold]
-   item was demoted to the disk tier — [data] is empty and the location
+(* Where an item's value lives. [Hot] values are in a slab chunk; a
+   [Cold] item was demoted to the disk tier — it has no chunk and the location
    names the segment frame holding the real value (plain ints so this
    module stays free of tier dependencies). Flags, expiry and CAS stay
    in RAM either way: expiry checks and CAS arbitration never touch
@@ -11,7 +11,8 @@ type time = int
 type t = {
   flags : int;
   exptime : time;
-  data : string;
+  chunk : int;
+  len : int;
   cas : int;
   mutable last_access : time;
   location : location;
@@ -34,11 +35,11 @@ let float_of_time i = Float.ldexp (Float.of_int i) (-frac_bits)
 let next_cas = Atomic.make 1
 let overhead_bytes = 48
 
-let make ?cas ?(location = Hot) ~flags ~exptime ~data ~now () =
+let make ?cas ?(location = Hot) ~chunk ~flags ~exptime ~len ~now () =
   let cas = match cas with Some c -> c | None -> Atomic.fetch_and_add next_cas 1 in
-  { flags; exptime; data; cas; last_access = now; location }
+  { flags; exptime; chunk; len; cas; last_access = now; location }
 
-let none = make ~cas:0 ~flags:0 ~exptime:0 ~data:"" ~now:0 ()
+let none = make ~cas:0 ~chunk:Slab.no_chunk ~flags:0 ~exptime:0 ~len:0 ~now:0 ()
 
 (* Replayed items keep their original CAS; push the allocator past them so
    post-recovery items never collide with a restored version. *)
@@ -53,5 +54,5 @@ let is_cold t = match t.location with Hot -> false | Cold _ -> true
 (* A racy read-then-store of an immediate: no allocation, no write
    barrier. Two readers racing may leave the older of their stamps. *)
 let touch_access t ~now = if now > t.last_access then t.last_access <- now
-let footprint ~key_len t = key_len + String.length t.data + overhead_bytes
+let footprint ~key_len t = key_len + t.len + overhead_bytes
 let size_bytes ~key t = footprint ~key_len:(String.length key) t

@@ -1,14 +1,16 @@
 (** A stored cache item.
 
-    Immutable payload ([data], [flags], expiry) plus one mutable word the
+    Immutable payload (the value's slab chunk and length, [flags],
+    expiry) plus one mutable word the
     RP GET fast path writes from inside a read-side critical section: the
     CLOCK access stamp [last_access]. Times are immediate ints ({!time}),
     so a GET hit neither loads a boxed float nor allocates one. *)
 
 type location =
-  | Hot  (** value in [data] *)
+  | Hot  (** value in the slab chunk [chunk] *)
   | Cold of { segment : int; offset : int; len : int }
-      (** value demoted to the disk tier; [data] is empty and these plain
+      (** value demoted to the disk tier; the item has no chunk, its
+          [len] is 0, and these plain
           ints name the segment frame holding it (see {!Rp_tier.location}
           — kept as bare ints so this module has no tier dependency).
           Flags, expiry and CAS stay in RAM either way. *)
@@ -21,7 +23,12 @@ type time = int
 type t = {
   flags : int;
   exptime : time;  (** absolute expiry; 0 = never *)
-  data : string;
+  chunk : int;
+      (** the {!Slab} chunk holding the value ({!Slab.no_chunk} for an
+          empty value or a cold marker): an immediate, so the value is
+          no block of the OCaml heap. Only the store that allocated the
+          chunk can read it. *)
+  len : int;  (** value length in bytes *)
   cas : int;  (** unique version for compare-and-swap (gets/cas) *)
   mutable last_access : time;
       (** CLOCK access stamp. Plain, unsynchronised stores from
@@ -46,7 +53,8 @@ val float_of_time : time -> float
 val make :
   ?cas:int ->
   ?location:location ->
-  flags:int -> exptime:time -> data:string -> now:time -> unit -> t
+  chunk:int ->
+  flags:int -> exptime:time -> len:int -> now:time -> unit -> t
 (** [location] defaults to {!Hot}; [now] is the initial access stamp. *)
 
 val none : t
@@ -70,7 +78,7 @@ val touch_access : t -> now:time -> unit
     readers (see the field's note on the benign race). *)
 
 val size_bytes : key:string -> t -> int
-(** Approximate memory footprint used for the eviction budget: key + data +
+(** Approximate memory footprint used for the eviction budget: key + value +
     a fixed per-item overhead (matching memcached's accounting style). *)
 
 val footprint : key_len:int -> t -> int

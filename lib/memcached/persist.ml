@@ -87,7 +87,7 @@ let oplog_bytes t =
       in
       on_disk + max 0 (P.Oplog.bytes l - live_on_disk)
 
-let record_of_item key (item : Item.t) =
+let record_of_item key (item : Item.t) data =
   P.Record.Set
     {
       op = P.Record.Tset;
@@ -95,7 +95,7 @@ let record_of_item key (item : Item.t) =
       flags = item.flags;
       exptime = Item.float_of_time item.exptime;
       cas = item.cas;
-      data = item.data;
+      data;
     }
 
 (* Archive every snapshot and segment older than the generation just
@@ -174,9 +174,9 @@ let do_snapshot t =
         let now = Store.now t.store in
         let walk_span = Rp_trace.span_begin ~arg:gen k_walk in
         let restarts =
-          Store.iter_items t.store ~f:(fun key item ->
+          Store.iter_items t.store ~f:(fun key item data ->
               if not (Item.is_expired item ~now) then
-                emit (record_of_item key item))
+                emit (record_of_item key item data))
         in
         Rp_trace.span_end ~arg:restarts k_walk walk_span;
         Atomic.set t.walk_restarts (Atomic.get t.walk_restarts + restarts);

@@ -185,7 +185,7 @@ let header_scratch key_len =
     h
   end
 
-let add_value_slice buf kbuf koff klen ~flags ~with_cas ~cas data =
+let add_value_slice buf kbuf koff klen ~flags ~with_cas ~cas dbuf doff dlen =
   let h = header_scratch klen in
   let p = String.length value_prefix in
   Bytes.unsafe_blit kbuf koff h p klen;
@@ -193,7 +193,7 @@ let add_value_slice buf kbuf koff klen ~flags ~with_cas ~cas data =
   Bytes.unsafe_set h p ' ';
   let p = put_int h (p + 1) flags in
   Bytes.unsafe_set h p ' ';
-  let p = put_nat h (p + 1) (String.length data) in
+  let p = put_nat h (p + 1) dlen in
   let p =
     if with_cas then begin
       Bytes.unsafe_set h p ' ';
@@ -204,14 +204,15 @@ let add_value_slice buf kbuf koff klen ~flags ~with_cas ~cas data =
   Bytes.unsafe_set h p '\r';
   Bytes.unsafe_set h (p + 1) '\n';
   Buffer.add_subbytes buf h 0 (p + 2);
-  Buffer.add_string buf data;
+  Buffer.add_subbytes buf dbuf doff dlen;
   Buffer.add_string buf crlf
 
 let add_value buf { vkey; vflags; vdata; vcas } =
   let key = Bytes.unsafe_of_string vkey and len = String.length vkey in
+  let data = Bytes.unsafe_of_string vdata and dlen = String.length vdata in
   match vcas with
-  | None -> add_value_slice buf key 0 len ~flags:vflags ~with_cas:false ~cas:0 vdata
-  | Some cas -> add_value_slice buf key 0 len ~flags:vflags ~with_cas:true ~cas vdata
+  | None -> add_value_slice buf key 0 len ~flags:vflags ~with_cas:false ~cas:0 data 0 dlen
+  | Some cas -> add_value_slice buf key 0 len ~flags:vflags ~with_cas:true ~cas data 0 dlen
 
 (* A number reply's digits, written past the scratch's prefix: neither
    [string_of_int] nor a character at a time. *)

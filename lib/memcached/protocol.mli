@@ -75,12 +75,23 @@ val encode_response_into : Buffer.t -> response -> unit
     socket write, no per-command response string. *)
 
 val add_value_slice :
-  Buffer.t -> Bytes.t -> int -> int -> flags:int -> with_cas:bool -> cas:int -> string -> unit
-(** [add_value_slice buf key off len ~flags ~with_cas ~cas data] renders
-    one [VALUE] block of a get/gets reply — the key being [len] bytes of
-    [key] from [off], [cas] rendered only [with_cas] — as three appends
-    to [buf]: the header line, built in a reused per-domain scratch,
-    then [data], then CRLF. Allocates nothing once the scratch exists. *)
+  Buffer.t ->
+  Bytes.t ->
+  int ->
+  int ->
+  flags:int ->
+  with_cas:bool ->
+  cas:int ->
+  Bytes.t ->
+  int ->
+  int ->
+  unit
+(** [add_value_slice buf key off len ~flags ~with_cas ~cas data doff
+    dlen] renders one [VALUE] block of a get/gets reply — the key being
+    [len] bytes of [key] from [off], the value [dlen] bytes of [data]
+    from [doff], [cas] rendered only [with_cas] — as three appends to
+    [buf]: the header line, built in a reused per-domain scratch, then
+    the value, then CRLF. Allocates nothing once the scratch exists. *)
 
 val add_end : Buffer.t -> unit
 (** The [END] line closing a get/gets reply. *)

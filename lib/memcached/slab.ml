@@ -1,14 +1,86 @@
+(* A page is malloc'd memory, named by its address with the low bit set,
+   so OCaml holds it as an immediate: the GC never scans it, never counts
+   it, and is never sped up by it. [create] attaches a finaliser that
+   frees a slab's pages once the slab is unreachable. *)
+type page = int
+
+external blit_page_to_bytes : page -> int -> Bytes.t -> int -> int -> unit
+  = "slab_blit_to_bytes"
+[@@noalloc]
+
+external blit_bytes_to_page : Bytes.t -> int -> page -> int -> int -> unit
+  = "slab_blit_from_bytes"
+[@@noalloc]
+
+external page_create : int -> page = "slab_page_create"
+external page_free : page -> unit = "slab_page_free" [@@noalloc]
+external prefetch_page : page -> int -> int -> unit = "slab_prefetch" [@@noalloc]
+external prefetch_page_write : page -> int -> int -> unit = "slab_prefetch_write" [@@noalloc]
+
 type cls = {
   chunk_size : int;
   used_chunks : int Atomic.t;
   used_bytes : int Atomic.t;
+  (* Value memory: free chunks (a stack of chunk ids, made room for a
+     page's worth of chunks when the class gets its first page and
+     doubled when a free finds it full) and the page being carved,
+     under [mu]. *)
+  mu : Mutex.t;
+  mutable free : int array;
+  mutable nfree : int;
+  mutable carve : int;  (* next chunk id to carve; [carve_end] when the page is used up *)
+  mutable carve_end : int;
+  per_page : int;
+  mag_size : int;  (* chunks a magazine takes per refill *)
+}
+
+(* The page directory: a page's memory and the class it is carved for.
+   It only grows; a grown copy is published whole, so a reader holding a
+   chunk id finds its page in whichever copy it loads. *)
+type dir = { pages : page array; owner : int array }
+
+(* A domain's own chunks: one magazine per class to allocate from, and
+   the limbo batch of chunks retired since its last hand-off. [busy]
+   guards against a sibling systhread of the same domain. *)
+type local = {
+  mutable busy : bool;
+  mags : int array array;
+  counts : int array;
+  limbo : int array;
+  mutable nlimbo : int;
+  mutable limbo_bytes : int;
 }
 
 type t = {
   classes : cls array;
   allocated : int Atomic.t;
   requested : int Atomic.t;
+  page_bits : int;
+  dir : dir Atomic.t;
+  mutable npages : int;  (* under [grow_mu] *)
+  grow_mu : Mutex.t;
+  local : local Domain.DLS.key;
+  limbo_pending : int Atomic.t;  (* bytes handed to [call_rcu], not yet released *)
 }
+
+let no_chunk = -1
+
+(* A magazine refill takes at most this many bytes of one class. *)
+let mag_bytes = 64 * 1024
+
+(* A limbo batch is handed to [call_rcu] at this many chunks or bytes. *)
+let limbo_chunks = 64
+let limbo_batch_bytes = 256 * 1024
+
+(* Past this many bytes waiting for a grace period, the retiring writer
+   waits one out itself. *)
+let limbo_cap = 16 * 1024 * 1024
+
+let free_pages t =
+  let d = Atomic.get t.dir in
+  for p = 0 to t.npages - 1 do
+    page_free d.pages.(p)
+  done
 
 let create ?(base_chunk = 96) ?(growth_factor = 1.25) ?(max_chunk = 1 lsl 20) () =
   if base_chunk <= 0 then invalid_arg "Slab.create: base_chunk <= 0";
@@ -27,45 +99,79 @@ let create ?(base_chunk = 96) ?(growth_factor = 1.25) ?(max_chunk = 1 lsl 20) ()
     end
   in
   let sizes = ladder [] base_chunk in
-  {
-    classes =
-      Array.of_list
-        (List.map
-           (fun chunk_size ->
-             {
-               chunk_size;
-               used_chunks = Atomic.make 0;
-               used_bytes = Atomic.make 0;
-             })
-           sizes);
-    allocated = Atomic.make 0;
-    requested = Atomic.make 0;
-  }
+  (* Pages are 1 MiB, or the largest chunk rounded up to a power of two. *)
+  let rec bits b = if 1 lsl b >= max_chunk then b else bits (b + 1) in
+  let page_bits = bits 20 in
+  let nclasses = List.length sizes in
+  let t =
+    {
+      classes =
+        Array.of_list
+          (List.map
+             (fun chunk_size ->
+               {
+                 chunk_size;
+                 used_chunks = Atomic.make 0;
+                 used_bytes = Atomic.make 0;
+                 mu = Mutex.create ();
+                 free = [||];
+                 nfree = 0;
+                 carve = 0;
+                 carve_end = 0;
+                 per_page = (1 lsl page_bits) / chunk_size;
+                 mag_size = max 1 (min 32 (mag_bytes / chunk_size));
+               })
+             sizes);
+      allocated = Atomic.make 0;
+      requested = Atomic.make 0;
+      page_bits;
+      dir = Atomic.make { pages = [||]; owner = [||] };
+      npages = 0;
+      grow_mu = Mutex.create ();
+      local =
+        Domain.DLS.new_key (fun () ->
+            {
+              busy = false;
+              mags = Array.make nclasses [||];
+              counts = Array.make nclasses 0;
+              limbo = Array.make limbo_chunks no_chunk;
+              nlimbo = 0;
+              limbo_bytes = 0;
+            });
+      limbo_pending = Atomic.make 0;
+    }
+  in
+  Gc.finalise free_pages t;
+  t
 
 let class_count t = Array.length t.classes
 let chunk_sizes t = Array.map (fun c -> c.chunk_size) t.classes
 let chunk_size_of t i = t.classes.(i).chunk_size
 
-(* Binary search for the smallest class with chunk_size >= size. *)
-let class_of_size t size =
+(* Binary search for the smallest class with chunk_size >= size; -1 when
+   even the largest is too small. *)
+let class_index t size =
   let n = Array.length t.classes in
-  if size > t.classes.(n - 1).chunk_size then None
+  if size > t.classes.(n - 1).chunk_size then -1
   else begin
     let lo = ref 0 and hi = ref (n - 1) in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
       if t.classes.(mid).chunk_size < size then lo := mid + 1 else hi := mid
     done;
-    Some !lo
+    !lo
   end
+
+let class_of_size t size =
+  match class_index t size with -1 -> None | i -> Some i
 
 (* The largest class's chunk holds [size] bytes. *)
 let fits t size = size <= t.classes.(Array.length t.classes - 1).chunk_size
 
 let charge t size =
-  match class_of_size t size with
-  | None -> None
-  | Some i ->
+  match class_index t size with
+  | -1 -> None
+  | i ->
       let c = t.classes.(i) in
       ignore (Atomic.fetch_and_add c.used_chunks 1);
       ignore (Atomic.fetch_and_add c.used_bytes size);
@@ -74,9 +180,9 @@ let charge t size =
       Some c.chunk_size
 
 let refund t size =
-  match class_of_size t size with
-  | None -> ()
-  | Some i ->
+  match class_index t size with
+  | -1 -> ()
+  | i ->
       let c = t.classes.(i) in
       ignore (Atomic.fetch_and_add c.used_chunks (-1));
       ignore (Atomic.fetch_and_add c.used_bytes (-size));
@@ -105,3 +211,211 @@ let stats t =
                used_chunks = used;
                used_bytes = Atomic.get c.used_bytes;
              })
+
+(* --- value memory --- *)
+
+let pages t = t.npages
+let page_of t chunk = Array.unsafe_get (Atomic.get t.dir).pages (chunk lsr t.page_bits)
+let offset_of t chunk = chunk land ((1 lsl t.page_bits) - 1)
+let class_of_chunk t chunk = (Atomic.get t.dir).owner.(chunk lsr t.page_bits)
+
+(* A fresh page for class [c], its index returned ([c]'s mutex held;
+   [grow_mu] is a leaf below it). *)
+let new_page t c =
+  Mutex.lock t.grow_mu;
+  let p = t.npages in
+  let d = Atomic.get t.dir in
+  let d =
+    if p < Array.length d.pages then d
+    else begin
+      let n = max 8 (2 * p) in
+      let grown =
+        {
+          pages = Array.init n (fun i -> if i < p then d.pages.(i) else 0);
+          owner = Array.init n (fun i -> if i < p then d.owner.(i) else -1);
+        }
+      in
+      Atomic.set t.dir grown;
+      grown
+    end
+  in
+  (match page_create (1 lsl t.page_bits) with
+  | page ->
+      d.pages.(p) <- page;
+      d.owner.(p) <- c;
+      t.npages <- p + 1;
+      Mutex.unlock t.grow_mu
+  | exception e ->
+      Mutex.unlock t.grow_mu;
+      raise e);
+  p
+
+(* One chunk of class [c]: the most recently freed, else the next one
+   carved ([c]'s mutex held). *)
+let take t c (cls : cls) =
+  if cls.nfree > 0 then begin
+    cls.nfree <- cls.nfree - 1;
+    Array.unsafe_get cls.free cls.nfree
+  end
+  else begin
+    if cls.carve >= cls.carve_end then begin
+      let p = new_page t c in
+      if Array.length cls.free = 0 then cls.free <- Array.make cls.per_page no_chunk;
+      cls.carve <- p lsl t.page_bits;
+      cls.carve_end <- cls.carve + (cls.per_page * cls.chunk_size)
+    end;
+    let chunk = cls.carve in
+    cls.carve <- chunk + cls.chunk_size;
+    chunk
+  end
+
+let with_class (cls : cls) f =
+  Mutex.lock cls.mu;
+  match f () with
+  | v ->
+      Mutex.unlock cls.mu;
+      v
+  | exception e ->
+      Mutex.unlock cls.mu;
+      raise e
+
+(* A freed chunk comes back cold: the next one a magazine hands out is
+   asked for ahead of its write, so the value's copy into it does not
+   wait on its lines (the next SET of the class usually follows within
+   the same pipelined run). *)
+let warm_next t mag n (cls : cls) =
+  if n > 0 then begin
+    let chunk = Array.unsafe_get mag (n - 1) in
+    prefetch_page_write (page_of t chunk) (offset_of t chunk) (Int.min cls.chunk_size 512)
+  end
+
+(* Fill the domain's empty magazine of class [c], then take from it. *)
+let refill t l c =
+  let cls = t.classes.(c) in
+  if Array.length l.mags.(c) = 0 then l.mags.(c) <- Array.make cls.mag_size no_chunk;
+  let mag = l.mags.(c) in
+  with_class cls (fun () ->
+      for i = 0 to cls.mag_size - 1 do
+        mag.(i) <- take t c cls;
+        l.counts.(c) <- i + 1
+      done);
+  let n = l.counts.(c) - 1 in
+  l.counts.(c) <- n;
+  warm_next t mag n cls;
+  mag.(n)
+
+let alloc t len =
+  if len = 0 then no_chunk
+  else
+    match class_index t len with
+    | -1 -> invalid_arg "Slab.alloc: larger than the largest chunk"
+    | c ->
+        let l = Domain.DLS.get t.local in
+        if l.busy then
+          let cls = t.classes.(c) in
+          with_class cls (fun () -> take t c cls)
+        else begin
+          l.busy <- true;
+          let n = Array.unsafe_get l.counts c in
+          if n > 0 then begin
+            let mag = Array.unsafe_get l.mags c in
+            Array.unsafe_set l.counts c (n - 1);
+            l.busy <- false;
+            warm_next t mag (n - 1) (Array.unsafe_get t.classes c);
+            Array.unsafe_get mag (n - 1)
+          end
+          else
+            match refill t l c with
+            | chunk ->
+                l.busy <- false;
+                chunk
+            | exception e ->
+                l.busy <- false;
+                raise e
+        end
+
+(* Push a chunk on its class's free list ([cls]'s mutex held). *)
+let push (cls : cls) chunk =
+  if cls.nfree = Array.length cls.free then begin
+    let grown = Array.make (2 * cls.nfree) no_chunk in
+    Array.blit cls.free 0 grown 0 cls.nfree;
+    cls.free <- grown
+  end;
+  Array.unsafe_set cls.free cls.nfree chunk;
+  cls.nfree <- cls.nfree + 1
+
+let free_chunk t chunk =
+  let cls = t.classes.(class_of_chunk t chunk) in
+  Mutex.lock cls.mu;
+  push cls chunk;
+  Mutex.unlock cls.mu
+
+(* A limbo batch back on its free lists, each run of chunks of one class
+   (usually the whole batch) under one hold of the class's mutex. *)
+let free_batch t batch =
+  let n = Array.length batch in
+  let i = ref 0 in
+  while !i < n do
+    let c = class_of_chunk t batch.(!i) in
+    let cls = t.classes.(c) in
+    Mutex.lock cls.mu;
+    while !i < n && class_of_chunk t batch.(!i) = c do
+      push cls batch.(!i);
+      incr i
+    done;
+    Mutex.unlock cls.mu
+  done
+
+let free t chunk = if chunk <> no_chunk then free_chunk t chunk
+
+(* A closed limbo batch: back to the free lists one grace period after
+   this call, or at once when too much is already waiting. *)
+let defer t rcu batch bytes =
+  let pending = Atomic.fetch_and_add t.limbo_pending bytes + bytes in
+  Rcu.call_rcu rcu (fun () ->
+      free_batch t batch;
+      ignore (Atomic.fetch_and_add t.limbo_pending (-bytes)));
+  if pending > limbo_cap then Rcu.barrier rcu
+
+let retire t rcu chunk =
+  if chunk <> no_chunk then begin
+    let size = t.classes.(class_of_chunk t chunk).chunk_size in
+    let l = Domain.DLS.get t.local in
+    if l.busy then defer t rcu [| chunk |] size
+    else begin
+      l.busy <- true;
+      let n = l.nlimbo + 1 in
+      l.limbo.(n - 1) <- chunk;
+      l.nlimbo <- n;
+      l.limbo_bytes <- l.limbo_bytes + size;
+      if n = limbo_chunks || l.limbo_bytes >= limbo_batch_bytes then begin
+        let batch = Array.sub l.limbo 0 n and bytes = l.limbo_bytes in
+        l.nlimbo <- 0;
+        l.limbo_bytes <- 0;
+        l.busy <- false;
+        defer t rcu batch bytes
+      end
+      else l.busy <- false
+    end
+  end
+
+let limbo_bytes t = Atomic.get t.limbo_pending
+
+let check_bytes name b off len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg name
+
+let write t chunk src off len =
+  check_bytes "Slab.write" src off len;
+  if len > 0 then blit_bytes_to_page src off (page_of t chunk) (offset_of t chunk) len
+
+let blit t chunk dst off len =
+  check_bytes "Slab.blit" dst off len;
+  if len > 0 then blit_page_to_bytes (page_of t chunk) (offset_of t chunk) dst off len
+
+let read t chunk len =
+  let b = Bytes.create len in
+  blit t chunk b 0 len;
+  Bytes.unsafe_to_string b
+
+let prefetch t chunk len =
+  if chunk <> no_chunk && len > 0 then prefetch_page (page_of t chunk) (offset_of t chunk) len

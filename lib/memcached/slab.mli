@@ -1,4 +1,6 @@
-(** Slab-class memory accounting, after stock memcached's slab allocator.
+(** Slab classes, after stock memcached's slab allocator: the memory
+    accounting the eviction budget is charged in, and the off-heap pages
+    that hold the values.
 
     memcached never allocates items exactly: it rounds each item up to the
     chunk size of a {e slab class} (a geometric ladder of sizes), carving
@@ -6,9 +8,27 @@
     and its chunk is internal fragmentation — visible in `stats slabs` and
     decisive for when eviction starts.
 
-    OCaml's GC owns the real memory, so this module reproduces the
-    {e accounting}: the store charges each item to its class and evicts
-    against chunk bytes, not raw bytes, matching stock behaviour. *)
+    {b Accounting.} The store charges each item (key + value + a fixed
+    overhead, {!Item.footprint}) to its class and evicts against chunk
+    bytes, not raw bytes, matching stock behaviour.
+
+    {b Value memory.} Values live outside the OCaml heap, so the GC
+    neither scans them nor counts them as live data when it paces itself.
+    Each class owns 1 MiB pages — malloc'd memory, held by OCaml as
+    immediates and freed when the slab is collected — carved into chunks
+    of its size; a value takes one chunk of the class for its length
+    ({!alloc}), named by an immediate int. A domain allocates from its own
+    magazine per class, refilled from the class's free list under the
+    class's mutex, so an allocation usually takes no lock.
+
+    A chunk is reused only after a grace period ({!retire}): a reader may
+    still be copying the value it held. Retired chunks gather in the
+    retiring domain's limbo batch; each full batch (64 chunks or 256 KiB)
+    goes to {!Rcu.call_rcu} as one callback, which returns it to the free
+    lists. The reader's side of the bargain: every copy out of a chunk
+    happens inside the read-side critical section that loaded the item
+    naming it, or under a lock that keeps the item in its table.
+    Pages are never returned to the system. *)
 
 type t
 
@@ -32,6 +52,8 @@ val fits : t -> int -> bool
 
 val chunk_size_of : t -> int -> int
 (** Chunk size of a class index. *)
+
+(** {1 Accounting} *)
 
 val charge : t -> int -> int option
 (** Account one item of [size] bytes: returns the chunk size charged, or
@@ -58,3 +80,45 @@ type class_stats = {
 
 val stats : t -> class_stats list
 (** Per-class usage, non-empty classes only, ascending chunk size. *)
+
+(** {1 Value memory} *)
+
+val no_chunk : int
+(** The chunk of an empty value: names no memory. *)
+
+val alloc : t -> int -> int
+(** A chunk that holds [len] bytes, from the calling domain's magazine
+    ({!no_chunk} for [len = 0]). Raises [Invalid_argument] when [len]
+    exceeds the largest chunk. Thread-safe. *)
+
+val write : t -> int -> Bytes.t -> int -> int -> unit
+(** [write t chunk src off len] copies [len] bytes of [src] from [off]
+    into [chunk] (one memcpy). [len] must not exceed the chunk. *)
+
+val blit : t -> int -> Bytes.t -> int -> int -> unit
+(** [blit t chunk dst off len] copies the first [len] bytes of [chunk]
+    into [dst] at [off] (one memcpy). See the reader's rule above. *)
+
+val read : t -> int -> int -> string
+(** [read t chunk len]: a fresh string of the chunk's first [len] bytes. *)
+
+val prefetch : t -> int -> int -> unit
+(** [prefetch t chunk len]: cache hints for every line of the first
+    [len] bytes of [chunk]; changes nothing, skips {!no_chunk}. *)
+
+val free : t -> int -> unit
+(** Return a chunk to its class at once: for a store whose readers copy
+    values under the same lock its writers hold. Skips {!no_chunk}. *)
+
+val retire : t -> Rcu.t -> int -> unit
+(** Return a chunk to its class once every reader of [rcu] that may hold
+    it has left its read section: through the calling domain's limbo
+    batch and {!Rcu.call_rcu}. A writer that finds more than 16 MiB
+    waiting waits with {!Rcu.barrier}, so it must not be inside a read
+    section of [rcu]. Skips {!no_chunk}. *)
+
+val limbo_bytes : t -> int
+(** Chunk bytes handed to {!Rcu.call_rcu} and not yet returned. *)
+
+val pages : t -> int
+(** Pages allocated so far (1 MiB each by default). *)

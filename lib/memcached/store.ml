@@ -6,6 +6,8 @@ type stored_result = Stored | Not_stored | Exists | Not_found | Too_large
 type counter_result = Cnotfound | Cnon_numeric | Cvalue of int
 type tier_read_error = Store_core.tier_read_error = Tier_gone | Tier_torn
 
+module Hits = Store_core.Hits
+
 type tier_hooks = Store_core.tier_hooks = {
   th_demote : string -> string -> (int * int * int) option;
   th_read : int * int * int -> (string * string, tier_read_error) result;
@@ -80,7 +82,7 @@ let absolute_exptime ~clock exptime =
    the log a faithful per-key history. *)
 let record t r = match t.persist_hook with None -> () | Some h -> h r
 
-let record_set t ~op key item = log_set t.persist_hook ~op key item
+let record_set t ~op key item = log_set t.c t.persist_hook ~op key item
 
 (* Mutations note their key in the heat plane (one branch when off);
    [heat_mutation] is for those with no payload of their own (touch,
@@ -99,46 +101,76 @@ let clock t = t.c.clock ()
 
 (* The multiget path: one [cmd_get] add for the whole batch, read at the
    caller's clock reading. *)
-let get_keys t ~clock (keys : Protocol.Keys.t) ~first ~n =
+let get_keys t ~clock (keys : Protocol.Keys.t) ~first ~n hits =
   if first < 0 || n < 0 || first > keys.n - n then invalid_arg "Store.get_keys";
   Rp_obs.Counter.add t.c.cmd_get n;
-  t.b.get_keys ~now:(Item.time_of_float clock) keys ~first ~n
+  t.b.get_keys ~now:(Item.time_of_float clock) keys ~first ~n hits
 
 let prefetch t keys = t.b.prefetch keys
 
-(* A domain's key slices for [get_many], reused across calls. Systhreads
-   on one domain (a follower's apply thread, an in-process bench client)
-   share them; one that finds them [busy] (a sibling was switched out
-   mid-call) stages into fresh ones. *)
-type staging = { mutable busy : bool; keys : Protocol.Keys.t }
+(* A domain's key slices and hits for [get_many], reused across calls.
+   Systhreads on one domain (a follower's apply thread, an in-process
+   bench client) share them; one that finds them [busy] (a sibling was
+   switched out mid-call) stages into fresh ones. *)
+type staging = { mutable busy : bool; keys : Protocol.Keys.t; hits : Hits.t }
 
-let staging_key = Domain.DLS.new_key (fun () -> { busy = false; keys = Protocol.Keys.create () })
+let fresh_staging () = { busy = false; keys = Protocol.Keys.create (); hits = Hits.create () }
+let staging_key = Domain.DLS.new_key fresh_staging
 
-let rec values ~with_cas items i = function
+(* The replies: each hit's value is a fresh string copied from the
+   staging, its [vkey] the requested key. *)
+let rec values ~with_cas hits j = function
   | [] -> []
   | key :: rest ->
-      let item = Array.unsafe_get items i in
-      if item == Item.none then values ~with_cas items (i + 1) rest
-      else value_of_item ~with_cas key item :: values ~with_cas items (i + 1) rest
+      if not (Hits.hit hits j) then values ~with_cas hits (j + 1) rest
+      else
+        let v : Protocol.value =
+          {
+            vkey = key;
+            vflags = hits.Hits.flags.(j);
+            vdata = Hits.value hits j;
+            vcas = (if with_cas then Some hits.cas.(j) else None);
+          }
+        in
+        v :: values ~with_cas hits (j + 1) rest
 
 (* String keys in, replies out, through the same lookup as a text GET
    run: the keys are copied into the domain's slices first. *)
 let get_many t ?(with_cas = false) keys =
   let shared = Domain.DLS.get staging_key in
-  let s = if shared.busy then { busy = false; keys = Protocol.Keys.create () } else shared in
+  let s = if shared.busy then fresh_staging () else shared in
   s.busy <- true;
   Protocol.Keys.stage s.keys keys;
-  match get_keys t ~clock:(clock t) s.keys ~first:0 ~n:s.keys.n with
-  | items ->
+  match get_keys t ~clock:(clock t) s.keys ~first:0 ~n:s.keys.n s.hits with
+  | () ->
       s.busy <- false;
-      values ~with_cas items 0 keys
+      values ~with_cas s.hits 0 keys
   | exception e ->
       s.busy <- false;
       raise e
 
+(* A lone GET through the backend's one-key path, into the domain's
+   hits. *)
 let get t key =
   Rp_obs.Counter.incr t.c.cmd_get;
-  t.b.get ~now:(now t) key
+  let shared = Domain.DLS.get staging_key in
+  let s = if shared.busy then fresh_staging () else shared in
+  s.busy <- true;
+  match t.b.get ~now:(now t) key s.hits with
+  | () ->
+      s.busy <- false;
+      if Hits.hit s.hits 0 then
+        Some
+          {
+            Protocol.vkey = key;
+            vflags = s.hits.flags.(0);
+            vdata = Hits.value s.hits 0;
+            vcas = None;
+          }
+      else None
+  | exception e ->
+      s.busy <- false;
+      raise e
 
 (* --- storage commands --- *)
 
@@ -175,7 +207,7 @@ let storage_command ?guard t ~op ~key ~flags ~exptime ~data =
         match verdict with
         | Error result -> result
         | Ok () ->
-            let item = Item.make ~flags ~exptime ~data ~now () in
+            let item = item_of_string t.c ~flags ~exptime ~now data in
             t.b.store ~hash key item;
             record_set t ~op key item;
             Stored)
@@ -186,8 +218,9 @@ let set t ~key ~flags ~exptime ~data =
 (* A SET read in place: key [i] of [keys] (its hash already computed),
    its data the [len] bytes of [keys.buf] from [off], at the caller's
    reading [clock] of the store's clock. [storage_command]'s steps with
-   no guard, in one route whatever is attached: the data is copied out
-   only once it is known to fit, and the backend takes the key's lock
+   no guard, in one route whatever is attached: the data is copied
+   straight from the buffer into a slab chunk once it is known to fit,
+   and the backend takes the key's lock
    itself (no closure) and compares the key in place. The key string is
    made only for a new binding, the heat plane or the op log. *)
 let set_slice t ~clock (keys : Protocol.Keys.t) i ~flags ~exptime ~off ~len =
@@ -201,8 +234,8 @@ let set_slice t ~clock (keys : Protocol.Keys.t) i ~flags ~exptime ~off ~len =
   if not (fits t ~key_len:klen ~data_len:len) then Too_large
   else begin
     let item =
-      Item.make ~flags ~exptime:(absolute_exptime ~clock exptime)
-        ~data:(Bytes.sub_string keys.buf off len) ~now:(Item.time_of_float clock) ()
+      make_item t.c ~flags ~exptime:(absolute_exptime ~clock exptime)
+        ~now:(Item.time_of_float clock) keys.buf off len
     in
     t.b.set ~hash:keys.hashes.(i) ~log:t.persist_hook keys.buf koff klen item;
     t.b.budget ();
@@ -261,7 +294,7 @@ let concat_command t ~op ~key ~data ~build =
       if not (fits_slab t ~key ~data:combined) then Too_large
       else begin
         put t ~hash ~op key
-          (Item.make ~flags:item.flags ~exptime:item.exptime ~data:combined ~now ());
+          (item_of_string t.c ~flags:item.flags ~exptime:item.exptime ~now combined);
         Stored
       end)
 
@@ -300,8 +333,8 @@ let counter_command t ~op key delta ~apply =
              incr against a snapshot that already absorbed it must not
              double. *)
           put t ~hash ~op key
-            (Item.make ~flags:item.flags ~exptime:item.exptime
-               ~data:(string_of_int next) ~now ());
+            (item_of_string t.c ~flags:item.flags ~exptime:item.exptime ~now
+               (string_of_int next));
           Cvalue next)
 
 let incr t key delta =
@@ -321,7 +354,7 @@ let touch t ~key ~exptime =
   let exptime = absolute_exptime ~clock exptime in
   read_modify_write t ~key ~now ~missing:false (fun ~hash (item : Item.t) data ->
       put t ~hash ~op:Rp_persist.Record.Ttouch key
-        (Item.make ~cas:item.cas ~flags:item.flags ~exptime ~data ~now ());
+        (item_of_string t.c ~cas:item.cas ~flags:item.flags ~exptime ~now data);
       true)
 
 let flush_all_with t ~log =
@@ -360,12 +393,10 @@ let apply_record ?(log = false) t r =
   | Rp_persist.Record.Set { key; flags; exptime; cas; data; _ } ->
       Item.note_restored_cas cas;
       let now = now t in
-      let item =
-        Item.make ~cas ~flags ~exptime:(Item.time_of_float exptime) ~data ~now ()
-      in
+      let exptime = Item.time_of_float exptime in
       locked key (fun hash ->
-          if Item.is_expired item ~now then ignore (t.b.remove ~hash key)
-          else t.b.store ~hash key item)
+          if exptime > 0 && exptime <= now then ignore (t.b.remove ~hash key)
+          else t.b.store ~hash key (item_of_string t.c ~cas ~flags ~exptime ~now data))
   | Rp_persist.Record.Delete key -> locked key (fun hash -> ignore (t.b.remove ~hash key))
   | Rp_persist.Record.Flush_all -> flush_all_with t ~log
 
@@ -408,9 +439,9 @@ let tier_relocate t ~key ~from_:(sfrom, ofrom, lfrom) ~relocate =
           match relocate () with
           | Some (segment, offset, len) ->
               t.b.store ~hash key
-                (Item.make ~cas:item.cas
+                (Item.make ~cas:item.cas ~chunk:Slab.no_chunk
                    ~location:(Item.Cold { segment; offset; len })
-                   ~flags:item.flags ~exptime:item.exptime ~data:""
+                   ~flags:item.flags ~exptime:item.exptime ~len:0
                    ~now:item.last_access ());
               true
           | None -> false)
@@ -541,6 +572,10 @@ let create ?(backend = Rp) ?(rcu_mode = Memb) ?(max_bytes = 64 * 1024 * 1024)
       Slab.fragmentation c.slab);
   gauge "slab_classes_in_use" "slab classes with at least one chunk" (fun () ->
       float_of_int (List.length (Slab.stats c.slab)));
+  gauge "slab_pages" "off-heap value pages allocated (1 MiB each)" (fun () ->
+      float_of_int (Slab.pages c.slab));
+  gauge "slab_limbo_bytes" "retired value chunks waiting for a grace period, bytes" (fun () ->
+      float_of_int (Slab.limbo_bytes c.slab));
   gauge "hash_buckets" "current bucket count of the backing table" (fun () ->
       float_of_int (b.buckets ()));
   b.observe ();

@@ -87,34 +87,64 @@ val reader_offline : t -> unit
 (** {1 Commands} *)
 
 val get : t -> string -> Protocol.value option
-(** The GET path whose scalability the paper's figure 5 measures. *)
+(** The GET path whose scalability the paper's figure 5 measures: on
+    the {!Rp} backend one wait-free lookup in a read section of its own,
+    the value copied out of its slab chunk inside it. *)
 
 val clock : t -> float
 (** A reading of the store's clock (the [clock] it was created with). *)
 
-val get_keys : t -> clock:float -> Protocol.Keys.t -> first:int -> n:int -> Item.t array
+(** A batch's replies, reused from batch to batch: for key [j] of the
+    batch, [vlen.(j)] is -1 for a miss, else the value is the [vlen.(j)]
+    bytes of [vbuf] from [voff.(j)], with [flags.(j)] and [cas.(j)].
+    The values are copies, made inside the read section (or under the
+    lock) that found their items, so they stay valid whatever the store
+    does next. *)
+module Hits : sig
+  type t = private {
+    mutable flags : int array;
+    mutable cas : int array;
+    mutable voff : int array;
+    mutable vlen : int array;
+    mutable src : int array;
+    mutable vbuf : Bytes.t;
+    mutable fill : int;
+  }
+
+  val create : unit -> t
+  val hit : t -> int -> bool
+
+  val value : t -> int -> string
+  (** A fresh string of key [j]'s value. *)
+end
+
+val get_keys : t -> clock:float -> Protocol.Keys.t -> first:int -> n:int -> Hits.t -> unit
 (** The multiget path a connection's run of text [get] lines takes: the
-    live item of each of the [n] keys from index [first] of the slices,
-    or {!Item.none} for a miss, in key order (the key at [first + j] at
-    index [j]), as of the caller's reading [clock] of the store's clock.
+    live value of each of the [n] keys from index [first] of the slices,
+    copied into the hits in key order (the key at [first + j] at index
+    [j]), as of the caller's reading [clock] of the store's clock.
     Raises [Invalid_argument] when the range exceeds the keys. One
     [cmd_get] add serves the whole batch. On the {!Rp}
     backend each {!batch_keys} keys are one read-side critical section:
     inside it the table is walked in stages over the key slices
     ({!Rp_ht.find_batch_hashed}), the hits' items and values are
-    prefetched, and nothing is allocated. Each key is settled once its
-    section closes: a miss is counted; a hit is touched, counted and
-    noted to the heat plane with the stored key; an expired item is
-    reaped under its own key's update stripe and a cold one promoted.
-    Allocates the two staging arrays (one word per key each). *)
+    prefetched, and each live hot hit's value is copied out of its slab
+    chunk, touched, counted and noted to the heat plane with the stored
+    key — the copy must happen before the section closes, since the
+    chunk may be reused one grace period after its item leaves the
+    table. After the section: a miss is counted; an expired item counts
+    as a miss and is reaped under its own key's update stripe; a cold
+    one is promoted. Allocates the walk's array (one word per key); the
+    hits grow only past their largest batch so far. *)
 
 val get_many : t -> ?with_cas:bool -> string list -> Protocol.value list
 (** {!get_keys} for string keys (binary GETs, {!Dispatch.handle},
     in-process callers): the keys are copied into the calling domain's
     reused slices and served through the same read sections; replies
     are the hits in key order, each [vkey] physically the requested
-    key. Systhreads sharing a domain may call it concurrently: a grace
-    period one of them starts waits out a sibling's section. *)
+    key, each [vdata] a fresh copy of the value. Systhreads sharing a
+    domain may call it concurrently: a grace period one of them starts
+    waits out a sibling's section. *)
 
 val batch_keys : int
 (** The most keys one {!get_keys} read section serves (64): longer key
@@ -126,8 +156,8 @@ val prefetch : t -> Protocol.Keys.t -> unit
 (** Cache hints for every key of the slices, ahead of serving them one
     by one (a connection's run holding a [set]): on the {!Rp} backend,
     one read section asks for each key's bucket slot and first chain
-    node and, where that node's hash matches, its key, its item and its
-    value's header line ({!Rp_ht.prefetch_batch_hashed}). Changes no
+    node and, where that node's hash matches, its key, its item and the
+    first line of its value's slab chunk ({!Rp_ht.prefetch_batch_hashed}). Changes no
     memory and no counter; a no-op on {!Lock}. *)
 
 val set : t -> key:string -> flags:int -> exptime:int -> data:string -> stored_result
@@ -150,7 +180,8 @@ val set_slice :
     the heat plane and an op log. The key's hash is the one the slices
     hold; the key is compared in place and copied out only for a new
     binding, or when the heat plane or the op log needs it; the data is
-    copied out once it is known to fit. Raises [Invalid_argument] when
+    copied straight into a slab chunk once it is known to fit, and no
+    value string is made. Raises [Invalid_argument] when
     [i] or the data slice is out of range. *)
 
 val add : t -> key:string -> flags:int -> exptime:int -> data:string -> stored_result
@@ -187,8 +218,9 @@ val set_persist_hook : t -> (Rp_persist.Record.t -> unit) option -> unit
     command after the in-memory effect — the client then sees an error,
     i.e. an unknown outcome. *)
 
-val iter_items : t -> f:(string -> Item.t -> unit) -> int
-(** Walk every live binding. On the {!Rp} backend this is
+val iter_items : t -> f:(string -> Item.t -> string -> unit) -> int
+(** Walk every live binding: [f key item value], [value] a fresh copy
+    (read through from the tier for a cold item). On the {!Rp} backend this is
     {!Rp_ht.iter_batched}: bounded read-side critical sections with
     re-entry between batches, so the walk never blocks writers nor
     extends a grace period beyond one batch; bindings may be seen twice

@@ -21,9 +21,76 @@ type tier_hooks = {
   th_admit : unit -> bool;
 }
 
+(* A batch's replies, filled by a backend's [get_keys] and read by
+   whoever renders them: for key [j] of the batch, its flags, CAS and
+   the offset and length of its value in [vbuf] ([vlen] -1: a miss),
+   and the chunk it is copied from.
+   The values are copied out of their slab chunks inside the read
+   section that found their items, so the staging stays readable after
+   the section closes. Reused from batch to batch. *)
+module Hits = struct
+  type t = {
+    mutable flags : int array;
+    mutable cas : int array;
+    mutable voff : int array;
+    mutable vlen : int array;
+    mutable src : int array;
+    mutable vbuf : Bytes.t;
+    mutable fill : int;  (* bytes of [vbuf] in use *)
+  }
+
+  let create () =
+    { flags = [||]; cas = [||]; voff = [||]; vlen = [||]; src = [||]; vbuf = Bytes.empty; fill = 0 }
+
+  (* Room for [n] keys, every one a miss, and an empty value area; a
+     value area grown past [Protocol.Inbuf.retain_bytes] by the last
+     batch is let go. *)
+  let prepare h n =
+    if Array.length h.vlen < n then begin
+      let cap = max n 64 in
+      h.flags <- Array.make cap 0;
+      h.cas <- Array.make cap 0;
+      h.voff <- Array.make cap 0;
+      h.vlen <- Array.make cap (-1);
+      h.src <- Array.make cap 0
+    end
+    else Array.fill h.vlen 0 n (-1);
+    if Bytes.length h.vbuf > Protocol.Inbuf.retain_bytes then h.vbuf <- Bytes.empty;
+    h.fill <- 0
+
+  (* Space for a [len]-byte value at [fill]. *)
+  let reserve h len =
+    let need = h.fill + len in
+    if need > Bytes.length h.vbuf then begin
+      let grown = Bytes.create (max need (max 4096 (2 * Bytes.length h.vbuf))) in
+      Bytes.blit h.vbuf 0 grown 0 h.fill;
+      h.vbuf <- grown
+    end
+
+  (* Key [j] hits with a [len]-byte value about to be copied to [fill];
+     returns where. *)
+  let claim h j ~flags ~cas len =
+    reserve h len;
+    let off = h.fill in
+    Array.unsafe_set h.flags j flags;
+    Array.unsafe_set h.cas j cas;
+    Array.unsafe_set h.voff j off;
+    Array.unsafe_set h.vlen j len;
+    h.fill <- off + len;
+    off
+
+  let put_string h j ~flags ~cas data =
+    let len = String.length data in
+    let off = claim h j ~flags ~cas len in
+    Bytes.blit_string data 0 h.vbuf off len
+
+  let hit h j = Array.unsafe_get h.vlen j >= 0
+  let value h j = Bytes.sub_string h.vbuf h.voff.(j) h.vlen.(j)
+end
+
 type t = {
   max_bytes : int;
-  slab : Slab.t;  (* chunk-level accounting; eviction compares chunk bytes *)
+  slab : Slab.t;  (* the values' chunks, and the accounting eviction compares *)
   clock : unit -> float;
   (* Workload-insight plane (Some iff created with [heat_topk > 0]).
      Every hot-path emission sits behind one branch on this option, so
@@ -89,13 +156,17 @@ type backend = {
       (* The budget step once the key's lock is released: the CLOCK
          sweep, or exact-LRU eviction. *)
   evict_to_budget : unit -> unit;  (* like [budget], but waits it out *)
-  get : now:Item.time -> string -> Protocol.value option;
-  get_keys : now:Item.time -> Protocol.Keys.t -> first:int -> n:int -> Item.t array;
-      (* Each of keys [first, first + n)'s live item, [Item.none] for a
-         miss, every outcome counted and every hit touched. *)
+  get : now:Item.time -> string -> Hits.t -> unit;
+      (* One key's live value copied into the hits as key 0, counted
+         and touched. *)
+  get_keys : now:Item.time -> Protocol.Keys.t -> first:int -> n:int -> Hits.t -> unit;
+      (* Each of keys [first, first + n)'s live value copied into the
+         hits at [j = i - first], every outcome counted and every hit
+         touched. *)
   prefetch : Protocol.Keys.t -> unit;
       (* Cache hints for the keys about to be served one by one. *)
-  iter : (string -> Item.t -> unit) -> int;
+  iter : (string -> Item.t -> string -> unit) -> int;
+      (* Every live binding with a copy of its value. *)
   length : unit -> int;
   buckets : unit -> int;
   reader_offline : unit -> unit;
@@ -160,7 +231,7 @@ let now c = Item.time_of_float (c.clock ())
    faithful per-key history. State-based: the resulting item, not the
    command's arguments, so replay is idempotent and convergent (see
    [Rp_persist.Record]). *)
-let log_set log ~op key (item : Item.t) =
+let log_set c log ~op key (item : Item.t) =
   match log with
   | None -> ()
   | Some h ->
@@ -172,27 +243,50 @@ let log_set log ~op key (item : Item.t) =
              flags = item.flags;
              exptime = Item.float_of_time item.exptime;
              cas = item.cas;
-             data = item.data;
+             data = Slab.read c.slab item.chunk item.len;
            })
 
-let value_of_item ~with_cas key (item : Item.t) : Protocol.value =
-  {
-    vkey = key;
-    vflags = item.flags;
-    vdata = item.data;
-    vcas = (if with_cas then Some item.cas else None);
-  }
+(* A hot item holding a copy of [len] bytes of [src] from [off], its
+   chunk allocated in [c]'s slab. *)
+let make_item c ?cas ~flags ~exptime ~now src off len =
+  let chunk = Slab.alloc c.slab len in
+  Slab.write c.slab chunk src off len;
+  Item.make ?cas ~chunk ~flags ~exptime ~len ~now ()
+
+let item_of_string c ?cas ~flags ~exptime ~now data =
+  make_item c ?cas ~flags ~exptime ~now (Bytes.unsafe_of_string data) 0 (String.length data)
+
+(* A fresh copy of a hot item's value: callers hold the key's lock or
+   the read section that found the item. *)
+let value c (item : Item.t) = Slab.read c.slab item.chunk item.len
+
+(* Claim key [j]'s reply for a hot item, its value's chunk noted for
+   [copy_claimed]: a batch claims its hits first and copies them after,
+   giving the prefetches of their chunks the time of the claims. *)
+let claim_hit hits j (item : Item.t) =
+  ignore (Hits.claim hits j ~flags:item.flags ~cas:item.cas item.len);
+  Array.unsafe_set hits.Hits.src j item.chunk
+
+let copy_claimed c (hits : Hits.t) j =
+  Slab.blit c.slab (Array.unsafe_get hits.src j) hits.vbuf (Array.unsafe_get hits.voff j)
+    (Array.unsafe_get hits.vlen j)
+
+(* Copy a hot item's value into the hits as key [j]'s reply (inside the
+   read section, or under the lock, that found it). *)
+let copy_hit c hits j (item : Item.t) =
+  claim_hit hits j item;
+  copy_claimed c hits j
 
 (* --- heat plane emission (each call is one branch when the plane is
    off; the plane itself is plain stripe-discipline stores) --- *)
 
 (* A GET outcome: its striped counter, whose new per-stripe value also
    drives the heat plane's sampler. *)
-let[@inline] count_hit c key data =
+let[@inline] count_hit c key vbytes =
   let n = Rp_obs.Counter.incr_get c.get_hits in
   match c.heat with
   | None -> ()
-  | Some h -> Rp_heat.note_hit h ~n key ~vbytes:(String.length data)
+  | Some h -> Rp_heat.note_hit h ~n key ~vbytes
 
 let[@inline] count_miss c key =
   let n = Rp_obs.Counter.incr_get c.get_misses in
@@ -250,10 +344,10 @@ let read_cold c hooks key loc =
    cannot move mid-read because compaction's relocate step needs this
    same stripe — which also makes [Tier_gone] unreachable here, so any
    failure is final: the value is gone, and the caller drops the marker
-   rather than operate on "". Hot items return their data directly. *)
+   rather than operate on "". Hot items return a copy of their value. *)
 let resolve_cold_locked c key (item : Item.t) =
   match (item.location, c.tier) with
-  | Item.Hot, _ -> Some item.data
+  | Item.Hot, _ -> Some (value c item)
   | Item.Cold _, None -> None (* marker with no tier attached (shutdown window) *)
   | Item.Cold { segment; offset; len }, Some hooks -> (
       match read_cold c hooks key (segment, offset, len) with

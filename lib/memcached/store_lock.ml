@@ -1,7 +1,9 @@
 (* The global-lock backend: stock memcached's discipline and the paper's
    Figure 5 baseline. One mutex (the table's) serializes every operation,
-   GETs included — lookup, exact-LRU bump and expiry check all run inside
-   it. *)
+   GETs included — lookup, exact-LRU bump, expiry check and the copy of
+   the value out of its slab chunk all run inside it. So a chunk whose
+   item leaves the table goes straight back to its class: no reader can
+   be copying it. *)
 
 open Store_core
 module H = Rp_baseline.Lock_ht
@@ -16,7 +18,8 @@ let create (c : Store_core.t) ~initial_size =
   let unlink key entry =
     ignore (H.unsafe_remove table key);
     Lru.remove lru entry.node;
-    Slab.refund c.slab (Item.size_bytes ~key entry.item)
+    Slab.refund c.slab (Item.size_bytes ~key entry.item);
+    Slab.free c.slab entry.item.chunk
   in
   let remove ~hash:_ key =
     match H.unsafe_find table key with
@@ -49,26 +52,21 @@ let create (c : Store_core.t) ~initial_size =
           | Some entry ->
               ignore (H.unsafe_remove table victim);
               Slab.refund c.slab (Item.size_bytes ~key:victim entry.item);
+              Slab.free c.slab entry.item.chunk;
               Rp_obs.Counter.incr c.evicted);
           evict ()
   in
-  (* The live item, LRU-bumped and counted; [Item.none] on a miss. *)
-  let lookup ~now key =
+  (* The live item's value copied into the hits as key [j]'s reply,
+     LRU-bumped and counted. *)
+  let lookup ~now hits j key =
     locked (fun () ->
         match find_live ~now key with
-        | None ->
-            count_miss c key;
-            Item.none
+        | None -> count_miss c key
         | Some entry ->
             Lru.touch lru entry.node;
             Item.touch_access entry.item ~now;
-            count_hit c key entry.item.data;
-            entry.item)
-  in
-  let get ~now key =
-    match lookup ~now key with
-    | item when item == Item.none -> None
-    | item -> Some (value_of_item ~with_cas:false key item)
+            copy_hit c hits j entry.item;
+            count_hit c key entry.item.len)
   in
   {
     kind = Lock;
@@ -84,7 +82,7 @@ let create (c : Store_core.t) ~initial_size =
         let key = Bytes.sub_string buf off len in
         locked (fun () ->
             store ~hash key item;
-            Store_core.log_set log ~op:Rp_persist.Record.Tset key item));
+            Store_core.log_set c log ~op:Rp_persist.Record.Tset key item));
     remove;
     keys =
       (fun () ->
@@ -94,14 +92,20 @@ let create (c : Store_core.t) ~initial_size =
     budget =
       (fun () -> if Slab.allocated_bytes c.slab > c.max_bytes then locked evict);
     evict_to_budget = (fun () -> locked evict);
-    get;
+    get =
+      (fun ~now key hits ->
+        Hits.prepare hits 1;
+        lookup ~now hits 0 key);
     get_keys =
-      (fun ~now keys ~first ~n ->
-        Array.init n (fun j -> lookup ~now (Protocol.Keys.key keys (first + j))));
+      (fun ~now keys ~first ~n hits ->
+        Hits.prepare hits n;
+        for j = 0 to n - 1 do
+          lookup ~now hits j (Protocol.Keys.key keys (first + j))
+        done);
     prefetch = ignore;
     iter =
       (fun f ->
-        locked (fun () -> H.unsafe_iter table ~f:(fun k e -> f k e.item));
+        locked (fun () -> H.unsafe_iter table ~f:(fun k e -> f k e.item (value c e.item)));
         0);
     length = (fun () -> H.length table);
     buckets = (fun () -> H.size table);

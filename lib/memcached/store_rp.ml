@@ -92,12 +92,18 @@ let clock_push t entry =
 
 (* --- primitives (the key's update stripe held by callers) --- *)
 
+(* The chunk of an item that has left the table goes back to its class
+   only after a grace period: a reader that found the item may still be
+   copying its value. *)
+let retire t (item : Item.t) = Slab.retire t.c.slab (Rp_ht.rcu t.rp) item.chunk
+
 let delete t ~hash key =
   match Rp_ht.remove_hashed t.rp ~hash key with
   | None -> false
   | Some item ->
       Slab.refund t.c.slab (Item.size_bytes ~key item);
       tier_mark_dead t.c item;
+      retire t item;
       true
 
 (* CLOCK-queue invariant: a key is enqueued iff its item is hot. Demotion
@@ -107,11 +113,11 @@ let delete t ~hash key =
 
    One chain walk: the exchange publishes atomically (readers see the old
    or new item, never a torn one) and hands back the item it displaced.
-   An overwrite of the same size occupies the same chunk of the same slab
-   class, so its refund and charge would cancel exactly — both are
-   skipped. [replaced] returns whether the key goes back on the CLOCK
-   queue (a cold marker overwritten by a RAM item); [linked] pushes a
-   new hot key itself. *)
+   An overwrite of the same size is charged to the same slab class, so
+   its refund and charge would cancel exactly — both are skipped; the
+   displaced value's chunk is retired either way. [replaced] returns
+   whether the key goes back on the CLOCK queue (a cold marker
+   overwritten by a RAM item); [linked] pushes a new hot key itself. *)
 let replaced t ~key_len (item : Item.t) (old : Item.t) =
   let size = Item.footprint ~key_len item in
   let old_size = Item.footprint ~key_len old in
@@ -119,6 +125,7 @@ let replaced t ~key_len (item : Item.t) (old : Item.t) =
     Slab.refund t.c.slab old_size;
     ignore (Slab.charge t.c.slab size)
   end;
+  retire t old;
   Item.is_cold old
   && begin
        tier_mark_dead t.c old;
@@ -150,11 +157,11 @@ let set t ~hash ~log buf off len (item : Item.t) =
         if push || Option.is_some log then begin
           let key = Bytes.sub_string buf off len in
           if push then clock_push t (key, item.last_access);
-          log_set log ~op:Rp_persist.Record.Tset key item
+          log_set t.c log ~op:Rp_persist.Record.Tset key item
         end
     | Rp_ht.Linked key ->
         linked t key item;
-        log_set log ~op:Rp_persist.Record.Tset key item
+        log_set t.c log ~op:Rp_persist.Record.Tset key item
   with
   | () -> unlock_key t ~hash span
   | exception e ->
@@ -177,12 +184,12 @@ let demote t ~hash key (item : Item.t) =
         let started = Rp_trace.now_ns () in
         let span = Rp_trace.span_begin_sampled k_tier_demote in
         let demoted =
-          match hooks.th_demote key item.data with
+          match hooks.th_demote key (value t.c item) with
           | Some (segment, offset, len) ->
               let marker =
-                Item.make ~cas:item.cas
+                Item.make ~cas:item.cas ~chunk:Slab.no_chunk
                   ~location:(Item.Cold { segment; offset; len })
-                  ~flags:item.flags ~exptime:item.exptime ~data:""
+                  ~flags:item.flags ~exptime:item.exptime ~len:0
                   ~now:item.last_access ()
               in
               store t ~hash key marker;
@@ -190,7 +197,7 @@ let demote t ~hash key (item : Item.t) =
               (match t.c.heat with
               | None -> ()
               | Some h ->
-                  Rp_heat.note_tier_demote h ~vbytes:(String.length item.data));
+                  Rp_heat.note_tier_demote h ~vbytes:item.len);
               true
           | None -> false
         in
@@ -299,118 +306,111 @@ let expire_if_dead t ~now key =
           Rp_obs.Counter.incr t.c.expired
       | Some _ | None -> ())
 
-(* Resolve a cold hit: one positioned segment read, then reinsert under
-   the key's update stripe (promote-on-access). The disk read happens
-   with no store lock held — only the key's promote stripe, whose sole
-   job is single-flighting: a flash crowd on one demoted key queues here
-   and every loser finds the item already hot on its own pass.
+(* One key's lookup in a read section of its own: a live hot item's
+   value is copied into the hits as key [j]'s reply and the item
+   touched before the section closes. Returns the item found, or
+   [Item.none]; the caller counts the outcome and serves an expired or
+   cold item after the section. *)
+let lookup_into t ~hash ~now hits j key =
+  let rcu = Rp_ht.rcu t.rp in
+  Rcu.read_lock_current rcu;
+  let item =
+    match Rp_ht.find_opt_hashed t.rp ~hash key with
+    | Some item when Item.is_expired item ~now || Item.is_cold item -> item
+    | Some item ->
+        copy_hit t.c hits j item;
+        Item.touch_access item ~now;
+        item
+    | None -> Item.none
+    | exception e ->
+        Rcu.read_unlock_current rcu;
+        raise e
+  in
+  Rcu.read_unlock_current rcu;
+  item
 
-   Races are re-resolved by re-reading the table (bounded retries): a
-   compaction can relocate the marker mid-read (read returns [Tier_gone]
-   — the fresh marker points at the copy), a SET can replace it (we find
-   it hot and return that), a DELETE can win (miss). A torn record is
-   final: the value is gone, so the marker is dropped — later GETs miss
-   fast instead of re-reading a bad frame. *)
-let rec promote_attempt t ~hooks ~hash key tries =
+(* Resolve a cold hit: one positioned segment read, then reinsert under
+   the key's update stripe (promote-on-access), the value copied into
+   the hits as key [j]'s reply. The disk read happens with no store
+   lock held — only the key's promote stripe, whose sole job is
+   single-flighting: a flash crowd on one demoted key queues here and
+   every loser finds the item already hot on its own pass.
+
+   Each attempt looks the key up afresh, in a read section that copies
+   a hot value before it closes. Races are re-resolved that way
+   (bounded retries): a compaction can relocate the marker mid-read
+   (read returns [Tier_gone] — the fresh marker points at the copy), a
+   SET can replace it (we find it hot and serve that), a DELETE can win
+   (miss). A torn record is final: the value is gone, so the marker is
+   dropped — later GETs miss fast instead of re-reading a bad frame. *)
+let rec promote_attempt t ~hooks ~hash hits j key tries =
   let now = now t.c in
-  match Rp_ht.find_opt_hashed t.rp ~hash key with
-  | None ->
-      count_miss t.c key;
-      Item.none
-  | Some item when Item.is_expired item ~now ->
-      expire_if_dead t ~now key;
-      count_miss t.c key;
-      Item.none
-  | Some item -> (
-      match item.Item.location with
-      | Item.Hot ->
-          Item.touch_access item ~now;
-          count_hit t.c key item.data;
-          item
-      | Item.Cold { segment; offset; len } -> (
-          match read_cold t.c hooks key (segment, offset, len) with
-          | Ok data ->
-              let promoted =
-                with_stripe t ~hash (fun () ->
-                    match Rp_ht.find_opt_hashed t.rp ~hash key with
-                    | Some cur when cur == item ->
-                        (* Marker unchanged since the read: publish the
-                           hot item ([store] refunds the marker, marks its
-                           frame dead, re-enqueues in the CLOCK). *)
-                        let hot =
-                          Item.make ~cas:item.Item.cas ~flags:item.Item.flags
-                            ~exptime:item.Item.exptime ~data ~now ()
-                        in
-                        store t ~hash key hot;
-                        hot
-                    | _ -> Item.none)
-              in
-              if promoted != Item.none then begin
-                Rp_obs.Counter.incr t.c.tier_promotions;
-                (match t.c.heat with
-                | None -> ()
-                | Some h -> Rp_heat.note_tier_promote h ~vbytes:(String.length data));
-                count_hit t.c key data;
-                promoted
-              end
-              else if tries > 0 then promote_attempt t ~hooks ~hash key (tries - 1)
-              else begin
-                count_miss t.c key;
-                Item.none
-              end
-          | Error Tier_gone when tries > 0 -> promote_attempt t ~hooks ~hash key (tries - 1)
-          | Error e ->
-              if e = Tier_gone then Rp_obs.Counter.incr t.c.tier_read_errors;
+  let item = lookup_into t ~hash ~now hits j key in
+  if Hits.hit hits j then count_hit t.c key item.len
+  else if item == Item.none then count_miss t.c key
+  else if Item.is_expired item ~now then begin
+    expire_if_dead t ~now key;
+    count_miss t.c key
+  end
+  else
+    match item.Item.location with
+    | Item.Hot -> assert false (* copied above *)
+    | Item.Cold { segment; offset; len } -> (
+        match read_cold t.c hooks key (segment, offset, len) with
+        | Ok data ->
+            let promoted =
               with_stripe t ~hash (fun () ->
                   match Rp_ht.find_opt_hashed t.rp ~hash key with
-                  | Some cur when cur == item -> ignore (delete t ~hash key)
-                  | _ -> ());
-              count_miss t.c key;
-              Item.none))
+                  | Some cur when cur == item ->
+                      (* Marker unchanged since the read: publish the
+                         hot item ([store] refunds the marker, marks its
+                         frame dead, re-enqueues in the CLOCK). *)
+                      store t ~hash key
+                        (item_of_string t.c ~cas:item.cas ~flags:item.flags
+                           ~exptime:item.exptime ~now data);
+                      true
+                  | _ -> false)
+            in
+            if promoted then begin
+              Rp_obs.Counter.incr t.c.tier_promotions;
+              (match t.c.heat with
+              | None -> ()
+              | Some h -> Rp_heat.note_tier_promote h ~vbytes:(String.length data));
+              Hits.put_string hits j ~flags:item.flags ~cas:item.cas data;
+              count_hit t.c key (String.length data)
+            end
+            else if tries > 0 then promote_attempt t ~hooks ~hash hits j key (tries - 1)
+            else count_miss t.c key
+        | Error Tier_gone when tries > 0 ->
+            promote_attempt t ~hooks ~hash hits j key (tries - 1)
+        | Error e ->
+            if e = Tier_gone then Rp_obs.Counter.incr t.c.tier_read_errors;
+            with_stripe t ~hash (fun () ->
+                match Rp_ht.find_opt_hashed t.rp ~hash key with
+                | Some cur when cur == item -> ignore (delete t ~hash key)
+                | _ -> ());
+            count_miss t.c key)
 
-(* The hot item a cold hit promotes to, or [Item.none]. *)
-let promote_and_get t key =
+(* Key [j]'s reply when its item was cold: the promoted value, or a
+   miss. *)
+let promote_into t hits j key =
   match t.c.tier with
   | None ->
       (* A marker with no tier attached (shutdown window): unreadable. *)
-      count_miss t.c key;
-      Item.none
+      count_miss t.c key
   | Some hooks ->
       let span = Rp_trace.span_begin_sampled k_tier_promote in
       let hash = hash_key key in
       let m = t.promote_stripes.(hash land t.update_mask) in
       Rcu.mutex_lock (Rp_ht.rcu t.rp) m;
-      let v =
-        Fun.protect
-          ~finally:(fun () ->
-            Mutex.unlock m;
-            Rp_trace.span_end_sampled k_tier_promote span)
-          (fun () -> promote_attempt t ~hooks ~hash key 3)
-      in
+      Fun.protect
+        ~finally:(fun () ->
+          Mutex.unlock m;
+          Rp_trace.span_end_sampled k_tier_promote span)
+        (fun () -> promote_attempt t ~hooks ~hash hits j key 3);
       (* Promotion re-charged the full value: settle the budget (the sweep
          may well demote something colder in its place). *)
-      sweep t;
-      v
-
-(* A looked-up item's outcome, once the read section has closed — a
-   section must not take an update stripe (the holder could be waiting
-   for readers, this one included) nor read the disk: a hot hit is
-   touched and counted; an expired item counts as a miss and is reaped
-   under its own stripe; a cold one is promoted (stripes and a disk
-   read). Returns the item to reply with, or [Item.none]. A batch passes
-   its node's stored key, so no outcome allocates one. *)
-let settle t ~now key (item : Item.t) =
-  if Item.is_expired item ~now then begin
-    count_miss t.c key;
-    expire_if_dead t ~now key;
-    Item.none
-  end
-  else if Item.is_cold item then promote_and_get t key
-  else begin
-    Item.touch_access item ~now;
-    count_hit t.c key item.data;
-    item
-  end
+      sweep t
 
 (* The batch size goes on the read-section span's end, and only when the
    span is recorded: passing [~arg] allocates an option. *)
@@ -419,137 +419,165 @@ let end_read_section section ~n =
 
 let batch_keys = 64
 
-(* Bytes of a hit's value, header included, that [read_section] asks the
-   cache for ahead of the reply: the first lines, which encoding reads
-   first; a longer value streams in behind them during the copy. *)
+(* Bytes of a hit's value that [read_section] asks the cache for ahead
+   of its copy: the first lines; a longer value streams in behind them
+   during the copy. *)
 let value_prefetch_bytes = 256
 
-(* A value's header line: its length, and the first bytes a reply
-   copies. *)
-let prefetch_value (item : Item.t) = Rp_list.prefetch item.data (-8)
+(* What a key's [vlen] holds, once its section has closed, when the
+   item it found could not be served inside the section. *)
+let expired_mark = -2
+let cold_mark = -3
 
 (* The read section over keys [first, first + n) of [keys], whose
-   items go to [items] from index [first - base]: the staged table walk,
-   then two more stages over the hits, each prefetching what the next
-   one loads — every hit's item record (its fields span two lines at
-   most), then every value's header line, then the rest of its first
-   [value_prefetch_bytes]. Settlement and the replies, after the section
-   closes, then read from cache. Every block hinted at is reached from a
-   node the section pins; nothing here allocates. *)
-let read_section t (keys : Protocol.Keys.t) found items ~base first n =
+   replies go to [hits] from index [first - base]: the staged table
+   walk, then two more stages over the hits, each prefetching what the
+   next one loads — every hit's item record (its fields span two lines
+   at most), then the first [value_prefetch_bytes] of its value's chunk
+   — then the claims, and last the copies, which the claims leave time
+   for the chunk lines to arrive. A live hot hit is claimed, touched,
+   counted and copied into the hits here, inside the section: once it
+   closes, the chunk may be retired and reused. An expired or cold item
+   is only marked; [settle_batch] serves it after the section, as that
+   may take update stripes or read the disk. *)
+let read_section t (keys : Protocol.Keys.t) found (hits : Hits.t) ~base ~now first n =
   Rp_ht.find_batch_hashed t.rp ~buf:keys.buf ~offs:keys.offs ~lens:keys.lens
     ~hashes:keys.hashes ~first found n;
-  let at = first - base in
+  let slab = t.c.slab in
   for j = 0 to n - 1 do
     match Array.unsafe_get found j with
     | Rp_list.Node nd ->
         let item = nd.value in
-        Array.unsafe_set items (at + j) item;
         Rp_list.prefetch item 0;
         Rp_list.prefetch item 40
     | Rp_list.Null -> ()
   done;
   for j = 0 to n - 1 do
     match Array.unsafe_get found j with
-    | Rp_list.Node _ -> prefetch_value (Array.unsafe_get items (at + j))
+    | Rp_list.Node nd ->
+        let item = nd.value in
+        Slab.prefetch slab item.Item.chunk (Int.min item.len value_prefetch_bytes)
     | Rp_list.Null -> ()
   done;
+  let at = first - base in
   for j = 0 to n - 1 do
     match Array.unsafe_get found j with
-    | Rp_list.Node _ ->
-        let data = (Array.unsafe_get items (at + j)).Item.data in
-        let stop = Int.min (String.length data) (value_prefetch_bytes - 8) in
-        let off = ref 56 in
-        while !off < stop do
-          Rp_list.prefetch data !off;
-          off := !off + 64
-        done;
-        if stop > 0 then Rp_list.prefetch data (stop - 1)
+    | Rp_list.Node nd ->
+        let item = nd.value in
+        if Item.is_expired item ~now then Array.unsafe_set hits.vlen (at + j) expired_mark
+        else if Item.is_cold item then Array.unsafe_set hits.vlen (at + j) cold_mark
+        else begin
+          claim_hit hits (at + j) item;
+          Item.touch_access item ~now;
+          count_hit t.c nd.key item.len
+        end
     | Rp_list.Null -> ()
+  done;
+  for j = at to at + n - 1 do
+    if Hits.hit hits j then copy_claimed t.c hits j
   done
 
-(* Each key of the section just closed, settled in place: a miss is
-   counted and stays [Item.none]; a hit is settled with its node's key. *)
-let settle_batch t keys found items ~base ~now first n =
+(* The keys of the section just closed that it could not serve: a miss
+   is counted; an expired item counts as a miss and is reaped under its
+   own stripe; a cold one is promoted (stripes and a disk read). A
+   batch passes its node's stored key, so no outcome allocates one. *)
+let settle_batch t keys found (hits : Hits.t) ~base ~now first n =
   for j = 0 to n - 1 do
     let i = first + j in
     match Array.unsafe_get found j with
     | Rp_list.Null -> count_miss_key t.c keys i
     | Rp_list.Node nd ->
-        let item = Array.unsafe_get items (i - base) in
-        let settled = settle t ~now nd.key item in
-        if settled != item then Array.unsafe_set items (i - base) settled
+        let mark = Array.unsafe_get hits.vlen (i - base) in
+        if mark = expired_mark then begin
+          hits.vlen.(i - base) <- -1;
+          count_miss t.c nd.key;
+          expire_if_dead t ~now nd.key
+        end
+        else if mark = cold_mark then begin
+          hits.vlen.(i - base) <- -1;
+          promote_into t hits (i - base) nd.key
+        end
   done
 
 (* One read section per [batch_keys] keys of [first, stop), each settled
-   as soon as it closes. The staging arrays are fresh, so they are
-   young: the walk's and the item stage's stores into them never take
-   the write barrier's major-heap path (remembered set, darkening the
-   value overwritten). *)
-let rec batches t ~now (keys : Protocol.Keys.t) found items ~base first stop =
+   as soon as it closes. The walk's array is fresh, so it is young: the
+   walk's stores into it never take the write barrier's major-heap path
+   (remembered set, darkening the value overwritten). *)
+let rec batches t ~now (keys : Protocol.Keys.t) found hits ~base first stop =
   if first < stop then begin
     let m = Int.min batch_keys (stop - first) in
     let rcu = Rp_ht.rcu t.rp in
     let section = Rp_trace.span_begin_sampled k_read_section in
     Rcu.read_lock_current rcu;
-    (match read_section t keys found items ~base first m with
+    (match read_section t keys found hits ~base ~now first m with
     | () -> Rcu.read_unlock_current rcu
     | exception e ->
         Rcu.read_unlock_current rcu;
         end_read_section section ~n:m;
         raise e);
     end_read_section section ~n:m;
-    settle_batch t keys found items ~base ~now first m;
-    batches t ~now keys found items ~base (first + m) stop
+    settle_batch t keys found hits ~base ~now first m;
+    batches t ~now keys found hits ~base (first + m) stop
   end
 
-let get_keys t ~now (keys : Protocol.Keys.t) ~first ~n =
-  let items = Array.make n Item.none in
-  batches t ~now keys (Array.make (Int.min n batch_keys) Rp_list.Null) items ~base:first first
-    (first + n);
-  items
+let get_keys t ~now (keys : Protocol.Keys.t) ~first ~n hits =
+  Hits.prepare hits n;
+  batches t ~now keys (Array.make (Int.min n batch_keys) Rp_list.Null) hits ~base:first first
+    (first + n)
+
+(* A lone GET: no staged walk, just the key's own read section, the
+   hit copied inside it. *)
+let get t ~now key hits =
+  Hits.prepare hits 1;
+  let hash = hash_key key in
+  let item = lookup_into t ~hash ~now hits 0 key in
+  if Hits.hit hits 0 then count_hit t.c key item.len
+  else if item == Item.none then count_miss t.c key
+  else if Item.is_expired item ~now then begin
+    count_miss t.c key;
+    expire_if_dead t ~now key
+  end
+  else promote_into t hits 0 key
 
 (* The cache lines a run's SETs and GETs will load, asked for at once
    before the run is served key by key: after the table's own stages,
-   each matching first node's item record, then its value's header line
-   (the length a SET's slab accounting reads, the first bytes a GET's
-   reply copies). *)
+   each matching first node's item record, then the first line of its
+   value's chunk (a GET's reply copies it). *)
 let prefetch t (keys : Protocol.Keys.t) =
-  Rp_ht.prefetch_batch_hashed t.rp ~hashes:keys.hashes ~first:0 keys.n ~hint:prefetch_value
-
-(* A lone GET opens no outer section: the table's own read section
-   covers the chain walk, and the reply record is built after it, so the
-   section is no longer than the walk. *)
-let get t ~now key =
-  match Rp_ht.find_opt_hashed t.rp ~hash:(hash_key key) key with
-  | None ->
-      count_miss t.c key;
-      None
-  | Some item ->
-      let item = settle t ~now key item in
-      if item == Item.none then None else Some (value_of_item ~with_cas:false key item)
+  let slab = t.c.slab in
+  Rp_ht.prefetch_batch_hashed t.rp ~hashes:keys.hashes ~first:0 keys.n ~hint:(fun item ->
+      Slab.prefetch slab item.Item.chunk 1)
 
 (* --- the snapshotter's walk --- *)
 
-(* Cold items would otherwise walk out with empty data — and a snapshot
+(* Cold items would otherwise walk out with no value — and a snapshot
    that persisted a marker's "" would LOSE the value once log compaction
    pruned the original SET record. Read the segment through instead,
    outside the walk's read sections. The marker can move under us
    (compaction relocates, a SET replaces, a DELETE wins): re-resolve from
-   the table, bounded; a key that vanished was deleted (logged), a torn
-   frame is already lost either way. *)
+   the table, bounded, copying a value that turned hot inside the
+   section that found it; a key that vanished was deleted (logged), a
+   torn frame is already lost either way. *)
 let rec iter_resolve_cold t ~hooks ~f key tries =
-  match Rp_ht.find t.rp key with
+  let found =
+    Rcu.with_read_current (Rp_ht.rcu t.rp) (fun () ->
+        match Rp_ht.find t.rp key with
+        | Some item when not (Item.is_cold item) -> Some (item, value t.c item)
+        | Some item -> Some (item, "")
+        | None -> None)
+  in
+  match found with
   | None -> ()
-  | Some item -> (
+  | Some (item, data) -> (
       match item.Item.location with
-      | Item.Hot -> f key item
+      | Item.Hot -> f key item data
       | Item.Cold { segment; offset; len } -> (
           match check_frame t.c key (hooks.th_read (segment, offset, len)) with
           | Ok data ->
               f key
-                (Item.make ~cas:item.Item.cas ~flags:item.Item.flags
-                   ~exptime:item.Item.exptime ~data ~now:(now t.c) ())
+                (Item.make ~cas:item.Item.cas ~chunk:Slab.no_chunk ~flags:item.Item.flags
+                   ~exptime:item.Item.exptime ~len:(String.length data) ~now:(now t.c) ())
+                data
           | Error Tier_gone when tries > 0 ->
               iter_resolve_cold t ~hooks ~f key (tries - 1)
           | Error Tier_gone -> Rp_obs.Counter.incr t.c.tier_read_errors
@@ -557,12 +585,13 @@ let rec iter_resolve_cold t ~hooks ~f key tries =
 
 (* A batched relativistic read (bounded read sections, never an update
    stripe), so a multi-second walk over a large table neither blocks
-   writers nor extends any grace period beyond one batch. *)
+   writers nor extends any grace period beyond one batch. Each value is
+   copied inside the section that found its item. *)
 let iter t f =
   let cold = ref [] in
   let restarts =
     Rp_ht.iter_batched t.rp ~f:(fun key (item : Item.t) ->
-        if Item.is_cold item then cold := key :: !cold else f key item)
+        if Item.is_cold item then cold := key :: !cold else f key item (value t.c item))
   in
   (match (!cold, t.c.tier) with
   | [], _ | _, None -> ()
@@ -621,8 +650,8 @@ let create (c : Store_core.t) ~rcu_mode ~initial_size ~auto_resize ~stripes =
     keys = (fun () -> Rp_ht.fold rp ~init:[] ~f:(fun acc k _ -> k :: acc));
     budget = (fun () -> sweep t);
     evict_to_budget = (fun () -> evict_to_budget t);
-    get = (fun ~now key -> get t ~now key);
-    get_keys = (fun ~now keys ~first ~n -> get_keys t ~now keys ~first ~n);
+    get = (fun ~now key hits -> get t ~now key hits);
+    get_keys = (fun ~now keys ~first ~n hits -> get_keys t ~now keys ~first ~n hits);
     prefetch = (fun keys -> prefetch t keys);
     iter = (fun f -> iter t f);
     length = (fun () -> Rp_ht.length rp);

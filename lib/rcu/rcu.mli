@@ -36,10 +36,12 @@
     A domain's systhreads share its slot; the outermost section belongs to
     the systhread that opened it (see {!synchronize}).
 
-    OCaml's GC performs physical reclamation, so grace periods here provide
-    {e ordering} (the resize algorithms depend on it) and {e semantic}
-    deferral via {!call_rcu} (e.g. running eviction callbacks only once no
-    reader can still observe an item). *)
+    OCaml's GC performs physical reclamation of heap blocks, so grace
+    periods here provide {e ordering} (the resize algorithms depend on
+    it) and {e semantic} deferral via {!call_rcu} (e.g. running eviction
+    callbacks only once no reader can still observe an item). Memory the
+    GC does not own is the exception: a callback may reclaim it, as the
+    memcached store's slab does with value chunks. *)
 
 type mode =
   | Memb  (** section entry and exit each store to the reader's slot *)

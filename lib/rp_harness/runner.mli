@@ -22,9 +22,6 @@ val total_ops : outcome -> int
 val throughput : outcome -> float
 (** Aggregate operations per second. *)
 
-val now : unit -> float
-(** Monotonic-enough wall clock in seconds. *)
-
 val loop_until_stop : stop:bool Atomic.t -> f:(unit -> unit) -> int
 (** Helper for writing workers: repeatedly call [f], checking the flag
     every iteration; returns the iteration count. *)

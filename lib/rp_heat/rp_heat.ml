@@ -79,7 +79,6 @@ let create ~k ?(sample_every = 16) () =
     stripe_heat = (fun () -> [||]);
   }
 
-let k t = t.k
 let sample_every t = t.sample_every
 let hits t = t.hits
 let misses t = t.misses

@@ -29,8 +29,6 @@ val create : k:int -> ?sample_every:int -> unit -> t
     counts). Raises [Invalid_argument] when [k <= 0] or [sample_every]
     is not a power of two. *)
 
-val k : t -> int
-
 val sample_every : t -> int
 
 val hits : t -> Sketch.t

@@ -64,8 +64,6 @@ let create ~k =
   if k <= 0 then invalid_arg "Rp_heat.Sketch.create: k <= 0";
   { k; slots = Array.make Rp_obs.Stripe.capacity None }
 
-let k t = t.k
-
 (* Index cells sized to 64k entries (32 KiB at k = 64): a hot key
    shares its cell pair with few cold keys, so its mapping survives
    nearly all of the traffic that matters to it. *)

@@ -19,8 +19,6 @@ val create : k:int -> t
 (** [create ~k] tracks up to [k] heavy hitters per domain. Raises
     [Invalid_argument] when [k <= 0]. *)
 
-val k : t -> int
-
 val record : t -> ?exemplar:int -> string -> unit
 (** Count one occurrence in the calling domain's instance. A non-zero
     [exemplar] (a trace id) is remembered on the entry. No-op while the

@@ -22,7 +22,6 @@ type entry = { name : string; help : string; kind : kind }
 type t = { mutex : Mutex.t; mutable entries : entry list (* reverse order *) }
 
 let create () = { mutex = Mutex.create (); entries = [] }
-let default = create ()
 
 let with_lock t f =
   Mutex.lock t.mutex;

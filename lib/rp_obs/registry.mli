@@ -12,10 +12,6 @@ type t
 
 val create : unit -> t
 
-val default : t
-(** A process-wide registry for code with no better home. Subsystem
-    [observe] functions take an explicit registry instead. *)
-
 (** {1 Registration} *)
 
 val counter : t -> ?help:string -> string -> Counter.t

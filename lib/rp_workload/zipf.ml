@@ -25,9 +25,6 @@ let sample t prng =
   done;
   !lo
 
-let n t = t.n
-let theta t = t.theta
-
 let pmf t i =
   if i < 0 || i >= t.n then invalid_arg "Zipf.pmf: rank out of range";
   if i = 0 then t.cdf.(0) else t.cdf.(i) -. t.cdf.(i - 1)

@@ -15,8 +15,5 @@ val create : ?theta:float -> n:int -> unit -> t
 val sample : t -> Prng.t -> int
 (** Draw a rank in [\[0, n)]; rank 0 is the most popular. *)
 
-val n : t -> int
-val theta : t -> float
-
 val pmf : t -> int -> float
 (** Probability of rank [i] (tests). *)

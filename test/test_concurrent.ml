@@ -435,6 +435,68 @@ let store_torture backend () =
   Domain.join writer;
   Alcotest.(check int) "no corrupt values" 0 (Atomic.get corrupt)
 
+(* Chunk reuse only after a grace period (DESIGN §10, "Values off the
+   heap"). A reader copies values out of the store while a writer
+   overwrites and deletes their keys, so value chunks are retired and
+   reused all the time. Every byte of a value is its version's tag, so
+   a copy torn by a chunk reused under it shows two tags. Yields at the
+   limbo hand-off ([rcu.call_rcu.enqueue]) and at the start of each
+   grace period ([rcu.synchronize.pre]) shuffle where reuse lands
+   against the reader's sections. The slab's page count shows the
+   chunks were reused: the values written would fill at least twice
+   the pages allocated. *)
+let chunk_reuse ~rcu_mode () =
+  let module S = Memcached.Store in
+  let store = S.create ~backend:S.Rp ~rcu_mode ~initial_size:64 () in
+  let keys = List.init 8 (Printf.sprintf "chunk:%d") in
+  let len = 64 * 1024 in
+  let value v = String.make len (Char.chr (Char.code 'a' + (v mod 26))) in
+  let stop = Atomic.make false in
+  let torn = Atomic.make 0 and hits = Atomic.make 0 in
+  Rp_fault.arm ~seed:7 "rcu.call_rcu.enqueue" ~trigger:(Rp_fault.Probability 0.3)
+    ~action:Rp_fault.Yield;
+  Rp_fault.arm ~seed:11 "rcu.synchronize.pre" ~trigger:(Rp_fault.Probability 0.3)
+    ~action:Rp_fault.Yield;
+  Fun.protect ~finally:Rp_fault.reset @@ fun () ->
+  let writer =
+    Domain.spawn (fun () ->
+        let v = ref 0 in
+        while not (Atomic.get stop) do
+          List.iter
+            (fun key ->
+              incr v;
+              if !v mod 7 = 0 then ignore (S.delete store key)
+              else ignore (S.set store ~key ~flags:0 ~exptime:0 ~data:(value !v)))
+            keys
+        done;
+        S.reader_offline store;
+        !v)
+  in
+  let reader =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          List.iter
+            (fun (r : Memcached.Protocol.value) ->
+              Atomic.incr hits;
+              let tag = r.vdata.[0] in
+              if String.length r.vdata <> len || not (String.for_all (Char.equal tag) r.vdata)
+              then Atomic.incr torn)
+            (S.get_many store keys)
+        done;
+        S.reader_offline store)
+  in
+  Unix.sleepf (2. *. duration);
+  Atomic.set stop true;
+  Domain.join reader;
+  let written = Domain.join writer in
+  let pages = float_of_string (List.assoc "slab_pages" (S.stats store)) in
+  Alcotest.(check int) "no torn copy" 0 (Atomic.get torn);
+  Alcotest.(check bool) "the reader hit" true (Atomic.get hits > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "chunks reused: %d values in %.0f pages" written pages)
+    true
+    (float_of_int written *. float_of_int len > 2. *. pages *. 1048576.)
+
 let () =
   Alcotest.run "concurrent"
     [
@@ -475,5 +537,9 @@ let () =
             (store_torture Memcached.Store.Lock);
           Alcotest.test_case "eviction races lazy splits" `Slow
             test_eviction_races_lazy_splits;
+          Alcotest.test_case "chunk reuse after a grace period, memb" `Slow
+            (chunk_reuse ~rcu_mode:Memcached.Store.Memb);
+          Alcotest.test_case "chunk reuse after a grace period, qsbr" `Slow
+            (chunk_reuse ~rcu_mode:Memcached.Store.Qsbr);
         ] );
     ]

@@ -82,23 +82,23 @@ let prop_lru_model =
 let tm = Item.time_of_float
 
 let test_item_expiry () =
-  let item = Item.make ~flags:0 ~exptime:(tm 100.0) ~data:"x" ~now:(tm 50.0) () in
+  let item = Item.make ~chunk:Slab.no_chunk ~flags:0 ~exptime:(tm 100.0) ~len:1 ~now:(tm 50.0) () in
   Alcotest.(check bool) "before expiry" false (Item.is_expired item ~now:(tm 99.9));
   Alcotest.(check bool) "at expiry" true (Item.is_expired item ~now:(tm 100.0));
   Alcotest.(check bool) "after expiry" true (Item.is_expired item ~now:(tm 200.0));
-  let eternal = Item.make ~flags:0 ~exptime:(tm 0.0) ~data:"x" ~now:(tm 50.0) () in
+  let eternal = Item.make ~chunk:Slab.no_chunk ~flags:0 ~exptime:(tm 0.0) ~len:1 ~now:(tm 50.0) () in
   Alcotest.(check bool) "exptime 0 never expires" false
     (Item.is_expired eternal ~now:(tm 1e12))
 
 let test_item_cas_unique () =
-  let a = Item.make ~flags:0 ~exptime:0 ~data:"x" ~now:0 () in
-  let b = Item.make ~flags:0 ~exptime:0 ~data:"x" ~now:0 () in
+  let a = Item.make ~chunk:Slab.no_chunk ~flags:0 ~exptime:0 ~len:1 ~now:0 () in
+  let b = Item.make ~chunk:Slab.no_chunk ~flags:0 ~exptime:0 ~len:1 ~now:0 () in
   Alcotest.(check bool) "fresh items get distinct cas" true (a.cas <> b.cas);
-  let pinned = Item.make ~cas:a.cas ~flags:0 ~exptime:0 ~data:"y" ~now:0 () in
+  let pinned = Item.make ~chunk:Slab.no_chunk ~cas:a.cas ~flags:0 ~exptime:0 ~len:1 ~now:0 () in
   Alcotest.(check int) "cas pinnable" a.cas pinned.cas
 
 let test_item_touch_access () =
-  let item = Item.make ~flags:0 ~exptime:0 ~data:"x" ~now:(tm 1.0) () in
+  let item = Item.make ~chunk:Slab.no_chunk ~flags:0 ~exptime:0 ~len:1 ~now:(tm 1.0) () in
   Alcotest.(check (float 1e-9)) "initial access" 1.0 (Item.float_of_time item.last_access);
   Item.touch_access item ~now:(tm 9.0);
   Alcotest.(check (float 1e-9)) "bumped" 9.0 (Item.float_of_time item.last_access);
@@ -124,7 +124,7 @@ let test_item_time_conversion () =
   Alcotest.(check bool) "order preserved" true (tm 1e9 < tm (1e9 +. 1e-6))
 
 let test_item_size_accounting () =
-  let item = Item.make ~flags:0 ~exptime:0 ~data:"abcd" ~now:0 () in
+  let item = Item.make ~chunk:Slab.no_chunk ~flags:0 ~exptime:0 ~len:4 ~now:0 () in
   Alcotest.(check int) "key + data + overhead"
     (3 + 4 + Item.overhead_bytes)
     (Item.size_bytes ~key:"key" item)

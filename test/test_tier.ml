@@ -444,8 +444,7 @@ let test_iter_read_through () =
   Alcotest.(check bool) "some keys are cold" true (cold_keys store n <> []);
   let seen = Hashtbl.create 64 in
   ignore
-    (Store.iter_items store ~f:(fun k (item : Item.t) ->
-         Hashtbl.replace seen k item.Item.data));
+    (Store.iter_items store ~f:(fun k _ data -> Hashtbl.replace seen k data));
   (* The walk (what snapshots consume) must surface real values for cold
      items, not markers. *)
   for i = 0 to n - 1 do
