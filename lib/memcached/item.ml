@@ -39,8 +39,6 @@ let make ?cas ?(location = Hot) ~chunk ~flags ~exptime ~len ~now () =
   let cas = match cas with Some c -> c | None -> Atomic.fetch_and_add next_cas 1 in
   { flags; exptime; chunk; len; cas; last_access = now; location }
 
-let none = make ~cas:0 ~chunk:Slab.no_chunk ~flags:0 ~exptime:0 ~len:0 ~now:0 ()
-
 (* Replayed items keep their original CAS; push the allocator past them so
    post-recovery items never collide with a restored version. *)
 let rec note_restored_cas cas =

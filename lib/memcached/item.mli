@@ -57,10 +57,6 @@ val make :
   flags:int -> exptime:time -> len:int -> now:time -> unit -> t
 (** [location] defaults to {!Hot}; [now] is the initial access stamp. *)
 
-val none : t
-(** An item no store holds: a batch lookup's result for a key that
-    missed (compare physically). *)
-
 val note_restored_cas : int -> unit
 (** Tell the CAS allocator a recovered item carries [cas], so versions
     minted after a warm restart stay unique (monotonic past any replayed

@@ -14,8 +14,7 @@ external blit_bytes_to_page : Bytes.t -> int -> page -> int -> int -> unit
 
 external page_create : int -> page = "slab_page_create"
 external page_free : page -> unit = "slab_page_free" [@@noalloc]
-external prefetch_page : page -> int -> int -> unit = "slab_prefetch" [@@noalloc]
-external prefetch_page_write : page -> int -> int -> unit = "slab_prefetch_write" [@@noalloc]
+external prefetch_page : page -> int -> int -> write:bool -> unit = "slab_prefetch" [@@noalloc]
 
 type cls = {
   chunk_size : int;
@@ -286,7 +285,7 @@ let with_class (cls : cls) f =
 let warm_next t mag n (cls : cls) =
   if n > 0 then begin
     let chunk = Array.unsafe_get mag (n - 1) in
-    prefetch_page_write (page_of t chunk) (offset_of t chunk) (Int.min cls.chunk_size 512)
+    prefetch_page (page_of t chunk) (offset_of t chunk) (Int.min cls.chunk_size 512) ~write:true
   end
 
 (* Fill the domain's empty magazine of class [c], then take from it. *)
@@ -418,4 +417,5 @@ let read t chunk len =
   Bytes.unsafe_to_string b
 
 let prefetch t chunk len =
-  if chunk <> no_chunk && len > 0 then prefetch_page (page_of t chunk) (offset_of t chunk) len
+  if chunk <> no_chunk && len > 0 then
+    prefetch_page (page_of t chunk) (offset_of t chunk) len ~write:false

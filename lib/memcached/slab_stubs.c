@@ -46,34 +46,25 @@ CAMLprim value slab_blit_from_bytes(value src, value src_off, value page, value 
 }
 
 /* Cache hints for every line of the [len] bytes of a page from [off];
-   a prefetch never faults. [slab_prefetch_write] asks for the lines
-   to be written: a chunk about to take a value. */
-CAMLprim value slab_prefetch(value page, value off, value len)
+   a prefetch never faults. [write] asks for the lines to be written: a
+   chunk about to take a value. */
+CAMLprim value slab_prefetch(value page, value off, value len, value write)
 {
 #if defined(__GNUC__) || defined(__clang__)
   const char *p = (const char *)Page_val(page) + Long_val(off);
   const char *stop = p + Long_val(len);
-  for (; p < stop; p += 64) __builtin_prefetch(p);
-  __builtin_prefetch(stop - 1);
+  if (Bool_val(write)) {
+    for (; p < stop; p += 64) __builtin_prefetch(p, 1);
+    __builtin_prefetch(stop - 1, 1);
+  } else {
+    for (; p < stop; p += 64) __builtin_prefetch(p);
+    __builtin_prefetch(stop - 1);
+  }
 #else
   (void)page;
   (void)off;
   (void)len;
-#endif
-  return Val_unit;
-}
-
-CAMLprim value slab_prefetch_write(value page, value off, value len)
-{
-#if defined(__GNUC__) || defined(__clang__)
-  const char *p = (const char *)Page_val(page) + Long_val(off);
-  const char *stop = p + Long_val(len);
-  for (; p < stop; p += 64) __builtin_prefetch(p, 1);
-  __builtin_prefetch(stop - 1, 1);
-#else
-  (void)page;
-  (void)off;
-  (void)len;
+  (void)write;
 #endif
   return Val_unit;
 }

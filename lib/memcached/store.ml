@@ -111,7 +111,9 @@ let prefetch t keys = t.b.prefetch keys
 (* A domain's key slices and hits for [get_many], reused across calls.
    Systhreads on one domain (a follower's apply thread, an in-process
    bench client) share them; one that finds them [busy] (a sibling was
-   switched out mid-call) stages into fresh ones. *)
+   switched out mid-call) stages into fresh ones. They stay [busy] until
+   the replies are built from the hits: building them allocates, and a
+   sibling switched in there must not overwrite the hits. *)
 type staging = { mutable busy : bool; keys : Protocol.Keys.t; hits : Hits.t }
 
 let fresh_staging () = { busy = false; keys = Protocol.Keys.create (); hits = Hits.create () }
@@ -140,37 +142,21 @@ let get_many t ?(with_cas = false) keys =
   let shared = Domain.DLS.get staging_key in
   let s = if shared.busy then fresh_staging () else shared in
   s.busy <- true;
-  Protocol.Keys.stage s.keys keys;
-  match get_keys t ~clock:(clock t) s.keys ~first:0 ~n:s.keys.n s.hits with
-  | () ->
+  match
+    Protocol.Keys.stage s.keys keys;
+    get_keys t ~clock:(clock t) s.keys ~first:0 ~n:s.keys.n s.hits;
+    values ~with_cas s.hits 0 keys
+  with
+  | replies ->
       s.busy <- false;
-      values ~with_cas s.hits 0 keys
+      replies
   | exception e ->
       s.busy <- false;
       raise e
 
-(* A lone GET through the backend's one-key path, into the domain's
-   hits. *)
 let get t key =
   Rp_obs.Counter.incr t.c.cmd_get;
-  let shared = Domain.DLS.get staging_key in
-  let s = if shared.busy then fresh_staging () else shared in
-  s.busy <- true;
-  match t.b.get ~now:(now t) key s.hits with
-  | () ->
-      s.busy <- false;
-      if Hits.hit s.hits 0 then
-        Some
-          {
-            Protocol.vkey = key;
-            vflags = s.hits.flags.(0);
-            vdata = Hits.value s.hits 0;
-            vcas = None;
-          }
-      else None
-  | exception e ->
-      s.busy <- false;
-      raise e
+  t.b.get ~now:(now t) key
 
 (* --- storage commands --- *)
 

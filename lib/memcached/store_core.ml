@@ -156,9 +156,8 @@ type backend = {
       (* The budget step once the key's lock is released: the CLOCK
          sweep, or exact-LRU eviction. *)
   evict_to_budget : unit -> unit;  (* like [budget], but waits it out *)
-  get : now:Item.time -> string -> Hits.t -> unit;
-      (* One key's live value copied into the hits as key 0, counted
-         and touched. *)
+  get : now:Item.time -> string -> Protocol.value option;
+      (* One key's live value, a fresh copy, counted and touched. *)
   get_keys : now:Item.time -> Protocol.Keys.t -> first:int -> n:int -> Hits.t -> unit;
       (* Each of keys [first, first + n)'s live value copied into the
          hits at [j = i - first], every outcome counted and every hit
@@ -259,6 +258,15 @@ let item_of_string c ?cas ~flags ~exptime ~now data =
 (* A fresh copy of a hot item's value: callers hold the key's lock or
    the read section that found the item. *)
 let value c (item : Item.t) = Slab.read c.slab item.chunk item.len
+
+(* A hot item's reply under [key], its value a fresh copy (same rule). *)
+let reply c ~with_cas key (item : Item.t) : Protocol.value =
+  {
+    vkey = key;
+    vflags = item.flags;
+    vdata = value c item;
+    vcas = (if with_cas then Some item.cas else None);
+  }
 
 (* Claim key [j]'s reply for a hot item, its value's chunk noted for
    [copy_claimed]: a batch claims its hits first and copies them after,

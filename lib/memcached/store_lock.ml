@@ -56,17 +56,18 @@ let create (c : Store_core.t) ~initial_size =
               Rp_obs.Counter.incr c.evicted);
           evict ()
   in
-  (* The live item's value copied into the hits as key [j]'s reply,
-     LRU-bumped and counted. *)
-  let lookup ~now hits j key =
-    locked (fun () ->
-        match find_live ~now key with
-        | None -> count_miss c key
-        | Some entry ->
-            Lru.touch lru entry.node;
-            Item.touch_access entry.item ~now;
-            copy_hit c hits j entry.item;
-            count_hit c key entry.item.len)
+  (* The live item, LRU-bumped and counted (under the lock, which the
+     caller holds until it has copied the value). *)
+  let find_touched ~now key =
+    match find_live ~now key with
+    | None ->
+        count_miss c key;
+        None
+    | Some entry ->
+        Lru.touch lru entry.node;
+        Item.touch_access entry.item ~now;
+        count_hit c key entry.item.len;
+        Some entry.item
   in
   {
     kind = Lock;
@@ -93,14 +94,16 @@ let create (c : Store_core.t) ~initial_size =
       (fun () -> if Slab.allocated_bytes c.slab > c.max_bytes then locked evict);
     evict_to_budget = (fun () -> locked evict);
     get =
-      (fun ~now key hits ->
-        Hits.prepare hits 1;
-        lookup ~now hits 0 key);
+      (fun ~now key ->
+        locked (fun () -> Option.map (reply c ~with_cas:false key) (find_touched ~now key)));
     get_keys =
       (fun ~now keys ~first ~n hits ->
         Hits.prepare hits n;
         for j = 0 to n - 1 do
-          lookup ~now hits j (Protocol.Keys.key keys (first + j))
+          locked (fun () ->
+              match find_touched ~now (Protocol.Keys.key keys (first + j)) with
+              | Some item -> copy_hit c hits j item
+              | None -> ())
         done);
     prefetch = ignore;
     iter =

@@ -306,111 +306,136 @@ let expire_if_dead t ~now key =
           Rp_obs.Counter.incr t.c.expired
       | Some _ | None -> ())
 
-(* One key's lookup in a read section of its own: a live hot item's
-   value is copied into the hits as key [j]'s reply and the item
-   touched before the section closes. Returns the item found, or
-   [Item.none]; the caller counts the outcome and serves an expired or
-   cold item after the section. *)
-let lookup_into t ~hash ~now hits j key =
+(* One key's lookup in a read section of its own. A live hot item is
+   touched and its reply built, its value copied out of its chunk,
+   before the section closes: once it has, the chunk may be reused. An
+   expired or cold item is returned for the caller to serve after the
+   section. *)
+type lookup = Hit of Protocol.value | Found of Item.t | Absent
+
+let lookup_in_section t ~with_cas ~hash ~now key =
+  match Rp_ht.find_opt_hashed t.rp ~hash key with
+  | Some item when Item.is_expired item ~now || Item.is_cold item -> Found item
+  | Some item ->
+      Item.touch_access item ~now;
+      Hit (reply t.c ~with_cas key item)
+  | None -> Absent
+
+let lookup t ~with_cas ~hash ~now key =
   let rcu = Rp_ht.rcu t.rp in
   Rcu.read_lock_current rcu;
-  let item =
-    match Rp_ht.find_opt_hashed t.rp ~hash key with
-    | Some item when Item.is_expired item ~now || Item.is_cold item -> item
-    | Some item ->
-        copy_hit t.c hits j item;
-        Item.touch_access item ~now;
-        item
-    | None -> Item.none
-    | exception e ->
-        Rcu.read_unlock_current rcu;
-        raise e
-  in
-  Rcu.read_unlock_current rcu;
-  item
+  match lookup_in_section t ~with_cas ~hash ~now key with
+  | found ->
+      Rcu.read_unlock_current rcu;
+      found
+  | exception e ->
+      Rcu.read_unlock_current rcu;
+      raise e
 
 (* Resolve a cold hit: one positioned segment read, then reinsert under
-   the key's update stripe (promote-on-access), the value copied into
-   the hits as key [j]'s reply. The disk read happens with no store
-   lock held — only the key's promote stripe, whose sole job is
-   single-flighting: a flash crowd on one demoted key queues here and
-   every loser finds the item already hot on its own pass.
+   the key's update stripe (promote-on-access). The disk read happens
+   with no store lock held — only the key's promote stripe, whose sole
+   job is single-flighting: a flash crowd on one demoted key queues
+   here and every loser finds the item already hot on its own pass.
 
-   Each attempt looks the key up afresh, in a read section that copies
-   a hot value before it closes. Races are re-resolved that way
+   Each attempt looks the key up afresh. Races are re-resolved that way
    (bounded retries): a compaction can relocate the marker mid-read
    (read returns [Tier_gone] — the fresh marker points at the copy), a
    SET can replace it (we find it hot and serve that), a DELETE can win
    (miss). A torn record is final: the value is gone, so the marker is
    dropped — later GETs miss fast instead of re-reading a bad frame. *)
-let rec promote_attempt t ~hooks ~hash hits j key tries =
+let rec promote_attempt t ~hooks ~with_cas ~hash key tries =
   let now = now t.c in
-  let item = lookup_into t ~hash ~now hits j key in
-  if Hits.hit hits j then count_hit t.c key item.len
-  else if item == Item.none then count_miss t.c key
-  else if Item.is_expired item ~now then begin
-    expire_if_dead t ~now key;
-    count_miss t.c key
-  end
-  else
-    match item.Item.location with
-    | Item.Hot -> assert false (* copied above *)
-    | Item.Cold { segment; offset; len } -> (
-        match read_cold t.c hooks key (segment, offset, len) with
-        | Ok data ->
-            let promoted =
+  match lookup t ~with_cas ~hash ~now key with
+  | Hit v ->
+      count_hit t.c key (String.length v.vdata);
+      Some v
+  | Absent ->
+      count_miss t.c key;
+      None
+  | Found item when Item.is_expired item ~now ->
+      expire_if_dead t ~now key;
+      count_miss t.c key;
+      None
+  | Found item -> (
+      match item.Item.location with
+      | Item.Hot -> assert false (* a hot item is a [Hit] *)
+      | Item.Cold { segment; offset; len } -> (
+          match read_cold t.c hooks key (segment, offset, len) with
+          | Ok data ->
+              let promoted =
+                with_stripe t ~hash (fun () ->
+                    match Rp_ht.find_opt_hashed t.rp ~hash key with
+                    | Some cur when cur == item ->
+                        (* Marker unchanged since the read: publish the
+                           hot item ([store] refunds the marker, marks its
+                           frame dead, re-enqueues in the CLOCK). *)
+                        store t ~hash key
+                          (item_of_string t.c ~cas:item.cas ~flags:item.flags
+                             ~exptime:item.exptime ~now data);
+                        true
+                    | _ -> false)
+              in
+              if promoted then begin
+                Rp_obs.Counter.incr t.c.tier_promotions;
+                (match t.c.heat with
+                | None -> ()
+                | Some h -> Rp_heat.note_tier_promote h ~vbytes:(String.length data));
+                count_hit t.c key (String.length data);
+                Some
+                  {
+                    Protocol.vkey = key;
+                    vflags = item.flags;
+                    vdata = data;
+                    vcas = (if with_cas then Some item.cas else None);
+                  }
+              end
+              else if tries > 0 then promote_attempt t ~hooks ~with_cas ~hash key (tries - 1)
+              else begin
+                count_miss t.c key;
+                None
+              end
+          | Error Tier_gone when tries > 0 ->
+              promote_attempt t ~hooks ~with_cas ~hash key (tries - 1)
+          | Error e ->
+              if e = Tier_gone then Rp_obs.Counter.incr t.c.tier_read_errors;
               with_stripe t ~hash (fun () ->
                   match Rp_ht.find_opt_hashed t.rp ~hash key with
-                  | Some cur when cur == item ->
-                      (* Marker unchanged since the read: publish the
-                         hot item ([store] refunds the marker, marks its
-                         frame dead, re-enqueues in the CLOCK). *)
-                      store t ~hash key
-                        (item_of_string t.c ~cas:item.cas ~flags:item.flags
-                           ~exptime:item.exptime ~now data);
-                      true
-                  | _ -> false)
-            in
-            if promoted then begin
-              Rp_obs.Counter.incr t.c.tier_promotions;
-              (match t.c.heat with
-              | None -> ()
-              | Some h -> Rp_heat.note_tier_promote h ~vbytes:(String.length data));
-              Hits.put_string hits j ~flags:item.flags ~cas:item.cas data;
-              count_hit t.c key (String.length data)
-            end
-            else if tries > 0 then promote_attempt t ~hooks ~hash hits j key (tries - 1)
-            else count_miss t.c key
-        | Error Tier_gone when tries > 0 ->
-            promote_attempt t ~hooks ~hash hits j key (tries - 1)
-        | Error e ->
-            if e = Tier_gone then Rp_obs.Counter.incr t.c.tier_read_errors;
-            with_stripe t ~hash (fun () ->
-                match Rp_ht.find_opt_hashed t.rp ~hash key with
-                | Some cur when cur == item -> ignore (delete t ~hash key)
-                | _ -> ());
-            count_miss t.c key)
+                  | Some cur when cur == item -> ignore (delete t ~hash key)
+                  | _ -> ());
+              count_miss t.c key;
+              None))
 
-(* Key [j]'s reply when its item was cold: the promoted value, or a
+(* The reply for a key whose item was cold: the promoted value, or a
    miss. *)
-let promote_into t hits j key =
+let promote t ~with_cas key =
   match t.c.tier with
   | None ->
       (* A marker with no tier attached (shutdown window): unreadable. *)
-      count_miss t.c key
+      count_miss t.c key;
+      None
   | Some hooks ->
       let span = Rp_trace.span_begin_sampled k_tier_promote in
       let hash = hash_key key in
       let m = t.promote_stripes.(hash land t.update_mask) in
       Rcu.mutex_lock (Rp_ht.rcu t.rp) m;
-      Fun.protect
-        ~finally:(fun () ->
-          Mutex.unlock m;
-          Rp_trace.span_end_sampled k_tier_promote span)
-        (fun () -> promote_attempt t ~hooks ~hash hits j key 3);
+      let v =
+        Fun.protect
+          ~finally:(fun () ->
+            Mutex.unlock m;
+            Rp_trace.span_end_sampled k_tier_promote span)
+          (fun () -> promote_attempt t ~hooks ~with_cas ~hash key 3)
+      in
       (* Promotion re-charged the full value: settle the budget (the sweep
          may well demote something colder in its place). *)
-      sweep t
+      sweep t;
+      v
+
+(* A batch's key [j] whose item was cold: its reply put into the hits. *)
+let promote_into t (hits : Hits.t) j key =
+  match promote t ~with_cas:true key with
+  | Some v -> Hits.put_string hits j ~flags:v.vflags ~cas:(Option.value v.vcas ~default:0) v.vdata
+  | None -> ()
 
 (* The batch size goes on the read-section span's end, and only when the
    span is recorded: passing [~arg] allocates an option. *)
@@ -526,18 +551,21 @@ let get_keys t ~now (keys : Protocol.Keys.t) ~first ~n hits =
     (first + n)
 
 (* A lone GET: no staged walk, just the key's own read section, the
-   hit copied inside it. *)
-let get t ~now key hits =
-  Hits.prepare hits 1;
+   reply built inside it. *)
+let get t ~now key =
   let hash = hash_key key in
-  let item = lookup_into t ~hash ~now hits 0 key in
-  if Hits.hit hits 0 then count_hit t.c key item.len
-  else if item == Item.none then count_miss t.c key
-  else if Item.is_expired item ~now then begin
-    count_miss t.c key;
-    expire_if_dead t ~now key
-  end
-  else promote_into t hits 0 key
+  match lookup t ~with_cas:false ~hash ~now key with
+  | Hit v ->
+      count_hit t.c key (String.length v.vdata);
+      Some v
+  | Absent ->
+      count_miss t.c key;
+      None
+  | Found item when Item.is_expired item ~now ->
+      count_miss t.c key;
+      expire_if_dead t ~now key;
+      None
+  | Found _ -> promote t ~with_cas:false key
 
 (* The cache lines a run's SETs and GETs will load, asked for at once
    before the run is served key by key: after the table's own stages,
@@ -650,7 +678,7 @@ let create (c : Store_core.t) ~rcu_mode ~initial_size ~auto_resize ~stripes =
     keys = (fun () -> Rp_ht.fold rp ~init:[] ~f:(fun acc k _ -> k :: acc));
     budget = (fun () -> sweep t);
     evict_to_budget = (fun () -> evict_to_budget t);
-    get = (fun ~now key hits -> get t ~now key hits);
+    get = (fun ~now key -> get t ~now key);
     get_keys = (fun ~now keys ~first ~n hits -> get_keys t ~now keys ~first ~n hits);
     prefetch = (fun keys -> prefetch t keys);
     iter = (fun f -> iter t f);

@@ -497,6 +497,53 @@ let chunk_reuse ~rcu_mode () =
     true
     (float_of_int written *. float_of_int len > 2. *. pages *. 1048576.)
 
+(* Systhreads of one domain share its [get_many] staging. Two of them
+   read disjoint keys whose values differ, through [get_many] and [get].
+   The runtime switches between them at allocation points, most of
+   which are in building [get_many]'s replies, so one is often switched
+   out in the middle of that while the other serves its own keys. Every
+   reply must be its own key's value. *)
+let shared_staging backend () =
+  let module S = Memcached.Store in
+  let store = S.create ~backend ~initial_size:256 () in
+  let n = 64 in
+  let keys = Array.init 2 (fun t -> Array.init n (Printf.sprintf "staging:%d:%d" t)) in
+  let values =
+    Array.init 2 (fun t ->
+        Array.init n (fun i -> String.make (1000 + i) (Char.chr (Char.code 'a' + t))))
+  in
+  for t = 0 to 1 do
+    for i = 0 to n - 1 do
+      ignore (S.set store ~key:keys.(t).(i) ~flags:i ~exptime:0 ~data:values.(t).(i))
+    done
+  done;
+  let stop = Atomic.make false in
+  let wrong = Atomic.make 0 and replies = Atomic.make 0 in
+  let check t i (r : Memcached.Protocol.value) =
+    Atomic.incr replies;
+    if r.vkey != keys.(t).(i) || r.vflags <> i || not (String.equal r.vdata values.(t).(i)) then
+      Atomic.incr wrong
+  in
+  let reader t =
+    let key_list = Array.to_list keys.(t) in
+    let i = ref 0 in
+    while not (Atomic.get stop) do
+      (match S.get_many store key_list with
+      | replies when List.length replies = n -> List.iteri (check t) replies
+      | _ -> Atomic.incr wrong);
+      (match S.get store keys.(t).(!i) with
+      | Some r -> check t !i { r with vkey = keys.(t).(!i) }
+      | None -> Atomic.incr wrong);
+      i := (!i + 1) mod n
+    done
+  in
+  let threads = List.init 2 (Thread.create reader) in
+  Unix.sleepf (2. *. duration);
+  Atomic.set stop true;
+  List.iter Thread.join threads;
+  Alcotest.(check int) "no reply of another key" 0 (Atomic.get wrong);
+  Alcotest.(check bool) "replies read" true (Atomic.get replies > 0)
+
 let () =
   Alcotest.run "concurrent"
     [
@@ -541,5 +588,9 @@ let () =
             (chunk_reuse ~rcu_mode:Memcached.Store.Memb);
           Alcotest.test_case "chunk reuse after a grace period, qsbr" `Slow
             (chunk_reuse ~rcu_mode:Memcached.Store.Qsbr);
+          Alcotest.test_case "rp, shared staging" `Slow
+            (shared_staging Memcached.Store.Rp);
+          Alcotest.test_case "lock, shared staging" `Slow
+            (shared_staging Memcached.Store.Lock);
         ] );
     ]

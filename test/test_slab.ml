@@ -173,6 +173,99 @@ let test_server_maps_too_large () =
         (r.status = Binary_protocol.Value_too_large)
   | _ -> Alcotest.fail "binary reply shape"
 
+(* --- value memory --- *)
+
+(* Value [k]'s bytes: position-dependent, so a chunk overlapping another
+   or read at the wrong offset shows. *)
+let pattern k len = Bytes.init len (fun p -> Char.chr (((k * 31) + p) land 255))
+
+let check_reads_back slab (k, chunk, len) =
+  Alcotest.(check string)
+    (Printf.sprintf "value %d (%d bytes)" k len)
+    (Bytes.to_string (pattern k len))
+    (Slab.read slab chunk len)
+
+(* Chunks of several classes, until the page directory has grown past
+   its first 8 entries: every value written before or after a growth
+   reads back whole. *)
+let test_chunks_read_back () =
+  let slab = Slab.create () in
+  Alcotest.(check int) "empty value" Slab.no_chunk (Slab.alloc slab 0);
+  let lens = [| 1; 100; 1000; 10_000; 100_000; 600_000 |] in
+  let live = ref [] and k = ref 0 in
+  while Slab.pages slab <= 8 || !k mod Array.length lens <> 0 do
+    let len = lens.(!k mod Array.length lens) in
+    let chunk = Slab.alloc slab len in
+    Slab.write slab chunk (pattern !k len) 0 len;
+    live := (!k, chunk, len) :: !live;
+    incr k
+  done;
+  Alcotest.(check bool) "more than 8 pages" true (Slab.pages slab > 8);
+  List.iter (check_reads_back slab) !live
+
+(* Freeing more chunks than one page holds grows the class's free list;
+   the freed chunks are then allocated again, each once, before the
+   class takes another page. *)
+let test_free_list_grows () =
+  let slab = Slab.create () in
+  let len = 10_000 in
+  let size = Slab.chunk_size_of slab (Option.get (Slab.class_of_size slab len)) in
+  let n = (3 * ((1 lsl 20) / size)) + 5 in
+  let first = Array.init n (fun _ -> Slab.alloc slab len) in
+  let pages = Slab.pages slab in
+  Array.iter (Slab.free slab) first;
+  let again =
+    Array.init n (fun k ->
+        let chunk = Slab.alloc slab len in
+        Slab.write slab chunk (pattern k len) 0 len;
+        chunk)
+  in
+  Alcotest.(check int) "no new page" pages (Slab.pages slab);
+  let sorted = Array.copy again in
+  Array.sort compare sorted;
+  Array.iteri
+    (fun i c -> if i > 0 && c = sorted.(i - 1) then Alcotest.failf "chunk %d handed out twice" c)
+    sorted;
+  Array.iteri (fun k chunk -> check_reads_back slab (k, chunk, len)) again
+
+(* Retired chunks go back to their class only after a grace period, in
+   batches of 64: the two closed batches wait until [Rcu.barrier], and
+   are then allocated again before the class carves a new page; the
+   three chunks still in the domain's open batch are not. *)
+let test_retire_batches () =
+  let slab = Slab.create () and rcu = Rcu.create () in
+  let len = 1000 in
+  let size = Slab.chunk_size_of slab (Option.get (Slab.class_of_size slab len)) in
+  let chunks = Array.init ((2 * 64) + 3) (fun _ -> Slab.alloc slab len) in
+  Array.iter (Slab.retire slab rcu) chunks;
+  Alcotest.(check int) "two batches wait" (2 * 64 * size) (Slab.limbo_bytes slab);
+  Rcu.barrier rcu;
+  Alcotest.(check int) "released" 0 (Slab.limbo_bytes slab);
+  let pages = Slab.pages slab in
+  let reused = Hashtbl.create 1024 in
+  while Slab.pages slab = pages do
+    Hashtbl.replace reused (Slab.alloc slab len) ()
+  done;
+  Array.iteri
+    (fun i c ->
+      Alcotest.(check bool)
+        (Printf.sprintf "retired chunk %d reused" i)
+        (i < 2 * 64) (Hashtbl.mem reused c))
+    chunks
+
+(* A retiring writer that finds more than 16 MiB waiting waits out a
+   grace period itself. *)
+let test_limbo_cap () =
+  let slab = Slab.create () and rcu = Rcu.create () in
+  let mib = 1 lsl 20 in
+  let chunks = Array.init 17 (fun _ -> Slab.alloc slab mib) in
+  Array.iteri
+    (fun i c ->
+      Slab.retire slab rcu c;
+      if i < 16 then Alcotest.(check int) "waiting" ((i + 1) * mib) (Slab.limbo_bytes slab))
+    chunks;
+  Alcotest.(check int) "past the cap: released" 0 (Slab.limbo_bytes slab)
+
 let () =
   Alcotest.run "slab"
     [
@@ -191,6 +284,13 @@ let () =
           Alcotest.test_case "per-class stats" `Quick test_stats_per_class;
           QCheck_alcotest.to_alcotest prop_charge_refund_balance;
           QCheck_alcotest.to_alcotest prop_chunk_covers;
+        ] );
+      ( "value memory",
+        [
+          Alcotest.test_case "chunks read back" `Quick test_chunks_read_back;
+          Alcotest.test_case "free list grows" `Quick test_free_list_grows;
+          Alcotest.test_case "retired in batches" `Quick test_retire_batches;
+          Alcotest.test_case "limbo cap" `Quick test_limbo_cap;
         ] );
       ( "store integration",
         [
