@@ -368,17 +368,15 @@ let run_persist_bench () =
      its own domain) racing the measurement loop. *)
   let snap_done = Atomic.make false in
   let snapper =
-    Thread.create
-      (fun () ->
+    Domain.spawn (fun () ->
         ignore (Memcached.Persist.snapshot_now p);
         Atomic.set snap_done true)
-      ()
   in
   let p99_on =
     get_p99_ns store ~keyspace:items ~samples:400 ~batch:64 ~until:(fun () ->
         Atomic.get snap_done)
   in
-  Thread.join snapper;
+  Domain.join snapper;
   let gp_p99_ns =
     match
       List.assoc_opt "rcu_grace_period_ns_p99"

@@ -40,6 +40,7 @@ type t = {
 let backend t = t.b.kind
 let rcu_mode t = t.b.rcu_mode
 let write_stripes t = t.b.stripes
+let validate t = t.b.validate ()
 let reader_offline t = t.b.reader_offline ()
 let registry t = t.c.registry
 let max_bytes t = t.c.max_bytes

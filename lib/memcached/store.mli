@@ -12,11 +12,11 @@
     - {!Rp} ([Store_rp]): the paper's port — GET is a wait-free
       relativistic lookup that copies the value inside the read-side
       critical section and bumps a plain-int access stamp instead of LRU
-      list pointers; expiry falls back to a locked slow path; updates
-      serialize {e per key} on a striped lock (stripe = key hash, aligned
-      with the backing table's own writer stripes) so independent
-      SETs/DELETEs/CAS proceed concurrently from different workers, and
-      use safe relativistic memory reclamation (the table's deferred
+      list pointers; expiry falls back to a locked slow path; each update
+      runs {e per key} under the backing table's own writer stripe for
+      the key (stripe = key hash land mask: one mutex per write) so
+      independent SETs/DELETEs/CAS proceed concurrently from different
+      workers, and use safe relativistic memory reclamation (the table's deferred
       reclamation). CLOCK-style second-chance eviction replaces the exact
       LRU; sweeps are single-flighted and lock only each victim's stripe,
       never the whole store. Only this backend carries the cold tier. *)
@@ -60,8 +60,8 @@ val create :
     initial bucket count (default 1024); [auto_resize] (default true, RP
     backend only) lets the table grow/shrink with item count; [stripes]
     (default 8, rounded up to a power of two, RP backend only) is the
-    update-stripe count — also passed down as the backing table's writer
-    stripe count; [heat_topk] (default 0 = off) enables the {!Rp_heat}
+    backing table's writer stripe count, the stripes every update runs
+    under; [heat_topk] (default 0 = off) enables the {!Rp_heat}
     workload-insight plane tracking that many heavy hitters per sketch
     — when 0 the hot-path cost is a single branch on a [None];
     [heat_sample] (default 16, power of two) is the plane's head-sampling
@@ -75,8 +75,13 @@ val backend : t -> backend
 val rcu_mode : t -> rcu_mode
 
 val write_stripes : t -> int
-(** Update-stripe count of the {!Rp} backend (1 for {!Lock} — its global
-    lock is one big stripe). *)
+(** Writer stripe count of the {!Rp} backend's table (1 for {!Lock} — its
+    global lock is one big stripe). *)
+
+val validate : t -> (unit, string) result
+(** The {!Rp} backend's {!Rp_ht.validate} (every stripe taken, pending
+    splits completed, then every chain checked for precision); [Ok ()]
+    on {!Lock}. *)
 
 val reader_offline : t -> unit
 (** Take the calling domain's reader offline (extended quiescent state) so
@@ -133,7 +138,7 @@ val get_keys : t -> clock:float -> Protocol.Keys.t -> first:int -> n:int -> Hits
     key — the copy must happen before the section closes, since the
     chunk may be reused one grace period after its item leaves the
     table. After the section: a miss is counted; an expired item counts
-    as a miss and is reaped under its own key's update stripe; a cold
+    as a miss and is reaped under its own key's stripe; a cold
     one is promoted. Allocates the walk's array (one word per key); the
     hits grow only past their largest batch so far. *)
 
@@ -212,7 +217,7 @@ val flush_all : t -> unit
 
 val set_persist_hook : t -> (Rp_persist.Record.t -> unit) option -> unit
 (** Install (or clear) the mutation hook. The hook runs with the mutated
-    key's update stripe held — concurrent mutations on other stripes may
+    key's stripe held — concurrent mutations on other stripes may
     invoke it concurrently, so it must be thread-safe — and must be quick
     aside from its own I/O; an exception it raises fails the triggering
     command after the in-memory effect — the client then sees an error,
@@ -274,7 +279,7 @@ val promote : t -> (string, string) result
     The {!Tier} glue installs these hooks over an {!Rp_tier.Cold_store}.
     With hooks installed, the CLOCK eviction sweep {e demotes} victims —
     appends the value to a segment file and swaps the item for a compact
-    {!Item.Cold} marker, under the victim's update stripe — instead of
+    {!Item.Cold} marker, under the victim's stripe — instead of
     dropping them; a GET that finds a marker reads the segment with no
     store lock held and reinserts under the stripe (promote-on-access,
     single-flighted per key on a dedicated promote-stripe array). Keys,
@@ -286,14 +291,14 @@ type tier_hooks = Store_core.tier_hooks = {
   th_demote : string -> string -> (int * int * int) option;
       (** [th_demote key data] appends to the tier; [(segment, offset,
           len)] on success, [None] when full/failing (the store then
-          falls back to plain eviction). Runs under the victim's update
+          falls back to plain eviction). Runs under the victim's
           stripe. *)
   th_read : int * int * int -> (string * string, tier_read_error) result;
       (** Positioned read of [(key, data)]; runs with no store lock held. *)
   th_mark_dead : int * int * int -> unit;
       (** Location dereferenced (delete, overwrite, promote, relocate,
           flush); feeds the tier's per-segment live accounting. Runs
-          under the key's update stripe. *)
+          under the key's stripe. *)
   th_admit : unit -> bool;
       (** Demotion gate (false = shed demotions; cold reads are never
           shed). *)
@@ -303,7 +308,7 @@ val set_tier : t -> tier_hooks option -> unit
 
 val tier_location : t -> string -> (int * int * int) option
 (** The key's cold-marker location, if it is live and demoted, read under
-    the key's update stripe (the tier's recovery and compactor use it as
+    the key's stripe (the tier's recovery and compactor use it as
     the liveness oracle). *)
 
 val tier_relocate :
@@ -312,7 +317,7 @@ val tier_relocate :
   from_:int * int * int ->
   relocate:(unit -> (int * int * int) option) ->
   bool
-(** Compaction step: under the key's update stripe, verify the marker
+(** Compaction step: under the key's stripe, verify the marker
     still points at [from_], run [relocate] (copy the frame to the head
     segment), and publish a marker for the returned location; the old
     frame is marked dead through [th_mark_dead]. [false] = the record was

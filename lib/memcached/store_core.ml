@@ -128,16 +128,16 @@ type t = {
 
 (* The backend signature: only what differs between the global-lock
    table and the RP table. Each command computes its key's [hash] once
-   and passes it to every call below. Lock order, RP side: store stripe
-   > table stripe > [clock_mu]; never acquire upward. *)
+   and passes it to every call below. Lock order, RP side: promote
+   stripe > table stripe > [clock_mu]; never acquire upward. *)
 type backend = {
   kind : kind;
   rcu_mode : rcu_mode;
   stripes : int;  (* writer serialization units (the global lock is one) *)
   hash : string -> int;  (* the key's stripe hash; the lock table needs none *)
   with_key : 'a. hash:int -> (unit -> 'a) -> 'a;
-      (* Serialize a writer of the key: its RP store stripe, taken with
-         [Rcu.mutex_lock], or the global lock. *)
+      (* Serialize a writer of the key: the RP table's stripe for it
+         ([Rp_ht.enter_key]/[leave_key]), or the global lock. *)
   with_all : 'a. (unit -> 'a) -> 'a;  (* every writer stopped: flush_all *)
   live : hash:int -> now:Item.time -> string -> Item.t option;
       (* The unexpired item, under the key's lock. *)
@@ -171,6 +171,7 @@ type backend = {
   reader_offline : unit -> unit;
   observe : unit -> unit;  (* register the backend's own instruments *)
   stripe_heat : unit -> (int * int) array;
+  validate : unit -> (unit, string) result;  (* the table's invariants *)
 }
 
 let hash_key = Rp_hashes.Hashfn.fnv1a_string

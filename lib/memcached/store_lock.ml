@@ -115,4 +115,5 @@ let create (c : Store_core.t) ~initial_size =
     reader_offline = ignore;
     observe = ignore;
     stripe_heat = (fun () -> [||]);
+    validate = (fun () -> Ok ());
   }

@@ -1,14 +1,15 @@
 (* The relativistic backend: the paper's port. GETs are wait-free
-   lookups; updates serialize per key on a striped lock (stripe = key
-   hash land mask, the same fnv1a hash the table stripes on, so one store
-   stripe maps into one table stripe and independent SETs/DELETEs/CAS
-   from different evloop workers proceed concurrently). The CLOCK queue
-   holds (key, last_access seen when enqueued) pairs for second-chance
-   eviction; it has its own leaf mutex [clock_mu] — always acquired
-   *inside* a stripe (or alone), never the other way around — and sweeps
-   are single-flighted through [sweeping] and run with no stripe held,
-   locking each victim's stripe as they go. With tier hooks installed,
-   sweeps demote victims to the cold tier and GETs promote them back. *)
+   lookups; each update runs under the table's own writer stripe for its
+   key ([Rp_ht.enter_key]/[leave_key]: stripe = fnv1a hash land mask), so
+   a write takes one mutex, as the paper's writer does, and independent
+   SETs/DELETEs/CAS from different evloop workers proceed concurrently.
+   The CLOCK queue holds (key, last_access seen when enqueued) pairs for
+   second-chance eviction; it has its own leaf mutex [clock_mu] — always
+   acquired *inside* a stripe (or alone), never the other way around —
+   and sweeps are single-flighted through [sweeping] and run with no
+   stripe held, locking each victim's stripe as they go. With tier hooks
+   installed, sweeps demote victims to the cold tier and GETs promote
+   them back. *)
 
 open Store_core
 
@@ -16,18 +17,16 @@ type t = {
   c : Store_core.t;
   (* Under QSBR (zero-cost read sections) readers must respect QSBR
      discipline: the event-loop workers go offline around their poll
-     wait, and a writer waiting for an update stripe goes offline. *)
+     wait, and a writer waiting for a table stripe goes offline. *)
   rp : (string, Item.t) Rp_ht.t;
-  update_stripes : Mutex.t array;  (* power of two *)
-  update_mask : int;
   clock_mu : Mutex.t;
   clockq : (string * Item.time) Queue.t;
   sweeping : bool Atomic.t;
   (* Promotion single-flight: a flash crowd on one demoted key does one
-     disk read. Same mask as the update stripes, but a separate array —
-     a promoter holds its promote stripe ACROSS the disk read and only
-     then takes the key's update stripe, so promote stripe > update
-     stripe in the lock order and the two must not share mutexes. *)
+     disk read. Indexed by the table's stripe mask, but a separate array
+     — a promoter holds its promote stripe ACROSS the disk read and only
+     then takes the key's table stripe, so promote stripe > table stripe
+     in the lock order and the two must not share mutexes. *)
   promote_stripes : Mutex.t array;
 }
 
@@ -42,40 +41,22 @@ let k_tier_promote = Rp_trace.intern "tier.promote"
 
 (* --- update locking --- *)
 
-(* Serialize an update on the stripe its key hashes to. [lock_key]
-   returns the span [unlock_key] ends. *)
-let lock_key t ~hash =
-  let span = Rp_trace.span_begin_sampled k_update in
-  Rcu.mutex_lock (Rp_ht.rcu t.rp) t.update_stripes.(hash land t.update_mask);
-  span
-
-let unlock_key t ~hash span =
-  Mutex.unlock t.update_stripes.(hash land t.update_mask);
+(* A writer of a key runs under the table's stripe for it
+   ([Rp_ht.enter_key]/[leave_key]), inside a [store.update] span. *)
+let leave_key t stripe span =
+  Rp_ht.leave_key t.rp stripe;
   Rp_trace.span_end_sampled k_update span
 
-let with_stripe t ~hash f =
-  let span = lock_key t ~hash in
+let with_key t ~hash f =
+  let span = Rp_trace.span_begin_sampled k_update in
+  let stripe = Rp_ht.enter_key t.rp ~hash in
   match f () with
   | v ->
-      unlock_key t ~hash span;
+      leave_key t stripe span;
       v
   | exception e ->
-      unlock_key t ~hash span;
+      leave_key t stripe span;
       raise e
-
-(* Cross-stripe operations (flush_all and its replicated/recovered form)
-   stop every writer by taking all stripes in ascending index order. *)
-let with_all_stripes t f =
-  let n = Array.length t.update_stripes in
-  for i = 0 to n - 1 do
-    Rcu.mutex_lock (Rp_ht.rcu t.rp) t.update_stripes.(i)
-  done;
-  Fun.protect
-    ~finally:(fun () ->
-      for i = n - 1 downto 0 do
-        Mutex.unlock t.update_stripes.(i)
-      done)
-    f
 
 (* The CLOCK queue's leaf mutex: holders only touch the queue (no grace
    periods, no stripes), so a blocking lock is safe even under QSBR. *)
@@ -90,7 +71,7 @@ let clock_push t entry =
   Queue.add entry t.clockq;
   Mutex.unlock t.clock_mu
 
-(* --- primitives (the key's update stripe held by callers) --- *)
+(* --- primitives (the key's table stripe held by callers) --- *)
 
 (* The chunk of an item that has left the table goes back to its class
    only after a grace period: a reader that found the item may still be
@@ -98,7 +79,7 @@ let clock_push t entry =
 let retire t (item : Item.t) = Slab.retire t.c.slab (Rp_ht.rcu t.rp) item.chunk
 
 let delete t ~hash key =
-  match Rp_ht.remove_hashed t.rp ~hash key with
+  match Rp_ht.remove_locked t.rp ~hash key with
   | None -> false
   | Some item ->
       Slab.refund t.c.slab (Item.size_bytes ~key item);
@@ -137,7 +118,7 @@ let linked t key (item : Item.t) =
   if not (Item.is_cold item) then clock_push t (key, item.last_access)
 
 let store t ~hash key (item : Item.t) =
-  match Rp_ht.exchange_hashed t.rp ~hash key item with
+  match Rp_ht.exchange_locked t.rp ~hash key item with
   | Some old ->
       if replaced t ~key_len:(String.length key) item old then
         clock_push t (key, item.last_access)
@@ -149,9 +130,10 @@ let store t ~hash key (item : Item.t) =
    new node's key string is the one the table made; an overwrite copies
    the key out only for a CLOCK push or a record. *)
 let set t ~hash ~log buf off len (item : Item.t) =
-  let span = lock_key t ~hash in
+  let span = Rp_trace.span_begin_sampled k_update in
+  let stripe = Rp_ht.enter_key t.rp ~hash in
   match
-    match Rp_ht.exchange_slice t.rp ~hash buf off len item with
+    match Rp_ht.exchange_slice_locked t.rp ~hash buf off len item with
     | Rp_ht.Replaced old ->
         let push = replaced t ~key_len:len item old in
         if push || Option.is_some log then begin
@@ -163,14 +145,14 @@ let set t ~hash ~log buf off len (item : Item.t) =
         linked t key item;
         log_set t.c log ~op:Rp_persist.Record.Tset key item
   with
-  | () -> unlock_key t ~hash span
+  | () -> leave_key t stripe span
   | exception e ->
-      unlock_key t ~hash span;
+      leave_key t stripe span;
       raise e
 
 (* Demote one eviction victim to the cold tier: append (key, value) to
    the current segment and swap the item for a compact cold marker that
-   keeps flags/expiry/CAS in RAM. Runs under the victim's update stripe
+   keeps flags/expiry/CAS in RAM. Runs under the victim's table stripe
    (the caller's). Returns false — fall back to plain eviction — when no
    tier is attached, the guard is shedding demotions, the item is
    expired (nothing worth keeping), or the append failed/overflowed. *)
@@ -239,7 +221,7 @@ let sweep_locked t =
       | None -> exhausted := true
       | Some (key, seen_access) ->
           let hash = hash_key key in
-          with_stripe t ~hash (fun () ->
+          with_key t ~hash (fun () ->
               match Rp_ht.find_opt_hashed t.rp ~hash key with
               | None -> () (* already deleted *)
               | Some item when Item.is_cold item ->
@@ -299,7 +281,7 @@ let rec evict_to_budget t =
 
 let expire_if_dead t ~now key =
   let hash = hash_key key in
-  with_stripe t ~hash (fun () ->
+  with_key t ~hash (fun () ->
       match Rp_ht.find_opt_hashed t.rp ~hash key with
       | Some again when Item.is_expired again ~now ->
           ignore (delete t ~hash key);
@@ -333,7 +315,7 @@ let lookup t ~with_cas ~hash ~now key =
       raise e
 
 (* Resolve a cold hit: one positioned segment read, then reinsert under
-   the key's update stripe (promote-on-access). The disk read happens
+   the key's table stripe (promote-on-access). The disk read happens
    with no store lock held — only the key's promote stripe, whose sole
    job is single-flighting: a flash crowd on one demoted key queues
    here and every loser finds the item already hot on its own pass.
@@ -364,7 +346,7 @@ let rec promote_attempt t ~hooks ~with_cas ~hash key tries =
           match read_cold t.c hooks key (segment, offset, len) with
           | Ok data ->
               let promoted =
-                with_stripe t ~hash (fun () ->
+                with_key t ~hash (fun () ->
                     match Rp_ht.find_opt_hashed t.rp ~hash key with
                     | Some cur when cur == item ->
                         (* Marker unchanged since the read: publish the
@@ -399,7 +381,7 @@ let rec promote_attempt t ~hooks ~with_cas ~hash key tries =
               promote_attempt t ~hooks ~with_cas ~hash key (tries - 1)
           | Error e ->
               if e = Tier_gone then Rp_obs.Counter.incr t.c.tier_read_errors;
-              with_stripe t ~hash (fun () ->
+              with_key t ~hash (fun () ->
                   match Rp_ht.find_opt_hashed t.rp ~hash key with
                   | Some cur when cur == item -> ignore (delete t ~hash key)
                   | _ -> ());
@@ -417,7 +399,7 @@ let promote t ~with_cas key =
   | Some hooks ->
       let span = Rp_trace.span_begin_sampled k_tier_promote in
       let hash = hash_key key in
-      let m = t.promote_stripes.(hash land t.update_mask) in
+      let m = t.promote_stripes.(hash land (Array.length t.promote_stripes - 1)) in
       Rcu.mutex_lock (Rp_ht.rcu t.rp) m;
       let v =
         Fun.protect
@@ -464,7 +446,7 @@ let cold_mark = -3
    counted and copied into the hits here, inside the section: once it
    closes, the chunk may be retired and reused. An expired or cold item
    is only marked; [settle_batch] serves it after the section, as that
-   may take update stripes or read the disk. *)
+   may take table stripes or read the disk. *)
 let read_section t (keys : Protocol.Keys.t) found (hits : Hits.t) ~base ~now first n =
   Rp_ht.find_batch_hashed t.rp ~buf:keys.buf ~offs:keys.offs ~lens:keys.lens
     ~hashes:keys.hashes ~first found n;
@@ -611,7 +593,7 @@ let rec iter_resolve_cold t ~hooks ~f key tries =
           | Error Tier_gone -> Rp_obs.Counter.incr t.c.tier_read_errors
           | Error Tier_torn -> ()))
 
-(* A batched relativistic read (bounded read sections, never an update
+(* A batched relativistic read (bounded read sections, never a table
    stripe), so a multi-second walk over a large table neither blocks
    writers nor extends any grace period beyond one batch. Each value is
    copied inside the section that found its item. *)
@@ -632,23 +614,14 @@ let stall_budget = 1.0
 
 let create (c : Store_core.t) ~rcu_mode ~initial_size ~auto_resize ~stripes =
   let rcu = Rcu.create ~mode:rcu_mode ~stall_budget () in
-  let nstripes =
-    let rec pow2 n = if n >= stripes then n else pow2 (n * 2) in
-    pow2 1
-  in
-  (* The table stripes on the same fnv1a hash with its own (also
-     power-of-two) stripe array, so a store stripe maps onto a fixed set
-     of table stripes and two ops serialized here never contend below. *)
   let rp =
-    Rp_ht.create ~rcu ~initial_size ~auto_resize ~stripes:nstripes ~hash:hash_key
-      ~equal:String.equal ()
+    Rp_ht.create ~rcu ~initial_size ~auto_resize ~stripes ~hash:hash_key ~equal:String.equal ()
   in
+  let nstripes = Rp_ht.stripe_count rp in
   let t =
     {
       c;
       rp;
-      update_stripes = Array.init nstripes (fun _ -> Mutex.create ());
-      update_mask = nstripes - 1;
       clock_mu = Mutex.create ();
       clockq = Queue.create ();
       sweeping = Atomic.make false;
@@ -669,8 +642,8 @@ let create (c : Store_core.t) ~rcu_mode ~initial_size ~auto_resize ~stripes =
     rcu_mode;
     stripes = nstripes;
     hash = hash_key;
-    with_key = (fun ~hash f -> with_stripe t ~hash f);
-    with_all = (fun f -> with_all_stripes t f);
+    with_key = (fun ~hash f -> with_key t ~hash f);
+    with_all = (fun f -> Rp_ht.with_all_stripes rp f);
     live;
     store = (fun ~hash key item -> store t ~hash key item);
     set = (fun ~hash ~log buf off len item -> set t ~hash ~log buf off len item);
@@ -687,4 +660,5 @@ let create (c : Store_core.t) ~rcu_mode ~initial_size ~auto_resize ~stripes =
     reader_offline = (fun () -> Rcu.offline_current rcu);
     observe;
     stripe_heat = (fun () -> Rp_ht.stripe_heat rp);
+    validate = (fun () -> Rp_ht.validate rp);
   }

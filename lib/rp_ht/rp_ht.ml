@@ -451,7 +451,7 @@ let lock_all_stripes t =
 
 let unlock_all_stripes t = Array.iter Mutex.unlock t.stripes
 
-let with_all_stripes t f =
+let under_all_stripes t f =
   lock_all_stripes t;
   match f () with
   | v ->
@@ -754,8 +754,8 @@ let resize_locked t target =
     shrink_locked t
   done
 
-let resize t target = with_all_stripes t (fun () -> resize_locked t target)
-let complete_splits t = with_all_stripes t (fun () -> complete_splits_locked t)
+let resize t target = under_all_stripes t (fun () -> resize_locked t target)
+let complete_splits t = under_all_stripes t (fun () -> complete_splits_locked t)
 
 (* Auto-resize runs after the mutation's stripe is released: the check is
    lock-free, and only a tripped threshold escalates to the all-stripes
@@ -769,7 +769,7 @@ let maybe_auto_resize t =
     let grow = n * 4 > table.size * 3 && table.size < t.max_size in
     let shrink = n * 8 < table.size && table.size > t.min_size in
     if grow || shrink then
-      with_all_stripes t (fun () ->
+      under_all_stripes t (fun () ->
           let table = Atomic.get t.current in
           let n = Atomic.get t.count in
           if n * 4 > table.size * 3 && table.size < t.max_size then begin
@@ -784,14 +784,23 @@ let maybe_auto_resize t =
           end)
   end
 
+(* A whole-table writer: every chain precise, so the locked bodies below
+   may run on any key. *)
+let with_all_stripes t f =
+  let v =
+    under_all_stripes t (fun () ->
+        complete_splits_locked t;
+        f ())
+  in
+  maybe_auto_resize t;
+  v
+
 (* --- updates --- *)
 
-(* Every mutation: lock the key's stripe, lazily split the key's bucket if
-   an expansion left it zipped (updates below assume precise chains),
-   mutate, release, then check the auto-resize thresholds. [enter_key]
-   and [leave_key] are the halves around the mutation, for the updates
-   written out so that no closure is built; one that raises releases
-   the stripe with a bare unlock. *)
+(* Every mutation: lock the key's stripe, split the key's bucket if an
+   expansion left it zipped (updates below assume precise chains),
+   mutate, release, then check the auto-resize thresholds — after the
+   release, as a stripe mutex is not recursive. *)
 let enter_key t ~hash =
   let i = stripe_of_hash t hash in
   lock_stripe t i;
@@ -864,59 +873,43 @@ let exchange_locked t ~hash k v =
       insert_locked t ~hash k v;
       None
 
-let exchange_hashed t ~hash k v =
-  let i = enter_key t ~hash in
-  match exchange_locked t ~hash k v with
-  | r ->
-      leave_key t i;
-      r
-  | exception e ->
-      Mutex.unlock t.stripes.(i);
-      raise e
-
-let replace t k v = ignore (exchange_hashed t ~hash:(t.hash k) k v)
+let replace t k v =
+  let hash = t.hash k in
+  ignore (with_stripe_hashed t ~hash (fun () -> exchange_locked t ~hash k v))
 
 type 'v exchanged = Replaced of 'v | Linked of string
 
-(* [exchange_hashed] for a key given as a slice of a buffer, compared in
+(* [exchange_locked] for a key given as a slice of a buffer, compared in
    place: the key string is made only for a fresh node. *)
-let exchange_slice t ~hash buf off len v =
+let exchange_slice_locked t ~hash buf off len v =
   if off < 0 || len < 0 || off > Bytes.length buf - len then
-    invalid_arg "Rp_ht.exchange_slice: the slice exceeds the buffer";
-  let i = enter_key t ~hash in
-  match
-    let table = Atomic.get t.current in
-    match search_slice hash buf off len (Array.unsafe_get table.buckets (bucket_index table hash)) with
-    | Node n ->
-        let old = n.value in
-        n.value <- v;
-        Replaced old
-    | Null ->
-        let key = Bytes.sub_string buf off len in
-        insert_locked t ~hash key v;
-        Linked key
-  with
-  | r ->
-      leave_key t i;
-      r
-  | exception e ->
-      Mutex.unlock t.stripes.(i);
-      raise e
+    invalid_arg "Rp_ht.exchange_slice_locked: the slice exceeds the buffer";
+  let table = Atomic.get t.current in
+  match search_slice hash buf off len (Array.unsafe_get table.buckets (bucket_index table hash)) with
+  | Node n ->
+      let old = n.value in
+      n.value <- v;
+      Replaced old
+  | Null ->
+      let key = Bytes.sub_string buf off len in
+      insert_locked t ~hash key v;
+      Linked key
 
 (* The paper's removal sequence: unlink under the stripe, then mark the
    node reclaimed only once a grace period has passed — deferred through
    [call_rcu], or waited out in place by [remove_sync]. *)
-let unlink_hashed t ~hash k =
-  with_stripe_hashed t ~hash (fun () -> unlink_locked t ~hash k)
-
-let remove_hashed t ~hash k =
-  match unlink_hashed t ~hash k with
+let reclaim_later t = function
   | Null -> None
   | Node n as unlinked ->
       Rcu.call_rcu t.rcu (fun () -> mark_reclaimed unlinked);
       Some n.value
 
-let remove t k = Option.is_some (remove_hashed t ~hash:(t.hash k) k)
+let remove_locked t ~hash k = reclaim_later t (unlink_locked t ~hash k)
+
+let unlink_hashed t ~hash k =
+  with_stripe_hashed t ~hash (fun () -> unlink_locked t ~hash k)
+
+let remove t k = Option.is_some (reclaim_later t (unlink_hashed t ~hash:(t.hash k) k))
 
 let remove_sync t k =
   match unlink_hashed t ~hash:(t.hash k) k with
@@ -1063,7 +1056,7 @@ let bucket_lengths t =
    half-split table is legitimately imprecise, and completing it is
    content-neutral — then demands full precision. *)
 let validate t =
-  with_all_stripes t (fun () ->
+  under_all_stripes t (fun () ->
       complete_splits_locked t;
       let table = Atomic.get t.current in
       let expected = Atomic.get t.count in

@@ -171,37 +171,13 @@ val insert : ('k, 'v) t -> 'k -> 'v -> unit
 (** Publish a new binding. If the key is already bound the new binding
     shadows the old one (lookups return the newest). *)
 
-val exchange_hashed : ('k, 'v) t -> hash:int -> 'k -> 'v -> 'v option
-(** [exchange_hashed t ~hash k v] binds [k] to [v] in one walk of the
-    key's chain under its stripe: the newest binding's value is swapped
-    in place (a reader sees the old value or the new one), or, when [k]
-    is unbound, a new binding is published. Returns the value it
-    replaced. [hash] must be the table's hash of [k]. *)
-
-type 'v exchanged =
-  | Replaced of 'v  (** the value the key was bound to *)
-  | Linked of string  (** the key was unbound: the fresh node's key *)
-
-val exchange_slice : (string, 'v) t -> hash:int -> Bytes.t -> int -> int -> 'v -> 'v exchanged
-(** [exchange_slice t ~hash buf off len v] is {!exchange_hashed} for the
-    key held in the [len] bytes of [buf] from [off], compared with the
-    stored keys in place: a copy of the slice is made only when a new
-    binding is published, and returned with it. The table's [equal]
-    must be [String.equal]. Raises [Invalid_argument] when the slice
-    exceeds [buf]. *)
-
 val replace : ('k, 'v) t -> 'k -> 'v -> unit
 (** Update an existing binding's value in place, or insert if absent
-    ({!exchange_hashed} with the table's hash). *)
-
-val remove_hashed : ('k, 'v) t -> hash:int -> 'k -> 'v option
-(** Unlink the newest binding for the key in one walk of its chain and
-    return its value; the node is marked reclaimed through [call_rcu],
-    after a grace period. [hash] must be the table's hash of the key. *)
+    ({!exchange_locked} under the key's stripe). *)
 
 val remove : ('k, 'v) t -> 'k -> bool
-(** Unlink the newest binding for the key ({!remove_hashed} with the
-    table's hash). [true] if a binding was removed. *)
+(** Unlink the newest binding for the key ({!remove_locked} under the
+    key's stripe). [true] if a binding was removed. *)
 
 val remove_sync : ('k, 'v) t -> 'k -> bool
 (** Like {!remove} but blocks for a full grace period before marking the
@@ -213,6 +189,50 @@ val move : ('k, 'v) t -> from_key:'k -> to_key:'k -> ('v -> 'v) -> bool
     that no concurrent reader observes a state where {e neither} key is
     bound. Takes both keys' stripes in ascending order. [true] if
     [from_key] was bound. *)
+
+(** {1 Updates under a held stripe}
+
+    For a caller that runs a whole write — several table steps, its own
+    accounting, a log record — under the key's one stripe. The
+    [*_locked] bodies run between {!enter_key} and {!leave_key} for
+    their key, or inside {!with_all_stripes}. *)
+
+val enter_key : ('k, 'v) t -> hash:int -> int
+(** Lock the stripe of [hash] (a waiter goes offline under QSBR and is
+    counted as contended), then split the key's bucket if an expansion
+    left it pending. Returns the stripe for {!leave_key}. Not from
+    inside a read section, nor with a stripe of this table held. *)
+
+val leave_key : ('k, 'v) t -> int -> unit
+(** Unlock the stripe, then run the auto-resize check, which may take
+    every stripe. Also the way out of a locked body that raised. *)
+
+val with_all_stripes : ('k, 'v) t -> (unit -> 'a) -> 'a
+(** Run [f] with every stripe held and every pending split completed,
+    so [f] may run the [*_locked] bodies on any key; the auto-resize
+    check runs once, after the unlock. *)
+
+val exchange_locked : ('k, 'v) t -> hash:int -> 'k -> 'v -> 'v option
+(** Bind [k] to [v] in one walk of its chain: swap the newest binding's
+    value in place (a reader sees the old value or the new one) or
+    publish a new binding. Returns the replaced value. [hash] is the
+    table's hash of [k]. *)
+
+type 'v exchanged =
+  | Replaced of 'v  (** the value the key was bound to *)
+  | Linked of string  (** the key was unbound: the fresh node's key *)
+
+val exchange_slice_locked :
+  (string, 'v) t -> hash:int -> Bytes.t -> int -> int -> 'v -> 'v exchanged
+(** {!exchange_locked} for the key held in the [len] bytes of [buf] from
+    [off], compared in place; the slice is copied only for a new
+    binding, and returned. Needs [equal = String.equal]. Raises
+    [Invalid_argument] when the slice exceeds [buf]. *)
+
+val remove_locked : ('k, 'v) t -> hash:int -> 'k -> 'v option
+(** Unlink the newest binding of [k] in one walk and return its value;
+    the node is marked reclaimed through [call_rcu], after a grace
+    period. *)
 
 (** {1 Resizing} *)
 

@@ -254,11 +254,12 @@ let test_replace_is_atomic () =
   Alcotest.(check int) "no torn values" 0 (Atomic.get torn)
 
 (* [replace is atomic] for the slice exchange on a string-keyed table:
-   the writer swaps key "k"'s value through [Rp_ht.exchange_slice], its
-   key a slice of a wider buffer, and between swaps links fresh keys the
-   same way, so auto-resize keeps expanding the table and the exchanges
-   run over lazily split buckets. A reader racing them must always find
-   "k" bound to a whole pair, never missing or torn. *)
+   the writer swaps key "k"'s value through [Rp_ht.exchange_slice_locked]
+   under the key's stripe ([enter_key]/[leave_key]), its key a slice of
+   a wider buffer, and between swaps links fresh keys the same way, so
+   auto-resize keeps expanding the table and the exchanges run over
+   lazily split buckets. A reader racing them must always find "k"
+   bound to a whole pair, never missing or torn. *)
 let test_slice_exchange_is_atomic () =
   let hash = Rp_hashes.Hashfn.fnv1a_string in
   let t = Rp_ht.create ~initial_size:16 ~hash ~equal:String.equal () in
@@ -275,14 +276,20 @@ let test_slice_exchange_is_atomic () =
   in
   let buf = Bytes.of_string "<k>" and fresh = Bytes.create 16 in
   let linked = ref 0 in
+  let exchange ~hash buf off len v =
+    let stripe = Rp_ht.enter_key t ~hash in
+    let r = Rp_ht.exchange_slice_locked t ~hash buf off len v in
+    Rp_ht.leave_key t stripe;
+    r
+  in
   for i = 1 to 50_000 do
-    (match Rp_ht.exchange_slice t ~hash:(hash "k") buf 1 1 (i, i * 7) with
+    (match exchange ~hash:(hash "k") buf 1 1 (i, i * 7) with
     | Rp_ht.Replaced (a, b) when a = i - 1 && b = a * 7 -> ()
     | Rp_ht.Replaced _ | Rp_ht.Linked _ -> Atomic.incr torn);
     if i mod 8 = 0 then begin
       let key = Printf.sprintf "key:%d" i in
       Bytes.blit_string key 0 fresh 0 (String.length key);
-      match Rp_ht.exchange_slice t ~hash:(hash key) fresh 0 (String.length key) (i, i * 7) with
+      match exchange ~hash:(hash key) fresh 0 (String.length key) (i, i * 7) with
       | Rp_ht.Linked k when k = key -> incr linked
       | Rp_ht.Linked _ | Rp_ht.Replaced _ -> Atomic.incr torn
     end

@@ -461,6 +461,43 @@ let with_manager ?snapshot_interval ?aof ?fsync ~dir store f =
   let p = Persist.attach ?snapshot_interval ?aof ?fsync ~dir store in
   Fun.protect ~finally:(fun () -> Persist.stop p) (fun () -> f p)
 
+(* Under QSBR the snapshot domain is a registered reader: it goes
+   offline after its walk and before every sleep, so a parked snapshotter
+   holds up no grace period (DESIGN §11 "Snapshot-as-reader"). With no
+   snapshot interval the domain parks after one on-demand snapshot;
+   100 deletes from another domain then force a grace period (their
+   reclamation callbacks flush at 64), which must end, without the stall
+   watchdog counting a stall. The deadline only bounds a hang. *)
+let test_persist_qsbr_parked_snapshotter () =
+  with_dir (fun dir ->
+      let store = Store.create ~backend:Store.Rp ~rcu_mode:Store.Qsbr ~initial_size:64 () in
+      let keys = List.init 100 string_of_int in
+      List.iter (fun key -> ignore (Store.set store ~key ~flags:0 ~exptime:0 ~data:"v")) keys;
+      with_manager ~aof:false ~dir store (fun p ->
+          (match Persist.snapshot_now p with
+          | Ok n -> Alcotest.(check int) "snapshot records" 100 n
+          | Error e -> Alcotest.failf "snapshot failed: %s" e);
+          Store.reader_offline store;
+          let deleted = Atomic.make false in
+          let deleter =
+            Domain.spawn (fun () ->
+                List.iter (fun key -> ignore (Store.delete store key)) keys;
+                Store.reader_offline store;
+                Atomic.set deleted true)
+          in
+          let deadline = Unix.gettimeofday () +. 30.0 in
+          while (not (Atomic.get deleted)) && Unix.gettimeofday () < deadline do
+            Unix.sleepf 0.01
+          done;
+          if not (Atomic.get deleted) then Alcotest.fail "the deletes' grace period never ended";
+          Domain.join deleter;
+          let stalls =
+            Option.value ~default:0.0
+              (Rp_obs.Registry.value (Store.registry store) "rcu_stalls_total")
+          in
+          Alcotest.(check (float 0.0)) "no stall counted" 0.0 stalls;
+          Alcotest.(check int) "deleted" 0 (Store.items store)))
+
 let test_persist_warm_restart () =
   with_dir (fun dir ->
       let now = ref 1_000_000_000.0 in
@@ -746,5 +783,7 @@ let () =
           Alcotest.test_case "lock backend" `Quick test_persist_lock_backend;
           Alcotest.test_case "stats section" `Quick test_persist_stats_section;
           Alcotest.test_case "exptime bits survive" `Quick test_persist_exptime_bits;
+          Alcotest.test_case "parked qsbr snapshotter stalls nothing" `Quick
+            test_persist_qsbr_parked_snapshotter;
         ] );
     ]

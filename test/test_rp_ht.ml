@@ -13,6 +13,18 @@ let check_valid t =
   | Ok () -> ()
   | Error msg -> Alcotest.failf "invariant violated: %s" msg
 
+(* Run a locked body as the held-stripe API's callers do: between
+   [enter_key] and [leave_key] for the key's hash. *)
+let under_key t ~hash f =
+  let stripe = Rp_ht.enter_key t ~hash in
+  match f () with
+  | v ->
+      Rp_ht.leave_key t stripe;
+      v
+  | exception e ->
+      Rp_ht.leave_key t stripe;
+      raise e
+
 let test_empty () =
   let t = make () in
   Alcotest.(check (option int)) "find on empty" None (Rp_ht.find t 42);
@@ -56,14 +68,15 @@ let test_replace () =
    time, shorter ones byte by byte: keys differing only in their last
    byte, or one a prefix of the other, stay distinct. A slice past
    either end of the buffer is refused before anything is read or
-   changed. *)
+   changed. Each exchange runs under its key's stripe. *)
 let test_exchange_slice () =
   let t = make_str () in
   let hash = Rp_hashes.Hashfn.fnv1a_string in
   let keys = [ "k"; "key:0001"; "key:0002"; "key:00010"; "key:000100000001"; "key:000100000002" ] in
   let exchange key v =
     let buf = Bytes.of_string ("[[" ^ key ^ "]]") in
-    Rp_ht.exchange_slice t ~hash:(hash key) buf 2 (String.length key) v
+    under_key t ~hash:(hash key) (fun () ->
+        Rp_ht.exchange_slice_locked t ~hash:(hash key) buf 2 (String.length key) v)
   in
   List.iteri
     (fun i key ->
@@ -84,8 +97,10 @@ let test_exchange_slice () =
   let refused off len =
     Alcotest.check_raises
       (Printf.sprintf "slice %d+%d of 4 bytes" off len)
-      (Invalid_argument "Rp_ht.exchange_slice: the slice exceeds the buffer")
-      (fun () -> ignore (Rp_ht.exchange_slice t ~hash:0 (Bytes.of_string "abcd") off len 0))
+      (Invalid_argument "Rp_ht.exchange_slice_locked: the slice exceeds the buffer")
+      (fun () ->
+        under_key t ~hash:0 (fun () ->
+            ignore (Rp_ht.exchange_slice_locked t ~hash:0 (Bytes.of_string "abcd") off len 0)))
   in
   refused (-1) 2;
   refused 0 (-1);
@@ -309,6 +324,44 @@ let test_iter_batched_half_split () =
   Alcotest.(check bool) "still half-split" true (Rp_ht.pending_splits t > 0);
   Rp_ht.complete_splits t;
   Alcotest.(check int) "splits drained" 0 (Rp_ht.pending_splits t);
+  check_valid t
+
+(* A shrink under a batched walk can move unvisited keys below its
+   cursor, so the walk restarts from bucket 0 when the table it
+   dereferences is smaller than one it walked (DESIGN §11
+   "Snapshot-as-reader"). Made deterministic: the walk's first call
+   waits, inside its read section, until a second domain's shrink has
+   published the half-size array (the shrink then waits out that
+   section before it returns). The walk must restart exactly once and
+   still see every binding. *)
+let test_iter_batched_restarts_on_shrink () =
+  let t = make ~initial_size:64 () in
+  let n = 48 in
+  for i = 0 to n - 1 do
+    Rp_ht.insert t i (string_of_int i)
+  done;
+  let go = Atomic.make false in
+  let shrinker =
+    Domain.spawn (fun () ->
+        while not (Atomic.get go) do
+          Domain.cpu_relax ()
+        done;
+        Rp_ht.resize t 32)
+  in
+  let seen = Hashtbl.create n in
+  let restarts =
+    Rp_ht.iter_batched ~batch:4 t ~f:(fun k _ ->
+        if not (Atomic.get go) then begin
+          Atomic.set go true;
+          while Rp_ht.size t = 64 do
+            Domain.cpu_relax ()
+          done
+        end;
+        Hashtbl.replace seen k ())
+  in
+  Domain.join shrinker;
+  Alcotest.(check int) "one restart" 1 restarts;
+  Alcotest.(check int) "every binding seen" n (Hashtbl.length seen);
   check_valid t
 
 (* Integer [k] as a string key hashing as [k] does in an int table, so
@@ -581,7 +634,7 @@ type op =
   | Replace of int * int
   | Exchange of int * int
   | Exchange_slice of int * int
-  | Remove_hashed of int
+  | Remove_locked of int
   | Resize of int
 
 let op_gen =
@@ -593,7 +646,7 @@ let op_gen =
         (2, map2 (fun k v -> Replace (k, v)) (int_bound 100) (int_bound 1000));
         (2, map2 (fun k v -> Exchange (k, v)) (int_bound 100) (int_bound 1000));
         (2, map2 (fun k v -> Exchange_slice (k, v)) (int_bound 100) (int_bound 1000));
-        (2, map (fun k -> Remove_hashed k) (int_bound 100));
+        (2, map (fun k -> Remove_locked k) (int_bound 100));
         (1, map (fun s -> Resize (1 lsl s)) (int_bound 8));
       ])
 
@@ -603,7 +656,7 @@ let show_op = function
   | Replace (k, v) -> Printf.sprintf "Replace (%d, %d)" k v
   | Exchange (k, v) -> Printf.sprintf "Exchange (%d, %d)" k v
   | Exchange_slice (k, v) -> Printf.sprintf "Exchange_slice (%d, %d)" k v
-  | Remove_hashed k -> Printf.sprintf "Remove_hashed %d" k
+  | Remove_locked k -> Printf.sprintf "Remove_locked %d" k
   | Resize n -> Printf.sprintf "Resize %d" n
 
 (* Reference model: newest-first association list. *)
@@ -620,7 +673,7 @@ let rec update_first k v = function
 
 let model_apply model = function
   | Insert (k, v) -> (k, v) :: model
-  | Remove k | Remove_hashed k -> drop_first k model
+  | Remove k | Remove_locked k -> drop_first k model
   | Replace (k, v) | Exchange (k, v) | Exchange_slice (k, v) ->
       if List.mem_assoc k model then update_first k v model else (k, v) :: model
   | Resize _ -> model
@@ -649,21 +702,24 @@ let table_apply t model op =
   | Replace (k, v) -> Rp_ht.replace t (skey k) v
   | Exchange (k, v) ->
       expect (show_op op) (List.assoc_opt k model)
-        (Rp_ht.exchange_hashed t ~hash:(hash k) (skey k) v)
+        (under_key t ~hash:(hash k) (fun () -> Rp_ht.exchange_locked t ~hash:(hash k) (skey k) v))
   | Exchange_slice (k, v) -> (
       (* the key in the middle of a wider buffer *)
       let buf = Bytes.of_string ("<" ^ skey k ^ ">") in
       match
-        (List.assoc_opt k model, Rp_ht.exchange_slice t ~hash:(hash k) buf 1 (Bytes.length buf - 2) v)
+        ( List.assoc_opt k model,
+          under_key t ~hash:(hash k) (fun () ->
+              Rp_ht.exchange_slice_locked t ~hash:(hash k) buf 1 (Bytes.length buf - 2) v) )
       with
       | Some want, Rp_ht.Replaced got -> expect (show_op op) (Some want) (Some got)
       | None, Rp_ht.Linked key when key = skey k -> ()
       | _, Rp_ht.Linked key -> QCheck.Test.fail_reportf "%s: linked %S" (show_op op) key
       | None, Rp_ht.Replaced got -> expect (show_op op) None (Some got))
-  | Remove_hashed k ->
+  | Remove_locked k ->
       let before = Rcu.pending_callbacks (Rp_ht.rcu t) in
       let want = List.assoc_opt k model in
-      expect (show_op op) want (Rp_ht.remove_hashed t ~hash:(hash k) (skey k));
+      expect (show_op op) want
+        (under_key t ~hash:(hash k) (fun () -> Rp_ht.remove_locked t ~hash:(hash k) (skey k)));
       let deferred = Rcu.pending_callbacks (Rp_ht.rcu t) - before in
       if deferred <> Option.fold ~none:0 ~some:(fun _ -> 1) want then
         QCheck.Test.fail_reportf "%s parked %d reclamation callbacks" (show_op op) deferred
@@ -761,6 +817,8 @@ let () =
           Alcotest.test_case "stripe rounding" `Quick test_stripe_rounding;
           Alcotest.test_case "iter_batched over half-split table" `Quick
             test_iter_batched_half_split;
+          Alcotest.test_case "iter_batched restarts on a shrink" `Quick
+            test_iter_batched_restarts_on_shrink;
           Alcotest.test_case "find_batch_hashed over half-split table" `Quick
             test_find_batch_half_split;
           Alcotest.test_case "find_batch_hashed with string keys" `Quick

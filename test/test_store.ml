@@ -496,14 +496,57 @@ let test_set_slice_logs_as_set backend () =
         (Store.set_slice by_slice ~clock:0. keys 0 ~flags:0 ~exptime:0 ~off:1
            ~len:(Bytes.length keys.buf)))
 
+(* A stats line of a named section, as a number (0 when absent). *)
+let section_stat store section name =
+  match Store.stats_section store section with
+  | Some lines -> (
+      match List.assoc_opt name lines with
+      | Some v -> int_of_float (float_of_string v)
+      | None -> 0)
+  | None -> Alcotest.failf "no stats section %S" section
+
+(* Spin until [ready ()] or [seconds] pass; whether it became ready. *)
+let await ?(seconds = 30.) ready =
+  let deadline = Unix.gettimeofday () +. seconds in
+  while (not (ready ())) && Unix.gettimeofday () < deadline do
+    Domain.cpu_relax ()
+  done;
+  ready ()
+
+(* Park the first SET of [key] inside the op-log hook, which runs under
+   the key's stripe; [parked] is set once it is there, and it leaves
+   once [release] is. *)
+let park_set_of store key =
+  let parked = Atomic.make false and release = Atomic.make false in
+  Store.set_persist_hook store
+    (Some
+       (function
+       | Rp_persist.Record.Set { key = k; _ } when k = key && not (Atomic.get release) ->
+           Atomic.set parked true;
+           while not (Atomic.get release) do
+             Domain.cpu_relax ()
+           done
+       | _ -> ()));
+  (parked, release)
+
 (* Writer scaling and the read path (DESIGN §15.3), without a clock: a
-   writer holding its key's update stripe — parked inside the op-log
-   hook, which runs under that stripe — blocks neither GETs (of its own
-   key or of any key on its stripe) nor SETs and DELETEs of keys on
-   every other stripe. They run in a second domain, which must finish
-   while the stripe is still held; the deadline only bounds a hang. *)
+   writer holding its key's stripe — parked inside the op-log hook,
+   which runs under that stripe — blocks neither GETs (of its own key or
+   of any key on its stripe) nor SETs and DELETEs of keys on every other
+   stripe. They run in a second domain, which must finish while the
+   stripe is still held; the deadline only bounds a hang. The table
+   does not auto-resize here: a resize takes every stripe, so it waits
+   for the held one (see "auto-resize behind a held stripe").
+
+   Then a third domain SETs a key on the held stripe. The stripe it
+   waits for is the table's own, so the wait is counted: the contended
+   total and the held stripe's heat cell must rise while the stripe is
+   still held, and once it is released the SET lands. *)
 let test_held_stripe_blocks_nothing_else () =
-  let store = Store.create ~backend:Store.Rp ~initial_size:256 ~stripes:8 () in
+  let store =
+    Store.create ~backend:Store.Rp ~initial_size:256 ~stripes:8 ~auto_resize:false ~heat_topk:4
+      ~heat_sample:1 ()
+  in
   let stripes = Store.write_stripes store in
   let stripe k = Store_core.hash_key k land (stripes - 1) in
   let held = "held" in
@@ -516,20 +559,9 @@ let test_held_stripe_blocks_nothing_else () =
     |> List.concat
   in
   List.iter (fun k -> set_ok store k "old") (held :: keys);
-  let parked = Atomic.make false and release = Atomic.make false in
-  Store.set_persist_hook store
-    (Some
-       (function
-       | Rp_persist.Record.Set { key; _ } when key = held ->
-           Atomic.set parked true;
-           while not (Atomic.get release) do
-             Domain.cpu_relax ()
-           done
-       | _ -> ()));
+  let parked, release = park_set_of store held in
   let holder = Domain.spawn (fun () -> set_ok store held "new") in
-  while not (Atomic.get parked) do
-    Domain.cpu_relax ()
-  done;
+  if not (await (fun () -> Atomic.get parked)) then Alcotest.fail "the SET never parked";
   let same, other = List.partition (fun k -> stripe k = stripe held) keys in
   let done_ = Atomic.make false in
   let worker =
@@ -541,13 +573,18 @@ let test_held_stripe_blocks_nothing_else () =
         Atomic.set done_ true;
         (held_value, same_values))
   in
-  let deadline = Unix.gettimeofday () +. 30. in
-  while (not (Atomic.get done_)) && Unix.gettimeofday () < deadline do
-    Domain.cpu_relax ()
-  done;
-  let finished = Atomic.get done_ in
+  let finished = await (fun () -> Atomic.get done_) in
+  let contended () = section_stat store "rp" "rp_ht_stripe_contended_total" in
+  let cell () =
+    section_stat store "heat" (Printf.sprintf "heat_stripe_contended{stripe=\"%d\"}" (stripe held))
+  in
+  let contended_before = contended () and cell_before = cell () in
+  let blocked = List.hd same in
+  let contender = Domain.spawn (fun () -> set_ok store blocked "contended") in
+  let counted = await (fun () -> contended () > contended_before && cell () > cell_before) in
   Atomic.set release true;
   Domain.join holder;
+  Domain.join contender;
   let held_value, same_values = Domain.join worker in
   Store.set_persist_hook store None;
   Alcotest.(check bool) "reads and other stripes' writes finished under the held stripe" true
@@ -558,8 +595,97 @@ let test_held_stripe_blocks_nothing_else () =
     held_value;
   Alcotest.(check bool) "its stripe's keys read" true
     (List.for_all (fun v -> v = Some "old") same_values);
+  Alcotest.(check bool) "the wait on the held stripe is counted, in total and in its cell" true
+    counted;
   Alcotest.(check (option string)) "the parked SET completes" (Some "new") (get_data store held);
+  Alcotest.(check (option string)) "the contended SET lands" (Some "contended")
+    (get_data store blocked);
   Alcotest.(check int) "the other stripes' keys deleted" (1 + List.length same) (Store.items store)
+
+let rcu_modes = [ ("memb", Store.Memb); ("qsbr", Store.Qsbr) ]
+
+(* flush_all takes every stripe and unlinks every key under them, which
+   needs precise chains: here an auto-resize expansion has just left
+   buckets waiting for their lazy split. The store must come out empty
+   and the table valid. *)
+let test_flush_with_pending_splits rcu_mode () =
+  let store = Store.create ~backend:Store.Rp ~rcu_mode ~initial_size:16 ~stripes:8 () in
+  let pending () = section_stat store "rp" "rp_ht_pending_splits" in
+  let rec fill i =
+    set_ok store (Printf.sprintf "key%d" i) "v";
+    if pending () = 0 then
+      if i < 10_000 then fill (i + 1) else Alcotest.fail "no expansion left a split pending"
+    else i + 1
+  in
+  let n = fill 0 in
+  Alcotest.(check bool) "splits pending before the flush" true (pending () > 0);
+  Store.flush_all store;
+  Alcotest.(check int) "empty" 0 (Store.items store);
+  Alcotest.(check bool) "every key gone" true
+    (List.for_all (fun i -> get_data store (Printf.sprintf "key%d" i) = None) (List.init n Fun.id));
+  Alcotest.(check int) "no split pending" 0 (pending ());
+  (match Store.validate store with Ok () -> () | Error msg -> Alcotest.failf "invariant: %s" msg);
+  set_ok store "after" "flush";
+  Alcotest.(check (option string)) "writes go on" (Some "flush") (get_data store "after");
+  Store.reader_offline store
+
+(* A SET whose insert trips the grow threshold runs the expansion after
+   releasing its own stripe; the expansion takes every stripe, so it
+   waits for a stripe parked in the op-log hook. The SET's value is
+   published before that wait, the table cannot grow while the stripe is
+   held, and once the hook is released both SETs complete: no
+   self-deadlock, no lost key. *)
+let test_resize_behind_held_stripe rcu_mode () =
+  let store = Store.create ~backend:Store.Rp ~rcu_mode ~initial_size:64 ~stripes:8 () in
+  let stripes = Store.write_stripes store in
+  let stripe k = Store_core.hash_key k land (stripes - 1) in
+  let rp name = section_stat store "rp" name in
+  let held = "held" in
+  set_ok store held "old";
+  (* fill until one more binding trips the grow threshold (3/4 load) *)
+  let rec fill i acc =
+    if (rp "rp_ht_items" + 1) * 4 > rp "rp_ht_buckets" * 3 then acc
+    else begin
+      let k = Printf.sprintf "fill%d" i in
+      set_ok store k k;
+      fill (i + 1) (k :: acc)
+    end
+  in
+  let filled = fill 0 [] in
+  let trip =
+    List.find (fun k -> stripe k <> stripe held) (List.init 1000 (Printf.sprintf "trip%d"))
+  in
+  let buckets = rp "rp_ht_buckets" and expands = rp "rp_ht_expands_total" in
+  let parked, release = park_set_of store held in
+  let holder =
+    Domain.spawn (fun () ->
+        set_ok store held "new";
+        Store.reader_offline store)
+  in
+  if not (await (fun () -> Atomic.get parked)) then Alcotest.fail "the SET never parked";
+  let tripper =
+    Domain.spawn (fun () ->
+        set_ok store trip "tripped";
+        Store.reader_offline store)
+  in
+  let published = await (fun () -> get_data store trip = Some "tripped") in
+  let grew_while_held = rp "rp_ht_buckets" <> buckets in
+  Store.reader_offline store;
+  Atomic.set release true;
+  Domain.join holder;
+  Domain.join tripper;
+  Store.set_persist_hook store None;
+  Alcotest.(check bool) "the tripping SET published before the resize" true published;
+  Alcotest.(check bool) "no resize while a stripe is held" false grew_while_held;
+  Alcotest.(check bool) "the table grew after the release" true
+    (rp "rp_ht_expands_total" > expands && rp "rp_ht_buckets" > buckets);
+  Alcotest.(check (option string)) "the parked SET completes" (Some "new") (get_data store held);
+  Alcotest.(check (option string)) "the tripping SET's key" (Some "tripped") (get_data store trip);
+  Alcotest.(check bool) "no key lost" true
+    (List.for_all (fun k -> get_data store k = Some k) filled);
+  Alcotest.(check int) "items" (List.length filled + 2) (Store.items store);
+  (match Store.validate store with Ok () -> () | Error msg -> Alcotest.failf "invariant: %s" msg);
+  Store.reader_offline store
 
 (* An in-memory cold tier: demotions land in a table keyed by offset. *)
 let memory_tier store =
@@ -718,7 +844,16 @@ let () =
         [
           Alcotest.test_case "a held stripe blocks nothing else" `Quick
             test_held_stripe_blocks_nothing_else;
-        ] );
+        ]
+        @ List.concat_map
+            (fun (name, mode) ->
+              [
+                Alcotest.test_case ("flush_all with splits pending, " ^ name) `Quick
+                  (test_flush_with_pending_splits mode);
+                Alcotest.test_case ("auto-resize behind a held stripe, " ^ name) `Quick
+                  (test_resize_behind_held_stripe mode);
+              ])
+            rcu_modes );
       ( "model",
         List.map (fun (n, b) -> QCheck_alcotest.to_alcotest (model_property n b)) backends
       );

@@ -453,6 +453,42 @@ let test_iter_read_through () =
     | None -> Alcotest.failf "iter missed %s" (key i)
   done
 
+(* Eviction is not logged, so a key the sweep dropped (plain eviction is
+   the tier's fallback when a demotion fails) is absent from memory yet
+   still durable. An acked DELETE of it answers NOT_FOUND and must still
+   log its tombstone, or a warm restart resurrects the key (DESIGN
+   §16.2). The restart's budget is large, so no post-recovery sweep can
+   hide a resurrection. *)
+let test_delete_of_evicted_key_stays_dead () =
+  with_dir @@ fun dir ->
+  let store = Store.create ~backend:Store.Rp ~max_bytes:(8 * 1024) ~initial_size:64 () in
+  let p = Persist.attach ~dir store in
+  let in_memory k =
+    let found = ref false in
+    ignore (Store.iter_items store ~f:(fun key _ _ -> if key = k then found := true));
+    !found
+  in
+  ignore (Store.set store ~key:"victim" ~flags:0 ~exptime:0 ~data:(payload 0));
+  let rec evict i =
+    if in_memory "victim" then
+      if i < 1000 then begin
+        ignore (Store.set store ~key:(key i) ~flags:0 ~exptime:0 ~data:(payload i));
+        evict (i + 1)
+      end
+      else Alcotest.fail "the victim was never evicted"
+  in
+  evict 1;
+  Alcotest.(check bool) "the delete of an evicted key misses" false (Store.delete store "victim");
+  Persist.stop p;
+  let store2 = Store.create ~backend:Store.Rp ~max_bytes:(1 lsl 30) ~initial_size:64 () in
+  let p2 = Persist.attach ~dir store2 in
+  let resurrected = Store.get store2 "victim" in
+  let fillers = Store.items store2 in
+  Persist.stop p2;
+  Alcotest.(check bool) "the fillers were recovered" true (fillers > 0);
+  Alcotest.(check (option string)) "stays dead after a warm restart" None
+    (Option.map (fun (v : Protocol.value) -> v.vdata) resurrected)
+
 (* --- the Tier glue: compaction, instruments, stats --- *)
 
 let test_tier_compaction () =
@@ -565,6 +601,8 @@ let () =
           Alcotest.test_case "slab_accounting" `Quick test_slab_accounting;
           Alcotest.test_case "get_many_mixed" `Quick test_get_many_mixed;
           Alcotest.test_case "iter_read_through" `Quick test_iter_read_through;
+          Alcotest.test_case "delete of an evicted key stays dead" `Quick
+            test_delete_of_evicted_key_stays_dead;
         ] );
       ( "tier",
         [
