@@ -87,16 +87,8 @@ let oplog_bytes t =
       in
       on_disk + max 0 (P.Oplog.bytes l - live_on_disk)
 
-let record_of_item key (item : Item.t) data =
-  P.Record.Set
-    {
-      op = P.Record.Tset;
-      key;
-      flags = item.flags;
-      exptime = Item.float_of_time item.exptime;
-      cas = item.cas;
-      data;
-    }
+let record_of_item key ~flags ~exptime ~cas data =
+  P.Record.Set { op = P.Record.Tset; key; flags; exptime = Item.float_of_time exptime; cas; data }
 
 (* Archive every snapshot and segment older than the generation just
    published — they are fully covered by it. Files are renamed to
@@ -174,9 +166,9 @@ let do_snapshot t =
         let now = Store.now t.store in
         let walk_span = Rp_trace.span_begin ~arg:gen k_walk in
         let restarts =
-          Store.iter_items t.store ~f:(fun key item data ->
-              if not (Item.is_expired item ~now) then
-                emit (record_of_item key item data))
+          Store.iter_items t.store ~f:(fun key ~flags ~exptime ~cas data ->
+              if not (Item.expired exptime ~now) then
+                emit (record_of_item key ~flags ~exptime ~cas data))
         in
         Rp_trace.span_end ~arg:restarts k_walk walk_span;
         Atomic.set t.walk_restarts (Atomic.get t.walk_restarts + restarts);

@@ -8,10 +8,6 @@ external blit_page_to_bytes : page -> int -> Bytes.t -> int -> int -> unit
   = "slab_blit_to_bytes"
 [@@noalloc]
 
-external blit_bytes_to_page : Bytes.t -> int -> page -> int -> int -> unit
-  = "slab_blit_from_bytes"
-[@@noalloc]
-
 external page_create : int -> page = "slab_page_create"
 external page_free : page -> unit = "slab_page_free" [@@noalloc]
 external prefetch_page : page -> int -> int -> write:bool -> unit = "slab_prefetch" [@@noalloc]
@@ -38,16 +34,26 @@ type cls = {
    chunk id finds its page in whichever copy it loads. *)
 type dir = { pages : page array; owner : int array }
 
+(* A limbo batch: chunks retired together, handed to [call_rcu] as one
+   callback, [release], made once with the batch. A released batch goes
+   back to its slab's pool and is filled again, so retiring allocates
+   nothing once the pool holds enough batches. *)
+type batch = {
+  chunks : int array;  (* [limbo_chunks] slots *)
+  mutable n : int;
+  mutable bytes : int;
+  mutable release : unit -> unit;
+}
+
 (* A domain's own chunks: one magazine per class to allocate from, and
-   the limbo batch of chunks retired since its last hand-off. [busy]
-   guards against a sibling systhread of the same domain. *)
+   the limbo batch of chunks retired since its last hand-off ([no_batch]
+   until it retires one). [busy] guards against a sibling systhread of
+   the same domain. *)
 type local = {
   mutable busy : bool;
   mags : int array array;
   counts : int array;
-  limbo : int array;
-  mutable nlimbo : int;
-  mutable limbo_bytes : int;
+  mutable limbo : batch;
 }
 
 type t = {
@@ -60,6 +66,10 @@ type t = {
   grow_mu : Mutex.t;
   local : local Domain.DLS.key;
   limbo_pending : int Atomic.t;  (* bytes handed to [call_rcu], not yet released *)
+  (* Released limbo batches, under [pool_mu] (a leaf). *)
+  pool_mu : Mutex.t;
+  mutable pool : batch array;
+  mutable npool : int;
 }
 
 let no_chunk = -1
@@ -74,6 +84,8 @@ let limbo_batch_bytes = 256 * 1024
 (* Past this many bytes waiting for a grace period, the retiring writer
    waits one out itself. *)
 let limbo_cap = 16 * 1024 * 1024
+
+let no_batch = { chunks = [||]; n = 0; bytes = 0; release = ignore }
 
 let free_pages t =
   let d = Atomic.get t.dir in
@@ -133,11 +145,12 @@ let create ?(base_chunk = 96) ?(growth_factor = 1.25) ?(max_chunk = 1 lsl 20) ()
               busy = false;
               mags = Array.make nclasses [||];
               counts = Array.make nclasses 0;
-              limbo = Array.make limbo_chunks no_chunk;
-              nlimbo = 0;
-              limbo_bytes = 0;
+              limbo = no_batch;
             });
       limbo_pending = Atomic.make 0;
+      pool_mu = Mutex.create ();
+      pool = [||];
+      npool = 0;
     }
   in
   Gc.finalise free_pages t;
@@ -218,6 +231,11 @@ let page_of t chunk = Array.unsafe_get (Atomic.get t.dir).pages (chunk lsr t.pag
 let offset_of t chunk = chunk land ((1 lsl t.page_bits) - 1)
 let class_of_chunk t chunk = (Atomic.get t.dir).owner.(chunk lsr t.page_bits)
 
+(* A page's raw word is its address with the low bit set, so the OCaml
+   int it reads as is half the address; adding half an even offset
+   gives the int whose raw word is the chunk's address, low bit set. *)
+let address t chunk = page_of t chunk + (offset_of t chunk lsr 1)
+
 (* A fresh page for class [c], its index returned ([c]'s mutex held;
    [grow_mu] is a leaf below it). *)
 let new_page t c =
@@ -293,11 +311,18 @@ let refill t l c =
   let cls = t.classes.(c) in
   if Array.length l.mags.(c) = 0 then l.mags.(c) <- Array.make cls.mag_size no_chunk;
   let mag = l.mags.(c) in
-  with_class cls (fun () ->
-      for i = 0 to cls.mag_size - 1 do
-        mag.(i) <- take t c cls;
-        l.counts.(c) <- i + 1
-      done);
+  (* The class's mutex held with no closure: a refill allocates nothing. *)
+  Mutex.lock cls.mu;
+  (match
+     for i = 0 to cls.mag_size - 1 do
+       mag.(i) <- take t c cls;
+       l.counts.(c) <- i + 1
+     done
+   with
+  | () -> Mutex.unlock cls.mu
+  | exception e ->
+      Mutex.unlock cls.mu;
+      raise e);
   let n = l.counts.(c) - 1 in
   l.counts.(c) <- n;
   warm_next t mag n cls;
@@ -349,17 +374,17 @@ let free_chunk t chunk =
   push cls chunk;
   Mutex.unlock cls.mu
 
-(* A limbo batch back on its free lists, each run of chunks of one class
-   (usually the whole batch) under one hold of the class's mutex. *)
-let free_batch t batch =
-  let n = Array.length batch in
+(* The first [n] chunks of a limbo batch back on their free lists, each
+   run of chunks of one class (usually the whole batch) under one hold
+   of the class's mutex. *)
+let free_batch t chunks n =
   let i = ref 0 in
   while !i < n do
-    let c = class_of_chunk t batch.(!i) in
+    let c = class_of_chunk t chunks.(!i) in
     let cls = t.classes.(c) in
     Mutex.lock cls.mu;
-    while !i < n && class_of_chunk t batch.(!i) = c do
-      push cls batch.(!i);
+    while !i < n && class_of_chunk t chunks.(!i) = c do
+      push cls chunks.(!i);
       incr i
     done;
     Mutex.unlock cls.mu
@@ -367,32 +392,78 @@ let free_batch t batch =
 
 let free t chunk = if chunk <> no_chunk then free_chunk t chunk
 
+let give_batch t b =
+  Mutex.lock t.pool_mu;
+  if t.npool = Array.length t.pool then begin
+    let grown = Array.make (max 4 (2 * t.npool)) no_batch in
+    Array.blit t.pool 0 grown 0 t.npool;
+    t.pool <- grown
+  end;
+  t.pool.(t.npool) <- b;
+  t.npool <- t.npool + 1;
+  Mutex.unlock t.pool_mu
+
+(* An empty batch: a released one, or a new one whose [release] returns
+   its chunks to their classes and itself to the pool. *)
+let take_batch t =
+  Mutex.lock t.pool_mu;
+  let n = t.npool in
+  if n > 0 then begin
+    let b = t.pool.(n - 1) in
+    t.pool.(n - 1) <- no_batch;
+    t.npool <- n - 1;
+    Mutex.unlock t.pool_mu;
+    b
+  end
+  else begin
+    Mutex.unlock t.pool_mu;
+    let b = { chunks = Array.make limbo_chunks no_chunk; n = 0; bytes = 0; release = ignore } in
+    b.release <-
+      (fun () ->
+        free_batch t b.chunks b.n;
+        ignore (Atomic.fetch_and_add t.limbo_pending (-b.bytes));
+        b.n <- 0;
+        b.bytes <- 0;
+        give_batch t b);
+    b
+  end
+
 (* A closed limbo batch: back to the free lists one grace period after
    this call, or at once when too much is already waiting. *)
-let defer t rcu batch bytes =
-  let pending = Atomic.fetch_and_add t.limbo_pending bytes + bytes in
-  Rcu.call_rcu rcu (fun () ->
-      free_batch t batch;
-      ignore (Atomic.fetch_and_add t.limbo_pending (-bytes)));
+let defer t rcu b =
+  let pending = Atomic.fetch_and_add t.limbo_pending b.bytes + b.bytes in
+  Rcu.call_rcu rcu b.release;
   if pending > limbo_cap then Rcu.barrier rcu
+
+let add_chunk b chunk size =
+  b.chunks.(b.n) <- chunk;
+  b.n <- b.n + 1;
+  b.bytes <- b.bytes + size
 
 let retire t rcu chunk =
   if chunk <> no_chunk then begin
     let size = t.classes.(class_of_chunk t chunk).chunk_size in
     let l = Domain.DLS.get t.local in
-    if l.busy then defer t rcu [| chunk |] size
+    if l.busy then begin
+      let b = take_batch t in
+      add_chunk b chunk size;
+      defer t rcu b
+    end
     else begin
       l.busy <- true;
-      let n = l.nlimbo + 1 in
-      l.limbo.(n - 1) <- chunk;
-      l.nlimbo <- n;
-      l.limbo_bytes <- l.limbo_bytes + size;
-      if n = limbo_chunks || l.limbo_bytes >= limbo_batch_bytes then begin
-        let batch = Array.sub l.limbo 0 n and bytes = l.limbo_bytes in
-        l.nlimbo <- 0;
-        l.limbo_bytes <- 0;
+      if l.limbo == no_batch then begin
+        match take_batch t with
+        | b -> l.limbo <- b
+        | exception e ->
+            l.busy <- false;
+            raise e
+      end;
+      let b = l.limbo in
+      add_chunk b chunk size;
+      if b.n = limbo_chunks || b.bytes >= limbo_batch_bytes then begin
+        l.limbo <- no_batch;
         l.busy <- false;
-        defer t rcu batch bytes
+        defer t rcu b
       end
       else l.busy <- false
     end
@@ -403,19 +474,15 @@ let limbo_bytes t = Atomic.get t.limbo_pending
 let check_bytes name b off len =
   if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg name
 
-let write t chunk src off len =
-  check_bytes "Slab.write" src off len;
-  if len > 0 then blit_bytes_to_page src off (page_of t chunk) (offset_of t chunk) len
-
-let blit t chunk dst off len =
+let blit t chunk at dst off len =
   check_bytes "Slab.blit" dst off len;
-  if len > 0 then blit_page_to_bytes (page_of t chunk) (offset_of t chunk) dst off len
+  if len > 0 then blit_page_to_bytes (page_of t chunk) (offset_of t chunk + at) dst off len
 
-let read t chunk len =
-  let b = Bytes.create len in
-  blit t chunk b 0 len;
-  Bytes.unsafe_to_string b
+let chunk_bytes t chunk = t.classes.(class_of_chunk t chunk).chunk_size
 
+(* The chunk's class bounds what is asked for, so the hints stop at its
+   end whatever [len] its caller guessed. *)
 let prefetch t chunk len =
   if chunk <> no_chunk && len > 0 then
-    prefetch_page (page_of t chunk) (offset_of t chunk) len ~write:false
+    prefetch_page (page_of t chunk) (offset_of t chunk) (Int.min len (chunk_bytes t chunk))
+      ~write:false

@@ -1,6 +1,6 @@
 (** Slab classes, after stock memcached's slab allocator: the memory
     accounting the eviction budget is charged in, and the off-heap pages
-    that hold the values.
+    that hold the items.
 
     memcached never allocates items exactly: it rounds each item up to the
     chunk size of a {e slab class} (a geometric ladder of sizes), carving
@@ -12,23 +12,25 @@
     overhead, {!Item.footprint}) to its class and evicts against chunk
     bytes, not raw bytes, matching stock behaviour.
 
-    {b Value memory.} Values live outside the OCaml heap, so the GC
-    neither scans them nor counts them as live data when it paces itself.
-    Each class owns 1 MiB pages — malloc'd memory, held by OCaml as
-    immediates and freed when the slab is collected — carved into chunks
-    of its size; a value takes one chunk of the class for its length
-    ({!alloc}), named by an immediate int. A domain allocates from its own
-    magazine per class, refilled from the class's free list under the
-    class's mutex, so an allocation usually takes no lock.
+    {b Item memory.} Items — header and value, see {!Item} — live outside
+    the OCaml heap, so the GC neither scans them nor counts them as live
+    data when it paces itself. Each class owns 1 MiB pages — malloc'd
+    memory, held by OCaml as immediates and freed when the slab is
+    collected — carved into chunks of its size; an item takes one chunk
+    of the class for its length ({!alloc}), named by an immediate int. A
+    domain allocates from its own magazine per class, refilled from the
+    class's free list under the class's mutex, so an allocation usually
+    takes no lock and allocates nothing on the OCaml heap.
 
     A chunk is reused only after a grace period ({!retire}): a reader may
-    still be copying the value it held. Retired chunks gather in the
+    still be reading the item it held. Retired chunks gather in the
     retiring domain's limbo batch; each full batch (64 chunks or 256 KiB)
-    goes to {!Rcu.call_rcu} as one callback, which returns it to the free
-    lists. The reader's side of the bargain: every copy out of a chunk
-    happens inside the read-side critical section that loaded the item
-    naming it, or under a lock that keeps the item in its table.
-    Pages are never returned to the system. *)
+    goes to {!Rcu.call_rcu} as one callback, which returns its chunks to
+    the free lists and the batch itself to a pool it is taken from again.
+    The reader's side of the bargain: every read of a chunk happens
+    inside the read-side critical section that loaded its id, or under a
+    lock that keeps the item in its table. Pages are never returned to
+    the system. *)
 
 type t
 
@@ -91,20 +93,18 @@ val alloc : t -> int -> int
     ({!no_chunk} for [len = 0]). Raises [Invalid_argument] when [len]
     exceeds the largest chunk. Thread-safe. *)
 
-val write : t -> int -> Bytes.t -> int -> int -> unit
-(** [write t chunk src off len] copies [len] bytes of [src] from [off]
-    into [chunk] (one memcpy). [len] must not exceed the chunk. *)
-
-val blit : t -> int -> Bytes.t -> int -> int -> unit
-(** [blit t chunk dst off len] copies the first [len] bytes of [chunk]
-    into [dst] at [off] (one memcpy). See the reader's rule above. *)
-
-val read : t -> int -> int -> string
-(** [read t chunk len]: a fresh string of the chunk's first [len] bytes. *)
+val blit : t -> int -> int -> Bytes.t -> int -> int -> unit
+(** [blit t chunk at dst off len] copies the [len] bytes of [chunk] from
+    byte [at] into [dst] at [off] (one memcpy). See the reader's rule
+    above; items are written by {!Item.create}. *)
 
 val prefetch : t -> int -> int -> unit
 (** [prefetch t chunk len]: cache hints for every line of the first
-    [len] bytes of [chunk]; changes nothing, skips {!no_chunk}. *)
+    [len] bytes of [chunk], or of all of it when it is shorter; changes
+    nothing, skips {!no_chunk}. *)
+
+val chunk_bytes : t -> int -> int
+(** The size of [chunk]'s class. *)
 
 val free : t -> int -> unit
 (** Return a chunk to its class at once: for a store whose readers copy
@@ -116,6 +116,13 @@ val retire : t -> Rcu.t -> int -> unit
     batch and {!Rcu.call_rcu}. A writer that finds more than 16 MiB
     waiting waits with {!Rcu.barrier}, so it must not be inside a read
     section of [rcu]. Skips {!no_chunk}. *)
+
+val address : t -> int -> int
+(** [chunk]'s address for a C stub: an immediate whose raw word is the
+    address with the low bit set (see slab_stubs.c), so the stub reads
+    it with one mask. Needs an even offset in the page: the chunks of a
+    slab whose chunk sizes are multiples of 8 (the default ladder's),
+    which are also word-aligned. *)
 
 val limbo_bytes : t -> int
 (** Chunk bytes handed to {!Rcu.call_rcu} and not yet returned. *)

@@ -194,7 +194,7 @@ let storage_command ?guard t ~op ~key ~flags ~exptime ~data =
         match verdict with
         | Error result -> result
         | Ok () ->
-            let item = item_of_string t.c ~flags ~exptime ~now data in
+            let item = Item.of_string t.c.slab ~flags ~exptime ~now data in
             t.b.store ~hash key item;
             record_set t ~op key item;
             Stored)
@@ -221,7 +221,7 @@ let set_slice t ~clock (keys : Protocol.Keys.t) i ~flags ~exptime ~off ~len =
   if not (fits t ~key_len:klen ~data_len:len) then Too_large
   else begin
     let item =
-      make_item t.c ~flags ~exptime:(absolute_exptime ~clock exptime)
+      Item.create t.c.slab ~flags ~exptime:(absolute_exptime ~clock exptime)
         ~now:(Item.time_of_float clock) keys.buf off len
     in
     t.b.set ~hash:keys.hashes.(i) ~log:t.persist_hook keys.buf koff klen item;
@@ -245,7 +245,7 @@ let cas t ~key ~flags ~exptime ~data ~unique =
   storage_command t ~op:Rp_persist.Record.Tcas ~key ~flags ~exptime ~data
     ~guard:(function
     | None -> Error Not_found
-    | Some (item : Item.t) -> if item.cas = unique then Ok () else Error Exists)
+    | Some item -> if Item.cas t.c.slab item = unique then Ok () else Error Exists)
 
 (* The read-modify-write commands — append/prepend, incr/decr, touch:
    under the key's lock, [f] gets the live item and its real value (a
@@ -276,12 +276,13 @@ let concat_command t ~op ~key ~data ~build =
   Rp_obs.Counter.incr t.c.cmd_set;
   heat_set t key ~vbytes:(String.length data);
   let now = now t in
-  read_modify_write t ~key ~now ~missing:Not_stored (fun ~hash (item : Item.t) old ->
+  read_modify_write t ~key ~now ~missing:Not_stored (fun ~hash item old ->
       let combined = build old data in
       if not (fits_slab t ~key ~data:combined) then Too_large
       else begin
         put t ~hash ~op key
-          (item_of_string t.c ~flags:item.flags ~exptime:item.exptime ~now combined);
+          (Item.of_string t.c.slab ~flags:(Item.flags t.c.slab item)
+             ~exptime:(Item.exptime t.c.slab item) ~now combined);
         Stored
       end)
 
@@ -311,7 +312,7 @@ let delete t key =
 let counter_command t ~op key delta ~apply =
   heat_mutation t key;
   let now = now t in
-  read_modify_write t ~key ~now ~missing:Cnotfound (fun ~hash (item : Item.t) data ->
+  read_modify_write t ~key ~now ~missing:Cnotfound (fun ~hash item data ->
       match int_of_string_opt (String.trim data) with
       | None -> Cnon_numeric
       | Some n ->
@@ -320,8 +321,8 @@ let counter_command t ~op key delta ~apply =
              incr against a snapshot that already absorbed it must not
              double. *)
           put t ~hash ~op key
-            (item_of_string t.c ~flags:item.flags ~exptime:item.exptime ~now
-               (string_of_int next));
+            (Item.of_string t.c.slab ~flags:(Item.flags t.c.slab item)
+               ~exptime:(Item.exptime t.c.slab item) ~now (string_of_int next));
           Cvalue next)
 
 let incr t key delta =
@@ -339,9 +340,10 @@ let touch t ~key ~exptime =
   let clock = t.c.clock () in
   let now = Item.time_of_float clock in
   let exptime = absolute_exptime ~clock exptime in
-  read_modify_write t ~key ~now ~missing:false (fun ~hash (item : Item.t) data ->
+  read_modify_write t ~key ~now ~missing:false (fun ~hash item data ->
       put t ~hash ~op:Rp_persist.Record.Ttouch key
-        (item_of_string t.c ~cas:item.cas ~flags:item.flags ~exptime ~now data);
+        (Item.of_string t.c.slab ~cas:(Item.cas t.c.slab item) ~flags:(Item.flags t.c.slab item)
+           ~exptime ~now data);
       true)
 
 let flush_all_with t ~log =
@@ -383,7 +385,7 @@ let apply_record ?(log = false) t r =
       let exptime = Item.time_of_float exptime in
       locked key (fun hash ->
           if exptime > 0 && exptime <= now then ignore (t.b.remove ~hash key)
-          else t.b.store ~hash key (item_of_string t.c ~cas ~flags ~exptime ~now data))
+          else t.b.store ~hash key (Item.of_string t.c.slab ~cas ~flags ~exptime ~now data))
   | Rp_persist.Record.Delete key -> locked key (fun hash -> ignore (t.b.remove ~hash key))
   | Rp_persist.Record.Flush_all -> flush_all_with t ~log
 
@@ -406,9 +408,8 @@ let tier_location t key =
   let hash = t.b.hash key in
   t.b.with_key ~hash (fun () ->
       match t.b.live ~hash ~now:(now t) key with
-      | Some { Item.location = Item.Cold { segment; offset; len }; _ } ->
-          Some (segment, offset, len)
-      | Some _ | None -> None)
+      | Some item -> Item.location t.c.slab item
+      | None -> None)
 
 (* Copying-compaction step: under the key's lock, verify the marker still
    points at [from_] and, if so, run [relocate] (the glue's
@@ -417,19 +418,17 @@ let tier_location t key =
    is marked dead through the tier hook. False means the record was
    already dead (promoted, overwritten, deleted) or the copy failed (tier
    full): nothing was changed. *)
-let tier_relocate t ~key ~from_:(sfrom, ofrom, lfrom) ~relocate =
+let tier_relocate t ~key ~from_ ~relocate =
   let hash = t.b.hash key in
+  let slab = t.c.slab in
   t.b.with_key ~hash (fun () ->
       match t.b.live ~hash ~now:(now t) key with
-      | Some ({ Item.location = Item.Cold { segment; offset; len }; _ } as item)
-        when segment = sfrom && offset = ofrom && len = lfrom -> (
+      | Some item when Item.location slab item = Some from_ -> (
           match relocate () with
-          | Some (segment, offset, len) ->
+          | Some frame ->
               t.b.store ~hash key
-                (Item.make ~cas:item.cas ~chunk:Slab.no_chunk
-                   ~location:(Item.Cold { segment; offset; len })
-                   ~flags:item.flags ~exptime:item.exptime ~len:0
-                   ~now:item.last_access ());
+                (Item.cold slab ~cas:(Item.cas slab item) ~flags:(Item.flags slab item)
+                   ~exptime:(Item.exptime slab item) ~now:(Item.last_access slab item) frame);
               true
           | None -> false)
       | Some _ | None -> false)

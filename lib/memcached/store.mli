@@ -111,7 +111,6 @@ module Hits : sig
     mutable cas : int array;
     mutable voff : int array;
     mutable vlen : int array;
-    mutable src : int array;
     mutable vbuf : Bytes.t;
     mutable fill : int;
   }
@@ -132,12 +131,13 @@ val get_keys : t -> clock:float -> Protocol.Keys.t -> first:int -> n:int -> Hits
     [cmd_get] add serves the whole batch. On the {!Rp}
     backend each {!batch_keys} keys are one read-side critical section:
     inside it the table is walked in stages over the key slices
-    ({!Rp_ht.find_batch_hashed}), the hits' items and values are
-    prefetched, and each live hot hit's value is copied out of its slab
-    chunk, touched, counted and noted to the heat plane with the stored
-    key — the copy must happen before the section closes, since the
-    chunk may be reused one grace period after its item leaves the
-    table. After the section: a miss is counted; an expired item counts
+    ({!Rp_ht.find_batch_hashed}), the hits' chunks (header and the
+    value's first lines) are prefetched, and each live hot hit is served
+    from its chunk by one call — its expiry checked, its access stamp
+    raised, its flags, CAS and value copied — then counted and noted to
+    the heat plane with the stored key. All of it happens before the
+    section closes, since the chunk may be reused one grace period after
+    its item leaves the table. After the section: a miss is counted; an expired item counts
     as a miss and is reaped under its own key's stripe; a cold
     one is promoted. Allocates the walk's array (one word per key); the
     hits grow only past their largest batch so far. *)
@@ -223,8 +223,10 @@ val set_persist_hook : t -> (Rp_persist.Record.t -> unit) option -> unit
     command after the in-memory effect — the client then sees an error,
     i.e. an unknown outcome. *)
 
-val iter_items : t -> f:(string -> Item.t -> string -> unit) -> int
-(** Walk every live binding: [f key item value], [value] a fresh copy
+val iter_items :
+  t -> f:(string -> flags:int -> exptime:Item.time -> cas:int -> string -> unit) -> int
+(** Walk every live binding: [f key ~flags ~exptime ~cas value], the
+    item's header fields as read with its value, [value] a fresh copy
     (read through from the tier for a cold item). On the {!Rp} backend this is
     {!Rp_ht.iter_batched}: bounded read-side critical sections with
     re-entry between batches, so the walk never blocks writers nor
@@ -279,8 +281,9 @@ val promote : t -> (string, string) result
     The {!Tier} glue installs these hooks over an {!Rp_tier.Cold_store}.
     With hooks installed, the CLOCK eviction sweep {e demotes} victims —
     appends the value to a segment file and swaps the item for a compact
-    {!Item.Cold} marker, under the victim's stripe — instead of
-    dropping them; a GET that finds a marker reads the segment with no
+    cold marker ({!Item.cold}: a chunk holding only the header and the
+    frame's location), under the victim's stripe — instead of dropping
+    them; a GET that finds a marker reads the segment with no
     store lock held and reinserts under the stripe (promote-on-access,
     single-flighted per key on a dedicated promote-stripe array). Keys,
     flags, expiry and CAS never leave the RP table. *)

@@ -9,8 +9,8 @@ type rcu_mode = Rcu.mode = Memb | Qsbr
 
 (* Cold-tier hooks, installed by [Tier.attach] (documented in
    store.mli). The store never touches segment files itself; locations
-   are bare ints ([Item.Cold] fields) so the store family stays
-   independent of the tier's own types. *)
+   are bare ints (the frame a cold marker holds, [Item.location]) so the
+   store family stays independent of the tier's own types. *)
 
 type tier_read_error = Tier_gone | Tier_torn
 
@@ -23,8 +23,7 @@ type tier_hooks = {
 
 (* A batch's replies, filled by a backend's [get_keys] and read by
    whoever renders them: for key [j] of the batch, its flags, CAS and
-   the offset and length of its value in [vbuf] ([vlen] -1: a miss),
-   and the chunk it is copied from.
+   the offset and length of its value in [vbuf] ([vlen] -1: a miss).
    The values are copied out of their slab chunks inside the read
    section that found their items, so the staging stays readable after
    the section closes. Reused from batch to batch. *)
@@ -34,13 +33,12 @@ module Hits = struct
     mutable cas : int array;
     mutable voff : int array;
     mutable vlen : int array;
-    mutable src : int array;
     mutable vbuf : Bytes.t;
     mutable fill : int;  (* bytes of [vbuf] in use *)
   }
 
   let create () =
-    { flags = [||]; cas = [||]; voff = [||]; vlen = [||]; src = [||]; vbuf = Bytes.empty; fill = 0 }
+    { flags = [||]; cas = [||]; voff = [||]; vlen = [||]; vbuf = Bytes.empty; fill = 0 }
 
   (* Room for [n] keys, every one a miss, and an empty value area; a
      value area grown past [Protocol.Inbuf.retain_bytes] by the last
@@ -51,8 +49,7 @@ module Hits = struct
       h.flags <- Array.make cap 0;
       h.cas <- Array.make cap 0;
       h.voff <- Array.make cap 0;
-      h.vlen <- Array.make cap (-1);
-      h.src <- Array.make cap 0
+      h.vlen <- Array.make cap (-1)
     end
     else Array.fill h.vlen 0 n (-1);
     if Bytes.length h.vbuf > Protocol.Inbuf.retain_bytes then h.vbuf <- Bytes.empty;
@@ -83,6 +80,28 @@ module Hits = struct
     let len = String.length data in
     let off = claim h j ~flags ~cas len in
     Bytes.blit_string data 0 h.vbuf off len
+
+  (* Key [j]'s item served from its chunk by one {!Item.serve}: its
+     value's length, or -2 (expired) or -3 (cold), left in [vlen]. A
+     value too long for the area left is served again once the area has
+     grown. *)
+  let rec serve h slab j item ~now =
+    let fill = h.fill in
+    let r = Item.serve slab item ~now ~flags:h.flags ~cas:h.cas j h.vbuf fill in
+    if r >= 0 then begin
+      Array.unsafe_set h.voff j fill;
+      Array.unsafe_set h.vlen j r;
+      h.fill <- fill + r;
+      r
+    end
+    else if r <= -4 then begin
+      reserve h (-4 - r);
+      serve h slab j item ~now
+    end
+    else begin
+      Array.unsafe_set h.vlen j r;
+      r
+    end
 
   let hit h j = Array.unsafe_get h.vlen j >= 0
   let value h j = Bytes.sub_string h.vbuf h.voff.(j) h.vlen.(j)
@@ -140,10 +159,12 @@ type backend = {
          ([Rp_ht.enter_key]/[leave_key]), or the global lock. *)
   with_all : 'a. (unit -> 'a) -> 'a;  (* every writer stopped: flush_all *)
   live : hash:int -> now:Item.time -> string -> Item.t option;
-      (* The unexpired item, under the key's lock. *)
+      (* The unexpired item, under the key's lock (which keeps its chunk
+         readable until the lock is released). *)
   store : hash:int -> string -> Item.t -> unit;
       (* Publish under the key's lock: slab charge, recency bookkeeping,
-         a displaced cold frame marked dead. Never evicts. *)
+         the displaced item's chunk released and its cold frame marked
+         dead. Never evicts. *)
   set :
     hash:int -> log:(Rp_persist.Record.t -> unit) option -> Bytes.t -> int -> int -> Item.t -> unit;
       (* A plain SET whose key is a slice of a buffer: [store], and the
@@ -164,8 +185,9 @@ type backend = {
          touched. *)
   prefetch : Protocol.Keys.t -> unit;
       (* Cache hints for the keys about to be served one by one. *)
-  iter : (string -> Item.t -> string -> unit) -> int;
-      (* Every live binding with a copy of its value. *)
+  iter : (string -> flags:int -> exptime:Item.time -> cas:int -> string -> unit) -> int;
+      (* Every live binding: its header's fields and a copy of its
+         value. *)
   length : unit -> int;
   buckets : unit -> int;
   reader_offline : unit -> unit;
@@ -231,60 +253,32 @@ let now c = Item.time_of_float (c.clock ())
    faithful per-key history. State-based: the resulting item, not the
    command's arguments, so replay is idempotent and convergent (see
    [Rp_persist.Record]). *)
-let log_set c log ~op key (item : Item.t) =
+let log_set c log ~op key item =
   match log with
   | None -> ()
   | Some h ->
+      let slab = c.slab in
       h
         (Rp_persist.Record.Set
            {
              op;
              key;
-             flags = item.flags;
-             exptime = Item.float_of_time item.exptime;
-             cas = item.cas;
-             data = Slab.read c.slab item.chunk item.len;
+             flags = Item.flags slab item;
+             exptime = Item.float_of_time (Item.exptime slab item);
+             cas = Item.cas slab item;
+             data = Item.value slab item;
            })
 
-(* A hot item holding a copy of [len] bytes of [src] from [off], its
-   chunk allocated in [c]'s slab. *)
-let make_item c ?cas ~flags ~exptime ~now src off len =
-  let chunk = Slab.alloc c.slab len in
-  Slab.write c.slab chunk src off len;
-  Item.make ?cas ~chunk ~flags ~exptime ~len ~now ()
-
-let item_of_string c ?cas ~flags ~exptime ~now data =
-  make_item c ?cas ~flags ~exptime ~now (Bytes.unsafe_of_string data) 0 (String.length data)
-
-(* A fresh copy of a hot item's value: callers hold the key's lock or
-   the read section that found the item. *)
-let value c (item : Item.t) = Slab.read c.slab item.chunk item.len
-
-(* A hot item's reply under [key], its value a fresh copy (same rule). *)
-let reply c ~with_cas key (item : Item.t) : Protocol.value =
+(* A hot item's reply under [key], its value a fresh copy: callers hold
+   the key's lock or the read section that found the item. *)
+let reply c ~with_cas key item : Protocol.value =
+  let slab = c.slab in
   {
     vkey = key;
-    vflags = item.flags;
-    vdata = value c item;
-    vcas = (if with_cas then Some item.cas else None);
+    vflags = Item.flags slab item;
+    vdata = Item.value slab item;
+    vcas = (if with_cas then Some (Item.cas slab item) else None);
   }
-
-(* Claim key [j]'s reply for a hot item, its value's chunk noted for
-   [copy_claimed]: a batch claims its hits first and copies them after,
-   giving the prefetches of their chunks the time of the claims. *)
-let claim_hit hits j (item : Item.t) =
-  ignore (Hits.claim hits j ~flags:item.flags ~cas:item.cas item.len);
-  Array.unsafe_set hits.Hits.src j item.chunk
-
-let copy_claimed c (hits : Hits.t) j =
-  Slab.blit c.slab (Array.unsafe_get hits.src j) hits.vbuf (Array.unsafe_get hits.voff j)
-    (Array.unsafe_get hits.vlen j)
-
-(* Copy a hot item's value into the hits as key [j]'s reply (inside the
-   read section, or under the lock, that found it). *)
-let copy_hit c hits j (item : Item.t) =
-  claim_hit hits j item;
-  copy_claimed c hits j
 
 (* --- heat plane emission (each call is one branch when the plane is
    off; the plane itself is plain stripe-discipline stores) --- *)
@@ -317,10 +311,10 @@ let[@inline] heat_slo c name value =
    relocate, flush), its segment frame becomes garbage: tell the tier so
    per-segment live accounting — and through it, compaction — stays
    exact. *)
-let tier_mark_dead c (item : Item.t) =
-  match (item.location, c.tier) with
-  | Item.Cold { segment; offset; len }, Some h -> h.th_mark_dead (segment, offset, len)
-  | _, _ -> ()
+let tier_mark_dead c item =
+  match c.tier with
+  | Some h -> Option.iter h.th_mark_dead (Item.location c.slab item)
+  | None -> ()
 
 (* A frame read back for [key]: a CRC-valid frame for another key counts
    as a mismatch and reads as torn. Torn reads are counted as errors;
@@ -354,12 +348,12 @@ let read_cold c hooks key loc =
    same stripe — which also makes [Tier_gone] unreachable here, so any
    failure is final: the value is gone, and the caller drops the marker
    rather than operate on "". Hot items return a copy of their value. *)
-let resolve_cold_locked c key (item : Item.t) =
-  match (item.location, c.tier) with
-  | Item.Hot, _ -> Some (value c item)
-  | Item.Cold _, None -> None (* marker with no tier attached (shutdown window) *)
-  | Item.Cold { segment; offset; len }, Some hooks -> (
-      match read_cold c hooks key (segment, offset, len) with
+let resolve_cold_locked c key item =
+  match (Item.location c.slab item, c.tier) with
+  | None, _ -> Some (Item.value c.slab item)
+  | Some _, None -> None (* marker with no tier attached (shutdown window) *)
+  | Some loc, Some hooks -> (
+      match read_cold c hooks key loc with
       | Ok data -> Some data
       | Error Tier_torn -> None
       | Error Tier_gone ->

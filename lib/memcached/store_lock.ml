@@ -1,25 +1,31 @@
 (* The global-lock backend: stock memcached's discipline and the paper's
    Figure 5 baseline. One mutex (the table's) serializes every operation,
    GETs included — lookup, exact-LRU bump, expiry check and the copy of
-   the value out of its slab chunk all run inside it. So a chunk whose
+   the item out of its slab chunk all run inside it. So a chunk whose
    item leaves the table goes straight back to its class: no reader can
-   be copying it. *)
+   be reading it. *)
 
 open Store_core
 module H = Rp_baseline.Lock_ht
 
-(* An item and its exact-LRU node, both only touched under the lock. *)
-type entry = { item : Item.t; node : string Lru.node }
+(* An item and its exact-LRU node, both only touched under the lock. An
+   overwrite swaps the item in place and moves the node to the front, so
+   it allocates nothing that stays. *)
+type entry = { mutable item : Item.t; node : string Lru.node }
 
 let create (c : Store_core.t) ~initial_size =
+  let slab = c.slab in
   let table = H.create ~hash:hash_key ~equal:String.equal ~size:initial_size () in
   let lru = Lru.create () in
   let locked f = H.with_lock table f in
+  let release key item =
+    Slab.refund slab (Item.size_bytes slab ~key item);
+    Item.free slab item
+  in
   let unlink key entry =
     ignore (H.unsafe_remove table key);
     Lru.remove lru entry.node;
-    Slab.refund c.slab (Item.size_bytes ~key entry.item);
-    Slab.free c.slab entry.item.chunk
+    release key entry.item
   in
   let remove ~hash:_ key =
     match H.unsafe_find table key with
@@ -31,16 +37,20 @@ let create (c : Store_core.t) ~initial_size =
   (* An expired item is reaped (and counted) as soon as a lookup meets it. *)
   let find_live ~now key =
     match H.unsafe_find table key with
-    | Some entry when Item.is_expired entry.item ~now ->
+    | Some entry when Item.is_expired slab entry.item ~now ->
         unlink key entry;
         Rp_obs.Counter.incr c.expired;
         None
     | found -> found
   in
-  let store ~hash key (item : Item.t) =
-    ignore (remove ~hash key);
-    H.unsafe_insert table key { item; node = Lru.push_front lru key };
-    ignore (Slab.charge c.slab (Item.size_bytes ~key item))
+  let store ~hash:_ key item =
+    ignore (Slab.charge slab (Item.size_bytes slab ~key item));
+    match H.unsafe_find table key with
+    | Some entry ->
+        release key entry.item;
+        entry.item <- item;
+        Lru.touch lru entry.node
+    | None -> H.unsafe_insert table key { item; node = Lru.push_front lru key }
   in
   let rec evict () =
     if Slab.allocated_bytes c.slab > c.max_bytes then
@@ -51,22 +61,18 @@ let create (c : Store_core.t) ~initial_size =
           | None -> ()
           | Some entry ->
               ignore (H.unsafe_remove table victim);
-              Slab.refund c.slab (Item.size_bytes ~key:victim entry.item);
-              Slab.free c.slab entry.item.chunk;
+              release victim entry.item;
               Rp_obs.Counter.incr c.evicted);
           evict ()
   in
-  (* The live item, LRU-bumped and counted (under the lock, which the
-     caller holds until it has copied the value). *)
+  (* The live item, LRU-bumped (under the lock, which the caller holds
+     until it has copied the value). *)
   let find_touched ~now key =
     match find_live ~now key with
-    | None ->
-        count_miss c key;
-        None
+    | None -> None
     | Some entry ->
         Lru.touch lru entry.node;
-        Item.touch_access entry.item ~now;
-        count_hit c key entry.item.len;
+        Item.touch_access slab entry.item ~now;
         Some entry.item
   in
   {
@@ -95,20 +101,31 @@ let create (c : Store_core.t) ~initial_size =
     evict_to_budget = (fun () -> locked evict);
     get =
       (fun ~now key ->
-        locked (fun () -> Option.map (reply c ~with_cas:false key) (find_touched ~now key)));
+        locked (fun () ->
+            match find_touched ~now key with
+            | None ->
+                count_miss c key;
+                None
+            | Some item ->
+                count_hit c key (Item.len slab item);
+                Some (reply c ~with_cas:false key item)));
     get_keys =
       (fun ~now keys ~first ~n hits ->
         Hits.prepare hits n;
         for j = 0 to n - 1 do
+          let key = Protocol.Keys.key keys (first + j) in
           locked (fun () ->
-              match find_touched ~now (Protocol.Keys.key keys (first + j)) with
-              | Some item -> copy_hit c hits j item
-              | None -> ())
+              match find_touched ~now key with
+              | Some item -> count_hit c key (Hits.serve hits slab j item ~now)
+              | None -> count_miss c key)
         done);
     prefetch = ignore;
     iter =
       (fun f ->
-        locked (fun () -> H.unsafe_iter table ~f:(fun k e -> f k e.item (value c e.item)));
+        locked (fun () ->
+            H.unsafe_iter table ~f:(fun k e ->
+                f k ~flags:(Item.flags slab e.item) ~exptime:(Item.exptime slab e.item)
+                  ~cas:(Item.cas slab e.item) (Item.value slab e.item)));
         0);
     length = (fun () -> H.length table);
     buckets = (fun () -> H.size table);

@@ -75,14 +75,15 @@ let clock_push t entry =
 
 (* The chunk of an item that has left the table goes back to its class
    only after a grace period: a reader that found the item may still be
-   copying its value. *)
-let retire t (item : Item.t) = Slab.retire t.c.slab (Rp_ht.rcu t.rp) item.chunk
+   reading its header or copying its value. The writer that retires it
+   is in no read section, so it reads nothing of the item afterwards. *)
+let retire t item = Item.retire t.c.slab (Rp_ht.rcu t.rp) item
 
 let delete t ~hash key =
   match Rp_ht.remove_locked t.rp ~hash key with
   | None -> false
   | Some item ->
-      Slab.refund t.c.slab (Item.size_bytes ~key item);
+      Slab.refund t.c.slab (Item.size_bytes t.c.slab ~key item);
       tier_mark_dead t.c item;
       retire t item;
       true
@@ -99,29 +100,34 @@ let delete t ~hash key =
    displaced value's chunk is retired either way. [replaced] returns
    whether the key goes back on the CLOCK queue (a cold marker
    overwritten by a RAM item); [linked] pushes a new hot key itself. *)
-let replaced t ~key_len (item : Item.t) (old : Item.t) =
-  let size = Item.footprint ~key_len item in
-  let old_size = Item.footprint ~key_len old in
+let replaced t ~key_len item old =
+  let slab = t.c.slab in
+  let size = Item.footprint slab ~key_len item in
+  let old_size = Item.footprint slab ~key_len old in
   if old_size <> size then begin
-    Slab.refund t.c.slab old_size;
-    ignore (Slab.charge t.c.slab size)
+    Slab.refund slab old_size;
+    ignore (Slab.charge slab size)
   end;
+  let push =
+    Item.is_cold slab old
+    && begin
+         tier_mark_dead t.c old;
+         not (Item.is_cold slab item)
+       end
+  in
   retire t old;
-  Item.is_cold old
-  && begin
-       tier_mark_dead t.c old;
-       not (Item.is_cold item)
-     end
+  push
 
-let linked t key (item : Item.t) =
-  ignore (Slab.charge t.c.slab (Item.size_bytes ~key item));
-  if not (Item.is_cold item) then clock_push t (key, item.last_access)
+let linked t key item =
+  let slab = t.c.slab in
+  ignore (Slab.charge slab (Item.size_bytes slab ~key item));
+  if not (Item.is_cold slab item) then clock_push t (key, Item.last_access slab item)
 
-let store t ~hash key (item : Item.t) =
+let store t ~hash key item =
   match Rp_ht.exchange_locked t.rp ~hash key item with
   | Some old ->
       if replaced t ~key_len:(String.length key) item old then
-        clock_push t (key, item.last_access)
+        clock_push t (key, Item.last_access t.c.slab item)
   | None -> linked t key item
 
 (* A plain SET of the key held in the [len] bytes of [buf] from [off]:
@@ -129,7 +135,7 @@ let store t ~hash key (item : Item.t) =
    the key's stripe, taken and released here so no closure is built. A
    new node's key string is the one the table made; an overwrite copies
    the key out only for a CLOCK push or a record. *)
-let set t ~hash ~log buf off len (item : Item.t) =
+let set t ~hash ~log buf off len item =
   let span = Rp_trace.span_begin_sampled k_update in
   let stripe = Rp_ht.enter_key t.rp ~hash in
   match
@@ -138,7 +144,7 @@ let set t ~hash ~log buf off len (item : Item.t) =
         let push = replaced t ~key_len:len item old in
         if push || Option.is_some log then begin
           let key = Bytes.sub_string buf off len in
-          if push then clock_push t (key, item.last_access);
+          if push then clock_push t (key, Item.last_access t.c.slab item);
           log_set t.c log ~op:Rp_persist.Record.Tset key item
         end
     | Rp_ht.Linked key ->
@@ -156,30 +162,29 @@ let set t ~hash ~log buf off len (item : Item.t) =
    (the caller's). Returns false — fall back to plain eviction — when no
    tier is attached, the guard is shedding demotions, the item is
    expired (nothing worth keeping), or the append failed/overflowed. *)
-let demote t ~hash key (item : Item.t) =
+let demote t ~hash key item =
+  let slab = t.c.slab in
   match t.c.tier with
   | None -> false
   | Some hooks ->
-      if (not (hooks.th_admit ())) || Item.is_expired item ~now:(now t.c) then
+      if (not (hooks.th_admit ())) || Item.is_expired slab item ~now:(now t.c) then
         false
       else begin
         let started = Rp_trace.now_ns () in
         let span = Rp_trace.span_begin_sampled k_tier_demote in
         let demoted =
-          match hooks.th_demote key (value t.c item) with
-          | Some (segment, offset, len) ->
+          match hooks.th_demote key (Item.value t.c.slab item) with
+          | Some frame ->
+              let vbytes = Item.len slab item in
               let marker =
-                Item.make ~cas:item.cas ~chunk:Slab.no_chunk
-                  ~location:(Item.Cold { segment; offset; len })
-                  ~flags:item.flags ~exptime:item.exptime ~len:0
-                  ~now:item.last_access ()
+                Item.cold slab ~cas:(Item.cas slab item) ~flags:(Item.flags slab item)
+                  ~exptime:(Item.exptime slab item) ~now:(Item.last_access slab item) frame
               in
               store t ~hash key marker;
               Rp_obs.Counter.incr t.c.tier_demotions;
               (match t.c.heat with
               | None -> ()
-              | Some h ->
-                  Rp_heat.note_tier_demote h ~vbytes:item.len);
+              | Some h -> Rp_heat.note_tier_demote h ~vbytes);
               true
           | None -> false
         in
@@ -224,13 +229,13 @@ let sweep_locked t =
           with_key t ~hash (fun () ->
               match Rp_ht.find_opt_hashed t.rp ~hash key with
               | None -> () (* already deleted *)
-              | Some item when Item.is_cold item ->
+              | Some item when Item.is_cold t.c.slab item ->
                   (* Stale queue entry: the key was demoted and re-stored
                      since (markers live outside the CLOCK). Just drop
                      the entry — the marker is the tier's to manage. *)
                   ()
               | Some item ->
-                  let last = item.last_access in
+                  let last = Item.last_access t.c.slab item in
                   if last > seen_access && !chances > 0 then begin
                     decr chances;
                     Rp_obs.Counter.incr t.c.clock_chances;
@@ -283,25 +288,45 @@ let expire_if_dead t ~now key =
   let hash = hash_key key in
   with_key t ~hash (fun () ->
       match Rp_ht.find_opt_hashed t.rp ~hash key with
-      | Some again when Item.is_expired again ~now ->
+      | Some again when Item.is_expired t.c.slab again ~now ->
           ignore (delete t ~hash key);
           Rp_obs.Counter.incr t.c.expired
       | Some _ | None -> ())
 
-(* One key's lookup in a read section of its own. A live hot item is
-   touched and its reply built, its value copied out of its chunk,
-   before the section closes: once it has, the chunk may be reused. An
-   expired or cold item is returned for the caller to serve after the
-   section. *)
-type lookup = Hit of Protocol.value | Found of Item.t | Absent
+(* One key's lookup in a read section of its own, which reads all it
+   needs of the item before it closes: once it has, the chunk may be
+   reused. A live hot item is touched and its reply built, its value
+   copied out of its chunk. Of a cold marker, the header and the frame
+   are kept for the promotion that follows the section. *)
+type cold = {
+  marker : Item.t;
+  cas : int;
+  flags : int;
+  exptime : Item.time;
+  frame : int * int * int;
+}
+
+type lookup = Hit of Protocol.value | Expired | Cold of cold | Absent
 
 let lookup_in_section t ~with_cas ~hash ~now key =
+  let slab = t.c.slab in
   match Rp_ht.find_opt_hashed t.rp ~hash key with
-  | Some item when Item.is_expired item ~now || Item.is_cold item -> Found item
-  | Some item ->
-      Item.touch_access item ~now;
-      Hit (reply t.c ~with_cas key item)
   | None -> Absent
+  | Some item when Item.is_expired slab item ~now -> Expired
+  | Some item -> (
+      match Item.location slab item with
+      | Some frame ->
+          Cold
+            {
+              marker = item;
+              cas = Item.cas slab item;
+              flags = Item.flags slab item;
+              exptime = Item.exptime slab item;
+              frame;
+            }
+      | None ->
+          Item.touch_access slab item ~now;
+          Hit (reply t.c ~with_cas key item))
 
 let lookup t ~with_cas ~hash ~now key =
   let rcu = Rp_ht.rcu t.rp in
@@ -326,6 +351,15 @@ let lookup t ~with_cas ~hash ~now key =
    SET can replace it (we find it hot and serve that), a DELETE can win
    (miss). A torn record is final: the value is gone, so the marker is
    dropped — later GETs miss fast instead of re-reading a bad frame. *)
+(* The marker a section read is still the key's binding ([cur], under
+   the key's stripe): the same chunk, holding the same version's marker
+   for the same frame. A chunk retired and reused for another marker
+   since reads differently. *)
+let still_marker t m (cur : Item.t) =
+  (cur :> int) = (m.marker :> int)
+  && Item.cas t.c.slab cur = m.cas
+  && Item.location t.c.slab cur = Some m.frame
+
 let rec promote_attempt t ~hooks ~with_cas ~hash key tries =
   let now = now t.c in
   match lookup t ~with_cas ~hash ~now key with
@@ -335,58 +369,54 @@ let rec promote_attempt t ~hooks ~with_cas ~hash key tries =
   | Absent ->
       count_miss t.c key;
       None
-  | Found item when Item.is_expired item ~now ->
+  | Expired ->
       expire_if_dead t ~now key;
       count_miss t.c key;
       None
-  | Found item -> (
-      match item.Item.location with
-      | Item.Hot -> assert false (* a hot item is a [Hit] *)
-      | Item.Cold { segment; offset; len } -> (
-          match read_cold t.c hooks key (segment, offset, len) with
-          | Ok data ->
-              let promoted =
-                with_key t ~hash (fun () ->
-                    match Rp_ht.find_opt_hashed t.rp ~hash key with
-                    | Some cur when cur == item ->
-                        (* Marker unchanged since the read: publish the
-                           hot item ([store] refunds the marker, marks its
-                           frame dead, re-enqueues in the CLOCK). *)
-                        store t ~hash key
-                          (item_of_string t.c ~cas:item.cas ~flags:item.flags
-                             ~exptime:item.exptime ~now data);
-                        true
-                    | _ -> false)
-              in
-              if promoted then begin
-                Rp_obs.Counter.incr t.c.tier_promotions;
-                (match t.c.heat with
-                | None -> ()
-                | Some h -> Rp_heat.note_tier_promote h ~vbytes:(String.length data));
-                count_hit t.c key (String.length data);
-                Some
-                  {
-                    Protocol.vkey = key;
-                    vflags = item.flags;
-                    vdata = data;
-                    vcas = (if with_cas then Some item.cas else None);
-                  }
-              end
-              else if tries > 0 then promote_attempt t ~hooks ~with_cas ~hash key (tries - 1)
-              else begin
-                count_miss t.c key;
-                None
-              end
-          | Error Tier_gone when tries > 0 ->
-              promote_attempt t ~hooks ~with_cas ~hash key (tries - 1)
-          | Error e ->
-              if e = Tier_gone then Rp_obs.Counter.incr t.c.tier_read_errors;
-              with_key t ~hash (fun () ->
-                  match Rp_ht.find_opt_hashed t.rp ~hash key with
-                  | Some cur when cur == item -> ignore (delete t ~hash key)
-                  | _ -> ());
-              count_miss t.c key;
-              None))
+  | Cold m -> (
+      match read_cold t.c hooks key m.frame with
+      | Ok data ->
+          let promoted =
+            with_key t ~hash (fun () ->
+                match Rp_ht.find_opt_hashed t.rp ~hash key with
+                | Some cur when still_marker t m cur ->
+                    (* Marker unchanged since the read: publish the
+                       hot item ([store] refunds the marker, marks its
+                       frame dead, re-enqueues in the CLOCK). *)
+                    store t ~hash key
+                      (Item.of_string t.c.slab ~cas:m.cas ~flags:m.flags ~exptime:m.exptime ~now
+                         data);
+                    true
+                | _ -> false)
+          in
+          if promoted then begin
+            Rp_obs.Counter.incr t.c.tier_promotions;
+            (match t.c.heat with
+            | None -> ()
+            | Some h -> Rp_heat.note_tier_promote h ~vbytes:(String.length data));
+            count_hit t.c key (String.length data);
+            Some
+              {
+                Protocol.vkey = key;
+                vflags = m.flags;
+                vdata = data;
+                vcas = (if with_cas then Some m.cas else None);
+              }
+          end
+          else if tries > 0 then promote_attempt t ~hooks ~with_cas ~hash key (tries - 1)
+          else begin
+            count_miss t.c key;
+            None
+          end
+      | Error Tier_gone when tries > 0 -> promote_attempt t ~hooks ~with_cas ~hash key (tries - 1)
+      | Error e ->
+          if e = Tier_gone then Rp_obs.Counter.incr t.c.tier_read_errors;
+          with_key t ~hash (fun () ->
+              match Rp_ht.find_opt_hashed t.rp ~hash key with
+              | Some cur when still_marker t m cur -> ignore (delete t ~hash key)
+              | _ -> ());
+          count_miss t.c key;
+          None)
 
 (* The reply for a key whose item was cold: the promoted value, or a
    miss. *)
@@ -427,61 +457,43 @@ let end_read_section section ~n =
 let batch_keys = 64
 
 (* Bytes of a hit's value that [read_section] asks the cache for ahead
-   of its copy: the first lines; a longer value streams in behind them
-   during the copy. *)
+   of its copy, with its header: the first lines; a longer value
+   streams in behind them during the copy. *)
 let value_prefetch_bytes = 256
 
 (* What a key's [vlen] holds, once its section has closed, when the
-   item it found could not be served inside the section. *)
+   item it found could not be served inside the section
+   ({!Store_core.Hits.serve} leaves them). *)
 let expired_mark = -2
 let cold_mark = -3
 
 (* The read section over keys [first, first + n) of [keys], whose
    replies go to [hits] from index [first - base]: the staged table
-   walk, then two more stages over the hits, each prefetching what the
-   next one loads — every hit's item record (its fields span two lines
-   at most), then the first [value_prefetch_bytes] of its value's chunk
-   — then the claims, and last the copies, which the claims leave time
-   for the chunk lines to arrive. A live hot hit is claimed, touched,
-   counted and copied into the hits here, inside the section: once it
-   closes, the chunk may be retired and reused. An expired or cold item
-   is only marked; [settle_batch] serves it after the section, as that
-   may take table stripes or read the disk. *)
+   walk, then one more stage that asks the cache for every hit's chunk
+   — its header and the first [value_prefetch_bytes] of its value — and
+   last every hit served from its chunk by one call
+   ({!Store_core.Hits.serve}: expiry checked, access stamped, flags, CAS
+   and value copied into the hits), which the stage before leaves time
+   for the chunk lines to arrive. A live hot hit is counted here, inside
+   the section: once it closes, the chunk may be retired and reused. An
+   expired or cold item is only marked; [settle_batch] serves it after
+   the section, as that may take table stripes or read the disk. *)
 let read_section t (keys : Protocol.Keys.t) found (hits : Hits.t) ~base ~now first n =
   Rp_ht.find_batch_hashed t.rp ~buf:keys.buf ~offs:keys.offs ~lens:keys.lens
     ~hashes:keys.hashes ~first found n;
   let slab = t.c.slab in
   for j = 0 to n - 1 do
     match Array.unsafe_get found j with
-    | Rp_list.Node nd ->
-        let item = nd.value in
-        Rp_list.prefetch item 0;
-        Rp_list.prefetch item 40
-    | Rp_list.Null -> ()
-  done;
-  for j = 0 to n - 1 do
-    match Array.unsafe_get found j with
-    | Rp_list.Node nd ->
-        let item = nd.value in
-        Slab.prefetch slab item.Item.chunk (Int.min item.len value_prefetch_bytes)
+    | Rp_list.Node nd -> Item.prefetch slab nd.value value_prefetch_bytes
     | Rp_list.Null -> ()
   done;
   let at = first - base in
   for j = 0 to n - 1 do
     match Array.unsafe_get found j with
     | Rp_list.Node nd ->
-        let item = nd.value in
-        if Item.is_expired item ~now then Array.unsafe_set hits.vlen (at + j) expired_mark
-        else if Item.is_cold item then Array.unsafe_set hits.vlen (at + j) cold_mark
-        else begin
-          claim_hit hits (at + j) item;
-          Item.touch_access item ~now;
-          count_hit t.c nd.key item.len
-        end
+        let len = Hits.serve hits slab (at + j) nd.value ~now in
+        if len >= 0 then count_hit t.c nd.key len
     | Rp_list.Null -> ()
-  done;
-  for j = at to at + n - 1 do
-    if Hits.hit hits j then copy_claimed t.c hits j
   done
 
 (* The keys of the section just closed that it could not serve: a miss
@@ -543,20 +555,21 @@ let get t ~now key =
   | Absent ->
       count_miss t.c key;
       None
-  | Found item when Item.is_expired item ~now ->
+  | Expired ->
       count_miss t.c key;
       expire_if_dead t ~now key;
       None
-  | Found _ -> promote t ~with_cas:false key
+  | Cold _ -> promote t ~with_cas:false key
 
 (* The cache lines a run's SETs and GETs will load, asked for at once
    before the run is served key by key: after the table's own stages,
-   each matching first node's item record, then the first line of its
-   value's chunk (a GET's reply copies it). *)
+   each matching first node's chunk — its header (a SET's accounting
+   reads the displaced item's, a GET serves from it) and the first byte
+   of its value. *)
 let prefetch t (keys : Protocol.Keys.t) =
   let slab = t.c.slab in
   Rp_ht.prefetch_batch_hashed t.rp ~hashes:keys.hashes ~first:0 keys.n ~hint:(fun item ->
-      Slab.prefetch slab item.Item.chunk 1)
+      Item.prefetch slab item 1)
 
 (* --- the snapshotter's walk --- *)
 
@@ -569,39 +582,45 @@ let prefetch t (keys : Protocol.Keys.t) =
    section that found it; a key that vanished was deleted (logged), a
    torn frame is already lost either way. *)
 let rec iter_resolve_cold t ~hooks ~f key tries =
+  let slab = t.c.slab in
   let found =
     Rcu.with_read_current (Rp_ht.rcu t.rp) (fun () ->
         match Rp_ht.find t.rp key with
-        | Some item when not (Item.is_cold item) -> Some (item, value t.c item)
-        | Some item -> Some (item, "")
+        | Some item ->
+            let flags = Item.flags slab item
+            and exptime = Item.exptime slab item
+            and cas = Item.cas slab item in
+            let data =
+              match Item.location slab item with
+              | Some frame -> Error frame
+              | None -> Ok (Item.value slab item)
+            in
+            Some (flags, exptime, cas, data)
         | None -> None)
   in
   match found with
   | None -> ()
-  | Some (item, data) -> (
-      match item.Item.location with
-      | Item.Hot -> f key item data
-      | Item.Cold { segment; offset; len } -> (
-          match check_frame t.c key (hooks.th_read (segment, offset, len)) with
-          | Ok data ->
-              f key
-                (Item.make ~cas:item.Item.cas ~chunk:Slab.no_chunk ~flags:item.Item.flags
-                   ~exptime:item.Item.exptime ~len:(String.length data) ~now:(now t.c) ())
-                data
-          | Error Tier_gone when tries > 0 ->
-              iter_resolve_cold t ~hooks ~f key (tries - 1)
-          | Error Tier_gone -> Rp_obs.Counter.incr t.c.tier_read_errors
-          | Error Tier_torn -> ()))
+  | Some (flags, exptime, cas, Ok data) -> f key ~flags ~exptime ~cas data
+  | Some (flags, exptime, cas, Error frame) -> (
+      match check_frame t.c key (hooks.th_read frame) with
+      | Ok data -> f key ~flags ~exptime ~cas data
+      | Error Tier_gone when tries > 0 -> iter_resolve_cold t ~hooks ~f key (tries - 1)
+      | Error Tier_gone -> Rp_obs.Counter.incr t.c.tier_read_errors
+      | Error Tier_torn -> ())
 
 (* A batched relativistic read (bounded read sections, never a table
    stripe), so a multi-second walk over a large table neither blocks
-   writers nor extends any grace period beyond one batch. Each value is
-   copied inside the section that found its item. *)
+   writers nor extends any grace period beyond one batch. Each item's
+   header and value are read inside the section that found it. *)
 let iter t f =
+  let slab = t.c.slab in
   let cold = ref [] in
   let restarts =
-    Rp_ht.iter_batched t.rp ~f:(fun key (item : Item.t) ->
-        if Item.is_cold item then cold := key :: !cold else f key item (value t.c item))
+    Rp_ht.iter_batched t.rp ~f:(fun key item ->
+        if Item.is_cold slab item then cold := key :: !cold
+        else
+          f key ~flags:(Item.flags slab item) ~exptime:(Item.exptime slab item)
+            ~cas:(Item.cas slab item) (Item.value slab item))
   in
   (match (!cold, t.c.tier) with
   | [], _ | _, None -> ()
@@ -634,7 +653,7 @@ let create (c : Store_core.t) ~rcu_mode ~initial_size ~auto_resize ~stripes =
   in
   let live ~hash ~now key =
     match Rp_ht.find_opt_hashed rp ~hash key with
-    | Some item when not (Item.is_expired item ~now) -> Some item
+    | Some item when not (Item.is_expired c.slab item ~now) -> Some item
     | Some _ | None -> None
   in
   {

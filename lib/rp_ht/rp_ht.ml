@@ -325,6 +325,16 @@ let prefetch_batch_hashed t ~hashes ~first n ~hint =
   let buckets = table.buckets in
   let mask = table.size - 1 in
   let last = first + n - 1 in
+  (* A pending expansion's split-state slot of each key: a writer of the
+     key loads it first ([ensure_bucket_split]), and the array is half
+     the new table, so the slot is seldom in cache. *)
+  (match Atomic.get t.splitting with
+  | None -> ()
+  | Some ps ->
+      let cells = Array.length ps.ps_pos - 1 in
+      for i = first to last do
+        prefetch ps.ps_pos ((Array.unsafe_get hashes i land cells) * (Sys.word_size / 8))
+      done);
   prefetch_heads buckets mask hashes first last;
   for i = first to last do
     let hash = Array.unsafe_get hashes i in

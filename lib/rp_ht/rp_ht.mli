@@ -129,8 +129,10 @@ val prefetch_batch_hashed :
     the key hashing to [hashes.(i)] would load first: its bucket slot,
     its chain's first two nodes and, for the first of them whose hash
     matches, the node's key and value, and then whatever [hint]
-    prefetches from that value. Hints only, in one read section of its own, which [hint] must
-    not leave: no key is compared, nothing is recorded or counted, and
+    prefetches from that value. While an expansion is pending, it also
+    asks for the key's split-state slot, which a writer of the key reads
+    first ({!enter_key}). Hints only, in one read section of its own,
+    which [hint] must not leave: no key is compared, nothing is recorded or counted, and
     no later result depends on it. Raises [Invalid_argument] when the
     range exceeds [hashes]. *)
 

@@ -442,22 +442,39 @@ let store_torture backend () =
   Domain.join writer;
   Alcotest.(check int) "no corrupt values" 0 (Atomic.get corrupt)
 
-(* Chunk reuse only after a grace period (DESIGN §10, "Values off the
-   heap"). A reader copies values out of the store while a writer
-   overwrites and deletes their keys, so value chunks are retired and
-   reused all the time. Every byte of a value is its version's tag, so
-   a copy torn by a chunk reused under it shows two tags. Yields at the
+(* Chunk reuse only after a grace period (DESIGN §10, "Items in their
+   chunks"). A reader copies items out of the store while a writer
+   overwrites and deletes their keys, so item chunks are retired and
+   reused all the time. Version [v] of a value carries [v] as its flags
+   and [v]'s tag in every byte, and its CAS follows from [v]: the
+   writer is the only one minting versions, one per SET, from the base
+   key's. So a copy torn by a chunk reused under it shows two tags, and
+   a header torn from its value — flags or CAS of another version —
+   shows a tag or CAS that does not match its flags. Yields at the
    limbo hand-off ([rcu.call_rcu.enqueue]) and at the start of each
    grace period ([rcu.synchronize.pre]) shuffle where reuse lands
    against the reader's sections. The slab's page count shows the
    chunks were reused: the values written would fill at least twice
-   the pages allocated. *)
+   the pages allocated (the run lasts until they would, within a
+   bound). *)
 let chunk_reuse ~rcu_mode () =
   let module S = Memcached.Store in
   let store = S.create ~backend:S.Rp ~rcu_mode ~initial_size:64 () in
   let keys = List.init 8 (Printf.sprintf "chunk:%d") in
   let len = 64 * 1024 in
-  let value v = String.make len (Char.chr (Char.code 'a' + (v mod 26))) in
+  let tag v = Char.chr (Char.code 'a' + (v mod 26)) in
+  let value v = String.make len (tag v) in
+  ignore (S.set store ~key:"chunk:base" ~flags:0 ~exptime:0 ~data:"");
+  let base =
+    match S.get_many store ~with_cas:true [ "chunk:base" ] with
+    | [ { vcas = Some c; _ } ] -> c
+    | _ -> Alcotest.fail "no base CAS"
+  in
+  (* this domain only waits from here on: under QSBR it must not hold up
+     the writer's grace periods *)
+  S.reader_offline store;
+  (* every seventh version is a DELETE, which mints none *)
+  let cas_of v = base + v - (v / 7) in
   let stop = Atomic.make false in
   let torn = Atomic.make 0 and hits = Atomic.make 0 in
   Rp_fault.arm ~seed:7 "rcu.call_rcu.enqueue" ~trigger:(Rp_fault.Probability 0.3)
@@ -465,6 +482,7 @@ let chunk_reuse ~rcu_mode () =
   Rp_fault.arm ~seed:11 "rcu.synchronize.pre" ~trigger:(Rp_fault.Probability 0.3)
     ~action:Rp_fault.Yield;
   Fun.protect ~finally:Rp_fault.reset @@ fun () ->
+  let progress = Atomic.make 0 in
   let writer =
     Domain.spawn (fun () ->
         let v = ref 0 in
@@ -473,8 +491,9 @@ let chunk_reuse ~rcu_mode () =
             (fun key ->
               incr v;
               if !v mod 7 = 0 then ignore (S.delete store key)
-              else ignore (S.set store ~key ~flags:0 ~exptime:0 ~data:(value !v)))
-            keys
+              else ignore (S.set store ~key ~flags:!v ~exptime:0 ~data:(value !v)))
+            keys;
+          Atomic.set progress !v
         done;
         S.reader_offline store;
         !v)
@@ -485,18 +504,36 @@ let chunk_reuse ~rcu_mode () =
           List.iter
             (fun (r : Memcached.Protocol.value) ->
               Atomic.incr hits;
-              let tag = r.vdata.[0] in
-              if String.length r.vdata <> len || not (String.for_all (Char.equal tag) r.vdata)
+              let v = r.vflags in
+              if
+                String.length r.vdata <> len
+                || (not (String.for_all (Char.equal (tag v)) r.vdata))
+                || r.vcas <> Some (cas_of v)
               then Atomic.incr torn)
-            (S.get_many store keys)
+            (S.get_many store ~with_cas:true keys)
         done;
         S.reader_offline store)
   in
+  (* at least two durations, then until the values written would fill
+     twice the pages (the writer's pace varies with the machine's load),
+     for at most twenty *)
+  let pages () =
+    let p = float_of_string (List.assoc "slab_pages" (S.stats store)) in
+    S.reader_offline store;
+    p
+  in
+  let refilled () =
+    float_of_int (Atomic.get progress) *. float_of_int len > 2. *. pages () *. 1048576.
+  in
+  let started = Unix.gettimeofday () in
   Unix.sleepf (2. *. duration);
+  while (not (refilled ())) && Unix.gettimeofday () -. started < 20. *. duration do
+    Unix.sleepf 0.01
+  done;
   Atomic.set stop true;
   Domain.join reader;
   let written = Domain.join writer in
-  let pages = float_of_string (List.assoc "slab_pages" (S.stats store)) in
+  let pages = pages () in
   Alcotest.(check int) "no torn copy" 0 (Atomic.get torn);
   Alcotest.(check bool) "the reader hit" true (Atomic.get hits > 0);
   Alcotest.(check bool)

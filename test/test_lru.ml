@@ -81,31 +81,36 @@ let prop_lru_model =
 (* Item times are fixed-point ints; the tests speak in Unix seconds. *)
 let tm = Item.time_of_float
 
+(* Items live in slab chunks; the header tests make theirs in one. *)
+let slab = Slab.create ()
+let item ?cas ~exptime ~now data = Item.of_string slab ?cas ~flags:0 ~exptime ~now data
+
 let test_item_expiry () =
-  let item = Item.make ~chunk:Slab.no_chunk ~flags:0 ~exptime:(tm 100.0) ~len:1 ~now:(tm 50.0) () in
-  Alcotest.(check bool) "before expiry" false (Item.is_expired item ~now:(tm 99.9));
-  Alcotest.(check bool) "at expiry" true (Item.is_expired item ~now:(tm 100.0));
-  Alcotest.(check bool) "after expiry" true (Item.is_expired item ~now:(tm 200.0));
-  let eternal = Item.make ~chunk:Slab.no_chunk ~flags:0 ~exptime:(tm 0.0) ~len:1 ~now:(tm 50.0) () in
+  let it = item ~exptime:(tm 100.0) ~now:(tm 50.0) "x" in
+  Alcotest.(check bool) "before expiry" false (Item.is_expired slab it ~now:(tm 99.9));
+  Alcotest.(check bool) "at expiry" true (Item.is_expired slab it ~now:(tm 100.0));
+  Alcotest.(check bool) "after expiry" true (Item.is_expired slab it ~now:(tm 200.0));
+  let eternal = item ~exptime:(tm 0.0) ~now:(tm 50.0) "x" in
   Alcotest.(check bool) "exptime 0 never expires" false
-    (Item.is_expired eternal ~now:(tm 1e12))
+    (Item.is_expired slab eternal ~now:(tm 1e12))
 
 let test_item_cas_unique () =
-  let a = Item.make ~chunk:Slab.no_chunk ~flags:0 ~exptime:0 ~len:1 ~now:0 () in
-  let b = Item.make ~chunk:Slab.no_chunk ~flags:0 ~exptime:0 ~len:1 ~now:0 () in
-  Alcotest.(check bool) "fresh items get distinct cas" true (a.cas <> b.cas);
-  let pinned = Item.make ~chunk:Slab.no_chunk ~cas:a.cas ~flags:0 ~exptime:0 ~len:1 ~now:0 () in
-  Alcotest.(check int) "cas pinnable" a.cas pinned.cas
+  let a = item ~exptime:0 ~now:0 "x" in
+  let b = item ~exptime:0 ~now:0 "x" in
+  Alcotest.(check bool) "fresh items get distinct cas" true (Item.cas slab a <> Item.cas slab b);
+  let pinned = item ~cas:(Item.cas slab a) ~exptime:0 ~now:0 "x" in
+  Alcotest.(check int) "cas pinnable" (Item.cas slab a) (Item.cas slab pinned)
 
 let test_item_touch_access () =
-  let item = Item.make ~chunk:Slab.no_chunk ~flags:0 ~exptime:0 ~len:1 ~now:(tm 1.0) () in
-  Alcotest.(check (float 1e-9)) "initial access" 1.0 (Item.float_of_time item.last_access);
-  Item.touch_access item ~now:(tm 9.0);
-  Alcotest.(check (float 1e-9)) "bumped" 9.0 (Item.float_of_time item.last_access);
+  let it = item ~exptime:0 ~now:(tm 1.0) "x" in
+  let stamp () = Item.float_of_time (Item.last_access slab it) in
+  Alcotest.(check (float 1e-9)) "initial access" 1.0 (stamp ());
+  Item.touch_access slab it ~now:(tm 9.0);
+  Alcotest.(check (float 1e-9)) "bumped" 9.0 (stamp ());
   (* A racing reader holding an older clock reading never moves the
      stamp back. *)
-  Item.touch_access item ~now:(tm 5.0);
-  Alcotest.(check (float 1e-9)) "never lowered" 9.0 (Item.float_of_time item.last_access)
+  Item.touch_access slab it ~now:(tm 5.0);
+  Alcotest.(check (float 1e-9)) "never lowered" 9.0 (stamp ())
 
 (* The int representation at its edges: exact both ways for clock-like
    values, positive stays positive, zero/negative/NaN is 0, saturation. *)
@@ -124,10 +129,10 @@ let test_item_time_conversion () =
   Alcotest.(check bool) "order preserved" true (tm 1e9 < tm (1e9 +. 1e-6))
 
 let test_item_size_accounting () =
-  let item = Item.make ~chunk:Slab.no_chunk ~flags:0 ~exptime:0 ~len:4 ~now:0 () in
+  let it = item ~exptime:0 ~now:0 "data" in
   Alcotest.(check int) "key + data + overhead"
     (3 + 4 + Item.overhead_bytes)
-    (Item.size_bytes ~key:"key" item)
+    (Item.size_bytes slab ~key:"key" it)
 
 let () =
   Alcotest.run "lru_item"

@@ -179,15 +179,19 @@ let test_server_maps_too_large () =
    or read at the wrong offset shows. *)
 let pattern k len = Bytes.init len (fun p -> Char.chr (((k * 31) + p) land 255))
 
-let check_reads_back slab (k, chunk, len) =
+(* Item [k]: its value is [pattern k len], its flags [k]. *)
+let item slab k len = Item.create slab ~flags:k ~exptime:0 ~now:0 (pattern k len) 0 len
+
+let check_reads_back slab (k, it, len) =
   Alcotest.(check string)
     (Printf.sprintf "value %d (%d bytes)" k len)
     (Bytes.to_string (pattern k len))
-    (Slab.read slab chunk len)
+    (Item.value slab it);
+  Alcotest.(check int) (Printf.sprintf "header %d" k) k (Item.flags slab it)
 
-(* Chunks of several classes, until the page directory has grown past
-   its first 8 entries: every value written before or after a growth
-   reads back whole. *)
+(* Items in chunks of several classes, until the page directory has
+   grown past its first 8 entries: every item written before or after a
+   growth reads back whole. *)
 let test_chunks_read_back () =
   let slab = Slab.create () in
   Alcotest.(check int) "empty value" Slab.no_chunk (Slab.alloc slab 0);
@@ -195,9 +199,7 @@ let test_chunks_read_back () =
   let live = ref [] and k = ref 0 in
   while Slab.pages slab <= 8 || !k mod Array.length lens <> 0 do
     let len = lens.(!k mod Array.length lens) in
-    let chunk = Slab.alloc slab len in
-    Slab.write slab chunk (pattern !k len) 0 len;
-    live := (!k, chunk, len) :: !live;
+    live := (!k, item slab !k len, len) :: !live;
     incr k
   done;
   Alcotest.(check bool) "more than 8 pages" true (Slab.pages slab > 8);
@@ -209,19 +211,16 @@ let test_chunks_read_back () =
 let test_free_list_grows () =
   let slab = Slab.create () in
   let len = 10_000 in
-  let size = Slab.chunk_size_of slab (Option.get (Slab.class_of_size slab len)) in
+  let size =
+    Slab.chunk_size_of slab (Option.get (Slab.class_of_size slab (Item.header_bytes + len)))
+  in
   let n = (3 * ((1 lsl 20) / size)) + 5 in
-  let first = Array.init n (fun _ -> Slab.alloc slab len) in
+  let first = Array.init n (fun _ -> Slab.alloc slab (Item.header_bytes + len)) in
   let pages = Slab.pages slab in
   Array.iter (Slab.free slab) first;
-  let again =
-    Array.init n (fun k ->
-        let chunk = Slab.alloc slab len in
-        Slab.write slab chunk (pattern k len) 0 len;
-        chunk)
-  in
+  let again = Array.init n (fun k -> item slab k len) in
   Alcotest.(check int) "no new page" pages (Slab.pages slab);
-  let sorted = Array.copy again in
+  let sorted = Array.map (fun (it : Item.t) -> (it :> int)) again in
   Array.sort compare sorted;
   Array.iteri
     (fun i c -> if i > 0 && c = sorted.(i - 1) then Alcotest.failf "chunk %d handed out twice" c)
@@ -266,6 +265,83 @@ let test_limbo_cap () =
     chunks;
   Alcotest.(check int) "past the cap: released" 0 (Slab.limbo_bytes slab)
 
+(* --- items in their chunks --- *)
+
+(* Every header word at its limit round-trips: 32-bit flags all ones, an
+   expiry saturated at [max_int], a CAS of 2^62 - 1, and a value that
+   fills the largest chunk to its last byte; one byte more does not
+   fit. The value of exactly a class's chunk size less the header fills
+   its chunk without touching its neighbour's. *)
+let test_item_header_limits () =
+  let slab = Slab.create () in
+  let flags = (1 lsl 32) - 1 and cas = max_int in
+  let exptime = Item.time_of_float 1e15 in
+  Alcotest.(check int) "expiry saturates" max_int exptime;
+  let largest = Slab.chunk_size_of slab (Slab.class_count slab - 1) in
+  let data = Bytes.to_string (pattern 7 (largest - Item.header_bytes)) in
+  let it = Item.of_string slab ~cas ~flags ~exptime ~now:(max_int - 1) data in
+  Alcotest.(check int) "flags" flags (Item.flags slab it);
+  Alcotest.(check int) "cas" cas (Item.cas slab it);
+  Alcotest.(check int) "exptime" max_int (Item.exptime slab it);
+  Alcotest.(check int) "access stamp" (max_int - 1) (Item.last_access slab it);
+  Alcotest.(check int) "len" (String.length data) (Item.len slab it);
+  Alcotest.(check bool) "hot" false (Item.is_cold slab it);
+  Alcotest.(check bool) "no frame" true (Item.location slab it = None);
+  Alcotest.(check string) "value" data (Item.value slab it);
+  Alcotest.(check bool) "live before its expiry" false (Item.is_expired slab it ~now:(max_int - 1));
+  Alcotest.(check bool) "expired at it" true (Item.is_expired slab it ~now:max_int);
+  Alcotest.check_raises "one byte more"
+    (Invalid_argument "Slab.alloc: larger than the largest chunk") (fun () ->
+      ignore (Item.of_string slab ~flags:0 ~exptime:0 ~now:0 (data ^ "x")));
+  let size = Slab.chunk_size_of slab 2 in
+  let full k = Bytes.to_string (pattern k (size - Item.header_bytes)) in
+  let items =
+    List.init 8 (fun k -> (k, Item.of_string slab ~cas:k ~flags:k ~exptime:0 ~now:0 (full k)))
+  in
+  List.iter
+    (fun (k, (it : Item.t)) ->
+      Alcotest.(check int) "fills its chunk" size (Slab.chunk_bytes slab (it :> int));
+      Alcotest.(check string) (Printf.sprintf "full value %d" k) (full k) (Item.value slab it);
+      Alcotest.(check (pair int int)) "its header" (k, k) (Item.flags slab it, Item.cas slab it))
+    items
+
+(* A cold marker keeps its header and its segment frame, each word at
+   its limit, and reads as an empty value. *)
+let test_cold_marker_round_trip () =
+  let slab = Slab.create () in
+  let frame = (max_int, 1 lsl 40, (1 lsl 32) - 1) in
+  let m = Item.cold slab ~cas:(max_int - 3) ~flags:((1 lsl 32) - 1) ~exptime:12345 ~now:99 frame in
+  Alcotest.(check bool) "cold" true (Item.is_cold slab m);
+  Alcotest.(check bool) "frame" true (Item.location slab m = Some frame);
+  Alcotest.(check int) "len" 0 (Item.len slab m);
+  Alcotest.(check string) "no value in RAM" "" (Item.value slab m);
+  Alcotest.(check int) "cas" (max_int - 3) (Item.cas slab m);
+  Alcotest.(check int) "flags" ((1 lsl 32) - 1) (Item.flags slab m);
+  Alcotest.(check int) "exptime" 12345 (Item.exptime slab m);
+  Alcotest.(check int) "access stamp" 99 (Item.last_access slab m);
+  Alcotest.(check int) "footprint: key and overhead" (3 + Item.overhead_bytes)
+    (Item.size_bytes slab ~key:"key" m)
+
+(* [Item.serve]: a hit's flags, CAS and value land in slot [j] and at
+   [fill], its stamp rises; an expired item (-2), a cold marker (-3) and
+   a value too long for the buffer (-4 - len) are only reported. *)
+let test_item_serve () =
+  let slab = Slab.create () in
+  let flags = Array.make 4 0 and cas = Array.make 4 0 and vbuf = Bytes.make 16 '.' in
+  let it = Item.of_string slab ~cas:77 ~flags:5 ~exptime:100 ~now:1 "abcdef" in
+  Alcotest.(check int) "served" 6 (Item.serve slab it ~now:50 ~flags ~cas 2 vbuf 3);
+  Alcotest.(check (pair int int)) "header in slot 2" (5, 77) (flags.(2), cas.(2));
+  Alcotest.(check string) "value at 3" "...abcdef......." (Bytes.to_string vbuf);
+  Alcotest.(check int) "stamp raised" 50 (Item.last_access slab it);
+  Alcotest.(check int) "too long" (-4 - 6) (Item.serve slab it ~now:60 ~flags ~cas 1 vbuf 11);
+  Alcotest.(check int) "nothing stored" 0 flags.(1);
+  Alcotest.(check int) "stamp kept" 50 (Item.last_access slab it);
+  Alcotest.(check int) "expired" (-2) (Item.serve slab it ~now:100 ~flags ~cas 0 vbuf 0);
+  let m = Item.cold slab ~cas:1 ~flags:1 ~exptime:0 ~now:0 (1, 2, 3) in
+  Alcotest.(check int) "cold" (-3) (Item.serve slab m ~now:100 ~flags ~cas 0 vbuf 0);
+  Alcotest.check_raises "slot outside" (Invalid_argument "Item.serve") (fun () ->
+      ignore (Item.serve slab it ~now:0 ~flags ~cas 4 vbuf 0))
+
 let () =
   Alcotest.run "slab"
     [
@@ -291,6 +367,12 @@ let () =
           Alcotest.test_case "free list grows" `Quick test_free_list_grows;
           Alcotest.test_case "retired in batches" `Quick test_retire_batches;
           Alcotest.test_case "limbo cap" `Quick test_limbo_cap;
+        ] );
+      ( "item memory",
+        [
+          Alcotest.test_case "header limits" `Quick test_item_header_limits;
+          Alcotest.test_case "cold marker round trip" `Quick test_cold_marker_round_trip;
+          Alcotest.test_case "serve" `Quick test_item_serve;
         ] );
       ( "store integration",
         [

@@ -444,7 +444,8 @@ let test_iter_read_through () =
   Alcotest.(check bool) "some keys are cold" true (cold_keys store n <> []);
   let seen = Hashtbl.create 64 in
   ignore
-    (Store.iter_items store ~f:(fun k _ data -> Hashtbl.replace seen k data));
+    (Store.iter_items store ~f:(fun k ~flags:_ ~exptime:_ ~cas:_ data ->
+         Hashtbl.replace seen k data));
   (* The walk (what snapshots consume) must surface real values for cold
      items, not markers. *)
   for i = 0 to n - 1 do
@@ -465,7 +466,9 @@ let test_delete_of_evicted_key_stays_dead () =
   let p = Persist.attach ~dir store in
   let in_memory k =
     let found = ref false in
-    ignore (Store.iter_items store ~f:(fun key _ _ -> if key = k then found := true));
+    ignore
+      (Store.iter_items store ~f:(fun key ~flags:_ ~exptime:_ ~cas:_ _ ->
+           if key = k then found := true));
     !found
   in
   ignore (Store.set store ~key:"victim" ~flags:0 ~exptime:0 ~data:(payload 0));
@@ -533,6 +536,58 @@ let test_tier_compaction () =
     (List.assoc_opt "tier_mode" stats);
   Alcotest.(check bool) "demotion counter exported" true
     (List.mem_assoc "tier_demotions_total" stats)
+
+(* The guard wiring (DESIGN §16.5): at [emergency] the tier stops
+   admitting, so an eviction sweep drops its victims and demotes none;
+   once the ladder leaves [emergency], the sweep demotes again. The
+   ladder is driven by a pressure source of the test's own, swept by
+   hand. *)
+let test_emergency_sheds_demotion () =
+  with_dir @@ fun dir ->
+  let tier_dir = Filename.concat dir "tier" in
+  let store = Store.create ~backend:Store.Rp ~max_bytes:(16 * 1024) ~initial_size:64 () in
+  let guard = Rp_guard.create () in
+  let pressure = ref 0.0 in
+  Rp_guard.add_source guard ~name:"test" (fun () -> !pressure);
+  Store.set_guard store (Some guard);
+  let tier =
+    match Tier.attach ~compact_interval:3600. ~dir:tier_dir ~max_mb:4 store with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "tier attach: %s" e
+  in
+  Fun.protect ~finally:(fun () -> Tier.stop tier; rm_rf tier_dir)
+  @@ fun () ->
+  let set_range lo hi =
+    for i = lo to hi - 1 do
+      if Store.set store ~key:(key i) ~flags:i ~exptime:0 ~data:(payload i) <> Store.Stored then
+        Alcotest.failf "set %d" i
+    done
+  in
+  set_range 0 32;
+  let demoted = Store.tier_demotions store in
+  Alcotest.(check bool) "healthy: the sweep demotes" true (demoted > 0);
+  pressure := 2.0;
+  Rp_guard.sweep guard;
+  Alcotest.(check string) "emergency" "emergency" (Rp_guard.state_name (Rp_guard.state guard));
+  Alcotest.(check bool) "tier paused" true (Tier.paused tier);
+  let evicted = Store.evictions store in
+  set_range 32 64;
+  Alcotest.(check int) "no demotion at emergency" demoted (Store.tier_demotions store);
+  Alcotest.(check bool) "the sweep dropped its victims" true (Store.evictions store > evicted);
+  Alcotest.(check bool) "within budget" true (Store.bytes store <= Store.max_bytes store);
+  let dropped =
+    List.filter (fun i -> Store.get store (key i) = None) (List.init 32 (fun j -> 32 + j))
+  in
+  Alcotest.(check bool) "keys set at emergency were dropped, not demoted" true (dropped <> []);
+  pressure := 0.0;
+  let rec calm n =
+    Rp_guard.sweep guard;
+    if Tier.paused tier && n > 0 then calm (n - 1)
+  in
+  calm 10;
+  Alcotest.(check bool) "tier admits again" false (Tier.paused tier);
+  set_range 64 96;
+  Alcotest.(check bool) "the sweep demotes again" true (Store.tier_demotions store > demoted)
 
 let test_tier_stats_disabled () =
   let store = Store.create ~backend:Store.Rp () in
@@ -607,6 +662,7 @@ let () =
       ( "tier",
         [
           Alcotest.test_case "compaction" `Quick test_tier_compaction;
+          Alcotest.test_case "emergency sheds demotion" `Quick test_emergency_sheds_demotion;
           Alcotest.test_case "stats_disabled" `Quick test_tier_stats_disabled;
           Alcotest.test_case "refuses_lock_backend" `Quick test_tier_refuses_lock;
         ] );
