@@ -45,27 +45,14 @@ let handle_storage store (request : request) op =
   else begin
     let flags = parse_u32 request.extras 0 in
     let exptime = parse_u32 request.extras 4 in
-    let result =
+    let command =
       match op with
-      | `Set ->
-          if request.cas = 0 then
-            Store.set store ~key:request.key ~flags ~exptime ~data:request.value
-          else
-            Store.cas store ~key:request.key ~flags ~exptime ~data:request.value
-              ~unique:request.cas
-      | `Add -> Store.add store ~key:request.key ~flags ~exptime ~data:request.value
-      | `Replace ->
-          Store.replace store ~key:request.key ~flags ~exptime ~data:request.value
+      | `Set when request.cas <> 0 -> `Cas request.cas
+      | (`Set | `Add | `Replace) as op -> op
     in
-    match result with
-    | Store.Stored ->
-        let cas =
-          match Store.get_many store ~with_cas:true [ request.key ] with
-          | [ { Protocol.vcas = Some c; _ } ] -> c
-          | _ -> 0
-        in
-        [ reply request ~cas ]
-    | other -> [ reply request ~status:(stored_status other) ]
+    match Store.storage store command ~key:request.key ~flags ~exptime ~data:request.value with
+    | Store.Stored, cas -> [ reply request ~cas ]
+    | other, _ -> [ reply request ~status:(stored_status other) ]
   end
 
 (* Get-and-touch: bump the exptime, then serve the value like a get.

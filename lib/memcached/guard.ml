@@ -21,21 +21,24 @@ let install ?watermarks ?(interval = 0.05) ?(stall_window = 1.0) store =
      ~max_bytes — which is the intent: a full-but-evicting cache is
      Throttle/Shed territory, not an Emergency.
 
-     With an admitting cold tier below, the budget stops being a hard
-     resource: the eviction sweep demotes overflow to disk, so a full
-     hot layer is the healthy steady state and shedding SETs at ~full
-     would make demotion unreachable (the sweep only fires past the
-     budget). The source then measures how far the sweep is {e behind}
-     — bytes past the budget, in budgets — and the tier's own source
-     takes over as the cold side fills. If the tier stops admitting
-     (guard emergency, tier full), raw fill pressure returns. *)
+     With a cold tier below, the budget stops being a hard resource:
+     the eviction sweep demotes overflow to disk, so a full hot layer is
+     the healthy steady state and shedding SETs at ~full would make
+     demotion unreachable (the sweep only fires past the budget). The
+     source then measures how far the sweep is {e behind} — bytes past
+     the budget, in budgets — and the tier's own source takes over as
+     the cold side fills. It does so whether or not the tier is
+     admitting: at Emergency the tier sheds demotions and the sweep
+     drops its victims, which holds the bytes at the budget too, and a
+     raw fill of ~1.0 there would hold the ladder at Emergency for
+     good. *)
   let max_bytes = Store.max_bytes store in
   if max_bytes > 0 then
     Rp_guard.add_source g ~name:"mem" (fun () ->
         let raw =
           float_of_int (Store.bytes store) /. float_of_int max_bytes
         in
-        if Store.tier_active store then Float.max 0.0 (raw -. 1.0) else raw);
+        if Store.tier_attached store then Float.max 0.0 (raw -. 1.0) else raw);
   (* RCU stalls: an rp store's watchdog counts every grace period that
      waits on one reader past its budget (a lock store has no RCU). A
      count that moved within [stall_window] seconds holds stall

@@ -98,7 +98,6 @@ let is_expired slab t ~now = expired (exptime slab t) ~now
    barrier. Two readers racing may leave the older of their stamps. *)
 let touch_access slab t ~now = touch (Slab.address slab t) now
 let footprint slab ~key_len t = key_len + len slab t + overhead_bytes
-let size_bytes slab ~key t = footprint slab ~key_len:(String.length key) t
 
 let value slab t =
   let n = len slab t in

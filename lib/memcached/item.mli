@@ -106,12 +106,10 @@ val touch_access : Slab.t -> t -> now:time -> unit
 
 (** {1 Accounting} *)
 
-val size_bytes : Slab.t -> key:string -> t -> int
-(** Approximate memory footprint used for the eviction budget: key + value +
-    a fixed per-item overhead (matching memcached's accounting style). *)
-
 val footprint : Slab.t -> key_len:int -> t -> int
-(** {!size_bytes} for a key of [key_len] bytes. *)
+(** Approximate memory footprint used for the eviction budget, for a key
+    of [key_len] bytes: key + value + a fixed per-item overhead
+    (matching memcached's accounting style). *)
 
 val overhead_bytes : int
 

@@ -121,7 +121,8 @@ let fresh_staging () = { busy = false; keys = Protocol.Keys.create (); hits = Hi
 let staging_key = Domain.DLS.new_key fresh_staging
 
 (* The replies: each hit's value is a fresh string copied from the
-   staging, its [vkey] the requested key. *)
+   staging, its [vkey] the requested key. The one place a
+   [Protocol.value] is built from the store. *)
 let rec values ~with_cas hits j = function
   | [] -> []
   | key :: rest ->
@@ -156,8 +157,9 @@ let get_many t ?(with_cas = false) keys =
       raise e
 
 let get t key =
-  Rp_obs.Counter.incr t.c.cmd_get;
-  t.b.get ~now:(now t) key
+  match get_many t ~with_cas:true [ key ] with
+  | [ v ] -> Some v
+  | _ -> None
 
 (* --- storage commands --- *)
 
@@ -182,7 +184,7 @@ let storage_command ?guard t ~op ~key ~flags ~exptime ~data =
   let clock = t.c.clock () in
   let now = Item.time_of_float clock in
   let exptime = absolute_exptime ~clock exptime in
-  if not (fits_slab t ~key ~data) then Too_large
+  if not (fits_slab t ~key ~data) then (Too_large, 0)
   else
     let hash = t.b.hash key in
     mutate t ~hash (fun () ->
@@ -192,15 +194,13 @@ let storage_command ?guard t ~op ~key ~flags ~exptime ~data =
           | Some guard -> guard (t.b.live ~hash ~now key)
         in
         match verdict with
-        | Error result -> result
+        | Error result -> (result, 0)
         | Ok () ->
             let item = Item.of_string t.c.slab ~flags ~exptime ~now data in
+            let cas = Item.cas t.c.slab item in
             t.b.store ~hash key item;
             record_set t ~op key item;
-            Stored)
-
-let set t ~key ~flags ~exptime ~data =
-  storage_command t ~op:Rp_persist.Record.Tset ~key ~flags ~exptime ~data
+            (Stored, cas))
 
 (* A SET read in place: key [i] of [keys] (its hash already computed),
    its data the [len] bytes of [keys.buf] from [off], at the caller's
@@ -229,23 +229,27 @@ let set_slice t ~clock (keys : Protocol.Keys.t) i ~flags ~exptime ~off ~len =
     Stored
   end
 
-let add t ~key ~flags ~exptime ~data =
-  storage_command t ~op:Rp_persist.Record.Tadd ~key ~flags ~exptime ~data
-    ~guard:(function
-    | Some _ -> Error Not_stored
-    | None -> Ok ())
+let storage t command ~key ~flags ~exptime ~data =
+  match command with
+  | `Set -> storage_command t ~op:Rp_persist.Record.Tset ~key ~flags ~exptime ~data
+  | `Add ->
+      storage_command t ~op:Rp_persist.Record.Tadd ~key ~flags ~exptime ~data
+        ~guard:(function Some _ -> Error Not_stored | None -> Ok ())
+  | `Replace ->
+      storage_command t ~op:Rp_persist.Record.Treplace ~key ~flags ~exptime ~data
+        ~guard:(function Some _ -> Ok () | None -> Error Not_stored)
+  | `Cas unique ->
+      storage_command t ~op:Rp_persist.Record.Tcas ~key ~flags ~exptime ~data
+        ~guard:(function
+          | None -> Error Not_found
+          | Some item -> if Item.cas t.c.slab item = unique then Ok () else Error Exists)
 
-let replace t ~key ~flags ~exptime ~data =
-  storage_command t ~op:Rp_persist.Record.Treplace ~key ~flags ~exptime ~data
-    ~guard:(function
-    | Some _ -> Ok ()
-    | None -> Error Not_stored)
+let set t ~key ~flags ~exptime ~data = fst (storage t `Set ~key ~flags ~exptime ~data)
+let add t ~key ~flags ~exptime ~data = fst (storage t `Add ~key ~flags ~exptime ~data)
+let replace t ~key ~flags ~exptime ~data = fst (storage t `Replace ~key ~flags ~exptime ~data)
 
 let cas t ~key ~flags ~exptime ~data ~unique =
-  storage_command t ~op:Rp_persist.Record.Tcas ~key ~flags ~exptime ~data
-    ~guard:(function
-    | None -> Error Not_found
-    | Some item -> if Item.cas t.c.slab item = unique then Ok () else Error Exists)
+  fst (storage t (`Cas unique) ~key ~flags ~exptime ~data)
 
 (* The read-modify-write commands — append/prepend, incr/decr, touch:
    under the key's lock, [f] gets the live item and its real value (a
@@ -399,8 +403,7 @@ let evictions t = Rp_obs.Counter.read t.c.evicted
 let tier_demotions t = Rp_obs.Counter.read t.c.tier_demotions
 let tier_promotions t = Rp_obs.Counter.read t.c.tier_promotions
 
-let tier_active t =
-  match t.c.tier with Some hooks -> hooks.th_admit () | None -> false
+let tier_attached t = Option.is_some t.c.tier
 
 (* --- compaction plumbing (the [Tier] glue drives it) --- *)
 

@@ -92,9 +92,9 @@ val reader_offline : t -> unit
 (** {1 Commands} *)
 
 val get : t -> string -> Protocol.value option
-(** The GET path whose scalability the paper's figure 5 measures: on
-    the {!Rp} backend one wait-free lookup in a read section of its own,
-    the value copied out of its slab chunk inside it. *)
+(** One key's {!get_many} with its CAS: the GET path whose scalability
+    the paper's figure 5 measures, through the same read section as a
+    text GET run. *)
 
 val clock : t -> float
 (** A reading of the store's clock (the [clock] it was created with). *)
@@ -167,6 +167,18 @@ val prefetch : t -> Protocol.Keys.t -> unit
 
 val set : t -> key:string -> flags:int -> exptime:int -> data:string -> stored_result
 (** Store [data] under [key] unconditionally. *)
+
+val storage :
+  t ->
+  [ `Set | `Add | `Replace | `Cas of int ] ->
+  key:string ->
+  flags:int ->
+  exptime:int ->
+  data:string ->
+  stored_result * int
+(** {!set}, {!add}, {!replace} or {!cas} (with its unique), and the CAS
+    of the item it stored, read under the key's lock (0 unless
+    [Stored]): what a binary storage reply carries. *)
 
 val set_slice :
   t ->
@@ -329,11 +341,10 @@ val tier_relocate :
 val tier_demotions : t -> int
 val tier_promotions : t -> int
 
-val tier_active : t -> bool
-(** A tier is attached and currently admitting demotions — i.e. an
-    eviction sweep turns memory overflow into disk bytes rather than
-    losses. The guard's memory source keys off this: a full hot layer
-    over a working tier is healthy, not overload. *)
+val tier_attached : t -> bool
+(** A tier is attached (whether or not it is admitting demotions). The
+    guard's memory source keys off this: a full hot layer over a tier
+    is healthy, not overload. *)
 
 val max_bytes : t -> int
 (** The eviction budget this store was created with. *)

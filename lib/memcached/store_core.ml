@@ -51,7 +51,10 @@ module Hits = struct
       h.voff <- Array.make cap 0;
       h.vlen <- Array.make cap (-1)
     end
-    else Array.fill h.vlen 0 n (-1);
+    else
+      for j = 0 to n - 1 do
+        Array.unsafe_set h.vlen j (-1)
+      done;
     if Bytes.length h.vbuf > Protocol.Inbuf.retain_bytes then h.vbuf <- Bytes.empty;
     h.fill <- 0
 
@@ -177,8 +180,6 @@ type backend = {
       (* The budget step once the key's lock is released: the CLOCK
          sweep, or exact-LRU eviction. *)
   evict_to_budget : unit -> unit;  (* like [budget], but waits it out *)
-  get : now:Item.time -> string -> Protocol.value option;
-      (* One key's live value, a fresh copy, counted and touched. *)
   get_keys : now:Item.time -> Protocol.Keys.t -> first:int -> n:int -> Hits.t -> unit;
       (* Each of keys [first, first + n)'s live value copied into the
          hits at [j = i - first], every outcome counted and every hit
@@ -268,17 +269,6 @@ let log_set c log ~op key item =
              cas = Item.cas slab item;
              data = Item.value slab item;
            })
-
-(* A hot item's reply under [key], its value a fresh copy: callers hold
-   the key's lock or the read section that found the item. *)
-let reply c ~with_cas key item : Protocol.value =
-  let slab = c.slab in
-  {
-    vkey = key;
-    vflags = Item.flags slab item;
-    vdata = Item.value slab item;
-    vcas = (if with_cas then Some (Item.cas slab item) else None);
-  }
 
 (* --- heat plane emission (each call is one branch when the plane is
    off; the plane itself is plain stripe-discipline stores) --- *)

@@ -19,7 +19,7 @@ let create (c : Store_core.t) ~initial_size =
   let lru = Lru.create () in
   let locked f = H.with_lock table f in
   let release key item =
-    Slab.refund slab (Item.size_bytes slab ~key item);
+    Slab.refund slab (Item.footprint slab ~key_len:(String.length key) item);
     Item.free slab item
   in
   let unlink key entry =
@@ -44,7 +44,7 @@ let create (c : Store_core.t) ~initial_size =
     | found -> found
   in
   let store ~hash:_ key item =
-    ignore (Slab.charge slab (Item.size_bytes slab ~key item));
+    ignore (Slab.charge slab (Item.footprint slab ~key_len:(String.length key) item));
     match H.unsafe_find table key with
     | Some entry ->
         release key entry.item;
@@ -99,16 +99,6 @@ let create (c : Store_core.t) ~initial_size =
     budget =
       (fun () -> if Slab.allocated_bytes c.slab > c.max_bytes then locked evict);
     evict_to_budget = (fun () -> locked evict);
-    get =
-      (fun ~now key ->
-        locked (fun () ->
-            match find_touched ~now key with
-            | None ->
-                count_miss c key;
-                None
-            | Some item ->
-                count_hit c key (Item.len slab item);
-                Some (reply c ~with_cas:false key item)));
     get_keys =
       (fun ~now keys ~first ~n hits ->
         Hits.prepare hits n;

@@ -83,7 +83,7 @@ let delete t ~hash key =
   match Rp_ht.remove_locked t.rp ~hash key with
   | None -> false
   | Some item ->
-      Slab.refund t.c.slab (Item.size_bytes t.c.slab ~key item);
+      Slab.refund t.c.slab (Item.footprint t.c.slab ~key_len:(String.length key) item);
       tier_mark_dead t.c item;
       retire t item;
       true
@@ -120,7 +120,7 @@ let replaced t ~key_len item old =
 
 let linked t key item =
   let slab = t.c.slab in
-  ignore (Slab.charge slab (Item.size_bytes slab ~key item));
+  ignore (Slab.charge slab (Item.footprint slab ~key_len:(String.length key) item));
   if not (Item.is_cold slab item) then clock_push t (key, Item.last_access slab item)
 
 let store t ~hash key item =
@@ -293,11 +293,18 @@ let expire_if_dead t ~now key =
           Rp_obs.Counter.incr t.c.expired
       | Some _ | None -> ())
 
-(* One key's lookup in a read section of its own, which reads all it
-   needs of the item before it closes: once it has, the chunk may be
-   reused. A live hot item is touched and its reply built, its value
-   copied out of its chunk. Of a cold marker, the header and the frame
-   are kept for the promotion that follows the section. *)
+(* What a key's [vlen] holds, once its section has closed, when the
+   item it found could not be served inside the section
+   ({!Store_core.Hits.serve} leaves them). *)
+let expired_mark = -2
+let cold_mark = -3
+
+(* A promotion's look at its key, in a read section of its own, which
+   reads all it needs of the item before it closes: once it has, the
+   chunk may be reused. A live hot item is served into the hits at [j]
+   as a batch serves it ({!Store_core.Hits.serve}) and counted. Of a
+   cold marker, the header and the frame are kept for the promotion
+   that follows the section. *)
 type cold = {
   marker : Item.t;
   cas : int;
@@ -306,32 +313,36 @@ type cold = {
   frame : int * int * int;
 }
 
-type lookup = Hit of Protocol.value | Expired | Cold of cold | Absent
+type lookup = Hit | Expired | Cold of cold | Absent
 
-let lookup_in_section t ~with_cas ~hash ~now key =
+let lookup_in_section t (hits : Hits.t) j ~hash ~now key =
   let slab = t.c.slab in
   match Rp_ht.find_opt_hashed t.rp ~hash key with
   | None -> Absent
-  | Some item when Item.is_expired slab item ~now -> Expired
-  | Some item -> (
-      match Item.location slab item with
-      | Some frame ->
+  | Some item ->
+      let len = Hits.serve hits slab j item ~now in
+      if len >= 0 then begin
+        count_hit t.c key len;
+        Hit
+      end
+      else begin
+        hits.vlen.(j) <- -1;
+        if len = expired_mark then Expired
+        else
           Cold
             {
               marker = item;
               cas = Item.cas slab item;
               flags = Item.flags slab item;
               exptime = Item.exptime slab item;
-              frame;
+              frame = Option.get (Item.location slab item);
             }
-      | None ->
-          Item.touch_access slab item ~now;
-          Hit (reply t.c ~with_cas key item))
+      end
 
-let lookup t ~with_cas ~hash ~now key =
+let lookup t hits j ~hash ~now key =
   let rcu = Rp_ht.rcu t.rp in
   Rcu.read_lock_current rcu;
-  match lookup_in_section t ~with_cas ~hash ~now key with
+  match lookup_in_section t hits j ~hash ~now key with
   | found ->
       Rcu.read_unlock_current rcu;
       found
@@ -360,19 +371,14 @@ let still_marker t m (cur : Item.t) =
   && Item.cas t.c.slab cur = m.cas
   && Item.location t.c.slab cur = Some m.frame
 
-let rec promote_attempt t ~hooks ~with_cas ~hash key tries =
+let rec promote_attempt t ~hooks hits j ~hash key tries =
   let now = now t.c in
-  match lookup t ~with_cas ~hash ~now key with
-  | Hit v ->
-      count_hit t.c key (String.length v.vdata);
-      Some v
-  | Absent ->
-      count_miss t.c key;
-      None
+  match lookup t hits j ~hash ~now key with
+  | Hit -> ()
+  | Absent -> count_miss t.c key
   | Expired ->
       expire_if_dead t ~now key;
-      count_miss t.c key;
-      None
+      count_miss t.c key
   | Cold m -> (
       match read_cold t.c hooks key m.frame with
       | Ok data ->
@@ -395,59 +401,39 @@ let rec promote_attempt t ~hooks ~with_cas ~hash key tries =
             | None -> ()
             | Some h -> Rp_heat.note_tier_promote h ~vbytes:(String.length data));
             count_hit t.c key (String.length data);
-            Some
-              {
-                Protocol.vkey = key;
-                vflags = m.flags;
-                vdata = data;
-                vcas = (if with_cas then Some m.cas else None);
-              }
+            Hits.put_string hits j ~flags:m.flags ~cas:m.cas data
           end
-          else if tries > 0 then promote_attempt t ~hooks ~with_cas ~hash key (tries - 1)
-          else begin
-            count_miss t.c key;
-            None
-          end
-      | Error Tier_gone when tries > 0 -> promote_attempt t ~hooks ~with_cas ~hash key (tries - 1)
+          else if tries > 0 then promote_attempt t ~hooks hits j ~hash key (tries - 1)
+          else count_miss t.c key
+      | Error Tier_gone when tries > 0 -> promote_attempt t ~hooks hits j ~hash key (tries - 1)
       | Error e ->
           if e = Tier_gone then Rp_obs.Counter.incr t.c.tier_read_errors;
           with_key t ~hash (fun () ->
               match Rp_ht.find_opt_hashed t.rp ~hash key with
               | Some cur when still_marker t m cur -> ignore (delete t ~hash key)
               | _ -> ());
-          count_miss t.c key;
-          None)
+          count_miss t.c key)
 
-(* The reply for a key whose item was cold: the promoted value, or a
-   miss. *)
-let promote t ~with_cas key =
+(* A batch's key [j] whose item was cold: the promoted value put into
+   the hits, or a miss. *)
+let promote t hits j key =
   match t.c.tier with
   | None ->
       (* A marker with no tier attached (shutdown window): unreadable. *)
-      count_miss t.c key;
-      None
+      count_miss t.c key
   | Some hooks ->
       let span = Rp_trace.span_begin_sampled k_tier_promote in
       let hash = hash_key key in
       let m = t.promote_stripes.(hash land (Array.length t.promote_stripes - 1)) in
       Rcu.mutex_lock (Rp_ht.rcu t.rp) m;
-      let v =
-        Fun.protect
-          ~finally:(fun () ->
-            Mutex.unlock m;
-            Rp_trace.span_end_sampled k_tier_promote span)
-          (fun () -> promote_attempt t ~hooks ~with_cas ~hash key 3)
-      in
+      Fun.protect
+        ~finally:(fun () ->
+          Mutex.unlock m;
+          Rp_trace.span_end_sampled k_tier_promote span)
+        (fun () -> promote_attempt t ~hooks hits j ~hash key 3);
       (* Promotion re-charged the full value: settle the budget (the sweep
          may well demote something colder in its place). *)
-      sweep t;
-      v
-
-(* A batch's key [j] whose item was cold: its reply put into the hits. *)
-let promote_into t (hits : Hits.t) j key =
-  match promote t ~with_cas:true key with
-  | Some v -> Hits.put_string hits j ~flags:v.vflags ~cas:(Option.value v.vcas ~default:0) v.vdata
-  | None -> ()
+      sweep t
 
 (* The batch size goes on the read-section span's end, and only when the
    span is recorded: passing [~arg] allocates an option. *)
@@ -461,12 +447,6 @@ let batch_keys = 64
    streams in behind them during the copy. *)
 let value_prefetch_bytes = 256
 
-(* What a key's [vlen] holds, once its section has closed, when the
-   item it found could not be served inside the section
-   ({!Store_core.Hits.serve} leaves them). *)
-let expired_mark = -2
-let cold_mark = -3
-
 (* The read section over keys [first, first + n) of [keys], whose
    replies go to [hits] from index [first - base]: the staged table
    walk, then one more stage that asks the cache for every hit's chunk
@@ -474,7 +454,8 @@ let cold_mark = -3
    last every hit served from its chunk by one call
    ({!Store_core.Hits.serve}: expiry checked, access stamped, flags, CAS
    and value copied into the hits), which the stage before leaves time
-   for the chunk lines to arrive. A live hot hit is counted here, inside
+   for the chunk lines to arrive (a lone key, with nothing to overlap,
+   skips that stage). A live hot hit is counted here, inside
    the section: once it closes, the chunk may be retired and reused. An
    expired or cold item is only marked; [settle_batch] serves it after
    the section, as that may take table stripes or read the disk. *)
@@ -482,11 +463,12 @@ let read_section t (keys : Protocol.Keys.t) found (hits : Hits.t) ~base ~now fir
   Rp_ht.find_batch_hashed t.rp ~buf:keys.buf ~offs:keys.offs ~lens:keys.lens
     ~hashes:keys.hashes ~first found n;
   let slab = t.c.slab in
-  for j = 0 to n - 1 do
-    match Array.unsafe_get found j with
-    | Rp_list.Node nd -> Item.prefetch slab nd.value value_prefetch_bytes
-    | Rp_list.Null -> ()
-  done;
+  if n > 1 then
+    for j = 0 to n - 1 do
+      match Array.unsafe_get found j with
+      | Rp_list.Node nd -> Item.prefetch slab nd.value value_prefetch_bytes
+      | Rp_list.Null -> ()
+    done;
   let at = first - base in
   for j = 0 to n - 1 do
     match Array.unsafe_get found j with
@@ -514,7 +496,7 @@ let settle_batch t keys found (hits : Hits.t) ~base ~now first n =
         end
         else if mark = cold_mark then begin
           hits.vlen.(i - base) <- -1;
-          promote_into t hits (i - base) nd.key
+          promote t hits (i - base) nd.key
         end
   done
 
@@ -543,23 +525,6 @@ let get_keys t ~now (keys : Protocol.Keys.t) ~first ~n hits =
   Hits.prepare hits n;
   batches t ~now keys (Array.make (Int.min n batch_keys) Rp_list.Null) hits ~base:first first
     (first + n)
-
-(* A lone GET: no staged walk, just the key's own read section, the
-   reply built inside it. *)
-let get t ~now key =
-  let hash = hash_key key in
-  match lookup t ~with_cas:false ~hash ~now key with
-  | Hit v ->
-      count_hit t.c key (String.length v.vdata);
-      Some v
-  | Absent ->
-      count_miss t.c key;
-      None
-  | Expired ->
-      count_miss t.c key;
-      expire_if_dead t ~now key;
-      None
-  | Cold _ -> promote t ~with_cas:false key
 
 (* The cache lines a run's SETs and GETs will load, asked for at once
    before the run is served key by key: after the table's own stages,
@@ -670,7 +635,6 @@ let create (c : Store_core.t) ~rcu_mode ~initial_size ~auto_resize ~stripes =
     keys = (fun () -> Rp_ht.fold rp ~init:[] ~f:(fun acc k _ -> k :: acc));
     budget = (fun () -> sweep t);
     evict_to_budget = (fun () -> evict_to_budget t);
-    get = (fun ~now key -> get t ~now key);
     get_keys = (fun ~now keys ~first ~n hits -> get_keys t ~now keys ~first ~n hits);
     prefetch = (fun keys -> prefetch t keys);
     iter = (fun f -> iter t f);

@@ -20,7 +20,6 @@ type t = {
   mutable domain : unit Domain.t option;
 }
 
-let cold_store t = t.cold
 let compactions t = Atomic.get t.compactions
 let paused t = Atomic.get t.paused
 

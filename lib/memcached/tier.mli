@@ -46,7 +46,6 @@ val compact_once : t -> bool
     and the torture harness. *)
 
 val compactions : t -> int
-val cold_store : t -> Rp_tier.Cold_store.t
 val paused : t -> bool
 
 val stop : t -> unit

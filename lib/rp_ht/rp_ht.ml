@@ -258,7 +258,8 @@ let prefetch_heads buckets mask hashes first last =
    memory, so running a section's lookups in any order is linearizable.
    The stages before the walk re-read each bucket slot (a cache hit by
    then) instead of staging the head, so [found] is written once per
-   key, and nothing is allocated. *)
+   key, and nothing is allocated. A lone key has no other miss to
+   overlap its own with, so it goes straight to the walk. *)
 let find_batch_hashed t ~buf ~offs ~lens ~hashes ~first found n =
   if
     first < 0 || n < 0
@@ -279,13 +280,15 @@ let find_batch_hashed t ~buf ~offs ~lens ~hashes ~first found n =
   let buckets = table.buckets in
   let mask = table.size - 1 in
   let last = first + n - 1 in
-  prefetch_heads buckets mask hashes first last;
-  for i = first to last do
-    let hash = Array.unsafe_get hashes i in
-    match Array.unsafe_get buckets (hash land mask) with
-    | Node nd when nd.hash = hash -> prefetch nd.key (-8)
-    | Node _ | Null -> ()
-  done;
+  if n > 1 then begin
+    prefetch_heads buckets mask hashes first last;
+    for i = first to last do
+      let hash = Array.unsafe_get hashes i in
+      match Array.unsafe_get buckets (hash land mask) with
+      | Node nd when nd.hash = hash -> prefetch nd.key (-8)
+      | Node _ | Null -> ()
+    done
+  end;
   for i = first to last do
     let hash = Array.unsafe_get hashes i in
     Array.unsafe_set found (i - first)

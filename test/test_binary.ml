@@ -152,15 +152,24 @@ let test_dispatch_quiet_get () =
 
 let test_dispatch_cas_via_set () =
   let store = make_store () in
-  ignore
-    (Binary_server.handle store
-       (request Binary_protocol.Set ~key:"k" ~value:"v1"
-          ~extras:(Binary_protocol.set_extras ~flags:0 ~exptime:0)));
+  let set_cas =
+    match
+      Binary_server.handle store
+        (request Binary_protocol.Set ~key:"k" ~value:"v1"
+           ~extras:(Binary_protocol.set_extras ~flags:0 ~exptime:0))
+    with
+    | [ r ] -> r.r_cas
+    | _ -> Alcotest.fail "set"
+  in
   let cas =
     match Binary_server.handle store (request Binary_protocol.Get ~key:"k") with
     | [ r ] -> r.r_cas
     | _ -> Alcotest.fail "get"
   in
+  (* A CAS of 0 would pass both checks below: [0 + 1] is stale, and a
+     SET with CAS 0 is a plain set. *)
+  Alcotest.(check bool) "get returns a cas" true (cas > 0);
+  Alcotest.(check int) "get's cas is the set reply's" set_cas cas;
   let set_with_cas c =
     match
       Binary_server.handle store
@@ -174,6 +183,26 @@ let test_dispatch_cas_via_set () =
     (set_with_cas (cas + 1) = Binary_protocol.Key_exists);
   Alcotest.(check bool) "fresh cas accepted" true
     (set_with_cas cas = Binary_protocol.Ok_status)
+
+(* A storage reply's CAS is the stored item's own: no GET is counted for
+   it, and a following [gets] returns the same CAS. *)
+let test_dispatch_set_reply_cas () =
+  let store = make_store () in
+  let set_cas =
+    match
+      Binary_server.handle store
+        (request Binary_protocol.Set ~key:"k" ~value:"v"
+           ~extras:(Binary_protocol.set_extras ~flags:0 ~exptime:0))
+    with
+    | [ r ] -> r.r_cas
+    | _ -> Alcotest.fail "set reply shape"
+  in
+  Alcotest.(check (option string)) "the set counted no get" (Some "0")
+    (List.assoc_opt "cmd_get" (Store.stats store));
+  match Dispatch.handle store (Protocol.Gets [ "k" ]) with
+  | Some (Protocol.Values [ { vcas = Some c; _ } ]) ->
+      Alcotest.(check int) "gets returns the set reply's cas" set_cas c
+  | _ -> Alcotest.fail "gets reply shape"
 
 let test_dispatch_counter_seeding () =
   let store = make_store () in
@@ -590,6 +619,7 @@ let () =
           Alcotest.test_case "set/get" `Quick test_dispatch_set_get;
           Alcotest.test_case "quiet gets" `Quick test_dispatch_quiet_get;
           Alcotest.test_case "cas via set" `Quick test_dispatch_cas_via_set;
+          Alcotest.test_case "set reply cas" `Quick test_dispatch_set_reply_cas;
           Alcotest.test_case "counter seeding" `Quick test_dispatch_counter_seeding;
           Alcotest.test_case "stat terminator" `Quick test_dispatch_stat_terminator;
           Alcotest.test_case "stat sections" `Quick test_dispatch_stat_sections;

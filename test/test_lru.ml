@@ -132,7 +132,7 @@ let test_item_size_accounting () =
   let it = item ~exptime:0 ~now:0 "data" in
   Alcotest.(check int) "key + data + overhead"
     (3 + 4 + Item.overhead_bytes)
-    (Item.size_bytes slab ~key:"key" it)
+    (Item.footprint slab ~key_len:3 it)
 
 let () =
   Alcotest.run "lru_item"

@@ -320,7 +320,7 @@ let test_cold_marker_round_trip () =
   Alcotest.(check int) "exptime" 12345 (Item.exptime slab m);
   Alcotest.(check int) "access stamp" 99 (Item.last_access slab m);
   Alcotest.(check int) "footprint: key and overhead" (3 + Item.overhead_bytes)
-    (Item.size_bytes slab ~key:"key" m)
+    (Item.footprint slab ~key_len:3 m)
 
 (* [Item.serve]: a hit's flags, CAS and value land in slot [j] and at
    [fill], its stamp rises; an expired item (-2), a cold marker (-3) and

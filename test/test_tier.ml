@@ -542,14 +542,24 @@ let test_tier_compaction () =
    once the ladder leaves [emergency], the sweep demotes again. The
    ladder is driven by a pressure source of the test's own, swept by
    hand. *)
-let test_emergency_sheds_demotion () =
+let test_emergency_sheds_demotion ~installed () =
   with_dir @@ fun dir ->
   let tier_dir = Filename.concat dir "tier" in
   let store = Store.create ~backend:Store.Rp ~max_bytes:(16 * 1024) ~initial_size:64 () in
-  let guard = Rp_guard.create () in
+  (* [installed]: the server's wiring, whose [mem] source reads the
+     store — a hot layer the sweep holds full at the budget must read
+     as no pressure while a tier is attached, admitting or not, or the
+     ladder never leaves Emergency. *)
+  let guard =
+    if installed then Guard.install store
+    else begin
+      let guard = Rp_guard.create () in
+      Store.set_guard store (Some guard);
+      guard
+    end
+  in
   let pressure = ref 0.0 in
   Rp_guard.add_source guard ~name:"test" (fun () -> !pressure);
-  Store.set_guard store (Some guard);
   let tier =
     match Tier.attach ~compact_interval:3600. ~dir:tier_dir ~max_mb:4 store with
     | Ok t -> t
@@ -585,6 +595,8 @@ let test_emergency_sheds_demotion () =
     if Tier.paused tier && n > 0 then calm (n - 1)
   in
   calm 10;
+  Alcotest.(check bool) "the ladder left emergency" true
+    (Rp_guard.state guard <> Rp_guard.Emergency);
   Alcotest.(check bool) "tier admits again" false (Tier.paused tier);
   set_range 64 96;
   Alcotest.(check bool) "the sweep demotes again" true (Store.tier_demotions store > demoted)
@@ -662,7 +674,10 @@ let () =
       ( "tier",
         [
           Alcotest.test_case "compaction" `Quick test_tier_compaction;
-          Alcotest.test_case "emergency sheds demotion" `Quick test_emergency_sheds_demotion;
+          Alcotest.test_case "emergency sheds demotion" `Quick
+            (test_emergency_sheds_demotion ~installed:false);
+          Alcotest.test_case "emergency sheds demotion, guard installed" `Quick
+            (test_emergency_sheds_demotion ~installed:true);
           Alcotest.test_case "stats_disabled" `Quick test_tier_stats_disabled;
           Alcotest.test_case "refuses_lock_backend" `Quick test_tier_refuses_lock;
         ] );
